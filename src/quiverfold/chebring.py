@@ -287,6 +287,9 @@ class AlgReal:
         return isinstance(other, AlgReal) and self.m == other.m and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # an integer constant equals that int, so it must hash like it
+        if len(self.coeffs) <= 1:
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash((self.m, self.coeffs))
 
     def is_zero(self) -> bool:

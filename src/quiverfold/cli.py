@@ -18,7 +18,7 @@ from .clustercat import ClusterCategory
 from .exchange import ExchangeMatrix, to_quiver, quiver_dot
 from .repcat import FoldedCategory
 from .rootsys import e_F_float, root_system
-from .tropical import TropicalWalker, enumerate_seeds, g_matrix, Seed
+from .tropical import CHECKS, TropicalWalker, check_set, enumerate_seeds, g_matrix, Seed
 from .unfolding import check_weighted_unfolding, standard_folding
 
 
@@ -204,8 +204,7 @@ def cmd_tropical(config: RunConfig) -> int:
             }
             _emit(config, _json(data))
         return 0
-    checks = tuple(config.extra["verify"].split(","))
-    walker = TropicalWalker(spec, checks=checks)
+    walker = TropicalWalker(spec, checks=config.extra["verify"])
     report = walker.verify_cube(
         depth=config.depth,
         random_words=config.random_words,
@@ -346,6 +345,14 @@ def cmd_verify(config: RunConfig) -> int:
 # -- argument parsing -----------------------------------------------------------
 
 
+def _check_names(text: str) -> frozenset:
+    """Parse ``--verify``: comma-separated names from ``tropical.CHECKS``."""
+    try:
+        return check_set(text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quiverfold",
@@ -421,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     trop_walk.add_argument("--random", type=int, default=0)
     trop_walk.add_argument("--length", type=int, default=30)
     trop_walk.add_argument("--seed", type=int, default=0)
-    trop_walk.add_argument("--verify", default="cube,blocks,roots,dets")
+    trop_walk.add_argument("--verify", type=_check_names, default=",".join(CHECKS))
     trop_enum = trop_sub.add_parser("enumerate")
     add_common_tropical(trop_enum)
     trop_enum.add_argument("--cap", type=int, default=20000)
@@ -486,7 +493,7 @@ def main(argv=None) -> int:
         return cmd_fold(config)
     if args.command == "tropical":
         config.extra["trop_op"] = args.trop_op
-        config.extra["verify"] = getattr(args, "verify", "cube,blocks,roots,dets")
+        config.extra["verify"] = getattr(args, "verify", CHECKS)
         return cmd_tropical(config)
     if args.command == "tilting":
         config.extra["tilt_op"] = args.tilt_op

@@ -121,28 +121,182 @@ def mutate_entries(rows, k: int):
     Rows may outnumber columns (extended matrices); the pivot row ``k`` is
     always read from the top square block.  The halving in the classical
     formula is avoided: the correction term is sgn(b_ik) * b_ik * b_kj when
-    b_ik and b_kj have equal nonzero signs and zero otherwise.
+    b_ik and b_kj have equal nonzero signs and zero otherwise.  The pivot
+    signs sgn(b_kj) are computed once, and only if some row needs them.
     """
     ncols = len(rows[0])
     if not 0 <= k < ncols:
         raise IndexError(f"mutation index {k} out of range 0..{ncols - 1}")
     out = []
     pivot_row = rows[k]
+    pivot_signs = None
     for i, row in enumerate(rows):
+        if i == k:
+            out.append(tuple(-b for b in row))
+            continue
         b_ik = row[k]
         s_ik = sgn(b_ik)
-        new_row = []
-        for j, b_ij in enumerate(row):
-            if i == k or j == k:
-                new_row.append(-b_ij)
-            else:
-                b_kj = pivot_row[j]
-                if s_ik != 0 and s_ik == sgn(b_kj):
-                    new_row.append(b_ij + s_ik * (b_ik * b_kj))
-                else:
-                    new_row.append(b_ij)
+        new_row = list(row)
+        new_row[k] = -b_ik
+        if s_ik:
+            if pivot_signs is None:
+                pivot_signs = [sgn(b) for b in pivot_row]
+            for j, s_kj in enumerate(pivot_signs):
+                if j != k and s_kj == s_ik:
+                    new_row[j] = row[j] + s_ik * (b_ik * pivot_row[j])
         out.append(tuple(new_row))
     return tuple(out)
+
+
+@dataclass
+class Exploration:
+    """What one ``explore_words`` call did.
+
+    ``failures`` lists (word, detail) pairs in the order they were found;
+    ``states`` counts the distinct states among the checked words.
+    """
+
+    words: int
+    states: int
+    failures: list
+
+
+class _FirstFailure(Exception):
+    pass
+
+
+class _Explorer:
+    """The memo tables and tallies of one ``explore_words`` call."""
+
+    def __init__(self, step, parity: bool, first_only: bool):
+        self.step = step
+        self.parity = parity
+        self.first_only = first_only
+        self.tables = {}    # shape -> {value: the interned value}
+        self.entries = {}   # (type, value) -> the interned entry
+        self.edges = {}     # (id(state), k) -> interned state
+        self.verdicts = {}  # (id(state), check, parity) -> failure details
+        self.seen = set()
+        self.failures = []
+        self.words = 0
+
+    def cons(self, x):
+        """Intern ``x`` and all its parts; return (interned x, shape of x).
+
+        ``x`` is a tuple of tuples (a state or a matrix) or a row of entries.
+        The shape names the type of every entry and each shape has its own
+        table, so values that are equal but typed differently, such as
+        ``AlgReal(m, (1,))`` and ``1``, are never swapped for each other.
+        A row already seen is found by value before its entries are touched.
+        """
+        row = not (x and isinstance(x[0], tuple))
+        if row:
+            shape = tuple(map(type, x))
+        else:
+            parts = [self.cons(part) for part in x]
+            x = tuple(part for part, _ in parts)
+            shape = tuple(kind for _, kind in parts)
+        table = self.tables.get(shape)
+        if table is None:
+            table = self.tables[shape] = {}
+        interned = table.get(x)
+        if interned is None:
+            if row:
+                entries = self.entries
+                x = tuple([entries.setdefault((kind, v), v) for kind, v in zip(shape, x)])
+            interned = table[x] = x
+        return interned, shape
+
+    def move(self, state, k):
+        key = (id(state), k)
+        nxt = self.edges.get(key)
+        if nxt is None:
+            nxt = self.edges[key] = self.cons(self.step(state, k))[0]
+        return nxt
+
+    def visit(self, state, word, check, counted=True):
+        self.words += counted
+        self.seen.add(id(state))
+        key = (id(state), check, self.parity and len(word) % 2)
+        details = self.verdicts.get(key)
+        if details is None:
+            details = tuple(check(state, word, lambda k: self.move(state, k)))
+            self.verdicts[key] = details
+        self.failures.extend((word, d) for d in details)
+        if details and self.first_only:
+            raise _FirstFailure
+
+    def descend(self, state, word, letters, depth, check):
+        if len(word) == depth or self.failures:
+            return
+        for k in range(letters):
+            child, longer = self.move(state, k), word + (k,)
+            self.visit(child, longer, check)
+            self.descend(child, longer, letters, depth, check)
+
+    def walk(self, start, word, check, end_check):
+        state = start
+        for pos, k in enumerate(word):
+            state = self.move(state, k)
+            self.visit(state, word[: pos + 1], check)
+        if end_check is not None:
+            self.visit(state, word, end_check, counted=False)
+
+
+def explore_words(
+    start,
+    step,
+    letters: int,
+    check,
+    depth: int = 0,
+    walks=(),
+    *,
+    walk_check=None,
+    end_check=None,
+    parity: bool = False,
+    first_only: bool = False,
+) -> Exploration:
+    """Check mutation words from ``start``, doing each distinct piece of work once.
+
+    A state is a tuple of matrices (tuples of rows of ring entries), and
+    ``step(state, k)`` returns the state mutated at letter ``k``.  The words
+    checked are, in order: the empty word, every word of length 1..depth as
+    a prefix tree (each word right after its parent), then every prefix of
+    each word of ``walks`` (an iterable of tuples, consumed lazily).
+    ``check`` runs at the tree words, ``walk_check`` (default ``check``) at
+    the walk prefixes, and ``end_check`` once more at the end of each walk,
+    without counting as a word.
+
+    A check is called as ``check(state, word, neighbour)`` and returns a
+    tuple of failure details.  It must depend on the word only through
+    ``len(word) % 2``, and only when ``parity`` is set; ``neighbour(k)`` is
+    the memoized ``step(state, k)``.  Then the result for a word is a
+    function of the key (state, check, parity), so each key is checked once
+    and a repeat replays the recorded details with the current word: every
+    word of length <= d passes exactly when every state reachable in <= d
+    steps passes.
+
+    Transitions (state, k) -> state are memoized, and each new state is
+    hash-consed down to its entries, so memory grows with the distinct
+    states and not with the words.  Values are interned by the type of each
+    entry as well as by value, since ``AlgReal(m, (1,)) == 1``.  All tables
+    live for this call.
+
+    After a failure the tree is not descended further and no new walk
+    starts; with ``first_only`` the exploration stops at the first failure.
+    """
+    explorer = _Explorer(step, parity, first_only)
+    start = explorer.cons(start)[0]
+    try:
+        explorer.visit(start, (), check)
+        explorer.descend(start, (), letters, depth, check)
+        for word in walks:
+            if explorer.failures:
+                break
+            explorer.walk(start, word, walk_check or check, end_check)
+    except _FirstFailure:
+        pass
+    return Exploration(explorer.words, len(explorer.seen), explorer.failures)
 
 
 def composite_orders_agree(matrix: ExchangeMatrix, block) -> bool:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chebring import AlgReal, ChebElem, cheb_mul, rho, sigma
-from .exchange import ExchangeMatrix, mutate_entries
+from .exchange import ExchangeMatrix, explore_words, mutate_entries
 from .repcat import folded_type_name
 from .rootsys import root_system
 from .unfolding import FoldingSpec
@@ -216,6 +216,7 @@ class WalkReport:
     vertices_checked: int
     failures: list
     seed: int | None = None
+    states: int = 0  # distinct (folded, lifted) pairs among the checked words; not in to_json
 
     def to_json(self):
         return {
@@ -226,10 +227,21 @@ class WalkReport:
         }
 
 
+CHECKS = ("cube", "blocks", "roots", "dets")
+
+
+def check_set(checks) -> frozenset:
+    """The named checks; each must be one of ``CHECKS``, and at least one is."""
+    names = frozenset(checks)
+    if not names or not names <= set(CHECKS):
+        raise ValueError(f"checks must be a nonempty subset of {CHECKS}, got {tuple(checks)!r}")
+    return names
+
+
 class TropicalWalker:
     """Drives a folded seed and its composite-mutation lift from one word."""
 
-    def __init__(self, spec: FoldingSpec, checks=("cube", "blocks", "roots", "dets")):
+    def __init__(self, spec: FoldingSpec, checks=CHECKS):
         if spec.n is None:
             raise ValueError("tropical walks need a Chebyshev folding")
         self.spec = spec
@@ -238,7 +250,7 @@ class TropicalWalker:
         self.mprime = spec.B.n
         self.nverts = spec.S.n
         self.roots = root_system(folded_type_name(spec))
-        self.checks = frozenset(checks)
+        self.checks = check_set(checks)
         self.one = AlgReal(self.m, (1,))
 
     # stacked matrices: folded (2m' x m') over AlgReal, lifted (2N x N) over Z
@@ -266,6 +278,13 @@ class TropicalWalker:
         return r if rho(r) == tuple(tuple(row) for row in block) else None
 
     def check_vertex(self, folded, lifted, word, failures, neighbours=True, only=None):
+        """Append to ``failures`` a record ``(word, name, ...)`` per failed check.
+
+        ``only`` narrows the walker's checks.  ``neighbours`` turns the cube
+        check's mutation squares on or off; it may also be a function
+        ``k -> (folded, lifted)`` that supplies the neighbour pairs, such as
+        the memoized transitions of ``verify_cube``.
+        """
         spec = self.spec
         checks = self.checks if only is None else (self.checks & only)
         mprime, nverts = self.mprime, self.nverts
@@ -296,7 +315,10 @@ class TropicalWalker:
                 failures.append((word, "CtG-not-identity"))
             if neighbours:
                 for k in range(mprime):
-                    nf, nl = self.step(folded, lifted, k)
+                    if callable(neighbours):
+                        nf, nl = neighbours(k)
+                    else:
+                        nf, nl = self.step(folded, lifted, k)
                     if matrix_d_F(spec, nl[nverts:]) != nf[mprime:]:
                         failures.append((word, "dF-mutation-square", k))
 
@@ -342,43 +364,55 @@ class TropicalWalker:
         random_length: int = 30,
         seed: int = 0,
     ) -> WalkReport:
-        failures = []
-        count = [0]
+        """Run every check on all words of length <= depth, then random walks.
 
-        def visit(folded, lifted, word):
-            count[0] += 1
-            self.check_vertex(folded, lifted, word, failures)
+        Each random walk runs the roots check after every step and all the
+        checks once at its end.  After the first failure the word tree is
+        not descended further and no new walk starts.
 
-        folded0, lifted0 = self.initial_pair()
-        visit(folded0, lifted0, ())
+        Words versus states: every check is a function of the (folded,
+        lifted) pair and, for ``dets``, of the parity of the word length,
+        so each distinct (pair, check, parity) is checked once and a repeat
+        reuses the recorded failures with the current word
+        (``explore_words``).  "Every word of length <= depth passes" is the
+        same statement as "every pair reachable in <= depth steps passes".
+        ``vertices_checked`` still counts words; ``states`` counts pairs.
+        """
 
-        def dfs(folded, lifted, word):
-            if len(word) == depth or failures:
-                return
-            for k in range(self.mprime):
-                nf, nl = self.step(folded, lifted, k)
-                visit(nf, nl, word + (k,))
-                dfs(nf, nl, word + (k,))
+        def step(state, k):
+            return self.step(*state, k)
 
-        dfs(folded0, lifted0, ())
+        def checker(only):
+            def check(state, word, neighbour):
+                found = []
+                self.check_vertex(*state, word, found, neighbours=neighbour, only=only)
+                return tuple(f[1:] for f in found)
 
+            return check
+
+        full, roots = checker(None), checker(frozenset(("roots",)))
         rng = random.Random(seed)
-        for _ in range(random_words):
-            if failures:
-                break
-            folded, lifted = folded0, lifted0
-            word = []
-            for _ in range(random_length):
-                k = rng.randrange(self.mprime)
-                word.append(k)
-                folded, lifted = self.step(folded, lifted, k)
-                count[0] += 1
-                self.check_vertex(
-                    folded, lifted, tuple(word), failures,
-                    neighbours=False, only=frozenset(("roots",)),
-                )
-            self.check_vertex(folded, lifted, tuple(word), failures)
-        return WalkReport(not failures, count[0], failures, seed)
+        walks = (
+            tuple(rng.randrange(self.mprime) for _ in range(random_length))
+            for _ in range(random_words)
+        )
+        result = explore_words(
+            self.initial_pair(), step, self.mprime, full, depth, walks,
+            walk_check=roots, end_check=full, parity=True,
+        )
+        failures = [_failure(word, detail) for word, detail in result.failures]
+        return WalkReport(not failures, result.words, failures, seed, result.states)
+
+
+def _failure(word, detail):
+    """A check_vertex failure record for ``word``.
+
+    The determinant record names the word length, which the memo key keeps
+    only modulo 2, so it is rebuilt from the word.
+    """
+    if detail[0] == "folded-determinant":
+        return (word, detail[0], len(word))
+    return (word,) + detail
 
 
 def _mat_mul_int(a, b):

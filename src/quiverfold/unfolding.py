@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 
 from .chebring import AlgReal, ChebElem, rho, sigma
-from .exchange import ExchangeMatrix, mutate_entries, rescale, sgn
+from .exchange import ExchangeMatrix, explore_words, mutate_entries, rescale, sgn
 
 
 @dataclass(frozen=True)
@@ -200,6 +200,7 @@ class UnfoldingReport:
     depth: int = 0
     random_words: int = 0
     seed: int | None = None
+    states: int = 0  # distinct (S, B) pairs among the checked words; not in to_json
 
     def to_json(self):
         detail = None
@@ -248,73 +249,50 @@ def check_weighted_unfolding(
     every prefix is also a checked word) plus ``random_words`` seeded random
     words of length ``random_length``.  Evidence is depth-bounded: the
     definition quantifies over all words, which no finite run certifies.
+
+    Words versus states: the conditions are a function of the mutated pair
+    (S, B) alone, and in finite type many words reach the same pair.  Each
+    distinct pair is checked once and a repeat reuses its verdict
+    (``explore_words``), so "every word of length <= depth passes" is the
+    same statement as "every pair reachable in <= depth steps passes".
+    ``words_checked`` still counts words; ``states`` counts distinct pairs.
     """
-    m_folded = spec.B.n
-    counter = [0]
 
-    def folded_target(B_current):
-        if spec.rescaling is None:
-            return B_current
-        return rescale(B_current, spec.rescaling)
-
-    def check(S_rows, B_current):
-        counter[0] += 1
-        return conditions_hold(S_rows, folded_target(B_current), spec.blocks, spec.weights)
-
-    def step(S_rows, B_current, k):
-        rows = S_rows
+    def step(state, k):
+        rows, B_rows = state
         for v in spec.blocks[k]:
             rows = mutate_entries(rows, v)
-        return rows, B_current.mutate(k)
+        return rows, mutate_entries(B_rows, k)
 
-    ok, detail = check(spec.S.entries, spec.B)
-    if not ok:
-        return UnfoldingReport(False, counter[0], (), detail, depth, random_words, seed)
+    def check(state, word, neighbour):
+        S_rows, B_rows = state
+        B = ExchangeMatrix(B_rows)
+        if spec.rescaling is not None:
+            B = rescale(B, spec.rescaling)
+        ok, detail = conditions_hold(S_rows, B, spec.blocks, spec.weights)
+        return () if ok else (detail,)
 
     if sequences is not None:
-        for word in sequences:
-            rows, B_cur = spec.S.entries, spec.B
-            for pos, k in enumerate(word):
-                rows, B_cur = step(rows, B_cur, k)
-                ok, detail = check(rows, B_cur)
-                if not ok:
-                    return UnfoldingReport(
-                        False, counter[0], tuple(word[: pos + 1]), detail
-                    )
-        return UnfoldingReport(True, counter[0])
-
-    # exhaustive prefix tree
-    def dfs(S_rows, B_current, word):
-        if len(word) == depth:
-            return None
-        for k in range(m_folded):
-            rows, B_cur = step(S_rows, B_current, k)
-            ok, detail = check(rows, B_cur)
-            if not ok:
-                return word + (k,), detail
-            bad = dfs(rows, B_cur, word + (k,))
-            if bad is not None:
-                return bad
-        return None
-
-    bad = dfs(spec.S.entries, spec.B, ())
-    if bad is not None:
-        return UnfoldingReport(False, counter[0], bad[0], bad[1], depth, random_words, seed)
-
-    rng = random.Random(seed)
-    for _ in range(random_words):
-        rows, B_cur = spec.S.entries, spec.B
-        word = []
-        for _ in range(random_length):
-            k = rng.randrange(m_folded)
-            word.append(k)
-            rows, B_cur = step(rows, B_cur, k)
-            ok, detail = check(rows, B_cur)
-            if not ok:
-                return UnfoldingReport(
-                    False, counter[0], tuple(word), detail, depth, random_words, seed
-                )
-    return UnfoldingReport(True, counter[0], None, None, depth, random_words, seed)
+        walks = (tuple(word) for word in sequences)
+    else:
+        rng = random.Random(seed)
+        walks = (
+            tuple(rng.randrange(spec.B.n) for _ in range(random_length))
+            for _ in range(random_words)
+        )
+    run = explore_words(
+        (spec.S.entries, spec.B.entries),
+        step,
+        spec.B.n,
+        check,
+        depth=0 if sequences is not None else depth,
+        walks=walks,
+        first_only=True,
+    )
+    word, detail = run.failures[0] if run.failures else (None, None)
+    return UnfoldingReport(
+        not run.failures, run.words, word, detail, depth, random_words, seed, run.states
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,18 @@ class TestSigma:
                 assert val == pytest.approx(cheb_value(k, 2 * n + 1), abs=1e-9)
 
 
+class TestAlgRealHash:
+    def test_integer_constants_hash_like_int(self):
+        assert len({AlgReal(5, (3,)), 3}) == 1
+        assert hash(AlgReal(7)) == hash(0)
+        assert hash(AlgReal(7, (-2,))) == hash(-2)
+        assert {AlgReal(5, (1,)): "one"}[1] == "one"
+
+    def test_equal_values_hash_equal(self):
+        assert hash(AlgReal(5, (1, 1))) == hash(AlgReal.generator(5) + 1)
+        assert hash(AlgReal(5, (0, 0, 1))) == hash(AlgReal(5, (1, 1)))
+
+
 class TestAlgRealSign:
     def test_zero(self):
         assert AlgReal(7).sign() == 0

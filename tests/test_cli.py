@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -149,6 +150,27 @@ class TestDeterminism:
         assert json.loads(path.read_text())["count"] == 14
 
 
+class TestByteIdentity:
+    # stdout sha256 recorded before the verifiers checked each distinct state once
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                "unfold verify --kind H3 --depth 4 --random 20",
+                "d1c6c42a5c1f94729001d168a9fbf04a6e3cabd147a792fd6c09a237c4af34f0",
+            ),
+            (
+                "tropical walk --kind I2 --n 3 --depth 5 --random 10",
+                "36ba7b9049a21761869ef2fe97e95c9f6e9b50df95ed603953ad5f32521aca08",
+            ),
+        ],
+    )
+    def test_stdout_unchanged(self, capsys, argv, digest):
+        code, out = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as err:
@@ -159,6 +181,13 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main(["ar", "build"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("names", ["cubee", "", "cube,,roots"])
+    def test_unknown_or_empty_check_name(self, capsys, names):
+        with pytest.raises(SystemExit) as err:
+            main(["tropical", "walk", "--kind", "I2", "--n", "2", "--verify", names])
+        assert err.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
     def test_kind_needs_n(self):
         with pytest.raises(SystemExit):

@@ -242,3 +242,47 @@ class TestExtendedMutation:
     def test_json_round_trip(self):
         for M in (S_E6, golden_matrix()):
             assert ExchangeMatrix.from_json(M.to_json()) == M
+
+    @given(m=st.sampled_from([None, 5, 7]), data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_per_row_sign_formula(self, m, data):
+        # random stacked matrices over Z, Z[2cos(pi/5)] and Z[2cos(pi/7)],
+        # zeros frequent so that rows with b_ik = 0 occur
+        n = data.draw(st.integers(1, 4))
+        extra = data.draw(st.integers(0, 4))
+        coeff = st.sampled_from((0, 0, 0, 1, -1, 2, -3))
+        if m is None:
+            entry = coeff
+        else:
+            deg = 2 if m == 5 else 3
+            entry = st.tuples(*[coeff] * deg).map(lambda c: AlgReal(m, c))
+        rows = tuple(
+            tuple(data.draw(entry) for _ in range(n)) for _ in range(n + extra)
+        )
+        k = data.draw(st.integers(0, n - 1))
+        assert mutate_entries(rows, k) == mutate_entries_per_row(rows, k)
+
+
+def _sgn(x):
+    return x.sign() if isinstance(x, AlgReal) else (x > 0) - (x < 0)
+
+
+def mutate_entries_per_row(rows, k):
+    """Reference mutation: recomputes sgn(b_kj) for every entry it corrects."""
+    out = []
+    pivot_row = rows[k]
+    for i, row in enumerate(rows):
+        b_ik = row[k]
+        s_ik = _sgn(b_ik)
+        new_row = []
+        for j, b_ij in enumerate(row):
+            if i == k or j == k:
+                new_row.append(-b_ij)
+            else:
+                b_kj = pivot_row[j]
+                if s_ik != 0 and s_ik == _sgn(b_kj):
+                    new_row.append(b_ij + s_ik * (b_ik * b_kj))
+                else:
+                    new_row.append(b_ij)
+        out.append(tuple(new_row))
+    return tuple(out)

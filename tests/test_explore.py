@@ -1,0 +1,334 @@
+"""The memoized word explorer against the word-by-word loops it replaced.
+
+``oracle_unfolding`` and ``oracle_cube`` are the verifiers' loops as they
+were before ``explore_words``: every word is mutated and checked on its own.
+They also count the distinct states and the distinct (state, check, parity)
+keys they check.  The reports of the explorer-based verifiers must match
+them field by field, on passing and failing runs.
+"""
+
+import random
+from dataclasses import replace
+
+import pytest
+
+from quiverfold import tropical, unfolding
+from quiverfold.chebring import AlgReal
+from quiverfold.exchange import ExchangeMatrix, explore_words, mutate_entries, rescale
+from quiverfold.tropical import TropicalWalker
+from quiverfold.unfolding import check_weighted_unfolding, conditions_hold, standard_folding
+from test_unfolding import FoldingSpecBrokenWeights
+
+
+def oracle_unfolding(spec, sequences=None, depth=6, random_words=200, random_length=20, seed=0):
+    """(passed, words, failure word, failure detail, distinct states)."""
+    m_folded = spec.B.n
+    counter = [0]
+    states = set()
+
+    def check(S_rows, B_current):
+        counter[0] += 1
+        states.add((S_rows, B_current.entries))
+        if spec.rescaling is not None:
+            B_current = rescale(B_current, spec.rescaling)
+        return conditions_hold(S_rows, B_current, spec.blocks, spec.weights)
+
+    def step(S_rows, B_current, k):
+        rows = S_rows
+        for v in spec.blocks[k]:
+            rows = mutate_entries(rows, v)
+        return rows, B_current.mutate(k)
+
+    def result(word=None, detail=None):
+        return (word is None, counter[0], word, detail, len(states))
+
+    ok, detail = check(spec.S.entries, spec.B)
+    if not ok:
+        return result((), detail)
+
+    if sequences is not None:
+        for word in sequences:
+            rows, B_cur = spec.S.entries, spec.B
+            for pos, k in enumerate(word):
+                rows, B_cur = step(rows, B_cur, k)
+                ok, detail = check(rows, B_cur)
+                if not ok:
+                    return result(tuple(word[: pos + 1]), detail)
+        return result()
+
+    def dfs(S_rows, B_current, word):
+        if len(word) == depth:
+            return None
+        for k in range(m_folded):
+            rows, B_cur = step(S_rows, B_current, k)
+            ok, detail = check(rows, B_cur)
+            if not ok:
+                return word + (k,), detail
+            bad = dfs(rows, B_cur, word + (k,))
+            if bad is not None:
+                return bad
+        return None
+
+    bad = dfs(spec.S.entries, spec.B, ())
+    if bad is not None:
+        return result(*bad)
+
+    rng = random.Random(seed)
+    for _ in range(random_words):
+        rows, B_cur = spec.S.entries, spec.B
+        word = []
+        for _ in range(random_length):
+            k = rng.randrange(m_folded)
+            word.append(k)
+            rows, B_cur = step(rows, B_cur, k)
+            ok, detail = check(rows, B_cur)
+            if not ok:
+                return result(tuple(word), detail)
+    return result()
+
+
+def oracle_cube(walker, depth=6, random_words=0, random_length=30, seed=0):
+    """(passed, words, failures, distinct states, distinct check keys)."""
+    failures = []
+    count = [0]
+    states, keys = set(), set()
+
+    def check(folded, lifted, word, full):
+        states.add((folded, lifted))
+        keys.add((folded, lifted, full, len(word) % 2))
+        if full:
+            walker.check_vertex(folded, lifted, word, failures)
+        else:
+            walker.check_vertex(
+                folded, lifted, word, failures,
+                neighbours=False, only=frozenset(("roots",)),
+            )
+
+    def visit(folded, lifted, word):
+        count[0] += 1
+        check(folded, lifted, word, True)
+
+    folded0, lifted0 = walker.initial_pair()
+    visit(folded0, lifted0, ())
+
+    def dfs(folded, lifted, word):
+        if len(word) == depth or failures:
+            return
+        for k in range(walker.mprime):
+            nf, nl = walker.step(folded, lifted, k)
+            visit(nf, nl, word + (k,))
+            dfs(nf, nl, word + (k,))
+
+    dfs(folded0, lifted0, ())
+
+    rng = random.Random(seed)
+    for _ in range(random_words):
+        if failures:
+            break
+        folded, lifted = folded0, lifted0
+        word = []
+        for _ in range(random_length):
+            k = rng.randrange(walker.mprime)
+            word.append(k)
+            folded, lifted = walker.step(folded, lifted, k)
+            count[0] += 1
+            check(folded, lifted, tuple(word), False)
+        check(folded, lifted, tuple(word), True)
+    return not failures, count[0], failures, len(states), len(keys)
+
+
+def unfolding_fields(report):
+    return (
+        report.passed, report.words_checked, report.failure_word, report.failure_detail,
+        report.states,
+    )
+
+
+def assert_unfolding_matches(spec, monkeypatch, **kwargs):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return conditions_hold(*args)
+
+    expected = oracle_unfolding(spec, **kwargs)
+    monkeypatch.setattr(unfolding, "conditions_hold", counted)
+    report = check_weighted_unfolding(spec, **kwargs)
+    assert unfolding_fields(report) == expected
+    # each distinct (S, B) pair is checked once
+    assert len(calls) == report.states
+    for name in ("depth", "random_words", "seed"):
+        if name in kwargs:
+            assert getattr(report, name) == kwargs[name]
+    return report
+
+
+def assert_cube_matches(walker, monkeypatch, **kwargs):
+    calls = []
+    check_vertex = walker.check_vertex
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return check_vertex(*args, **kw)
+
+    passed, words, failures, states, keys = oracle_cube(walker, **kwargs)
+    monkeypatch.setattr(walker, "check_vertex", counted)
+    report = walker.verify_cube(**kwargs)
+    assert (report.passed, report.vertices_checked, report.failures, report.seed) == (
+        passed, words, failures, kwargs.get("seed", 0),
+    )
+    assert report.states == states
+    # each distinct (state, check, parity) key is checked once
+    assert len(calls) == keys
+    return report
+
+
+FOLDINGS = [("F4E6", None), ("I2m", 5), ("I2m", 6), ("I2m", 7), ("H3", None), ("H4", None),
+            ("I2", 2), ("I2", 3)]
+
+
+class TestUnfoldingEquivalence:
+    @pytest.mark.parametrize("kind,n", FOLDINGS)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_standard_foldings(self, kind, n, seed, monkeypatch):
+        spec = standard_folding(kind, n)
+        report = assert_unfolding_matches(
+            spec, monkeypatch, depth=3, random_words=10, random_length=8, seed=seed
+        )
+        assert report.passed and report.states < report.words_checked
+
+    def test_sequences(self, monkeypatch):
+        spec = standard_folding("H3")
+        words = [(), (0, 1, 2, 1, 0), [2, 2], (1, 0, 1, 0, 1, 0, 1, 0, 1, 0)]
+        report = assert_unfolding_matches(spec, monkeypatch, sequences=words)
+        assert report.passed
+
+    @pytest.mark.parametrize("kind,n", FOLDINGS)
+    def test_broken_weights(self, kind, n, monkeypatch):
+        bad = FoldingSpecBrokenWeights(standard_folding(kind, n))
+        report = assert_unfolding_matches(bad, monkeypatch, depth=2, random_words=3, seed=1)
+        assert not report.passed
+
+    @pytest.mark.parametrize("depth,seed", [(5, 0), (1, 0), (1, 1)])
+    def test_failure_deep_in_the_tree_or_a_walk(self, depth, seed, monkeypatch):
+        report = assert_unfolding_matches(
+            shifted_f4e6(), monkeypatch, depth=depth, random_words=20, random_length=8,
+            seed=seed,
+        )
+        assert not report.passed and len(report.failure_word) >= 2
+
+    def test_sequence_failure(self, monkeypatch):
+        words = [(0, 1), (1, 0, 0, 2, 1, 3), (0, 0, 2, 1, 2)]
+        report = assert_unfolding_matches(shifted_f4e6(), monkeypatch, sequences=words)
+        assert report.failure_word == (0, 0, 2, 1)
+
+
+def shifted_f4e6():
+    """F4E6 with one arrow of column 1 moved from vertex 3 to vertex 2.
+
+    Both have weight one, so the column sums still hold at the start; the
+    conditions fail only after a few mutations.
+    """
+    spec = standard_folding("F4E6")
+    rows = [list(r) for r in spec.S.entries]
+    rows[2][1] += 1
+    rows[3][1] -= 1
+    return replace(spec, S=ExchangeMatrix(rows))
+
+
+def corrupted_lifted(kind, n):
+    """The folding with one lifted block changed: its arrows stop folding."""
+    spec = standard_folding(kind, n)
+    rows = [list(r) for r in spec.S.entries]
+    i, j = spec.blocks[0][0], spec.blocks[1][-1]
+    rows[i][j] += 1
+    rows[j][i] -= 1
+    return replace(spec, S=ExchangeMatrix(rows))
+
+
+def corrupted_folded(kind, n):
+    """The folding with its folded edge weight raised by one."""
+    spec = standard_folding(kind, n)
+    rows = [list(r) for r in spec.B.entries]
+    rows[0][1] = rows[0][1] + 1
+    rows[1][0] = rows[1][0] - 1
+    return replace(spec, B=ExchangeMatrix(rows))
+
+
+class TestCubeEquivalence:
+    @pytest.mark.parametrize(
+        "kind,n,depth", [("I2", 2, 5), ("I2", 3, 4), ("I2", 4, 3), ("H3", None, 3), ("H4", None, 2)]
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_standard_foldings(self, kind, n, depth, seed, monkeypatch):
+        walker = TropicalWalker(standard_folding(kind, n))
+        report = assert_cube_matches(
+            walker, monkeypatch, depth=depth, random_words=4, random_length=10, seed=seed
+        )
+        assert report.passed and report.states < report.vertices_checked
+
+    @pytest.mark.parametrize("kind,n", [("I2", 3), ("H3", None), ("H4", None)])
+    @pytest.mark.parametrize("checks", [tropical.CHECKS, ("blocks", "roots", "dets")])
+    @pytest.mark.parametrize("depth", [0, 3])
+    def test_corrupted_lifted_block(self, kind, n, checks, depth, monkeypatch):
+        walker = TropicalWalker(corrupted_lifted(kind, n), checks=checks)
+        report = assert_cube_matches(
+            walker, monkeypatch, depth=depth, random_words=6, random_length=6, seed=1
+        )
+        assert not report.passed
+
+    @pytest.mark.parametrize("checks", [("roots",), ("roots", "dets")])
+    @pytest.mark.parametrize("depth", [0, 4])
+    def test_corrupted_folded_entry(self, checks, depth, monkeypatch):
+        # a walk goes on after a failed step, so failures recur and are replayed
+        walker = TropicalWalker(corrupted_folded("I2", 3), checks=checks)
+        report = assert_cube_matches(
+            walker, monkeypatch, depth=depth, random_words=3, random_length=8, seed=0
+        )
+        assert not report.passed
+        if depth == 0:
+            assert len(report.failures) > len({f[1:] for f in report.failures})
+
+    def test_replayed_determinant_failure_names_its_word(self, monkeypatch):
+        # the memo key keeps the word length mod 2; the record needs all of it
+        walker = TropicalWalker(standard_folding("I2", 3))
+        target = walker.step(*walker.initial_pair(), 0)[0]
+        calls = []
+
+        def check_vertex(folded, lifted, word, failures, neighbours=True, only=None):
+            calls.append(word)
+            if folded == target:
+                failures.append((word, "folded-determinant", len(word)))
+
+        monkeypatch.setattr(walker, "check_vertex", check_vertex)
+        report = walker.verify_cube(depth=0, random_words=1, random_length=12, seed=3)
+        lengths = {f[2] for f in report.failures}
+        assert len(calls) < report.vertices_checked and len(lengths) > 1
+        assert all(f[2] == len(f[0]) for f in report.failures)
+
+
+class TestExploreWords:
+    def test_interning_keeps_entry_types(self):
+        # AlgReal(5, (1,)) == 1 and hashes alike, but must not replace the int
+        one = AlgReal(5, (1,))
+        seen = []
+
+        def check(state, word, neighbour):
+            seen.append(state)
+            return ()
+
+        run = explore_words((((one,),), ((1,),)), lambda s, k: s, 1, check, depth=2)
+        assert run.words == 3 and run.states == 1
+        (folded,), (lifted,) = seen[0]
+        assert type(folded[0]) is AlgReal and type(lifted[0]) is int
+
+    def test_transitions_are_memoized(self):
+        steps = []
+
+        def step(state, k):
+            steps.append((state, k))
+            return ((((state[0][0][0] + k + 1) % 3,),),)
+
+        run = explore_words((((0,),),), step, 2, lambda s, w, nb: (), depth=6)
+        assert run.words == 2**7 - 1 and run.states == 3
+        assert len(steps) == 3 * 2

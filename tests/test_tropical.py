@@ -124,6 +124,11 @@ class TestWalker:
         report = walker.verify_cube(depth=3, random_words=10, random_length=12, seed=9)
         assert report.passed, report.failures[:3]
 
+    @pytest.mark.parametrize("checks", [("cubee",), ("cube", ""), ()])
+    def test_rejects_unknown_or_empty_checks(self, checks):
+        with pytest.raises(ValueError):
+            TropicalWalker(standard_folding("I2", 3), checks=checks)
+
     def test_block_element_extraction(self, walker_i7):
         folded, lifted = walker_i7.initial_pair()
         blk = walker_i7.c_block(lifted, 0, 0)

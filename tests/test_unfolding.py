@@ -185,6 +185,15 @@ class TestWeightedUnfoldingWalks:
         report = check_weighted_unfolding(spec, sequences=[(), (0, 1, 2, 1, 0), (2, 2)])
         assert report.passed
 
+    def test_reports_name_their_arguments(self):
+        spec = standard_folding("H3")
+        for s in (spec, FoldingSpecBrokenWeights(spec)):
+            for sequences in (None, [(0, 1), (2,)]):
+                report = check_weighted_unfolding(
+                    s, sequences=sequences, depth=2, random_words=3, seed=5
+                )
+                assert (report.depth, report.random_words, report.seed) == (2, 3, 5)
+
     def test_broken_spec_fails(self):
         spec = standard_folding("I2m", 5)
         bad = FoldingSpecBrokenWeights(spec)
