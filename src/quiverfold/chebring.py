@@ -223,6 +223,15 @@ class AlgReal:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "coeffs", _poly_trim(list(coeffs)))
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"AlgReal is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"AlgReal is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return AlgReal, (self.m, self.coeffs)
+
     # -- constructors -------------------------------------------------
     @staticmethod
     def integer(m: int, k: int) -> "AlgReal":

@@ -50,18 +50,41 @@ def _json(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2)
 
 
+class UsageError(Exception):
+    """An argument value that argparse accepts but the command cannot use.
+
+    ``main`` reports it on one line of stderr and exits with 2.
+    """
+
+
+def _from_args(build, *args):
+    """``build(*args)`` on values from the command line; a ValueError is a usage error."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _int_list(text: str) -> tuple:
+    """Parse a comma-separated list of integers (``--a``, ``--b``)."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from None
+
+
 def _spec_from(config: RunConfig):
     if config.kind in ("H3", "H4", "F4E6"):
         return standard_folding(config.kind)
     if config.kind == "I2":
         if config.n is None:
-            raise SystemExit("--kind I2 requires --n")
-        return standard_folding("I2", config.n)
+            raise UsageError("--kind I2 requires --n")
+        return _from_args(standard_folding, "I2", config.n)
     if config.kind == "I2m":
         if config.n is None:
-            raise SystemExit("--kind I2m requires --n (the dihedral order m)")
-        return standard_folding("I2m", config.n)
-    raise SystemExit(f"unknown kind {config.kind!r}")
+            raise UsageError("--kind I2m requires --n (the dihedral order m)")
+        return _from_args(standard_folding, "I2m", config.n)
+    raise UsageError(f"unknown kind {config.kind!r}")
 
 
 def _enc_value(x):
@@ -82,20 +105,21 @@ def _enc_matrix(rows):
 def cmd_ring(config: RunConfig) -> int:
     op = config.extra["ring_op"]
     if op == "minpoly":
-        data = {"m": config.n, "coeffs": list(minimal_poly(config.n))}
+        data = {"m": config.n, "coeffs": list(_from_args(minimal_poly, config.n))}
     elif op == "regrep":
         k = config.extra["k"]
-        data = {"n": config.n, "k": k, "matrix": [list(r) for r in reg_rep(k, config.n)]}
+        matrix = _from_args(reg_rep, k, config.n)
+        data = {"n": config.n, "k": k, "matrix": [list(r) for r in matrix]}
     elif op == "mul":
-        a = ChebElem(config.n, tuple(config.extra["a"]))
-        b = ChebElem(config.n, tuple(config.extra["b"]))
+        a = _from_args(ChebElem, config.n, config.extra["a"])
+        b = _from_args(ChebElem, config.n, config.extra["b"])
         prod = cheb_mul(a, b)
         data = {
             "product": prod.to_json(),
             "value": float(sigma(prod)),
         }
     else:  # sigma
-        a = ChebElem(config.n, tuple(config.extra["a"]))
+        a = _from_args(ChebElem, config.n, config.extra["a"])
         data = {"image": sigma(a).to_json(), "value": float(sigma(a))}
     _emit(config, _json(data))
     return 0
@@ -331,8 +355,8 @@ def cmd_verify(config: RunConfig) -> int:
             record("tilting-enumeration", True, f"count={len(tilts)}")
             record("two-complements", comp_ok)
             g_ok = all(
-                cc.spec.matrix_d_F(cc.tilting_G_matrices(t)[0]) == cc.tilting_G_matrices(t)[1]
-                for t in tilts
+                cc.spec.matrix_d_F(G_hat) == G_prime
+                for G_hat, G_prime in map(cc.tilting_G_matrices, tilts)
             )
             record("tilting-G-matrix-projection", g_ok)
         except AssertionError as exc:
@@ -378,9 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("mul", "sigma"):
         p = ring_sub.add_parser(name)
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--a", required=True)
+        p.add_argument("--a", required=True, type=_int_list)
         if name == "mul":
-            p.add_argument("--b", required=True)
+            p.add_argument("--b", required=True, type=_int_list)
         p.add_argument("--out", default=None)
 
     mut = sub.add_parser("mutate", help="mutate an exchange matrix from JSON")
@@ -470,36 +494,39 @@ def main(argv=None) -> int:
     config.precision = getattr(args, "precision", 12)
     config.cap = getattr(args, "cap", 20000)
 
-    if args.command == "ring":
-        config.n = getattr(args, "m", None) or getattr(args, "n", None)
-        config.extra["ring_op"] = args.ring_op
-        if hasattr(args, "k"):
-            config.extra["k"] = args.k
-        for attr in ("a", "b"):
-            if getattr(args, attr, None) is not None:
-                config.extra[attr] = [int(x) for x in getattr(args, attr).split(",")]
-        return cmd_ring(config)
-    if args.command == "mutate":
-        config.extra["matrix"] = args.matrix
-        config.extra["at"] = [int(x) for x in args.at.split(",") if x != ""]
-        return cmd_mutate(config)
-    if args.command == "unfold":
-        config.extra["unfold_op"] = args.unfold_op
-        return cmd_unfold(config)
-    if args.command == "ar":
-        config.extra["tables"] = getattr(args, "tables", False)
-        return cmd_ar(config)
-    if args.command == "fold":
-        return cmd_fold(config)
-    if args.command == "tropical":
-        config.extra["trop_op"] = args.trop_op
-        config.extra["verify"] = getattr(args, "verify", CHECKS)
-        return cmd_tropical(config)
-    if args.command == "tilting":
-        config.extra["tilt_op"] = args.tilt_op
-        return cmd_tilting(config)
-    if args.command == "verify":
-        return cmd_verify(config)
+    try:
+        if args.command == "ring":
+            config.n = args.m if args.ring_op == "minpoly" else args.n
+            config.extra["ring_op"] = args.ring_op
+            if hasattr(args, "k"):
+                config.extra["k"] = args.k
+            for attr in ("a", "b"):
+                if getattr(args, attr, None) is not None:
+                    config.extra[attr] = getattr(args, attr)
+            return cmd_ring(config)
+        if args.command == "mutate":
+            config.extra["matrix"] = args.matrix
+            config.extra["at"] = [int(x) for x in args.at.split(",") if x != ""]
+            return cmd_mutate(config)
+        if args.command == "unfold":
+            config.extra["unfold_op"] = args.unfold_op
+            return cmd_unfold(config)
+        if args.command == "ar":
+            config.extra["tables"] = getattr(args, "tables", False)
+            return cmd_ar(config)
+        if args.command == "fold":
+            return cmd_fold(config)
+        if args.command == "tropical":
+            config.extra["trop_op"] = args.trop_op
+            config.extra["verify"] = getattr(args, "verify", CHECKS)
+            return cmd_tropical(config)
+        if args.command == "tilting":
+            config.extra["tilt_op"] = args.tilt_op
+            return cmd_tilting(config)
+        if args.command == "verify":
+            return cmd_verify(config)
+    except UsageError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     parser.error(f"unknown command {args.command}")
     return 2
 

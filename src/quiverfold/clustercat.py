@@ -11,6 +11,7 @@ objects built from generator columns, and the two kinds of g-vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .chebring import AlgReal, ChebElem, sigma
 from .exchange import ExchangeMatrix
@@ -38,6 +39,9 @@ class ClusterCategory:
         self._hom = None
         self._ext = None
         self._pair_cache: dict[tuple[int, int], bool] = {}
+        self._adj = None
+        self._g: dict[int, tuple] = {}
+        self._g_folded: dict[int, tuple] = {}
         self._build_generators()
 
     # -- object bookkeeping ------------------------------------------------
@@ -179,18 +183,24 @@ class ClusterCategory:
         return True
 
     def compatibility(self):
-        """Adjacency of the rigidity graph on generator columns."""
-        gens = self.generators
-        for g in gens:
-            if not self.pair_rigid(g, g):
-                raise AssertionError("generator columns must be self-rigid")
-        adj = {g: set() for g in gens}
-        for i, g1 in enumerate(gens):
-            for g2 in gens[i + 1:]:
-                if self.pair_rigid(g1, g2):
-                    adj[g1].add(g2)
-                    adj[g2].add(g1)
-        return adj
+        """Adjacency of the rigidity graph on generator columns (read-only).
+
+        Built on first use and kept: each generator maps to the frozenset of
+        the other generators it is pair-rigid with.
+        """
+        if self._adj is None:
+            gens = self.generators
+            for g in gens:
+                if not self.pair_rigid(g, g):
+                    raise AssertionError("generator columns must be self-rigid")
+            adj = {g: set() for g in gens}
+            for i, g1 in enumerate(gens):
+                for g2 in gens[i + 1:]:
+                    if self.pair_rigid(g1, g2):
+                        adj[g1].add(g2)
+                        adj[g2].add(g1)
+            self._adj = MappingProxyType({g: frozenset(nb) for g, nb in adj.items()})
+        return self._adj
 
     # -- tilting objects -----------------------------------------------------------
     def tilting_rank(self) -> int:
@@ -238,21 +248,22 @@ class ClusterCategory:
         return True
 
     def complements(self, almost) -> tuple:
-        """The completions of an almost complete rigid generator set."""
+        """The completions of an almost complete rigid generator set.
+
+        Read off the compatibility graph: the generators adjacent to every
+        summand, in the order of ``generators``.
+        """
         almost = tuple(almost)
         if not self.is_rigid_set(almost):
             raise ValueError("input is not rigid")
-        found = []
-        for g in self.generators:
-            if g in almost:
-                continue
-            if all(self.pair_rigid(g, t) for t in almost) and self.pair_rigid(g, g):
-                found.append(g)
+        adj = self.compatibility()
+        common = frozenset(self.generators).intersection(*(adj[t] for t in almost))
+        found = tuple(g for g in self.generators if g in common)
         if len(found) != 2:
             raise AssertionError(
                 f"almost complete object has {len(found)} complements, expected 2"
             )
-        return tuple(found)
+        return found
 
     def initial_tilting(self) -> tuple:
         """The projectives at weight-1 vertices, ordered by folded vertex."""
@@ -307,13 +318,17 @@ class ClusterCategory:
 
     # -- g-vectors -------------------------------------------------------------------
     def g_vector(self, x: int) -> tuple:
-        """Integer g-vector over the unfolded vertices."""
-        ar = self.mc.ar
-        if self.is_shift(x):
-            v = x - self.nmod
-            return tuple(-1 if w == v else 0 for w in range(self.nverts))
-        a, b = self._presentation(x)
-        return tuple(ai - bi for ai, bi in zip(a, b))
+        """Integer g-vector over the unfolded vertices (computed once per object)."""
+        g = self._g.get(x)
+        if g is None:
+            if self.is_shift(x):
+                v = x - self.nmod
+                g = tuple(-1 if w == v else 0 for w in range(self.nverts))
+            else:
+                a, b = self._presentation(x)
+                g = tuple(ai - bi for ai, bi in zip(a, b))
+            self._g[x] = g
+        return g
 
     def _presentation(self, module: int):
         """Multiplicities (P0, P1) of the minimal projective presentation."""
@@ -343,33 +358,35 @@ class ClusterCategory:
         return tops, tuple(b)
 
     def g_vector_folded(self, x: int) -> tuple:
-        """Folded g-vector via the grouped Chebyshev presentation."""
-        spec = self.spec
-        n = self.mc.n
-        if self.is_shift(x):
-            v = x - self.nmod
-            a = (0,) * self.nverts
-            b = tuple(1 if w == v else 0 for w in range(self.nverts))
-        else:
-            a, b = self._presentation(x)
-        out = []
-        for block in spec.blocks:
-            r = ChebElem.zero(n)
-            s = ChebElem.zero(n)
-            for pos, v in enumerate(block):
-                if a[v]:
-                    r = r + a[v] * ChebElem.theta(n, pos)
-                if b[v]:
-                    s = s + b[v] * ChebElem.theta(n, pos)
-            out.append(sigma(r) - sigma(s))
-        return tuple(out)
+        """Folded g-vector via the grouped Chebyshev presentation.
+
+        Each block's entry is sigma of sum g[v] * theta_pos over the block's
+        vertices v, where g is the integer g-vector and pos is v's place in
+        the block.  Computed once per object.
+        """
+        out = self._g_folded.get(x)
+        if out is None:
+            g = self.g_vector(x)
+            n = self.mc.n
+            out = []
+            for block in self.spec.blocks:
+                r = ChebElem.zero(n)
+                for pos, v in enumerate(block):
+                    if g[v]:
+                        r = r + g[v] * ChebElem.theta(n, pos)
+                out.append(sigma(r))
+            out = self._g_folded[x] = tuple(out)
+        return out
 
     def tilting_G_matrices(self, summands):
         """(integer G of the hat object, folded G of the tilting object).
 
         Columns of the integer matrix are indexed by unfolded vertices: the
         column at vertex v is the g-vector of the column member of the
-        summand over F(v) with Chebyshev index kappa(v).
+        summand over F(v) with Chebyshev index kappa(v).  Column j of the
+        folded matrix is the folded g-vector of summand j.  Both read the
+        per-object g-vector tables, so each g-vector is computed once per
+        category however many tilting objects contain it.
         """
         spec = self.spec
         cols = [None] * self.nverts
@@ -378,8 +395,5 @@ class ClusterCategory:
             for pos, v in enumerate(spec.blocks[j]):
                 cols[v] = self.g_vector(members[pos])
         G_hat = tuple(tuple(cols[v][w] for v in range(self.nverts)) for w in range(self.nverts))
-        G_prime = tuple(
-            tuple(self.g_vector_folded(g)[i] for g in summands)
-            for i in range(len(summands))
-        )
+        G_prime = tuple(zip(*(self.g_vector_folded(g) for g in summands)))
         return G_hat, G_prime

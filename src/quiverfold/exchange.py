@@ -39,17 +39,27 @@ class ExchangeMatrix:
         for row in rows:
             if len(row) != n:
                 raise ValueError("matrix must be square")
-        self.entries = rows
-        self.n = n
-        self.ring = "Z"
+        ring = "Z"
         for row in rows:
             for x in row:
                 if isinstance(x, AlgReal):
-                    self.ring = f"Z[2cos(pi/{x.m})]"
+                    ring = f"Z[2cos(pi/{x.m})]"
                     break
             else:
                 continue
             break
+        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ring", ring)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ExchangeMatrix is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ExchangeMatrix is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return ExchangeMatrix, (self.entries,)
 
     def __getitem__(self, ij):
         i, j = ij

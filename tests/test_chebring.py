@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -232,6 +234,25 @@ class TestAlgRealHash:
     def test_equal_values_hash_equal(self):
         assert hash(AlgReal(5, (1, 1))) == hash(AlgReal.generator(5) + 1)
         assert hash(AlgReal(5, (0, 0, 1))) == hash(AlgReal(5, (1, 1)))
+
+
+class TestAlgRealImmutable:
+    def test_attributes_cannot_be_reassigned_or_deleted(self):
+        a = AlgReal.generator(5)
+        with pytest.raises(AttributeError):
+            a.coeffs = (1,)
+        with pytest.raises(AttributeError):
+            a.m = 7
+        with pytest.raises(AttributeError):
+            del a.coeffs
+        with pytest.raises(AttributeError):
+            a.cached_sign = 1
+        assert a == AlgReal(5, (0, 1))
+
+    def test_pickle_and_copy_round_trip(self):
+        a = AlgReal(9, (3, -1, 2))
+        for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert b == a and b.m == 9 and b.coeffs == a.coeffs
 
 
 class TestAlgRealSign:

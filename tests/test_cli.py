@@ -151,7 +151,11 @@ class TestDeterminism:
 
 
 class TestByteIdentity:
-    # stdout sha256 recorded before the verifiers checked each distinct state once
+    # stdout sha256 of CLI paths the benchmark digests do not cover.  The
+    # first two were recorded at 774cefa, before the word verifiers checked
+    # each distinct state once; the last two at c8c6a7c, before the cluster
+    # category kept per-object g-vector tables and read complements off
+    # the compatibility graph.
     @pytest.mark.parametrize(
         "argv,digest",
         [
@@ -162,6 +166,14 @@ class TestByteIdentity:
             (
                 "tropical walk --kind I2 --n 3 --depth 5 --random 10",
                 "36ba7b9049a21761869ef2fe97e95c9f6e9b50df95ed603953ad5f32521aca08",
+            ),
+            (
+                "tilting graph --kind H4",
+                "5007e8c361df58beb60c65fb40482889f3e76ab90eb88141f32c561825e66c79",
+            ),
+            (
+                "verify all --kind H3 --depth 2 --random 10",
+                "d107d4c74ffae3055fd098dc6c8f7f29f09b86308b971c0c0b9b0a4e5623d49f",
             ),
         ],
     )
@@ -189,6 +201,38 @@ class TestUsageErrors:
         assert err.value.code == 2
         assert "usage:" in capsys.readouterr().err
 
-    def test_kind_needs_n(self):
-        with pytest.raises(SystemExit):
-            main(["ar", "build", "--kind", "I2"])
+    def test_kind_needs_n(self, capsys):
+        for argv in ("ar build --kind I2", "tilting enumerate --kind I2"):
+            self.assert_usage_error(capsys, argv, "--kind I2 requires --n")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ("ring minpoly --m 2", "m must be >= 3"),
+            ("ring minpoly --m 0", "m must be >= 3"),
+            ("ring regrep --n 3 --k 7", "index k=7 out of range 0..2"),
+            ("ring mul --n 2 --a 0,1 --b 0,1,2", "expected 2 coefficients, got 3"),
+            ("unfold verify --kind I2m --n 2", "dihedral order m >= 3"),
+            ("unfold build --kind I2 --n 1", "rank parameter n >= 2"),
+        ],
+    )
+    def test_bad_value_is_a_usage_error(self, capsys, argv, message):
+        self.assert_usage_error(capsys, argv, message)
+
+    def test_bad_integer_list(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["ring", "sigma", "--n", "2", "--a", "0,x"])
+        assert err.value.code == 2
+        assert "not a comma-separated integer list" in capsys.readouterr().err
+
+    @staticmethod
+    def assert_usage_error(capsys, argv, message):
+        """Exit 2, nothing on stdout, one line on stderr, no traceback."""
+        with pytest.raises(SystemExit) as err:
+            main(argv.split())
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("quiverfold: error: ") and message in lines[0]

@@ -1,8 +1,9 @@
 import itertools
+from collections import Counter
 
 import pytest
 
-from quiverfold.chebring import AlgReal
+from quiverfold.chebring import AlgReal, ChebElem, sigma
 from quiverfold.clustercat import ClusterCategory
 from quiverfold.unfolding import standard_folding
 
@@ -215,3 +216,135 @@ class TestGVectors:
             _, G_prime = h3.tilting_G_matrices(t1)
             walk = g_matrix(Seed.initial(-h3.spec.B).mutate(k)).entries
             assert G_prime == walk
+
+
+# -- oracles: the g-vector and complement code from before the per-object
+# g-vector tables and the adjacency-based complements.  They solve the
+# projective presentation on every call and scan every generator.
+
+
+def oracle_g_vector(cc, x):
+    if cc.is_shift(x):
+        v = x - cc.nmod
+        return tuple(-1 if w == v else 0 for w in range(cc.nverts))
+    a, b = cc._presentation(x)
+    return tuple(ai - bi for ai, bi in zip(a, b))
+
+
+def oracle_g_vector_folded(cc, x):
+    n = cc.mc.n
+    if cc.is_shift(x):
+        v = x - cc.nmod
+        a = (0,) * cc.nverts
+        b = tuple(1 if w == v else 0 for w in range(cc.nverts))
+    else:
+        a, b = cc._presentation(x)
+    out = []
+    for block in cc.spec.blocks:
+        r = ChebElem.zero(n)
+        s = ChebElem.zero(n)
+        for pos, v in enumerate(block):
+            if a[v]:
+                r = r + a[v] * ChebElem.theta(n, pos)
+            if b[v]:
+                s = s + b[v] * ChebElem.theta(n, pos)
+        out.append(sigma(r) - sigma(s))
+    return tuple(out)
+
+
+def oracle_tilting_G_matrices(cc, summands):
+    cols = [None] * cc.nverts
+    for j, g in enumerate(summands):
+        members = cc.iso_sets[g]
+        for pos, v in enumerate(cc.spec.blocks[j]):
+            cols[v] = oracle_g_vector(cc, members[pos])
+    G_hat = tuple(tuple(cols[v][w] for v in range(cc.nverts)) for w in range(cc.nverts))
+    G_prime = tuple(
+        tuple(oracle_g_vector_folded(cc, g)[i] for g in summands)
+        for i in range(len(summands))
+    )
+    return G_hat, G_prime
+
+
+def oracle_complements(cc, almost):
+    almost = tuple(almost)
+    if not cc.is_rigid_set(almost):
+        raise ValueError("input is not rigid")
+    found = []
+    for g in cc.generators:
+        if g in almost:
+            continue
+        if all(cc.pair_rigid(g, t) for t in almost) and cc.pair_rigid(g, g):
+            found.append(g)
+    if len(found) != 2:
+        raise AssertionError(
+            f"almost complete object has {len(found)} complements, expected 2"
+        )
+    return tuple(found)
+
+
+EQUIVALENCE_KINDS = [("I2", 3), ("I2", 4), ("H3", None), ("H4", None)]
+
+
+@pytest.fixture(scope="module", params=EQUIVALENCE_KINDS, ids=lambda k: f"{k[0]}{k[1] or ''}")
+def cat(request):
+    return ClusterCategory(standard_folding(*request.param))
+
+
+class TestAgainstOracle:
+    def test_g_vectors(self, cat):
+        for x in cat.indecomposables():
+            assert cat.g_vector(x) == oracle_g_vector(cat, x)
+        for g in cat.generators:
+            assert cat.g_vector_folded(g) == oracle_g_vector_folded(cat, g)
+
+    def test_G_matrices(self, cat):
+        for t in cat.enumerate_tilting():
+            assert cat.tilting_G_matrices(t) == oracle_tilting_G_matrices(cat, t)
+
+    def test_complements_and_their_order(self, cat):
+        for t in cat.enumerate_tilting():
+            for k in range(len(t)):
+                rest = t[:k] + t[k + 1:]
+                assert cat.complements(rest) == oracle_complements(cat, rest)
+
+    def test_non_rigid_input_raises(self, cat):
+        adj = cat.compatibility()
+        g1, g2 = next(
+            (a, b) for a, b in itertools.combinations(cat.generators, 2) if b not in adj[a]
+        )
+        with pytest.raises(ValueError):
+            cat.complements((g1, g2))
+        with pytest.raises(ValueError):
+            oracle_complements(cat, (g1, g2))
+
+    def test_compatibility_is_read_only(self, cat):
+        adj = cat.compatibility()
+        assert cat.compatibility() is adj
+        g = cat.generators[0]
+        with pytest.raises(TypeError):
+            adj[g] = frozenset()
+        with pytest.raises(AttributeError):
+            adj[g].add(g)
+
+
+@pytest.mark.parametrize("kind", EQUIVALENCE_KINDS, ids=lambda k: f"{k[0]}{k[1] or ''}")
+def test_presentation_once_per_module(monkeypatch, kind):
+    calls = Counter()
+    solve = ClusterCategory._presentation
+
+    def counted(self, module):
+        calls[module] += 1
+        return solve(self, module)
+
+    monkeypatch.setattr(ClusterCategory, "_presentation", counted)
+    cc = ClusterCategory(standard_folding(*kind))
+    assert not calls, "the g-vector tables must fill lazily, not in __init__"
+    tilts = cc.enumerate_tilting()
+    for _ in range(2):
+        for t in tilts:
+            cc.tilting_G_matrices(t)
+        for x in cc.indecomposables():
+            cc.g_vector(x)
+            cc.g_vector_folded(x)
+    assert calls == Counter(range(cc.nmod))

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -45,6 +48,23 @@ def golden_matrix():
     phi = AlgReal.generator(5)
     zero = AlgReal(5)
     return ExchangeMatrix([(zero, -phi), (phi, zero)])
+
+
+class TestImmutable:
+    @pytest.mark.parametrize("name,value", [("entries", ((0,),)), ("n", 1), ("ring", "Z")])
+    def test_attributes_cannot_be_reassigned(self, name, value):
+        B = golden_matrix()
+        before = B.entries
+        with pytest.raises(AttributeError):
+            setattr(B, name, value)
+        with pytest.raises(AttributeError):
+            delattr(B, name)
+        assert B.entries == before and B.n == 2
+
+    def test_pickle_and_copy_round_trip(self):
+        for B in (golden_matrix(), B_F4):
+            for C in (pickle.loads(pickle.dumps(B)), copy.copy(B), copy.deepcopy(B)):
+                assert C == B and C.n == B.n and C.ring == B.ring
 
 
 class TestMutate:
