@@ -13,9 +13,14 @@ theta_k = theta_{2n-1-k} for k < 2n.  The nonnegative cone (all coordinates
 >= 0) is the semiring used for category actions downstream.
 
 ``AlgReal`` is an element of Z[2cos(pi/m)], stored as an integer polynomial
-reduced modulo the minimal polynomial of 2cos(pi/m).  Equality is exact and
-``sign`` is decided by refining an exact rational isolating interval of the
-root, so AlgReal is a computable totally ordered ring.  The evaluation
+reduced modulo the minimal polynomial of 2cos(pi/m).  Equality is exact, and
+``sign`` is decided exactly from a rational isolating interval [lo, hi] of
+the root that is shared by every value with the same m: since 0 < lo, each
+power x^i lies in [lo^i, hi^i], and integer bounds on lo^i * 2^b and
+hi^i * 2^b give an integer enclosure of the value scaled by 2^b.  When the
+enclosure straddles 0 the interval is bisected and the sign retried, so
+AlgReal is a computable totally ordered ring.  ``interval()`` and ``float()``
+keep the rational interval-Horner enclosure.  The evaluation
 homomorphism ``sigma`` sends theta_k to U_k(x/2) mod minpoly(2n+1) and
 connects the two types.
 """
@@ -133,6 +138,10 @@ def minimal_poly(m: int) -> tuple[int, ...]:
 # AlgReal: Z[2cos(pi/m)] with exact signs
 
 
+# Bits of 2^b beyond the bit length of 1/(hi - lo) in the sign power table.
+_GUARD_BITS = 16
+
+
 class _RootContext:
     """Per-m data: minimal polynomial, reduction rows, isolating interval."""
 
@@ -145,6 +154,7 @@ class _RootContext:
         self.minpoly = minimal_poly(m)
         self.deg = len(self.minpoly) - 1
         self.lo, self.hi = self._initial_interval()
+        self._powers = None
 
     def _initial_interval(self) -> tuple[Fraction, Fraction]:
         c = 2.0 * math.cos(math.pi / self.m)
@@ -160,6 +170,7 @@ class _RootContext:
         return lo, hi
 
     def refine(self):
+        self._powers = None
         mid = (self.lo + self.hi) / 2
         smid = _sign_int(_poly_eval_frac(self.minpoly, mid))
         if smid == 0:
@@ -177,6 +188,29 @@ class _RootContext:
         while self.hi - self.lo > width:
             self.refine()
         return self.lo, self.hi
+
+    def _power_table(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """(b, L, H) with integers L[i] <= lo^i * 2^b and H[i] >= hi^i * 2^b, i < deg.
+
+        Built on first use after each ``refine``.  Each power is rounded
+        outward from the previous one (floor for L, ceiling for H), which is
+        rigorous because lo > 0, and leaves a relative error of at most
+        i / 2^b.  b exceeds the bit length of 1/(hi - lo) by _GUARD_BITS, so
+        the rounding stays far below the spread that the interval itself
+        puts into the enclosure.
+        """
+        table = self._powers
+        if table is None:
+            lo, hi = self.lo, self.hi
+            assert lo > 0, "the power bounds need a positive isolating interval"
+            width = hi - lo
+            bits = (width.denominator // width.numerator).bit_length() + _GUARD_BITS
+            low, high = [1 << bits], [1 << bits]
+            for _ in range(self.deg - 1):
+                low.append(low[-1] * lo.numerator // lo.denominator)
+                high.append(-(-high[-1] * hi.numerator // hi.denominator))
+            table = self._powers = (bits, tuple(low), tuple(high))
+        return table
 
 
 def _sign_int(x) -> int:
@@ -305,15 +339,30 @@ class AlgReal:
         return not self.coeffs
 
     def sign(self) -> int:
-        """Exact sign of the real value at 2cos(pi/m)."""
+        """Exact sign of the real value at 2cos(pi/m).
+
+        Sums c_i * L_i and c_i * H_i from the context's power table, each
+        coefficient paired with the bound that makes the sum a lower or an
+        upper bound of the value times 2^b.  A lower sum above 0 or an upper
+        sum below 0 decides the sign; otherwise the shared isolating
+        interval is bisected and the sums retried.
+        """
         if not self.coeffs:
             return 0
         ctx = _context(self.m)
         while True:
-            lo, hi = _interval_eval(self.coeffs, ctx.lo, ctx.hi)
-            if lo > 0:
+            _, low, high = ctx._power_table()
+            lower = upper = 0
+            for c, l, h in zip(self.coeffs, low, high):
+                if c > 0:
+                    lower += c * l
+                    upper += c * h
+                else:
+                    lower += c * h
+                    upper += c * l
+            if lower > 0:
                 return 1
-            if hi < 0:
+            if upper < 0:
                 return -1
             ctx.refine()
 

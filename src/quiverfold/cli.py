@@ -73,6 +73,14 @@ def _int_list(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from None
 
 
+def _vertex_list(text: str) -> tuple:
+    """Parse ``--at``: comma-separated vertex indices; empty entries are skipped."""
+    try:
+        return tuple(int(x) for x in text.split(",") if x != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated vertex list: {text!r}") from None
+
+
 def _spec_from(config: RunConfig):
     if config.kind in ("H3", "H4", "F4E6"):
         return standard_folding(config.kind)
@@ -126,11 +134,18 @@ def cmd_ring(config: RunConfig) -> int:
 
 
 def cmd_mutate(config: RunConfig) -> int:
-    with open(config.extra["matrix"]) as fh:
-        matrix = ExchangeMatrix.from_json(json.load(fh))
+    path = config.extra["matrix"]
+    try:
+        with open(path) as fh:
+            matrix = ExchangeMatrix.from_json(json.load(fh))
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read --matrix {path}: {exc}") from None
     out = matrix
     for k in config.extra["at"]:
-        out = out.mutate(k)
+        try:
+            out = out.mutate(k)
+        except IndexError as exc:
+            raise UsageError(str(exc)) from None
     _emit(config, _json(out.to_json()))
     return 0
 
@@ -242,7 +257,6 @@ def cmd_tropical(config: RunConfig) -> int:
 def cmd_tilting(config: RunConfig) -> int:
     spec = _spec_from(config)
     cc = ClusterCategory(spec)
-    tilts = cc.enumerate_tilting()
     if config.extra["tilt_op"] == "graph":
         nodes, edges = cc.exchange_graph()
         keys = {key: f"t{i}" for i, key in enumerate(sorted(nodes, key=sorted))}
@@ -265,6 +279,7 @@ def cmd_tilting(config: RunConfig) -> int:
             }
             _emit(config, _json(data))
         return 0
+    tilts = cc.enumerate_tilting()
     data = {
         "count": len(tilts),
         "objects": [
@@ -409,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     mut = sub.add_parser("mutate", help="mutate an exchange matrix from JSON")
     mut.add_argument("--matrix", required=True)
-    mut.add_argument("--at", required=True, help="comma-separated vertex indices")
+    mut.add_argument("--at", required=True, type=_vertex_list,
+                     help="comma-separated vertex indices")
     mut.add_argument("--out", default=None)
 
     unf = sub.add_parser("unfold", help="build or verify weighted unfoldings")
@@ -506,7 +522,7 @@ def main(argv=None) -> int:
             return cmd_ring(config)
         if args.command == "mutate":
             config.extra["matrix"] = args.matrix
-            config.extra["at"] = [int(x) for x in args.at.split(",") if x != ""]
+            config.extra["at"] = args.at
             return cmd_mutate(config)
         if args.command == "unfold":
             config.extra["unfold_op"] = args.unfold_op

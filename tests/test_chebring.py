@@ -1,3 +1,4 @@
+import collections
 import copy
 import math
 import pickle
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quiverfold import chebring
 from quiverfold.chebring import (
     AlgReal,
     ChebElem,
@@ -323,6 +325,108 @@ class TestAlgRealSign:
         assert AlgReal.from_json(a.to_json()) == a
         c = ChebElem(4, (1, 0, -2, 5))
         assert ChebElem.from_json(c.to_json()) == c
+
+
+def oracle_sign(a):
+    """The interval-Horner sign loop that ``AlgReal.sign`` ran before the integer enclosure."""
+    if not a.coeffs:
+        return 0
+    ctx = chebring._context(a.m)
+    while True:
+        lo, hi = chebring._interval_eval(a.coeffs, ctx.lo, ctx.hi)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        ctx.refine()
+
+
+@pytest.fixture
+def refines(monkeypatch):
+    """Cold isolating intervals for every m, and the refine() calls made on each."""
+    monkeypatch.setattr(chebring, "_ROOT_CONTEXTS", {})
+    counts = collections.Counter()
+    refine = chebring._RootContext.refine
+
+    def counted(ctx):
+        counts[ctx.m] += 1
+        refine(ctx)
+
+    monkeypatch.setattr(chebring._RootContext, "refine", counted)
+    return counts
+
+
+def fibonacci_gaps(count):
+    """F_{k+1} - F_k * phi in Z[2cos(pi/5)] for k = 1..count; it equals (-1/phi)^k."""
+    out, f_k, f_next = [], 1, 1
+    for _ in range(count):
+        out.append(AlgReal(5, (f_next, -f_k)))
+        f_k, f_next = f_next, f_k + f_next
+    return out
+
+
+def heptagon_powers(count):
+    """(2cos(pi/7) - 1)^k for k = 1..count, positive and about 0.80^k."""
+    base, out = AlgReal.generator(7) - 1, []
+    power = AlgReal.integer(7, 1)
+    for _ in range(count):
+        power = power * base
+        out.append(power)
+    return out
+
+
+class TestSignEnclosure:
+    @given(m=st.sampled_from([3, 4, 5, 6, 7, 9, 11, 15, 21]), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_interval_horner(self, m, data):
+        deg = len(minimal_poly(m)) - 1
+        a = AlgReal(m, tuple(data.draw(st.integers(-10**9, 10**9)) for _ in range(deg)))
+        assert a.sign() == oracle_sign(a)
+        assert (-a).sign() == -a.sign()
+
+    def test_fibonacci_gaps_force_refinement(self, refines):
+        values = fibonacci_gaps(90)
+        signs = [a.sign() for a in values]
+        assert refines[5] > 0
+        assert signs == [(-1) ** k for k in range(1, 91)]
+        assert [(-a).sign() for a in values] == [-s for s in signs]
+        assert [oracle_sign(a) for a in values] == signs
+
+    def test_heptagon_powers_force_refinement(self, refines):
+        values = heptagon_powers(150)
+        assert [a.sign() for a in values] == [1] * 150
+        assert refines[7] > 0
+        assert [(-a).sign() for a in values] == [-1] * 150
+        assert [oracle_sign(a) for a in values] == [1] * 150
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 7, 15, 21, 97])
+    def test_power_table_brackets_powers(self, refines, m):
+        ctx = chebring._context(m)
+        for _ in range(3):
+            bits, low, high = ctx._power_table()
+            assert len(low) == len(high) == ctx.deg
+            assert (ctx.hi - ctx.lo) * 2**bits >= 2**16
+            for i, (l, h) in enumerate(zip(low, high)):
+                lo_i, hi_i = ctx.lo**i * 2**bits, ctx.hi**i * 2**bits
+                assert l <= lo_i and hi_i <= h
+                # outward rounding of each step costs at most one unit
+                assert lo_i - l < i * max(1, ctx.lo) ** i + 1
+                assert h - hi_i < i * max(1, ctx.hi) ** i + 1
+            for _ in range(20):
+                ctx.refine()
+            assert ctx._power_table()[0] > bits
+
+    def test_signs_hold_when_interval_narrows_the_context(self, refines):
+        # 3 - x - x^2 and x - 2 are both negative at x = 2cos(pi/7) = 1.80...
+        values = heptagon_powers(40) + [AlgReal(7, (3, -1, -1)), AlgReal(7, (-2, 1))]
+        first = [a.sign() for a in values]
+        assert first == [1] * 40 + [-1, -1]
+        bits = chebring._context(7)._power_table()[0]
+        AlgReal.generator(7).interval(Fraction(1, 10**60))
+        assert chebring._context(7)._powers is None
+        assert [a.sign() for a in values] == first
+        assert chebring._context(7)._power_table()[0] > bits
+        assert first == [oracle_sign(a) for a in values]
 
 
 class TestSemiringOrder:

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import quiverfold
 from quiverfold.cli import main
 from quiverfold.exchange import ExchangeMatrix
 from quiverfold.unfolding import standard_folding
@@ -182,6 +186,32 @@ class TestByteIdentity:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # These print float(sigma(...)) at full precision, through the
+    # interval-Horner path of AlgReal.interval.  Its last bit depends on how
+    # far earlier work in the process narrowed the shared isolating
+    # interval, so each runs in a fresh interpreter, as a CLI user's does.
+    # Recorded at 0ed6f4f, before AlgReal.sign used the integer enclosure.
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                "ring sigma --n 3 --a 1,2,-1",
+                "ba8af774f856a937c74385f4ed12f945d96dd1b8caf08f86aa85c3f6d5d6ad91",
+            ),
+            (
+                "ring mul --n 4 --a 1,0,2,0 --b 0,1,0,1",
+                "a7094799608790e8a7c57bfc8a6a6a627cb879077a5b6efdcaa1c923de744f49",
+            ),
+        ],
+    )
+    def test_float_stdout_unchanged_in_fresh_process(self, argv, digest):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(quiverfold.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "quiverfold.cli", *argv.split()],
+            capture_output=True, env=env, check=True,
+        )
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
 
 class TestUsageErrors:
     def test_unknown_command(self):
@@ -224,6 +254,37 @@ class TestUsageErrors:
             main(["ring", "sigma", "--n", "2", "--a", "0,x"])
         assert err.value.code == 2
         assert "not a comma-separated integer list" in capsys.readouterr().err
+
+    @pytest.fixture
+    def matrix_file(self, tmp_path):
+        path = tmp_path / "B.json"
+        path.write_text(json.dumps(standard_folding("I2", 2).B.to_json()))
+        return path
+
+    @pytest.mark.parametrize("at", ["9", "0,2", "-1"])
+    def test_mutate_vertex_out_of_range(self, capsys, matrix_file, at):
+        self.assert_usage_error(
+            capsys, f"mutate --matrix {matrix_file} --at={at}",
+            f"mutation index {at.split(',')[-1]} out of range 0..1",
+        )
+
+    def test_mutate_missing_or_malformed_matrix(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        self.assert_usage_error(
+            capsys, f"mutate --matrix {missing} --at 0", "No such file or directory"
+        )
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        self.assert_usage_error(capsys, f"mutate --matrix {bad} --at 0", f"--matrix {bad}")
+
+    def test_mutate_bad_vertex_list(self, capsys, matrix_file):
+        with pytest.raises(SystemExit) as err:
+            main(["mutate", "--matrix", str(matrix_file), "--at", "x"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not a comma-separated vertex list: 'x'" in captured.err
+        assert "Traceback" not in captured.err
 
     @staticmethod
     def assert_usage_error(capsys, argv, message):
