@@ -206,15 +206,20 @@ def e_F(v, n: int, width: Fraction = Fraction(1, 10**12)):
     xlo, xhi = x2.interval(width)
     x_int = (xlo / 2, xhi / 2)
 
-    half = width / 4
-    g_lo, g_hi = AlgReal.generator(m).interval(half)
-    sin2_lo = 1 - (g_hi / 2) ** 2
-    sin2_hi = 1 - (g_lo / 2) ** 2
-    s_lo, s_hi = _sqrt_interval(sin2_lo, sin2_hi)
-    v1_lo, v1_hi = v1.interval(half)
-    cands = (v1_lo * s_lo, v1_lo * s_hi, v1_hi * s_lo, v1_hi * s_hi)
-    y_int = (min(cands), max(cands))
-    return x_int, y_int
+    # y = v1 * sin theta; the enclosures of g, v1 and the square root are
+    # tightened together until the product is narrow enough
+    tol, scale = width / 4, 10**15
+    while True:
+        g_lo, g_hi = AlgReal.generator(m).interval(tol)
+        sin2_lo = 1 - (g_hi / 2) ** 2
+        sin2_hi = 1 - (g_lo / 2) ** 2
+        s_lo, s_hi = _sqrt_interval(sin2_lo, sin2_hi, scale)
+        v1_lo, v1_hi = v1.interval(tol)
+        cands = (v1_lo * s_lo, v1_lo * s_hi, v1_hi * s_lo, v1_hi * s_hi)
+        y_int = (min(cands), max(cands))
+        if y_int[1] - y_int[0] <= width:
+            return x_int, y_int
+        tol, scale = tol / 16, scale * 16
 
 
 def e_F_float(v, n: int) -> tuple[float, float]:

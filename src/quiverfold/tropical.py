@@ -7,13 +7,22 @@ tested for exact root membership, G-matrices are exact inverse transposes
 (the determinant is a unit by the alternation rule), and the compatibility
 between a folded walk and its composite-mutation lift is checked entry by
 entry through the weighted projection d_F.
+
+The cube check decides d_F(G_lifted) = G_folded and C_folded^T G_folded = I
+by a certificate: the lifted G is the exact integer inverse of C_lifted^T
+(fraction-free Gauss-Jordan), and C_folded^T d_F(G_lifted) = I proves that
+d_F(G_lifted) is the inverse of C_folded^T, so both hold.  Only when the
+certificate fails is C_folded^T inverted by adjugate, and the two
+comparisons then name what failed.  The blocks check multiplies each pair of
+distinct blocks once, and goes through every index pair only when one of
+those fails.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import combinations
 
 from .chebring import AlgReal, ChebElem, cheb_mul, rho, sigma
 from .exchange import ExchangeMatrix, explore_words, mutate_entries
@@ -100,17 +109,17 @@ def transpose(rows):
 
 def mat_mul(a, b):
     n, mid, m = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum3(a[i][k] * b[k][j] for k in range(mid)) for j in range(m))
-        for i in range(n)
-    )
-
-
-def sum3(items):
-    acc = None
-    for x in items:
-        acc = x if acc is None else acc + x
-    return acc
+    out = []
+    for i in range(n):
+        row = a[i]
+        out_row = []
+        for j in range(m):
+            acc = row[0] * b[0][j]
+            for k in range(1, mid):
+                acc = acc + row[k] * b[k][j]
+            out_row.append(acc)
+        out.append(tuple(out_row))
+    return tuple(out)
 
 
 def det_laplace(rows):
@@ -138,10 +147,6 @@ def det_laplace(rows):
         zero = row[0] - row[0] if not isinstance(row[0], int) else 0
         return zero
     return acc
-
-
-def det_cheb(rows) -> ChebElem:
-    return det_laplace(rows)
 
 
 def invert_ring_unimodular(rows):
@@ -172,38 +177,36 @@ def invert_ring_unimodular(rows):
 
 
 def invert_integer(rows):
-    """Exact inverse of an integer matrix; entries must come out integral."""
+    """Exact inverse of an integer matrix; entries must come out integral.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968) on [A | I].  Every
+    entry after the step on column k is a (k+1)-minor of the row-permuted
+    [A | I], so each division by the previous pivot is exact.  At the end
+    the left half is d*I with d = +-det A and the right half is d*A^{-1},
+    which is integral exactly when |d| = 1.
+    """
     n = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    aug = [list(rows[i]) + [int(i == j) for j in range(n)] for i in range(n)]
+    prev = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
         if pivot is None:
             raise ArithmeticError("matrix is singular")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
+        prow = aug[col]
+        pv = prow[col]
         for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            x = aug[i][j + n]
-            if x.denominator != 1:
-                raise ArithmeticError("inverse is not integral")
-            row.append(int(x))
-        out.append(tuple(row))
-    return tuple(out)
+            f = aug[r][col]
+            if r != col and (f or pv != prev):
+                aug[r] = [(pv * x - f * y) // prev for x, y in zip(aug[r], prow)]
+        prev = pv
+    if prev not in (1, -1):
+        raise ArithmeticError("inverse is not integral")
+    return tuple(tuple(prev * x for x in aug[i][n:]) for i in range(n))
 
 
 # ---------------------------------------------------------------------------
 # folded walks and the compatibility checks
-
-
-def lift_word(spec: FoldingSpec, word):
-    return spec.lift_word(word)
 
 
 def matrix_d_F(spec: FoldingSpec, rows):
@@ -280,6 +283,17 @@ class TropicalWalker:
     def check_vertex(self, folded, lifted, word, failures, neighbours=True, only=None):
         """Append to ``failures`` a record ``(word, name, ...)`` per failed check.
 
+        The cube sub-checks ``dF(G)-mismatch`` and ``CtG-not-identity`` pass
+        together on the certificate C_f^T d_F(G_l) = I: a square matrix
+        with a one-sided inverse over a domain has that inverse.  When the
+        certificate fails, C_f^T is inverted by adjugate (which raises
+        unless its determinant is +-1) and both comparisons are made as
+        before.  A certified C_f whose determinant is a unit other than +-1
+        passes here; the ``dets`` check is the one that reports it.
+        ``blocks-do-not-commute`` is decided on the distinct
+        blocks; any failure reruns the index loop, so the records name
+        index pairs.
+
         ``only`` narrows the walker's checks.  ``neighbours`` turns the cube
         check's mutation squares on or off; it may also be a function
         ``k -> (folded, lifted)`` that supplies the neighbour pairs, such as
@@ -304,15 +318,20 @@ class TropicalWalker:
             if matrix_d_F(spec, C_l) != C_f:
                 failures.append((word, "dF(C)-mismatch"))
             G_l = invert_integer(transpose(C_l))
-            G_f = invert_ring_unimodular(transpose(C_f))
-            if matrix_d_F(spec, G_l) != G_f:
-                failures.append((word, "dF(G)-mismatch"))
+            X = matrix_d_F(spec, G_l)
             ident_f = tuple(
                 tuple(self.one if i == j else AlgReal(self.m) for j in range(mprime))
                 for i in range(mprime)
             )
-            if mat_mul(transpose(C_f), G_f) != ident_f:
-                failures.append((word, "CtG-not-identity"))
+            Ct = transpose(C_f)
+            # C_f^T X = I certifies X = (C_f^T)^{-1} = G_f, which passes both
+            # checks below; only a failed certificate inverts C_f^T.
+            if mat_mul(Ct, X) != ident_f:
+                G_f = invert_ring_unimodular(Ct)
+                if X != G_f:
+                    failures.append((word, "dF(G)-mismatch"))
+                if mat_mul(Ct, G_f) != ident_f:
+                    failures.append((word, "CtG-not-identity"))
             if neighbours:
                 for k in range(mprime):
                     if callable(neighbours):
@@ -338,10 +357,11 @@ class TropicalWalker:
                     row.append(r)
                     blocks.append(blk)
                 elements.append(tuple(row))
-            if "blocks" in checks:
+            distinct = combinations(dict.fromkeys(blocks), 2)
+            if "blocks" in checks and not all(_commute(x, y) for x, y in distinct):
                 for a in range(len(blocks)):
                     for b in range(a + 1, len(blocks)):
-                        if _mat_mul_int(blocks[a], blocks[b]) != _mat_mul_int(blocks[b], blocks[a]):
+                        if not _commute(blocks[a], blocks[b]):
                             failures.append((word, "blocks-do-not-commute", a, b))
                             break
             if "dets" in checks:
@@ -349,7 +369,7 @@ class TropicalWalker:
                 expected = self.one if len(word) % 2 == 0 else -self.one
                 if det_f != expected:
                     failures.append((word, "folded-determinant", len(word)))
-                det_x = det_cheb(elements)
+                det_x = det_laplace(elements)
                 if sigma(det_x) != det_f:
                     failures.append((word, "determinant-sigma-mismatch"))
                 unit = ChebElem.one(self.n)
@@ -413,6 +433,10 @@ def _failure(word, detail):
     if detail[0] == "folded-determinant":
         return (word, detail[0], len(word))
     return (word,) + detail
+
+
+def _commute(a, b) -> bool:
+    return _mat_mul_int(a, b) == _mat_mul_int(b, a)
 
 
 def _mat_mul_int(a, b):

@@ -56,12 +56,21 @@ class FoldingSpec:
         """Weighted block sums of an integer vector over the unfolded vertices."""
         if len(vector) != self.S.n:
             raise ValueError("vector length must match the unfolded vertex count")
+        if not isinstance(self.weights[0], AlgReal) or not all(isinstance(x, int) for x in vector):
+            return tuple(sum(self.weights[i] * vector[i] for i in block) for block in self.blocks)
+        # sum integer coefficient vectors; one AlgReal per block
+        m = self.weights[0].m
         out = []
         for block in self.blocks:
-            acc = self.weights[block[0]] * vector[block[0]]
-            for i in block[1:]:
-                acc = acc + self.weights[i] * vector[i]
-            out.append(acc)
+            acc = []
+            for i in block:
+                x = vector[i]
+                if x:
+                    coeffs = self.weights[i].coeffs
+                    acc.extend([0] * (len(coeffs) - len(acc)))
+                    for k, c in enumerate(coeffs):
+                        acc[k] += x * c
+            out.append(AlgReal(m, acc))
         return tuple(out)
 
     def matrix_d_F(self, rows):

@@ -157,9 +157,10 @@ class TestDeterminism:
 class TestByteIdentity:
     # stdout sha256 of CLI paths the benchmark digests do not cover.  The
     # first two were recorded at 774cefa, before the word verifiers checked
-    # each distinct state once; the last two at c8c6a7c, before the cluster
+    # each distinct state once; the next two at c8c6a7c, before the cluster
     # category kept per-object g-vector tables and read complements off
-    # the compatibility graph.
+    # the compatibility graph; the last at e102d15, before the cube check
+    # was decided by the C^T X = I certificate.
     @pytest.mark.parametrize(
         "argv,digest",
         [
@@ -178,6 +179,10 @@ class TestByteIdentity:
             (
                 "verify all --kind H3 --depth 2 --random 10",
                 "d107d4c74ffae3055fd098dc6c8f7f29f09b86308b971c0c0b9b0a4e5623d49f",
+            ),
+            (
+                "tropical walk --kind H4 --depth 3 --random 10",
+                "0930af8e03c153a5b2bfebab711f784aa233dd76e05239335860fda9c0470278",
             ),
         ],
     )

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from quiverfold import chebring, rootsys
 from quiverfold.chebring import AlgReal
 from quiverfold.rootsys import (
     e_F,
@@ -117,3 +118,47 @@ class TestEuclideanEmbedding:
         for v in rs.positives:
             x, y = e_F_float(v, n)
             assert math.hypot(x, y) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.fixture
+def cold(monkeypatch):
+    """Start every m from its cold isolating interval, as a fresh process does."""
+
+    def reset():
+        monkeypatch.setattr(chebring, "_ROOT_CONTEXTS", {})
+
+    reset()
+    return reset
+
+
+def one_pass_y(v, n, width=Fraction(1, 10**12)):
+    """The y-interval of e_F from one pass at the requested tolerance."""
+    m = 2 * n + 1
+    half = width / 4
+    g_lo, g_hi = AlgReal.generator(m).interval(half)
+    s_lo, s_hi = rootsys._sqrt_interval(1 - (g_hi / 2) ** 2, 1 - (g_lo / 2) ** 2)
+    v1_lo, v1_hi = AlgReal(m, (v[1],)).interval(half)
+    cands = (v1_lo * s_lo, v1_lo * s_hi, v1_hi * s_lo, v1_hi * s_hi)
+    return min(cands), max(cands)
+
+
+class TestEmbeddingWidth:
+    CASES = [((0, 5), 10), ((0, 1), 50), ((0, 1), 3), ((3, -2), 3), ((1000, -999), 4), ((1, 0), 2)]
+
+    @pytest.mark.parametrize("v,n", CASES)
+    def test_width_promise_in_cold_process(self, cold, v, n):
+        width = Fraction(1, 10**12)
+        (xlo, xhi), (ylo, yhi) = e_F(v, n, width)
+        assert xhi - xlo <= width and yhi - ylo <= width
+        theta = math.pi / (2 * n + 1)
+        assert float(ylo) - 1e-12 <= v[1] * math.sin(theta) <= float(yhi) + 1e-12
+
+    @pytest.mark.parametrize("v,n", CASES)
+    def test_unchanged_where_one_pass_suffices(self, cold, v, n):
+        lo, hi = one_pass_y(v, n)
+        cold()
+        y = e_F(v, n)[1]
+        if hi - lo <= Fraction(1, 10**12):
+            assert y == (lo, hi)
+        else:
+            assert y[0] >= lo and y[1] <= hi

@@ -1,5 +1,11 @@
-import pytest
+import random
+from fractions import Fraction
+from itertools import product
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from quiverfold import tropical
 from quiverfold.chebring import AlgReal, ChebElem
 from quiverfold.exchange import ExchangeMatrix
 from quiverfold.rootsys import root_system
@@ -184,3 +190,288 @@ class TestEnumeration:
         result = enumerate_seeds(A2)
         gs = result.g_matrices()
         assert ((1, 0), (0, 1)) in gs
+
+
+# ---------------------------------------------------------------------------
+# oracles: the Fraction inverse, the per-term d_F, and the cube and blocks
+# checks as they were before the certificate
+
+
+def fraction_inverse(rows):
+    """Gauss-Jordan over Fraction; the inverse must come out integral."""
+    n = len(rows)
+    aug = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ArithmeticError("matrix is singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            x = aug[i][j + n]
+            if x.denominator != 1:
+                raise ArithmeticError("inverse is not integral")
+            row.append(int(x))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def outcome(fn, *args):
+    """The value of ``fn(*args)``, or the type and text of what it raised."""
+    try:
+        return ("value", fn(*args))
+    except ArithmeticError as exc:
+        return ("raised", type(exc), str(exc))
+
+
+def d_F_per_term(spec, vector):
+    out = []
+    for block in spec.blocks:
+        acc = spec.weights[block[0]] * vector[block[0]]
+        for i in block[1:]:
+            acc = acc + spec.weights[i] * vector[i]
+        out.append(acc)
+    return tuple(out)
+
+
+def matrix_d_F_per_term(spec, rows):
+    cols = [d_F_per_term(spec, tuple(row[r] for row in rows)) for r in spec.weight_one_reps]
+    return tuple(tuple(col[i] for col in cols) for i in range(len(cols)))
+
+
+def plain_mat_mul(a, b):
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(1, len(b))), a[i][0] * b[0][j]) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
+def oracle_cube_blocks(walker, folded, lifted, word):
+    """The cube and blocks checks of check_vertex, inverting both C^T."""
+    spec, mprime, nverts = walker.spec, walker.mprime, walker.nverts
+    C_f, C_l = folded[mprime:], lifted[nverts:]
+    failures = []
+    if matrix_d_F_per_term(spec, C_l) != C_f:
+        failures.append((word, "dF(C)-mismatch"))
+    G_l = fraction_inverse(transpose(C_l))
+    G_f = invert_ring_unimodular(transpose(C_f))
+    if matrix_d_F_per_term(spec, G_l) != G_f:
+        failures.append((word, "dF(G)-mismatch"))
+    one, zero = AlgReal(walker.m, (1,)), AlgReal(walker.m)
+    ident_f = tuple(tuple(one if i == j else zero for j in range(mprime)) for i in range(mprime))
+    if plain_mat_mul(transpose(C_f), G_f) != ident_f:
+        failures.append((word, "CtG-not-identity"))
+    for k in range(mprime):
+        nf, nl = walker.step(folded, lifted, k)
+        if matrix_d_F_per_term(spec, nl[nverts:]) != nf[mprime:]:
+            failures.append((word, "dF-mutation-square", k))
+    blocks = []
+    for bi in range(mprime):
+        for bj in range(mprime):
+            blk = walker.c_block(lifted, bi, bj)
+            r = walker.block_element(blk)
+            if r is None:
+                failures.append((word, "block-not-regular-rep", bi, bj))
+                return failures
+            if not r.sign_coherent():
+                failures.append((word, "block-coefficients-mixed-sign", bi, bj))
+            blocks.append(blk)
+    for a in range(len(blocks)):
+        for b in range(a + 1, len(blocks)):
+            if plain_mat_mul(blocks[a], blocks[b]) != plain_mat_mul(blocks[b], blocks[a]):
+                failures.append((word, "blocks-do-not-commute", a, b))
+                break
+    return failures
+
+
+def cube_blocks(walker, folded, lifted, word):
+    failures = []
+    walker.check_vertex(folded, lifted, word, failures, only=frozenset(("cube", "blocks")))
+    return failures
+
+
+def reachable_states(walker, depth):
+    """One word for each (folded, lifted) pair reachable in <= depth steps."""
+    start = walker.initial_pair()
+    found = {start: ()}
+    frontier = [start]
+    for _ in range(depth):
+        new = []
+        for state in frontier:
+            for k in range(walker.mprime):
+                nxt = walker.step(*state, k)
+                if nxt not in found:
+                    found[nxt] = found[state] + (k,)
+                    new.append(nxt)
+        frontier = new
+    return found
+
+
+def with_entry(rows, i, j, value):
+    rows = [list(r) for r in rows]
+    rows[i][j] = value
+    return tuple(tuple(r) for r in rows)
+
+
+@st.composite
+def unimodular(draw):
+    """A random integer matrix of determinant +-1, up to 8 x 8."""
+    n = draw(st.integers(1, 8))
+    rows = [[int(i == j) * draw(st.sampled_from((1, -1))) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 3 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            k = draw(st.integers(-3, 3))
+            rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
+    order = draw(st.permutations(range(n)))
+    return tuple(tuple(rows[i]) for i in order)
+
+
+class TestIntegerInverse:
+    @given(unimodular())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_oracle_on_unimodular(self, rows):
+        inv = invert_integer(rows)
+        assert inv == fraction_inverse(rows)
+        n = len(rows)
+        assert plain_mat_mul(rows, inv) == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+    @given(st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_oracle_on_any_matrix(self, rows):
+        rows = tuple(map(tuple, rows))
+        assert outcome(invert_integer, rows) == outcome(fraction_inverse, rows)
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            (((0, 0), (0, 0)), "matrix is singular"),
+            (((1, 2, 3), (2, 4, 6), (0, 1, 1)), "matrix is singular"),
+            (((0, 1, 0), (0, 0, 1), (0, 0, 0)), "matrix is singular"),
+            (((2, 0), (0, 1)), "inverse is not integral"),
+            (((1, 1, 0), (1, -1, 0), (0, 0, 1)), "inverse is not integral"),
+            (((0, 2), (1, 5)), "inverse is not integral"),
+        ],
+    )
+    def test_same_error_text(self, rows, message):
+        assert outcome(invert_integer, rows) == ("raised", ArithmeticError, message)
+        assert outcome(fraction_inverse, rows) == outcome(invert_integer, rows)
+
+
+FOLDINGS = [
+    ("H3", None), ("H4", None), ("I2", 2), ("I2", 3), ("I2", 4), ("I2", 5),
+    ("I2m", 5), ("I2m", 6), ("I2m", 8), ("F4E6", None),
+]
+
+
+@pytest.mark.parametrize("opp", [False, True])
+@pytest.mark.parametrize("kind,n", FOLDINGS)
+def test_d_F_matches_per_term_sum(kind, n, opp):
+    spec = standard_folding(kind, n, opp)
+    rng = random.Random(5)
+    size = spec.S.n
+    vectors = [tuple(int(i == j) for j in range(size)) for i in range(size)]
+    vectors += [tuple(rng.randint(-50, 50) for _ in range(size)) for _ in range(30)]
+    vectors.append((0,) * size)
+    for vector in vectors:
+        got, want = spec.d_F(vector), d_F_per_term(spec, vector)
+        assert got == want
+        assert [type(x) for x in got] == [type(x) for x in want]
+
+
+class TestCubeBlocksOracle:
+    @pytest.mark.parametrize("kind,n,depth", [("H4", None, 3), ("I2", 3, 5)])
+    def test_every_reachable_state(self, kind, n, depth):
+        walker = TropicalWalker(standard_folding(kind, n))
+        states = reachable_states(walker, depth)
+        assert len(states) > depth
+        for (folded, lifted), word in states.items():
+            got = cube_blocks(walker, folded, lifted, word)
+            assert got == oracle_cube_blocks(walker, folded, lifted, word)
+            assert got == []
+
+    @pytest.mark.parametrize(
+        "word,i,j,delta",
+        [((), 0, 1, 1), ((0, 1), 1, 2, 1), ((0, 1, 2), 2, 2, 1), ((3, 2), 0, 3, -1), ((1, 0), 0, 0, 1)],
+    )
+    def test_corrupted_folded_entry(self, word, i, j, delta):
+        walker = TropicalWalker(standard_folding("H4"))
+        folded, lifted = walker.initial_pair()
+        for k in word:
+            folded, lifted = walker.step(folded, lifted, k)
+        row = walker.mprime + i
+        folded = with_entry(folded, row, j, folded[row][j] + delta)
+        got = outcome(cube_blocks, walker, folded, lifted, word)
+        assert got == outcome(oracle_cube_blocks, walker, folded, lifted, word)
+        assert got[0] == "raised" or ((word, "dF(C)-mismatch") in got[1])
+
+    def test_corrupted_folded_entry_records_both_mismatches(self):
+        walker = TropicalWalker(standard_folding("H4"))
+        folded, lifted = walker.initial_pair()
+        folded = with_entry(folded, walker.mprime, 1, walker.one)
+        got = cube_blocks(walker, folded, lifted, ("x",))
+        assert got == oracle_cube_blocks(walker, folded, lifted, ("x",))
+        assert got[:2] == [(("x",), "dF(C)-mismatch"), (("x",), "dF(G)-mismatch")]
+        assert {f[1] for f in got[2:]} == {"dF-mutation-square"}
+
+    def test_lifted_determinant_two(self):
+        walker = TropicalWalker(standard_folding("I2", 3))
+        folded, lifted = walker.initial_pair()
+        lifted = with_entry(lifted, walker.nverts, 0, 2)
+        got = outcome(cube_blocks, walker, folded, lifted, ())
+        assert got == ("raised", ArithmeticError, "inverse is not integral")
+        assert got == outcome(oracle_cube_blocks, walker, folded, lifted, ())
+
+    @pytest.mark.parametrize("kind,n", [("I2", 3), ("H4", None)])
+    def test_non_commuting_blocks(self, monkeypatch, kind, n):
+        walker = TropicalWalker(standard_folding(kind, n))
+        monkeypatch.setattr(TropicalWalker, "block_element", lambda self, block: ChebElem.one(self.n))
+        folded, lifted = walker.initial_pair()
+        b0, b1 = walker.spec.blocks[0], walker.spec.blocks[1]
+        top = walker.nverts
+        # I + e01 in diagonal block 0, I + e10 in diagonal block 1
+        lifted = with_entry(lifted, top + b0[0], b0[1], 1)
+        lifted = with_entry(lifted, top + b1[1], b1[0], 1)
+        if walker.mprime > 2:
+            b2 = walker.spec.blocks[2]
+            lifted = with_entry(lifted, top + b2[0], b2[1], 1)  # a repeat of block 0
+        got = cube_blocks(walker, folded, lifted, ("w",))
+        assert got == oracle_cube_blocks(walker, folded, lifted, ("w",))
+        assert any(f[1] == "blocks-do-not-commute" for f in got)
+
+
+def test_cube_work_counts(monkeypatch):
+    """A passing walk inverts no folded matrix, and multiplies only distinct block pairs."""
+    walker = TropicalWalker(standard_folding("H4"))
+    inversions = []
+    products = []
+    per_state = []
+    real_inverse, real_mul = tropical.invert_ring_unimodular, tropical._mat_mul_int
+    monkeypatch.setattr(tropical, "invert_ring_unimodular", lambda rows: inversions.append(rows) or real_inverse(rows))
+    monkeypatch.setattr(tropical, "_mat_mul_int", lambda a, b: products.append(1) or real_mul(a, b))
+    real_check = TropicalWalker.check_vertex
+
+    def counted(self, folded, lifted, *args, **kwargs):
+        before = len(products)
+        real_check(self, folded, lifted, *args, **kwargs)
+        mp = range(self.mprime)
+        distinct = len({self.c_block(lifted, bi, bj) for bi, bj in product(mp, mp)})
+        per_state.append((len(products) - before, distinct))
+
+    monkeypatch.setattr(TropicalWalker, "check_vertex", counted)
+    report = walker.verify_cube(depth=2)
+    assert report.passed and report.states == len(per_state) > 1
+    assert inversions == []
+    assert products
+    for calls, d in per_state:
+        assert calls <= d * (d - 1)
