@@ -16,7 +16,7 @@ from .clustercat import ClusterCategory
 from .exchange import ExchangeMatrix, RQuiver, from_quiver, rescale, to_quiver
 from .repcat import ARQuiver, FoldedCategory, IndecClass
 from .rootsys import RootSet, e_F, e_F_float, generate_roots, root_system
-from .tropical import GMatrix, Seed, TropicalWalker, enumerate_seeds, g_matrix, mutate_seed
+from .tropical import GMatrix, Seed, TropicalWalker, enumerate_seeds, g_matrix
 from .unfolding import (
     FoldingSpec,
     build_unfolded_matrix,
@@ -51,7 +51,6 @@ __all__ = [
     "g_matrix",
     "generate_roots",
     "minimal_poly",
-    "mutate_seed",
     "reg_rep",
     "rescale",
     "rho",

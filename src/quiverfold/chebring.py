@@ -268,10 +268,6 @@ class AlgReal:
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def integer(m: int, k: int) -> "AlgReal":
-        return AlgReal(m, (k,))
-
-    @staticmethod
     def generator(m: int) -> "AlgReal":
         """The element 2cos(pi/m) itself."""
         return AlgReal(m, (0, 1))
@@ -582,13 +578,6 @@ class ChebElem:
         """No two coefficients of strictly opposite sign (zeros are neutral)."""
         return not (any(c > 0 for c in self.coeffs) and any(c < 0 for c in self.coeffs))
 
-    def coherent_sign(self) -> int:
-        if any(c > 0 for c in self.coeffs):
-            return 1
-        if any(c < 0 for c in self.coeffs):
-            return -1
-        return 0
-
     def to_json(self):
         return {"n": self.n, "coeffs": list(self.coeffs)}
 
@@ -602,6 +591,11 @@ class ChebElem:
             if c:
                 terms.append(f"{c}*t{i}" if i else str(c))
         return "ChebElem(0)" if not terms else "ChebElem(" + " + ".join(terms) + ")"
+
+
+def json_value(x):
+    """``x.to_json()`` for a ring value (``AlgReal`` or ``ChebElem``), else ``x``."""
+    return x.to_json() if isinstance(x, (AlgReal, ChebElem)) else x
 
 
 def cheb_mul(a: ChebElem, b: ChebElem) -> ChebElem:

@@ -11,39 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
-from .chebring import AlgReal, ChebElem, cheb_mul, minimal_poly, reg_rep, sigma
+from .chebring import ChebElem, cheb_mul, json_value, minimal_poly, reg_rep, sigma
 from .clustercat import ClusterCategory
-from .exchange import ExchangeMatrix, to_quiver, quiver_dot
+from .exchange import ExchangeMatrix
 from .repcat import FoldedCategory
-from .rootsys import e_F_float, root_system
-from .tropical import CHECKS, TropicalWalker, check_set, enumerate_seeds, g_matrix, Seed
+from .rootsys import e_F_float
+from .tropical import CHECKS, TropicalWalker, check_set, enumerate_seeds, g_matrix
 from .unfolding import check_weighted_unfolding, standard_folding
-
-
-@dataclass
-class RunConfig:
-    command: str
-    kind: str | None = None
-    n: int | None = None
-    depth: int = 5
-    random_words: int = 50
-    random_length: int = 20
-    seed: int = 0
-    fmt: str = "json"
-    precision: int = 12
-    cap: int = 20000
-    out: str | None = None
-    extra: dict = field(default_factory=dict)
-
-
-def _emit(config: RunConfig, text: str) -> None:
-    if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 def _json(data) -> str:
@@ -55,6 +30,19 @@ class UsageError(Exception):
 
     ``main`` reports it on one line of stderr and exits with 2.
     """
+
+
+def _emit(args, text: str) -> None:
+    text = text if text.endswith("\n") else text + "\n"
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
+        fh = open(args.out, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {args.out}: {exc}") from None
+    with fh:
+        fh.write(text)
 
 
 def _from_args(build, *args):
@@ -81,96 +69,81 @@ def _vertex_list(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"not a comma-separated vertex list: {text!r}") from None
 
 
-def _spec_from(config: RunConfig):
-    if config.kind in ("H3", "H4", "F4E6"):
-        return standard_folding(config.kind)
-    if config.kind == "I2":
-        if config.n is None:
+def _spec_from(args):
+    if args.kind in ("H3", "H4", "F4E6"):
+        return standard_folding(args.kind)
+    if args.kind == "I2":
+        if args.n is None:
             raise UsageError("--kind I2 requires --n")
-        return _from_args(standard_folding, "I2", config.n)
-    if config.kind == "I2m":
-        if config.n is None:
+        return _from_args(standard_folding, "I2", args.n)
+    if args.kind == "I2m":
+        if args.n is None:
             raise UsageError("--kind I2m requires --n (the dihedral order m)")
-        return _from_args(standard_folding, "I2m", config.n)
-    raise UsageError(f"unknown kind {config.kind!r}")
-
-
-def _enc_value(x):
-    if isinstance(x, AlgReal):
-        return x.to_json()
-    if isinstance(x, ChebElem):
-        return x.to_json()
-    return x
-
-
-def _enc_matrix(rows):
-    return [[_enc_value(x) for x in row] for row in rows]
+        return _from_args(standard_folding, "I2m", args.n)
+    raise UsageError(f"unknown kind {args.kind!r}")
 
 
 # -- subcommand handlers ------------------------------------------------------
 
 
-def cmd_ring(config: RunConfig) -> int:
-    op = config.extra["ring_op"]
+def cmd_ring(args) -> int:
+    op = args.ring_op
     if op == "minpoly":
-        data = {"m": config.n, "coeffs": list(_from_args(minimal_poly, config.n))}
+        data = {"m": args.m, "coeffs": list(_from_args(minimal_poly, args.m))}
     elif op == "regrep":
-        k = config.extra["k"]
-        matrix = _from_args(reg_rep, k, config.n)
-        data = {"n": config.n, "k": k, "matrix": [list(r) for r in matrix]}
+        matrix = _from_args(reg_rep, args.k, args.n)
+        data = {"n": args.n, "k": args.k, "matrix": [list(r) for r in matrix]}
     elif op == "mul":
-        a = _from_args(ChebElem, config.n, config.extra["a"])
-        b = _from_args(ChebElem, config.n, config.extra["b"])
+        a = _from_args(ChebElem, args.n, args.a)
+        b = _from_args(ChebElem, args.n, args.b)
         prod = cheb_mul(a, b)
         data = {
             "product": prod.to_json(),
             "value": float(sigma(prod)),
         }
     else:  # sigma
-        a = _from_args(ChebElem, config.n, config.extra["a"])
+        a = _from_args(ChebElem, args.n, args.a)
         data = {"image": sigma(a).to_json(), "value": float(sigma(a))}
-    _emit(config, _json(data))
+    _emit(args, _json(data))
     return 0
 
 
-def cmd_mutate(config: RunConfig) -> int:
-    path = config.extra["matrix"]
+def cmd_mutate(args) -> int:
     try:
-        with open(path) as fh:
-            matrix = ExchangeMatrix.from_json(json.load(fh))
+        with open(args.matrix) as fh:
+            out = ExchangeMatrix.from_json(json.load(fh))
     except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot read --matrix {path}: {exc}") from None
-    out = matrix
-    for k in config.extra["at"]:
+        raise UsageError(f"cannot read --matrix {args.matrix}: {exc}") from None
+    for k in args.at:
         try:
             out = out.mutate(k)
         except IndexError as exc:
             raise UsageError(str(exc)) from None
-    _emit(config, _json(out.to_json()))
+    _emit(args, _json(out.to_json()))
     return 0
 
 
-def cmd_unfold(config: RunConfig) -> int:
-    spec = _spec_from(config)
-    if config.extra["unfold_op"] == "build":
-        _emit(config, _json(spec.to_json()))
+def cmd_unfold(args) -> int:
+    spec = _spec_from(args)
+    if args.unfold_op == "build":
+        _emit(args, _json(spec.to_json()))
         return 0
     report = check_weighted_unfolding(
         spec,
-        depth=config.depth,
-        random_words=config.random_words,
-        random_length=config.random_length,
-        seed=config.seed,
+        depth=args.depth,
+        random_words=args.random,
+        random_length=args.length,
+        seed=args.seed,
     )
-    _emit(config, _json(report.to_json()))
+    _emit(args, _json(report.to_json()))
     return 0 if report.passed else 1
 
 
-def cmd_ar(config: RunConfig) -> int:
-    spec = _spec_from(config)
+def cmd_ar(args) -> int:
+    spec = _spec_from(args)
     cat = FoldedCategory(spec)
-    if config.fmt == "dot":
-        _emit(config, cat.ar_dot())
+    if args.format == "dot":
+        _emit(args, cat.ar_dot())
         return 0
     data = {
         "modules": [
@@ -181,86 +154,86 @@ def cmd_ar(config: RunConfig) -> int:
                 "slice": mod.slice,
                 "projective_at": mod.proj_vertex,
                 "injective_at": mod.inj_vertex,
-                "projection": [_enc_value(c) for c in cat.dimproj[mod.ident]],
+                "projection": [json_value(c) for c in cat.dimproj[mod.ident]],
             }
             for mod in cat.ar.modules
         ],
         "arrows": [list(a) for a in cat.ar.ar_arrows],
     }
-    if config.extra.get("tables"):
+    if args.tables:
         from .repcat import hom_ext_tables
 
         hom, ext = hom_ext_tables(cat.ar)
         data["hom"] = [list(row) for row in hom]
         data["ext"] = [list(row) for row in ext]
-    _emit(config, _json(data))
+    _emit(args, _json(data))
     return 0
 
 
-def cmd_fold(config: RunConfig) -> int:
-    spec = _spec_from(config)
+def cmd_fold(args) -> int:
+    spec = _spec_from(args)
     cat = FoldedCategory(spec)
-    if config.fmt == "csv":
+    if args.format == "csv":
         lines = ["id,dim,projection"]
         for mod in cat.ar.modules:
             dim = "".join(str(c) for c in mod.dim)
-            proj = ";".join(f"{float(c):.{config.precision}g}" for c in cat.dimproj[mod.ident])
+            proj = ";".join(f"{float(c):.{args.precision}g}" for c in cat.dimproj[mod.ident])
             lines.append(f"{mod.ident},{dim},{proj}")
-        _emit(config, "\n".join(lines))
+        _emit(args, "\n".join(lines))
         return 0
     data = {
         "generators": list(cat.generators),
         "projections": {
-            str(mod.ident): [_enc_value(c) for c in cat.dimproj[mod.ident]]
+            str(mod.ident): [json_value(c) for c in cat.dimproj[mod.ident]]
             for mod in cat.ar.modules
         },
     }
-    _emit(config, _json(data))
+    _emit(args, _json(data))
     return 0
 
 
-def cmd_tropical(config: RunConfig) -> int:
-    spec = _spec_from(config)
-    if config.extra["trop_op"] == "enumerate":
-        result = enumerate_seeds(spec.B, cap=config.cap)
-        if config.fmt == "csv":
+def cmd_tropical(args) -> int:
+    spec = _spec_from(args)
+    if args.trop_op == "enumerate":
+        result = enumerate_seeds(spec.B, cap=args.cap)
+        if args.format == "csv":
             lines = ["seed,word,vector,column,entries"]
             for idx, seed in enumerate(result.seeds):
                 word = "".join(map(str, seed.word))
                 gcols = tuple(zip(*g_matrix(seed).entries))
                 for j, col in enumerate(seed.c_vectors()):
-                    vals = ";".join(f"{float(c):.{config.precision}g}" for c in col)
+                    vals = ";".join(f"{float(c):.{args.precision}g}" for c in col)
                     lines.append(f"{idx},{word},c,{j},{vals}")
                 for j, col in enumerate(gcols):
-                    vals = ";".join(f"{float(c):.{config.precision}g}" for c in col)
+                    vals = ";".join(f"{float(c):.{args.precision}g}" for c in col)
                     lines.append(f"{idx},{word},g,{j},{vals}")
-            _emit(config, "\n".join(lines))
+            _emit(args, "\n".join(lines))
         else:
             data = {
                 "complete": result.complete,
                 "count": result.count,
                 "seeds": [s.to_json() for s in result.seeds],
             }
-            _emit(config, _json(data))
+            _emit(args, _json(data))
         return 0
-    walker = TropicalWalker(spec, checks=config.extra["verify"])
+    walker = TropicalWalker(spec, checks=args.verify)
     report = walker.verify_cube(
-        depth=config.depth,
-        random_words=config.random_words,
-        random_length=config.random_length,
-        seed=config.seed,
+        depth=args.depth,
+        random_words=args.random,
+        random_length=args.length,
+        seed=args.seed,
     )
-    _emit(config, _json(report.to_json()))
+    _emit(args, _json(report.to_json()))
     return 0 if report.passed else 1
 
 
-def cmd_tilting(config: RunConfig) -> int:
-    spec = _spec_from(config)
+def cmd_tilting(args) -> int:
+    spec = _spec_from(args)
     cc = ClusterCategory(spec)
-    if config.extra["tilt_op"] == "graph":
+    if args.tilt_op == "graph":
         nodes, edges = cc.exchange_graph()
         keys = {key: f"t{i}" for i, key in enumerate(sorted(nodes, key=sorted))}
-        if config.fmt == "dot":
+        if args.format == "dot":
             lines = ["graph tilting_exchange {"]
             for key, name in keys.items():
                 label = "|".join(cc.describe(x) for x in sorted(key))
@@ -269,7 +242,7 @@ def cmd_tilting(config: RunConfig) -> int:
                 a, b = sorted(edge, key=sorted)
                 lines.append(f"  {keys[a]} -- {keys[b]};")
             lines.append("}")
-            _emit(config, "\n".join(lines))
+            _emit(args, "\n".join(lines))
         else:
             data = {
                 "nodes": {name: sorted(key) for key, name in keys.items()},
@@ -277,7 +250,7 @@ def cmd_tilting(config: RunConfig) -> int:
                     sorted((keys[a], keys[b])) for a, b in (tuple(e) for e in edges)
                 ),
             }
-            _emit(config, _json(data))
+            _emit(args, _json(data))
         return 0
     tilts = cc.enumerate_tilting()
     data = {
@@ -286,17 +259,17 @@ def cmd_tilting(config: RunConfig) -> int:
             {
                 "summands": list(t),
                 "labels": [cc.describe(x) for x in t],
-                "G_folded": _enc_matrix(cc.tilting_G_matrices(t)[1]),
+                "G_folded": [list(map(json_value, row)) for row in cc.tilting_G_matrices(t)[1]],
             }
             for t in tilts
         ],
     }
-    _emit(config, _json(data))
+    _emit(args, _json(data))
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
-    spec = _spec_from(config)
+def cmd_verify(args) -> int:
+    spec = _spec_from(args)
     lines = []
     failures = 0
 
@@ -309,15 +282,15 @@ def cmd_verify(config: RunConfig) -> int:
 
     unfold_report = check_weighted_unfolding(
         spec,
-        depth=config.depth,
-        random_words=config.random_words,
-        random_length=config.random_length,
-        seed=config.seed,
+        depth=args.depth,
+        random_words=args.random,
+        random_length=args.length,
+        seed=args.seed,
     )
     record(
         "weighted-unfolding-conditions",
         unfold_report.passed,
-        f"words={unfold_report.words_checked} seed={config.seed}",
+        f"words={unfold_report.words_checked} seed={args.seed}",
     )
 
     if spec.n is not None:
@@ -347,15 +320,15 @@ def cmd_verify(config: RunConfig) -> int:
 
         walker = TropicalWalker(spec)
         walk = walker.verify_cube(
-            depth=config.depth,
-            random_words=config.random_words,
-            random_length=config.random_length,
-            seed=config.seed,
+            depth=args.depth,
+            random_words=args.random,
+            random_length=args.length,
+            seed=args.seed,
         )
         record(
             "tropical-cube-and-blocks",
             walk.passed,
-            f"vertices={walk.vertices_checked} seed={config.seed}",
+            f"vertices={walk.vertices_checked} seed={args.seed}",
         )
 
         cc = ClusterCategory(spec)
@@ -377,11 +350,22 @@ def cmd_verify(config: RunConfig) -> int:
         except AssertionError as exc:
             record("tilting-enumeration", False, str(exc))
 
-    _emit(config, "\n".join(lines))
+    _emit(args, "\n".join(lines))
     return 0 if failures == 0 else 1
 
 
 # -- argument parsing -----------------------------------------------------------
+
+
+def _count(text: str) -> int:
+    """Parse an integer >= 0 (``--depth``, ``--random``, ``--length``, ``--cap``, ``--precision``)."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not an integer >= 0: {text!r}")
 
 
 def _check_names(text: str) -> frozenset:
@@ -406,6 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
 
     ring = sub.add_parser("ring", help="Chebyshev ring arithmetic")
+    ring.set_defaults(func=cmd_ring)
     ring_sub = ring.add_subparsers(dest="ring_op", required=True)
     ring_minpoly = ring_sub.add_parser("minpoly")
     ring_minpoly.add_argument("--m", type=int, required=True)
@@ -423,23 +408,26 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
 
     mut = sub.add_parser("mutate", help="mutate an exchange matrix from JSON")
+    mut.set_defaults(func=cmd_mutate)
     mut.add_argument("--matrix", required=True)
     mut.add_argument("--at", required=True, type=_vertex_list,
                      help="comma-separated vertex indices")
     mut.add_argument("--out", default=None)
 
     unf = sub.add_parser("unfold", help="build or verify weighted unfoldings")
+    unf.set_defaults(func=cmd_unfold)
     unf_sub = unf.add_subparsers(dest="unfold_op", required=True)
     for name in ("build", "verify"):
         p = unf_sub.add_parser(name)
         add_common(p)
         if name == "verify":
-            p.add_argument("--depth", type=int, default=5)
-            p.add_argument("--random", type=int, default=50)
-            p.add_argument("--length", type=int, default=20)
+            p.add_argument("--depth", type=_count, default=5)
+            p.add_argument("--random", type=_count, default=50)
+            p.add_argument("--length", type=_count, default=20)
             p.add_argument("--seed", type=int, default=0)
 
     ar = sub.add_parser("ar", help="Auslander-Reiten quiver")
+    ar.set_defaults(func=cmd_ar)
     ar_sub = ar.add_subparsers(dest="ar_op", required=True)
     ar_build = ar_sub.add_parser("build")
     add_common(ar_build, kinds=("H3", "H4", "I2"))
@@ -447,13 +435,15 @@ def build_parser() -> argparse.ArgumentParser:
     ar_build.add_argument("--tables", action="store_true", help="include hom/ext tables")
 
     fold = sub.add_parser("fold", help="projected dimension vectors")
+    fold.set_defaults(func=cmd_fold)
     fold_sub = fold.add_subparsers(dest="fold_op", required=True)
     fold_dims = fold_sub.add_parser("dims")
     add_common(fold_dims, kinds=("H3", "H4", "I2"))
     fold_dims.add_argument("--format", choices=("json", "csv"), default="json")
-    fold_dims.add_argument("--precision", type=int, default=12)
+    fold_dims.add_argument("--precision", type=_count, default=12)
 
     trop = sub.add_parser("tropical", help="tropical y-seed walks")
+    trop.set_defaults(func=cmd_tropical)
     trop_sub = trop.add_subparsers(dest="trop_op", required=True)
     trop_walk = trop_sub.add_parser("walk")
 
@@ -464,18 +454,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
 
     add_common_tropical(trop_walk)
-    trop_walk.add_argument("--depth", type=int, default=5)
-    trop_walk.add_argument("--random", type=int, default=0)
-    trop_walk.add_argument("--length", type=int, default=30)
+    trop_walk.add_argument("--depth", type=_count, default=5)
+    trop_walk.add_argument("--random", type=_count, default=0)
+    trop_walk.add_argument("--length", type=_count, default=30)
     trop_walk.add_argument("--seed", type=int, default=0)
     trop_walk.add_argument("--verify", type=_check_names, default=",".join(CHECKS))
     trop_enum = trop_sub.add_parser("enumerate")
     add_common_tropical(trop_enum)
-    trop_enum.add_argument("--cap", type=int, default=20000)
+    trop_enum.add_argument("--cap", type=_count, default=20000)
     trop_enum.add_argument("--format", choices=("json", "csv"), default="json")
-    trop_enum.add_argument("--precision", type=int, default=12)
+    trop_enum.add_argument("--precision", type=_count, default=12)
 
     tilt = sub.add_parser("tilting", help="tilting objects of the cluster category")
+    tilt.set_defaults(func=cmd_tilting)
     tilt_sub = tilt.add_subparsers(dest="tilt_op", required=True)
     for name in ("enumerate", "graph"):
         p = tilt_sub.add_parser(name)
@@ -484,12 +475,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=("json", "dot"), default="dot")
 
     ver = sub.add_parser("verify", help="run the theorem verification suite")
+    ver.set_defaults(func=cmd_verify)
     ver_sub = ver.add_subparsers(dest="verify_op", required=True)
     ver_all = ver_sub.add_parser("all")
     add_common(ver_all)
-    ver_all.add_argument("--depth", type=int, default=5)
-    ver_all.add_argument("--random", type=int, default=50)
-    ver_all.add_argument("--length", type=int, default=20)
+    ver_all.add_argument("--depth", type=_count, default=5)
+    ver_all.add_argument("--random", type=_count, default=50)
+    ver_all.add_argument("--length", type=_count, default=20)
     ver_all.add_argument("--seed", type=int, default=0)
 
     return parser
@@ -498,53 +490,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(command=args.command)
-    config.out = getattr(args, "out", None)
-    config.kind = getattr(args, "kind", None)
-    config.n = getattr(args, "n", None)
-    config.depth = getattr(args, "depth", 5)
-    config.random_words = getattr(args, "random", 50)
-    config.random_length = getattr(args, "length", 20)
-    config.seed = getattr(args, "seed", 0)
-    config.fmt = getattr(args, "format", "json")
-    config.precision = getattr(args, "precision", 12)
-    config.cap = getattr(args, "cap", 20000)
-
     try:
-        if args.command == "ring":
-            config.n = args.m if args.ring_op == "minpoly" else args.n
-            config.extra["ring_op"] = args.ring_op
-            if hasattr(args, "k"):
-                config.extra["k"] = args.k
-            for attr in ("a", "b"):
-                if getattr(args, attr, None) is not None:
-                    config.extra[attr] = getattr(args, attr)
-            return cmd_ring(config)
-        if args.command == "mutate":
-            config.extra["matrix"] = args.matrix
-            config.extra["at"] = args.at
-            return cmd_mutate(config)
-        if args.command == "unfold":
-            config.extra["unfold_op"] = args.unfold_op
-            return cmd_unfold(config)
-        if args.command == "ar":
-            config.extra["tables"] = getattr(args, "tables", False)
-            return cmd_ar(config)
-        if args.command == "fold":
-            return cmd_fold(config)
-        if args.command == "tropical":
-            config.extra["trop_op"] = args.trop_op
-            config.extra["verify"] = getattr(args, "verify", CHECKS)
-            return cmd_tropical(config)
-        if args.command == "tilting":
-            config.extra["tilt_op"] = args.tilt_op
-            return cmd_tilting(config)
-        if args.command == "verify":
-            return cmd_verify(config)
+        return args.func(args)
     except UsageError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
-    parser.error(f"unknown command {args.command}")
-    return 2
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .chebring import AlgReal, ChebElem, sigma
+from .chebring import ChebElem, sigma
 from .exchange import ExchangeMatrix
 from .repcat import FoldedCategory
 from .unfolding import FoldingSpec
@@ -65,8 +65,7 @@ class ClusterCategory:
     def _compute_tau(self, x: int) -> int:
         ar = self.mc.ar
         if self.is_shift(x):
-            v = x - self.nmod
-            return ar.inj_module[self.mc.nakayama_partner(v)]
+            return ar.inj_module[x - self.nmod]
         t = ar.tau(x)
         if t is not None:
             return t
@@ -122,7 +121,6 @@ class ClusterCategory:
     def _build_generators(self):
         spec, mc = self.spec, self.mc
         gens = list(mc.generators)
-        self._module_gen_count = len(gens)
         for block in spec.blocks:
             rep = block[0]
             # projectives of one block form one column, with matching indices
@@ -133,23 +131,10 @@ class ClusterCategory:
                     raise AssertionError("projective block does not form a column")
             gens.append(self.shift_ident(rep))
         self.generators = tuple(gens)
-        iso = {}
-        theta_idx = {}
-        for g in mc.generators:
-            iso[g] = mc.iso_set(g)
-            for x in iso[g]:
-                theta_idx[x] = mc.theta_index(x)
+        iso = {g: mc.iso_set(g) for g in mc.generators}
         for block in spec.blocks:
-            g = self.shift_ident(block[0])
-            iso[g] = tuple(self.shift_ident(v) for v in block)
-            for k, v in enumerate(block):
-                theta_idx[self.shift_ident(v)] = k
+            iso[self.shift_ident(block[0])] = tuple(self.shift_ident(v) for v in block)
         self.iso_sets = iso
-        self.theta_idx = theta_idx
-        self.gen_of = {}
-        for g, members in iso.items():
-            for x in members:
-                self.gen_of[x] = g
 
     def hat(self, summands) -> tuple:
         out = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import permutations
 
-from .chebring import AlgReal, alg_inverse
+from .chebring import AlgReal, alg_inverse, json_value
 
 
 def sgn(x) -> int:
@@ -108,21 +108,35 @@ class ExchangeMatrix:
 
     # -- serialization --------------------------------------------------
     def to_json(self):
-        def enc(x):
-            return x.to_json() if isinstance(x, AlgReal) else x
-
         return {
             "ring": self.ring,
             "n": self.n,
-            "entries": [[enc(x) for x in row] for row in self.entries],
+            "entries": [[json_value(x) for x in row] for row in self.entries],
         }
 
     @staticmethod
     def from_json(obj) -> "ExchangeMatrix":
-        def dec(x):
-            return AlgReal.from_json(x) if isinstance(x, dict) else x
+        """Decode ``to_json`` output; an object of any other shape is a ValueError."""
 
-        return ExchangeMatrix([[dec(x) for x in row] for row in obj["entries"]])
+        def dec(x):
+            if type(x) is int:
+                return x
+            if (
+                isinstance(x, dict)
+                and type(x.get("m")) is int
+                and isinstance(x.get("coeffs"), list)
+                and all(type(c) is int for c in x["coeffs"])
+            ):
+                return AlgReal.from_json(x)
+            raise ValueError(f'entry {x!r} is neither an integer nor {{"m": int, "coeffs": [int]}}')
+
+        rows = obj.get("entries") if isinstance(obj, dict) else None
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError('matrix JSON needs "entries", a list of rows')
+        matrix = ExchangeMatrix([[dec(x) for x in row] for row in rows])
+        if len({x.m for row in matrix.entries for x in row if isinstance(x, AlgReal)}) > 1:
+            raise ValueError("entries mix fields Z[2cos(pi/m)] of different m")
+        return matrix
 
 
 def mutate_entries(rows, k: int):
@@ -294,7 +308,10 @@ def explore_words(
 
     After a failure the tree is not descended further and no new walk
     starts; with ``first_only`` the exploration stops at the first failure.
+    A negative ``depth`` is a ValueError.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     explorer = _Explorer(step, parity, first_only)
     start = explorer.cons(start)[0]
     try:

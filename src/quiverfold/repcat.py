@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chebring import AlgReal, ChebElem, cheb_mul, sigma
+from .chebring import AlgReal, ChebElem, cheb_mul
 from .rootsys import root_system
 from .unfolding import FoldingSpec
 
@@ -206,16 +206,6 @@ class ARQuiver:
         mod = self.modules[ident]
         return self.grid.get((mod.orbit, mod.slice + 1))
 
-    def tau_power(self, ident: int, power: int) -> int | None:
-        mod = self.modules[ident]
-        return self.grid.get((mod.orbit, mod.slice - power))
-
-    def is_projective(self, ident: int) -> bool:
-        return self.modules[ident].slice == 0
-
-    def is_injective(self, ident: int) -> bool:
-        return self.modules[ident].inj_vertex is not None
-
     # -- hom / ext --------------------------------------------------------
     def hom_row(self, source: int):
         """dim Hom(source, Z) for every Z, by the forward hammock recursion."""
@@ -360,10 +350,7 @@ class FoldedCategory:
             acc = term if acc is None else tuple(a + t for a, t in zip(acc, term))
         return acc
 
-    # -- generators and the reduced AR quiver ------------------------------
-    def minimal_generators(self) -> tuple:
-        return self.generators
-
+    # -- the reduced AR quiver ----------------------------------------------
     def reduced_ar_quiver(self):
         """Vertices: generators; valued arrows (r1, r2) from column membership."""
         gens = set(self.generators)
@@ -400,7 +387,7 @@ class FoldedCategory:
     # -- theorem-level verification ----------------------------------------
     def weight_one_vertices(self) -> tuple:
         return tuple(
-            v for v in range(self.spec.S.n) if _is_one(self.spec.weights[v])
+            v for v in range(self.spec.S.n) if self.spec.weights[v] == 1
         )
 
     def verify_folding_theorem(self) -> dict:
@@ -460,30 +447,23 @@ class FoldedCategory:
         return report
 
     # -- derived shifts -----------------------------------------------------
-    def nakayama_partner(self, vertex: int) -> int:
-        """The injective index j with tau_D(Sigma^k P(i)) = Sigma^(k-1) I(j).
-
-        This is the same vertex: the derived translate is the shift composed
-        with the Nakayama functor, which pairs P(i) with I(i).
-        """
-        return vertex
-
     def derived_tau(self, obj):
-        """tau on formal shifts (k, module): stays in degree k off projectives."""
+        """tau on formal shifts (k, module): stays in degree k off projectives.
+
+        tau_D(Sigma^k P(i)) = Sigma^(k-1) I(i): the derived translate is the
+        shift composed with the Nakayama functor, which pairs P(i) with I(i).
+        """
         k, ident = obj
         t = self.ar.tau(ident)
         if t is not None:
             return (k, t)
         v = self.ar.modules[ident].proj_vertex
-        return (k - 1, self.ar.inj_module[self.nakayama_partner(v)])
+        return (k - 1, self.ar.inj_module[v])
 
     def derdim(self, obj) -> tuple:
         k, ident = obj
         vec = self.dimproj[ident]
         return vec if k % 2 == 0 else tuple(-c for c in vec)
-
-    def derived_objects(self, degrees) -> tuple:
-        return tuple((k, mod.ident) for k in degrees for mod in self.ar.modules)
 
     # -- exports -------------------------------------------------------------
     def dimproj_str(self, ident: int) -> str:
@@ -511,12 +491,6 @@ class FoldedCategory:
             lines.append(f'  g{g1} -> g{g2} [label="({r1!r}, {r2!r})"];')
         lines.append("}")
         return "\n".join(lines)
-
-
-def _is_one(w) -> bool:
-    if isinstance(w, AlgReal):
-        return w == 1
-    return w == 1
 
 
 def _pretty(c) -> str:

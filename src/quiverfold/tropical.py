@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .chebring import AlgReal, ChebElem, cheb_mul, rho, sigma
+from .chebring import AlgReal, ChebElem, json_value, rho, sigma
 from .exchange import ExchangeMatrix, explore_words, mutate_entries
 from .repcat import folded_type_name
 from .rootsys import root_system
@@ -73,18 +73,11 @@ class Seed:
         )
 
     def to_json(self):
-        def enc(x):
-            return x.to_json() if isinstance(x, AlgReal) else x
-
         return {
             "B": self.B.to_json(),
-            "C": [[enc(x) for x in row] for row in self.C],
+            "C": [[json_value(x) for x in row] for row in self.C],
             "word": list(self.word),
         }
-
-
-def mutate_seed(seed: Seed, k: int) -> Seed:
-    return seed.mutate(k)
 
 
 @dataclass(frozen=True)
@@ -459,9 +452,6 @@ class EnumerationResult:
     @property
     def count(self) -> int:
         return len(self.seeds)
-
-    def c_matrices(self):
-        return [s.C for s in self.seeds]
 
     def g_matrices(self):
         return [g_matrix(s).entries for s in self.seeds]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .chebring import AlgReal, ChebElem, rho, sigma
+from .chebring import AlgReal, ChebElem, json_value, rho
 from .exchange import ExchangeMatrix, explore_words, mutate_entries, rescale, sgn
 
 
@@ -85,13 +85,6 @@ class FoldingSpec:
             cols.append(self.d_F(tuple(row[r] for row in rows)))
         return tuple(tuple(cols[j][i] for j in range(len(reps))) for i in range(len(reps)))
 
-    def lift_word(self, word):
-        """Replace each folded letter by its block of commuting vertices."""
-        for k in word:
-            if not 0 <= k < len(self.blocks):
-                raise IndexError(f"folded vertex {k} out of range")
-        return tuple(self.blocks[k] for k in word)
-
     def to_json(self):
         return {
             "kind": self.kind,
@@ -100,7 +93,7 @@ class FoldingSpec:
             "S": self.S.to_json(),
             "B": self.B.to_json(),
             "blocks": [list(b) for b in self.blocks],
-            "weights": [w.to_json() if isinstance(w, AlgReal) else w for w in self.weights],
+            "weights": [json_value(w) for w in self.weights],
             "labels": list(self.labels),
             "folded_labels": list(self.folded_labels),
         }
@@ -117,8 +110,17 @@ class ConditionReport:
     checked_pairs: int = 0
 
 
-def conditions_hold(S_rows, B: ExchangeMatrix, blocks, weights) -> tuple[bool, object]:
-    """Fast check of conditions (1) and (2); returns (ok, first_failure)."""
+def conditions_hold(S_rows, B: ExchangeMatrix, blocks, weights) -> list:
+    """Every failure of conditions (1) and (2) for (S, B), in block order.
+
+    A record is a dict: ``{"block", "kind": "sign", "entry", "actual"}``
+    for an entry of S whose sign disagrees with the folded entry, or
+    ``{"block", "kind": "column-sum", "column", "actual", "expected"}``.
+    Column sums are compared in the cleared-denominator form
+    sum_k w_k s_kl == b_ij * w_l, which is the condition on W S W^-1 scaled
+    by the (positive) column weight.  An empty list means both hold.
+    """
+    failures = []
     for bi, block_i in enumerate(blocks):
         for bj, block_j in enumerate(blocks):
             b_entry = B.entries[bi][bj]
@@ -128,66 +130,16 @@ def conditions_hold(S_rows, B: ExchangeMatrix, blocks, weights) -> tuple[bool, o
                 for k in block_i:
                     s_kl = S_rows[k][l]
                     if b_sign >= 0 and s_kl < 0:
-                        return False, ("sign", bi, bj, k, l, s_kl)
-                    if s_kl:
-                        term = weights[k] * s_kl
-                        acc = term if acc is None else acc + term
-                # weighted column sum must equal b_entry * w_l
-                lhs = acc if acc is not None else 0 * b_entry
-                rhs = b_entry * weights[l]
-                if not _eq(lhs, rhs):
-                    return False, ("sum", bi, bj, l, lhs, rhs)
-    return True, None
-
-
-def _eq(a, b):
-    if isinstance(a, AlgReal) or isinstance(b, AlgReal):
-        if isinstance(a, int):
-            return b == a
-        return a == b
-    return a == b
-
-
-def _enc(x):
-    return x.to_json() if isinstance(x, AlgReal) else x
-
-
-def check_conditions(S, B: ExchangeMatrix, blocks, weights) -> ConditionReport:
-    """Full report on conditions (1) and (2) for the pair (S, B).
-
-    Column sums are compared in the cleared-denominator form
-    sum_k w_k s_kl == b_ij * w_l, which is the condition on W S W^-1 scaled
-    by the (positive) column weight.
-    """
-    rows = S.entries if isinstance(S, ExchangeMatrix) else S
-    nverts = len(rows)
-    if any(i >= nverts for block in blocks for i in block):
-        raise ValueError("block indices exceed the matrix size")
-    if sorted(i for b in blocks for i in b) != list(range(nverts)):
-        raise ValueError("blocks must partition the unfolded index set")
-    if len(weights) != nverts:
-        raise ValueError("need one weight per unfolded vertex")
-    report = ConditionReport(passed=True)
-    for bi, block_i in enumerate(blocks):
-        for bj, block_j in enumerate(blocks):
-            report.checked_pairs += 1
-            b_entry = B.entries[bi][bj]
-            b_sign = sgn(b_entry)
-            for l in block_j:
-                acc = None
-                for k in block_i:
-                    s_kl = rows[k][l]
-                    if b_sign >= 0 and s_kl < 0:
-                        report.failures.append(
-                            {"block": (bi, bj), "kind": "sign", "entry": (k, l), "value": s_kl}
+                        failures.append(
+                            {"block": (bi, bj), "kind": "sign", "entry": (k, l), "actual": s_kl}
                         )
                     if s_kl:
                         term = weights[k] * s_kl
                         acc = term if acc is None else acc + term
                 lhs = acc if acc is not None else 0 * b_entry
                 rhs = b_entry * weights[l]
-                if not _eq(lhs, rhs):
-                    report.failures.append(
+                if lhs != rhs:
+                    failures.append(
                         {
                             "block": (bi, bj),
                             "kind": "column-sum",
@@ -196,8 +148,21 @@ def check_conditions(S, B: ExchangeMatrix, blocks, weights) -> ConditionReport:
                             "expected": rhs,
                         }
                     )
-    report.passed = not report.failures
-    return report
+    return failures
+
+
+def check_conditions(S, B: ExchangeMatrix, blocks, weights) -> ConditionReport:
+    """Full report on conditions (1) and (2) for the pair (S, B)."""
+    rows = S.entries if isinstance(S, ExchangeMatrix) else S
+    nverts = len(rows)
+    if any(i >= nverts for block in blocks for i in block):
+        raise ValueError("block indices exceed the matrix size")
+    if sorted(i for b in blocks for i in b) != list(range(nverts)):
+        raise ValueError("blocks must partition the unfolded index set")
+    if len(weights) != nverts:
+        raise ValueError("need one weight per unfolded vertex")
+    failures = conditions_hold(rows, B, blocks, weights)
+    return ConditionReport(not failures, failures, len(blocks) ** 2)
 
 
 @dataclass
@@ -212,26 +177,10 @@ class UnfoldingReport:
     states: int = 0  # distinct (S, B) pairs among the checked words; not in to_json
 
     def to_json(self):
-        detail = None
-        if self.failure_detail:
-            kind = self.failure_detail[0]
-            if kind == "sum":
-                _, bi, bj, col, lhs, rhs = self.failure_detail
-                detail = {
-                    "kind": "column-sum",
-                    "block": [bi, bj],
-                    "column": col,
-                    "actual": _enc(lhs),
-                    "expected": _enc(rhs),
-                }
-            else:
-                _, bi, bj, row, col, val = self.failure_detail
-                detail = {
-                    "kind": "sign",
-                    "block": [bi, bj],
-                    "entry": [row, col],
-                    "actual": val,
-                }
+        detail = self.failure_detail and {
+            key: list(value) if isinstance(value, tuple) else json_value(value)
+            for key, value in self.failure_detail.items()
+        }
         return {
             "passed": self.passed,
             "words_checked": self.words_checked,
@@ -265,6 +214,8 @@ def check_weighted_unfolding(
     (``explore_words``), so "every word of length <= depth passes" is the
     same statement as "every pair reachable in <= depth steps passes".
     ``words_checked`` still counts words; ``states`` counts distinct pairs.
+    On a failure, ``failure_detail`` is the first ``conditions_hold`` record
+    of the first failing word.
     """
 
     def step(state, k):
@@ -278,8 +229,7 @@ def check_weighted_unfolding(
         B = ExchangeMatrix(B_rows)
         if spec.rescaling is not None:
             B = rescale(B, spec.rescaling)
-        ok, detail = conditions_hold(S_rows, B, spec.blocks, spec.weights)
-        return () if ok else (detail,)
+        return conditions_hold(S_rows, B, spec.blocks, spec.weights)
 
     if sequences is not None:
         walks = (tuple(word) for word in sequences)

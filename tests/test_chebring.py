@@ -368,7 +368,7 @@ def fibonacci_gaps(count):
 def heptagon_powers(count):
     """(2cos(pi/7) - 1)^k for k = 1..count, positive and about 0.80^k."""
     base, out = AlgReal.generator(7) - 1, []
-    power = AlgReal.integer(7, 1)
+    power = AlgReal(7, (1,))
     for _ in range(count):
         power = power * base
         out.append(power)

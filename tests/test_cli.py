@@ -9,13 +9,21 @@ import pytest
 import quiverfold
 from quiverfold.cli import main
 from quiverfold.exchange import ExchangeMatrix
-from quiverfold.unfolding import standard_folding
+from quiverfold.unfolding import check_weighted_unfolding, standard_folding
+from test_exchange import MALFORMED_MATRIX_JSON
+from test_explore import shifted_f4e6
+from test_unfolding import FoldingSpecBrokenWeights, sign_flipped_f4e6
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def test_every_export_resolves():
+    for name in quiverfold.__all__:
+        assert getattr(quiverfold, name) is not None, name
 
 
 class TestRing:
@@ -159,7 +167,7 @@ class TestByteIdentity:
     # first two were recorded at 774cefa, before the word verifiers checked
     # each distinct state once; the next two at c8c6a7c, before the cluster
     # category kept per-object g-vector tables and read complements off
-    # the compatibility graph; the last at e102d15, before the cube check
+    # the compatibility graph; the fifth at e102d15, before the cube check
     # was decided by the C^T X = I certificate.
     @pytest.mark.parametrize(
         "argv,digest",
@@ -184,12 +192,94 @@ class TestByteIdentity:
                 "tropical walk --kind H4 --depth 3 --random 10",
                 "0930af8e03c153a5b2bfebab711f784aa233dd76e05239335860fda9c0470278",
             ),
+            # recorded at 761cb71, before the unfolding conditions had one
+            # loop and the handlers read the argparse namespace
+            (
+                "ring minpoly --m 7",
+                "2ccf09bfb7713e572e01c566e70caa03db8f431a460c5f15e9a49af7b065400d",
+            ),
+            (
+                "ring regrep --n 3 --k 1",
+                "a542c4e4dd298b3c6ae4f8770985c6f397142dd5ae6fd721a5e39fc972f4a172",
+            ),
+            (
+                "unfold build --kind H4",
+                "88dabc344a3052dc72eb1cf309b45386749742c722093f4aaa0286d6e368bd4b",
+            ),
+            (
+                "ar build --kind I2 --n 3 --format dot",
+                "6c33037a48048f19238097422277068edcdaa464655b5037a770d1bc987dc08e",
+            ),
+            (
+                "fold dims --kind H3",
+                "88284c3be7223d04b6b09eabfc26a87e3fef1ad872ae79e7913ebe405a98682d",
+            ),
+            (
+                "tropical enumerate --kind H3",
+                "dd68be76adf65bb0d9b5383b886b1ce83a9fc25743645c07ac5ad6c4fe115c7f",
+            ),
+            (
+                "tilting enumerate --kind I2 --n 2",
+                "112e97dcd9f04bb7d48523d73924bada846f9c1e86a9764aec26edba2cf9a315",
+            ),
+            (
+                "verify all --kind F4E6",
+                "0cd43d48a2595d0165daf9c07f30bd8d86ea1f752a5b721ad74cd855f96f94bc",
+            ),
+            (
+                "verify all --kind I2m --n 5",
+                "c0948e4389c2b2eb61e19aa524e2b60afd10d77f2f738b65f2aefae2ef9d54b2",
+            ),
         ],
     )
     def test_stdout_unchanged(self, capsys, argv, digest):
         code, out = run(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_mutate_stdout_unchanged(self, capsys, tmp_path):
+        # recorded at 761cb71
+        path = tmp_path / "B.json"
+        path.write_text(json.dumps(standard_folding("H3").B.to_json()))
+        code, out = run(capsys, "mutate", "--matrix", str(path), "--at", "0,2,1")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "962d152e262468e2970273c783ea150d4414097c1701e0d6a69bb7315b289789"
+        )
+
+    # The JSON of failing unfolding reports, as ``unfold verify`` prints
+    # them: a column-sum failure and a sign failure at the empty word, and a
+    # sign failure after five mutations.  Recorded at 761cb71.
+    @pytest.mark.parametrize(
+        "make,digest",
+        [
+            (
+                lambda: check_weighted_unfolding(
+                    FoldingSpecBrokenWeights(standard_folding("H3")),
+                    depth=2, random_words=3, seed=5,
+                ),
+                "d3ea7b7cce9662eba2c2b6fd5ab97bb398d6942c3b39b5e75e5c255bb8cf976c",
+            ),
+            (
+                lambda: check_weighted_unfolding(
+                    sign_flipped_f4e6(), depth=2, random_words=3, seed=5
+                ),
+                "c8f44f377726c634a3ea197d365524c65be9a25d02222fe2ac80e7af709629ab",
+            ),
+            (
+                lambda: check_weighted_unfolding(
+                    shifted_f4e6(), depth=5, random_words=20, random_length=8
+                ),
+                "222e42520f1e3e5e94f65261af9795b8a5ae262a14a1f6015a0a2761fa88f176",
+            ),
+        ],
+        ids=["column-sum", "sign", "sign-after-five-steps"],
+    )
+    def test_failing_unfolding_json_unchanged(self, make, digest):
+        report = make()
+        assert not report.passed
+        text = json.dumps(report.to_json(), sort_keys=True, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     # These print float(sigma(...)) at full precision, through the
     # interval-Horner path of AlgReal.interval.  Its last bit depends on how
@@ -281,6 +371,41 @@ class TestUsageErrors:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         self.assert_usage_error(capsys, f"mutate --matrix {bad} --at 0", f"--matrix {bad}")
+
+    @pytest.mark.parametrize("text", MALFORMED_MATRIX_JSON)
+    def test_mutate_matrix_of_the_wrong_shape(self, capsys, tmp_path, text):
+        path = tmp_path / "B.json"
+        path.write_text(text)
+        self.assert_usage_error(capsys, f"mutate --matrix {path} --at 0", f"--matrix {path}")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "unfold verify --kind H3 --depth -1",
+            "tropical walk --kind H3 --depth -1",
+            "verify all --kind H3 --depth -2",
+            "unfold verify --kind H3 --random -1",
+            "verify all --kind H3 --length -3",
+            "tropical enumerate --kind H3 --cap -1",
+            "fold dims --kind H3 --precision -1",
+            "tropical walk --kind H3 --length x",
+        ],
+    )
+    def test_negative_count_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv.split())
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not an integer >= 0" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_unwritable_out(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        self.assert_usage_error(
+            capsys, f"ring minpoly --m 5 --out {path}", f"cannot write --out {path}"
+        )
+        assert not path.parent.exists()
 
     def test_mutate_bad_vertex_list(self, capsys, matrix_file):
         with pytest.raises(SystemExit) as err:

@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 
 import pytest
@@ -42,6 +43,20 @@ S_A4 = ExchangeMatrix(
         (0, 0, 1, 0),
     ]
 )
+
+
+MALFORMED_MATRIX_JSON = [
+    "{}",
+    "[]",
+    '{"entries": 5}',
+    '{"entries": [5]}',
+    '{"entries": [["a"]]}',
+    '{"entries": [[true]]}',
+    '{"entries": [[{"m": 5}]]}',
+    '{"entries": [[{"m": 5, "coeffs": "1"}]]}',
+    '{"entries": [[{"m": 2, "coeffs": [1]}]]}',
+    '{"entries": [[0, {"m": 5, "coeffs": [1]}], [{"m": 7, "coeffs": [-1]}, 0]]}',
+]
 
 
 def golden_matrix():
@@ -262,6 +277,11 @@ class TestExtendedMutation:
     def test_json_round_trip(self):
         for M in (S_E6, golden_matrix()):
             assert ExchangeMatrix.from_json(M.to_json()) == M
+
+    @pytest.mark.parametrize("text", MALFORMED_MATRIX_JSON)
+    def test_malformed_json_is_a_value_error(self, text):
+        with pytest.raises(ValueError):
+            ExchangeMatrix.from_json(json.loads(text))
 
     @given(m=st.sampled_from([None, 5, 7]), data=st.data())
     @settings(max_examples=120, deadline=None)

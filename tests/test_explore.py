@@ -31,7 +31,8 @@ def oracle_unfolding(spec, sequences=None, depth=6, random_words=200, random_len
         states.add((S_rows, B_current.entries))
         if spec.rescaling is not None:
             B_current = rescale(B_current, spec.rescaling)
-        return conditions_hold(S_rows, B_current, spec.blocks, spec.weights)
+        failures = conditions_hold(S_rows, B_current, spec.blocks, spec.weights)
+        return not failures, failures[0] if failures else None
 
     def step(S_rows, B_current, k):
         rows = S_rows
@@ -308,6 +309,14 @@ class TestCubeEquivalence:
 
 
 class TestExploreWords:
+    def test_negative_depth_is_an_error(self):
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            explore_words((((0,),),), lambda s, k: s, 1, lambda s, w, nb: (), depth=-1)
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            check_weighted_unfolding(standard_folding("H3"), depth=-1)
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            TropicalWalker(standard_folding("H3")).verify_cube(depth=-1)
+
     def test_interning_keeps_entry_types(self):
         # AlgReal(5, (1,)) == 1 and hashes alike, but must not replace the int
         one = AlgReal(5, (1,))

@@ -19,7 +19,6 @@ from quiverfold.tropical import (
     invert_integer,
     invert_ring_unimodular,
     mat_mul,
-    mutate_seed,
     transpose,
 )
 from quiverfold.unfolding import standard_folding

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from quiverfold.chebring import AlgReal
@@ -60,6 +62,18 @@ class TestCheckConditions:
         )
         assert not report.passed
         assert any(f["kind"] == "column-sum" for f in report.failures)
+
+    def test_every_record_in_block_order(self):
+        # a sign failure, then a column-sum failure, both in block (1, 0)
+        spec = sign_flipped_f4e6()
+        report = check_conditions(spec.S, spec.B, spec.blocks, spec.weights)
+        assert report.failures == [
+            {"block": (1, 0), "kind": "sign", "entry": (1, 0), "actual": -1},
+            {"block": (1, 0), "kind": "column-sum", "column": 0, "actual": -1, "expected": 1},
+        ]
+        assert (report.passed, report.checked_pairs) == (False, 16)
+        walk = check_weighted_unfolding(spec, depth=1, random_words=0)
+        assert walk.failure_word == () and walk.failure_detail == report.failures[0]
 
     def test_bad_partition_rejected(self):
         spec = standard_folding("F4E6")
@@ -200,10 +214,8 @@ class TestWeightedUnfoldingWalks:
         report = check_weighted_unfolding(bad, depth=2, random_words=0)
         assert not report.passed
 
-    def test_lift_word_and_d_F(self):
+    def test_d_F_of_a_basis_vector(self):
         spec = standard_folding("H3")
-        assert spec.lift_word((2,)) == ((4, 5),)
-        assert spec.lift_word(()) == ()
         # d_F of a standard basis vector picks out the vertex weight
         v = [0] * 6
         v[5] = 1
@@ -215,6 +227,14 @@ class TestWeightedUnfoldingWalks:
         got = spec.matrix_d_F(ident)
         one, zero = AlgReal(7, (1,)), AlgReal(7)
         assert got == ((one, zero), (zero, one))
+
+
+def sign_flipped_f4e6():
+    """F4E6 with the arrow 2 -> 1 of the unfolded quiver made negative."""
+    spec = standard_folding("F4E6")
+    rows = [list(r) for r in spec.S.entries]
+    rows[1][0] = -rows[1][0]
+    return replace(spec, S=ExchangeMatrix(rows))
 
 
 def FoldingSpecBrokenWeights(spec):
