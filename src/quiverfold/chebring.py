@@ -213,6 +213,35 @@ class _RootContext:
         return table
 
 
+def _coeff_sign(ctx: _RootContext, coeffs) -> int:
+    """Exact sign at 2cos(pi/ctx.m) of a reduced coefficient tuple.
+
+    Sums c_i * L_i and c_i * H_i from the context's power table, each
+    coefficient paired with the bound that makes the sum a lower or an
+    upper bound of the value times 2^b.  A lower sum above 0 or an upper
+    sum below 0 decides the sign; otherwise the shared isolating interval
+    is bisected and the sums retried.  ``AlgReal.sign`` and the
+    coefficient-tuple mutation ``exchange.mutate_coeffs`` both use it.
+    """
+    if not coeffs:
+        return 0
+    while True:
+        _, low, high = ctx._power_table()
+        lower = upper = 0
+        for c, l, h in zip(coeffs, low, high):
+            if c > 0:
+                lower += c * l
+                upper += c * h
+            else:
+                lower += c * h
+                upper += c * l
+        if lower > 0:
+            return 1
+        if upper < 0:
+            return -1
+        ctx.refine()
+
+
 def _sign_int(x) -> int:
     return (x > 0) - (x < 0)
 
@@ -335,32 +364,8 @@ class AlgReal:
         return not self.coeffs
 
     def sign(self) -> int:
-        """Exact sign of the real value at 2cos(pi/m).
-
-        Sums c_i * L_i and c_i * H_i from the context's power table, each
-        coefficient paired with the bound that makes the sum a lower or an
-        upper bound of the value times 2^b.  A lower sum above 0 or an upper
-        sum below 0 decides the sign; otherwise the shared isolating
-        interval is bisected and the sums retried.
-        """
-        if not self.coeffs:
-            return 0
-        ctx = _context(self.m)
-        while True:
-            _, low, high = ctx._power_table()
-            lower = upper = 0
-            for c, l, h in zip(self.coeffs, low, high):
-                if c > 0:
-                    lower += c * l
-                    upper += c * h
-                else:
-                    lower += c * h
-                    upper += c * l
-            if lower > 0:
-                return 1
-            if upper < 0:
-                return -1
-            ctx.refine()
+        """Exact sign of the real value at 2cos(pi/m) (see ``_coeff_sign``)."""
+        return _coeff_sign(_context(self.m), self.coeffs)
 
     def __lt__(self, other):
         if isinstance(other, int):
@@ -625,6 +630,8 @@ def reg_rep(k: int, n: int) -> tuple[tuple[int, ...], ...]:
     Column j holds the coefficient vector of theta_k * theta_j; entries are
     0 or 1 and the matrix is symmetric.
     """
+    if n < 2:
+        raise ValueError("rank parameter n must be >= 2")
     if not 0 <= k <= n - 1:
         raise ValueError(f"index k={k} out of range 0..{n - 1}")
     cols = [_basis_product(n, k, j) for j in range(n)]

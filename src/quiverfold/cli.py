@@ -33,16 +33,9 @@ class UsageError(Exception):
 
 
 def _emit(args, text: str) -> None:
+    """Write ``text`` to stdout, or to the ``--out`` file that ``main`` opened."""
     text = text if text.endswith("\n") else text + "\n"
-    if not args.out:
-        sys.stdout.write(text)
-        return
-    try:
-        fh = open(args.out, "w")
-    except OSError as exc:
-        raise UsageError(f"cannot write --out {args.out}: {exc}") from None
-    with fh:
-        fh.write(text)
+    (args.out or sys.stdout).write(text)
 
 
 def _from_args(build, *args):
@@ -488,10 +481,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; exit 2 on a usage error.
+
+    An ``--out`` file is opened before the command does any work, as a
+    shell redirection would be, so a path that cannot be written is
+    reported at once; it is closed however the command ends.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        path = getattr(args, "out", None)
+        if not path:
+            args.out = None
+            return args.func(args)
+        try:
+            args.out = open(path, "w")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {path}: {exc}") from None
+        with args.out:
+            return args.func(args)
     except UsageError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 

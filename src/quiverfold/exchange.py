@@ -2,7 +2,9 @@
 
 Entries are either plain integers or ``AlgReal`` values; both support exact
 sign queries, which is all the mutation formula needs.  Matrices are
-immutable: every operation returns a fresh value.
+immutable: every operation returns a fresh value.  The word explorer's
+states carry each ``AlgReal`` entry as its coefficient tuple instead
+(``coeff_rows``), mutated by ``mutate_coeffs`` and decoded by ``RingValues``.
 """
 
 from __future__ import annotations
@@ -10,7 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import permutations
 
-from .chebring import AlgReal, alg_inverse, json_value
+from .chebring import (
+    AlgReal, _coeff_sign, _context, _poly_add, _poly_mul, _poly_trim, _reduce_mod, alg_inverse,
+    json_value,
+)
 
 
 def sgn(x) -> int:
@@ -134,9 +139,19 @@ class ExchangeMatrix:
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ValueError('matrix JSON needs "entries", a list of rows')
         matrix = ExchangeMatrix([[dec(x) for x in row] for row in rows])
-        if len({x.m for row in matrix.entries for x in row if isinstance(x, AlgReal)}) > 1:
-            raise ValueError("entries mix fields Z[2cos(pi/m)] of different m")
+        entry_field(matrix.entries)
         return matrix
+
+
+def entry_field(rows):
+    """The m of the ``AlgReal`` entries of ``rows``, or None if every entry is an int.
+
+    Entries over two different fields Z[2cos(pi/m)] are a ValueError.
+    """
+    fields = {x.m for row in rows for x in row if isinstance(x, AlgReal)}
+    if len(fields) > 1:
+        raise ValueError("entries mix fields Z[2cos(pi/m)] of different m")
+    return fields.pop() if fields else None
 
 
 def mutate_entries(rows, k: int):
@@ -172,6 +187,97 @@ def mutate_entries(rows, k: int):
     return tuple(out)
 
 
+# ---------------------------------------------------------------------------
+# rows with coefficient-tuple entries
+
+
+def coeff_rows(rows):
+    """``rows`` with each ``AlgReal`` entry replaced by its coefficient tuple.
+
+    Int entries stay ints, so the result has only ints as leaves and an
+    entry's type survives as the difference between an int and a tuple:
+    ``AlgReal(m, (1,))`` becomes ``(1,)``, which is not ``1``.
+    """
+    return tuple(tuple(x.coeffs if isinstance(x, AlgReal) else x for x in row) for row in rows)
+
+
+class RingValues(dict):
+    """Decodes ``coeff_rows`` output back to rows over Z[2cos(pi/m)].
+
+    Maps each coefficient tuple to its ``AlgReal``, made on first use, and
+    each int to itself, so every distinct entry is built once.
+    """
+
+    def __init__(self, m):
+        super().__init__()
+        self.m = m
+
+    def __missing__(self, x):
+        value = self[x] = x if type(x) is int else AlgReal(self.m, x)
+        return value
+
+    def rows(self, rows):
+        value = self.__getitem__
+        return tuple(tuple(map(value, row)) for row in rows)
+
+
+def _sign(ctx, x) -> int:
+    return (x > 0) - (x < 0) if type(x) is int else _coeff_sign(ctx, x)
+
+
+def _neg(x):
+    return -x if type(x) is int else tuple(-c for c in x)
+
+
+def _as_coeffs(x):
+    return x if type(x) is not int else (x,) if x else ()
+
+
+def mutate_coeffs(rows, k: int, m=None):
+    """``mutate_entries`` on rows whose entries are ints or coefficient tuples.
+
+    A tuple entry is the reduced coefficient tuple of an ``AlgReal`` over
+    Z[2cos(pi/m)] (``AlgReal.coeffs``, as ``coeff_rows`` makes it).  Each
+    result entry is a tuple exactly when ``mutate_entries`` would make it an
+    ``AlgReal``, and decodes to the same value: products are reduced modulo
+    the minimal polynomial with chebring's ``_reduce_mod``, and signs come
+    from the same per-m enclosure as ``AlgReal.sign``.  A row whose entry in
+    column k is zero is returned as it is.
+    """
+    ncols = len(rows[0])
+    if not 0 <= k < ncols:
+        raise IndexError(f"mutation index {k} out of range 0..{ncols - 1}")
+    ctx = None if m is None else _context(m)
+    out = []
+    pivot_row = rows[k]
+    pivot_signs = None
+    for i, row in enumerate(rows):
+        if i == k:
+            out.append(tuple(map(_neg, row)))
+            continue
+        b_ik = row[k]
+        if not b_ik:  # 0 or (): negating it changes nothing
+            out.append(row)
+            continue
+        s_ik = _sign(ctx, b_ik)
+        new_row = list(row)
+        new_row[k] = _neg(b_ik)
+        if pivot_signs is None:
+            pivot_signs = [_sign(ctx, b) for b in pivot_row]
+        for j, s_kj in enumerate(pivot_signs):
+            if j != k and s_kj == s_ik:
+                b_ij, b_kj = row[j], pivot_row[j]
+                if type(b_ik) is int and type(b_kj) is int and type(b_ij) is int:
+                    new_row[j] = b_ij + s_ik * (b_ik * b_kj)
+                    continue
+                term = _poly_mul(_as_coeffs(b_ik), _as_coeffs(b_kj))
+                if len(term) > ctx.deg:
+                    term = _poly_trim(_reduce_mod(ctx, term))
+                new_row[j] = _poly_add(_as_coeffs(b_ij), term if s_ik > 0 else _neg(term))
+        out.append(tuple(new_row))
+    return tuple(out)
+
+
 @dataclass
 class Exploration:
     """What one ``explore_words`` call did.
@@ -196,46 +302,21 @@ class _Explorer:
         self.step = step
         self.parity = parity
         self.first_only = first_only
-        self.tables = {}    # shape -> {value: the interned value}
-        self.entries = {}   # (type, value) -> the interned entry
+        self.states = {}    # state -> the one interned equal state
         self.edges = {}     # (id(state), k) -> interned state
         self.verdicts = {}  # (id(state), check, parity) -> failure details
         self.seen = set()
         self.failures = []
         self.words = 0
 
-    def cons(self, x):
-        """Intern ``x`` and all its parts; return (interned x, shape of x).
-
-        ``x`` is a tuple of tuples (a state or a matrix) or a row of entries.
-        The shape names the type of every entry and each shape has its own
-        table, so values that are equal but typed differently, such as
-        ``AlgReal(m, (1,))`` and ``1``, are never swapped for each other.
-        A row already seen is found by value before its entries are touched.
-        """
-        row = not (x and isinstance(x[0], tuple))
-        if row:
-            shape = tuple(map(type, x))
-        else:
-            parts = [self.cons(part) for part in x]
-            x = tuple(part for part, _ in parts)
-            shape = tuple(kind for _, kind in parts)
-        table = self.tables.get(shape)
-        if table is None:
-            table = self.tables[shape] = {}
-        interned = table.get(x)
-        if interned is None:
-            if row:
-                entries = self.entries
-                x = tuple([entries.setdefault((kind, v), v) for kind, v in zip(shape, x)])
-            interned = table[x] = x
-        return interned, shape
+    def intern(self, state):
+        return self.states.setdefault(state, state)
 
     def move(self, state, k):
         key = (id(state), k)
         nxt = self.edges.get(key)
         if nxt is None:
-            nxt = self.edges[key] = self.cons(self.step(state, k))[0]
+            nxt = self.edges[key] = self.intern(self.step(state, k))
         return nxt
 
     def visit(self, state, word, check, counted=True):
@@ -301,10 +382,14 @@ def explore_words(
     steps passes.
 
     Transitions (state, k) -> state are memoized, and each new state is
-    hash-consed down to its entries, so memory grows with the distinct
-    states and not with the words.  Values are interned by the type of each
-    entry as well as by value, since ``AlgReal(m, (1,)) == 1``.  All tables
-    live for this call.
+    interned once, by value: a state equal to one already met is replaced
+    by that one, so memory grows with the distinct states and not with the
+    words.  States are compared with ``==`` alone, so entries of different
+    types that compare equal, such as ``AlgReal(m, (1,))`` and ``1``, must
+    be told apart by the states themselves.  The two word verifiers do that
+    by carrying every ring entry as its coefficient tuple (``coeff_rows``),
+    stepping with ``mutate_coeffs``, and decoding the rows back to
+    ``AlgReal`` for their checks.  All tables live for this call.
 
     After a failure the tree is not descended further and no new walk
     starts; with ``first_only`` the exploration stops at the first failure.
@@ -313,7 +398,7 @@ def explore_words(
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     explorer = _Explorer(step, parity, first_only)
-    start = explorer.cons(start)[0]
+    start = explorer.intern(start)
     try:
         explorer.visit(start, (), check)
         explorer.descend(start, (), letters, depth, check)
@@ -357,7 +442,7 @@ def rescale(matrix: ExchangeMatrix, diagonal) -> ExchangeMatrix:
     for p in diagonal:
         num, den = p if isinstance(p, tuple) else (p, 1)
         if isinstance(num, int):
-            m = _matrix_field(matrix)
+            m = entry_field(matrix.entries)
             num = AlgReal(m, (num,)) if m else num
         if (sgn(num) <= 0) or den <= 0:
             raise ValueError("rescaling diagonal must be strictly positive")
@@ -369,14 +454,6 @@ def rescale(matrix: ExchangeMatrix, diagonal) -> ExchangeMatrix:
             row.append(_scale_entry(matrix.entries[i][j], pairs[j], pairs[i]))
         out.append(tuple(row))
     return ExchangeMatrix(tuple(out))
-
-
-def _matrix_field(matrix: ExchangeMatrix):
-    for row in matrix.entries:
-        for x in row:
-            if isinstance(x, AlgReal):
-                return x.m
-    return None
 
 
 def _scale_entry(b, pj, pi):

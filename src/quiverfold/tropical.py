@@ -25,7 +25,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .chebring import AlgReal, ChebElem, json_value, rho, sigma
-from .exchange import ExchangeMatrix, explore_words, mutate_entries
+from .exchange import (
+    ExchangeMatrix, RingValues, coeff_rows, entry_field, explore_words, mutate_coeffs,
+    mutate_entries,
+)
 from .repcat import folded_type_name
 from .rootsys import root_system
 from .unfolding import FoldingSpec
@@ -64,13 +67,7 @@ class Seed:
         return tuple(tuple(self.C[i][j] for i in range(n)) for j in range(n))
 
     def key(self):
-        def enc(x):
-            return x.coeffs if isinstance(x, AlgReal) else x
-
-        return (
-            tuple(tuple(enc(x) for x in row) for row in self.B.entries),
-            tuple(tuple(enc(x) for x in row) for row in self.C),
-        )
+        return coeff_rows(self.B.entries), coeff_rows(self.C)
 
     def to_json(self):
         return {
@@ -283,9 +280,10 @@ class TropicalWalker:
         unless its determinant is +-1) and both comparisons are made as
         before.  A certified C_f whose determinant is a unit other than +-1
         passes here; the ``dets`` check is the one that reports it.
-        ``blocks-do-not-commute`` is decided on the distinct
-        blocks; any failure reruns the index loop, so the records name
-        index pairs.
+        ``block_element`` and ``sign_coherent`` run once per distinct
+        block, and ``blocks-do-not-commute`` is decided on pairs of distinct
+        blocks; the records still name every index pair that fails, in
+        index order.
 
         ``only`` narrows the walker's checks.  ``neighbours`` turns the cube
         check's mutation squares on or off; it may also be a function
@@ -337,15 +335,20 @@ class TropicalWalker:
         if "blocks" in checks or "dets" in checks:
             elements = []
             blocks = []
+            made = {}  # distinct block -> (its ring element or None, sign-coherent)
             for bi in range(mprime):
                 row = []
                 for bj in range(mprime):
                     blk = self.c_block(lifted, bi, bj)
-                    r = self.block_element(blk)
+                    found = made.get(blk)
+                    if found is None:
+                        r = self.block_element(blk)
+                        found = made[blk] = (r, r is not None and r.sign_coherent())
+                    r, coherent = found
                     if r is None:
                         failures.append((word, "block-not-regular-rep", bi, bj))
                         return
-                    if not r.sign_coherent():
+                    if not coherent:
                         failures.append((word, "block-coefficients-mixed-sign", bi, bj))
                     row.append(r)
                     blocks.append(blk)
@@ -390,15 +393,31 @@ class TropicalWalker:
         (``explore_words``).  "Every word of length <= depth passes" is the
         same statement as "every pair reachable in <= depth steps passes".
         ``vertices_checked`` still counts words; ``states`` counts pairs.
+
+        The explorer's states carry the folded entries as coefficient tuples
+        (``coeff_rows``), and the lifted ones as ints; each check decodes
+        the folded rows, and the neighbour pairs it asks for, back to
+        ``AlgReal`` before it calls ``check_vertex``.
         """
+        folded, lifted = self.initial_pair()
+        m, blocks = entry_field(folded), self.spec.blocks
+        values = RingValues(m)
 
         def step(state, k):
-            return self.step(*state, k)
+            folded, lifted = state
+            for v in blocks[k]:
+                lifted = mutate_coeffs(lifted, v)
+            return mutate_coeffs(folded, k, m), lifted
+
+        def pair(state):
+            return values.rows(state[0]), state[1]
 
         def checker(only):
             def check(state, word, neighbour):
                 found = []
-                self.check_vertex(*state, word, found, neighbours=neighbour, only=only)
+                self.check_vertex(
+                    *pair(state), word, found, neighbours=lambda k: pair(neighbour(k)), only=only
+                )
                 return tuple(f[1:] for f in found)
 
             return check
@@ -410,7 +429,7 @@ class TropicalWalker:
             for _ in range(random_words)
         )
         result = explore_words(
-            self.initial_pair(), step, self.mprime, full, depth, walks,
+            (coeff_rows(folded), lifted), step, self.mprime, full, depth, walks,
             walk_check=roots, end_check=full, parity=True,
         )
         failures = [_failure(word, detail) for word, detail in result.failures]

@@ -20,7 +20,10 @@ import random
 from dataclasses import dataclass, field
 
 from .chebring import AlgReal, ChebElem, json_value, rho
-from .exchange import ExchangeMatrix, explore_words, mutate_entries, rescale, sgn
+from .exchange import (
+    ExchangeMatrix, RingValues, coeff_rows, entry_field, explore_words, mutate_coeffs, rescale,
+    sgn,
+)
 
 
 @dataclass(frozen=True)
@@ -215,18 +218,21 @@ def check_weighted_unfolding(
     same statement as "every pair reachable in <= depth steps passes".
     ``words_checked`` still counts words; ``states`` counts distinct pairs.
     On a failure, ``failure_detail`` is the first ``conditions_hold`` record
-    of the first failing word.
+    of the first failing word.  The explorer's states carry the entries of
+    B as coefficient tuples (``coeff_rows``), and each check decodes them.
     """
+    m = entry_field(spec.B.entries)
+    values = RingValues(m)
 
     def step(state, k):
         rows, B_rows = state
         for v in spec.blocks[k]:
-            rows = mutate_entries(rows, v)
-        return rows, mutate_entries(B_rows, k)
+            rows = mutate_coeffs(rows, v)
+        return rows, mutate_coeffs(B_rows, k, m)
 
     def check(state, word, neighbour):
         S_rows, B_rows = state
-        B = ExchangeMatrix(B_rows)
+        B = ExchangeMatrix(values.rows(B_rows))
         if spec.rescaling is not None:
             B = rescale(B, spec.rescaling)
         return conditions_hold(S_rows, B, spec.blocks, spec.weights)
@@ -240,7 +246,7 @@ def check_weighted_unfolding(
             for _ in range(random_words)
         )
     run = explore_words(
-        (spec.S.entries, spec.B.entries),
+        (spec.S.entries, coeff_rows(spec.B.entries)),
         step,
         spec.B.n,
         check,

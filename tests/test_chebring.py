@@ -384,6 +384,19 @@ class TestSignEnclosure:
         assert a.sign() == oracle_sign(a)
         assert (-a).sign() == -a.sign()
 
+    @given(m=st.sampled_from([5, 7, 9, 15]), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_coeff_sign_is_algreal_sign_on_cold_contexts(self, m, data):
+        # (x - 2)^j is small, so high j forces the enclosure to refine
+        deg = len(minimal_poly(m)) - 1
+        a = AlgReal(m, tuple(data.draw(st.integers(-10**6, 10**6)) for _ in range(deg)))
+        for _ in range(data.draw(st.integers(0, 14))):
+            a = a * (AlgReal.generator(m) - 2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(chebring, "_ROOT_CONTEXTS", {})
+            got = chebring._coeff_sign(chebring._RootContext(m), a.coeffs)
+            assert got == a.sign() == oracle_sign(a)
+
     def test_fibonacci_gaps_force_refinement(self, refines):
         values = fibonacci_gaps(90)
         signs = [a.sign() for a in values]

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import quiverfold
+from quiverfold import cli
 from quiverfold.cli import main
 from quiverfold.exchange import ExchangeMatrix
 from quiverfold.unfolding import check_weighted_unfolding, standard_folding
@@ -336,6 +337,8 @@ class TestUsageErrors:
             ("ring minpoly --m 2", "m must be >= 3"),
             ("ring minpoly --m 0", "m must be >= 3"),
             ("ring regrep --n 3 --k 7", "index k=7 out of range 0..2"),
+            ("ring regrep --n 0 --k 0", "rank parameter n must be >= 2"),
+            ("ring regrep --n -1 --k 0", "rank parameter n must be >= 2"),
             ("ring mul --n 2 --a 0,1 --b 0,1,2", "expected 2 coefficients, got 3"),
             ("unfold verify --kind I2m --n 2", "dihedral order m >= 3"),
             ("unfold build --kind I2 --n 1", "rank parameter n >= 2"),
@@ -406,6 +409,42 @@ class TestUsageErrors:
             capsys, f"ring minpoly --m 5 --out {path}", f"cannot write --out {path}"
         )
         assert not path.parent.exists()
+
+    def test_unwritable_out_is_reported_before_the_work(self, capsys, tmp_path, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the command ran before --out was opened")
+
+        monkeypatch.setattr(cli, "enumerate_seeds", never)
+        path = tmp_path / "missing" / "x.csv"
+        self.assert_usage_error(
+            capsys, f"tropical enumerate --kind H4 --format csv --out {path}",
+            f"cannot write --out {path}",
+        )
+
+    def test_out_is_closed_on_every_path(self, capsys, tmp_path, monkeypatch):
+        handles = []
+
+        def tracked(*args, **kwargs):
+            handles.append(open(*args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(cli, "open", tracked, raising=False)
+        path = tmp_path / "x.json"
+        assert main(["ring", "minpoly", "--m", "5", "--out", str(path)]) == 0
+        assert json.loads(path.read_text()) == {"m": 5, "coeffs": [-1, -1, 1]}
+        bad = FoldingSpecBrokenWeights(standard_folding("H3"))
+        monkeypatch.setattr(cli, "standard_folding", lambda kind, *n: bad)
+        assert main(["unfold", "verify", "--kind", "H3", "--depth", "1", "--out", str(path)]) == 1
+        assert json.loads(path.read_text())["passed"] is False
+        self.assert_usage_error(capsys, f"ring regrep --n 0 --k 0 --out {path}", "rank parameter")
+
+        def boom(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "reg_rep", boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["ring", "regrep", "--n", "3", "--k", "1", "--out", str(path)])
+        assert len(handles) == 4 and all(fh.closed for fh in handles)
 
     def test_mutate_bad_vertex_list(self, capsys, matrix_file):
         with pytest.raises(SystemExit) as err:

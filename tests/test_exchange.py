@@ -5,11 +5,14 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quiverfold.chebring import AlgReal
+from quiverfold.chebring import AlgReal, minimal_poly
 from quiverfold.exchange import (
     ExchangeMatrix,
+    RingValues,
+    coeff_rows,
     composite_orders_agree,
     from_quiver,
+    mutate_coeffs,
     mutate_entries,
     quiver_dot,
     rescale,
@@ -301,6 +304,63 @@ class TestExtendedMutation:
         )
         k = data.draw(st.integers(0, n - 1))
         assert mutate_entries(rows, k) == mutate_entries_per_row(rows, k)
+
+
+class TestCoeffMutation:
+    """``mutate_coeffs`` against ``mutate_entries`` on the decoded ``AlgReal`` rows."""
+
+    @given(m=st.sampled_from([5, 7, 9, 15]), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_mutate_entries(self, m, data):
+        # square or extended (2n x n), zeros frequent, some entries plain ints
+        n = data.draw(st.integers(1, 4))
+        height = data.draw(st.sampled_from((n, 2 * n)))
+        deg = len(minimal_poly(m)) - 1
+        coeff = st.sampled_from((0, 0, 0, 1, -1, 2, -3, 7))
+        entry = st.one_of(
+            st.tuples(*[coeff] * deg).map(lambda c: AlgReal(m, c)),
+            st.sampled_from((0, 1, -2)),
+        )
+        encoded = coeff_rows(
+            tuple(tuple(data.draw(entry) for _ in range(n)) for _ in range(height))
+        )
+        rows = RingValues(m).rows(encoded)
+        for k in range(n):
+            got = mutate_coeffs(encoded, k, m)
+            want = mutate_entries(rows, k)
+            # equal encodings: same values, and a tuple exactly where want has an AlgReal
+            assert got == coeff_rows(want)
+            decoded = RingValues(m).rows(got)
+            assert decoded == want
+            assert [type(x) for r in decoded for x in r] == [type(x) for r in want for x in r]
+
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_matches_mutate_entries_over_z(self, data):
+        n = data.draw(st.integers(1, 5))
+        height = data.draw(st.sampled_from((n, 2 * n)))
+        rows = tuple(
+            tuple(data.draw(st.integers(-3, 3)) for _ in range(n)) for _ in range(height)
+        )
+        for k in range(n):
+            assert mutate_coeffs(rows, k) == mutate_entries(rows, k)
+
+    def test_round_trip_keeps_entry_types(self):
+        one, zero = AlgReal(5, (1,)), AlgReal(5)
+        rows = ((one, 1, zero, 0), (AlgReal.generator(5), -1, -one, 2))
+        encoded = coeff_rows(rows)
+        assert encoded == (((1,), 1, (), 0), ((0, 1), -1, (-1,), 2))
+        values = RingValues(5)
+        decoded = values.rows(encoded)
+        assert decoded == rows
+        assert [type(x) for x in decoded[0]] == [AlgReal, int, AlgReal, int]
+        assert values.rows(encoded)[0][0] is decoded[0][0]
+
+    def test_index_out_of_range(self):
+        rows = coeff_rows(golden_matrix().entries)
+        for k in (-1, 2):
+            with pytest.raises(IndexError, match=f"mutation index {k} out of range 0..1"):
+                mutate_coeffs(rows, k, 5)
 
 
 def _sgn(x):

@@ -331,6 +331,33 @@ class TestExploreWords:
         (folded,), (lifted,) = seen[0]
         assert type(folded[0]) is AlgReal and type(lifted[0]) is int
 
+    @pytest.mark.parametrize("kind,n", [("H3", None), ("H4", None), ("I2", 3), ("I2m", 6),
+                                        ("F4E6", None)])
+    def test_verifiers_explore_states_with_int_leaves(self, kind, n, monkeypatch):
+        # ring entries travel as coefficient tuples, so the explorer compares
+        # states by value without merging AlgReal(m, (1,)) into 1
+        states = []
+
+        def spy(start, step, *args, **kwargs):
+            def recorded(state, k):
+                states.append(step(state, k))
+                return states[-1]
+
+            states.append(start)
+            return explore_words(start, recorded, *args, **kwargs)
+
+        monkeypatch.setattr(unfolding, "explore_words", spy)
+        monkeypatch.setattr(tropical, "explore_words", spy)
+        spec = standard_folding(kind, n)
+        assert check_weighted_unfolding(spec, depth=3, random_words=4, seed=1).passed
+        if spec.n is not None:
+            assert TropicalWalker(spec).verify_cube(depth=3, random_words=4, seed=1).passed
+        assert len(states) > 2
+        for state in states:
+            assert all(type(x) is int for x in leaves(state)), state
+        if kind != "F4E6":
+            assert any(type(entry) is tuple for entry in matrix_entries(states[0]))
+
     def test_transitions_are_memoized(self):
         steps = []
 
@@ -341,3 +368,17 @@ class TestExploreWords:
         run = explore_words((((0,),),), step, 2, lambda s, w, nb: (), depth=6)
         assert run.words == 2**7 - 1 and run.states == 3
         assert len(steps) == 3 * 2
+
+
+def leaves(x):
+    """The non-tuple objects inside nested tuples."""
+    if isinstance(x, tuple):
+        for part in x:
+            yield from leaves(part)
+    else:
+        yield x
+
+
+def matrix_entries(state):
+    """The entries of every matrix of a state: the items of its rows."""
+    return [entry for matrix in state for row in matrix for entry in row]

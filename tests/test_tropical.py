@@ -450,27 +450,39 @@ class TestCubeBlocksOracle:
 
 
 def test_cube_work_counts(monkeypatch):
-    """A passing walk inverts no folded matrix, and multiplies only distinct block pairs."""
+    """A passing walk inverts no folded matrix, and works only on distinct blocks.
+
+    Per state: at most d*(d-1) block products and at most d ``block_element``
+    calls, where d is the number of distinct blocks.
+    """
     walker = TropicalWalker(standard_folding("H4"))
     inversions = []
     products = []
+    elements = []
     per_state = []
     real_inverse, real_mul = tropical.invert_ring_unimodular, tropical._mat_mul_int
+    real_element = TropicalWalker.block_element
     monkeypatch.setattr(tropical, "invert_ring_unimodular", lambda rows: inversions.append(rows) or real_inverse(rows))
     monkeypatch.setattr(tropical, "_mat_mul_int", lambda a, b: products.append(1) or real_mul(a, b))
+    monkeypatch.setattr(
+        TropicalWalker, "block_element",
+        lambda self, blk: elements.append(1) or real_element(self, blk),
+    )
     real_check = TropicalWalker.check_vertex
 
     def counted(self, folded, lifted, *args, **kwargs):
-        before = len(products)
+        before = len(products), len(elements)
         real_check(self, folded, lifted, *args, **kwargs)
         mp = range(self.mprime)
         distinct = len({self.c_block(lifted, bi, bj) for bi, bj in product(mp, mp)})
-        per_state.append((len(products) - before, distinct))
+        per_state.append((len(products) - before[0], len(elements) - before[1], distinct))
 
     monkeypatch.setattr(TropicalWalker, "check_vertex", counted)
     report = walker.verify_cube(depth=2)
     assert report.passed and report.states == len(per_state) > 1
     assert inversions == []
     assert products
-    for calls, d in per_state:
+    assert all(made for _, made, _ in per_state)
+    for calls, made, d in per_state:
         assert calls <= d * (d - 1)
+        assert made <= d < walker.mprime ** 2
