@@ -252,7 +252,7 @@ def cmd_tilting(args) -> int:
             {
                 "summands": list(t),
                 "labels": [cc.describe(x) for x in t],
-                "G_folded": [list(map(json_value, row)) for row in cc.tilting_G_matrices(t)[1]],
+                "G_folded": [list(map(json_value, row)) for row in cc.folded_G_matrix(t)],
             }
             for t in tilts
         ],
@@ -287,7 +287,8 @@ def cmd_verify(args) -> int:
     )
 
     if spec.n is not None:
-        cat = FoldedCategory(spec)
+        cc = ClusterCategory(spec)
+        cat = cc.mc
         folding = cat.verify_folding_theorem()
         record(
             "projected-dimension-theorem",
@@ -324,7 +325,6 @@ def cmd_verify(args) -> int:
             f"vertices={walk.vertices_checked} seed={args.seed}",
         )
 
-        cc = ClusterCategory(spec)
         try:
             tilts = cc.enumerate_tilting()
             comp_ok = True

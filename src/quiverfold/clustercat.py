@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .chebring import ChebElem, sigma
-from .exchange import ExchangeMatrix
+from .exchange import ExchangeMatrix, RingValues, coeff_rows, entry_field, mutate_coeffs
 from .repcat import FoldedCategory
 from .unfolding import FoldingSpec
 
@@ -87,35 +87,40 @@ class ClusterCategory:
         return self._ext[x][y]
 
     def _fill_tables(self):
+        """Both tables, row by row, from the module-level hammock rows.
+
+        With H[a][b] = dim Hom(a, b) between modules, tau the module translate
+        and P_v the projective at v, the cluster category has
+        hom(x, y) = H[x][y] + H[tau^-1 y][tau x] for modules x and y,
+        hom(x, P_w[1]) = H[P_w][tau x], hom(P_v[1], y) = H[P_v][tau^-1 y] and
+        hom(P_v[1], P_w[1]) = H[P_v][P_w]; a term whose translate does not
+        exist is 0.  Each module row is read once, and its transpose gives
+        the H[.][tau x] terms.
+        """
         ar = self.mc.ar
-        size = self.size
-
-        def hom_c(x, y):
-            if self.is_shift(x):
-                v = x - self.nmod
-                if self.is_shift(y):
-                    return ar.hom(ar.proj_module[v], ar.proj_module[y - self.nmod])
-                ty = ar.tau_inv(y)
-                if ty is None:
-                    return 0
-                return ar.hom(ar.proj_module[v], ty)
-            if self.is_shift(y):
-                w = y - self.nmod
-                return ar.ext(x, ar.proj_module[w])
-            total = ar.hom(x, y)
-            ty = ar.tau_inv(y)
-            if ty is not None:
-                total += ar.ext(x, ty)
-            return total
-
-        self._hom = tuple(tuple(hom_c(x, y) for y in range(size)) for x in range(size))
-        self._ext = tuple(
-            tuple(self._hom[x][self._tau[y]] for y in range(size)) for x in range(size)
-        )
-        for x in range(size):
-            for y in range(size):
-                if (self._ext[x][y] == 0) != (self._ext[y][x] == 0):
-                    raise AssertionError("extension vanishing must be symmetric")
+        nmod = self.nmod
+        # A zero column at index nmod stands for a missing translate, and the
+        # zero row it makes in the transpose for a projective's missing tau.
+        H = [ar.hom_row(x) + (0,) for x in range(nmod)]
+        HT = [row + (0,) for row in zip(*H)]
+        tau = [nmod if t is None else t for t in map(ar.tau, range(nmod))]
+        tau_inv = [nmod if t is None else t for t in map(ar.tau_inv, range(nmod))]
+        proj = [ar.proj_module[v] for v in range(self.nverts)]
+        hom = []
+        for x in range(nmod):
+            hx, back = H[x], HT[tau[x]]
+            hom.append(
+                tuple(hx[y] + back[ty] for y, ty in enumerate(tau_inv))
+                + tuple(back[p] for p in proj)
+            )
+        for p in proj:
+            hp = H[p]
+            hom.append(tuple(map(hp.__getitem__, tau_inv)) + tuple(map(hp.__getitem__, proj)))
+        self._hom = tuple(hom)
+        self._ext = tuple(tuple(map(row.__getitem__, self._tau)) for row in self._hom)
+        vanishing = tuple(tuple(e == 0 for e in row) for row in self._ext)
+        if vanishing != tuple(zip(*vanishing)):
+            raise AssertionError("extension vanishing must be symmetric")
 
     # -- generators and iso-sets ------------------------------------------------
     def _build_generators(self):
@@ -195,14 +200,14 @@ class ClusterCategory:
         """All maximal rigid generator sets; each must have the folded rank."""
         adj = self.compatibility()
         gens = sorted(self.generators)
+        every = frozenset(gens)
         rank = self.tilting_rank()
         out = []
 
         def extend(clique, candidates):
             if len(clique) == rank:
-                for g in gens:
-                    if g not in clique and all(g in adj[c] for c in clique):
-                        raise AssertionError("rank-size rigid set failed maximality")
+                if every.intersection(*(adj[c] for c in clique)).difference(clique):
+                    raise AssertionError("rank-size rigid set failed maximality")
                 out.append(tuple(clique))
                 return
             for idx, g in enumerate(candidates):
@@ -254,52 +259,73 @@ class ClusterCategory:
         """The projectives at weight-1 vertices, ordered by folded vertex."""
         return tuple(self.mc.ar.proj_module[block[0]] for block in self.spec.blocks)
 
-    def mutate_tilting(self, summands, k: int, folded: ExchangeMatrix):
-        """Swap summand k for the other complement; mutate the folded matrix."""
-        summands = tuple(summands)
-        rest = summands[:k] + summands[k + 1:]
-        comps = self.complements(rest)
+    def _exchange(self, summands: tuple, k: int) -> tuple:
+        """``summands`` with summand k swapped for the other complement of the rest."""
+        comps = self.complements(summands[:k] + summands[k + 1:])
         if summands[k] not in comps:
             raise ValueError("summand is not a complement of the rest")
         other = comps[0] if comps[1] == summands[k] else comps[1]
-        return summands[:k] + (other,) + summands[k + 1:], folded.mutate(k)
+        return summands[:k] + (other,) + summands[k + 1:]
+
+    def mutate_tilting(self, summands, k: int, folded: ExchangeMatrix):
+        """Swap summand k for the other complement; mutate the folded matrix."""
+        summands = tuple(summands)
+        return self._exchange(summands, k), folded.mutate(k)
 
     def exchange_graph(self):
         """BFS over tilting objects; verifies the folded matrix is path-free.
 
         Returns (nodes, edges) where nodes maps the frozen summand set to its
         folded exchange matrix keyed by a sorted summand order.
+
+        Each edge is decided once.  An edge is an almost complete object
+        ``rest``, which has exactly two complements (Buan-Marsh-Reineke-
+        Reiten-Todorov 2006), so one ``complements`` call and one mutation
+        from either end give the far end and its matrix, compared with the
+        matrix already recorded there.  Mutating back from the far end would
+        only test mu_k mu_k B = B, up to the relabeling that ``aligned``
+        undoes, which always holds.  The BFS carries the matrices as
+        ``coeff_rows``; rows that differ as coefficients are compared again
+        as values, so an int 0 on one path and an ``AlgReal`` 0 on another
+        agree, as ``==`` on the values says.
         """
         start = self.initial_tilting()
         rank = len(start)
+        m = entry_field(self.spec.B.entries)
+        values = RingValues(m)
         nodes = {}
         edges = set()
+        done = set()
 
-        def aligned(summands, folded):
-            order = sorted(range(rank), key=lambda i: summands[i])
-            return tuple(
-                tuple(folded.entries[order[i]][order[j]] for j in range(rank))
-                for i in range(rank)
-            )
+        def aligned(summands, rows):
+            order = sorted(range(rank), key=summands.__getitem__)
+            return tuple(tuple(rows[i][j] for j in order) for i in order)
 
-        frontier = [(start, self.spec.B)]
-        nodes[frozenset(start)] = aligned(start, self.spec.B)
+        rows = coeff_rows(self.spec.B.entries)
+        frontier = [(start, rows)]
+        nodes[frozenset(start)] = aligned(start, rows)
         while frontier:
             new = []
-            for summands, folded in frontier:
+            for summands, rows in frontier:
                 key = frozenset(summands)
                 for k in range(rank):
-                    nxt, nxt_folded = self.mutate_tilting(summands, k, folded)
+                    rest = key - {summands[k]}
+                    if rest in done:
+                        continue
+                    done.add(rest)
+                    nxt = self._exchange(summands, k)
+                    nxt_rows = mutate_coeffs(rows, k, m)
                     nkey = frozenset(nxt)
                     edges.add(frozenset((key, nkey)))
-                    ali = aligned(nxt, nxt_folded)
-                    if nkey not in nodes:
+                    ali = aligned(nxt, nxt_rows)
+                    seen = nodes.get(nkey)
+                    if seen is None:
                         nodes[nkey] = ali
-                        new.append((nxt, nxt_folded))
-                    elif nodes[nkey] != ali:
+                        new.append((nxt, nxt_rows))
+                    elif seen != ali and values.rows(seen) != values.rows(ali):
                         raise AssertionError("folded matrix depends on the mutation path")
             frontier = new
-        return nodes, edges
+        return {key: values.rows(rows) for key, rows in nodes.items()}, edges
 
     # -- g-vectors -------------------------------------------------------------------
     def g_vector(self, x: int) -> tuple:
@@ -363,15 +389,19 @@ class ClusterCategory:
             out = self._g_folded[x] = tuple(out)
         return out
 
+    def folded_G_matrix(self, summands) -> tuple:
+        """Folded G of a tilting object: column j is the folded g-vector of summand j."""
+        return tuple(zip(*map(self.g_vector_folded, summands)))
+
     def tilting_G_matrices(self, summands):
         """(integer G of the hat object, folded G of the tilting object).
 
         Columns of the integer matrix are indexed by unfolded vertices: the
         column at vertex v is the g-vector of the column member of the
-        summand over F(v) with Chebyshev index kappa(v).  Column j of the
-        folded matrix is the folded g-vector of summand j.  Both read the
-        per-object g-vector tables, so each g-vector is computed once per
-        category however many tilting objects contain it.
+        summand over F(v) with Chebyshev index kappa(v).  The folded matrix
+        is ``folded_G_matrix``.  Both read the per-object g-vector tables, so
+        each g-vector is computed once per category however many tilting
+        objects contain it.
         """
         spec = self.spec
         cols = [None] * self.nverts
@@ -380,5 +410,4 @@ class ClusterCategory:
             for pos, v in enumerate(spec.blocks[j]):
                 cols[v] = self.g_vector(members[pos])
         G_hat = tuple(tuple(cols[v][w] for v in range(self.nverts)) for w in range(self.nverts))
-        G_prime = tuple(zip(*(self.g_vector_folded(g) for g in summands)))
-        return G_hat, G_prime
+        return G_hat, self.folded_G_matrix(summands)

@@ -46,8 +46,8 @@ class ARQuiver:
         for i, j in self.arrows:
             out_adj[i].append(j)
             in_adj[j].append(i)
-        self.out_adj = out_adj
-        self.in_adj = in_adj
+        self.out_adj = tuple(map(tuple, out_adj))
+        self.in_adj = tuple(map(tuple, in_adj))
         self._topo = self._toposort()
         self._rpos = {v: k for k, v in enumerate(reversed(self._topo))}
         self.proj_dims = tuple(self._paths_from(v) for v in range(nvertices))
@@ -171,11 +171,13 @@ class ARQuiver:
                 if tgt is not None:
                     ar_arrows.append((ident, tgt))
         self.ar_arrows = tuple(sorted(ar_arrows))
-        self.ar_in = [[] for _ in modules]
-        self.ar_out = [[] for _ in modules]
+        ar_in = [[] for _ in modules]
+        ar_out = [[] for _ in modules]
         for src, tgt in self.ar_arrows:
-            self.ar_out[src].append(tgt)
-            self.ar_in[tgt].append(src)
+            ar_out[src].append(tgt)
+            ar_in[tgt].append(src)
+        self.ar_in = tuple(map(tuple, ar_in))
+        self.ar_out = tuple(map(tuple, ar_out))
         self.ar_order = sorted(
             range(len(modules)),
             key=lambda ident: (modules[ident].slice, self._rpos[modules[ident].orbit]),

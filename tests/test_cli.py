@@ -164,8 +164,8 @@ class TestDeterminism:
 
 
 class TestByteIdentity:
-    # stdout sha256 of CLI paths the benchmark digests do not cover.  The
-    # first two were recorded at 774cefa, before the word verifiers checked
+    # stdout sha256 of CLI paths, most of which the benchmark digests do
+    # not cover.  The first two were recorded at 774cefa, before the word verifiers checked
     # each distinct state once; the next two at c8c6a7c, before the cluster
     # category kept per-object g-vector tables and read complements off
     # the compatibility graph; the fifth at e102d15, before the cube check
@@ -230,6 +230,25 @@ class TestByteIdentity:
             (
                 "verify all --kind I2m --n 5",
                 "c0948e4389c2b2eb61e19aa524e2b60afd10d77f2f738b65f2aefae2ef9d54b2",
+            ),
+            # recorded at 165ef88, before the cluster category filled its
+            # tables by whole hammock rows and decided each exchange-graph
+            # edge once; equal to the benchmark's digests of these commands
+            (
+                "tilting enumerate --kind H4",
+                "d9bb689728f05e99c2c435bcf3fe1a693996a3315a48f28794d9b162740a9b60",
+            ),
+            (
+                "tilting graph --format json --kind H4",
+                "dd721499db68028d8fa8a8b63ec83dc7a243fee699dd132ff1b8e5122f6f8322",
+            ),
+            (
+                "ar build --tables --kind H4",
+                "8fef39003da09a010da28848323e97ce2ba039da75b876cc34dce2aaf4c90c33",
+            ),
+            (
+                "verify all --depth 1 --random 0 --kind H4",
+                "4a2e9e6ef8c014625461dabdab8caf4d8735b1c3a99b88994f91657ea128f45a",
             ),
         ],
     )

@@ -3,8 +3,10 @@ from collections import Counter
 
 import pytest
 
+from quiverfold import clustercat
 from quiverfold.chebring import AlgReal, ChebElem, sigma
 from quiverfold.clustercat import ClusterCategory
+from quiverfold.exchange import ExchangeMatrix
 from quiverfold.unfolding import standard_folding
 
 
@@ -62,6 +64,13 @@ class TestStructure:
             sizes.append(len(orbit))
         assert sorted(sizes) == [7, 7]
 
+    def test_asymmetric_vanishing_is_reported(self):
+        # with tau replaced by the identity, ext is hom, which is not symmetric
+        cc = ClusterCategory(standard_folding("I2", 2))
+        cc._tau = tuple(range(cc.size))
+        with pytest.raises(AssertionError, match="extension vanishing must be symmetric"):
+            cc.ext(0, 0)
+
     def test_ext_symmetric_vanishing(self, h3):
         for x in range(h3.size):
             for y in range(h3.size):
@@ -97,6 +106,13 @@ class TestTiltingEnumeration:
 
     def test_count_h3(self, h3):
         assert len(h3.enumerate_tilting()) == 32
+
+    def test_non_maximal_clique_is_reported(self, monkeypatch):
+        # one summand short of the rank, every clique still has a completion
+        cc = ClusterCategory(standard_folding("H3"))
+        monkeypatch.setattr(cc, "tilting_rank", lambda: 2)
+        with pytest.raises(AssertionError, match="rank-size rigid set failed maximality"):
+            cc.enumerate_tilting()
 
     def test_hats_are_classical_tilting(self, i7):
         for t in i7.enumerate_tilting():
@@ -348,3 +364,198 @@ def test_presentation_once_per_module(monkeypatch, kind):
             cc.g_vector(x)
             cc.g_vector_folded(x)
     assert calls == Counter(range(cc.nmod))
+
+
+# -- oracles: the table fill and exchange graph from before the tables were
+# built from whole hammock rows and each edge was decided once.  The fill
+# computes every entry with its own module-level hom/ext lookups; the BFS
+# mutates ``ExchangeMatrix`` values along every directed edge.
+
+
+def oracle_tables(cc):
+    ar = cc.mc.ar
+
+    def hom_c(x, y):
+        if cc.is_shift(x):
+            v = x - cc.nmod
+            if cc.is_shift(y):
+                return ar.hom(ar.proj_module[v], ar.proj_module[y - cc.nmod])
+            ty = ar.tau_inv(y)
+            if ty is None:
+                return 0
+            return ar.hom(ar.proj_module[v], ty)
+        if cc.is_shift(y):
+            w = y - cc.nmod
+            return ar.ext(x, ar.proj_module[w])
+        total = ar.hom(x, y)
+        ty = ar.tau_inv(y)
+        if ty is not None:
+            total += ar.ext(x, ty)
+        return total
+
+    hom = tuple(tuple(hom_c(x, y) for y in range(cc.size)) for x in range(cc.size))
+    ext = tuple(tuple(hom[x][cc.tau(y)] for y in range(cc.size)) for x in range(cc.size))
+    return hom, ext
+
+
+def oracle_exchange_graph(cc):
+    start = cc.initial_tilting()
+    rank = len(start)
+    nodes = {}
+    edges = set()
+
+    def aligned(summands, folded):
+        order = sorted(range(rank), key=lambda i: summands[i])
+        return tuple(
+            tuple(folded.entries[order[i]][order[j]] for j in range(rank))
+            for i in range(rank)
+        )
+
+    frontier = [(start, cc.spec.B)]
+    nodes[frozenset(start)] = aligned(start, cc.spec.B)
+    while frontier:
+        new = []
+        for summands, folded in frontier:
+            key = frozenset(summands)
+            for k in range(rank):
+                nxt, nxt_folded = cc.mutate_tilting(summands, k, folded)
+                nkey = frozenset(nxt)
+                edges.add(frozenset((key, nkey)))
+                ali = aligned(nxt, nxt_folded)
+                if nkey not in nodes:
+                    nodes[nkey] = ali
+                    new.append((nxt, nxt_folded))
+                elif nodes[nkey] != ali:
+                    raise AssertionError("folded matrix depends on the mutation path")
+        frontier = new
+    return nodes, edges
+
+
+def entry_types(nodes):
+    return {
+        key: tuple(tuple(type(x) for x in row) for row in rows) for key, rows in nodes.items()
+    }
+
+
+TABLE_KINDS = [("I2", 2), ("I2", 3), ("I2", 4), ("H3", None), ("H4", None)]
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS, ids=lambda k: f"{k[0]}{k[1] or ''}")
+def test_tables_match_per_entry_oracle(kind):
+    cc = ClusterCategory(standard_folding(*kind))
+    hom, ext = oracle_tables(cc)
+    for x in cc.indecomposables():
+        for y in cc.indecomposables():
+            assert cc.hom(x, y) == hom[x][y]
+            assert cc.ext(x, y) == ext[x][y]
+
+
+def test_exchange_graph_matches_two_sided_oracle(cat):
+    nodes, edges = cat.exchange_graph()
+    want_nodes, want_edges = oracle_exchange_graph(cat)
+    assert edges == want_edges
+    assert nodes == want_nodes
+    assert entry_types(nodes) == entry_types(want_nodes)
+
+
+def _rests(cc):
+    """The almost complete object of every edge of the exchange graph."""
+    _, edges = oracle_exchange_graph(cc)
+    return sorted((frozenset.intersection(*e) for e in edges), key=sorted)
+
+
+class PlantedMutation:
+    """Rewrites entry ``spot`` of the matrix that one chosen edge produces.
+
+    Both BFSs ask ``complements`` for the almost complete object of an
+    edge right before they mutate along it, so a spy on ``complements``
+    tells the patched mutations which edge they are on.  Only the first
+    mutation along the edge is changed, to ``change`` of the entry's value.
+    """
+
+    def __init__(self, monkeypatch, rest, change, spot):
+        self.rest, self.change, self.spot = rest, change, spot
+        self.last = None
+        self.fired = False
+        complements = ClusterCategory.complements
+        mutate = ExchangeMatrix.mutate
+        mutate_coeffs = clustercat.mutate_coeffs
+
+        def spy(cc, almost):
+            self.last = frozenset(almost)
+            return complements(cc, almost)
+
+        def mutate_matrix(matrix, k):
+            rows = [list(row) for row in mutate(matrix, k).entries]
+            self.plant(rows, lambda x: x, lambda v: v)
+            return ExchangeMatrix(rows)
+
+        def mutate_rows(rows, k, m=None):
+            out = [list(row) for row in mutate_coeffs(rows, k, m)]
+            self.plant(
+                out,
+                lambda x: x if type(x) is int else AlgReal(m, x),
+                lambda v: v.coeffs if isinstance(v, AlgReal) else v,
+            )
+            return tuple(map(tuple, out))
+
+        monkeypatch.setattr(ClusterCategory, "complements", spy)
+        monkeypatch.setattr(ExchangeMatrix, "mutate", mutate_matrix)
+        monkeypatch.setattr(clustercat, "mutate_coeffs", mutate_rows)
+
+    def plant(self, rows, decode, encode):
+        if self.last == self.rest and not self.fired:
+            self.fired = True
+            i, j = self.spot
+            rows[i][j] = encode(self.change(decode(rows[i][j])))
+
+
+PLANT_KINDS = [("I2", 3), ("H3", None)]
+
+
+@pytest.mark.parametrize("kind", PLANT_KINDS, ids=lambda k: f"{k[0]}{k[1] or ''}")
+def test_planted_corruption_is_path_dependence(monkeypatch, kind):
+    cc = ClusterCategory(standard_folding(*kind))
+    for rest in _rests(cc):
+        for bfs in (oracle_exchange_graph, ClusterCategory.exchange_graph):
+            with monkeypatch.context() as patch:
+                planted = PlantedMutation(patch, rest, lambda v: v + 1, (0, 1))
+                with pytest.raises(AssertionError, match="depends on the mutation path"):
+                    bfs(cc)
+                assert planted.fired
+
+
+@pytest.mark.parametrize("kind", PLANT_KINDS, ids=lambda k: f"{k[0]}{k[1] or ''}")
+def test_int_zero_and_ring_zero_agree(monkeypatch, kind):
+    # the diagonal is AlgReal(m, ()) on every path; one edge makes it an int 0
+    cc = ClusterCategory(standard_folding(*kind))
+    want, want_edges = cc.exchange_graph()
+    assert all(type(rows[0][0]) is AlgReal and rows[0][0] == 0 for rows in want.values())
+    for rest in _rests(cc):
+        for bfs in (oracle_exchange_graph, ClusterCategory.exchange_graph):
+            with monkeypatch.context() as patch:
+                planted = PlantedMutation(patch, rest, lambda v: 0, (0, 0))
+                nodes, edges = bfs(cc)
+                assert planted.fired
+                assert nodes == want and edges == want_edges
+
+
+def test_exchange_graph_decides_each_edge_once(monkeypatch):
+    calls = Counter()
+    complements = ClusterCategory.complements
+    mutate_coeffs = clustercat.mutate_coeffs
+
+    def counted_complements(self, almost):
+        calls["complements"] += 1
+        return complements(self, almost)
+
+    def counted_mutate(rows, k, m=None):
+        calls["mutate_coeffs"] += 1
+        return mutate_coeffs(rows, k, m)
+
+    cc = ClusterCategory(standard_folding("H4"))
+    monkeypatch.setattr(ClusterCategory, "complements", counted_complements)
+    monkeypatch.setattr(clustercat, "mutate_coeffs", counted_mutate)
+    _, edges = cc.exchange_graph()
+    assert len(edges) == 560
+    assert calls == {"complements": 560, "mutate_coeffs": 560}

@@ -50,6 +50,12 @@ class TestKnitting:
         ar = ARQuiver(spec.S.n, arrows)
         assert {mod.dim for mod in ar.modules} == positive
 
+    @pytest.mark.parametrize("name", ["out_adj", "in_adj", "ar_in", "ar_out"])
+    def test_adjacency_is_tuples_of_tuples(self, h3cat, name):
+        table = getattr(h3cat.ar, name)
+        assert type(table) is tuple
+        assert table and all(type(row) is tuple for row in table)
+
     def test_e8_gabriel(self):
         spec = standard_folding("H4")
         arrows = quiver_arrows_from_matrix(spec.S)
