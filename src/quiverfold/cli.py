@@ -328,9 +328,13 @@ def cmd_verify(args) -> int:
         try:
             tilts = cc.enumerate_tilting()
             comp_ok = True
+            found = {}  # almost complete object -> its complements
             for t in tilts:
                 for k in range(len(t)):
-                    comps = cc.complements(t[:k] + t[k + 1:])
+                    rest = t[:k] + t[k + 1:]
+                    comps = found.get(rest)
+                    if comps is None:
+                        comps = found[rest] = cc.complements(rest)
                     if len(comps) != 2 or t[k] not in comps:
                         comp_ok = False
             record("tilting-enumeration", True, f"count={len(tilts)}")

@@ -502,9 +502,16 @@ def _pretty(c) -> str:
 
 
 def hom_ext_tables(ar: ARQuiver):
-    """Full (hom, ext) tables as tuples of rows."""
-    hom = tuple(ar.hom_row(a) for a in range(len(ar.modules)))
-    ext = tuple(
-        tuple(ar.ext(a, b) for b in range(len(ar.modules))) for a in range(len(ar.modules))
-    )
-    return hom, ext
+    """Full (hom, ext) tables as tuples of rows.
+
+    Ext row a is read off the hom rows, as ``ARQuiver.ext`` reads it:
+    ext(a, b) = hom(b, tau a), and a row of zeros for projective a.
+    """
+    size = len(ar.modules)
+    hom = tuple(ar.hom_row(a) for a in range(size))
+    zeros = (0,) * size
+    ext = []
+    for a in range(size):
+        ta = ar.tau(a)
+        ext.append(zeros if ta is None else tuple(row[ta] for row in hom))
+    return hom, tuple(ext)

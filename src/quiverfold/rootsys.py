@@ -13,10 +13,11 @@ last two vertices of H3 and H4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chebring import AlgReal
+from .exchange import coeff_rows
 
 
 @dataclass(frozen=True)
@@ -25,12 +26,22 @@ class RootSet:
     rank: int
     roots: frozenset
     positives: frozenset
+    keys: frozenset = field(init=False, repr=False)  # the roots as coeff_rows encodes them
+
+    def __post_init__(self):
+        object.__setattr__(self, "keys", frozenset(coeff_rows(self.roots)))
 
     def is_root(self, v) -> bool:
+        """Exact membership of a vector of ``AlgReal`` values or of coefficient tuples.
+
+        A vector whose first coordinate is a tuple is read as ``coeff_rows``
+        encodes one (``AlgReal.coeffs`` per coordinate) and looked up in
+        ``keys``; any other vector is looked up in ``roots``.
+        """
         v = tuple(v)
         if len(v) != self.rank:
             raise ValueError(f"expected a vector of length {self.rank}")
-        return v in self.roots
+        return v in (self.keys if type(v[0]) is tuple else self.roots)
 
     def is_positive_root(self, v) -> bool:
         v = tuple(v)

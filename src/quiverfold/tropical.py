@@ -8,26 +8,37 @@ tested for exact root membership, G-matrices are exact inverse transposes
 between a folded walk and its composite-mutation lift is checked entry by
 entry through the weighted projection d_F.
 
+The checks of ``TropicalWalker.check_vertex`` compute on the folded
+C-matrix as reduced coefficient tuples (``exchange.coeff_rows``), the form
+the word explorer's states carry, and on the lifted one as ints.  d_F of an
+integer matrix needs no reduction; the product ``mat_mul`` and the
+determinant ``det_laplace(rows, m)`` reduce each entry modulo the minimal
+polynomial once.  Two values are equal exactly when their tuples are.
+
 The cube check decides d_F(G_lifted) = G_folded and C_folded^T G_folded = I
 by a certificate: the lifted G is the exact integer inverse of C_lifted^T
 (fraction-free Gauss-Jordan), and C_folded^T d_F(G_lifted) = I proves that
-d_F(G_lifted) is the inverse of C_folded^T, so both hold.  Only when the
-certificate fails is C_folded^T inverted by adjugate, and the two
-comparisons then name what failed.  The blocks check multiplies each pair of
-distinct blocks once, and goes through every index pair only when one of
-those fails.
+d_F(G_lifted) is the inverse of C_folded^T, so both hold.  On a correct
+folding the certificate holds by the C/G duality (Nakanishi-Zelevinsky
+2012, Thm 1.2).  Only when it fails is C_folded^T inverted by adjugate,
+and the two comparisons then name what failed.  The blocks check
+multiplies each pair of distinct blocks once, and goes through every index
+pair only when one of those fails.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
-from .chebring import AlgReal, ChebElem, json_value, rho, sigma
+from .chebring import (
+    AlgReal, ChebElem, _coeff_sign, _context, _poly_add, _poly_mul, _poly_sub, _poly_trim,
+    _reduce_mod, json_value, rho, sigma,
+)
 from .exchange import (
-    ExchangeMatrix, RingValues, coeff_rows, entry_field, explore_words, mutate_coeffs,
-    mutate_entries,
+    ExchangeMatrix, RingValues, coeff_rows, explore_words, mutate_coeffs, mutate_entries,
 )
 from .repcat import folded_type_name
 from .rootsys import root_system
@@ -97,22 +108,40 @@ def transpose(rows):
     return tuple(zip(*rows))
 
 
-def mat_mul(a, b):
-    n, mid, m = len(a), len(b), len(b[0])
+def mat_mul(a, b, m: int):
+    """a * b over Z[2cos(pi/m)], every entry a reduced coefficient tuple.
+
+    Each result entry sums the unreduced products of its terms and is
+    reduced modulo the minimal polynomial once.
+    """
+    ctx = _context(m)
+    width = 2 * ctx.deg - 1
+    cols = tuple(zip(*b))
     out = []
-    for i in range(n):
-        row = a[i]
+    for row in a:
         out_row = []
-        for j in range(m):
-            acc = row[0] * b[0][j]
-            for k in range(1, mid):
-                acc = acc + row[k] * b[k][j]
-            out_row.append(acc)
+        for col in cols:
+            acc = [0] * width
+            for x, y in zip(row, col):
+                if x and y:
+                    for i, xi in enumerate(x):
+                        for j, yj in enumerate(y):
+                            acc[i + j] += xi * yj
+            out_row.append(_poly_trim(_reduce_mod(ctx, acc)))
         out.append(tuple(out_row))
     return tuple(out)
 
 
-def det_laplace(rows):
+def det_laplace(rows, m: int | None = None):
+    """Determinant by Laplace expansion along the first row.
+
+    Entries are ints, ``AlgReal`` or ``ChebElem`` values; with ``m`` given
+    they are reduced coefficient tuples over Z[2cos(pi/m)] instead, the
+    expansion multiplies unreduced polynomials, and the result is reduced
+    once.
+    """
+    if m is not None:
+        return _poly_trim(_reduce_mod(_context(m), _det_poly(rows)))
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -136,6 +165,18 @@ def det_laplace(rows):
         row = rows[0]
         zero = row[0] - row[0] if not isinstance(row[0], int) else 0
         return zero
+    return acc
+
+
+def _det_poly(rows):
+    """The determinant of a matrix of coefficient tuples, as an unreduced polynomial."""
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = ()
+    for j, entry in enumerate(rows[0]):
+        if entry:
+            term = _poly_mul(entry, _det_poly(tuple(row[:j] + row[j + 1:] for row in rows[1:])))
+            acc = _poly_sub(acc, term) if j % 2 else _poly_add(acc, term)
     return acc
 
 
@@ -200,7 +241,9 @@ def invert_integer(rows):
 
 
 def matrix_d_F(spec: FoldingSpec, rows):
-    return spec.matrix_d_F(rows)
+    """``spec.matrix_d_F`` of an integer matrix, as rows of reduced coefficient tuples."""
+    cols = [spec.coeff_d_F(tuple(row[r] for row in rows)) for r in spec.weight_one_reps]
+    return tuple(zip(*cols))
 
 
 @dataclass
@@ -245,6 +288,9 @@ class TropicalWalker:
         self.roots = root_system(folded_type_name(spec))
         self.checks = check_set(checks)
         self.one = AlgReal(self.m, (1,))
+        self.identity = tuple(
+            tuple((1,) if i == j else () for j in range(self.mprime)) for i in range(self.mprime)
+        )
 
     # stacked matrices: folded (2m' x m') over AlgReal, lifted (2N x N) over Z
     def initial_pair(self):
@@ -257,6 +303,12 @@ class TropicalWalker:
         for v in self.spec.blocks[k]:
             lifted = mutate_entries(lifted, v)
         return folded, lifted
+
+    def _coeff_step(self, folded, lifted, k: int):
+        """``step`` on folded rows of coefficient tuples (``coeff_rows``)."""
+        for v in self.spec.blocks[k]:
+            lifted = mutate_coeffs(lifted, v)
+        return mutate_coeffs(folded, k, self.m), lifted
 
     # -- invariants at one tree vertex ------------------------------------
     def c_block(self, lifted, bi: int, bj: int):
@@ -273,7 +325,11 @@ class TropicalWalker:
     def check_vertex(self, folded, lifted, word, failures, neighbours=True, only=None):
         """Append to ``failures`` a record ``(word, name, ...)`` per failed check.
 
-        The cube sub-checks ``dF(G)-mismatch`` and ``CtG-not-identity`` pass
+        The folded rows may hold ``AlgReal`` values, as ``initial_pair`` and
+        ``step`` make them, or their coefficient tuples: they are encoded
+        once with ``coeff_rows``, which leaves a coefficient tuple as it is,
+        and every check computes on the tuples.  The cube sub-checks
+        ``dF(G)-mismatch`` and ``CtG-not-identity`` pass
         together on the certificate C_f^T d_F(G_l) = I: a square matrix
         with a one-sided inverse over a domain has that inverse.  When the
         certificate fails, C_f^T is inverted by adjugate (which raises
@@ -290,18 +346,19 @@ class TropicalWalker:
         ``k -> (folded, lifted)`` that supplies the neighbour pairs, such as
         the memoized transitions of ``verify_cube``.
         """
-        spec = self.spec
+        spec, m = self.spec, self.m
         checks = self.checks if only is None else (self.checks & only)
         mprime, nverts = self.mprime, self.nverts
-        B_f, C_f = folded[:mprime], folded[mprime:]
+        C_f = coeff_rows(folded[mprime:])
         C_l = lifted[nverts:]
 
         if "roots" in checks:
+            ctx = _context(m)
             for j in range(mprime):
-                col = tuple(C_f[i][j] for i in range(mprime))
+                col = tuple(row[j] for row in C_f)
                 if not self.roots.is_root(col):
                     failures.append((word, "c-vector-not-root", j))
-                signs = {c.sign() for c in col}
+                signs = {_coeff_sign(ctx, c) for c in col}
                 if {1, -1} <= signs:
                     failures.append((word, "c-vector-not-sign-coherent", j))
 
@@ -310,26 +367,21 @@ class TropicalWalker:
                 failures.append((word, "dF(C)-mismatch"))
             G_l = invert_integer(transpose(C_l))
             X = matrix_d_F(spec, G_l)
-            ident_f = tuple(
-                tuple(self.one if i == j else AlgReal(self.m) for j in range(mprime))
-                for i in range(mprime)
-            )
             Ct = transpose(C_f)
             # C_f^T X = I certifies X = (C_f^T)^{-1} = G_f, which passes both
             # checks below; only a failed certificate inverts C_f^T.
-            if mat_mul(Ct, X) != ident_f:
-                G_f = invert_ring_unimodular(Ct)
+            if mat_mul(Ct, X, m) != self.identity:
+                G_f = coeff_rows(invert_ring_unimodular(RingValues(m).rows(Ct)))
                 if X != G_f:
                     failures.append((word, "dF(G)-mismatch"))
-                if mat_mul(Ct, G_f) != ident_f:
+                if mat_mul(Ct, G_f, m) != self.identity:
                     failures.append((word, "CtG-not-identity"))
             if neighbours:
+                if not callable(neighbours):
+                    neighbours = partial(self._coeff_step, coeff_rows(folded), lifted)
                 for k in range(mprime):
-                    if callable(neighbours):
-                        nf, nl = neighbours(k)
-                    else:
-                        nf, nl = self.step(folded, lifted, k)
-                    if matrix_d_F(spec, nl[nverts:]) != nf[mprime:]:
+                    nf, nl = neighbours(k)
+                    if matrix_d_F(spec, nl[nverts:]) != coeff_rows(nf[mprime:]):
                         failures.append((word, "dF-mutation-square", k))
 
         if "blocks" in checks or "dets" in checks:
@@ -361,12 +413,11 @@ class TropicalWalker:
                             failures.append((word, "blocks-do-not-commute", a, b))
                             break
             if "dets" in checks:
-                det_f = det_laplace(C_f)
-                expected = self.one if len(word) % 2 == 0 else -self.one
-                if det_f != expected:
+                det_f = det_laplace(C_f, m)
+                if det_f != ((1,) if len(word) % 2 == 0 else (-1,)):
                     failures.append((word, "folded-determinant", len(word)))
                 det_x = det_laplace(elements)
-                if sigma(det_x) != det_f:
+                if sigma(det_x).coeffs != det_f:
                     failures.append((word, "determinant-sigma-mismatch"))
                 unit = ChebElem.one(self.n)
                 if det_x != unit and det_x != -unit:
@@ -395,28 +446,23 @@ class TropicalWalker:
         ``vertices_checked`` still counts words; ``states`` counts pairs.
 
         The explorer's states carry the folded entries as coefficient tuples
-        (``coeff_rows``), and the lifted ones as ints; each check decodes
-        the folded rows, and the neighbour pairs it asks for, back to
-        ``AlgReal`` before it calls ``check_vertex``.
+        (``coeff_rows``), and the lifted ones as ints.  Each check hands
+        ``check_vertex`` the state's folded rows decoded to ``AlgReal``
+        (``RingValues``, one value per distinct entry), the rows ``step``
+        makes, and the neighbour pairs as the explorer holds them;
+        ``check_vertex`` encodes both again and computes on the tuples.
         """
         folded, lifted = self.initial_pair()
-        m, blocks = entry_field(folded), self.spec.blocks
-        values = RingValues(m)
+        values = RingValues(self.m)
 
         def step(state, k):
-            folded, lifted = state
-            for v in blocks[k]:
-                lifted = mutate_coeffs(lifted, v)
-            return mutate_coeffs(folded, k, m), lifted
-
-        def pair(state):
-            return values.rows(state[0]), state[1]
+            return self._coeff_step(*state, k)
 
         def checker(only):
             def check(state, word, neighbour):
                 found = []
                 self.check_vertex(
-                    *pair(state), word, found, neighbours=lambda k: pair(neighbour(k)), only=only
+                    values.rows(state[0]), state[1], word, found, neighbours=neighbour, only=only
                 )
                 return tuple(f[1:] for f in found)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .chebring import AlgReal, ChebElem, json_value, rho
+from .chebring import AlgReal, ChebElem, _poly_trim, json_value, rho
 from .exchange import (
     ExchangeMatrix, RingValues, coeff_rows, entry_field, explore_words, mutate_coeffs, rescale,
     sgn,
@@ -61,8 +61,17 @@ class FoldingSpec:
             raise ValueError("vector length must match the unfolded vertex count")
         if not isinstance(self.weights[0], AlgReal) or not all(isinstance(x, int) for x in vector):
             return tuple(sum(self.weights[i] * vector[i] for i in block) for block in self.blocks)
-        # sum integer coefficient vectors; one AlgReal per block
         m = self.weights[0].m
+        return tuple(AlgReal(m, coeffs) for coeffs in self.coeff_d_F(vector))
+
+    def coeff_d_F(self, vector):
+        """``d_F`` of an integer vector as reduced coefficient tuples, one per block.
+
+        The weights must be ``AlgReal`` values.  Each block sum adds integer
+        multiples of the weights' reduced coefficient tuples, so it is
+        reduced already and only trimmed: the tuple that ``coeff_rows``
+        makes of the ``AlgReal`` sum.
+        """
         out = []
         for block in self.blocks:
             acc = []
@@ -73,7 +82,7 @@ class FoldingSpec:
                     acc.extend([0] * (len(coeffs) - len(acc)))
                     for k, c in enumerate(coeffs):
                         acc[k] += x * c
-            out.append(AlgReal(m, acc))
+            out.append(_poly_trim(acc))
         return tuple(out)
 
     def matrix_d_F(self, rows):

@@ -9,6 +9,7 @@ import pytest
 import quiverfold
 from quiverfold import cli
 from quiverfold.cli import main
+from quiverfold.clustercat import ClusterCategory
 from quiverfold.exchange import ExchangeMatrix
 from quiverfold.unfolding import check_weighted_unfolding, standard_folding
 from test_exchange import MALFORMED_MATRIX_JSON
@@ -142,6 +143,32 @@ class TestSubcommands:
         assert "FAIL" not in out
         assert "tilting-enumeration count=7" in out
 
+    def test_verify_all_asks_each_almost_complete_object_once(self, capsys, monkeypatch):
+        calls = []
+        real = ClusterCategory.complements
+        monkeypatch.setattr(
+            ClusterCategory, "complements", lambda self, rest: calls.append(rest) or real(self, rest)
+        )
+        code, out = run(capsys, "verify", "all", "--kind", "H4", "--depth", "0", "--random", "0")
+        assert code == 0 and "PASS two-complements" in out
+        # the 280 tilting objects of rank 4 have 1,120 (t, k) pairs but only
+        # 560 almost complete objects, one per exchange-graph edge
+        assert len(calls) == len(set(calls)) == 560
+
+    def test_verify_all_reports_a_missing_complement(self, capsys, monkeypatch):
+        real = ClusterCategory.complements
+        first = []
+
+        def one_short(self, rest):
+            first.append(rest)
+            comps = real(self, rest)
+            return comps[:1] if rest == first[0] else comps
+
+        monkeypatch.setattr(ClusterCategory, "complements", one_short)
+        code, out = run(capsys, "verify", "all", "--kind", "I2", "--n", "2", "--depth", "0")
+        assert code == 1
+        assert "FAIL two-complements" in out.splitlines()
+
 
 class TestDeterminism:
     def test_byte_identical_runs(self, capsys):
@@ -249,6 +276,16 @@ class TestByteIdentity:
             (
                 "verify all --depth 1 --random 0 --kind H4",
                 "4a2e9e6ef8c014625461dabdab8caf4d8735b1c3a99b88994f91657ea128f45a",
+            ),
+            # recorded at 4e2611f, before the tropical checks computed on
+            # coefficient tuples; deeper than the benchmark's depth-1 digests
+            (
+                "verify all --kind H4 --depth 5 --random 50",
+                "922bb76197a6f79ac727f3f87bf6fe79d075fce97191a91332b5261ba4b941ac",
+            ),
+            (
+                "verify all --kind H3 --depth 6 --random 200",
+                "a6eac6e796d3bd7100604485bcc50dc76822e73aa4fe8687bba289b260431b44",
             ),
         ],
     )

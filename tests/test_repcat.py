@@ -103,6 +103,16 @@ class TestHomExt:
                 rhs = ar.euler_form(ar.modules[a].dim, ar.modules[b].dim)
                 assert lhs == rhs
 
+    @pytest.mark.parametrize("kind,n", [("I2", 3), ("I2", 4), ("H3", None), ("H4", None)])
+    def test_ext_table_matches_per_entry_ext(self, kind, n):
+        ar = FoldedCategory(standard_folding(kind, n)).ar
+        size = len(ar.modules)
+        hom, ext = hom_ext_tables(ar)
+        assert hom == tuple(ar.hom_row(a) for a in range(size))
+        assert ext == tuple(tuple(ar.ext(a, b) for b in range(size)) for a in range(size))
+        assert all(type(row) is tuple for row in ext)
+        assert any(ar.tau(a) is None for a in range(size))
+
     def test_ext_vanishes_on_projectives(self, h3cat):
         ar = h3cat.ar
         for v in range(6):

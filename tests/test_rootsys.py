@@ -63,6 +63,18 @@ class TestMembership:
         assert not rs.is_root((one, one))
         assert not rs.is_root((two, zero))
 
+    @pytest.mark.parametrize("name", ["H3", "H4", "I2(7)", "I2(9)"])
+    def test_coefficient_tuple_vectors(self, name):
+        rs = root_system(name)
+        assert len(rs.keys) == len(rs.roots)
+        for v in rs.roots:
+            key = tuple(c.coeffs for c in v)
+            assert key in rs.keys and rs.is_root(key) and rs.is_root(v)
+        assert not rs.is_root(((2,),) + ((),) * (rs.rank - 1))
+        assert not rs.is_root(((1,), (-1,)) + ((),) * (rs.rank - 2))
+        with pytest.raises(ValueError):
+            rs.is_root(((1,),))
+
     def test_dimension_mismatch(self):
         rs = root_system("I2(5)")
         with pytest.raises(ValueError):

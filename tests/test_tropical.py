@@ -1,13 +1,13 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quiverfold import tropical
-from quiverfold.chebring import AlgReal, ChebElem
-from quiverfold.exchange import ExchangeMatrix
+from quiverfold.chebring import AlgReal, ChebElem, minimal_poly, sigma
+from quiverfold.exchange import ExchangeMatrix, coeff_rows
 from quiverfold.rootsys import root_system
 from quiverfold.tropical import (
     EnumerationResult,
@@ -486,3 +486,168 @@ def test_cube_work_counts(monkeypatch):
     for calls, made, d in per_state:
         assert calls <= d * (d - 1)
         assert made <= d < walker.mprime ** 2
+
+
+# ---------------------------------------------------------------------------
+# oracles: the roots and dets checks and their arithmetic over AlgReal values,
+# as check_vertex computed them before it worked on coefficient tuples
+
+ROOTS_DETS = frozenset(("roots", "dets"))
+
+
+def leibniz(rows):
+    """The determinant as a sum over permutations; entries AlgReal or ChebElem."""
+    total = None
+    for perm in permutations(range(len(rows))):
+        term = rows[0][perm[0]]
+        for i in range(1, len(rows)):
+            term = term * rows[i][perm[i]]
+        inversions = sum(perm[a] > perm[b] for a, b in combinations(range(len(perm)), 2))
+        term = -term if inversions % 2 else term
+        total = term if total is None else total + term
+    return total
+
+
+def oracle_roots_dets(walker, folded, lifted, word):
+    """The roots and dets checks of check_vertex in AlgReal arithmetic.
+
+    Membership looks the AlgReal column up in ``roots``, signs come from
+    ``AlgReal.sign`` and both determinants from ``leibniz``.  As in
+    check_vertex, the dets check first reads every lifted block as a ring
+    element and stops at the first block that is not one.
+    """
+    mprime = walker.mprime
+    C_f = folded[mprime:]
+    failures = []
+    for j in range(mprime):
+        col = tuple(row[j] for row in C_f)
+        if col not in walker.roots.roots:
+            failures.append((word, "c-vector-not-root", j))
+        if {1, -1} <= {c.sign() for c in col}:
+            failures.append((word, "c-vector-not-sign-coherent", j))
+    elements = []
+    for bi in range(mprime):
+        row = []
+        for bj in range(mprime):
+            r = walker.block_element(walker.c_block(lifted, bi, bj))
+            if r is None:
+                failures.append((word, "block-not-regular-rep", bi, bj))
+                return failures
+            if not r.sign_coherent():
+                failures.append((word, "block-coefficients-mixed-sign", bi, bj))
+            row.append(r)
+        elements.append(tuple(row))
+    one = AlgReal(walker.m, (1,))
+    det_f = leibniz(C_f)
+    if det_f != (one if len(word) % 2 == 0 else -one):
+        failures.append((word, "folded-determinant", len(word)))
+    det_x = leibniz(elements)
+    if sigma(det_x) != det_f:
+        failures.append((word, "determinant-sigma-mismatch"))
+    unit = ChebElem.one(walker.n)
+    if det_x not in (unit, -unit):
+        failures.append((word, "lifted-determinant-not-unit"))
+    return failures
+
+
+def roots_dets(walker, folded, lifted, word):
+    failures = []
+    walker.check_vertex(folded, lifted, word, failures, neighbours=False, only=ROOTS_DETS)
+    return failures
+
+
+class TestRootsDetsOracle:
+    @pytest.mark.parametrize(
+        "kind,n,depth", [("H4", None, 4), ("H3", None, 6), ("I2", 3, 6), ("I2", 4, 6)]
+    )
+    def test_every_reachable_state(self, kind, n, depth):
+        walker = TropicalWalker(standard_folding(kind, n))
+        states = reachable_states(walker, depth)
+        assert len(states) > depth
+        for (folded, lifted), word in states.items():
+            got = roots_dets(walker, folded, lifted, word)
+            assert got == oracle_roots_dets(walker, folded, lifted, word) == []
+            # a word of the other parity plants a folded determinant of the wrong sign
+            odd = word + (0,)
+            got = roots_dets(walker, folded, lifted, odd)
+            assert got == oracle_roots_dets(walker, folded, lifted, odd)
+            assert got == [(odd, "folded-determinant", len(odd))]
+            assert roots_dets(walker, coeff_rows(folded), lifted, odd) == got
+
+    @pytest.mark.parametrize("kind,n", [("H4", None), ("H3", None), ("I2", 3), ("I2", 4)])
+    @pytest.mark.parametrize(
+        "plant,expected",
+        [
+            ("non-root", {"c-vector-not-root", "folded-determinant", "determinant-sigma-mismatch"}),
+            ("mixed-sign", {"c-vector-not-root", "c-vector-not-sign-coherent"}),
+            ("wrong-parity", {"folded-determinant"}),
+            ("lifted-not-unit", {"determinant-sigma-mismatch", "lifted-determinant-not-unit"}),
+            ("not-regular", {"block-not-regular-rep"}),
+        ],
+    )
+    def test_planted(self, kind, n, plant, expected):
+        # planted in the initial pair, where C_f and the lifted C are identities
+        walker = TropicalWalker(standard_folding(kind, n))
+        folded, lifted = walker.initial_pair()
+        word, row, block = (), walker.mprime, walker.spec.blocks[0]
+        if plant == "non-root":
+            folded = with_entry(folded, row, 0, AlgReal(walker.m, (2,)))
+        elif plant == "mixed-sign":
+            folded = with_entry(folded, row + 1, 0, AlgReal(walker.m, (-1,)))
+        elif plant == "wrong-parity":
+            word = (0,)
+        elif plant == "lifted-not-unit":
+            for v in block:
+                lifted = with_entry(lifted, walker.nverts + v, v, 2)
+        else:
+            lifted = with_entry(lifted, walker.nverts + block[0], block[-1], 1)
+        got = roots_dets(walker, folded, lifted, word)
+        assert got == oracle_roots_dets(walker, folded, lifted, word)
+        assert {f[1] for f in got} == expected
+        assert roots_dets(walker, coeff_rows(folded), lifted, word) == got
+
+
+def alg_entries(m):
+    deg = len(minimal_poly(m)) - 1
+    return st.lists(st.integers(-4, 4), max_size=deg + 2).map(lambda c: AlgReal(m, c))
+
+
+def alg_matrix(m, nrows, ncols):
+    row = st.lists(alg_entries(m), min_size=ncols, max_size=ncols).map(tuple)
+    return st.lists(row, min_size=nrows, max_size=nrows).map(tuple)
+
+
+@st.composite
+def product_and_det_inputs(draw):
+    m = draw(st.sampled_from((5, 7, 9)))
+    n, k, p = (draw(st.integers(1, 4)) for _ in range(3))
+    return m, draw(alg_matrix(m, n, k)), draw(alg_matrix(m, k, p)), draw(alg_matrix(m, n, n))
+
+
+@given(product_and_det_inputs())
+@settings(max_examples=200, deadline=None)
+def test_coefficient_product_and_determinant_match_algreal(inputs):
+    m, a, b, square = inputs
+    assert mat_mul(coeff_rows(a), coeff_rows(b), m) == coeff_rows(plain_mat_mul(a, b))
+    assert det_laplace(coeff_rows(square), m) == leibniz(square).coeffs
+    assert det_laplace(coeff_rows(square), m) == det_laplace(square).coeffs
+
+
+@st.composite
+def d_F_inputs(draw):
+    # m = 5, 7, 9, and two even m whose weights cancel in a block's top coefficient
+    kind, n = draw(st.sampled_from(
+        [("H3", None), ("H4", None), ("I2", 3), ("I2", 4), ("I2m", 6), ("I2m", 8)]
+    ))
+    spec = standard_folding(kind, n)
+    row = st.lists(st.integers(-6, 6), min_size=spec.S.n, max_size=spec.S.n).map(tuple)
+    return spec, draw(st.lists(row, min_size=spec.S.n, max_size=spec.S.n).map(tuple))
+
+
+@given(d_F_inputs())
+@settings(max_examples=100, deadline=None)
+def test_coefficient_d_F_matches_algreal(inputs):
+    spec, rows = inputs
+    assert tropical.matrix_d_F(spec, rows) == coeff_rows(matrix_d_F_per_term(spec, rows))
+    for row in rows:
+        assert spec.coeff_d_F(row) == tuple(x.coeffs for x in d_F_per_term(spec, row))
