@@ -14,10 +14,12 @@ import sys
 
 from .chebring import ChebElem, cheb_mul, json_value, minimal_poly, reg_rep, sigma
 from .clustercat import ClusterCategory
-from .exchange import ExchangeMatrix
+from .exchange import ExchangeMatrix, coeff_rows
 from .repcat import FoldedCategory
 from .rootsys import e_F_float
-from .tropical import CHECKS, TropicalWalker, check_set, enumerate_seeds, g_matrix
+from .tropical import (
+    CHECKS, TropicalWalker, check_set, enumerate_seeds, g_matrix, matrix_d_F,
+)
 from .unfolding import check_weighted_unfolding, standard_folding
 
 
@@ -340,7 +342,7 @@ def cmd_verify(args) -> int:
             record("tilting-enumeration", True, f"count={len(tilts)}")
             record("two-complements", comp_ok)
             g_ok = all(
-                cc.spec.matrix_d_F(G_hat) == G_prime
+                matrix_d_F(cc.spec, G_hat) == coeff_rows(G_prime)
                 for G_hat, G_prime in map(cc.tilting_G_matrices, tilts)
             )
             record("tilting-G-matrix-projection", g_ok)

@@ -4,7 +4,8 @@ Entries are either plain integers or ``AlgReal`` values; both support exact
 sign queries, which is all the mutation formula needs.  Matrices are
 immutable: every operation returns a fresh value.  The word explorer's
 states carry each ``AlgReal`` entry as its coefficient tuple instead
-(``coeff_rows``), mutated by ``mutate_coeffs`` and decoded by ``RingValues``.
+(``coeff_rows``), mutated by ``mutate_coeffs``; the checks compute on the
+tuples, and ``RingValues`` decodes them where a value is needed.
 """
 
 from __future__ import annotations
@@ -388,8 +389,8 @@ def explore_words(
     types that compare equal, such as ``AlgReal(m, (1,))`` and ``1``, must
     be told apart by the states themselves.  The two word verifiers do that
     by carrying every ring entry as its coefficient tuple (``coeff_rows``),
-    stepping with ``mutate_coeffs``, and decoding the rows back to
-    ``AlgReal`` for their checks.  All tables live for this call.
+    stepping with ``mutate_coeffs``, and deciding their checks on the
+    tuples.  All tables live for this call.
 
     After a failure the tree is not descended further and no new walk
     starts; with ``first_only`` the exploration stops at the first failure.

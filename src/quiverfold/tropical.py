@@ -447,13 +447,10 @@ class TropicalWalker:
 
         The explorer's states carry the folded entries as coefficient tuples
         (``coeff_rows``), and the lifted ones as ints.  Each check hands
-        ``check_vertex`` the state's folded rows decoded to ``AlgReal``
-        (``RingValues``, one value per distinct entry), the rows ``step``
-        makes, and the neighbour pairs as the explorer holds them;
-        ``check_vertex`` encodes both again and computes on the tuples.
+        ``check_vertex`` the state and the neighbour pairs as the explorer
+        holds them, and ``check_vertex`` computes on the tuples directly.
         """
         folded, lifted = self.initial_pair()
-        values = RingValues(self.m)
 
         def step(state, k):
             return self._coeff_step(*state, k)
@@ -461,9 +458,7 @@ class TropicalWalker:
         def checker(only):
             def check(state, word, neighbour):
                 found = []
-                self.check_vertex(
-                    values.rows(state[0]), state[1], word, found, neighbours=neighbour, only=only
-                )
+                self.check_vertex(*state, word, found, neighbours=neighbour, only=only)
                 return tuple(f[1:] for f in found)
 
             return check

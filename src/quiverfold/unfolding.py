@@ -19,10 +19,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .chebring import AlgReal, ChebElem, _poly_trim, json_value, rho
+from .chebring import (
+    AlgReal, ChebElem, _context, _poly_trim, _reduce_mod, json_value, rho,
+)
 from .exchange import (
-    ExchangeMatrix, RingValues, coeff_rows, entry_field, explore_words, mutate_coeffs, rescale,
-    sgn,
+    ExchangeMatrix, RingValues, _as_coeffs, _sign, coeff_rows, entry_field, explore_words,
+    mutate_coeffs, rescale,
 )
 
 
@@ -131,36 +133,83 @@ def conditions_hold(S_rows, B: ExchangeMatrix, blocks, weights) -> list:
     Column sums are compared in the cleared-denominator form
     sum_k w_k s_kl == b_ij * w_l, which is the condition on W S W^-1 scaled
     by the (positive) column weight.  An empty list means both hold.
+
+    The arithmetic runs on reduced coefficient tuples: B and the weights
+    are encoded once with ``coeff_rows``, a column sum adds integer
+    multiples of weight tuples (reduced already), and b_ij * w_l is one
+    polynomial product, reduced only when its degree overflows.  Int entries
+    and weights count as constant tuples, so values are compared, not
+    representations.  A failure record decodes its values: an ``AlgReal``
+    when an operand was one, an int otherwise, and ``0 * b_ij`` for an
+    empty sum.  Weights and B over two different fields are a ValueError.
     """
+    m = entry_field((*B.entries, weights))
+    ctx = None if m is None else _context(m)
+    width = 1 if ctx is None else ctx.deg
+    B_rows = coeff_rows(B.entries)
+    (w_row,) = coeff_rows((weights,))
     failures = []
     for bi, block_i in enumerate(blocks):
         for bj, block_j in enumerate(blocks):
-            b_entry = B.entries[bi][bj]
-            b_sign = sgn(b_entry)
+            b = B_rows[bi][bj]
+            b_nonneg = not b or _sign(ctx, b) > 0
+            b_coeffs = _as_coeffs(b)
             for l in block_j:
-                acc = None
+                acc = None  # the column sum, made at its first nonzero term
                 for k in block_i:
                     s_kl = S_rows[k][l]
-                    if b_sign >= 0 and s_kl < 0:
-                        failures.append(
-                            {"block": (bi, bj), "kind": "sign", "entry": (k, l), "actual": s_kl}
-                        )
                     if s_kl:
-                        term = weights[k] * s_kl
-                        acc = term if acc is None else acc + term
-                lhs = acc if acc is not None else 0 * b_entry
-                rhs = b_entry * weights[l]
-                if lhs != rhs:
+                        if s_kl < 0 and b_nonneg:
+                            failures.append(
+                                {"block": (bi, bj), "kind": "sign", "entry": (k, l), "actual": s_kl}
+                            )
+                        if acc is None:
+                            acc = [0] * width
+                        w = w_row[k]
+                        if type(w) is int:
+                            acc[0] += s_kl * w
+                        else:
+                            for i, c in enumerate(w):
+                                acc[i] += s_kl * c
+                if not b:
+                    if acc is None or not any(acc):
+                        continue
+                    rhs = [0] * width
+                else:
+                    w = _as_coeffs(w_row[l])
+                    rhs = [0] * (2 * width - 1)
+                    for i, x in enumerate(b_coeffs):
+                        for j, y in enumerate(w):
+                            rhs[i + j] += x * y
+                    if len(b_coeffs) + len(w) - 1 > width:
+                        rhs = list(_reduce_mod(ctx, rhs))
+                    else:
+                        del rhs[width:]
+                    if acc is None:
+                        acc = [0] * width
+                if acc != rhs:
+                    terms = [k for k in block_i if S_rows[k][l]]
+                    lhs_alg = any(type(w_row[k]) is tuple for k in terms) or (
+                        not terms and type(b) is tuple
+                    )
+                    rhs_alg = type(b) is tuple or type(w_row[l]) is tuple
                     failures.append(
                         {
                             "block": (bi, bj),
                             "kind": "column-sum",
                             "column": l,
-                            "actual": lhs,
-                            "expected": rhs,
+                            "actual": _decode(m, acc, lhs_alg),
+                            "expected": _decode(m, rhs, rhs_alg),
                         }
                     )
     return failures
+
+
+def _decode(m, coeffs, algebraic):
+    """The value of a coefficient list: an ``AlgReal`` if ``algebraic``, else an int."""
+    if algebraic:
+        return AlgReal(m, coeffs)
+    return coeffs[0]
 
 
 def check_conditions(S, B: ExchangeMatrix, blocks, weights) -> ConditionReport:
@@ -173,6 +222,8 @@ def check_conditions(S, B: ExchangeMatrix, blocks, weights) -> ConditionReport:
         raise ValueError("blocks must partition the unfolded index set")
     if len(weights) != nverts:
         raise ValueError("need one weight per unfolded vertex")
+    if len(blocks) != B.n:
+        raise ValueError("need one block per folded vertex")
     failures = conditions_hold(rows, B, blocks, weights)
     return ConditionReport(not failures, failures, len(blocks) ** 2)
 
@@ -228,7 +279,10 @@ def check_weighted_unfolding(
     ``words_checked`` still counts words; ``states`` counts distinct pairs.
     On a failure, ``failure_detail`` is the first ``conditions_hold`` record
     of the first failing word.  The explorer's states carry the entries of
-    B as coefficient tuples (``coeff_rows``), and each check decodes them.
+    B as coefficient tuples (``coeff_rows``).  Each check decodes them into
+    an ``ExchangeMatrix`` (``RingValues``, one value per distinct entry),
+    which ``rescale`` needs, and ``conditions_hold`` computes on them as
+    coefficient tuples again.
     """
     m = entry_field(spec.B.entries)
     values = RingValues(m)

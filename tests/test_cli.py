@@ -169,6 +169,20 @@ class TestSubcommands:
         assert code == 1
         assert "FAIL two-complements" in out.splitlines()
 
+    def test_verify_all_reports_a_wrong_G_projection(self, capsys, monkeypatch):
+        real = ClusterCategory.tilting_G_matrices
+
+        def shifted(self, summands):
+            G_hat, G_prime = real(self, summands)
+            return G_hat, ((G_prime[0][0] + 1,) + G_prime[0][1:],) + G_prime[1:]
+
+        code, out = run(capsys, "verify", "all", "--kind", "I2", "--n", "2", "--depth", "0")
+        assert code == 0 and "PASS tilting-G-matrix-projection" in out.splitlines()
+        monkeypatch.setattr(ClusterCategory, "tilting_G_matrices", shifted)
+        code, out = run(capsys, "verify", "all", "--kind", "I2", "--n", "2", "--depth", "0")
+        assert code == 1
+        assert "FAIL tilting-G-matrix-projection" in out.splitlines()
+
 
 class TestDeterminism:
     def test_byte_identical_runs(self, capsys):
@@ -287,6 +301,20 @@ class TestByteIdentity:
                 "verify all --kind H3 --depth 6 --random 200",
                 "a6eac6e796d3bd7100604485bcc50dc76822e73aa4fe8687bba289b260431b44",
             ),
+            # recorded at 65fa1ae, before the unfolding conditions computed
+            # on coefficient tuples
+            (
+                "unfold verify --kind H4",
+                "a2d936caf51c2605e3dacf0df9b64c043f1971571ea123125e3c19e300025175",
+            ),
+            (
+                "unfold verify --kind I2m --n 6",
+                "8823dc7f7c26fed3818e9e9f3d1e2724e19dacbbc8abe453fdd5e4ce9583d70d",
+            ),
+            (
+                "unfold verify --kind F4E6",
+                "a2d936caf51c2605e3dacf0df9b64c043f1971571ea123125e3c19e300025175",
+            ),
         ],
     )
     def test_stdout_unchanged(self, capsys, argv, digest):
@@ -329,8 +357,28 @@ class TestByteIdentity:
                 ),
                 "222e42520f1e3e5e94f65261af9795b8a5ae262a14a1f6015a0a2761fa88f176",
             ),
+            # recorded at 65fa1ae, before the unfolding conditions computed
+            # on coefficient tuples; the first two records carry AlgReal
+            # actual and expected values
+            (
+                lambda: check_weighted_unfolding(FoldingSpecBrokenWeights(standard_folding("H4"))),
+                "2d4a5e5e0cae7a03c153da56782b7dbcd674088a27f08d5efb4ba81fd51fefc2",
+            ),
+            (
+                lambda: check_weighted_unfolding(
+                    FoldingSpecBrokenWeights(standard_folding("I2m", 5))
+                ),
+                "7064648505f0c24fd8039d96f2b1dc165cb5450abb4137027eb97923c53374cd",
+            ),
+            (
+                lambda: check_weighted_unfolding(sign_flipped_f4e6()),
+                "deef33f5dbb2e4e18a55a8ceb9f0993f3cd37a7dd2fea81f2d8a314be0c5b0d2",
+            ),
         ],
-        ids=["column-sum", "sign", "sign-after-five-steps"],
+        ids=[
+            "column-sum", "sign", "sign-after-five-steps", "broken-weights-H4",
+            "broken-weights-I2m5", "sign-default-size",
+        ],
     )
     def test_failing_unfolding_json_unchanged(self, make, digest):
         report = make()

@@ -4,20 +4,60 @@
 were before ``explore_words``: every word is mutated and checked on its own.
 They also count the distinct states and the distinct (state, check, parity)
 keys they check.  The reports of the explorer-based verifiers must match
-them field by field, on passing and failing runs.
+them field by field, on passing and failing runs.  ``oracle_conditions`` is
+the unfolding-condition loop in ``AlgReal`` arithmetic, as it was before
+``conditions_hold`` computed on coefficient tuples; ``oracle_unfolding``
+decides each state with it.
 """
 
 import random
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quiverfold import tropical, unfolding
 from quiverfold.chebring import AlgReal
-from quiverfold.exchange import ExchangeMatrix, explore_words, mutate_entries, rescale
+from quiverfold.exchange import (
+    ExchangeMatrix, coeff_rows, explore_words, mutate_entries, rescale, sgn,
+)
 from quiverfold.tropical import TropicalWalker
 from quiverfold.unfolding import check_weighted_unfolding, conditions_hold, standard_folding
-from test_unfolding import FoldingSpecBrokenWeights
+from test_unfolding import FoldingSpecBrokenWeights, sign_flipped_f4e6
+
+
+def oracle_conditions(S_rows, B, blocks, weights):
+    """The records of conditions (1) and (2), computed in ``AlgReal`` arithmetic."""
+    failures = []
+    for bi, block_i in enumerate(blocks):
+        for bj, block_j in enumerate(blocks):
+            b_entry = B.entries[bi][bj]
+            b_sign = sgn(b_entry)
+            for l in block_j:
+                acc = None
+                for k in block_i:
+                    s_kl = S_rows[k][l]
+                    if b_sign >= 0 and s_kl < 0:
+                        failures.append(
+                            {"block": (bi, bj), "kind": "sign", "entry": (k, l), "actual": s_kl}
+                        )
+                    if s_kl:
+                        term = weights[k] * s_kl
+                        acc = term if acc is None else acc + term
+                lhs = acc if acc is not None else 0 * b_entry
+                rhs = b_entry * weights[l]
+                if lhs != rhs:
+                    failures.append(
+                        {
+                            "block": (bi, bj),
+                            "kind": "column-sum",
+                            "column": l,
+                            "actual": lhs,
+                            "expected": rhs,
+                        }
+                    )
+    return failures
 
 
 def oracle_unfolding(spec, sequences=None, depth=6, random_words=200, random_length=20, seed=0):
@@ -31,7 +71,7 @@ def oracle_unfolding(spec, sequences=None, depth=6, random_words=200, random_len
         states.add((S_rows, B_current.entries))
         if spec.rescaling is not None:
             B_current = rescale(B_current, spec.rescaling)
-        failures = conditions_hold(S_rows, B_current, spec.blocks, spec.weights)
+        failures = oracle_conditions(S_rows, B_current, spec.blocks, spec.weights)
         return not failures, failures[0] if failures else None
 
     def step(S_rows, B_current, k):
@@ -224,6 +264,71 @@ class TestUnfoldingEquivalence:
         assert report.failure_word == (0, 0, 2, 1)
 
 
+def states_within(spec, depth):
+    """Every (S rows, B) pair that composite mutation reaches from spec in <= depth steps.
+
+    Pairs are told apart by ``coeff_rows``, so an int entry and an equal
+    ``AlgReal`` one make two pairs.
+    """
+    start = (spec.S.entries, spec.B)
+    seen = {(spec.S.entries, coeff_rows(spec.B.entries))}
+    found, frontier = [start], [start]
+    for _ in range(depth):
+        new = []
+        for rows, B in frontier:
+            for k in range(B.n):
+                moved = rows
+                for v in spec.blocks[k]:
+                    moved = mutate_entries(moved, v)
+                state = (moved, B.mutate(k))
+                key = (moved, coeff_rows(state[1].entries))
+                if key not in seen:
+                    seen.add(key)
+                    found.append(state)
+                    new.append(state)
+        frontier = new
+    return found
+
+
+@lru_cache(maxsize=None)
+def standard_states(kind, n):
+    return states_within(standard_folding(kind, n), 4)
+
+
+def typed(records):
+    """The records with every value paired with its type."""
+    return [{key: (type(value), value) for key, value in r.items()} for r in records]
+
+
+def assert_conditions_agree(spec, states):
+    """``conditions_hold`` and ``oracle_conditions`` give the same records on every state.
+
+    Returns the records of each state.
+    """
+    out = []
+    for S_rows, B in states:
+        got = conditions_hold(S_rows, B, spec.blocks, spec.weights)
+        assert typed(got) == typed(oracle_conditions(S_rows, B, spec.blocks, spec.weights))
+        out.append(got)
+    return out
+
+
+def integer_weights(spec):
+    """spec with every weight whose value is an integer given as an int."""
+    return replace(spec, weights=tuple(_as_int(w) for w in spec.weights))
+
+
+def integer_entries(spec):
+    """spec with every entry of B whose value is an integer given as an int."""
+    return replace(spec, B=ExchangeMatrix([[_as_int(x) for x in row] for row in spec.B.entries]))
+
+
+def _as_int(x):
+    if isinstance(x, AlgReal) and len(x.coeffs) <= 1:
+        return x.coeffs[0] if x.coeffs else 0
+    return x
+
+
 def shifted_f4e6():
     """F4E6 with one arrow of column 1 moved from vertex 3 to vertex 2.
 
@@ -235,6 +340,93 @@ def shifted_f4e6():
     rows[2][1] += 1
     rows[3][1] -= 1
     return replace(spec, S=ExchangeMatrix(rows))
+
+
+class TestConditionsOracle:
+    @pytest.mark.parametrize("kind,n", FOLDINGS)
+    def test_reachable_states(self, kind, n):
+        spec = standard_folding(kind, n)
+        records = assert_conditions_agree(spec, standard_states(kind, n))
+        assert len(records) >= 2 and not any(records)
+
+    @pytest.mark.parametrize("kind,n", FOLDINGS)
+    def test_broken_weights(self, kind, n):
+        bad = FoldingSpecBrokenWeights(standard_folding(kind, n))
+        records = assert_conditions_agree(bad, standard_states(kind, n))
+        assert all(records)
+
+    @pytest.mark.parametrize("make", [sign_flipped_f4e6, shifted_f4e6])
+    def test_corrupted_f4e6(self, make):
+        spec = make()
+        records = assert_conditions_agree(spec, states_within(spec, 4))
+        kinds = {r["kind"] for rs in records for r in rs}
+        assert kinds == {"sign", "column-sum"}
+
+    @pytest.mark.parametrize("kind,n", FOLDINGS)
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_weights_mixing_ints_and_algreals(self, kind, n, broken):
+        spec = standard_folding(kind, n)
+        if broken:
+            spec = FoldingSpecBrokenWeights(spec)
+        mixed = integer_weights(spec)
+        if kind != "F4E6":
+            assert {type(w) for w in mixed.weights} == {int, AlgReal}
+        states = standard_states(kind, n)
+        records = assert_conditions_agree(mixed, states)
+        # the same values, whatever their types
+        assert records == assert_conditions_agree(spec, states)
+
+    @pytest.mark.parametrize("kind,n", FOLDINGS)
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_integer_entries_in_B(self, kind, n, broken):
+        spec = standard_folding(kind, n)
+        if broken:
+            spec = FoldingSpecBrokenWeights(spec)
+        ints = integer_entries(spec)
+        states = states_within(ints, 4)
+        assert any(type(x) is int for _, B in states for row in B.entries for x in row)
+        records = assert_conditions_agree(ints, states)
+        if spec.m is not None:
+            # the same states with every entry of B an AlgReal
+            states = [
+                (S_rows, ExchangeMatrix(
+                    [[AlgReal(spec.m, (x,)) if type(x) is int else x for x in row]
+                     for row in B.entries]
+                ))
+                for S_rows, B in states
+            ]
+        assert records == assert_conditions_agree(spec, states)
+
+    def test_integer_B_with_algreal_weights(self):
+        spec = standard_folding("F4E6")
+        one, two = AlgReal(5, (1,)), AlgReal(5, (2,))
+        for weights, fails in (((one,) * 6, False), ((one, two) + (1,) * 4, True)):
+            alg = replace(spec, weights=weights)
+            records = assert_conditions_agree(alg, states_within(alg, 4))
+            assert any(records) == fails
+
+    def test_weights_and_B_over_different_fields(self):
+        spec = standard_folding("I2", 3)
+        B = standard_folding("I2m", 5).B
+        with pytest.raises(ValueError, match="fields"):
+            conditions_hold(spec.S.entries, B, spec.blocks, spec.weights)
+        with pytest.raises(ValueError):
+            oracle_conditions(spec.S.entries, B, spec.blocks, spec.weights)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_entry_of_S_changed(self, data):
+        kind, n = data.draw(st.sampled_from(FOLDINGS))
+        spec = standard_folding(kind, n)
+        if data.draw(st.booleans()):
+            spec = integer_weights(spec)
+        S_rows, B = data.draw(st.sampled_from(standard_states(kind, n)))
+        k = data.draw(st.integers(0, len(S_rows) - 1))
+        l = data.draw(st.integers(0, len(S_rows) - 1))
+        rows = [list(row) for row in S_rows]
+        rows[k][l] += data.draw(st.sampled_from((-1, 1)))
+        (records,) = assert_conditions_agree(spec, [(tuple(map(tuple, rows)), B)])
+        assert records
 
 
 def corrupted_lifted(kind, n):
@@ -298,7 +490,7 @@ class TestCubeEquivalence:
 
         def check_vertex(folded, lifted, word, failures, neighbours=True, only=None):
             calls.append(word)
-            if folded == target:
+            if coeff_rows(folded) == coeff_rows(target):
                 failures.append((word, "folded-determinant", len(word)))
 
         monkeypatch.setattr(walker, "check_vertex", check_vertex)

@@ -80,6 +80,20 @@ class TestCheckConditions:
         with pytest.raises(ValueError):
             check_conditions(spec.S, spec.B, ((0,), (1,), (2, 3)), spec.weights)
 
+    def test_B_larger_than_the_blocks_rejected(self):
+        # a fourth row of B that no block covers would go unchecked
+        spec = standard_folding("H3")
+        zero = AlgReal(5)
+        rows = [list(row) + [zero] for row in spec.B.entries] + [[zero] * 3 + [AlgReal(5, (7,))]]
+        with pytest.raises(ValueError, match="one block per folded vertex"):
+            check_conditions(spec.S, ExchangeMatrix(rows), spec.blocks, spec.weights)
+
+    def test_B_smaller_than_the_blocks_rejected(self):
+        spec = standard_folding("H3")
+        B = ExchangeMatrix([row[:2] for row in spec.B.entries[:2]])
+        with pytest.raises(ValueError, match="one block per folded vertex"):
+            check_conditions(spec.S, B, spec.blocks, spec.weights)
+
 
 class TestStandardFoldings:
     def test_h3_shape(self):
