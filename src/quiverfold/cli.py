@@ -3,16 +3,20 @@ tropical walks, tilting enumeration and the combined verification suite.
 
 All output is deterministic for a fixed argument vector: randomized checks
 draw from one seeded generator per subcommand and the seed is echoed into
-the report; JSON is emitted with sorted keys and no timestamps.
+the report; JSON is emitted with sorted keys and no timestamps, by one
+writer (``_json``) whose bytes are those of ``json.dumps(..., sort_keys=True,
+indent=2)``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
-from .chebring import ChebElem, cheb_mul, json_value, minimal_poly, reg_rep, sigma
+from .chebring import AlgReal, ChebElem, cheb_mul, minimal_poly, reg_rep, sigma
 from .clustercat import ClusterCategory
 from .exchange import ExchangeMatrix, coeff_rows
 from .repcat import FoldedCategory
@@ -23,8 +27,77 @@ from .tropical import (
 from .unfolding import check_weighted_unfolding, standard_folding
 
 
+def _ring_json(x):
+    """``json.dumps`` ``default``: a ring value as its ``to_json()``."""
+    if type(x) is AlgReal or type(x) is ChebElem:
+        return x.to_json()
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def _json(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2)
+    """``json.dumps(data, sort_keys=True, indent=2)``, with ring values as ``to_json()``.
+
+    CPython's C encoder does not indent, so ``json.dumps`` writes indented
+    output in pure Python, one node at a time.  This writer produces the
+    same bytes faster: ints, strs, lists and tuples, and dicts with str keys
+    are written here (a list of only ints in one join); every other node
+    (floats, bools, None, a dict with a non-str key) goes to ``json.dumps``,
+    so json's own rules still decide it.  An ``AlgReal`` or ``ChebElem`` is
+    written as its ``to_json()``, once per representation and indent: the
+    memo key is (type, m or n, coeffs, indent), not the value, because
+    ``AlgReal(m, (1,)) == 1`` but is written as a dict.
+    """
+    memo = {}
+
+    def write(x, ind):
+        t = type(x)
+        if t is int:
+            return int.__repr__(x)
+        if t is str:
+            return encode_basestring_ascii(x)
+        if t is list or t is tuple:
+            if not x:
+                return "[]"
+            inner = ind + "  "
+            if all(type(v) is int for v in x):
+                body = map(int.__repr__, x)
+            else:
+                body = [write(v, inner) for v in x]
+            return f"[\n{inner}" + f",\n{inner}".join(body) + f"\n{ind}]"
+        if t is dict and all(type(k) is str for k in x):
+            if not x:
+                return "{}"
+            inner = ind + "  "
+            body = [f"{encode_basestring_ascii(k)}: {write(x[k], inner)}" for k in sorted(x)]
+            return f"{{\n{inner}" + f",\n{inner}".join(body) + f"\n{ind}}}"
+        if t is AlgReal or t is ChebElem:
+            key = (t, x.m if t is AlgReal else x.n, x.coeffs, ind)
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = write(x.to_json(), ind)
+            return text
+        # json never writes a raw newline inside a string, so re-indenting
+        # its lines is exact
+        text = json.dumps(x, sort_keys=True, indent=2, default=_ring_json)
+        return text.replace("\n", "\n" + ind)
+
+    return write(data, "")
+
+
+def _float_texts(precision: int):
+    """A function giving ``f"{float(c):.{precision}g}"``, each distinct value converted once.
+
+    The memo is keyed by value: ``AlgReal(m, (1,)) == 1``, and both are 1.0.
+    """
+    memo = {}
+
+    def text(c):
+        out = memo.get(c)
+        if out is None:
+            out = memo[c] = f"{float(c):.{precision}g}"
+        return out
+
+    return text
 
 
 class UsageError(Exception):
@@ -149,7 +222,7 @@ def cmd_ar(args) -> int:
                 "slice": mod.slice,
                 "projective_at": mod.proj_vertex,
                 "injective_at": mod.inj_vertex,
-                "projection": [json_value(c) for c in cat.dimproj[mod.ident]],
+                "projection": cat.dimproj[mod.ident],
             }
             for mod in cat.ar.modules
         ],
@@ -169,19 +242,17 @@ def cmd_fold(args) -> int:
     spec = _spec_from(args)
     cat = FoldedCategory(spec)
     if args.format == "csv":
+        text = _float_texts(args.precision)
         lines = ["id,dim,projection"]
         for mod in cat.ar.modules:
             dim = "".join(str(c) for c in mod.dim)
-            proj = ";".join(f"{float(c):.{args.precision}g}" for c in cat.dimproj[mod.ident])
+            proj = ";".join(map(text, cat.dimproj[mod.ident]))
             lines.append(f"{mod.ident},{dim},{proj}")
         _emit(args, "\n".join(lines))
         return 0
     data = {
         "generators": list(cat.generators),
-        "projections": {
-            str(mod.ident): [json_value(c) for c in cat.dimproj[mod.ident]]
-            for mod in cat.ar.modules
-        },
+        "projections": {str(mod.ident): cat.dimproj[mod.ident] for mod in cat.ar.modules},
     }
     _emit(args, _json(data))
     return 0
@@ -192,16 +263,15 @@ def cmd_tropical(args) -> int:
     if args.trop_op == "enumerate":
         result = enumerate_seeds(spec.B, cap=args.cap)
         if args.format == "csv":
+            text = _float_texts(args.precision)
             lines = ["seed,word,vector,column,entries"]
             for idx, seed in enumerate(result.seeds):
                 word = "".join(map(str, seed.word))
                 gcols = tuple(zip(*g_matrix(seed).entries))
                 for j, col in enumerate(seed.c_vectors()):
-                    vals = ";".join(f"{float(c):.{args.precision}g}" for c in col)
-                    lines.append(f"{idx},{word},c,{j},{vals}")
+                    lines.append(f"{idx},{word},c,{j}," + ";".join(map(text, col)))
                 for j, col in enumerate(gcols):
-                    vals = ";".join(f"{float(c):.{args.precision}g}" for c in col)
-                    lines.append(f"{idx},{word},g,{j},{vals}")
+                    lines.append(f"{idx},{word},g,{j}," + ";".join(map(text, col)))
             _emit(args, "\n".join(lines))
         else:
             data = {
@@ -254,7 +324,7 @@ def cmd_tilting(args) -> int:
             {
                 "summands": list(t),
                 "labels": [cc.describe(x) for x in t],
-                "G_folded": [list(map(json_value, row)) for row in cc.folded_G_matrix(t)],
+                "G_folded": cc.folded_G_matrix(t),
             }
             for t in tilts
         ],
@@ -375,7 +445,13 @@ def _check_names(text: str) -> frozenset:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Each subcommand's ``func`` default is its handler; the handlers look up
+    the module's names (``open``, ``standard_folding``, ...) when they run.
+    """
     parser = argparse.ArgumentParser(
         prog="quiverfold",
         description="Exact mutation, unfolding and tropical seed patterns "

@@ -243,14 +243,17 @@ def mutate_coeffs(rows, k: int, m=None):
     ``AlgReal``, and decodes to the same value: products are reduced modulo
     the minimal polynomial with chebring's ``_reduce_mod``, and signs come
     from the same per-m enclosure as ``AlgReal.sign``.  A row whose entry in
-    column k is zero is returned as it is.
+    column k is zero is returned as it is.  With ``m`` None every entry must
+    be an int, and ``_mutate_ints`` takes the step.
     """
     ncols = len(rows[0])
     if not 0 <= k < ncols:
         raise IndexError(f"mutation index {k} out of range 0..{ncols - 1}")
-    ctx = None if m is None else _context(m)
-    out = []
     pivot_row = rows[k]
+    if m is None:
+        return _mutate_ints(rows, k, pivot_row)
+    ctx = _context(m)
+    out = []
     pivot_signs = None
     for i, row in enumerate(rows):
         if i == k:
@@ -275,6 +278,31 @@ def mutate_coeffs(rows, k: int, m=None):
                 if len(term) > ctx.deg:
                     term = _poly_trim(_reduce_mod(ctx, term))
                 new_row[j] = _poly_add(_as_coeffs(b_ij), term if s_ik > 0 else _neg(term))
+        out.append(tuple(new_row))
+    return tuple(out)
+
+
+def _mutate_ints(rows, k: int, pivot_row):
+    """``mutate_coeffs`` on int rows: b_ij += b_ik * |b_kj| where sgn b_kj = sgn b_ik.
+
+    The columns j != k with b_kj > 0 and with b_kj < 0 are collected once,
+    each with |b_kj|, so a row needs neither a sign call nor a type check.
+    """
+    pos = [(j, b) for j, b in enumerate(pivot_row) if b > 0 and j != k]
+    neg = [(j, -b) for j, b in enumerate(pivot_row) if b < 0 and j != k]
+    out = []
+    for i, row in enumerate(rows):
+        if i == k:
+            out.append(tuple([-b for b in row]))
+            continue
+        b_ik = row[k]
+        if not b_ik:
+            out.append(row)
+            continue
+        new_row = list(row)
+        new_row[k] = -b_ik
+        for j, b in pos if b_ik > 0 else neg:
+            new_row[j] += b_ik * b
         out.append(tuple(new_row))
     return tuple(out)
 

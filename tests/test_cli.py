@@ -5,9 +5,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import quiverfold
 from quiverfold import cli
+from quiverfold.chebring import AlgReal, ChebElem
 from quiverfold.cli import main
 from quiverfold.clustercat import ClusterCategory
 from quiverfold.exchange import ExchangeMatrix
@@ -315,6 +317,33 @@ class TestByteIdentity:
                 "unfold verify --kind F4E6",
                 "a2d936caf51c2605e3dacf0df9b64c043f1971571ea123125e3c19e300025175",
             ),
+            # recorded at 010e123, before the CLI wrote JSON with its own
+            # writer and formatted each distinct float once per command; the
+            # same digests come from a fresh interpreter
+            (
+                "fold dims --kind H4 --format csv",
+                "53de2ade24f01da0b30445699e7b8f6563c8623964d1b1aba82d810393813994",
+            ),
+            (
+                "fold dims --kind I2 --n 3 --format csv",
+                "5e9335dc767efb109d356dae865b8ff7832edf7877c53b6237278075ca1bddf8",
+            ),
+            (
+                "tropical enumerate --kind H3 --format csv",
+                "25effe13f8eb6c7a43c0a6b1a47098d7aa938cc82f58f6792056a21d53b76917",
+            ),
+            (
+                "tropical enumerate --kind I2 --n 3 --format csv",
+                "99d684c404ce3413398dbb28310911f18424914e8e58213912ed2cf94ecca143",
+            ),
+            (
+                "ar build --kind H3",
+                "dd66c45a6fbdef4c8d934b7aa6cf99f39629f29f145af7975f53669ae35da7d8",
+            ),
+            (
+                "tilting enumerate --kind H3",
+                "44c55cf05c1c45d928dfa030df7e31ed9520df52f0db74e9e3bff220642085e7",
+            ),
         ],
     )
     def test_stdout_unchanged(self, capsys, argv, digest):
@@ -411,6 +440,118 @@ class TestByteIdentity:
             capture_output=True, env=env, check=True,
         )
         assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+def plain(x):
+    """``x`` with each ring value replaced by its ``to_json()``: what ``json.dumps`` takes."""
+    if isinstance(x, (AlgReal, ChebElem)):
+        return x.to_json()
+    if isinstance(x, dict):
+        return {k: plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return type(x)(map(plain, x))
+    return x
+
+
+_ring_values = st.one_of(
+    st.tuples(st.sampled_from((5, 7)), st.lists(st.integers(-3, 3), max_size=4)).map(
+        lambda mc: AlgReal(*mc)
+    ),
+    st.sampled_from((2, 3)).flatmap(
+        lambda n: st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(
+            lambda c: ChebElem(n, tuple(c))
+        )
+    ),
+)
+_leaves = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from((-0.0, 1e16, float("nan"), 0.1)),
+    st.text(),
+    st.sampled_from(('"', "\\", "\n\t\x00", "\u00e9\u2603", "\U0001f600")),
+    _ring_values,
+)
+_documents = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(st.integers(-5, 5), max_size=5),
+        st.dictionaries(st.text(max_size=3), inner, max_size=4),
+        st.dictionaries(st.integers(-3, 3), inner, max_size=3),
+    ),
+    max_leaves=25,
+)
+
+
+class TestJsonWriter:
+    """``cli._json`` against ``json.dumps(..., sort_keys=True, indent=2)`` as the oracle."""
+
+    @given(_documents)
+    @settings(max_examples=400, deadline=None)
+    @example({"a": [AlgReal(5, (1,)), 1], "b": AlgReal(5, (1,)), "c": 1})
+    @example([AlgReal(7, (0, 1)), AlgReal(5, (0, 1)), [AlgReal(5, (0, 1))], ChebElem(2, (0, 1))])
+    @example({"x": [], "y": {}, "z": ((),), 3: "int keys"})
+    @example({1: AlgReal(5, (2, 1)), 2: [ChebElem(3, (1, 0, -1)), -0.0, 1e16]})
+    def test_bytes_equal_json_dumps(self, x):
+        try:
+            want = json.dumps(plain(x), sort_keys=True, indent=2)
+        except TypeError:  # a dict mixing int and str keys cannot be sorted
+            with pytest.raises(TypeError):
+                cli._json(x)
+            return
+        assert cli._json(x) == want
+
+    def test_ring_value_and_equal_int_are_written_apart(self):
+        one = AlgReal(5, (1,))
+        assert one == 1 and hash(one) == hash(1)
+        assert json.loads(cli._json([1, one, 1, one])) == [1, one.to_json(), 1, one.to_json()]
+
+    def test_other_objects_are_refused_as_json_refuses_them(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._json({"a": [object()]})
+
+
+class TestParserReuse:
+    """One process, several commands: each behaves as in a fresh interpreter."""
+
+    COMMANDS = [
+        "tilting enumerate --kind I2 --n 3",
+        "ar build --kind I2",
+        "tropical walk --kind H3 --depth -1",
+        "fold dims --kind H3 --format csv --out {out}",
+        "tropical enumerate --kind I2 --n 3",
+        "tilting enumerate --kind I2 --n 3",
+    ]
+
+    @staticmethod
+    def fresh(argv):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(quiverfold.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "quiverfold.cli", *argv], capture_output=True, env=env, text=True
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_repeated_main_matches_fresh_interpreters(self, capsys, tmp_path):
+        for i, command in enumerate(self.COMMANDS):
+            here, there = tmp_path / f"here{i}", tmp_path / f"there{i}"
+            try:
+                code = main(command.format(out=here).split())
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            want_code, want_out, want_err = self.fresh(command.format(out=there).split())
+            assert (code, captured.out) == (want_code, want_out), command
+            # argparse wraps its usage line to the terminal; the message is the last line
+            assert captured.err.splitlines()[-1:] == want_err.splitlines()[-1:], command
+            if "{out}" in command:
+                assert here.read_text() == there.read_text()
+        assert code == 0
 
 
 class TestUsageErrors:

@@ -345,6 +345,41 @@ class TestCoeffMutation:
         for k in range(n):
             assert mutate_coeffs(rows, k) == mutate_entries(rows, k)
 
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_int_branch_matches_mutate_entries_on_seed_patterns(self, data):
+        # B = S diag(d) with S skew-symmetric is skew-symmetrizable (diag(d) B
+        # is skew-symmetric); below it, C rows (the identity or random ints)
+        # as in an extended exchange matrix; then a random mutation word
+        n = data.draw(st.integers(1, 5))
+        d = [data.draw(st.integers(1, 3)) for _ in range(n)]
+        S = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i):
+                S[i][j] = data.draw(st.integers(-2, 2))
+                S[j][i] = -S[i][j]
+        B = [tuple(S[i][j] * d[j] for j in range(n)) for i in range(n)]
+        if data.draw(st.booleans()):
+            C = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        else:
+            C = [tuple(data.draw(st.integers(-3, 3)) for _ in range(n)) for _ in range(n)]
+        rows = tuple(B + C)
+        for k in data.draw(st.lists(st.integers(0, n - 1), max_size=8)):
+            got = mutate_coeffs(rows, k)
+            want = mutate_entries(rows, k)
+            assert got == want
+            assert [type(x) for r in got for x in r] == [int] * len(rows) * n
+            for row, new in zip(rows, got):
+                if row[k] == 0 and row is not rows[k]:
+                    assert new is row
+            rows = got
+
+    def test_int_index_out_of_range(self):
+        rows = S_E6.entries
+        for k in (-1, 6):
+            with pytest.raises(IndexError, match=f"mutation index {k} out of range 0..5"):
+                mutate_coeffs(rows, k)
+
     def test_round_trip_keeps_entry_types(self):
         one, zero = AlgReal(5, (1,)), AlgReal(5)
         rows = ((one, 1, zero, 0), (AlgReal.generator(5), -1, -one, 2))
