@@ -607,20 +607,23 @@ def cheb_mul(a: ChebElem, b: ChebElem) -> ChebElem:
     """Product in the Chebyshev ring, rewritten into the canonical basis."""
     if a.n != b.n:
         raise ValueError(f"rank mismatch: {a.n} vs {b.n}")
-    n = a.n
+    return ChebElem(a.n, _cheb_mul_coeffs(a.n, a.coeffs, b.coeffs))
+
+
+def _cheb_mul_coeffs(n: int, a, b) -> tuple[int, ...]:
+    """``cheb_mul`` on the coefficient tuples of two rank-n elements."""
     out = [0] * n
-    for k, ak in enumerate(a.coeffs):
+    for k, ak in enumerate(a):
         if not ak:
             continue
-        for l, bl in enumerate(b.coeffs):
+        for l, bl in enumerate(b):
             if not bl:
                 continue
-            prod = _basis_product(n, k, l)
             c = ak * bl
-            for i, p in enumerate(prod):
+            for i, p in enumerate(_basis_product(n, k, l)):
                 if p:
                     out[i] += c * p
-    return ChebElem(n, tuple(out))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

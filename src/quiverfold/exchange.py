@@ -11,7 +11,6 @@ tuples, and ``RingValues`` decodes them where a value is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
 
 from .chebring import (
     AlgReal, _coeff_sign, _context, _poly_add, _poly_mul, _poly_trim, _reduce_mod, alg_inverse,
@@ -97,20 +96,6 @@ class ExchangeMatrix:
 
     def mutate(self, k: int) -> "ExchangeMatrix":
         return ExchangeMatrix(mutate_entries(self.entries, k))
-
-    def composite_mutate(self, block) -> "ExchangeMatrix":
-        """Mutate at every vertex of ``block`` (requires the block to commute)."""
-        block = sorted(block)
-        for i in block:
-            for j in block:
-                if i != j and not _is_zero(self.entries[i][j]):
-                    raise ValueError(
-                        f"composite mutation refused: entries within {block} are nonzero"
-                    )
-        rows = self.entries
-        for k in block:
-            rows = mutate_entries(rows, k)
-        return ExchangeMatrix(rows)
 
     # -- serialization --------------------------------------------------
     def to_json(self):
@@ -438,18 +423,6 @@ def explore_words(
     except _FirstFailure:
         pass
     return Exploration(explorer.words, len(explorer.seen), explorer.failures)
-
-
-def composite_orders_agree(matrix: ExchangeMatrix, block) -> bool:
-    """Exhaustively check order-independence of a composite mutation."""
-    block = list(block)
-    results = set()
-    for order in permutations(block):
-        rows = matrix.entries
-        for k in order:
-            rows = mutate_entries(rows, k)
-        results.add(rows)
-    return len(results) == 1
 
 
 # ---------------------------------------------------------------------------

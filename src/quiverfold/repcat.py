@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chebring import AlgReal, ChebElem, cheb_mul
+from .chebring import AlgReal, ChebElem, _context, _poly_mul, _poly_trim, _reduce_mod, cheb_mul
 from .rootsys import root_system
 from .unfolding import FoldingSpec
 
@@ -284,19 +284,26 @@ class FoldedCategory:
         self._build_projections()
 
     def _build_projections(self):
-        spec, ar = self.spec, self.ar
+        """Factor each projected dimension vector as theta_j times a positive root.
+
+        The lookup is keyed on reduced coefficient tuples: each entry of
+        theta_j alpha is the product of two reduced tuples, reduced once, and
+        a module's key is its ``dimproj`` vector's coefficients.
+        """
+        spec, ar, m = self.spec, self.ar, self.m
+        ctx = _context(m)
         self.dimproj = tuple(spec.d_F(mod.dim) for mod in ar.modules)
+        scales = [AlgReal.chebyshev(m, j).coeffs for j in range(self.n)]
         lookup = {}
         for alpha in self.roots.positives:
-            for j in range(self.n):
-                scale = AlgReal.chebyshev(self.m, j)
-                vec = tuple(scale * c for c in alpha)
-                if vec in lookup:
+            for j, scale in enumerate(scales):
+                key = tuple(_poly_trim(_reduce_mod(ctx, _poly_mul(scale, c.coeffs))) for c in alpha)
+                if key in lookup:
                     raise AssertionError("Chebyshev multiples of distinct roots collide")
-                lookup[vec] = (j, alpha)
+                lookup[key] = (j, alpha)
         factor = []
         for ident, vec in enumerate(self.dimproj):
-            hit = lookup.get(vec)
+            hit = lookup.get(tuple(x.coeffs for x in vec))
             if hit is None:
                 raise AssertionError(
                     f"projected vector of module {ident} is not a Chebyshev multiple of a root"

@@ -21,9 +21,30 @@ by a certificate: the lifted G is the exact integer inverse of C_lifted^T
 d_F(G_lifted) is the inverse of C_folded^T, so both hold.  On a correct
 folding the certificate holds by the C/G duality (Nakanishi-Zelevinsky
 2012, Thm 1.2).  Only when it fails is C_folded^T inverted by adjugate,
-and the two comparisons then name what failed.  The blocks check
-multiplies each pair of distinct blocks once, and goes through every index
-pair only when one of those fails.
+and the two comparisons then name what failed.
+
+The cube check's mutation square at letter k compares d_F of the lifted
+C-part of the k-neighbour with its folded C-part.  The k-neighbour is the
+pair (folded mutated at k, lifted mutated at block k), so the square is
+the comparison that the neighbour's own ``dF(C)-mismatch`` check makes, on
+the same two matrices.  The states of ``verify_cube`` are interned, so it
+decides the verdict d_F(C_lifted) = C_folded once per state and call; the
+state's own check and every square that lands on that state read it.
+
+The blocks check needs no block products on a state whose blocks are all
+regular representations.  ``rho`` is linear, rho(r) = sum_a r_a
+rho(theta_a), and matrix multiplication is bilinear, so rho(r) rho(s) -
+rho(s) rho(r) = sum_{a,b} r_a s_b (rho(theta_a) rho(theta_b) -
+rho(theta_b) rho(theta_a)).  When the basis images commute pairwise, a
+fact each walker checks once on n(n-1)/2 pairs, every rho(r) commutes
+with every rho(s).  A state whose every block was seen, inside
+``check_vertex``, to equal rho(r) for its element r therefore has
+commuting blocks.  Otherwise each pair of distinct blocks is multiplied
+once, and every index pair only when one of those fails.
+
+The dets check takes det_x over the Chebyshev ring on the elements'
+coefficient tuples (``det_cheb``), and makes a ``ChebElem`` of the result
+only for ``sigma`` and the unit test.
 """
 
 from __future__ import annotations
@@ -34,8 +55,8 @@ from functools import partial
 from itertools import combinations
 
 from .chebring import (
-    AlgReal, ChebElem, _coeff_sign, _context, _poly_add, _poly_mul, _poly_sub, _poly_trim,
-    _reduce_mod, json_value, rho, sigma,
+    AlgReal, ChebElem, _cheb_mul_coeffs, _coeff_sign, _context, _poly_add, _poly_mul,
+    _poly_sub, _poly_trim, _reduce_mod, json_value, rho, sigma,
 )
 from .exchange import (
     ExchangeMatrix, RingValues, coeff_rows, explore_words, mutate_coeffs, mutate_entries,
@@ -135,10 +156,9 @@ def mat_mul(a, b, m: int):
 def det_laplace(rows, m: int | None = None):
     """Determinant by Laplace expansion along the first row.
 
-    Entries are ints, ``AlgReal`` or ``ChebElem`` values; with ``m`` given
-    they are reduced coefficient tuples over Z[2cos(pi/m)] instead, the
-    expansion multiplies unreduced polynomials, and the result is reduced
-    once.
+    Entries are ints or ``AlgReal`` values; with ``m`` given they are
+    reduced coefficient tuples over Z[2cos(pi/m)] instead, the expansion
+    multiplies unreduced polynomials, and the result is reduced once.
     """
     if m is not None:
         return _poly_trim(_reduce_mod(_context(m), _det_poly(rows)))
@@ -151,8 +171,6 @@ def det_laplace(rows, m: int | None = None):
         if isinstance(entry, int) and entry == 0:
             continue
         if isinstance(entry, AlgReal) and entry.is_zero():
-            continue
-        if isinstance(entry, ChebElem) and entry.is_zero():
             continue
         minor = tuple(
             tuple(rows[i][jj] for jj in range(n) if jj != j) for i in range(1, n)
@@ -178,6 +196,25 @@ def _det_poly(rows):
             term = _poly_mul(entry, _det_poly(tuple(row[:j] + row[j + 1:] for row in rows[1:])))
             acc = _poly_sub(acc, term) if j % 2 else _poly_add(acc, term)
     return acc
+
+
+def det_cheb(rows, n: int) -> tuple[int, ...]:
+    """Determinant over the rank-n Chebyshev ring, every entry a ``ChebElem.coeffs`` tuple.
+
+    Laplace expansion along the first row; each product is ``cheb_mul`` on
+    the coefficient tuples, through the ``_basis_product`` table.
+    """
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = [0] * n
+    for j, entry in enumerate(rows[0]):
+        if any(entry):
+            minor = tuple(row[:j] + row[j + 1:] for row in rows[1:])
+            term = _cheb_mul_coeffs(n, entry, det_cheb(minor, n))
+            sign = -1 if j % 2 else 1
+            for i, t in enumerate(term):
+                acc[i] += sign * t
+    return tuple(acc)
 
 
 def invert_ring_unimodular(rows):
@@ -291,6 +328,10 @@ class TropicalWalker:
         self.identity = tuple(
             tuple((1,) if i == j else () for j in range(self.mprime)) for i in range(self.mprime)
         )
+        # the commutation certificate: rho's basis images commute pairwise
+        basis = [rho(ChebElem.theta(self.n, a)) for a in range(self.n)]
+        self.basis_commutes = all(_commute(x, y) for x, y in combinations(basis, 2))
+        self._rho_seen = {}  # block -> coefficients of the r with rho(r) == block
 
     # stacked matrices: folded (2m' x m') over AlgReal, lifted (2N x N) over Z
     def initial_pair(self):
@@ -322,6 +363,19 @@ class TropicalWalker:
         r = ChebElem(self.n, tuple(block[a][0] for a in range(self.n)))
         return r if rho(r) == tuple(tuple(row) for row in block) else None
 
+    def _is_rho_of(self, block, r: ChebElem) -> bool:
+        """Whether ``block`` == rho(r); a pair seen to hold is kept for the walker's life."""
+        if self._rho_seen.get(block) == r.coeffs:
+            return True
+        if rho(r) == block:
+            self._rho_seen[block] = r.coeffs
+            return True
+        return False
+
+    def _dF_C_holds(self, folded, lifted) -> bool:
+        """Whether d_F(C_lifted) = C_folded: the ``dF(C)-mismatch`` comparison."""
+        return matrix_d_F(self.spec, lifted[self.nverts:]) == coeff_rows(folded[self.mprime:])
+
     def check_vertex(self, folded, lifted, word, failures, neighbours=True, only=None):
         """Append to ``failures`` a record ``(word, name, ...)`` per failed check.
 
@@ -336,15 +390,27 @@ class TropicalWalker:
         unless its determinant is +-1) and both comparisons are made as
         before.  A certified C_f whose determinant is a unit other than +-1
         passes here; the ``dets`` check is the one that reports it.
+        The square ``dF-mutation-square`` at k is the k-neighbour's own
+        ``dF(C)-mismatch`` comparison: both compare d_F of the neighbour's
+        lifted C-part with its folded C-part.
+
         ``block_element`` and ``sign_coherent`` run once per distinct
-        block, and ``blocks-do-not-commute`` is decided on pairs of distinct
-        blocks; the records still name every index pair that fails, in
-        index order.
+        block.  Blocks commute without a product when the walker's
+        ``basis_commutes`` certificate holds and every distinct block equals
+        rho of its element: rho is linear and the product bilinear, so
+        rho(r) rho(s) - rho(s) rho(r) is an integer combination of the
+        basis commutators rho(theta_a) rho(theta_b) - rho(theta_b)
+        rho(theta_a), which all vanish.  Otherwise ``blocks-do-not-commute``
+        is decided on pairs of distinct blocks; the records still name every
+        index pair that fails, in index order.
 
         ``only`` narrows the walker's checks.  ``neighbours`` turns the cube
         check's mutation squares on or off; it may also be a function
         ``k -> (folded, lifted)`` that supplies the neighbour pairs, such as
-        the memoized transitions of ``verify_cube``.
+        the memoized transitions of ``verify_cube``.  A ``neighbours`` with
+        a ``dF_C`` method (``_Neighbours``) also supplies the verdicts
+        d_F(C_lifted) = C_folded: ``dF_C()`` of this state, ``dF_C(k)`` of
+        its k-neighbour.
         """
         spec, m = self.spec, self.m
         checks = self.checks if only is None else (self.checks & only)
@@ -363,7 +429,8 @@ class TropicalWalker:
                     failures.append((word, "c-vector-not-sign-coherent", j))
 
         if "cube" in checks:
-            if matrix_d_F(spec, C_l) != C_f:
+            verdict = getattr(neighbours, "dF_C", None)
+            if not (verdict() if verdict else matrix_d_F(spec, C_l) == C_f):
                 failures.append((word, "dF(C)-mismatch"))
             G_l = invert_integer(transpose(C_l))
             X = matrix_d_F(spec, G_l)
@@ -380,8 +447,7 @@ class TropicalWalker:
                 if not callable(neighbours):
                     neighbours = partial(self._coeff_step, coeff_rows(folded), lifted)
                 for k in range(mprime):
-                    nf, nl = neighbours(k)
-                    if matrix_d_F(spec, nl[nverts:]) != coeff_rows(nf[mprime:]):
+                    if not (verdict(k) if verdict else self._dF_C_holds(*neighbours(k))):
                         failures.append((word, "dF-mutation-square", k))
 
         if "blocks" in checks or "dets" in checks:
@@ -402,11 +468,12 @@ class TropicalWalker:
                         return
                     if not coherent:
                         failures.append((word, "block-coefficients-mixed-sign", bi, bj))
-                    row.append(r)
+                    row.append(r.coeffs)
                     blocks.append(blk)
                 elements.append(tuple(row))
-            distinct = combinations(dict.fromkeys(blocks), 2)
-            if "blocks" in checks and not all(_commute(x, y) for x, y in distinct):
+            if "blocks" in checks and not (
+                self.basis_commutes and all(self._is_rho_of(blk, r) for blk, (r, _) in made.items())
+            ) and not all(_commute(x, y) for x, y in combinations(made, 2)):
                 for a in range(len(blocks)):
                     for b in range(a + 1, len(blocks)):
                         if not _commute(blocks[a], blocks[b]):
@@ -416,7 +483,7 @@ class TropicalWalker:
                 det_f = det_laplace(C_f, m)
                 if det_f != ((1,) if len(word) % 2 == 0 else (-1,)):
                     failures.append((word, "folded-determinant", len(word)))
-                det_x = det_laplace(elements)
+                det_x = ChebElem(self.n, det_cheb(elements, self.n))
                 if sigma(det_x).coeffs != det_f:
                     failures.append((word, "determinant-sigma-mismatch"))
                 unit = ChebElem.one(self.n)
@@ -449,8 +516,12 @@ class TropicalWalker:
         (``coeff_rows``), and the lifted ones as ints.  Each check hands
         ``check_vertex`` the state and the neighbour pairs as the explorer
         holds them, and ``check_vertex`` computes on the tuples directly.
+        The verdict d_F(C_lifted) = C_folded is decided once per interned
+        state (``_Neighbours``), for the state's own check and for every
+        mutation square that lands on it.
         """
         folded, lifted = self.initial_pair()
+        verdicts = {}
 
         def step(state, k):
             return self._coeff_step(*state, k)
@@ -458,7 +529,8 @@ class TropicalWalker:
         def checker(only):
             def check(state, word, neighbour):
                 found = []
-                self.check_vertex(*state, word, found, neighbours=neighbour, only=only)
+                squares = _Neighbours(self, state, neighbour, verdicts)
+                self.check_vertex(*state, word, found, neighbours=squares, only=only)
                 return tuple(f[1:] for f in found)
 
             return check
@@ -475,6 +547,32 @@ class TropicalWalker:
         )
         failures = [_failure(word, detail) for word, detail in result.failures]
         return WalkReport(not failures, result.words, failures, seed, result.states)
+
+
+class _Neighbours:
+    """The ``neighbours`` that ``verify_cube`` hands ``check_vertex`` for one state.
+
+    Called with k, it is the explorer's memoized transition ``move(k)``.
+    ``dF_C(k)`` is the verdict d_F(C_lifted) = C_folded of that neighbour,
+    ``dF_C()`` the state's own.  ``verdicts`` holds them for the whole
+    call, keyed by the id of the interned state: the explorer keeps every
+    interned state alive until the call returns, so an id names one state.
+    """
+
+    __slots__ = ("walker", "state", "move", "verdicts")
+
+    def __init__(self, walker, state, move, verdicts):
+        self.walker, self.state, self.move, self.verdicts = walker, state, move, verdicts
+
+    def __call__(self, k):
+        return self.move(k)
+
+    def dF_C(self, k=None) -> bool:
+        state = self.state if k is None else self.move(k)
+        holds = self.verdicts.get(id(state))
+        if holds is None:
+            holds = self.verdicts[id(state)] = self.walker._dF_C_holds(*state)
+        return holds
 
 
 def _failure(word, detail):

@@ -3,7 +3,7 @@ import pytest
 from quiverfold.chebring import AlgReal, ChebElem, cheb_mul, sigma
 from quiverfold.repcat import ARQuiver, FoldedCategory, hom_ext_tables, quiver_arrows_from_matrix
 from quiverfold.rootsys import simply_laced_positive_roots
-from quiverfold.unfolding import standard_folding
+from quiverfold.unfolding import FoldingSpec, standard_folding
 
 
 def linear_quiver(n):
@@ -170,6 +170,32 @@ class TestProjections:
     def test_h3_has_golden_root_module(self, h3cat):
         phi, one = AlgReal.generator(5), AlgReal(5, (1,))
         assert (phi, phi, one) in {h3cat.dimproj[g] for g in h3cat.generators}
+
+    @pytest.mark.parametrize("kind,n", [("H3", None), ("H4", None), ("I2", 3)])
+    def test_planted_non_root_projection_raises(self, monkeypatch, kind, n):
+        # 7 e_1 is no theta_j alpha: alpha would be a multiple of e_1, so e_1,
+        # and every theta_j evaluates below 7
+        spec = standard_folding(kind, n)
+        real = FoldingSpec.d_F
+        planted = []
+
+        def d_F(self, vector):
+            out = real(self, vector)
+            if not planted:
+                planted.append(vector)
+                out = (AlgReal(self.m, (7,)),) + tuple(AlgReal(self.m) for _ in out[1:])
+            return out
+
+        monkeypatch.setattr(FoldingSpec, "d_F", d_F)
+        with pytest.raises(AssertionError, match="module 0 is not a Chebyshev multiple of a root"):
+            FoldedCategory(spec)
+        assert planted
+
+    def test_colliding_multiples_raise(self, monkeypatch):
+        spec = standard_folding("H3")
+        monkeypatch.setattr(AlgReal, "chebyshev", staticmethod(lambda m, k: AlgReal(m, (1,))))
+        with pytest.raises(AssertionError, match="Chebyshev multiples of distinct roots collide"):
+            FoldedCategory(spec)
 
     @pytest.mark.parametrize("fixture", ["i5cat", "i7cat", "h3cat"])
     def test_folding_theorem(self, fixture, request):

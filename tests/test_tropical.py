@@ -5,14 +5,15 @@ from itertools import combinations, permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quiverfold import tropical
-from quiverfold.chebring import AlgReal, ChebElem, minimal_poly, sigma
+from quiverfold import chebring, tropical
+from quiverfold.chebring import AlgReal, ChebElem, minimal_poly, reg_rep, sigma
 from quiverfold.exchange import ExchangeMatrix, coeff_rows
 from quiverfold.rootsys import root_system
 from quiverfold.tropical import (
     EnumerationResult,
     Seed,
     TropicalWalker,
+    det_cheb,
     det_laplace,
     enumerate_seeds,
     g_matrix,
@@ -21,7 +22,7 @@ from quiverfold.tropical import (
     mat_mul,
     transpose,
 )
-from quiverfold.unfolding import standard_folding
+from quiverfold.unfolding import FoldingSpec, standard_folding
 
 A2 = ExchangeMatrix(((0, 1), (-1, 0)))
 
@@ -449,11 +450,122 @@ class TestCubeBlocksOracle:
         assert any(f[1] == "blocks-do-not-commute" for f in got)
 
 
+class TestCommutationCertificate:
+    @pytest.mark.parametrize("kind,n", [("I2", 2), ("I2", 3), ("I2", 4), ("H3", None), ("H4", None)])
+    def test_holds_for_the_standard_foldings(self, kind, n):
+        assert TropicalWalker(standard_folding(kind, n)).basis_commutes
+
+    def test_non_commuting_basis_images(self, monkeypatch):
+        # theta_1's image with one more 1: it keeps column 0 = e_1, so
+        # block_element still reads theta_1 off it, but it no longer commutes
+        # with theta_2's image
+        planted = ((0, 1, 0), (1, 1, 1), (0, 1, 1))
+        real = reg_rep
+        monkeypatch.setattr(chebring, "reg_rep", lambda k, n: planted if (k, n) == (1, 3) else real(k, n))
+        walker = TropicalWalker(standard_folding("I2", 3))
+        assert not walker.basis_commutes
+        folded, lifted = walker.initial_pair()
+        top = walker.nverts
+        for block, image in zip(walker.spec.blocks, (planted, real(2, 3))):
+            for a, v in enumerate(block):
+                for b, w in enumerate(block):
+                    lifted = with_entry(lifted, top + v, w, image[a][b])
+        products = []
+        real_mul = tropical._mat_mul_int
+        monkeypatch.setattr(tropical, "_mat_mul_int", lambda a, b: products.append(1) or real_mul(a, b))
+        got = cube_blocks(walker, folded, lifted, ("w",))
+        assert products
+        assert got == oracle_cube_blocks(walker, folded, lifted, ("w",))
+        assert (("w",), "blocks-do-not-commute", 0, 3) in got
+
+    def test_lying_block_element_still_multiplies(self, monkeypatch):
+        # the walker has seen every block of the initial pair equal rho of its
+        # element; once block_element names other elements, it multiplies
+        walker = TropicalWalker(standard_folding("I2", 3))
+        folded, lifted = walker.initial_pair()
+        products = []
+        real_mul = tropical._mat_mul_int
+        monkeypatch.setattr(tropical, "_mat_mul_int", lambda a, b: products.append(1) or real_mul(a, b))
+        assert cube_blocks(walker, folded, lifted, ()) == [] and products == []
+        monkeypatch.setattr(TropicalWalker, "block_element", lambda self, block: ChebElem.one(self.n))
+        assert cube_blocks(walker, folded, lifted, ()) == []
+        assert products
+
+
+class TestMemoizedSquares:
+    @staticmethod
+    def planted_walk(monkeypatch, kind, n, target, **kwargs):
+        """verify_cube with the first two folded C rows of the state at ``target`` swapped."""
+        walker = TropicalWalker(standard_folding(kind, n))
+        state = walker.initial_pair()
+        for k in target:
+            state = walker.step(*state, k)
+        bad = coeff_rows(state[0])
+        real = TropicalWalker._coeff_step
+
+        def step(self, folded, lifted, k):
+            nf, nl = real(self, folded, lifted, k)
+            if nf == bad:
+                top = self.mprime
+                nf = nf[:top] + (nf[top + 1], nf[top]) + nf[top + 2:]
+            return nf, nl
+
+        monkeypatch.setattr(TropicalWalker, "_coeff_step", step)
+        return walker.verify_cube(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kind,n,target,kwargs",
+        [
+            ("H3", None, (0, 1), {"depth": 3}),
+            ("H4", None, (2,), {"depth": 2}),
+            ("I2", 3, (1, 0, 1), {"depth": 2, "random_words": 4, "random_length": 6}),
+            ("I2", 3, (0, 1, 0), {"depth": 0, "random_words": 3, "random_length": 5, "seed": 2}),
+        ],
+    )
+    def test_same_failures_as_direct_squares(self, monkeypatch, kind, n, target, kwargs):
+        memo = self.planted_walk(monkeypatch, kind, n, target, **kwargs)
+        # without dF_C, check_vertex steps to each neighbour and compares it there
+        monkeypatch.setattr(tropical, "_Neighbours", lambda walker, state, move, verdicts: move)
+        direct = self.planted_walk(monkeypatch, kind, n, target, **kwargs)
+        assert not memo.passed
+        assert memo.failures == direct.failures
+        assert (memo.vertices_checked, memo.states) == (direct.vertices_checked, direct.states)
+
+    def test_d_F_calls_on_a_passing_h4_walk(self, monkeypatch):
+        """At most m' d_F columns per state whose C verdict is read, and per checked state's G."""
+        walker = TropicalWalker(standard_folding("H4"))
+        calls = []
+        real = FoldingSpec.coeff_d_F
+        monkeypatch.setattr(FoldingSpec, "coeff_d_F", lambda self, v: calls.append(1) or real(self, v))
+        report = walker.verify_cube(depth=3)
+        assert report.passed
+        read = len(reachable_states(walker, 4))  # the checked states and their neighbours
+        assert len(calls) <= walker.mprime * (read + report.states)
+
+
+@st.composite
+def cheb_squares(draw):
+    n = draw(st.sampled_from((2, 3, 4)))
+    size = draw(st.integers(1, 4))
+    entry = st.tuples(*[st.integers(-3, 3)] * n)
+    row = st.lists(entry, min_size=size, max_size=size).map(tuple)
+    return n, draw(st.lists(row, min_size=size, max_size=size).map(tuple))
+
+
+@given(cheb_squares())
+@settings(max_examples=150, deadline=None)
+def test_det_cheb_matches_leibniz(inputs):
+    n, rows = inputs
+    elements = tuple(tuple(ChebElem(n, c) for c in row) for row in rows)
+    assert det_cheb(rows, n) == leibniz(elements).coeffs
+
+
 def test_cube_work_counts(monkeypatch):
     """A passing walk inverts no folded matrix, and works only on distinct blocks.
 
-    Per state: at most d*(d-1) block products and at most d ``block_element``
-    calls, where d is the number of distinct blocks.
+    Per state: at most d ``block_element`` calls, where d is the number of
+    distinct blocks, and no block products, since the commutation
+    certificate holds.
     """
     walker = TropicalWalker(standard_folding("H4"))
     inversions = []
@@ -481,7 +593,7 @@ def test_cube_work_counts(monkeypatch):
     report = walker.verify_cube(depth=2)
     assert report.passed and report.states == len(per_state) > 1
     assert inversions == []
-    assert products
+    assert products == []
     assert all(made for _, made, _ in per_state)
     for calls, made, d in per_state:
         assert calls <= d * (d - 1)
