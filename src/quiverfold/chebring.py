@@ -143,7 +143,14 @@ _GUARD_BITS = 16
 
 
 class _RootContext:
-    """Per-m data: minimal polynomial, reduction rows, isolating interval."""
+    """Per-m data: minimal polynomial, isolating interval, and two memos.
+
+    ``signs`` maps each reduced coefficient tuple whose sign was decided to
+    that sign, and ``_mul_rows`` each tuple to the rows of its
+    multiplication matrix (``mul_matrix``).  Both are exact, so they
+    outlive every ``refine`` and live as long as the context: for the
+    whole process.
+    """
 
     def __init__(self, m: int):
         if m < 3:
@@ -155,6 +162,8 @@ class _RootContext:
         self.deg = len(self.minpoly) - 1
         self.lo, self.hi = self._initial_interval()
         self._powers = None
+        self.signs = {}
+        self._mul_rows = {}
 
     def _initial_interval(self) -> tuple[Fraction, Fraction]:
         c = 2.0 * math.cos(math.pi / self.m)
@@ -212,17 +221,51 @@ class _RootContext:
             table = self._powers = (bits, tuple(low), tuple(high))
         return table
 
+    def mul_matrix(self, coeffs) -> tuple[tuple[int, ...], ...]:
+        """Matrix of multiplication by a = ``coeffs`` on the basis 1, x, ..., x^(deg-1).
+
+        Row s, column t holds coefficient s of x^t * a mod the minimal
+        polynomial, so coefficient s of a * b is the integer dot product of
+        row s with b's coefficients, reduced as it stands.  Column t+1 is
+        column t shifted up one degree, with its top coefficient folded
+        back by the monic minimal polynomial.  Memoized per tuple in
+        ``_mul_rows``.
+        """
+        rows = self._mul_rows.get(coeffs)
+        if rows is None:
+            col = list(coeffs) + [0] * (self.deg - len(coeffs))
+            cols = [col]
+            for _ in range(self.deg - 1):
+                top = col[-1]
+                col = [0] + col[:-1]
+                if top:
+                    col = [c - top * p for c, p in zip(col, self.minpoly)]
+                cols.append(col)
+            rows = self._mul_rows[coeffs] = tuple(zip(*cols))
+        return rows
+
 
 def _coeff_sign(ctx: _RootContext, coeffs) -> int:
-    """Exact sign at 2cos(pi/ctx.m) of a reduced coefficient tuple.
+    """Exact sign at 2cos(pi/ctx.m) of a reduced coefficient tuple, memoized.
 
-    Sums c_i * L_i and c_i * H_i from the context's power table, each
-    coefficient paired with the bound that makes the sum a lower or an
-    upper bound of the value times 2^b.  A lower sum above 0 or an upper
-    sum below 0 decides the sign; otherwise the shared isolating interval
-    is bisected and the sums retried.  ``AlgReal.sign`` and the
-    coefficient-tuple mutation ``exchange.mutate_coeffs`` both use it.
+    The context's ``signs`` memo answers a tuple met before, with no
+    arithmetic and no ``refine``.  A first evaluation sums c_i * L_i and
+    c_i * H_i from the context's power table, each coefficient paired with
+    the bound that makes the sum a lower or an upper bound of the value
+    times 2^b.  A lower sum above 0 or an upper sum below 0 decides the
+    sign; otherwise the shared isolating interval is bisected and the sums
+    retried, so a value's first evaluation refines exactly as it would
+    without the memo.  ``AlgReal.sign``, ``exchange.mutate_coeffs``, the
+    unfolding conditions and the tropical roots check all share the memo.
     """
+    sign = ctx.signs.get(coeffs)
+    if sign is None:
+        sign = ctx.signs[coeffs] = _enclosure_sign(ctx, coeffs)
+    return sign
+
+
+def _enclosure_sign(ctx: _RootContext, coeffs) -> int:
+    """The power-table decision of ``_coeff_sign``, without the memo."""
     if not coeffs:
         return 0
     while True:

@@ -11,11 +11,9 @@ tuples, and ``RingValues`` decodes them where a value is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul as _mul
 
-from .chebring import (
-    AlgReal, _coeff_sign, _context, _poly_add, _poly_mul, _poly_trim, _reduce_mod, alg_inverse,
-    json_value,
-)
+from .chebring import AlgReal, _coeff_sign, _context, alg_inverse, json_value
 
 
 def sgn(x) -> int:
@@ -212,7 +210,7 @@ def _sign(ctx, x) -> int:
 
 
 def _neg(x):
-    return -x if type(x) is int else tuple(-c for c in x)
+    return -x if type(x) is int else tuple([-c for c in x])
 
 
 def _as_coeffs(x):
@@ -225,11 +223,18 @@ def mutate_coeffs(rows, k: int, m=None):
     A tuple entry is the reduced coefficient tuple of an ``AlgReal`` over
     Z[2cos(pi/m)] (``AlgReal.coeffs``, as ``coeff_rows`` makes it).  Each
     result entry is a tuple exactly when ``mutate_entries`` would make it an
-    ``AlgReal``, and decodes to the same value: products are reduced modulo
-    the minimal polynomial with chebring's ``_reduce_mod``, and signs come
-    from the same per-m enclosure as ``AlgReal.sign``.  A row whose entry in
-    column k is zero is returned as it is.  With ``m`` None every entry must
-    be an int, and ``_mutate_ints`` takes the step.
+    ``AlgReal``, and decodes to the same value.  A row whose entry in column
+    k is zero is returned as it is.  With ``m`` None every entry must be an
+    int, and ``_mutate_ints`` takes the step.
+
+    Over Z[2cos(pi/m)] the step works as ``_mutate_ints`` does, on b_ij +=
+    b_ik * |b_kj| where sgn b_kj = sgn b_ik.  At the first row that needs
+    them, the pivot row's columns j != k are sorted once into positive and
+    negative ones (``_pivot_columns``), each with the multiplication matrix
+    of |b_kj| (``_RootContext.mul_matrix``).  A row then takes one sign,
+    and each update is integer dot products of those matrix rows with
+    b_ik's coefficients, reduced as they stand.  Signs and matrices come
+    from the per-m memos of chebring's ``_RootContext``.
     """
     ncols = len(rows[0])
     if not 0 <= k < ncols:
@@ -238,8 +243,8 @@ def mutate_coeffs(rows, k: int, m=None):
     if m is None:
         return _mutate_ints(rows, k, pivot_row)
     ctx = _context(m)
+    columns = None
     out = []
-    pivot_signs = None
     for i, row in enumerate(rows):
         if i == k:
             out.append(tuple(map(_neg, row)))
@@ -249,22 +254,45 @@ def mutate_coeffs(rows, k: int, m=None):
             out.append(row)
             continue
         s_ik = _sign(ctx, b_ik)
+        if columns is None:
+            columns = _pivot_columns(ctx, pivot_row, k)
         new_row = list(row)
         new_row[k] = _neg(b_ik)
-        if pivot_signs is None:
-            pivot_signs = [_sign(ctx, b) for b in pivot_row]
-        for j, s_kj in enumerate(pivot_signs):
-            if j != k and s_kj == s_ik:
-                b_ij, b_kj = row[j], pivot_row[j]
-                if type(b_ik) is int and type(b_kj) is int and type(b_ij) is int:
-                    new_row[j] = b_ij + s_ik * (b_ik * b_kj)
-                    continue
-                term = _poly_mul(_as_coeffs(b_ik), _as_coeffs(b_kj))
-                if len(term) > ctx.deg:
-                    term = _poly_trim(_reduce_mod(ctx, term))
-                new_row[j] = _poly_add(_as_coeffs(b_ij), term if s_ik > 0 else _neg(term))
+        a_int = type(b_ik) is int
+        a = (b_ik,) if a_int else b_ik
+        for j, b, mul in columns[s_ik < 0]:
+            b_ij = row[j]
+            if a_int and b is not None and type(b_ij) is int:
+                new_row[j] = b_ij + b_ik * b
+                continue
+            acc = [sum(map(_mul, r, a)) for r in mul]
+            if type(b_ij) is int:
+                acc[0] += b_ij
+            else:
+                for t, c in enumerate(b_ij):
+                    acc[t] += c
+            while acc and not acc[-1]:
+                acc.pop()
+            new_row[j] = tuple(acc)
         out.append(tuple(new_row))
     return tuple(out)
+
+
+def _pivot_columns(ctx, pivot_row, k: int):
+    """The columns j != k of the pivot row with b_kj > 0 and with b_kj < 0.
+
+    Each is (j, |b_kj| if an int else None, the multiplication matrix of
+    |b_kj|), so that an update needs neither a sign nor a product call.
+    """
+    pos, neg = [], []
+    for j, b in enumerate(pivot_row):
+        s = _sign(ctx, b)
+        if s and j != k:
+            b = b if s > 0 else _neg(b)
+            is_int = type(b) is int
+            column = (j, b if is_int else None, ctx.mul_matrix((b,) if is_int else b))
+            (pos if s > 0 else neg).append(column)
+    return pos, neg
 
 
 def _mutate_ints(rows, k: int, pivot_row):

@@ -455,25 +455,6 @@ class FoldedCategory:
         report["factor_counts"] = tuple(counts)
         return report
 
-    # -- derived shifts -----------------------------------------------------
-    def derived_tau(self, obj):
-        """tau on formal shifts (k, module): stays in degree k off projectives.
-
-        tau_D(Sigma^k P(i)) = Sigma^(k-1) I(i): the derived translate is the
-        shift composed with the Nakayama functor, which pairs P(i) with I(i).
-        """
-        k, ident = obj
-        t = self.ar.tau(ident)
-        if t is not None:
-            return (k, t)
-        v = self.ar.modules[ident].proj_vertex
-        return (k - 1, self.ar.inj_module[v])
-
-    def derdim(self, obj) -> tuple:
-        k, ident = obj
-        vec = self.dimproj[ident]
-        return vec if k % 2 == 0 else tuple(-c for c in vec)
-
     # -- exports -------------------------------------------------------------
     def dimproj_str(self, ident: int) -> str:
         return "(" + ", ".join(_pretty(c) for c in self.dimproj[ident]) + ")"

@@ -15,9 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul as _mul
 
-from .chebring import AlgReal
-from .exchange import coeff_rows
+from .chebring import AlgReal, _coeff_sign, _context, _poly_trim
+from .exchange import RingValues, coeff_rows
 
 
 @dataclass(frozen=True)
@@ -79,59 +80,72 @@ _EXPECTED_COUNTS = {"H3": 30, "H4": 120}
 
 
 def generate_roots(type_name: str) -> RootSet:
-    """Reflection closure from the simple basis; exact coordinates."""
+    """Reflection closure from the simple basis; exact coordinates.
+
+    The closure runs on reduced coefficient tuples, as ``coeff_rows``
+    encodes ``AlgReal`` vectors.  Each Cartan entry A_ij acts on v_j through
+    its multiplication matrix (``_RootContext.mul_matrix``), so the pairing
+    sum_j A_ij v_j is one integer dot product per entry and coefficient.
+    Signs come from the context's memo, so each distinct coordinate's is
+    decided once, and ``roots`` and ``positives`` are decoded to
+    ``AlgReal`` vectors once at the end (``RingValues``).
+    """
     cox = coxeter_matrix(type_name)
     rank = len(cox)
     m_field = _field_order(type_name)
-    zero, one = AlgReal(m_field), AlgReal(m_field, (1,))
+    ctx = _context(m_field)
 
     def bond(mij: int):
         if mij == 2:
-            return zero
+            return ()
         if mij == 3:
-            return -one
-        full = AlgReal.generator(m_field)
+            return (-1,)
         if mij == m_field:
-            return -full
+            return (0, -1)
         raise ValueError(f"edge order {mij} not representable in Z[2cos(pi/{m_field})]")
 
     cartan = [
-        [2 * one if i == j else bond(cox[i][j]) for j in range(rank)] for i in range(rank)
+        [
+            (j, ctx.mul_matrix((2,) if i == j else bond(cox[i][j])))
+            for j in range(rank)
+            if i == j or cox[i][j] != 2
+        ]
+        for i in range(rank)
     ]
 
-    simples = []
-    for i in range(rank):
-        v = [zero] * rank
-        v[i] = one
-        simples.append(tuple(v))
-
+    simples = [tuple((1,) if j == i else () for j in range(rank)) for i in range(rank)]
     roots = set(simples)
     frontier = list(simples)
     while frontier:
         new = []
         for v in frontier:
             for i in range(rank):
-                pairing = zero
-                for j in range(rank):
-                    if not v[j].is_zero():
-                        pairing = pairing + cartan[i][j] * v[j]
-                image = list(v)
-                image[i] = image[i] - pairing
-                image = tuple(image)
+                pairing = [0] * ctx.deg
+                for j, mul in cartan[i]:
+                    if v[j]:
+                        for s, row in enumerate(mul):
+                            pairing[s] += sum(map(_mul, row, v[j]))
+                coord = list(v[i]) + [0] * (ctx.deg - len(v[i]))
+                coord = _poly_trim([c - p for c, p in zip(coord, pairing)])
+                image = v[:i] + (coord,) + v[i + 1:]
                 if image not in roots:
                     roots.add(image)
                     new.append(image)
         frontier = new
 
-    positives = frozenset(
-        v for v in roots if all(c.sign() >= 0 for c in v) and any(c.sign() > 0 for c in v)
-    )
+    positive = [
+        v for v in roots
+        if all(_coeff_sign(ctx, c) >= 0 for c in v) and any(_coeff_sign(ctx, c) > 0 for c in v)
+    ]
     expected = _EXPECTED_COUNTS.get(type_name, 2 * m_field if type_name.startswith("I2(") else None)
     if expected is not None and len(roots) != expected:
         raise AssertionError(f"{type_name}: got {len(roots)} roots, expected {expected}")
-    if 2 * len(positives) != len(roots):
+    if 2 * len(positive) != len(roots):
         raise AssertionError("roots do not split evenly into positive and negative")
-    return RootSet(type_name, rank, frozenset(roots), positives)
+    values = RingValues(m_field)
+    return RootSet(
+        type_name, rank, frozenset(values.rows(roots)), frozenset(values.rows(positive))
+    )
 
 
 _ROOT_CACHE: dict[str, RootSet] = {}

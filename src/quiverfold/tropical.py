@@ -45,6 +45,15 @@ once, and every index pair only when one of those fails.
 The dets check takes det_x over the Chebyshev ring on the elements'
 coefficient tuples (``det_cheb``), and makes a ``ChebElem`` of the result
 only for ``sigma`` and the unit test.
+
+A walk meets the same few c-vectors and lifted columns at every step (in
+finite type the c-vectors are roots, Nakanishi-Zelevinsky 2012), so each
+walker keeps, for its whole life, the roots-check verdict (is a root, is
+sign-coherent) of each folded c-vector and d_F of each lifted integer
+column, beside the regular-representation blocks it has verified.  The
+roots check, the dF(C) verdicts and squares, and d_F(G_lifted) read them.
+Each entry is a function of its key alone, so a walker's records equal a
+fresh walker's; signs come from chebring's per-m sign memo.
 """
 
 from __future__ import annotations
@@ -277,9 +286,22 @@ def invert_integer(rows):
 # folded walks and the compatibility checks
 
 
-def matrix_d_F(spec: FoldingSpec, rows):
-    """``spec.matrix_d_F`` of an integer matrix, as rows of reduced coefficient tuples."""
-    cols = [spec.coeff_d_F(tuple(row[r] for row in rows)) for r in spec.weight_one_reps]
+def matrix_d_F(spec: FoldingSpec, rows, memo=None):
+    """d_F of the weight-one columns of an integer matrix, as rows of reduced coefficient tuples.
+
+    Column j of the result is ``spec.coeff_d_F`` of the column of ``rows``
+    at block j's weight-one vertex.  ``memo`` maps integer columns to their
+    d_F and is filled as columns are met (a fresh dict per call by
+    default), so each distinct column is projected once.
+    """
+    memo = {} if memo is None else memo
+    cols = []
+    for r in spec.weight_one_reps:
+        col = tuple(row[r] for row in rows)
+        image = memo.get(col)
+        if image is None:
+            image = memo[col] = spec.coeff_d_F(col)
+        cols.append(image)
     return tuple(zip(*cols))
 
 
@@ -332,6 +354,8 @@ class TropicalWalker:
         basis = [rho(ChebElem.theta(self.n, a)) for a in range(self.n)]
         self.basis_commutes = all(_commute(x, y) for x, y in combinations(basis, 2))
         self._rho_seen = {}  # block -> coefficients of the r with rho(r) == block
+        self._roots_seen = {}  # folded c-vector -> (is a root, is sign-coherent)
+        self._d_F_seen = {}  # lifted integer column -> its d_F (``matrix_d_F``'s memo)
 
     # stacked matrices: folded (2m' x m') over AlgReal, lifted (2N x N) over Z
     def initial_pair(self):
@@ -374,7 +398,17 @@ class TropicalWalker:
 
     def _dF_C_holds(self, folded, lifted) -> bool:
         """Whether d_F(C_lifted) = C_folded: the ``dF(C)-mismatch`` comparison."""
-        return matrix_d_F(self.spec, lifted[self.nverts:]) == coeff_rows(folded[self.mprime:])
+        C_l = lifted[self.nverts:]
+        return matrix_d_F(self.spec, C_l, self._d_F_seen) == coeff_rows(folded[self.mprime:])
+
+    def _root_verdict(self, col):
+        """(is a root, is sign-coherent) of a folded c-vector; kept for the walker's life."""
+        verdict = self._roots_seen.get(col)
+        if verdict is None:
+            ctx = _context(self.m)
+            signs = {_coeff_sign(ctx, c) for c in col}
+            verdict = self._roots_seen[col] = (self.roots.is_root(col), not {1, -1} <= signs)
+        return verdict
 
     def check_vertex(self, folded, lifted, word, failures, neighbours=True, only=None):
         """Append to ``failures`` a record ``(word, name, ...)`` per failed check.
@@ -394,6 +428,9 @@ class TropicalWalker:
         ``dF(C)-mismatch`` comparison: both compare d_F of the neighbour's
         lifted C-part with its folded C-part.
 
+        The roots check decides each distinct folded c-vector once per
+        walker (``_root_verdict``), and d_F projects each distinct lifted
+        column once per walker (``matrix_d_F`` with the walker's memo).
         ``block_element`` and ``sign_coherent`` run once per distinct
         block.  Blocks commute without a product when the walker's
         ``basis_commutes`` certificate holds and every distinct block equals
@@ -419,21 +456,19 @@ class TropicalWalker:
         C_l = lifted[nverts:]
 
         if "roots" in checks:
-            ctx = _context(m)
-            for j in range(mprime):
-                col = tuple(row[j] for row in C_f)
-                if not self.roots.is_root(col):
+            for j, col in enumerate(zip(*C_f)):
+                is_root, coherent = self._root_verdict(col)
+                if not is_root:
                     failures.append((word, "c-vector-not-root", j))
-                signs = {_coeff_sign(ctx, c) for c in col}
-                if {1, -1} <= signs:
+                if not coherent:
                     failures.append((word, "c-vector-not-sign-coherent", j))
 
         if "cube" in checks:
             verdict = getattr(neighbours, "dF_C", None)
-            if not (verdict() if verdict else matrix_d_F(spec, C_l) == C_f):
+            if not (verdict() if verdict else self._dF_C_holds(folded, lifted)):
                 failures.append((word, "dF(C)-mismatch"))
             G_l = invert_integer(transpose(C_l))
-            X = matrix_d_F(spec, G_l)
+            X = matrix_d_F(spec, G_l, self._d_F_seen)
             Ct = transpose(C_f)
             # C_f^T X = I certifies X = (C_f^T)^{-1} = G_f, which passes both
             # checks below; only a failed certificate inverts C_f^T.

@@ -87,18 +87,6 @@ class FoldingSpec:
             out.append(_poly_trim(acc))
         return tuple(out)
 
-    def matrix_d_F(self, rows):
-        """Apply d_F to the columns indexed by weight-1 vertices.
-
-        ``rows`` is a square matrix over the unfolded index set; the result
-        is a folded-size matrix (tuple of tuples).
-        """
-        reps = self.weight_one_reps
-        cols = []
-        for r in reps:
-            cols.append(self.d_F(tuple(row[r] for row in rows)))
-        return tuple(tuple(cols[j][i] for j in range(len(reps))) for i in range(len(reps)))
-
     def to_json(self):
         return {
             "kind": self.kind,

@@ -2,6 +2,7 @@ import collections
 import copy
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -440,6 +441,78 @@ class TestSignEnclosure:
         assert [a.sign() for a in values] == first
         assert chebring._context(7)._power_table()[0] > bits
         assert first == [oracle_sign(a) for a in values]
+
+
+class TestSignMemo:
+    """``_coeff_sign`` keeps each decided sign on the context for the process's life."""
+
+    @given(m=st.sampled_from([5, 7, 9, 15]), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_oracle_sign_on_cold_and_warm_contexts(self, m, data):
+        deg = len(minimal_poly(m)) - 1
+        coeff = st.integers(-10**6, 10**6)
+        values = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            a = AlgReal(m, tuple(data.draw(coeff) for _ in range(deg)))
+            for _ in range(data.draw(st.integers(0, 12))):
+                a = a * (AlgReal.generator(m) - 2)
+            values += [a, -a, a]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(chebring, "_ROOT_CONTEXTS", {})
+            ctx = chebring._context(m)
+            cold = [chebring._coeff_sign(ctx, a.coeffs) for a in values]
+            assert set(ctx.signs) == {a.coeffs for a in values}
+            warm = [chebring._coeff_sign(ctx, a.coeffs) for a in values]
+            assert cold == warm == [oracle_sign(a) for a in values] == [a.sign() for a in values]
+
+    @pytest.mark.parametrize("m,values", [(5, fibonacci_gaps(70)), (7, heptagon_powers(120))])
+    def test_first_evaluation_refines_as_before_and_a_hit_not_at_all(self, refines, m, values):
+        # the memoized context against one running the unmemoized decision,
+        # which is the body _coeff_sign had before the memo; a value and its
+        # negative each come twice
+        sequence = [x for a in values for x in (a, a, -a, a)]
+        memo, plain = chebring._RootContext(m), chebring._RootContext(m)
+        got, want = [], []
+        for a in sequence:
+            before = refines[m]
+            sign = chebring._coeff_sign(memo, a.coeffs)
+            got.append((sign, refines[m] - before))
+            before = refines[m]
+            sign = chebring._enclosure_sign(plain, a.coeffs)
+            want.append((sign, refines[m] - before))
+        assert got == want
+        assert (memo.lo, memo.hi) == (plain.lo, plain.hi)
+        assert sum(r for _, r in got) > 0
+        # each repeat is a memo hit: no refine, whatever the interval
+        for i, a in enumerate(sequence):
+            if a.coeffs in {b.coeffs for b in sequence[:i]}:
+                assert got[i][1] == 0
+        before = refines[m]
+        assert [chebring._coeff_sign(memo, a.coeffs) for a in sequence] == [s for s, _ in got]
+        assert refines[m] == before
+
+    def test_algreal_sign_reads_the_memo(self, refines):
+        a = fibonacci_gaps(80)[-1]
+        assert a.sign() == 1 and refines[5] > 0
+        ctx = chebring._context(5)
+        assert ctx.signs[a.coeffs] == 1
+        before = refines[5]
+        assert a.sign() == 1 and AlgReal(5, a.coeffs).sign() == 1
+        assert refines[5] == before
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 7, 9, 15])
+    def test_mul_matrix_is_the_product(self, m):
+        ctx = chebring._context(m)
+        rng = random.Random(m)
+        for _ in range(50):
+            a = AlgReal(m, tuple(rng.randint(-5, 5) for _ in range(ctx.deg)))
+            b = AlgReal(m, tuple(rng.randint(-5, 5) for _ in range(ctx.deg)))
+            rows = ctx.mul_matrix(a.coeffs)
+            assert ctx.mul_matrix(a.coeffs) is rows
+            assert len(rows) == ctx.deg and all(len(r) == ctx.deg for r in rows)
+            padded = b.coeffs + (0,) * (ctx.deg - len(b.coeffs))
+            product = [sum(x * y for x, y in zip(r, padded)) for r in rows]
+            assert AlgReal(m, product) == a * b
 
 
 class TestSemiringOrder:

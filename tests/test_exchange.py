@@ -1,11 +1,13 @@
 import copy
 import json
 import pickle
+import random
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quiverfold import chebring
 from quiverfold.chebring import AlgReal, minimal_poly
 from quiverfold.exchange import (
     ExchangeMatrix,
@@ -397,6 +399,85 @@ class TestCoeffMutation:
                 if row[k] == 0 and row is not rows[k]:
                     assert new is row
             rows = got
+
+    @given(m=st.sampled_from([5, 7, 9]), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_pivot_rows_with_both_signs_and_zeros(self, m, data):
+        # every pivot row holds a positive and a negative entry and a zero,
+        # as a tuple or an int; the other rows' column-k entries take both
+        # signs and zero too
+        n = data.draw(st.integers(4, 5))
+        k = data.draw(st.integers(0, n - 1))
+        deg = len(minimal_poly(m)) - 1
+        value = st.tuples(*[st.integers(-4, 4)] * deg).map(lambda c: AlgReal(m, c))
+        signed = st.one_of(value.filter(lambda a: not a.is_zero()), st.integers(-3, 3).filter(bool))
+        entry = st.one_of(value, st.integers(-3, 3))
+        rows = [[data.draw(entry) for _ in range(n)] for _ in range(2 * n)]
+        others = [j for j in range(n) if j != k]
+        pos, neg, zero = data.draw(st.permutations(others))[:3]
+        rows[k][k] = 0
+        rows[k][pos] = abs(data.draw(signed))
+        rows[k][neg] = -abs(data.draw(signed))
+        rows[k][zero] = data.draw(st.sampled_from((0, AlgReal(m))))
+        rows = tuple(tuple(r) for r in rows)
+        encoded = coeff_rows(rows)
+        got = mutate_coeffs(encoded, k, m)
+        want = mutate_entries(rows, k)
+        assert got == coeff_rows(want)
+        decoded = RingValues(m).rows(got)
+        assert decoded == want
+        assert [type(x) for r in decoded for x in r] == [type(x) for r in want for x in r]
+
+    @given(m=st.sampled_from([5, 7]), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_all_int_rows_with_m_given(self, m, data):
+        n = data.draw(st.integers(1, 5))
+        rows = tuple(
+            tuple(data.draw(st.integers(-3, 3)) for _ in range(n)) for _ in range(2 * n)
+        )
+        for k in range(n):
+            got = mutate_coeffs(rows, k, m)
+            assert got == mutate_entries(rows, k) == mutate_coeffs(rows, k)
+            assert all(type(x) is int for r in got for x in r)
+
+    @pytest.mark.parametrize("m", [5, 7])
+    def test_warm_context_run_equals_cold_run(self, monkeypatch, m):
+        # the same words from the same start, first on cold contexts (every
+        # sign and multiplication matrix made afresh), then warm; a third
+        # run on cold contexts again
+        deg = len(minimal_poly(m)) - 1
+        rng = random.Random(m)
+        start = tuple(
+            tuple(AlgReal(m, tuple(rng.randint(-3, 3) for _ in range(deg))) for _ in range(4))
+            for _ in range(8)
+        )
+        words = [[rng.randrange(4) for _ in range(12)] for _ in range(20)]
+
+        def run():
+            paths = []
+            for word in words:
+                rows, path = coeff_rows(start), []
+                for k in word:
+                    rows = mutate_coeffs(rows, k, m)
+                    path.append(rows)
+                paths.append(path)
+            return paths
+
+        monkeypatch.setattr(chebring, "_ROOT_CONTEXTS", {})
+        cold = run()
+        ctx = chebring._context(m)
+        assert ctx.signs and ctx._mul_rows
+        warm = run()
+        monkeypatch.setattr(chebring, "_ROOT_CONTEXTS", {})
+        assert cold == warm == run()
+        # and each step equals mutate_entries on the decoded rows
+        values = RingValues(m)
+        for word, path in zip(words, cold):
+            rows = start
+            for k, got in zip(word, path):
+                rows = mutate_entries(rows, k)
+                assert got == coeff_rows(rows)
+                assert values.rows(got) == rows
 
     def test_int_index_out_of_range(self):
         rows = S_E6.entries

@@ -43,6 +43,46 @@ class TestGeneration:
                 assert not ({1, -1} <= signs)
 
 
+def oracle_roots(type_name):
+    """(roots, positives): the reflection closure run on ``AlgReal`` coordinates."""
+    cox = rootsys.coxeter_matrix(type_name)
+    rank = len(cox)
+    m = rootsys._field_order(type_name)
+    zero, one = AlgReal(m), AlgReal(m, (1,))
+    bonds = {2: zero, 3: -one, m: -AlgReal.generator(m)}
+    cartan = [[2 * one if i == j else bonds[cox[i][j]] for j in range(rank)] for i in range(rank)]
+    simples = [tuple(one if j == i else zero for j in range(rank)) for i in range(rank)]
+    roots, frontier = set(simples), list(simples)
+    while frontier:
+        new = []
+        for v in frontier:
+            for i in range(rank):
+                pairing = zero
+                for j in range(rank):
+                    pairing = pairing + cartan[i][j] * v[j]
+                image = v[:i] + (v[i] - pairing,) + v[i + 1:]
+                if image not in roots:
+                    roots.add(image)
+                    new.append(image)
+        frontier = new
+    positives = {
+        v for v in roots if all(c.sign() >= 0 for c in v) and any(c.sign() > 0 for c in v)
+    }
+    return frozenset(roots), frozenset(positives)
+
+
+class TestTupleClosure:
+    @pytest.mark.parametrize("name", ["H3", "H4", "I2(5)", "I2(7)", "I2(9)"])
+    def test_matches_algreal_closure(self, name):
+        rs = generate_roots(name)
+        roots, positives = oracle_roots(name)
+        assert rs.roots == roots
+        assert rs.positives == positives
+        assert rs.keys == frozenset(tuple(c.coeffs for c in v) for v in roots)
+        # the decoded coordinates are AlgReal values, never bare ints
+        assert all(type(c) is AlgReal for v in rs.roots for c in v)
+
+
 class TestMembership:
     def test_simple_roots(self):
         rs = root_system("H3")

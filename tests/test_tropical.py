@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from quiverfold import chebring, tropical
 from quiverfold.chebring import AlgReal, ChebElem, minimal_poly, reg_rep, sigma
 from quiverfold.exchange import ExchangeMatrix, coeff_rows
-from quiverfold.rootsys import root_system
+from quiverfold.rootsys import RootSet, root_system
 from quiverfold.tropical import (
     EnumerationResult,
     Seed,
@@ -717,6 +717,72 @@ class TestRootsDetsOracle:
         assert got == oracle_roots_dets(walker, folded, lifted, word)
         assert {f[1] for f in got} == expected
         assert roots_dets(walker, coeff_rows(folded), lifted, word) == got
+
+
+class TestWalkerMemos:
+    """The walker's c-vector and d_F memos give the records a fresh walker gives."""
+
+    @staticmethod
+    def planted(walker, plant):
+        folded, lifted = walker.initial_pair()
+        row = walker.mprime
+        if plant == "non-root":
+            folded = with_entry(folded, row, 0, AlgReal(walker.m, (2,)))
+        elif plant == "mixed-sign":
+            folded = with_entry(folded, row + 1, 0, AlgReal(walker.m, (-1,)))
+        else:
+            # block 1's weight-one vertex added to column 0 of the lifted C
+            reps = walker.spec.weight_one_reps
+            lifted = with_entry(lifted, walker.nverts + reps[1], reps[0], 1)
+        return folded, lifted
+
+    @pytest.mark.parametrize("kind,n", [("H4", None), ("H3", None), ("I2", 3)])
+    @pytest.mark.parametrize(
+        "plant,name",
+        [
+            ("non-root", "c-vector-not-root"),
+            ("mixed-sign", "c-vector-not-sign-coherent"),
+            ("d_F", "dF(C)-mismatch"),
+        ],
+    )
+    def test_first_repeat_fresh_and_warm_calls_agree(self, kind, n, plant, name):
+        if plant == "d_F":
+            check, oracle = cube_blocks, oracle_cube_blocks
+        else:
+            check, oracle = roots_dets, oracle_roots_dets
+        walker = TropicalWalker(standard_folding(kind, n))
+        state = self.planted(walker, plant)
+        first = check(walker, *state, ("w",))
+        assert name in {f[1] for f in first}
+        assert first == oracle(walker, *state, ("w",))
+        assert check(walker, *state, ("w",)) == first
+        assert check(walker, coeff_rows(state[0]), state[1], ("w",)) == first
+        fresh = TropicalWalker(standard_folding(kind, n))
+        assert check(fresh, *state, ("w",)) == first
+        # a walker whose memos hold every passing state within two steps
+        warm = TropicalWalker(standard_folding(kind, n))
+        assert warm.verify_cube(depth=2, random_words=2, random_length=6).passed
+        assert warm._roots_seen and warm._d_F_seen
+        assert check(warm, *state, ("w",)) == first
+        # and the memos still pass the unplanted pair
+        assert check(warm, *warm.initial_pair(), ()) == []
+
+    def test_memos_cut_root_lookups_and_d_F_calls(self, monkeypatch):
+        """Each distinct c-vector is looked up once and each lifted column projected once."""
+        lookups, projections = [], []
+        real_root, real_d_F = RootSet.is_root, FoldingSpec.coeff_d_F
+        monkeypatch.setattr(RootSet, "is_root", lambda self, v: lookups.append(v) or real_root(self, v))
+        monkeypatch.setattr(FoldingSpec, "coeff_d_F", lambda self, v: projections.append(v) or real_d_F(self, v))
+        walker = TropicalWalker(standard_folding("H4"))
+        first = walker.verify_cube(depth=0, random_words=20, random_length=15, seed=3)
+        assert first.passed
+        assert len(lookups) == len(set(lookups))
+        assert len(projections) == len(set(projections))
+        # a second walk on the same walker meets only known c-vectors and columns
+        before = len(lookups), len(projections)
+        again = walker.verify_cube(depth=0, random_words=20, random_length=15, seed=3)
+        assert (again.failures, again.vertices_checked, again.states) == ([], first.vertices_checked, first.states)
+        assert (len(lookups), len(projections)) == before
 
 
 def alg_entries(m):
