@@ -20,7 +20,9 @@ power x^i lies in [lo^i, hi^i], and integer bounds on lo^i * 2^b and
 hi^i * 2^b give an integer enclosure of the value scaled by 2^b.  When the
 enclosure straddles 0 the interval is bisected and the sign retried, so
 AlgReal is a computable totally ordered ring.  ``interval()`` and ``float()``
-keep the rational interval-Horner enclosure.  The evaluation
+keep the rational interval-Horner enclosure, taken over the shallowest
+bisection of the initial isolating interval that is narrow enough, so they
+do not depend on how far earlier work refined it.  The evaluation
 homomorphism ``sigma`` sends theta_k to U_k(x/2) mod minpoly(2n+1) and
 connects the two types.
 """
@@ -161,6 +163,7 @@ class _RootContext:
         self.minpoly = minimal_poly(m)
         self.deg = len(self.minpoly) - 1
         self.lo, self.hi = self._initial_interval()
+        self._bisections = [(self.lo, self.hi)]
         self._powers = None
         self.signs = {}
         self._mul_rows = {}
@@ -179,6 +182,7 @@ class _RootContext:
         return lo, hi
 
     def refine(self):
+        """Bisect the shared isolating interval once, keeping the half with the root."""
         self._powers = None
         mid = (self.lo + self.hi) / 2
         smid = _sign_int(_poly_eval_frac(self.minpoly, mid))
@@ -186,17 +190,54 @@ class _RootContext:
             # mid is the root itself (only possible for m = 3); nudge.
             quarter = (self.hi - self.lo) / 4
             self.lo, self.hi = mid - quarter, mid + quarter
-            return
-        slo = _sign_int(_poly_eval_frac(self.minpoly, self.lo))
-        if slo * smid < 0:
+        elif _sign_int(_poly_eval_frac(self.minpoly, self.lo)) * smid < 0:
             self.hi = mid
         else:
             self.lo = mid
+        self._bisections.append((self.lo, self.hi))
 
-    def interval(self, width: Fraction) -> tuple[Fraction, Fraction]:
-        while self.hi - self.lo > width:
+    def bisection(self, depth: int) -> tuple[Fraction, Fraction]:
+        """The isolating interval after ``depth`` bisections of the initial one.
+
+        ``refine`` is deterministic, so this is a function of (m, depth)
+        alone.  Each interval the shared one has passed through is kept; a
+        depth beyond it refines the shared interval to that depth.
+        """
+        while len(self._bisections) <= depth:
             self.refine()
-        return self.lo, self.hi
+        return self._bisections[depth]
+
+    def enclosure(self, coeffs, width: Fraction) -> tuple[Fraction, Fraction]:
+        """Interval Horner of ``coeffs`` over the shallowest ``bisection`` that is narrow enough.
+
+        The bisections are nested and interval arithmetic is inclusion
+        isotonic, so the width does not grow with the depth, and the result
+        depends on (m, coeffs, width) alone, not on how far the shared
+        interval was refined.  Each bisection about halves a narrow
+        enclosure, so the search starts at the depth that halving the
+        depth-0 width predicts, and steps from there.
+        """
+
+        def box(depth):
+            return _interval_eval(coeffs, *self.bisection(depth))
+
+        found = box(0)
+        if found[1] - found[0] <= width:
+            return found
+        ratio = (found[1] - found[0]) / width
+        depth = (-(-ratio.numerator // ratio.denominator) - 1).bit_length()  # ceil(log2(ratio))
+        too_wide = 0  # the deepest depth known to be too wide
+        while True:
+            found = box(depth)
+            if found[1] - found[0] <= width:
+                break
+            too_wide, depth = depth, depth + 1
+        while depth - 1 > too_wide:
+            shallower = box(depth - 1)
+            if shallower[1] - shallower[0] > width:
+                break
+            found, depth = shallower, depth - 1
+        return found
 
     def _power_table(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
         """(b, L, H) with integers L[i] <= lo^i * 2^b and H[i] >= hi^i * 2^b, i < deg.
@@ -427,13 +468,14 @@ class AlgReal:
         return not self < other
 
     def interval(self, width: Fraction = Fraction(1, 10**12)):
-        """Rational enclosure [lo, hi] of the real value, of width <= width."""
-        ctx = _context(self.m)
-        lo, hi = _interval_eval(self.coeffs, ctx.lo, ctx.hi)
-        while hi - lo > width:
-            ctx.refine()
-            lo, hi = _interval_eval(self.coeffs, ctx.lo, ctx.hi)
-        return lo, hi
+        """Rational enclosure [lo, hi] of the real value, of width <= width.
+
+        Interval Horner over the shallowest bisection of the initial
+        isolating interval that makes it narrow enough
+        (``_RootContext.enclosure``), so the enclosure, and ``float()``, do
+        not depend on what the process computed before.
+        """
+        return _context(self.m).enclosure(self.coeffs, width)
 
     def __float__(self):
         lo, hi = self.interval(Fraction(1, 10**15))

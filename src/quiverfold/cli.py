@@ -411,8 +411,9 @@ def cmd_verify(args) -> int:
                         comp_ok = False
             record("tilting-enumeration", True, f"count={len(tilts)}")
             record("two-complements", comp_ok)
+            projected = {}  # lifted g-vector -> its d_F, shared by every tilting object
             g_ok = all(
-                matrix_d_F(cc.spec, G_hat) == coeff_rows(G_prime)
+                matrix_d_F(cc.spec, G_hat, projected) == coeff_rows(G_prime)
                 for G_hat, G_prime in map(cc.tilting_G_matrices, tilts)
             )
             record("tilting-G-matrix-projection", g_ok)

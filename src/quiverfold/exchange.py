@@ -11,6 +11,7 @@ tuples, and ``RingValues`` decodes them where a value is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import mul as _mul
 
 from .chebring import AlgReal, _coeff_sign, _context, alg_inverse, json_value
@@ -320,6 +321,30 @@ def _mutate_ints(rows, k: int, pivot_row):
     return tuple(out)
 
 
+def steps_back_exactly(int_rows, block, ring_rows, m) -> bool:
+    """Whether a word verifier's step, taken again at this state, returns the state it came from.
+
+    The state is (``int_rows``, ``ring_rows``) just after a step at letter
+    k: ``int_rows`` mutated at each vertex of ``block`` in turn, ``ring_rows``
+    at k by ``mutate_coeffs(..., m)``.  One mutation is an involution in
+    value: the pivot row is negated twice, and b_ij gains b_ik |b_kj| and
+    then b'_ik |b'_kj| = -b_ik |b_kj|.  The step is its own inverse, as a
+    representation, when:
+
+    * the vertices of ``block`` are pairwise non-adjacent in ``int_rows``
+      (b_vw = b_wv = 0).  Mutation at v then changes neither row nor column
+      w and keeps the block non-adjacent, so the block's mutations commute
+      at every intermediate state;
+    * ``ring_rows`` are all coefficient tuples, or all ints with ``m`` None.
+      ``mutate_coeffs`` keeps such rows in their representation, which is
+      unique per value; in mixed rows an int can come back as an equal tuple.
+    """
+    if any(int_rows[v][w] for v in block for w in block if v != w):
+        return False
+    kinds = set(map(type, chain.from_iterable(ring_rows)))
+    return kinds == {tuple} or (m is None and kinds == {int})
+
+
 @dataclass
 class Exploration:
     """What one ``explore_words`` call did.
@@ -340,8 +365,9 @@ class _FirstFailure(Exception):
 class _Explorer:
     """The memo tables and tallies of one ``explore_words`` call."""
 
-    def __init__(self, step, parity: bool, first_only: bool):
+    def __init__(self, step, parity: bool, first_only: bool, involutive):
         self.step = step
+        self.involutive = involutive
         self.parity = parity
         self.first_only = first_only
         self.states = {}    # state -> the one interned equal state
@@ -359,6 +385,8 @@ class _Explorer:
         nxt = self.edges.get(key)
         if nxt is None:
             nxt = self.edges[key] = self.intern(self.step(state, k))
+            if self.involutive is not None and self.involutive(nxt, k):
+                self.edges.setdefault((id(nxt), k), state)
         return nxt
 
     def visit(self, state, word, check, counted=True):
@@ -369,9 +397,10 @@ class _Explorer:
         if details is None:
             details = tuple(check(state, word, lambda k: self.move(state, k)))
             self.verdicts[key] = details
-        self.failures.extend((word, d) for d in details)
-        if details and self.first_only:
-            raise _FirstFailure
+        if details:
+            self.failures.extend((word, d) for d in details)
+            if self.first_only:
+                raise _FirstFailure
 
     def descend(self, state, word, letters, depth, check):
         if len(word) == depth or self.failures:
@@ -383,9 +412,14 @@ class _Explorer:
 
     def walk(self, start, word, check, end_check):
         state = start
-        for pos, k in enumerate(word):
+        verdicts, parity = self.verdicts, self.parity
+        for pos, k in enumerate(word, 1):
             state = self.move(state, k)
-            self.visit(state, word[: pos + 1], check)
+            if verdicts.get((id(state), check, parity and pos % 2)) == ():
+                self.words += 1  # a recorded pass: replay it as ``visit`` would
+                self.seen.add(id(state))
+            else:
+                self.visit(state, word[:pos], check)
         if end_check is not None:
             self.visit(state, word, end_check, counted=False)
 
@@ -402,6 +436,7 @@ def explore_words(
     end_check=None,
     parity: bool = False,
     first_only: bool = False,
+    involutive=None,
 ) -> Exploration:
     """Check mutation words from ``start``, doing each distinct piece of work once.
 
@@ -433,13 +468,21 @@ def explore_words(
     stepping with ``mutate_coeffs``, and deciding their checks on the
     tuples.  All tables live for this call.
 
+    ``involutive(state, k)``, when given, is asked about each newly stepped
+    state Y = step(X, k).  When it holds, step(Y, k) must be X exactly,
+    equal as a representation, and the explorer records the transition
+    (Y, k) -> X without computing it.  Mutation is an involution, mu_k mu_k
+    = id (Fomin-Zelevinsky, *Cluster algebras I*, 2002), so a verifier can
+    decide this on Y alone (``steps_back_exactly``); without the predicate
+    both directions of every edge are computed.
+
     After a failure the tree is not descended further and no new walk
     starts; with ``first_only`` the exploration stops at the first failure.
     A negative ``depth`` is a ValueError.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    explorer = _Explorer(step, parity, first_only)
+    explorer = _Explorer(step, parity, first_only, involutive)
     start = explorer.intern(start)
     try:
         explorer.visit(start, (), check)

@@ -16,12 +16,23 @@ determinant ``det_laplace(rows, m)`` reduce each entry modulo the minimal
 polynomial once.  Two values are equal exactly when their tuples are.
 
 The cube check decides d_F(G_lifted) = G_folded and C_folded^T G_folded = I
-by a certificate: the lifted G is the exact integer inverse of C_lifted^T
-(fraction-free Gauss-Jordan), and C_folded^T d_F(G_lifted) = I proves that
-d_F(G_lifted) is the inverse of C_folded^T, so both hold.  On a correct
-folding the certificate holds by the C/G duality (Nakanishi-Zelevinsky
-2012, Thm 1.2).  Only when it fails is C_folded^T inverted by adjugate,
-and the two comparisons then name what failed.
+by a certificate: the lifted G is the exact integer inverse of C_lifted^T,
+and C_folded^T d_F(G_lifted) = I proves that d_F(G_lifted) is the inverse
+of C_folded^T, so both hold.  On a correct folding the certificate holds by
+the C/G duality (Nakanishi-Zelevinsky 2012, Thm 1.2).  d_F reads only the
+weight-one columns of G_lifted, so only those are solved for
+(``inverse_columns``, fraction-free Gauss-Jordan against the unit vectors
+that pick them); a singular or non-unimodular C_lifted raises as the whole
+inverse would.  Only when the certificate fails is C_folded^T inverted by
+adjugate, and the two comparisons then name what failed.
+
+``verify_cube``'s explorer computes each edge of the exchange graph once.
+The step at letter k mutates the folded seed at k, an involution, and the
+lifted one at each vertex of block k.  When that block is pairwise
+non-adjacent in the stepped lifted matrix, its mutations commute, so the
+composite is an involution too; the folded rows are all coefficient tuples,
+so stepping back reproduces the state exactly, and the explorer records the
+way back without computing it (``exchange.steps_back_exactly``).
 
 The cube check's mutation square at letter k compares d_F of the lifted
 C-part of the k-neighbour with its folded C-part.  The k-neighbour is the
@@ -69,6 +80,7 @@ from .chebring import (
 )
 from .exchange import (
     ExchangeMatrix, RingValues, coeff_rows, explore_words, mutate_coeffs, mutate_entries,
+    steps_back_exactly,
 )
 from .repcat import folded_type_name
 from .rootsys import root_system
@@ -256,14 +268,25 @@ def invert_ring_unimodular(rows):
 def invert_integer(rows):
     """Exact inverse of an integer matrix; entries must come out integral.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss 1968) on [A | I].  Every
-    entry after the step on column k is a (k+1)-minor of the row-permuted
-    [A | I], so each division by the previous pivot is exact.  At the end
-    the left half is d*I with d = +-det A and the right half is d*A^{-1},
-    which is integral exactly when |d| = 1.
+    The rows of the transposed ``inverse_columns`` on every column.
+    """
+    return transpose(inverse_columns(rows, range(len(rows))))
+
+
+def inverse_columns(rows, columns):
+    """The given columns of the exact inverse of an integer matrix, each a tuple.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968) on [A | e_c for c
+    in ``columns``].  Every entry after the step on column k is a (k+1)-minor
+    of the row-permuted augmented matrix, so each division by the previous
+    pivot is exact.  At the end the left half is d*I with d = +-det A and
+    the right half is d times the wanted columns of A^{-1}.  Whichever
+    columns are asked for, a singular A raises "matrix is singular" and
+    |d| != 1 "inverse is not integral" (``ArithmeticError``).
     """
     n = len(rows)
-    aug = [list(rows[i]) + [int(i == j) for j in range(n)] for i in range(n)]
+    columns = tuple(columns)
+    aug = [list(rows[i]) + [int(i == c) for c in columns] for i in range(n)]
     prev = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col]), None)
@@ -279,7 +302,7 @@ def invert_integer(rows):
         prev = pv
     if prev not in (1, -1):
         raise ArithmeticError("inverse is not integral")
-    return tuple(tuple(prev * x for x in aug[i][n:]) for i in range(n))
+    return tuple(tuple(prev * row[n + t] for row in aug) for t in range(len(columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +317,14 @@ def matrix_d_F(spec: FoldingSpec, rows, memo=None):
     d_F and is filled as columns are met (a fresh dict per call by
     default), so each distinct column is projected once.
     """
+    return _columns_d_F(spec, (tuple(row[r] for row in rows) for r in spec.weight_one_reps), memo)
+
+
+def _columns_d_F(spec: FoldingSpec, columns, memo=None):
+    """``matrix_d_F`` of the matrix whose weight-one columns are ``columns``, in block order."""
     memo = {} if memo is None else memo
     cols = []
-    for r in spec.weight_one_reps:
-        col = tuple(row[r] for row in rows)
+    for col in columns:
         image = memo.get(col)
         if image is None:
             image = memo[col] = spec.coeff_d_F(col)
@@ -467,8 +494,8 @@ class TropicalWalker:
             verdict = getattr(neighbours, "dF_C", None)
             if not (verdict() if verdict else self._dF_C_holds(folded, lifted)):
                 failures.append((word, "dF(C)-mismatch"))
-            G_l = invert_integer(transpose(C_l))
-            X = matrix_d_F(spec, G_l, self._d_F_seen)
+            G_l = inverse_columns(transpose(C_l), spec.weight_one_reps)
+            X = _columns_d_F(spec, G_l, self._d_F_seen)
             Ct = transpose(C_f)
             # C_f^T X = I certifies X = (C_f^T)^{-1} = G_f, which passes both
             # checks below; only a failed certificate inverts C_f^T.
@@ -561,6 +588,9 @@ class TropicalWalker:
         def step(state, k):
             return self._coeff_step(*state, k)
 
+        def involutive(state, k):
+            return steps_back_exactly(state[1], self.spec.blocks[k], state[0], self.m)
+
         def checker(only):
             def check(state, word, neighbour):
                 found = []
@@ -578,7 +608,7 @@ class TropicalWalker:
         )
         result = explore_words(
             (coeff_rows(folded), lifted), step, self.mprime, full, depth, walks,
-            walk_check=roots, end_check=full, parity=True,
+            walk_check=roots, end_check=full, parity=True, involutive=involutive,
         )
         failures = [_failure(word, detail) for word, detail in result.failures]
         return WalkReport(not failures, result.words, failures, seed, result.states)

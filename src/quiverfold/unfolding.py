@@ -24,7 +24,7 @@ from .chebring import (
 )
 from .exchange import (
     ExchangeMatrix, RingValues, _as_coeffs, _sign, coeff_rows, entry_field, explore_words,
-    mutate_coeffs, rescale,
+    mutate_coeffs, rescale, steps_back_exactly,
 )
 
 
@@ -267,7 +267,10 @@ def check_weighted_unfolding(
     ``words_checked`` still counts words; ``states`` counts distinct pairs.
     On a failure, ``failure_detail`` is the first ``conditions_hold`` record
     of the first failing word.  The explorer's states carry the entries of
-    B as coefficient tuples (``coeff_rows``).  Each check decodes them into
+    B as coefficient tuples (``coeff_rows``).  A step whose block is
+    pairwise non-adjacent in the stepped S, with B in one entry
+    representation, is its own inverse (``steps_back_exactly``), so the
+    explorer records the way back without computing it.  Each check decodes them into
     an ``ExchangeMatrix`` (``RingValues``, one value per distinct entry),
     which ``rescale`` needs, and ``conditions_hold`` computes on them as
     coefficient tuples again.
@@ -280,6 +283,9 @@ def check_weighted_unfolding(
         for v in spec.blocks[k]:
             rows = mutate_coeffs(rows, v)
         return rows, mutate_coeffs(B_rows, k, m)
+
+    def involutive(state, k):
+        return steps_back_exactly(state[0], spec.blocks[k], state[1], m)
 
     def check(state, word, neighbour):
         S_rows, B_rows = state
@@ -304,6 +310,7 @@ def check_weighted_unfolding(
         depth=0 if sequences is not None else depth,
         walks=walks,
         first_only=True,
+        involutive=involutive,
     )
     word, detail = run.failures[0] if run.failures else (None, None)
     return UnfoldingReport(

@@ -526,3 +526,56 @@ class TestSemiringOrder:
     def test_membership(self):
         assert ChebElem(3, (0, 1, 2)).in_semiring()
         assert not ChebElem(3, (0, -1, 2)).in_semiring()
+
+
+def shallowest_enclosure(ctx, coeffs, width):
+    """Interval Horner over ctx.bisection(d) for d = 0, 1, ... until it is narrow enough."""
+    depth = 0
+    while True:
+        lo, hi = chebring._interval_eval(coeffs, *ctx.bisection(depth))
+        if hi - lo <= width:
+            return lo, hi
+        depth += 1
+
+
+class TestHistoryFreeEnclosure:
+    """``interval()`` and ``float()`` depend on the value and the width alone."""
+
+    @given(
+        m=st.sampled_from([3, 5, 7, 9, 15]),
+        data=st.data(),
+        digits=st.integers(0, 40),
+        refinements=st.integers(0, 150),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_shallowest_depth_whatever_the_shared_interval(self, m, data, digits, refinements):
+        deg = len(minimal_poly(m)) - 1
+        a = AlgReal(m, tuple(data.draw(st.integers(-10**6, 10**6)) for _ in range(deg)))
+        width = Fraction(1, 10**digits)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(chebring, "_ROOT_CONTEXTS", {})
+            cold = a.interval(width)
+            ctx = chebring._context(m)
+            for _ in range(refinements):
+                ctx.refine()
+            assert a.interval(width) == cold == shallowest_enclosure(ctx, a.coeffs, width)
+        lo, hi = cold
+        assert hi - lo <= width and lo <= hi
+
+    @pytest.mark.parametrize("m", [3, 5, 7])
+    def test_bisection_is_refine_from_the_initial_interval(self, m):
+        ctx, plain = chebring._RootContext(m), chebring._RootContext(m)
+        ctx.bisection(30)
+        for depth in range(31):
+            assert ctx.bisection(depth) == (plain.lo, plain.hi)
+            plain.refine()
+
+    def test_signs_and_narrow_enclosures_leave_float_alone(self, refines):
+        a = sigma(ChebElem(3, (1, 2, -1)))
+        cold = float(a), a.interval(Fraction(1, 10**15))
+        assert [x.sign() for x in heptagon_powers(150)] == [1] * 150
+        assert refines[7] > 0
+        assert (float(a), a.interval(Fraction(1, 10**15))) == cold
+        AlgReal.generator(7).interval(Fraction(1, 10**40))
+        assert (float(a), a.interval(Fraction(1, 10**15))) == cold
+        assert repr(cold[0]) == "2.35689586789221"

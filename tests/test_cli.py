@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,7 +14,7 @@ from quiverfold.chebring import AlgReal, ChebElem
 from quiverfold.cli import main
 from quiverfold.clustercat import ClusterCategory
 from quiverfold.exchange import ExchangeMatrix
-from quiverfold.unfolding import check_weighted_unfolding, standard_folding
+from quiverfold.unfolding import FoldingSpec, check_weighted_unfolding, standard_folding
 from test_exchange import MALFORMED_MATRIX_JSON
 from test_explore import shifted_f4e6
 from test_unfolding import FoldingSpecBrokenWeights, sign_flipped_f4e6
@@ -711,3 +712,42 @@ class TestUsageErrors:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("quiverfold: error: ") and message in lines[0]
+
+
+def test_sigma_float_ignores_earlier_refinement(capsys):
+    # the fresh-interpreter pin of TestByteIdentity holds in this process too,
+    # before and after the shared isolating interval is narrowed far below
+    # the float's width
+    argv = ("ring", "sigma", "--n", "3", "--a", "1,2,-1")
+    _, before = run(capsys, *argv)
+    AlgReal.generator(7).interval(Fraction(1, 10**40))
+    _, after = run(capsys, *argv)
+    assert after == before
+    assert hashlib.sha256(after.encode()).hexdigest() == (
+        "ba8af774f856a937c74385f4ed12f945d96dd1b8caf08f86aa85c3f6d5d6ad91"
+    )
+
+
+def test_verify_all_projects_each_lifted_g_vector_once(capsys, monkeypatch):
+    # tilting-G-matrix-projection shares one d_F memo across the 280 H4
+    # tilting objects: one coeff_d_F call per distinct lifted column, not 1,120
+    projected, inside = [], []
+    real_matrix, real_d_F = cli.matrix_d_F, FoldingSpec.coeff_d_F
+
+    def matrix(*args):
+        inside.append(1)
+        try:
+            return real_matrix(*args)
+        finally:
+            inside.pop()
+
+    def d_F(self, vector):
+        if inside:
+            projected.append(vector)
+        return real_d_F(self, vector)
+
+    monkeypatch.setattr(cli, "matrix_d_F", matrix)
+    monkeypatch.setattr(FoldingSpec, "coeff_d_F", d_F)
+    code, out = run(capsys, "verify", "all", "--kind", "H4", "--depth", "0", "--random", "0")
+    assert code == 0 and "PASS tilting-G-matrix-projection" in out.splitlines()
+    assert len(projected) == len(set(projected)) <= 128

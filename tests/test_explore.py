@@ -20,10 +20,11 @@ from hypothesis import given, settings, strategies as st
 from quiverfold import tropical, unfolding
 from quiverfold.chebring import AlgReal
 from quiverfold.exchange import (
-    ExchangeMatrix, coeff_rows, explore_words, mutate_entries, rescale, sgn,
+    ExchangeMatrix, coeff_rows, explore_words, mutate_entries, rescale, sgn, steps_back_exactly,
 )
 from quiverfold.tropical import TropicalWalker
 from quiverfold.unfolding import check_weighted_unfolding, conditions_hold, standard_folding
+from test_tropical import FOLDINGS
 from test_unfolding import FoldingSpecBrokenWeights, sign_flipped_f4e6
 
 
@@ -574,3 +575,121 @@ def leaves(x):
 def matrix_entries(state):
     """The entries of every matrix of a state: the items of its rows."""
     return [entry for matrix in state for row in matrix for entry in row]
+
+
+# ---------------------------------------------------------------------------
+# reverse edges: a step that is its own inverse is not computed twice
+
+
+@lru_cache(maxsize=None)
+def verifier_steps(kind, n, opp=False):
+    """(start, step, involutive) as each word verifier hands them to ``explore_words``."""
+    handed = []
+
+    def spy(start, step, *args, involutive=None, **kwargs):
+        handed.append((start, step, involutive))
+        return explore_words(start, step, *args, involutive=involutive, **kwargs)
+
+    spec = standard_folding(kind, n, opp)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(unfolding, "explore_words", spy)
+        patch.setattr(tropical, "explore_words", spy)
+        check_weighted_unfolding(spec, depth=0, random_words=0)
+        if spec.n is not None:
+            TropicalWalker(spec).verify_cube(depth=0)
+    return tuple(handed)
+
+
+def entry_types(state):
+    return [type(entry) for entry in matrix_entries(state)]
+
+
+class TestReverseEdges:
+    @pytest.mark.parametrize("kind,n", FOLDINGS)
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_predicate_means_the_step_undoes_itself(self, kind, n, data):
+        opp = data.draw(st.booleans())
+        letters = standard_folding(kind, n).B.n
+        for start, step, involutive in verifier_steps(kind, n, opp):
+            word = data.draw(st.lists(st.integers(0, letters - 1), min_size=1, max_size=12))
+            state = start
+            for k in word:
+                stepped = step(state, k)
+                if involutive(stepped, k):
+                    back = step(stepped, k)
+                    assert back == state
+                    assert entry_types(back) == entry_types(state)
+                state = stepped
+
+    @pytest.mark.parametrize("kind,n", FOLDINGS)
+    def test_predicate_holds_on_some_steps(self, kind, n):
+        # every verifier has reverse edges to read, so the test above is not vacuous
+        letters = standard_folding(kind, n).B.n
+        for start, step, involutive in verifier_steps(kind, n):
+            held = sum(involutive(step(start, k), k) for k in range(letters))
+            assert held > 0
+
+    def test_in_block_arrow_makes_the_explorer_step_back(self):
+        # vertices 0 and 1 form block 0 of H4; an arrow between them breaks
+        # the commutation of the block's mutations
+        spec = standard_folding("H4")
+        (start, step, involutive), _ = verifier_steps("H4", None)
+        S_rows, B_rows = start
+        planted = with_arrow(S_rows, 0, 1)
+        assert steps_back_exactly(S_rows, spec.blocks[0], B_rows, spec.m)
+        assert not steps_back_exactly(planted, spec.blocks[0], B_rows, spec.m)
+        for rows, steps in ((S_rows, 1), (planted, 2)):
+            calls = []
+
+            def counted(state, k):
+                calls.append(state)
+                return step(state, k)
+
+            run = explore_words((rows, B_rows), counted, 1, lambda s, w, nb: (), depth=2,
+                                involutive=involutive)
+            assert run.words == 3
+            assert len(calls) == steps
+        # the explorer stepped back from the state it reached
+        assert calls[1] == step((planted, B_rows), 0)
+
+    def test_mixed_or_ring_ints_never_qualify(self):
+        S_rows = ((0, 1), (-1, 0))
+        assert steps_back_exactly(S_rows, (0,), (((1,), ()), ((-1,), ())), 5)
+        assert steps_back_exactly(S_rows, (0,), ((0, 1), (-1, 0)), None)
+        # an int among tuples can come back as an equal tuple
+        assert not steps_back_exactly(S_rows, (0,), (((1,), 0), ((-1,), ())), 5)
+        # ints stepped over Z[2cos(pi/m)] are left to the explorer
+        assert not steps_back_exactly(S_rows, (0,), ((0, 1), (-1, 0)), 5)
+
+    def test_mutation_counts_on_h4(self, monkeypatch):
+        # the inverse of each edge met is recorded, not computed: 348 calls
+        # without reverse edges
+        calls = []
+        real = unfolding.mutate_coeffs
+        monkeypatch.setattr(unfolding, "mutate_coeffs", lambda *a: calls.append(1) or real(*a))
+        report = check_weighted_unfolding(standard_folding("H4"), depth=4, random_words=0)
+        assert report.passed and report.words_checked == 341
+        assert len(calls) == 240
+
+    def test_walk_replays_count_words_and_states(self):
+        checked = []
+
+        def check(state, word, neighbour):
+            checked.append(word)
+            return ()
+
+        def step(state, k):
+            return ((((state[0][0][0] + 1) % 2,),),)
+
+        run = explore_words((((0,),),), step, 1, check, walks=[(0,) * 5, (0,) * 3],
+                            involutive=lambda state, k: True)
+        assert (run.words, run.states) == (1 + 5 + 3, 2)
+        assert checked == [(), (0,)]
+
+
+def with_arrow(rows, i, j):
+    """``rows`` with an arrow i -> j: entry (i, j) = 1 and (j, i) = -1."""
+    rows = [list(row) for row in rows]
+    rows[i][j], rows[j][i] = 1, -1
+    return tuple(map(tuple, rows))

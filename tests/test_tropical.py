@@ -829,3 +829,84 @@ def test_coefficient_d_F_matches_algreal(inputs):
     assert tropical.matrix_d_F(spec, rows) == coeff_rows(matrix_d_F_per_term(spec, rows))
     for row in rows:
         assert spec.coeff_d_F(row) == tuple(x.coeffs for x in d_F_per_term(spec, row))
+
+
+# ---------------------------------------------------------------------------
+# the cube check solves only the columns of the lifted G that d_F reads
+
+
+@st.composite
+def singular(draw):
+    """A random integer matrix with one row an integer combination of the others, up to 8 x 8."""
+    rows = [list(row) for row in draw(unimodular())]
+    n = len(rows)
+    target = draw(st.integers(0, n - 1))
+    rows[target] = [0] * n
+    for i in range(n):
+        if i != target:
+            k = draw(st.integers(-2, 2))
+            rows[target] = [x + k * y for x, y in zip(rows[target], rows[i])]
+    return tuple(map(tuple, rows))
+
+
+def columns_of(rows, columns):
+    return tuple(tuple(row[c] for row in rows) for c in columns)
+
+
+class TestInverseColumns:
+    @given(st.one_of(
+        unimodular(),
+        singular(),
+        st.integers(1, 5).flatmap(lambda n: st.lists(
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple), min_size=n, max_size=n,
+        ).map(tuple)),
+    ), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_columns_of_invert_integer(self, rows, data):
+        n = len(rows)
+        columns = data.draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+        whole = outcome(invert_integer, rows)
+        got = outcome(tropical.inverse_columns, rows, columns)
+        if whole[0] == "raised":
+            assert got == whole
+        else:
+            assert got == ("value", columns_of(whole[1], columns))
+
+    @given(singular())
+    @settings(max_examples=60, deadline=None)
+    def test_singular_raises_for_any_columns(self, rows):
+        for columns in ((), (0,), range(len(rows))):
+            assert outcome(tropical.inverse_columns, rows, columns) == (
+                "raised", ArithmeticError, "matrix is singular"
+            )
+
+    def test_not_unimodular_raises_for_any_columns(self):
+        for columns in ((), (1,), (0, 1)):
+            assert outcome(tropical.inverse_columns, ((2, 0), (0, 1)), columns) == (
+                "raised", ArithmeticError, "inverse is not integral"
+            )
+
+    def test_check_vertex_never_inverts_the_lifted_C(self, monkeypatch):
+        def refuse(rows):
+            raise AssertionError("invert_integer called")
+
+        monkeypatch.setattr(tropical, "invert_integer", refuse)
+        for kind, n in (("H4", None), ("H3", None), ("I2", 3)):
+            walker = TropicalWalker(standard_folding(kind, n))
+            report = walker.verify_cube(depth=2, random_words=3, random_length=8)
+            assert report.passed, report.failures[:3]
+
+
+def test_h4_tree_steps_each_edge_once(monkeypatch):
+    """The explorer records the way back of a self-inverse step: 136 steps without it."""
+    calls = []
+    real = TropicalWalker._coeff_step
+
+    def counted(self, folded, lifted, k):
+        calls.append(k)
+        return real(self, folded, lifted, k)
+
+    monkeypatch.setattr(TropicalWalker, "_coeff_step", counted)
+    report = TropicalWalker(standard_folding("H4")).verify_cube(depth=3)
+    assert report.passed and report.vertices_checked == 85
+    assert len(calls) == 96
