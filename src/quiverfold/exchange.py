@@ -412,14 +412,9 @@ class _Explorer:
 
     def walk(self, start, word, check, end_check):
         state = start
-        verdicts, parity = self.verdicts, self.parity
-        for pos, k in enumerate(word, 1):
+        for pos, k in enumerate(word):
             state = self.move(state, k)
-            if verdicts.get((id(state), check, parity and pos % 2)) == ():
-                self.words += 1  # a recorded pass: replay it as ``visit`` would
-                self.seen.add(id(state))
-            else:
-                self.visit(state, word[:pos], check)
+            self.visit(state, word[: pos + 1], check)
         if end_check is not None:
             self.visit(state, word, end_check, counted=False)
 

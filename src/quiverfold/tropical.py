@@ -21,10 +21,11 @@ and C_folded^T d_F(G_lifted) = I proves that d_F(G_lifted) is the inverse
 of C_folded^T, so both hold.  On a correct folding the certificate holds by
 the C/G duality (Nakanishi-Zelevinsky 2012, Thm 1.2).  d_F reads only the
 weight-one columns of G_lifted, so only those are solved for
-(``inverse_columns``, fraction-free Gauss-Jordan against the unit vectors
-that pick them); a singular or non-unimodular C_lifted raises as the whole
-inverse would.  Only when the certificate fails is C_folded^T inverted by
-adjugate, and the two comparisons then name what failed.
+(``invert_integer`` with those columns: fraction-free Gauss-Jordan against
+the unit vectors that pick them); a singular or non-unimodular C_lifted
+raises as the whole inverse would.  Only when the certificate fails is
+C_folded^T inverted by adjugate, and the two comparisons then name what
+failed.
 
 ``verify_cube``'s explorer computes each edge of the exchange graph once.
 The step at letter k mutates the folded seed at k, an involution, and the
@@ -265,27 +266,22 @@ def invert_ring_unimodular(rows):
     return tuple(out)
 
 
-def invert_integer(rows):
-    """Exact inverse of an integer matrix; entries must come out integral.
+def invert_integer(rows, columns=None):
+    """Exact inverse of an integer matrix, or the given columns of it; entries must come out integral.
 
-    The rows of the transposed ``inverse_columns`` on every column.
-    """
-    return transpose(inverse_columns(rows, range(len(rows))))
-
-
-def inverse_columns(rows, columns):
-    """The given columns of the exact inverse of an integer matrix, each a tuple.
-
-    Fraction-free Gauss-Jordan elimination (Bareiss 1968) on [A | e_c for c
-    in ``columns``].  Every entry after the step on column k is a (k+1)-minor
-    of the row-permuted augmented matrix, so each division by the previous
-    pivot is exact.  At the end the left half is d*I with d = +-det A and
-    the right half is d times the wanted columns of A^{-1}.  Whichever
-    columns are asked for, a singular A raises "matrix is singular" and
-    |d| != 1 "inverse is not integral" (``ArithmeticError``).
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968) on [A | E], where
+    E holds the unit vectors e_c for c in ``columns`` (default: every
+    column, so E = I).  Every entry after the step on column k is a
+    (k+1)-minor of the row-permuted augmented matrix, so each division by
+    the previous pivot is exact.  At the end the left half is d*I with
+    d = +-det A and the right half is d times the wanted columns of A^{-1},
+    which are integral exactly when |d| = 1.  The result is the rows of
+    those columns side by side: A^{-1} itself by default.  Whichever columns
+    are asked for, a singular A raises "matrix is singular" and |d| != 1
+    "inverse is not integral" (``ArithmeticError``).
     """
     n = len(rows)
-    columns = tuple(columns)
+    columns = range(n) if columns is None else tuple(columns)
     aug = [list(rows[i]) + [int(i == c) for c in columns] for i in range(n)]
     prev = 1
     for col in range(n):
@@ -302,29 +298,29 @@ def inverse_columns(rows, columns):
         prev = pv
     if prev not in (1, -1):
         raise ArithmeticError("inverse is not integral")
-    return tuple(tuple(prev * row[n + t] for row in aug) for t in range(len(columns)))
+    return tuple(tuple(prev * x for x in aug[i][n:]) for i in range(n))
 
 
 # ---------------------------------------------------------------------------
 # folded walks and the compatibility checks
 
 
-def matrix_d_F(spec: FoldingSpec, rows, memo=None):
+def matrix_d_F(spec: FoldingSpec, rows, memo=None, reps=None):
     """d_F of the weight-one columns of an integer matrix, as rows of reduced coefficient tuples.
 
     Column j of the result is ``spec.coeff_d_F`` of the column of ``rows``
-    at block j's weight-one vertex.  ``memo`` maps integer columns to their
-    d_F and is filled as columns are met (a fresh dict per call by
-    default), so each distinct column is projected once.
+    at ``reps[j]``: by default block j's weight-one vertex
+    (``spec.weight_one_reps``), for a whole lifted matrix; the cube check
+    passes ``range(len(spec.weight_one_reps))`` for a matrix that holds only
+    those columns (``invert_integer(rows, spec.weight_one_reps)``).
+    ``memo`` maps integer columns to their d_F and is filled as columns are
+    met (a fresh dict per call by default), so each distinct column is
+    projected once.
     """
-    return _columns_d_F(spec, (tuple(row[r] for row in rows) for r in spec.weight_one_reps), memo)
-
-
-def _columns_d_F(spec: FoldingSpec, columns, memo=None):
-    """``matrix_d_F`` of the matrix whose weight-one columns are ``columns``, in block order."""
     memo = {} if memo is None else memo
     cols = []
-    for col in columns:
+    for r in spec.weight_one_reps if reps is None else reps:
+        col = tuple(row[r] for row in rows)
         image = memo.get(col)
         if image is None:
             image = memo[col] = spec.coeff_d_F(col)
@@ -494,8 +490,9 @@ class TropicalWalker:
             verdict = getattr(neighbours, "dF_C", None)
             if not (verdict() if verdict else self._dF_C_holds(folded, lifted)):
                 failures.append((word, "dF(C)-mismatch"))
-            G_l = inverse_columns(transpose(C_l), spec.weight_one_reps)
-            X = _columns_d_F(spec, G_l, self._d_F_seen)
+            reps = spec.weight_one_reps  # the only columns of G_l that d_F reads
+            G_l = invert_integer(transpose(C_l), reps)
+            X = matrix_d_F(spec, G_l, self._d_F_seen, range(len(reps)))
             Ct = transpose(C_f)
             # C_f^T X = I certifies X = (C_f^T)^{-1} = G_f, which passes both
             # checks below; only a failed certificate inverts C_f^T.

@@ -528,6 +528,10 @@ class TestSemiringOrder:
         assert not ChebElem(3, (0, -1, 2)).in_semiring()
 
 
+def _width(box):
+    return box[1] - box[0]
+
+
 def shallowest_enclosure(ctx, coeffs, width):
     """Interval Horner over ctx.bisection(d) for d = 0, 1, ... until it is narrow enough."""
     depth = 0
@@ -561,6 +565,24 @@ class TestHistoryFreeEnclosure:
             assert a.interval(width) == cold == shallowest_enclosure(ctx, a.coeffs, width)
         lo, hi = cold
         assert hi - lo <= width and lo <= hi
+
+    @pytest.mark.parametrize("m,coeffs", [
+        (7, (0, 0, 1)), (7, (0, 0, -1)), (9, (0, 0, 1)), (15, (1, 0, 0, -1)),
+    ])
+    def test_steps_back_when_the_predicted_depth_overshoots(self, m, coeffs):
+        # for these values a bisection more than halves the enclosure, so at a
+        # width equal to the depth-k enclosure's own the depth-0 width halved k
+        # times is wider still: the prediction lands deeper than k and the
+        # search has to step back to the shallowest depth
+        ctx = chebring._RootContext(m)
+        w0 = _width(chebring._interval_eval(coeffs, *ctx.bisection(0)))
+        overshot = 0
+        for k in range(1, 25):
+            width = _width(chebring._interval_eval(coeffs, *ctx.bisection(k)))
+            fresh = chebring._RootContext(m)
+            assert fresh.enclosure(coeffs, width) == shallowest_enclosure(fresh, coeffs, width)
+            overshot += w0 / 2**k > width
+        assert overshot
 
     @pytest.mark.parametrize("m", [3, 5, 7])
     def test_bisection_is_refine_from_the_initial_interval(self, m):

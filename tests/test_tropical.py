@@ -850,7 +850,8 @@ def singular(draw):
 
 
 def columns_of(rows, columns):
-    return tuple(tuple(row[c] for row in rows) for c in columns)
+    """The rows of the given columns of ``rows``, side by side."""
+    return tuple(tuple(row[c] for c in columns) for row in rows)
 
 
 class TestInverseColumns:
@@ -862,39 +863,46 @@ class TestInverseColumns:
         ).map(tuple)),
     ), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_matches_the_columns_of_invert_integer(self, rows, data):
+    def test_matches_the_columns_of_the_fraction_oracle(self, rows, data):
         n = len(rows)
         columns = data.draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
-        whole = outcome(invert_integer, rows)
-        got = outcome(tropical.inverse_columns, rows, columns)
+        whole = outcome(fraction_inverse, rows)
+        got = outcome(invert_integer, rows, columns)
         if whole[0] == "raised":
             assert got == whole
         else:
             assert got == ("value", columns_of(whole[1], columns))
+            assert outcome(invert_integer, rows, range(n)) == whole
 
     @given(singular())
     @settings(max_examples=60, deadline=None)
     def test_singular_raises_for_any_columns(self, rows):
         for columns in ((), (0,), range(len(rows))):
-            assert outcome(tropical.inverse_columns, rows, columns) == (
+            assert outcome(invert_integer, rows, columns) == (
                 "raised", ArithmeticError, "matrix is singular"
             )
 
     def test_not_unimodular_raises_for_any_columns(self):
         for columns in ((), (1,), (0, 1)):
-            assert outcome(tropical.inverse_columns, ((2, 0), (0, 1)), columns) == (
+            assert outcome(invert_integer, ((2, 0), (0, 1)), columns) == (
                 "raised", ArithmeticError, "inverse is not integral"
             )
 
-    def test_check_vertex_never_inverts_the_lifted_C(self, monkeypatch):
-        def refuse(rows):
-            raise AssertionError("invert_integer called")
+    def test_check_vertex_solves_only_the_weight_one_columns(self, monkeypatch):
+        asked = []
+        real = tropical.invert_integer
 
-        monkeypatch.setattr(tropical, "invert_integer", refuse)
+        def record(rows, columns=None):
+            asked.append(columns)
+            return real(rows, columns)
+
+        monkeypatch.setattr(tropical, "invert_integer", record)
         for kind, n in (("H4", None), ("H3", None), ("I2", 3)):
             walker = TropicalWalker(standard_folding(kind, n))
+            asked.clear()
             report = walker.verify_cube(depth=2, random_words=3, random_length=8)
             assert report.passed, report.failures[:3]
+            assert asked and all(columns == walker.spec.weight_one_reps for columns in asked)
 
 
 def test_h4_tree_steps_each_edge_once(monkeypatch):
