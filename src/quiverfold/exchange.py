@@ -1,11 +1,12 @@
 """Exchange matrices over an ordered ring, R-quivers and mutation.
 
-Entries are either plain integers or ``AlgReal`` values; both support exact
-sign queries, which is all the mutation formula needs.  Matrices are
-immutable: every operation returns a fresh value.  The word explorer's
-states carry each ``AlgReal`` entry as its coefficient tuple instead
-(``coeff_rows``), mutated by ``mutate_coeffs``; the checks compute on the
-tuples, and ``RingValues`` decodes them where a value is needed.
+Entries are either plain integers or ``AlgReal`` values.  Matrices are
+immutable: every operation returns a fresh value.  ``mutate_coeffs`` is the
+one mutation kernel.  It steps rows whose ``AlgReal`` entries are carried
+as coefficient tuples (``coeff_rows``), and every caller computes on that
+form: ``ExchangeMatrix.mutate``, the seeds of ``tropical.enumerate_seeds``
+and the states of both word verifiers.  ``RingValues`` decodes the tuples
+where a value is needed.
 """
 
 from __future__ import annotations
@@ -94,7 +95,10 @@ class ExchangeMatrix:
         return ExchangeMatrix(tuple(tuple(-x for x in row) for row in self.entries))
 
     def mutate(self, k: int) -> "ExchangeMatrix":
-        return ExchangeMatrix(mutate_entries(self.entries, k))
+        """The matrix mutated at ``k``: ``mutate_coeffs`` on ``coeff_rows``, decoded."""
+        m = entry_field(self.entries)
+        rows = mutate_coeffs(coeff_rows(self.entries), k, m)
+        return ExchangeMatrix(rows if m is None else RingValues(m).rows(rows))
 
     # -- serialization --------------------------------------------------
     def to_json(self):
@@ -137,39 +141,6 @@ def entry_field(rows):
     if len(fields) > 1:
         raise ValueError("entries mix fields Z[2cos(pi/m)] of different m")
     return fields.pop() if fields else None
-
-
-def mutate_entries(rows, k: int):
-    """One mutation step on a tuple-of-tuples matrix (any number of rows).
-
-    Rows may outnumber columns (extended matrices); the pivot row ``k`` is
-    always read from the top square block.  The halving in the classical
-    formula is avoided: the correction term is sgn(b_ik) * b_ik * b_kj when
-    b_ik and b_kj have equal nonzero signs and zero otherwise.  The pivot
-    signs sgn(b_kj) are computed once, and only if some row needs them.
-    """
-    ncols = len(rows[0])
-    if not 0 <= k < ncols:
-        raise IndexError(f"mutation index {k} out of range 0..{ncols - 1}")
-    out = []
-    pivot_row = rows[k]
-    pivot_signs = None
-    for i, row in enumerate(rows):
-        if i == k:
-            out.append(tuple(-b for b in row))
-            continue
-        b_ik = row[k]
-        s_ik = sgn(b_ik)
-        new_row = list(row)
-        new_row[k] = -b_ik
-        if s_ik:
-            if pivot_signs is None:
-                pivot_signs = [sgn(b) for b in pivot_row]
-            for j, s_kj in enumerate(pivot_signs):
-                if j != k and s_kj == s_ik:
-                    new_row[j] = row[j] + s_ik * (b_ik * pivot_row[j])
-        out.append(tuple(new_row))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +190,21 @@ def _as_coeffs(x):
 
 
 def mutate_coeffs(rows, k: int, m=None):
-    """``mutate_entries`` on rows whose entries are ints or coefficient tuples.
+    """One mutation step on rows whose entries are ints or coefficient tuples.
+
+    Rows may outnumber columns (extended matrices, such as a seed's B over
+    C); the pivot row ``k`` is read from the top square block.  The halving
+    of the classical formula is avoided: b_ij gains sgn(b_ik) b_ik b_kj when
+    b_ik and b_kj have equal nonzero signs, row and column k are negated,
+    and nothing else changes.
 
     A tuple entry is the reduced coefficient tuple of an ``AlgReal`` over
-    Z[2cos(pi/m)] (``AlgReal.coeffs``, as ``coeff_rows`` makes it).  Each
-    result entry is a tuple exactly when ``mutate_entries`` would make it an
-    ``AlgReal``, and decodes to the same value.  A row whose entry in column
-    k is zero is returned as it is.  With ``m`` None every entry must be an
-    int, and ``_mutate_ints`` takes the step.
+    Z[2cos(pi/m)] (``AlgReal.coeffs``, as ``coeff_rows`` makes it).  A result
+    entry is an int exactly when every value it is computed from is an int,
+    as in ``AlgReal`` arithmetic: an ``AlgReal`` plus an int is an
+    ``AlgReal``.  A row whose entry in column k is zero is returned as it
+    is.  With ``m`` None every entry must be an int, and ``_mutate_ints``
+    takes the step.
 
     Over Z[2cos(pi/m)] the step works as ``_mutate_ints`` does, on b_ij +=
     b_ik * |b_kj| where sgn b_kj = sgn b_ik.  At the first row that needs

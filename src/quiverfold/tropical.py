@@ -8,11 +8,14 @@ tested for exact root membership, G-matrices are exact inverse transposes
 between a folded walk and its composite-mutation lift is checked entry by
 entry through the weighted projection d_F.
 
-The checks of ``TropicalWalker.check_vertex`` compute on the folded
-C-matrix as reduced coefficient tuples (``exchange.coeff_rows``), the form
-the word explorer's states carry, and on the lifted one as ints.  d_F of an
-integer matrix needs no reduction; the product ``mat_mul`` and the
-determinant ``det_laplace(rows, m)`` reduce each entry modulo the minimal
+Folded matrices are computed on only as reduced coefficient tuples
+(``exchange.coeff_rows``): a ``Seed`` holds its stacked rows that way and
+steps them with ``exchange.mutate_coeffs``, the walker's states carry them
+that way, and ``RingValues`` makes ``AlgReal`` values of them only for
+output (``Seed.B``, ``Seed.C``, ``g_matrix``).  Lifted matrices are ints.
+d_F of an integer matrix needs no reduction; the product ``mat_mul``, the
+determinant ``det_laplace(rows, m)`` and the adjugate
+``invert_ring_unimodular(rows, m)`` reduce each entry modulo the minimal
 polynomial once.  Two values are equal exactly when their tuples are.
 
 The cube check decides d_F(G_lifted) = G_folded and C_folded^T G_folded = I
@@ -76,12 +79,12 @@ from functools import partial
 from itertools import combinations
 
 from .chebring import (
-    AlgReal, ChebElem, _cheb_mul_coeffs, _coeff_sign, _context, _poly_add, _poly_mul,
-    _poly_sub, _poly_trim, _reduce_mod, json_value, rho, sigma,
+    ChebElem, _cheb_mul_coeffs, _coeff_sign, _context, _poly_add, _poly_mul, _poly_sub,
+    _poly_trim, _reduce_mod, json_value, rho, sigma,
 )
 from .exchange import (
-    ExchangeMatrix, RingValues, coeff_rows, explore_words, mutate_coeffs, mutate_entries,
-    steps_back_exactly,
+    ExchangeMatrix, RingValues, _as_coeffs, coeff_rows, entry_field, explore_words,
+    mutate_coeffs, steps_back_exactly,
 )
 from .repcat import folded_type_name
 from .rootsys import root_system
@@ -90,38 +93,50 @@ from .unfolding import FoldingSpec
 
 @dataclass(frozen=True)
 class Seed:
-    """Tropical y-seed: exchange matrix, coefficient matrix, provenance word."""
+    """Tropical y-seed: an exchange matrix B stacked over a coefficient matrix C, and a provenance word.
 
-    B: ExchangeMatrix
-    C: tuple
+    ``rows`` are the stacked rows, over Z with every entry an int (``m``
+    None) or over Z[2cos(pi/m)] with every entry a reduced coefficient
+    tuple.  Each value has one such form, so the rows are the seed's key.
+    ``B``, ``C`` and ``c_vectors`` decode them on read.
+    """
+
+    rows: tuple
+    m: int | None = None
     word: tuple = ()
 
     @staticmethod
     def initial(B: ExchangeMatrix) -> "Seed":
-        if isinstance(B.entries[0][0], AlgReal):
-            m = B.entries[0][0].m
-            one, zero = AlgReal(m, (1,)), AlgReal(m)
-        else:
-            one, zero = 1, 0
-        C = tuple(
-            tuple(one if i == j else zero for j in range(B.n)) for i in range(B.n)
-        )
-        return Seed(B, C)
+        """B over the identity C, in the ring of B's ``AlgReal`` entries (``entry_field``)."""
+        m = entry_field(B.entries)
+        rows = coeff_rows(B.entries)
+        one, zero = 1, 0
+        if m is not None:
+            rows = tuple(tuple(map(_as_coeffs, row)) for row in rows)
+            one, zero = (1,), ()
+        C = tuple(tuple(one if i == j else zero for j in range(B.n)) for i in range(B.n))
+        return Seed(rows + C, m)
 
-    def stacked(self) -> tuple:
-        return self.B.entries + self.C
+    @property
+    def n(self) -> int:
+        return len(self.rows[0])
+
+    def _values(self, rows):
+        return rows if self.m is None else RingValues(self.m).rows(rows)
+
+    @property
+    def B(self) -> ExchangeMatrix:
+        return ExchangeMatrix(self._values(self.rows[: self.n]))
+
+    @property
+    def C(self) -> tuple:
+        return self._values(self.rows[self.n:])
 
     def mutate(self, k: int) -> "Seed":
-        rows = mutate_entries(self.stacked(), k)
-        n = self.B.n
-        return Seed(ExchangeMatrix(rows[:n]), rows[n:], self.word + (k,))
+        return Seed(mutate_coeffs(self.rows, k, self.m), self.m, self.word + (k,))
 
     def c_vectors(self) -> tuple:
-        n = self.B.n
-        return tuple(tuple(self.C[i][j] for i in range(n)) for j in range(n))
-
-    def key(self):
-        return coeff_rows(self.B.entries), coeff_rows(self.C)
+        return transpose(self.C)
 
     def to_json(self):
         return {
@@ -139,12 +154,10 @@ class GMatrix:
 
 def g_matrix(seed: Seed) -> GMatrix:
     """G = (C^T)^{-1}, exactly; the determinant must be a unit."""
-    C = seed.C
-    if isinstance(C[0][0], AlgReal):
-        inv = invert_ring_unimodular(transpose(C))
-    else:
-        inv = invert_integer(transpose(C))
-    return GMatrix(inv, seed.word)
+    Ct = transpose(seed.rows[seed.n:])
+    if seed.m is None:
+        return GMatrix(invert_integer(Ct), seed.word)
+    return GMatrix(seed._values(invert_ring_unimodular(Ct, seed.m)), seed.word)
 
 
 def transpose(rows):
@@ -175,37 +188,13 @@ def mat_mul(a, b, m: int):
     return tuple(out)
 
 
-def det_laplace(rows, m: int | None = None):
-    """Determinant by Laplace expansion along the first row.
+def det_laplace(rows, m: int):
+    """Determinant over Z[2cos(pi/m)], every entry a reduced coefficient tuple.
 
-    Entries are ints or ``AlgReal`` values; with ``m`` given they are
-    reduced coefficient tuples over Z[2cos(pi/m)] instead, the expansion
-    multiplies unreduced polynomials, and the result is reduced once.
+    Laplace expansion along the first row multiplies unreduced polynomials
+    (``_det_poly``), and the result is reduced once.
     """
-    if m is not None:
-        return _poly_trim(_reduce_mod(_context(m), _det_poly(rows)))
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = None
-    for j in range(n):
-        entry = rows[0][j]
-        if isinstance(entry, int) and entry == 0:
-            continue
-        if isinstance(entry, AlgReal) and entry.is_zero():
-            continue
-        minor = tuple(
-            tuple(rows[i][jj] for jj in range(n) if jj != j) for i in range(1, n)
-        )
-        term = entry * det_laplace(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    if acc is None:
-        row = rows[0]
-        zero = row[0] - row[0] if not isinstance(row[0], int) else 0
-        return zero
-    return acc
+    return _poly_trim(_reduce_mod(_context(m), _det_poly(rows)))
 
 
 def _det_poly(rows):
@@ -239,29 +228,25 @@ def det_cheb(rows, n: int) -> tuple[int, ...]:
     return tuple(acc)
 
 
-def invert_ring_unimodular(rows):
-    """Inverse of a square AlgReal matrix with determinant +-1, by adjugate."""
+def invert_ring_unimodular(rows, m: int):
+    """Inverse of a square matrix over Z[2cos(pi/m)] with determinant +-1, by adjugate.
+
+    Entries are reduced coefficient tuples, and so are the result's; each
+    cofactor is ``det_laplace`` of a minor.  Any other determinant is an
+    ``ArithmeticError``.
+    """
     n = len(rows)
-    det = det_laplace(rows)
-    m = det.m
-    one = AlgReal(m, (1,))
-    if det == one:
-        sign = 1
-    elif det == -one:
-        sign = -1
-    else:
+    det = det_laplace(rows, m)
+    if det not in ((1,), (-1,)):
         raise ArithmeticError("determinant is not a unit")
+    flip = det == (-1,)
     out = []
     for i in range(n):
         row = []
         for j in range(n):
-            minor = tuple(
-                tuple(rows[r][c] for c in range(n) if c != i) for r in range(n) if r != j
-            )
-            cof = det_laplace(minor) if n > 1 else one
-            if (i + j) % 2:
-                cof = -cof
-            row.append(cof * sign)
+            minor = tuple(r[:i] + r[i + 1:] for jj, r in enumerate(rows) if jj != j)
+            cof = det_laplace(minor, m) if n > 1 else (1,)
+            row.append(tuple([-c for c in cof]) if (i + j + flip) % 2 else cof)
         out.append(tuple(row))
     return tuple(out)
 
@@ -369,7 +354,6 @@ class TropicalWalker:
         self.nverts = spec.S.n
         self.roots = root_system(folded_type_name(spec))
         self.checks = check_set(checks)
-        self.one = AlgReal(self.m, (1,))
         self.identity = tuple(
             tuple((1,) if i == j else () for j in range(self.mprime)) for i in range(self.mprime)
         )
@@ -380,20 +364,12 @@ class TropicalWalker:
         self._roots_seen = {}  # folded c-vector -> (is a root, is sign-coherent)
         self._d_F_seen = {}  # lifted integer column -> its d_F (``matrix_d_F``'s memo)
 
-    # stacked matrices: folded (2m' x m') over AlgReal, lifted (2N x N) over Z
+    # stacked matrices: folded (2m' x m') of coefficient tuples, lifted (2N x N) of ints
     def initial_pair(self):
-        folded = Seed.initial(self.spec.B).stacked()
-        lifted = Seed.initial(self.spec.S).stacked()
-        return folded, lifted
-
-    def step(self, folded, lifted, k: int):
-        folded = mutate_entries(folded, k)
-        for v in self.spec.blocks[k]:
-            lifted = mutate_entries(lifted, v)
-        return folded, lifted
+        return Seed.initial(self.spec.B).rows, Seed.initial(self.spec.S).rows
 
     def _coeff_step(self, folded, lifted, k: int):
-        """``step`` on folded rows of coefficient tuples (``coeff_rows``)."""
+        """The pair mutated at letter k: folded at k, lifted at each vertex of block k."""
         for v in self.spec.blocks[k]:
             lifted = mutate_coeffs(lifted, v)
         return mutate_coeffs(folded, k, self.m), lifted
@@ -422,7 +398,7 @@ class TropicalWalker:
     def _dF_C_holds(self, folded, lifted) -> bool:
         """Whether d_F(C_lifted) = C_folded: the ``dF(C)-mismatch`` comparison."""
         C_l = lifted[self.nverts:]
-        return matrix_d_F(self.spec, C_l, self._d_F_seen) == coeff_rows(folded[self.mprime:])
+        return matrix_d_F(self.spec, C_l, self._d_F_seen) == folded[self.mprime:]
 
     def _root_verdict(self, col):
         """(is a root, is sign-coherent) of a folded c-vector; kept for the walker's life."""
@@ -436,10 +412,9 @@ class TropicalWalker:
     def check_vertex(self, folded, lifted, word, failures, neighbours=True, only=None):
         """Append to ``failures`` a record ``(word, name, ...)`` per failed check.
 
-        The folded rows may hold ``AlgReal`` values, as ``initial_pair`` and
-        ``step`` make them, or their coefficient tuples: they are encoded
-        once with ``coeff_rows``, which leaves a coefficient tuple as it is,
-        and every check computes on the tuples.  The cube sub-checks
+        The pair is in the form ``initial_pair`` and the explorer's states
+        carry: the folded rows as reduced coefficient tuples, the lifted
+        rows as ints, and every check computes on them.  The cube sub-checks
         ``dF(G)-mismatch`` and ``CtG-not-identity`` pass
         together on the certificate C_f^T d_F(G_l) = I: a square matrix
         with a one-sided inverse over a domain has that inverse.  When the
@@ -475,7 +450,7 @@ class TropicalWalker:
         spec, m = self.spec, self.m
         checks = self.checks if only is None else (self.checks & only)
         mprime, nverts = self.mprime, self.nverts
-        C_f = coeff_rows(folded[mprime:])
+        C_f = folded[mprime:]
         C_l = lifted[nverts:]
 
         if "roots" in checks:
@@ -497,14 +472,14 @@ class TropicalWalker:
             # C_f^T X = I certifies X = (C_f^T)^{-1} = G_f, which passes both
             # checks below; only a failed certificate inverts C_f^T.
             if mat_mul(Ct, X, m) != self.identity:
-                G_f = coeff_rows(invert_ring_unimodular(RingValues(m).rows(Ct)))
+                G_f = invert_ring_unimodular(Ct, m)
                 if X != G_f:
                     failures.append((word, "dF(G)-mismatch"))
                 if mat_mul(Ct, G_f, m) != self.identity:
                     failures.append((word, "CtG-not-identity"))
             if neighbours:
                 if not callable(neighbours):
-                    neighbours = partial(self._coeff_step, coeff_rows(folded), lifted)
+                    neighbours = partial(self._coeff_step, folded, lifted)
                 for k in range(mprime):
                     if not (verdict(k) if verdict else self._dF_C_holds(*neighbours(k))):
                         failures.append((word, "dF-mutation-square", k))
@@ -571,15 +546,14 @@ class TropicalWalker:
         same statement as "every pair reachable in <= depth steps passes".
         ``vertices_checked`` still counts words; ``states`` counts pairs.
 
-        The explorer's states carry the folded entries as coefficient tuples
-        (``coeff_rows``), and the lifted ones as ints.  Each check hands
-        ``check_vertex`` the state and the neighbour pairs as the explorer
-        holds them, and ``check_vertex`` computes on the tuples directly.
+        The explorer's states are the pairs of ``initial_pair`` and
+        ``_coeff_step``: the folded entries as coefficient tuples, the lifted
+        ones as ints.  Each check hands ``check_vertex`` the state and the
+        neighbour pairs as the explorer holds them.
         The verdict d_F(C_lifted) = C_folded is decided once per interned
         state (``_Neighbours``), for the state's own check and for every
         mutation square that lands on it.
         """
-        folded, lifted = self.initial_pair()
         verdicts = {}
 
         def step(state, k):
@@ -604,7 +578,7 @@ class TropicalWalker:
             for _ in range(random_words)
         )
         result = explore_words(
-            (coeff_rows(folded), lifted), step, self.mprime, full, depth, walks,
+            self.initial_pair(), step, self.mprime, full, depth, walks,
             walk_check=roots, end_check=full, parity=True, involutive=involutive,
         )
         failures = [_failure(word, detail) for word, detail in result.failures]
@@ -678,9 +652,9 @@ class EnumerationResult:
 
 
 def enumerate_seeds(B: ExchangeMatrix, cap: int = 20000) -> EnumerationResult:
-    """BFS over distinct (B, C) pairs with canonical-key memoization."""
+    """BFS over distinct seeds, each keyed by its stacked coefficient rows."""
     start = Seed.initial(B)
-    seen = {start.key()}
+    seen = {start.rows}
     order = [start]
     frontier = [start]
     while frontier:
@@ -688,11 +662,10 @@ def enumerate_seeds(B: ExchangeMatrix, cap: int = 20000) -> EnumerationResult:
         for seed in frontier:
             for k in range(B.n):
                 nxt = seed.mutate(k)
-                key = nxt.key()
-                if key not in seen:
+                if nxt.rows not in seen:
                     if len(seen) >= cap:
                         return EnumerationResult(order, False, cap)
-                    seen.add(key)
+                    seen.add(nxt.rows)
                     order.append(nxt)
                     new.append(nxt)
         frontier = new

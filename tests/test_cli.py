@@ -345,6 +345,13 @@ class TestByteIdentity:
                 "tilting enumerate --kind H3",
                 "44c55cf05c1c45d928dfa030df7e31ed9520df52f0db74e9e3bff220642085e7",
             ),
+            # recorded at eb92619, before seeds, ExchangeMatrix.mutate and
+            # g_matrix computed on coefficient tuples; the H3 CSV pin above
+            # was recorded again there and matched
+            (
+                "tropical enumerate --kind I2 --n 4 --format csv --precision 17",
+                "9fe61bf6c0ffd70350091e91b776d5b32a56552c3ca0226e7cc6aa11fab1610f",
+            ),
         ],
     )
     def test_stdout_unchanged(self, capsys, argv, digest):
@@ -360,6 +367,21 @@ class TestByteIdentity:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "962d152e262468e2970273c783ea150d4414097c1701e0d6a69bb7315b289789"
+        )
+
+    def test_mutate_mixed_entries_stdout_unchanged(self, capsys, tmp_path):
+        # recorded at eb92619, before ExchangeMatrix.mutate stepped coefficient
+        # tuples; int entries stay ints only where no AlgReal reaches them
+        path = tmp_path / "B.json"
+        path.write_text(json.dumps({"entries": [
+            [0, {"m": 5, "coeffs": [0, 1]}, 0],
+            [{"m": 5, "coeffs": [0, -1]}, 0, 1],
+            [0, -1, 0],
+        ]}))
+        code, out = run(capsys, "mutate", "--matrix", str(path), "--at", "0,1,2,1")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "89c77c29ce535e4cb89ba853388c76c229a1feb7afaa231e050274477ae6a135"
         )
 
     # The JSON of failing unfolding reports, as ``unfold verify`` prints
@@ -715,17 +737,25 @@ class TestUsageErrors:
 
 
 def test_sigma_float_ignores_earlier_refinement(capsys):
-    # the fresh-interpreter pin of TestByteIdentity holds in this process too,
+    # the fresh-interpreter pins of TestByteIdentity hold in this process too,
     # before and after the shared isolating interval is narrowed far below
     # the float's width
-    argv = ("ring", "sigma", "--n", "3", "--a", "1,2,-1")
-    _, before = run(capsys, *argv)
-    AlgReal.generator(7).interval(Fraction(1, 10**40))
-    _, after = run(capsys, *argv)
-    assert after == before
-    assert hashlib.sha256(after.encode()).hexdigest() == (
-        "ba8af774f856a937c74385f4ed12f945d96dd1b8caf08f86aa85c3f6d5d6ad91"
-    )
+    for argv, m, digest in (
+        (
+            ("ring", "sigma", "--n", "3", "--a", "1,2,-1"), 7,
+            "ba8af774f856a937c74385f4ed12f945d96dd1b8caf08f86aa85c3f6d5d6ad91",
+        ),
+        (
+            ("tropical", "enumerate", "--kind", "I2", "--n", "4", "--format", "csv",
+             "--precision", "17"), 9,
+            "9fe61bf6c0ffd70350091e91b776d5b32a56552c3ca0226e7cc6aa11fab1610f",
+        ),
+    ):
+        _, before = run(capsys, *argv)
+        AlgReal.generator(m).interval(Fraction(1, 10**40))
+        _, after = run(capsys, *argv)
+        assert after == before
+        assert hashlib.sha256(after.encode()).hexdigest() == digest
 
 
 def test_verify_all_projects_each_lifted_g_vector_once(capsys, monkeypatch):

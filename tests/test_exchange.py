@@ -15,11 +15,11 @@ from quiverfold.exchange import (
     coeff_rows,
     from_quiver,
     mutate_coeffs,
-    mutate_entries,
     quiver_dot,
     rescale,
     to_quiver,
 )
+from spec_oracles import mutate_entries
 
 # the F4-type skew-symmetrizable matrix and its 6x6 integer unfolding
 B_F4 = ExchangeMatrix(
@@ -330,6 +330,28 @@ class TestExtendedMutation:
         )
         k = data.draw(st.integers(0, n - 1))
         assert mutate_entries(rows, k) == mutate_entries_per_row(rows, k)
+
+
+class TestMatrixMutation:
+    """``ExchangeMatrix.mutate`` against the ``mutate_entries`` oracle."""
+
+    @given(m=st.sampled_from([None, 5, 7, 9]), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_mutate_entries(self, m, data):
+        # over Z, or over Z[2cos(pi/m)] with some entries plain ints; zeros frequent
+        n = data.draw(st.integers(1, 4))
+        coeff = st.sampled_from((0, 0, 0, 1, -1, 2, -3))
+        entry = coeff
+        if m is not None:
+            deg = len(minimal_poly(m)) - 1
+            entry = st.one_of(st.tuples(*[coeff] * deg).map(lambda c: AlgReal(m, c)), coeff)
+        matrix = ExchangeMatrix(tuple(tuple(data.draw(entry) for _ in range(n)) for _ in range(n)))
+        for k in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6)):
+            got = matrix.mutate(k)
+            want = mutate_entries(matrix.entries, k)
+            assert got.entries == want
+            assert [type(x) for r in got.entries for x in r] == [type(x) for r in want for x in r]
+            matrix = got
 
 
 class TestCoeffMutation:

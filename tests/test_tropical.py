@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from quiverfold import chebring, tropical
 from quiverfold.chebring import AlgReal, ChebElem, minimal_poly, reg_rep, sigma
-from quiverfold.exchange import ExchangeMatrix, coeff_rows
+from quiverfold.exchange import ExchangeMatrix, RingValues, coeff_rows
 from quiverfold.rootsys import RootSet, root_system
 from quiverfold.tropical import (
     EnumerationResult,
@@ -23,6 +23,7 @@ from quiverfold.tropical import (
     transpose,
 )
 from quiverfold.unfolding import FoldingSpec, standard_folding
+from spec_oracles import algreal_pair, det_entries, invert_unimodular_entries, walker_step
 
 A2 = ExchangeMatrix(((0, 1), (-1, 0)))
 
@@ -77,7 +78,7 @@ class TestGMatrix:
         for k in (0, 1, 0, 1, 0):
             seed = seed.mutate(k)
             C = seed.C
-            det = det_laplace(C)
+            det = det_entries(C)
             expected = (
                 (det * C[1][1], -(det * C[1][0])),
                 (-(det * C[0][1]), det * C[0][0]),
@@ -94,7 +95,7 @@ class TestGMatrix:
         two = AlgReal(5, (2,))
         zero = AlgReal(5)
         with pytest.raises(ArithmeticError):
-            invert_ring_unimodular(((two, zero), (zero, two)))
+            invert_ring_unimodular(coeff_rows(((two, zero), (zero, two))), 5)
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +192,36 @@ class TestEnumeration:
         gs = result.g_matrices()
         assert ((1, 0), (0, 1)) in gs
 
+    def test_int_zero_diagonal_gives_the_same_pattern(self):
+        # the I2(7) B with its zero diagonal written as int 0: the seed carries
+        # every entry over Z[2cos(pi/7)], so the int zeros key no extra seeds
+        B = standard_folding("I2", 3).B
+        mixed = ExchangeMatrix(
+            tuple(tuple(0 if i == j else x for j, x in enumerate(row)) for i, row in enumerate(B.entries))
+        )
+        assert type(mixed[0, 0]) is int and type(B[0, 0]) is AlgReal
+        got, want = enumerate_seeds(mixed), enumerate_seeds(B)
+        assert got.complete and got.count == want.count == 18
+        assert got.g_matrices() == want.g_matrices()
+        assert [s.rows for s in got.seeds] == [s.rows for s in want.seeds]
+
+
+@pytest.mark.parametrize("negate", [False, True])
+@pytest.mark.parametrize("kind,n", [("I2", 3), ("I2", 4), ("H3", None)])
+def test_g_matrix_matches_the_adjugate_oracle_on_every_seed(kind, n, negate):
+    B = standard_folding(kind, n).B
+    result = enumerate_seeds(-B if negate else B)
+    assert result.complete
+    m = result.seeds[0].m
+    identity = tuple(
+        tuple(AlgReal(m, (int(i == j),)) for j in range(B.n)) for i in range(B.n)
+    )
+    for seed, G in zip(result.seeds, result.g_matrices()):
+        Ct = transpose(seed.C)
+        assert G == invert_unimodular_entries(Ct)
+        assert all(type(x) is AlgReal for row in G for x in row)
+        assert plain_mat_mul(Ct, G) == identity
+
 
 # ---------------------------------------------------------------------------
 # oracles: the Fraction inverse, the per-term d_F, and the cube and blocks
@@ -262,7 +293,7 @@ def oracle_cube_blocks(walker, folded, lifted, word):
     if matrix_d_F_per_term(spec, C_l) != C_f:
         failures.append((word, "dF(C)-mismatch"))
     G_l = fraction_inverse(transpose(C_l))
-    G_f = invert_ring_unimodular(transpose(C_f))
+    G_f = invert_unimodular_entries(transpose(C_f))
     if matrix_d_F_per_term(spec, G_l) != G_f:
         failures.append((word, "dF(G)-mismatch"))
     one, zero = AlgReal(walker.m, (1,)), AlgReal(walker.m)
@@ -270,7 +301,7 @@ def oracle_cube_blocks(walker, folded, lifted, word):
     if plain_mat_mul(transpose(C_f), G_f) != ident_f:
         failures.append((word, "CtG-not-identity"))
     for k in range(mprime):
-        nf, nl = walker.step(folded, lifted, k)
+        nf, nl = walker_step(walker, folded, lifted, k)
         if matrix_d_F_per_term(spec, nl[nverts:]) != nf[mprime:]:
             failures.append((word, "dF-mutation-square", k))
     blocks = []
@@ -294,20 +325,20 @@ def oracle_cube_blocks(walker, folded, lifted, word):
 
 def cube_blocks(walker, folded, lifted, word):
     failures = []
-    walker.check_vertex(folded, lifted, word, failures, only=frozenset(("cube", "blocks")))
+    walker.check_vertex(coeff_rows(folded), lifted, word, failures, only=frozenset(("cube", "blocks")))
     return failures
 
 
 def reachable_states(walker, depth):
     """One word for each (folded, lifted) pair reachable in <= depth steps."""
-    start = walker.initial_pair()
+    start = algreal_pair(walker)
     found = {start: ()}
     frontier = [start]
     for _ in range(depth):
         new = []
         for state in frontier:
             for k in range(walker.mprime):
-                nxt = walker.step(*state, k)
+                nxt = walker_step(walker, *state, k)
                 if nxt not in found:
                     found[nxt] = found[state] + (k,)
                     new.append(nxt)
@@ -406,9 +437,9 @@ class TestCubeBlocksOracle:
     )
     def test_corrupted_folded_entry(self, word, i, j, delta):
         walker = TropicalWalker(standard_folding("H4"))
-        folded, lifted = walker.initial_pair()
+        folded, lifted = algreal_pair(walker)
         for k in word:
-            folded, lifted = walker.step(folded, lifted, k)
+            folded, lifted = walker_step(walker, folded, lifted, k)
         row = walker.mprime + i
         folded = with_entry(folded, row, j, folded[row][j] + delta)
         got = outcome(cube_blocks, walker, folded, lifted, word)
@@ -418,15 +449,15 @@ class TestCubeBlocksOracle:
     def test_corrupted_folded_entry_records_both_mismatches(self):
         walker = TropicalWalker(standard_folding("H4"))
         folded, lifted = walker.initial_pair()
-        folded = with_entry(folded, walker.mprime, 1, walker.one)
+        folded = with_entry(folded, walker.mprime, 1, (1,))
         got = cube_blocks(walker, folded, lifted, ("x",))
-        assert got == oracle_cube_blocks(walker, folded, lifted, ("x",))
+        assert got == oracle_cube_blocks(walker, RingValues(walker.m).rows(folded), lifted, ("x",))
         assert got[:2] == [(("x",), "dF(C)-mismatch"), (("x",), "dF(G)-mismatch")]
         assert {f[1] for f in got[2:]} == {"dF-mutation-square"}
 
     def test_lifted_determinant_two(self):
         walker = TropicalWalker(standard_folding("I2", 3))
-        folded, lifted = walker.initial_pair()
+        folded, lifted = algreal_pair(walker)
         lifted = with_entry(lifted, walker.nverts, 0, 2)
         got = outcome(cube_blocks, walker, folded, lifted, ())
         assert got == ("raised", ArithmeticError, "inverse is not integral")
@@ -436,7 +467,7 @@ class TestCubeBlocksOracle:
     def test_non_commuting_blocks(self, monkeypatch, kind, n):
         walker = TropicalWalker(standard_folding(kind, n))
         monkeypatch.setattr(TropicalWalker, "block_element", lambda self, block: ChebElem.one(self.n))
-        folded, lifted = walker.initial_pair()
+        folded, lifted = algreal_pair(walker)
         b0, b1 = walker.spec.blocks[0], walker.spec.blocks[1]
         top = walker.nverts
         # I + e01 in diagonal block 0, I + e10 in diagonal block 1
@@ -464,7 +495,7 @@ class TestCommutationCertificate:
         monkeypatch.setattr(chebring, "reg_rep", lambda k, n: planted if (k, n) == (1, 3) else real(k, n))
         walker = TropicalWalker(standard_folding("I2", 3))
         assert not walker.basis_commutes
-        folded, lifted = walker.initial_pair()
+        folded, lifted = algreal_pair(walker)
         top = walker.nverts
         for block, image in zip(walker.spec.blocks, (planted, real(2, 3))):
             for a, v in enumerate(block):
@@ -497,9 +528,9 @@ class TestMemoizedSquares:
     def planted_walk(monkeypatch, kind, n, target, **kwargs):
         """verify_cube with the first two folded C rows of the state at ``target`` swapped."""
         walker = TropicalWalker(standard_folding(kind, n))
-        state = walker.initial_pair()
+        state = algreal_pair(walker)
         for k in target:
-            state = walker.step(*state, k)
+            state = walker_step(walker, *state, k)
         bad = coeff_rows(state[0])
         real = TropicalWalker._coeff_step
 
@@ -574,7 +605,7 @@ def test_cube_work_counts(monkeypatch):
     per_state = []
     real_inverse, real_mul = tropical.invert_ring_unimodular, tropical._mat_mul_int
     real_element = TropicalWalker.block_element
-    monkeypatch.setattr(tropical, "invert_ring_unimodular", lambda rows: inversions.append(rows) or real_inverse(rows))
+    monkeypatch.setattr(tropical, "invert_ring_unimodular", lambda *args: inversions.append(args) or real_inverse(*args))
     monkeypatch.setattr(tropical, "_mat_mul_int", lambda a, b: products.append(1) or real_mul(a, b))
     monkeypatch.setattr(
         TropicalWalker, "block_element",
@@ -664,7 +695,7 @@ def oracle_roots_dets(walker, folded, lifted, word):
 
 def roots_dets(walker, folded, lifted, word):
     failures = []
-    walker.check_vertex(folded, lifted, word, failures, neighbours=False, only=ROOTS_DETS)
+    walker.check_vertex(coeff_rows(folded), lifted, word, failures, neighbours=False, only=ROOTS_DETS)
     return failures
 
 
@@ -700,7 +731,7 @@ class TestRootsDetsOracle:
     def test_planted(self, kind, n, plant, expected):
         # planted in the initial pair, where C_f and the lifted C are identities
         walker = TropicalWalker(standard_folding(kind, n))
-        folded, lifted = walker.initial_pair()
+        folded, lifted = algreal_pair(walker)
         word, row, block = (), walker.mprime, walker.spec.blocks[0]
         if plant == "non-root":
             folded = with_entry(folded, row, 0, AlgReal(walker.m, (2,)))
@@ -724,7 +755,7 @@ class TestWalkerMemos:
 
     @staticmethod
     def planted(walker, plant):
-        folded, lifted = walker.initial_pair()
+        folded, lifted = algreal_pair(walker)
         row = walker.mprime
         if plant == "non-root":
             folded = with_entry(folded, row, 0, AlgReal(walker.m, (2,)))
@@ -808,7 +839,7 @@ def test_coefficient_product_and_determinant_match_algreal(inputs):
     m, a, b, square = inputs
     assert mat_mul(coeff_rows(a), coeff_rows(b), m) == coeff_rows(plain_mat_mul(a, b))
     assert det_laplace(coeff_rows(square), m) == leibniz(square).coeffs
-    assert det_laplace(coeff_rows(square), m) == det_laplace(square).coeffs
+    assert det_laplace(coeff_rows(square), m) == det_entries(square).coeffs
 
 
 @st.composite
