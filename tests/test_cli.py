@@ -352,6 +352,21 @@ class TestByteIdentity:
                 "tropical enumerate --kind I2 --n 4 --format csv --precision 17",
                 "9fe61bf6c0ffd70350091e91b776d5b32a56552c3ca0226e7cc6aa11fab1610f",
             ),
+            # recorded at b28e8e6, before the Hom table was knitted by
+            # tau-shift, rigidity read generator bitmasks and the projections
+            # were decoded once per category
+            (
+                "ar build --kind H4 --format dot",
+                "c2d84e525be8bc0ba3868af0dd33ed76cd3baee8110e701466f65af729734353",
+            ),
+            (
+                "fold dims --kind H4",
+                "f971fad38a9ea5bd64e998ccfded8c94af80b277f7159e4023215bb285adc40f",
+            ),
+            (
+                "tilting graph --kind I2 --n 4",
+                "823b39b1e0be517325267728228bbde8fa4951a241e9a8fc883d5cd0fd953113",
+            ),
         ],
     )
     def test_stdout_unchanged(self, capsys, argv, digest):
