@@ -740,13 +740,18 @@ def rho(r: ChebElem) -> tuple[tuple[int, ...], ...]:
 
 
 def sigma(a: ChebElem) -> AlgReal:
-    """Evaluation homomorphism theta_k -> U_k(cos pi/(2n+1)) into Z[2cos(pi/(2n+1))]."""
-    m = 2 * a.n + 1
-    out = AlgReal(m, ())
-    for k, c in enumerate(a.coeffs):
-        if c:
-            out = out + AlgReal.chebyshev(m, k) * c
-    return out
+    """Evaluation homomorphism theta_k -> U_k(cos pi/(2n+1)) into Z[2cos(pi/(2n+1))].
+
+    Sums c_k U_k(x/2) as integer polynomials, with U_(k+1) = x U_k - U_(k-1),
+    and reduces once, in the one ``AlgReal`` it makes.
+    """
+    acc = [0] * len(a.coeffs)
+    prev, cur = (), (1,)
+    for c in a.coeffs:
+        for i, u in enumerate(cur):
+            acc[i] += c * u
+        prev, cur = cur, _poly_sub((0,) + cur, prev)
+    return AlgReal(2 * a.n + 1, acc)
 
 
 def semiring_leq(r: ChebElem, s: ChebElem) -> bool:

@@ -2,30 +2,22 @@
 
 Indecomposables are the modules of the unfolded quiver together with one
 shifted projective per vertex.  Morphism and extension dimensions are
-assembled from module-level hammock data through the orbit formula, so the
-whole layer stays exact integer combinatorics.  On top of that sit the
+assembled from the module category's Hom table through the orbit formula,
+so the whole layer stays exact integer combinatorics.  On top of that sit the
 semiring-compatible rigidity notion, enumeration and mutation of tilting
 objects built from generator columns, and the two kinds of g-vectors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import compress
+from operator import add, not_
 from types import MappingProxyType
 
 from .chebring import ChebElem, sigma
 from .exchange import ExchangeMatrix, RingValues, coeff_rows, entry_field, mutate_coeffs
 from .repcat import FoldedCategory
 from .unfolding import FoldingSpec
-
-
-@dataclass(frozen=True)
-class ClusterInd:
-    """Module (shift is None) or shifted projective (shift = vertex)."""
-
-    ident: int
-    module: int | None
-    shifted_vertex: int | None
 
 
 class ClusterCategory:
@@ -38,8 +30,9 @@ class ClusterCategory:
         self._tau = tuple(self._compute_tau(x) for x in range(self.size))
         self._hom = None
         self._ext = None
-        self._pair_cache: dict[tuple[int, int], bool] = {}
+        self._vanish = None
         self._adj = None
+        self._mask: dict[int, int] = {}
         self._g: dict[int, tuple] = {}
         self._g_folded: dict[int, tuple] = {}
         self._build_generators()
@@ -66,7 +59,7 @@ class ClusterCategory:
         ar = self.mc.ar
         if self.is_shift(x):
             return ar.inj_module[x - self.nmod]
-        t = ar.tau(x)
+        t = ar._tau[x]
         if t is not None:
             return t
         return self.shift_ident(ar.modules[x].proj_vertex)
@@ -87,15 +80,15 @@ class ClusterCategory:
         return self._ext[x][y]
 
     def _fill_tables(self):
-        """Both tables, row by row, from the module-level hammock rows.
+        """Both tables, row by row, from the module category's Hom table.
 
-        With H[a][b] = dim Hom(a, b) between modules, tau the module translate
-        and P_v the projective at v, the cluster category has
-        hom(x, y) = H[x][y] + H[tau^-1 y][tau x] for modules x and y,
-        hom(x, P_w[1]) = H[P_w][tau x], hom(P_v[1], y) = H[P_v][tau^-1 y] and
-        hom(P_v[1], P_w[1]) = H[P_v][P_w]; a term whose translate does not
-        exist is 0.  Each module row is read once, and its transpose gives
-        the H[.][tau x] terms.
+        With H[a][b] = dim Hom(a, b) between modules (``ARQuiver.hom_row``),
+        tau the module translate and P_v the projective at v, the cluster
+        category has hom(x, y) = H[x][y] + H[tau^-1 y][tau x] for modules x
+        and y, hom(x, P_w[1]) = H[P_w][tau x], hom(P_v[1], y) =
+        H[P_v][tau^-1 y] and hom(P_v[1], P_w[1]) = H[P_v][P_w]; a term whose
+        translate does not exist is 0.  Each module row is read once, and its
+        transpose gives the H[.][tau x] terms.
         """
         ar = self.mc.ar
         nmod = self.nmod
@@ -103,23 +96,25 @@ class ClusterCategory:
         # zero row it makes in the transpose for a projective's missing tau.
         H = [ar.hom_row(x) + (0,) for x in range(nmod)]
         HT = [row + (0,) for row in zip(*H)]
-        tau = [nmod if t is None else t for t in map(ar.tau, range(nmod))]
-        tau_inv = [nmod if t is None else t for t in map(ar.tau_inv, range(nmod))]
+        tau = [nmod if t is None else t for t in ar._tau]
+        tau_inv = [nmod if t is None else t for t in ar._tau_inv]
         proj = [ar.proj_module[v] for v in range(self.nverts)]
         hom = []
         for x in range(nmod):
             hx, back = H[x], HT[tau[x]]
             hom.append(
-                tuple(hx[y] + back[ty] for y, ty in enumerate(tau_inv))
-                + tuple(back[p] for p in proj)
+                tuple(map(add, hx, map(back.__getitem__, tau_inv)))
+                + tuple(map(back.__getitem__, proj))
             )
         for p in proj:
             hp = H[p]
             hom.append(tuple(map(hp.__getitem__, tau_inv)) + tuple(map(hp.__getitem__, proj)))
         self._hom = tuple(hom)
         self._ext = tuple(tuple(map(row.__getitem__, self._tau)) for row in self._hom)
-        vanishing = tuple(tuple(e == 0 for e in row) for row in self._ext)
-        if vanishing != tuple(zip(*vanishing)):
+        # bit y of _vanish[x] is set when ext(x, y) = 0
+        bits = [1 << y for y in range(self.size)]
+        self._vanish = [sum(compress(bits, map(not_, row))) for row in self._ext]
+        if self._vanish != [sum(compress(bits, map(not_, col))) for col in zip(*self._ext)]:
             raise AssertionError("extension vanishing must be symmetric")
 
     # -- generators and iso-sets ------------------------------------------------
@@ -136,6 +131,7 @@ class ClusterCategory:
                     raise AssertionError("projective block does not form a column")
             gens.append(self.shift_ident(rep))
         self.generators = tuple(gens)
+        self._bit = {g: 1 << i for i, g in enumerate(gens)}
         iso = {g: mc.iso_set(g) for g in mc.generators}
         for block in spec.blocks:
             iso[self.shift_ident(block[0])] = tuple(self.shift_ident(v) for v in block)
@@ -149,47 +145,52 @@ class ClusterCategory:
 
     # -- rigidity ----------------------------------------------------------------
     def pair_rigid(self, g1: int, g2: int) -> bool:
-        key = (g1, g2) if g1 <= g2 else (g2, g1)
-        cached = self._pair_cache.get(key)
-        if cached is not None:
-            return cached
-        ok = True
-        for z1 in self.iso_sets[g1]:
-            for z2 in self.iso_sets[g2]:
-                if self.ext(z1, z2) or self.ext(z2, z1):
-                    ok = False
-                    break
-            if not ok:
-                break
-        self._pair_cache[key] = ok
-        return ok
+        self.compatibility()
+        return bool(self._mask[g1] & self._bit[g2])
 
     def is_rigid_set(self, summands) -> bool:
-        summands = tuple(summands)
-        for a in range(len(summands)):
-            for b in range(a, len(summands)):
-                if not self.pair_rigid(summands[a], summands[b]):
-                    return False
-        return True
+        self.compatibility()
+        need = 0
+        for g in summands:
+            need |= self._bit[g]
+        return all(self._mask[g] & need == need for g in summands)
+
+    def _decode(self, mask: int) -> tuple:
+        """The generators whose bits are set in ``mask``, in ``generators`` order."""
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(self.generators[low.bit_length() - 1])
+            mask ^= low
+        return tuple(out)
 
     def compatibility(self):
         """Adjacency of the rigidity graph on generator columns (read-only).
 
         Built on first use and kept: each generator maps to the frozenset of
-        the other generators it is pair-rigid with.
+        the other generators it is pair-rigid with, that is, no member of
+        either column has an extension with a member of the other.  The
+        graph is computed on int masks.  An object's mask (``_vanish``) has
+        bit y set when ext(x, y) = 0, which ``_fill_tables`` checked is
+        symmetric; a column's is the AND of its members' masks; and generator
+        i's mask (``_mask``) has bit j set when column j lies inside column
+        i's mask.  Bit j stands for ``generators[j]`` (``_bit``).
         """
         if self._adj is None:
+            if self._ext is None:
+                self._fill_tables()
             gens = self.generators
+            members = [sum(1 << z for z in self.iso_sets[g]) for g in gens]
             for g in gens:
-                if not self.pair_rigid(g, g):
+                col = -1
+                for z in self.iso_sets[g]:
+                    col &= self._vanish[z]
+                self._mask[g] = sum(self._bit[h] for h, mem in zip(gens, members) if col & mem == mem)
+                if not self._mask[g] & self._bit[g]:
                     raise AssertionError("generator columns must be self-rigid")
-            adj = {g: set() for g in gens}
-            for i, g1 in enumerate(gens):
-                for g2 in gens[i + 1:]:
-                    if self.pair_rigid(g1, g2):
-                        adj[g1].add(g2)
-                        adj[g2].add(g1)
-            self._adj = MappingProxyType({g: frozenset(nb) for g, nb in adj.items()})
+            self._adj = MappingProxyType({
+                g: frozenset(self._decode(self._mask[g] & ~self._bit[g])) for g in gens
+            })
         return self._adj
 
     # -- tilting objects -----------------------------------------------------------
@@ -197,58 +198,49 @@ class ClusterCategory:
         return self.spec.B.n
 
     def enumerate_tilting(self) -> tuple:
-        """All maximal rigid generator sets; each must have the folded rank."""
-        adj = self.compatibility()
-        gens = sorted(self.generators)
-        every = frozenset(gens)
+        """All maximal rigid generator sets; each must have the folded rank.
+
+        Cliques grow in increasing generator order.  ``common`` is the AND of
+        the clique's masks: the generators pair-rigid with every summand, the
+        summands included, so a clique is maximal exactly when ``common``
+        holds nothing else.
+        """
+        self.compatibility()
+        gens, mask, bit = self.generators, self._mask, self._bit
         rank = self.tilting_rank()
         out = []
 
-        def extend(clique, candidates):
+        def extend(clique, common, candidates):
             if len(clique) == rank:
-                if every.intersection(*(adj[c] for c in clique)).difference(clique):
+                if common != sum(map(bit.__getitem__, clique)):
                     raise AssertionError("rank-size rigid set failed maximality")
                 out.append(tuple(clique))
                 return
             for idx, g in enumerate(candidates):
-                extend(clique + [g], [h for h in candidates[idx + 1:] if h in adj[g]])
+                inner = common & mask[g]
+                extend(clique + [g], inner, [h for h in candidates[idx + 1:] if inner & bit[h]])
 
-        extend([], gens)
+        extend([], (1 << len(gens)) - 1, sorted(gens))
         for t in out:
             hat = self.hat(t)
             if len(hat) != self.nverts:
                 raise AssertionError("hat object must have one summand per vertex")
         return tuple(out)
 
-    def is_classical_tilting(self, objects) -> bool:
-        """Basic rigid and maximal among all cluster indecomposables."""
-        objs = tuple(sorted(objects))
-        if len(set(objs)) != len(objs):
-            return False
-        for a in objs:
-            for b in objs:
-                if self.ext(a, b):
-                    return False
-        inside = set(objs)
-        for x in range(self.size):
-            if x in inside:
-                continue
-            if all(self.ext(x, t) == 0 and self.ext(t, x) == 0 for t in objs):
-                return False
-        return True
-
     def complements(self, almost) -> tuple:
         """The completions of an almost complete rigid generator set.
 
-        Read off the compatibility graph: the generators adjacent to every
-        summand, in the order of ``generators``.
+        Read off the compatibility masks: the generators pair-rigid with
+        every summand, other than the summands, in the order of
+        ``generators``.
         """
         almost = tuple(almost)
         if not self.is_rigid_set(almost):
             raise ValueError("input is not rigid")
-        adj = self.compatibility()
-        common = frozenset(self.generators).intersection(*(adj[t] for t in almost))
-        found = tuple(g for g in self.generators if g in common)
+        common = (1 << len(self.generators)) - 1
+        for g in almost:
+            common &= self._mask[g] & ~self._bit[g]
+        found = self._decode(common)
         if len(found) != 2:
             raise AssertionError(
                 f"almost complete object has {len(found)} complements, expected 2"
@@ -379,14 +371,9 @@ class ClusterCategory:
         if out is None:
             g = self.g_vector(x)
             n = self.mc.n
-            out = []
-            for block in self.spec.blocks:
-                r = ChebElem.zero(n)
-                for pos, v in enumerate(block):
-                    if g[v]:
-                        r = r + g[v] * ChebElem.theta(n, pos)
-                out.append(sigma(r))
-            out = self._g_folded[x] = tuple(out)
+            out = self._g_folded[x] = tuple(
+                sigma(ChebElem(n, tuple(map(g.__getitem__, block)))) for block in self.spec.blocks
+            )
         return out
 
     def folded_G_matrix(self, summands) -> tuple:

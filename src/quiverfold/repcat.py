@@ -5,9 +5,10 @@ structure they carry.
 orientation from its projectives: modules are identified with their
 dimension vectors, arranged on a grid (orbit, slice) where slice 0 holds
 the projectives and each further slice applies the inverse translate by
-the mesh rule.  Hom dimensions come from forward hammock recursions and
-Ext from the translate formula, so no linear algebra over the base field
-is ever needed.
+the mesh rule.  The Hom table runs the forward hammock recursion from the
+projectives only and fills every other row by the translate (``hom_row``);
+Ext comes from the translate formula, so no linear algebra over the base
+field is ever needed.
 
 ``FoldedCategory`` adds the data of a weighted folding: projected
 dimension vectors, the factorization of every indecomposable as a
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chebring import AlgReal, ChebElem, _context, _poly_mul, _poly_trim, _reduce_mod, cheb_mul
+from .exchange import RingValues
 from .rootsys import root_system
 from .unfolding import FoldingSpec
 
@@ -53,7 +55,7 @@ class ARQuiver:
         self.proj_dims = tuple(self._paths_from(v) for v in range(nvertices))
         self.inj_dims = tuple(self._paths_to(v) for v in range(nvertices))
         self._knit()
-        self._hom_cache = {}
+        self._hom = None
 
     # -- underlying quiver helpers --------------------------------------
     def _toposort(self):
@@ -148,6 +150,8 @@ class ARQuiver:
             raise AssertionError("every tau-orbit must end at a distinct injective")
         self.modules = tuple(modules)
         self.grid = grid
+        self._tau = tuple(grid.get((mod.orbit, mod.slice - 1)) for mod in modules)
+        self._tau_inv = tuple(grid.get((mod.orbit, mod.slice + 1)) for mod in modules)
         self.proj_module = {v: grid[(v, 0)] for v in range(self.nvertices)}
         self.inj_module = {
             mod.inj_vertex: mod.ident for mod in modules if mod.inj_vertex is not None
@@ -186,7 +190,7 @@ class ARQuiver:
 
     def _check_meshes(self):
         for mod in self.modules:
-            prev = self.tau(mod.ident)
+            prev = self._tau[mod.ident]
             if prev is None:
                 continue
             total = [c for c in self.modules[prev].dim]
@@ -201,49 +205,65 @@ class ARQuiver:
 
     # -- translates ------------------------------------------------------
     def tau(self, ident: int) -> int | None:
-        mod = self.modules[ident]
-        return self.grid.get((mod.orbit, mod.slice - 1))
+        return self._tau[ident]
 
     def tau_inv(self, ident: int) -> int | None:
-        mod = self.modules[ident]
-        return self.grid.get((mod.orbit, mod.slice + 1))
+        return self._tau_inv[ident]
 
     # -- hom / ext --------------------------------------------------------
-    def hom_row(self, source: int):
+    def _hammock(self, source: int) -> tuple:
         """dim Hom(source, Z) for every Z, by the forward hammock recursion."""
-        row = self._hom_cache.get(source)
-        if row is not None:
-            return row
         h = [0] * len(self.modules)
+        tau = self._tau
         for ident in self.ar_order:
             acc = 1 if ident == source else 0
             for pred in self.ar_in[ident]:
                 acc += h[pred]
-            prev = self.tau(ident)
+            prev = tau[ident]
             if prev is not None:
                 acc -= h[prev]
             if acc < 0:
                 raise AssertionError("hammock recursion went negative")
             h[ident] = acc
-        row = tuple(h)
-        self._hom_cache[source] = row
-        return row
+        return tuple(h)
+
+    def hom_row(self, source: int) -> tuple:
+        """dim Hom(source, Z) for every Z: one row of the Hom table.
+
+        The table is filled on first use, and only the n projective rows run
+        the hammock recursion.  The path algebra is hereditary, so tau is an
+        equivalence from the non-projective to the non-injective
+        indecomposables: Hom(X, Y) = Hom(tau X, tau Y) for non-projective X
+        and Y.  And Hom(X, P) = 0 for non-projective X and projective P: the
+        image of a map to P is projective, so it splits off X, which is
+        indecomposable and not projective.  So the row
+        of a non-projective X is the row of tau X read at tau Y, with 0 at
+        the projectives.  Rows are filled in ``ar_order``, which puts the
+        row of tau X first.
+        """
+        if self._hom is None:
+            size = len(self.modules)
+            # the zero column at index size stands for a projective's missing tau
+            shift = [size if t is None else t for t in self._tau]
+            rows = [None] * size
+            for x in self.ar_order:
+                tx = self._tau[x]
+                if tx is None:
+                    rows[x] = self._hammock(x)
+                else:
+                    rows[x] = tuple(map((rows[tx] + (0,)).__getitem__, shift))
+            self._hom = tuple(rows)
+        return self._hom[source]
 
     def hom(self, a: int, b: int) -> int:
         return self.hom_row(a)[b]
 
     def ext(self, a: int, b: int) -> int:
         """dim Ext^1(a, b) = dim Hom(b, tau a); zero for projective a."""
-        ta = self.tau(a)
+        ta = self._tau[a]
         if ta is None:
             return 0
         return self.hom_row(b)[ta]
-
-    def euler_form(self, d, e) -> int:
-        total = sum(di * ei for di, ei in zip(d, e))
-        for i, j in self.arrows:
-            total -= d[i] * e[j]
-        return total
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +308,14 @@ class FoldedCategory:
 
         The lookup is keyed on reduced coefficient tuples: each entry of
         theta_j alpha is the product of two reduced tuples, reduced once, and
-        a module's key is its ``dimproj`` vector's coefficients.
+        a module's key is ``spec.coeff_d_F`` of its dimension vector.  One
+        ``RingValues`` decodes the keys into ``dimproj``, so each distinct
+        entry is one ``AlgReal``.
         """
         spec, ar, m = self.spec, self.ar, self.m
         ctx = _context(m)
-        self.dimproj = tuple(spec.d_F(mod.dim) for mod in ar.modules)
+        keys = [spec.coeff_d_F(mod.dim) for mod in ar.modules]
+        self.dimproj = RingValues(m).rows(keys)
         scales = [AlgReal.chebyshev(m, j).coeffs for j in range(self.n)]
         lookup = {}
         for alpha in self.roots.positives:
@@ -302,8 +325,8 @@ class FoldedCategory:
                     raise AssertionError("Chebyshev multiples of distinct roots collide")
                 lookup[key] = (j, alpha)
         factor = []
-        for ident, vec in enumerate(self.dimproj):
-            hit = lookup.get(tuple(x.coeffs for x in vec))
+        for ident, key in enumerate(keys):
+            hit = lookup.get(key)
             if hit is None:
                 raise AssertionError(
                     f"projected vector of module {ident} is not a Chebyshev multiple of a root"
@@ -498,8 +521,5 @@ def hom_ext_tables(ar: ARQuiver):
     size = len(ar.modules)
     hom = tuple(ar.hom_row(a) for a in range(size))
     zeros = (0,) * size
-    ext = []
-    for a in range(size):
-        ta = ar.tau(a)
-        ext.append(zeros if ta is None else tuple(row[ta] for row in hom))
-    return hom, tuple(ext)
+    ext = tuple(zeros if ta is None else tuple(row[ta] for row in hom) for ta in ar._tau)
+    return hom, ext

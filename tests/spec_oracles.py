@@ -1,10 +1,15 @@
-"""``AlgReal`` references, shared by several test files.
+"""References shared by several test files.
 
 The library computes on folded matrices only as coefficient tuples
-(``coeff_rows``).  These are the same computations on ``AlgReal`` values,
-as the library made them before: mutation by the sign formula, the
-determinant by Laplace expansion, the inverse by adjugate, the tropical
-walker's step, and d_F on a ``FoldingSpec``.
+(``coeff_rows``).  Most functions here are the same computations on
+``AlgReal`` values, as the library made them before: mutation by the sign
+formula, the determinant by Laplace expansion, the inverse by adjugate, the
+tropical walker's step, and d_F on a ``FoldingSpec``.
+
+The categorical ones come last: the hammock recursion run from every
+module (the library runs it from the projectives only and fills the other
+rows by the translate), the Euler form, and classical cluster tilting
+decided entry by entry from ``ext``.
 """
 
 from quiverfold.chebring import AlgReal
@@ -119,3 +124,54 @@ def walker_step(walker, folded, lifted, k: int):
     for v in walker.spec.blocks[k]:
         lifted = mutate_entries(lifted, v)
     return folded, lifted
+
+
+def hammock_row(ar, source):
+    """dim Hom(source, Z) for every module Z of an ``ARQuiver``, by the forward hammock recursion."""
+    h = [0] * len(ar.modules)
+    for ident in ar.ar_order:
+        acc = 1 if ident == source else 0
+        for pred in ar.ar_in[ident]:
+            acc += h[pred]
+        prev = ar.tau(ident)
+        if prev is not None:
+            acc -= h[prev]
+        assert acc >= 0, "hammock recursion went negative"
+        h[ident] = acc
+    return tuple(h)
+
+
+def hammock_tables(ar):
+    """(hom, ext) of an ``ARQuiver``: one hammock row per module, ext(a, b) = hom(b, tau a)."""
+    hom = tuple(hammock_row(ar, a) for a in range(len(ar.modules)))
+    ext = tuple(
+        tuple(0 if ar.tau(a) is None else hom[b][ar.tau(a)] for b in range(len(hom)))
+        for a in range(len(hom))
+    )
+    return hom, ext
+
+
+def euler_form(ar, d, e) -> int:
+    """<d, e> = sum d_i e_i - sum over arrows i -> j of d_i e_j, on the quiver of an ``ARQuiver``."""
+    total = sum(di * ei for di, ei in zip(d, e))
+    for i, j in ar.arrows:
+        total -= d[i] * e[j]
+    return total
+
+
+def is_classical_tilting(cc, objects) -> bool:
+    """Basic rigid and maximal among all indecomposables of a ``ClusterCategory``."""
+    objs = tuple(sorted(objects))
+    if len(set(objs)) != len(objs):
+        return False
+    for a in objs:
+        for b in objs:
+            if cc.ext(a, b):
+                return False
+    inside = set(objs)
+    for x in range(cc.size):
+        if x in inside:
+            continue
+        if all(cc.ext(x, t) == 0 and cc.ext(t, x) == 0 for t in objs):
+            return False
+    return True

@@ -7,8 +7,9 @@ from quiverfold import clustercat
 from quiverfold.chebring import AlgReal, ChebElem, sigma
 from quiverfold.clustercat import ClusterCategory
 from quiverfold.exchange import ExchangeMatrix
+from quiverfold.repcat import ARQuiver, hom_ext_tables
 from quiverfold.unfolding import standard_folding
-from spec_oracles import matrix_d_F
+from spec_oracles import hammock_tables, is_classical_tilting, matrix_d_F
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +73,15 @@ class TestStructure:
         with pytest.raises(AssertionError, match="extension vanishing must be symmetric"):
             cc.ext(0, 0)
 
+    def test_non_self_rigid_column_is_reported(self):
+        # plant ext(z0, z1) != 0 between two members of one generator column
+        cc = ClusterCategory(standard_folding("H3"))
+        cc.ext(0, 0)
+        z0, z1 = cc.iso_sets[cc.generators[0]][:2]
+        cc._vanish[z0] &= ~(1 << z1)
+        with pytest.raises(AssertionError, match="generator columns must be self-rigid"):
+            cc.compatibility()
+
     def test_ext_symmetric_vanishing(self, h3):
         for x in range(h3.size):
             for y in range(h3.size):
@@ -91,7 +101,7 @@ class TestRigidity:
         start = h3.initial_tilting()
         assert len(start) == 3
         assert h3.is_rigid_set(start)
-        assert h3.is_classical_tilting(h3.hat(start))
+        assert is_classical_tilting(h3, h3.hat(start))
 
     def test_some_pair_not_rigid(self, h3):
         adj = h3.compatibility()
@@ -119,7 +129,7 @@ class TestTiltingEnumeration:
         for t in i7.enumerate_tilting():
             hat = i7.hat(t)
             assert len(hat) == 6
-            assert i7.is_classical_tilting(hat)
+            assert is_classical_tilting(i7, hat)
 
     def test_two_complements_everywhere(self, h3):
         for t in h3.enumerate_tilting():
@@ -283,15 +293,24 @@ def oracle_tilting_G_matrices(cc, summands):
     return G_hat, G_prime
 
 
+def oracle_pair_rigid(cc, g1, g2):
+    """No extension between the members of the two columns, in either direction."""
+    return all(
+        cc.ext(z1, z2) == 0 and cc.ext(z2, z1) == 0
+        for z1 in cc.iso_sets[g1]
+        for z2 in cc.iso_sets[g2]
+    )
+
+
 def oracle_complements(cc, almost):
     almost = tuple(almost)
-    if not cc.is_rigid_set(almost):
+    if not all(oracle_pair_rigid(cc, a, b) for a in almost for b in almost):
         raise ValueError("input is not rigid")
     found = []
     for g in cc.generators:
         if g in almost:
             continue
-        if all(cc.pair_rigid(g, t) for t in almost) and cc.pair_rigid(g, g):
+        if all(oracle_pair_rigid(cc, g, t) for t in almost) and oracle_pair_rigid(cc, g, g):
             found.append(g)
     if len(found) != 2:
         raise AssertionError(
@@ -369,29 +388,31 @@ def test_presentation_once_per_module(monkeypatch, kind):
 
 # -- oracles: the table fill and exchange graph from before the tables were
 # built from whole hammock rows and each edge was decided once.  The fill
-# computes every entry with its own module-level hom/ext lookups; the BFS
-# mutates ``ExchangeMatrix`` values along every directed edge.
+# computes every entry with its own module-level hom/ext lookups, into a
+# hammock recursion run from every module; the BFS mutates
+# ``ExchangeMatrix`` values along every directed edge.
 
 
 def oracle_tables(cc):
     ar = cc.mc.ar
+    mod_hom, mod_ext = hammock_tables(ar)
 
     def hom_c(x, y):
         if cc.is_shift(x):
             v = x - cc.nmod
             if cc.is_shift(y):
-                return ar.hom(ar.proj_module[v], ar.proj_module[y - cc.nmod])
+                return mod_hom[ar.proj_module[v]][ar.proj_module[y - cc.nmod]]
             ty = ar.tau_inv(y)
             if ty is None:
                 return 0
-            return ar.hom(ar.proj_module[v], ty)
+            return mod_hom[ar.proj_module[v]][ty]
         if cc.is_shift(y):
             w = y - cc.nmod
-            return ar.ext(x, ar.proj_module[w])
-        total = ar.hom(x, y)
+            return mod_ext[x][ar.proj_module[w]]
+        total = mod_hom[x][y]
         ty = ar.tau_inv(y)
         if ty is not None:
-            total += ar.ext(x, ty)
+            total += mod_ext[x][ty]
         return total
 
     hom = tuple(tuple(hom_c(x, y) for y in range(cc.size)) for x in range(cc.size))
@@ -449,6 +470,45 @@ def test_tables_match_per_entry_oracle(kind):
         for y in cc.indecomposables():
             assert cc.hom(x, y) == hom[x][y]
             assert cc.ext(x, y) == ext[x][y]
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS, ids=lambda k: f"{k[0]}{k[1] or ''}")
+def test_compatibility_matches_oracle_adjacency(kind):
+    cc = ClusterCategory(standard_folding(*kind))
+    want = {
+        g1: frozenset(g2 for g2 in cc.generators if g2 != g1 and oracle_pair_rigid(cc, g1, g2))
+        for g1 in cc.generators
+    }
+    assert dict(cc.compatibility()) == want
+    for g1 in cc.generators:
+        assert oracle_pair_rigid(cc, g1, g1)
+        for g2 in cc.generators:
+            assert cc.pair_rigid(g1, g2) == (g1 == g2 or g2 in want[g1])
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS, ids=lambda k: f"{k[0]}{k[1] or ''}")
+def test_hammock_recursion_once_per_projective(monkeypatch, kind):
+    calls = Counter()
+    hammock = ARQuiver._hammock
+
+    def counted(self, source):
+        calls[id(self)] += 1
+        return hammock(self, source)
+
+    monkeypatch.setattr(ARQuiver, "_hammock", counted)
+    cc = ClusterCategory(standard_folding(*kind))
+    ar = cc.mc.ar
+    assert not calls, "the Hom table must fill lazily, not in __init__"
+    hom_ext_tables(ar)
+    size = len(ar.modules)
+    for a in range(size):
+        for b in range(size):
+            ar.hom(a, b)
+            ar.ext(a, b)
+    cc.hom(0, 0)
+    cc.compatibility()
+    cc.g_vector(0)
+    assert calls == {id(ar): ar.nvertices}
 
 
 def test_exchange_graph_matches_two_sided_oracle(cat):

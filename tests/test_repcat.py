@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quiverfold.chebring import AlgReal, ChebElem, cheb_mul, sigma
 from quiverfold.repcat import ARQuiver, FoldedCategory, hom_ext_tables, quiver_arrows_from_matrix
 from quiverfold.rootsys import simply_laced_positive_roots
 from quiverfold.unfolding import FoldingSpec, standard_folding
+from spec_oracles import euler_form, hammock_tables
 
 
 def linear_quiver(n):
@@ -100,18 +102,50 @@ class TestHomExt:
         for a in range(len(ar.modules)):
             for b in range(len(ar.modules)):
                 lhs = hom[a][b] - ext[a][b]
-                rhs = ar.euler_form(ar.modules[a].dim, ar.modules[b].dim)
+                rhs = euler_form(ar, ar.modules[a].dim, ar.modules[b].dim)
                 assert lhs == rhs
 
-    @pytest.mark.parametrize("kind,n", [("I2", 3), ("I2", 4), ("H3", None), ("H4", None)])
+    @pytest.mark.parametrize(
+        "kind,n", [("I2", 3), ("I2", 4), ("I2", 5), ("I2", 6), ("H3", None), ("H4", None)]
+    )
     def test_ext_table_matches_per_entry_ext(self, kind, n):
         ar = FoldedCategory(standard_folding(kind, n)).ar
         size = len(ar.modules)
         hom, ext = hom_ext_tables(ar)
+        assert (hom, ext) == hammock_tables(ar)
         assert hom == tuple(ar.hom_row(a) for a in range(size))
         assert ext == tuple(tuple(ar.ext(a, b) for b in range(size)) for a in range(size))
         assert all(type(row) is tuple for row in ext)
         assert any(ar.tau(a) is None for a in range(size))
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_tau_shifted_table_on_random_orientations(self, data):
+        # Dynkin graph A_n, D_n or E_n, its edges oriented and its vertices
+        # labelled at random; the module count is the number of positive roots
+        kind, n = data.draw(st.sampled_from(
+            [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 8)]
+            + [("E", 6), ("E", 7), ("E", 8)]
+        ))
+        edges = [(i, i + 1) for i in range(n - 2)]
+        if kind == "A" and n > 1:
+            edges.append((n - 2, n - 1))
+        elif kind != "A":
+            edges.append((n - 3 if kind == "D" else 2, n - 1))
+        label = data.draw(st.permutations(range(n)))
+        flips = data.draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+        arrows = [(label[j], label[i]) if f else (label[i], label[j]) for (i, j), f in zip(edges, flips)]
+        ar = ARQuiver(n, arrows)
+        roots = {"A": n * (n + 1) // 2, "D": n * (n - 1), "E": {6: 36, 7: 63, 8: 120}.get(n)}[kind]
+        assert len(ar.modules) == roots
+        assert hom_ext_tables(ar) == hammock_tables(ar)
+
+    def test_negative_hammock_is_reported(self):
+        # with the AR arrows dropped, the mesh subtracts tau X with nothing to add
+        ar = linear_quiver(3)
+        ar.ar_in = tuple(() for _ in ar.modules)
+        with pytest.raises(AssertionError, match="hammock recursion went negative"):
+            ar.hom_row(0)
 
     def test_ext_vanishes_on_projectives(self, h3cat):
         ar = h3cat.ar
@@ -176,17 +210,17 @@ class TestProjections:
         # 7 e_1 is no theta_j alpha: alpha would be a multiple of e_1, so e_1,
         # and every theta_j evaluates below 7
         spec = standard_folding(kind, n)
-        real = FoldingSpec.d_F
+        real = FoldingSpec.coeff_d_F
         planted = []
 
-        def d_F(self, vector):
+        def coeff_d_F(self, vector):
             out = real(self, vector)
             if not planted:
                 planted.append(vector)
-                out = (AlgReal(self.m, (7,)),) + tuple(AlgReal(self.m) for _ in out[1:])
+                out = ((7,),) + ((),) * (len(out) - 1)
             return out
 
-        monkeypatch.setattr(FoldingSpec, "d_F", d_F)
+        monkeypatch.setattr(FoldingSpec, "coeff_d_F", coeff_d_F)
         with pytest.raises(AssertionError, match="module 0 is not a Chebyshev multiple of a root"):
             FoldedCategory(spec)
         assert planted
