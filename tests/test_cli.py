@@ -469,6 +469,12 @@ class TestByteIdentity:
                 "ring mul --n 4 --a 1,0,2,0 --b 0,1,0,1",
                 "a7094799608790e8a7c57bfc8a6a6a627cb879077a5b6efdcaa1c923de744f49",
             ),
+            # recorded at 7a681ef, before seeds carried their G-matrix and
+            # enumerate_seeds ran on the mutation-graph explorer
+            (
+                "tropical enumerate --kind H4 --format csv",
+                "c38fdd3799d220c7ee35cda39ea7bf83d9bffe23eec9075d6d51e712257d7aa5",
+            ),
         ],
     )
     def test_float_stdout_unchanged_in_fresh_process(self, argv, digest):
