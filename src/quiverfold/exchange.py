@@ -6,7 +6,9 @@ one mutation kernel.  It steps rows whose ``AlgReal`` entries are carried
 as coefficient tuples (``coeff_rows``), and every caller computes on that
 form: ``ExchangeMatrix.mutate``, the seeds of ``tropical.enumerate_seeds``
 and the states of both word verifiers.  ``RingValues`` decodes the tuples
-where a value is needed.
+where a value is needed.  One explorer, ``_Explorer``, memoizes the
+transitions of the mutation graph for the word verifiers
+(``explore_words``) and for the seed pattern's breadth-first closure.
 """
 
 from __future__ import annotations
@@ -261,7 +263,8 @@ def _pivot_columns(ctx, pivot_row, k: int):
     """The columns j != k of the pivot row with b_kj > 0 and with b_kj < 0.
 
     Each is (j, |b_kj| if an int else None, the multiplication matrix of
-    |b_kj|), so that an update needs neither a sign nor a product call.
+    |b_kj|, or None when ``ctx`` is None and every entry is an int), so
+    that an update needs neither a sign nor a product call.
     """
     pos, neg = [], []
     for j, b in enumerate(pivot_row):
@@ -269,7 +272,8 @@ def _pivot_columns(ctx, pivot_row, k: int):
         if s and j != k:
             b = b if s > 0 else _neg(b)
             is_int = type(b) is int
-            column = (j, b if is_int else None, ctx.mul_matrix((b,) if is_int else b))
+            mul = None if ctx is None else ctx.mul_matrix((b,) if is_int else b)
+            column = (j, b if is_int else None, mul)
             (pos if s > 0 else neg).append(column)
     return pos, neg
 
@@ -341,7 +345,7 @@ class _FirstFailure(Exception):
 
 
 class _Explorer:
-    """The memo tables and tallies of one ``explore_words`` call."""
+    """The memo tables and tallies of one ``explore_words`` or ``tropical.enumerate_seeds`` call."""
 
     def __init__(self, step, parity: bool, first_only: bool, involutive):
         self.step = step
@@ -366,6 +370,24 @@ class _Explorer:
             if self.involutive is not None and self.involutive(nxt, k):
                 self.edges.setdefault((id(nxt), k), state)
         return nxt
+
+    def closure(self, start, letters: int, cap: int):
+        """The states reachable from ``start`` in breadth-first order, and whether that is all of them.
+
+        Each state joins when ``move`` first reaches it, from the earliest
+        state and least letter.  A new state met with ``cap`` states in the
+        order stops the search, and the order is returned with ``False``.
+        """
+        order = [self.intern(start)]
+        for state in order:
+            for k in range(letters):
+                known = len(self.states)
+                nxt = self.move(state, k)
+                if len(self.states) > known:
+                    if len(order) >= cap:
+                        return order, False
+                    order.append(nxt)
+        return order, True
 
     def visit(self, state, word, check, counted=True):
         self.words += counted

@@ -3,8 +3,7 @@
 Simple roots are the standard basis; the reflection at the i-th simple root
 acts on coordinate vectors by s_i(v) = v - (sum_j A_ij v_j) e_i, where
 A_ii = 2 and A_ij = -2cos(pi/m_ij).  All coordinates are exact AlgReal
-values, so root membership is an exact set lookup.  The same closure runs
-over plain integers for the simply-laced Dynkin types used as oracles.
+values, so root membership is an exact set lookup.
 
 Vertex numbering matches the folded quivers: the edge of order 5 joins the
 last two vertices of H3 and H4.
@@ -157,37 +156,6 @@ def root_system(type_name: str) -> RootSet:
         rs = generate_roots(type_name)
         _ROOT_CACHE[type_name] = rs
     return rs
-
-
-def simply_laced_positive_roots(nvertices: int, edges) -> frozenset:
-    """Positive roots of a simply-laced diagram by integer reflection closure.
-
-    Independent of any Auslander-Reiten machinery; used as the Gabriel-count
-    oracle for the unfolded quivers.
-    """
-    adj = [[0] * nvertices for _ in range(nvertices)]
-    for i, j in edges:
-        adj[i][j] = adj[j][i] = 1
-    roots = set()
-    frontier = []
-    for i in range(nvertices):
-        v = [0] * nvertices
-        v[i] = 1
-        frontier.append(tuple(v))
-    roots.update(frontier)
-    while frontier:
-        new = []
-        for v in frontier:
-            for i in range(nvertices):
-                pairing = 2 * v[i] - sum(adj[i][j] * v[j] for j in range(nvertices))
-                image = list(v)
-                image[i] = v[i] - pairing
-                image = tuple(image)
-                if image not in roots:
-                    roots.add(image)
-                    new.append(image)
-        frontier = new
-    return frozenset(v for v in roots if all(c >= 0 for c in v))
 
 
 # ---------------------------------------------------------------------------

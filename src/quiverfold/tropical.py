@@ -1,34 +1,35 @@
 """Tropical y-seed patterns: C-matrices, G-matrices and their folding.
 
 A seed is an exchange matrix stacked over a coefficient square; mutation
-acts on the stacked matrix by the usual rule.  For folded types the seed
+acts on the stacked matrix by the usual rule, and the seed's g-vectors are
+stepped beside it by their own mutation rule (``_mutate_g``), so the
+G-matrix (C^T)^{-1} is carried, never inverted.  For folded types the seed
 lives over Z[2cos(pi/m)] and every invariant here is exact: c-vectors are
-tested for exact root membership, G-matrices are exact inverse transposes
-(the determinant is a unit by the alternation rule), and the compatibility
-between a folded walk and its composite-mutation lift is checked entry by
-entry through the weighted projection d_F.
+tested for exact root membership, and the compatibility between a folded
+walk and its composite-mutation lift is checked entry by entry through the
+weighted projection d_F.  ``enumerate_seeds`` is the breadth-first closure
+of the seed pattern on the word verifiers' explorer (``exchange._Explorer``).
 
 Folded matrices are computed on only as reduced coefficient tuples
-(``exchange.coeff_rows``): a ``Seed`` holds its stacked rows that way and
-steps them with ``exchange.mutate_coeffs``, the walker's states carry them
-that way, and ``RingValues`` makes ``AlgReal`` values of them only for
-output (``Seed.B``, ``Seed.C``, ``g_matrix``).  Lifted matrices are ints.
-d_F of an integer matrix needs no reduction; the product ``mat_mul``, the
-determinant ``det_laplace(rows, m)`` and the adjugate
-``invert_ring_unimodular(rows, m)`` reduce each entry modulo the minimal
-polynomial once.  Two values are equal exactly when their tuples are.
+(``exchange.coeff_rows``): a ``Seed`` holds its stacked rows and g-vectors
+that way and steps them with ``exchange.mutate_coeffs`` and ``_mutate_g``,
+the walker's states carry them that way, and one ``RingValues`` per seed
+pattern makes ``AlgReal`` values of them only for output (``Seed.B``,
+``Seed.C``, ``g_matrix``).  Lifted matrices are ints.  d_F of an integer
+matrix needs no reduction; the product ``mat_mul`` and the determinant
+``det_laplace(rows, m)`` reduce each entry modulo the minimal polynomial
+once.  Two values are equal exactly when their tuples are.
 
-The cube check decides d_F(G_lifted) = G_folded and C_folded^T G_folded = I
-by a certificate: the lifted G is the exact integer inverse of C_lifted^T,
-and C_folded^T d_F(G_lifted) = I proves that d_F(G_lifted) is the inverse
-of C_folded^T, so both hold.  On a correct folding the certificate holds by
-the C/G duality (Nakanishi-Zelevinsky 2012, Thm 1.2).  d_F reads only the
-weight-one columns of G_lifted, so only those are solved for
-(``invert_integer`` with those columns: fraction-free Gauss-Jordan against
-the unit vectors that pick them); a singular or non-unimodular C_lifted
-raises as the whole inverse would.  Only when the certificate fails is
-C_folded^T inverted by adjugate, and the two comparisons then name what
-failed.
+The cube check decides d_F(G_lifted) = G_folded by a certificate: the
+lifted G is the exact integer inverse of C_lifted^T, and
+C_folded^T d_F(G_lifted) = I proves that d_F(G_lifted) is the inverse of
+C_folded^T.  On a correct folding the certificate holds by the C/G duality
+(Nakanishi-Zelevinsky 2012, Thm 1.2).  d_F reads only the weight-one
+columns of G_lifted, so only those are solved for (``invert_integer`` with
+those columns: fraction-free Gauss-Jordan against the unit vectors that
+pick them); a singular or non-unimodular C_lifted raises as the whole
+inverse would.  A failed certificate is a ``dF(G)-mismatch`` and needs no
+inverse; only det C_folded is taken, to raise when it is not a unit.
 
 ``verify_cube``'s explorer computes each edge of the exchange graph once.
 The step at letter k mutates the folded seed at k, an involution, and the
@@ -38,24 +39,8 @@ composite is an involution too; the folded rows are all coefficient tuples,
 so stepping back reproduces the state exactly, and the explorer records the
 way back without computing it (``exchange.steps_back_exactly``).
 
-The cube check's mutation square at letter k compares d_F of the lifted
-C-part of the k-neighbour with its folded C-part.  The k-neighbour is the
-pair (folded mutated at k, lifted mutated at block k), so the square is
-the comparison that the neighbour's own ``dF(C)-mismatch`` check makes, on
-the same two matrices.  The states of ``verify_cube`` are interned, so it
-decides the verdict d_F(C_lifted) = C_folded once per state and call; the
-state's own check and every square that lands on that state read it.
-
-The blocks check needs no block products on a state whose blocks are all
-regular representations.  ``rho`` is linear, rho(r) = sum_a r_a
-rho(theta_a), and matrix multiplication is bilinear, so rho(r) rho(s) -
-rho(s) rho(r) = sum_{a,b} r_a s_b (rho(theta_a) rho(theta_b) -
-rho(theta_b) rho(theta_a)).  When the basis images commute pairwise, a
-fact each walker checks once on n(n-1)/2 pairs, every rho(r) commutes
-with every rho(s).  A state whose every block was seen, inside
-``check_vertex``, to equal rho(r) for its element r therefore has
-commuting blocks.  Otherwise each pair of distinct blocks is multiplied
-once, and every index pair only when one of those fails.
+The mutation squares and the blocks check decide each verdict once per
+state; ``check_vertex`` gives the arguments.
 
 The dets check takes det_x over the Chebyshev ring on the elements'
 coefficient tuples (``det_cheb``), and makes a ``ChebElem`` of the result
@@ -74,17 +59,18 @@ fresh walker's; signs come from chebring's per-m sign memo.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
+from operator import mul as _mul
 
 from .chebring import (
     ChebElem, _cheb_mul_coeffs, _coeff_sign, _context, _poly_add, _poly_mul, _poly_sub,
     _poly_trim, _reduce_mod, json_value, rho, sigma,
 )
 from .exchange import (
-    ExchangeMatrix, RingValues, _as_coeffs, coeff_rows, entry_field, explore_words,
-    mutate_coeffs, steps_back_exactly,
+    ExchangeMatrix, RingValues, _as_coeffs, _Explorer, _pivot_columns, _sign, coeff_rows,
+    entry_field, explore_words, mutate_coeffs, steps_back_exactly,
 )
 from .repcat import folded_type_name
 from .rootsys import root_system
@@ -93,17 +79,22 @@ from .unfolding import FoldingSpec
 
 @dataclass(frozen=True)
 class Seed:
-    """Tropical y-seed: an exchange matrix B stacked over a coefficient matrix C, and a provenance word.
+    """Tropical y-seed: an exchange matrix B stacked over a coefficient matrix C, the g-vectors and a word.
 
     ``rows`` are the stacked rows, over Z with every entry an int (``m``
     None) or over Z[2cos(pi/m)] with every entry a reduced coefficient
-    tuple.  Each value has one such form, so the rows are the seed's key.
-    ``B``, ``C`` and ``c_vectors`` decode them on read.
+    tuple.  Each value has one such form, so ``==`` and ``hash`` read
+    ``rows`` and ``m`` alone.  ``g`` holds the g-vectors, a function of C,
+    in the same form: the rows of C^{-1}, stepped by ``_mutate_g``.  ``B``,
+    ``C``, ``c_vectors`` and ``g_matrix`` decode on read through
+    ``values``, the seed pattern's one ``RingValues`` (None over Z).
     """
 
     rows: tuple
-    m: int | None = None
-    word: tuple = ()
+    m: int | None
+    word: tuple = field(compare=False)
+    g: tuple = field(compare=False, repr=False)
+    values: RingValues | None = field(compare=False, repr=False)
 
     @staticmethod
     def initial(B: ExchangeMatrix) -> "Seed":
@@ -115,14 +106,14 @@ class Seed:
             rows = tuple(tuple(map(_as_coeffs, row)) for row in rows)
             one, zero = (1,), ()
         C = tuple(tuple(one if i == j else zero for j in range(B.n)) for i in range(B.n))
-        return Seed(rows + C, m)
+        return Seed(rows + C, m, (), C, None if m is None else RingValues(m))
 
     @property
     def n(self) -> int:
         return len(self.rows[0])
 
     def _values(self, rows):
-        return rows if self.m is None else RingValues(self.m).rows(rows)
+        return rows if self.values is None else self.values.rows(rows)
 
     @property
     def B(self) -> ExchangeMatrix:
@@ -133,7 +124,10 @@ class Seed:
         return self._values(self.rows[self.n:])
 
     def mutate(self, k: int) -> "Seed":
-        return Seed(mutate_coeffs(self.rows, k, self.m), self.m, self.word + (k,))
+        rows, m = self.rows, self.m
+        return Seed(
+            mutate_coeffs(rows, k, m), m, self.word + (k,), _mutate_g(self.g, rows, k, m), self.values
+        )
 
     def c_vectors(self) -> tuple:
         return transpose(self.C)
@@ -146,6 +140,38 @@ class Seed:
         }
 
 
+def _mutate_g(g, rows, k: int, m):
+    """The g-vectors ``g`` of the seed with stacked rows ``rows`` (B over C), after mutation at k.
+
+    With eps the sign of c-vector k and b_kj row k of B before the step,
+    mutation takes a sign-coherent c_k to C E_k, where E_k is the identity
+    with row k replaced by [eps b_kj]_+ at j != k and -1 at k.  E_k^2 = I,
+    so C^{-1} goes to E_k C^{-1}: g'_k = -g_k + sum_{j != k} [eps b_kj]_+ g_j,
+    over the pivot columns of sign eps (``exchange._pivot_columns``).  The
+    step back finds -eps and -b_kj, the same terms, and restores g_k
+    exactly.  A c-vector k of mixed signs is an ``ArithmeticError``.
+    """
+    n = len(g)
+    ctx = None if m is None else _context(m)
+    signs = {_sign(ctx, row[k]) for row in rows[n:]}
+    if {1, -1} <= signs:
+        raise ArithmeticError(f"c-vector {k} is not sign-coherent")
+    terms = _pivot_columns(ctx, rows[k], k)[-1 in signs]
+    if m is None:
+        new = [-x for x in g[k]]
+        for j, b, _ in terms:
+            new = [x + b * y for x, y in zip(new, g[j])]
+        new = tuple(new)
+    else:
+        accs = [[-c for c in x] + [0] * (ctx.deg - len(x)) for x in g[k]]
+        for j, _, mul in terms:
+            for acc, y in zip(accs, g[j]):
+                for t, r in enumerate(mul):
+                    acc[t] += sum(map(_mul, r, y))
+        new = tuple(map(_poly_trim, accs))
+    return g[:k] + (new,) + g[k + 1:]
+
+
 @dataclass(frozen=True)
 class GMatrix:
     entries: tuple
@@ -153,11 +179,16 @@ class GMatrix:
 
 
 def g_matrix(seed: Seed) -> GMatrix:
-    """G = (C^T)^{-1}, exactly; the determinant must be a unit."""
-    Ct = transpose(seed.rows[seed.n:])
-    if seed.m is None:
-        return GMatrix(invert_integer(Ct), seed.word)
-    return GMatrix(seed._values(invert_ring_unimodular(Ct, seed.m)), seed.word)
+    """G = (C^T)^{-1}, exactly: the seed's g-vectors as columns.
+
+    Nothing is inverted: the seed carries them (``_mutate_g``).  For a
+    skew-symmetric B, as for every kind ``tropical enumerate`` takes, this
+    is the seed pattern's G-matrix (Nakanishi-Zelevinsky 2012, Thm 1.2).
+    For a skew-symmetrizable B with D B skew-symmetric the G-matrix is
+    D^{-1} (C^T)^{-1} D, with G^T D C = D: on F4E6, D = diag(2, 2, 1, 1),
+    and the two differ on 356 of the 420 seeds.
+    """
+    return GMatrix(seed._values(transpose(seed.g)), seed.word)
 
 
 def transpose(rows):
@@ -228,45 +259,22 @@ def det_cheb(rows, n: int) -> tuple[int, ...]:
     return tuple(acc)
 
 
-def invert_ring_unimodular(rows, m: int):
-    """Inverse of a square matrix over Z[2cos(pi/m)] with determinant +-1, by adjugate.
-
-    Entries are reduced coefficient tuples, and so are the result's; each
-    cofactor is ``det_laplace`` of a minor.  Any other determinant is an
-    ``ArithmeticError``.
-    """
-    n = len(rows)
-    det = det_laplace(rows, m)
-    if det not in ((1,), (-1,)):
-        raise ArithmeticError("determinant is not a unit")
-    flip = det == (-1,)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = tuple(r[:i] + r[i + 1:] for jj, r in enumerate(rows) if jj != j)
-            cof = det_laplace(minor, m) if n > 1 else (1,)
-            row.append(tuple([-c for c in cof]) if (i + j + flip) % 2 else cof)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def invert_integer(rows, columns=None):
-    """Exact inverse of an integer matrix, or the given columns of it; entries must come out integral.
+def invert_integer(rows, columns):
+    """The given columns of the exact inverse of an integer matrix; entries must come out integral.
 
     Fraction-free Gauss-Jordan elimination (Bareiss 1968) on [A | E], where
-    E holds the unit vectors e_c for c in ``columns`` (default: every
-    column, so E = I).  Every entry after the step on column k is a
+    E holds the unit vectors e_c for c in ``columns`` (``range(n)`` gives
+    E = I).  Every entry after the step on column k is a
     (k+1)-minor of the row-permuted augmented matrix, so each division by
     the previous pivot is exact.  At the end the left half is d*I with
     d = +-det A and the right half is d times the wanted columns of A^{-1},
     which are integral exactly when |d| = 1.  The result is the rows of
-    those columns side by side: A^{-1} itself by default.  Whichever columns
-    are asked for, a singular A raises "matrix is singular" and |d| != 1
-    "inverse is not integral" (``ArithmeticError``).
+    those columns side by side: A^{-1} itself for ``range(n)``.  Whichever
+    columns are asked for, a singular A raises "matrix is singular" and
+    |d| != 1 "inverse is not integral" (``ArithmeticError``).
     """
     n = len(rows)
-    columns = range(n) if columns is None else tuple(columns)
+    columns = tuple(columns)
     aug = [list(rows[i]) + [int(i == c) for c in columns] for i in range(n)]
     prev = 1
     for col in range(n):
@@ -414,14 +422,14 @@ class TropicalWalker:
 
         The pair is in the form ``initial_pair`` and the explorer's states
         carry: the folded rows as reduced coefficient tuples, the lifted
-        rows as ints, and every check computes on them.  The cube sub-checks
-        ``dF(G)-mismatch`` and ``CtG-not-identity`` pass
-        together on the certificate C_f^T d_F(G_l) = I: a square matrix
-        with a one-sided inverse over a domain has that inverse.  When the
-        certificate fails, C_f^T is inverted by adjugate (which raises
-        unless its determinant is +-1) and both comparisons are made as
-        before.  A certified C_f whose determinant is a unit other than +-1
-        passes here; the ``dets`` check is the one that reports it.
+        rows as ints, and every check computes on them.  The cube sub-check
+        ``dF(G)-mismatch`` passes on the certificate C_f^T d_F(G_l) = I: a
+        square matrix with a one-sided inverse over a domain has that
+        inverse, so d_F(G_l) = G_f.  A failed certificate fails the
+        sub-check without an inverse, and det C_f other than +-1 raises
+        "determinant is not a unit" (``ArithmeticError``), as inverting
+        C_f^T would.  A certified C_f whose determinant is a unit other than
+        +-1 passes here; the ``dets`` check is the one that reports it.
         The square ``dF-mutation-square`` at k is the k-neighbour's own
         ``dF(C)-mismatch`` comparison: both compare d_F of the neighbour's
         lifted C-part with its folded C-part.
@@ -469,14 +477,12 @@ class TropicalWalker:
             G_l = invert_integer(transpose(C_l), reps)
             X = matrix_d_F(spec, G_l, self._d_F_seen, range(len(reps)))
             Ct = transpose(C_f)
-            # C_f^T X = I certifies X = (C_f^T)^{-1} = G_f, which passes both
-            # checks below; only a failed certificate inverts C_f^T.
+            # C_f^T X = I certifies X = (C_f^T)^{-1} = G_f; otherwise X is not
+            # the inverse, which exists exactly when det C_f is a unit
             if mat_mul(Ct, X, m) != self.identity:
-                G_f = invert_ring_unimodular(Ct, m)
-                if X != G_f:
-                    failures.append((word, "dF(G)-mismatch"))
-                if mat_mul(Ct, G_f, m) != self.identity:
-                    failures.append((word, "CtG-not-identity"))
+                if det_laplace(C_f, m) not in ((1,), (-1,)):
+                    raise ArithmeticError("determinant is not a unit")
+                failures.append((word, "dF(G)-mismatch"))
             if neighbours:
                 if not callable(neighbours):
                     neighbours = partial(self._coeff_step, folded, lifted)
@@ -652,21 +658,14 @@ class EnumerationResult:
 
 
 def enumerate_seeds(B: ExchangeMatrix, cap: int = 20000) -> EnumerationResult:
-    """BFS over distinct seeds, each keyed by its stacked coefficient rows."""
-    start = Seed.initial(B)
-    seen = {start.rows}
-    order = [start]
-    frontier = [start]
-    while frontier:
-        new = []
-        for seed in frontier:
-            for k in range(B.n):
-                nxt = seed.mutate(k)
-                if nxt.rows not in seen:
-                    if len(seen) >= cap:
-                        return EnumerationResult(order, False, cap)
-                    seen.add(nxt.rows)
-                    order.append(nxt)
-                    new.append(nxt)
-        frontier = new
-    return EnumerationResult(order, True, cap)
+    """BFS over distinct seeds on the mutation-graph explorer (``_Explorer.closure``).
+
+    Seeds are interned by their stacked rows.  A seed's step at k is exactly
+    involutive (``Seed.mutate``: the rows have one representation, and
+    ``_mutate_g`` restores g_k), so each edge is computed once and its way
+    back is recorded.  Each seed keeps the word of the path that first
+    reached it.
+    """
+    explorer = _Explorer(Seed.mutate, parity=False, first_only=False, involutive=lambda seed, k: True)
+    seeds, complete = explorer.closure(Seed.initial(B), B.n, cap)
+    return EnumerationResult(seeds, complete, cap)

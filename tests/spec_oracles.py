@@ -6,7 +6,8 @@ The library computes on folded matrices only as coefficient tuples
 formula, the determinant by Laplace expansion, the inverse by adjugate, the
 tropical walker's step, and d_F on a ``FoldingSpec``.
 
-The categorical ones come last: the hammock recursion run from every
+The categorical ones come last: positive roots of a simply-laced diagram
+by integer reflection closure, the hammock recursion run from every
 module (the library runs it from the projectives only and fills the other
 rows by the translate), the Euler form, and classical cluster tilting
 decided entry by entry from ``ext``.
@@ -124,6 +125,37 @@ def walker_step(walker, folded, lifted, k: int):
     for v in walker.spec.blocks[k]:
         lifted = mutate_entries(lifted, v)
     return folded, lifted
+
+
+def simply_laced_positive_roots(nvertices: int, edges) -> frozenset:
+    """Positive roots of a simply-laced diagram by integer reflection closure.
+
+    Independent of any Auslander-Reiten machinery: the Gabriel-count oracle
+    for the unfolded quivers.
+    """
+    adj = [[0] * nvertices for _ in range(nvertices)]
+    for i, j in edges:
+        adj[i][j] = adj[j][i] = 1
+    roots = set()
+    frontier = []
+    for i in range(nvertices):
+        v = [0] * nvertices
+        v[i] = 1
+        frontier.append(tuple(v))
+    roots.update(frontier)
+    while frontier:
+        new = []
+        for v in frontier:
+            for i in range(nvertices):
+                pairing = 2 * v[i] - sum(adj[i][j] * v[j] for j in range(nvertices))
+                image = list(v)
+                image[i] = v[i] - pairing
+                image = tuple(image)
+                if image not in roots:
+                    roots.add(image)
+                    new.append(image)
+        frontier = new
+    return frozenset(v for v in roots if all(c >= 0 for c in v))
 
 
 def hammock_row(ar, source):

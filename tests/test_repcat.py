@@ -3,9 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from quiverfold.chebring import AlgReal, ChebElem, cheb_mul, sigma
 from quiverfold.repcat import ARQuiver, FoldedCategory, hom_ext_tables, quiver_arrows_from_matrix
-from quiverfold.rootsys import simply_laced_positive_roots
 from quiverfold.unfolding import FoldingSpec, standard_folding
-from spec_oracles import euler_form, hammock_tables
+from spec_oracles import euler_form, hammock_tables, simply_laced_positive_roots
 
 
 def linear_quiver(n):

@@ -10,8 +10,8 @@ from quiverfold.rootsys import (
     e_F_float,
     generate_roots,
     root_system,
-    simply_laced_positive_roots,
 )
+from spec_oracles import simply_laced_positive_roots
 
 
 class TestGeneration:

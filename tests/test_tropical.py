@@ -18,7 +18,6 @@ from quiverfold.tropical import (
     enumerate_seeds,
     g_matrix,
     invert_integer,
-    invert_ring_unimodular,
     mat_mul,
     transpose,
 )
@@ -87,15 +86,18 @@ class TestGMatrix:
 
     def test_integer_inverse_validates(self):
         with pytest.raises(ArithmeticError):
-            invert_integer(((2, 0), (0, 1)))
+            invert_integer(((2, 0), (0, 1)), range(2))
         with pytest.raises(ArithmeticError):
-            invert_integer(((0, 0), (0, 0)))
+            invert_integer(((0, 0), (0, 0)), range(2))
 
     def test_ring_inverse_requires_unit(self):
-        two = AlgReal(5, (2,))
-        zero = AlgReal(5)
-        with pytest.raises(ArithmeticError):
-            invert_ring_unimodular(coeff_rows(((two, zero), (zero, two))), 5)
+        # a folded C of determinant 4 fails the cube certificate, and the
+        # cube check raises as inverting C^T by adjugate did
+        walker = TropicalWalker(standard_folding("I2", 2))
+        folded, lifted = walker.initial_pair()
+        folded = folded[:2] + (((2,), ()), ((), (2,)))
+        with pytest.raises(ArithmeticError, match="determinant is not a unit"):
+            walker.check_vertex(folded, lifted, (), [], neighbours=False, only=frozenset(("cube",)))
 
 
 @pytest.fixture(scope="module")
@@ -370,7 +372,7 @@ class TestIntegerInverse:
     @given(unimodular())
     @settings(max_examples=150, deadline=None)
     def test_matches_fraction_oracle_on_unimodular(self, rows):
-        inv = invert_integer(rows)
+        inv = invert_integer(rows, range(len(rows)))
         assert inv == fraction_inverse(rows)
         n = len(rows)
         assert plain_mat_mul(rows, inv) == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
@@ -381,7 +383,7 @@ class TestIntegerInverse:
     @settings(max_examples=200, deadline=None)
     def test_matches_fraction_oracle_on_any_matrix(self, rows):
         rows = tuple(map(tuple, rows))
-        assert outcome(invert_integer, rows) == outcome(fraction_inverse, rows)
+        assert outcome(invert_integer, rows, range(len(rows))) == outcome(fraction_inverse, rows)
 
     @pytest.mark.parametrize(
         "rows,message",
@@ -395,8 +397,9 @@ class TestIntegerInverse:
         ],
     )
     def test_same_error_text(self, rows, message):
-        assert outcome(invert_integer, rows) == ("raised", ArithmeticError, message)
-        assert outcome(fraction_inverse, rows) == outcome(invert_integer, rows)
+        got = outcome(invert_integer, rows, range(len(rows)))
+        assert got == ("raised", ArithmeticError, message)
+        assert outcome(fraction_inverse, rows) == got
 
 
 FOLDINGS = [
@@ -418,6 +421,115 @@ def test_d_F_matches_per_term_sum(kind, n, opp):
         got, want = spec.d_F(vector), d_F_per_term(spec, vector)
         assert got == want
         assert [type(x) for x in got] == [type(x) for x in want]
+
+
+# ---------------------------------------------------------------------------
+# the g-vectors a seed carries, and the seed pattern on the explorer
+
+
+def identity_rows(n, m):
+    one, zero = (1, 0) if m is None else ((1,), ())
+    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+
+
+def ring_mul(a, b, m):
+    return plain_mat_mul(a, b) if m is None else mat_mul(a, b, m)
+
+
+@given(
+    st.sampled_from([None] + FOLDINGS), st.booleans(),
+    st.lists(st.integers(0, 7), max_size=14), st.integers(0, 7),
+)
+@settings(max_examples=120, deadline=None)
+def test_seed_step_is_exactly_involutive(folding, negate, word, k):
+    B = A2 if folding is None else standard_folding(*folding).B
+    seed = Seed.initial(-B if negate else B)
+    for letter in word:
+        seed = seed.mutate(letter % seed.n)
+    back = seed.mutate(k % seed.n).mutate(k % seed.n)
+    assert back.rows == seed.rows and back.g == seed.g
+    assert back.values is seed.values
+
+
+@pytest.mark.parametrize("negate", [False, True])
+def test_g_matrix_matches_the_fraction_inverse_on_every_f4e6_seed(negate):
+    B = standard_folding("F4E6").B
+    result = enumerate_seeds(-B if negate else B)
+    assert result.complete and result.count == 420
+    for seed, G in zip(result.seeds, result.g_matrices()):
+        assert G == fraction_inverse(transpose(seed.C))
+
+
+def test_h4_seeds_carry_the_dual_of_c():
+    # C^T G = I and G B = B_0 C (Nakanishi-Zelevinsky 2012) on every H4 seed
+    result = enumerate_seeds(standard_folding("H4").B)
+    assert result.complete and result.count == 6720
+    start = result.seeds[0]
+    m, n = start.m, start.n
+    B_0, identity = start.rows[:n], identity_rows(n, m)
+    for seed in result.seeds:
+        B, C, G = seed.rows[:n], seed.rows[n:], transpose(seed.g)
+        assert mat_mul(transpose(C), G, m) == identity
+        assert mat_mul(G, B, m) == mat_mul(B_0, C, m)
+
+
+@pytest.mark.parametrize("B", [A2, standard_folding("H3").B, standard_folding("F4E6").B])
+def test_a_flipped_c_vector_sign_breaks_the_duality(B, monkeypatch):
+    # the g-step with the terms of the other sign of c-vector k
+    real = tropical._pivot_columns
+    monkeypatch.setattr(tropical, "_pivot_columns", lambda *args: real(*args)[::-1])
+    seed = Seed.initial(B).mutate(0)
+    C, G = seed.rows[seed.n:], transpose(seed.g)
+    assert ring_mul(transpose(C), G, seed.m) != identity_rows(seed.n, seed.m)
+
+
+@pytest.mark.parametrize("B", [A2, standard_folding("H3").B])
+def test_mixed_sign_c_vector_raises(B):
+    start = Seed.initial(B)
+    n, m = start.n, start.m
+    C = [list(row) for row in identity_rows(n, m)]
+    C[1][0] = -1 if m is None else (-1,)
+    seed = Seed(start.rows[:n] + tuple(map(tuple, C)), m, (), start.g, start.values)
+    with pytest.raises(ArithmeticError, match="c-vector 0 is not sign-coherent"):
+        seed.mutate(0)
+
+
+def frontier_bfs(B, cap):
+    """The seed-pattern BFS with a frontier loop of its own, keyed by the rows."""
+    start = Seed.initial(B)
+    seen, order, frontier = {start.rows}, [start], [start]
+    while frontier:
+        new = []
+        for seed in frontier:
+            for k in range(B.n):
+                nxt = seed.mutate(k)
+                if nxt.rows not in seen:
+                    if len(seen) >= cap:
+                        return order, False
+                    seen.add(nxt.rows)
+                    order.append(nxt)
+                    new.append(nxt)
+        frontier = new
+    return order, True
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 10, 191, 192, 193, 20000])
+def test_enumeration_matches_the_frontier_bfs(cap):
+    B = standard_folding("H3").B
+    result = enumerate_seeds(B, cap=cap)
+    order, complete = frontier_bfs(B, cap)
+    assert (result.complete, result.cap) == (complete, cap)
+    assert [(s.rows, s.word, s.g) for s in result.seeds] == [(s.rows, s.word, s.g) for s in order]
+
+
+def test_enumeration_steps_each_edge_once(monkeypatch):
+    calls = []
+    real = Seed.mutate
+    monkeypatch.setattr(Seed, "mutate", lambda self, k: calls.append(k) or real(self, k))
+    result = enumerate_seeds(standard_folding("H3").B)
+    assert result.complete and result.count == 192
+    assert len(calls) == 192 * 3 // 2
+    assert len({id(s.values) for s in result.seeds}) == 1
 
 
 class TestCubeBlocksOracle:
@@ -592,20 +704,20 @@ def test_det_cheb_matches_leibniz(inputs):
 
 
 def test_cube_work_counts(monkeypatch):
-    """A passing walk inverts no folded matrix, and works only on distinct blocks.
+    """A passing walk takes no folded determinant in the cube check, and works only on distinct blocks.
 
-    Per state: at most d ``block_element`` calls, where d is the number of
-    distinct blocks, and no block products, since the commutation
-    certificate holds.
+    Per state: one ``det_laplace`` call, the dets check's, at most d
+    ``block_element`` calls, where d is the number of distinct blocks, and
+    no block products, since the commutation certificate holds.
     """
     walker = TropicalWalker(standard_folding("H4"))
-    inversions = []
+    dets = []
     products = []
     elements = []
     per_state = []
-    real_inverse, real_mul = tropical.invert_ring_unimodular, tropical._mat_mul_int
+    real_det, real_mul = tropical.det_laplace, tropical._mat_mul_int
     real_element = TropicalWalker.block_element
-    monkeypatch.setattr(tropical, "invert_ring_unimodular", lambda *args: inversions.append(args) or real_inverse(*args))
+    monkeypatch.setattr(tropical, "det_laplace", lambda *args: dets.append(args) or real_det(*args))
     monkeypatch.setattr(tropical, "_mat_mul_int", lambda a, b: products.append(1) or real_mul(a, b))
     monkeypatch.setattr(
         TropicalWalker, "block_element",
@@ -623,7 +735,7 @@ def test_cube_work_counts(monkeypatch):
     monkeypatch.setattr(TropicalWalker, "check_vertex", counted)
     report = walker.verify_cube(depth=2)
     assert report.passed and report.states == len(per_state) > 1
-    assert inversions == []
+    assert len(dets) == len(per_state)
     assert products == []
     assert all(made for _, made, _ in per_state)
     for calls, made, d in per_state:
@@ -923,7 +1035,7 @@ class TestInverseColumns:
         asked = []
         real = tropical.invert_integer
 
-        def record(rows, columns=None):
+        def record(rows, columns):
             asked.append(columns)
             return real(rows, columns)
 
