@@ -43,12 +43,6 @@ class RootSet:
             raise ValueError(f"expected a vector of length {self.rank}")
         return v in (self.keys if type(v[0]) is tuple else self.roots)
 
-    def is_positive_root(self, v) -> bool:
-        v = tuple(v)
-        if len(v) != self.rank:
-            raise ValueError(f"expected a vector of length {self.rank}")
-        return v in self.positives
-
 
 def coxeter_matrix(type_name: str) -> tuple[tuple[int, ...], ...]:
     """Edge orders m_ij (diagonal 1, off-diagonal 2 unless an edge exists)."""

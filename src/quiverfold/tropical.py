@@ -27,8 +27,8 @@ C_folded^T.  On a correct folding the certificate holds by the C/G duality
 (Nakanishi-Zelevinsky 2012, Thm 1.2).  d_F reads only the weight-one
 columns of G_lifted, so only those are solved for (``invert_integer`` with
 those columns: fraction-free Gauss-Jordan against the unit vectors that
-pick them); a singular or non-unimodular C_lifted raises as the whole
-inverse would.  A failed certificate is a ``dF(G)-mismatch`` and needs no
+pick them, on positive pivots); a singular or non-unimodular C_lifted
+raises as the whole inverse would.  A failed certificate is a ``dF(G)-mismatch`` and needs no
 inverse; only det C_folded is taken, to raise when it is not a unit.
 
 ``verify_cube``'s explorer computes each edge of the exchange graph once.
@@ -39,21 +39,23 @@ composite is an involution too; the folded rows are all coefficient tuples,
 so stepping back reproduces the state exactly, and the explorer records the
 way back without computing it (``exchange.steps_back_exactly``).
 
-The mutation squares and the blocks check decide each verdict once per
-state; ``check_vertex`` gives the arguments.
+The mutation squares decide each verdict once per state; ``check_vertex``
+gives the arguments.
 
 The dets check takes det_x over the Chebyshev ring on the elements'
 coefficient tuples (``det_cheb``), and makes a ``ChebElem`` of the result
-only for ``sigma`` and the unit test.
+only for ``sigma`` and the unit test.  ``det_cheb`` and ``det_laplace``
+are one Laplace expansion (``_laplace``) with two products.
 
 A walk meets the same few c-vectors and lifted columns at every step (in
 finite type the c-vectors are roots, Nakanishi-Zelevinsky 2012), so each
 walker keeps, for its whole life, the roots-check verdict (is a root, is
-sign-coherent) of each folded c-vector and d_F of each lifted integer
-column, beside the regular-representation blocks it has verified.  The
-roots check, the dF(C) verdicts and squares, and d_F(G_lifted) read them.
-Each entry is a function of its key alone, so a walker's records equal a
-fresh walker's; signs come from chebring's per-m sign memo.
+sign-coherent) of each folded c-vector, d_F of each lifted integer column,
+and the verdict on each lifted C-block (its ring element or None,
+sign-coherent, equal to rho of that element).  The roots check, the dF(C)
+verdicts and squares, d_F(G_lifted), and the blocks and dets checks read
+them.  Each entry is a function of its key alone, so a walker's records
+equal a fresh walker's; signs come from chebring's per-m sign memo.
 """
 
 from __future__ import annotations
@@ -62,11 +64,11 @@ import random
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
-from operator import mul as _mul
+from operator import itemgetter, mul as _mul
 
 from .chebring import (
-    ChebElem, _cheb_mul_coeffs, _coeff_sign, _context, _poly_add, _poly_mul, _poly_sub,
-    _poly_trim, _reduce_mod, json_value, rho, sigma,
+    ChebElem, _cheb_mul_coeffs, _coeff_sign, _context, _poly_mul, _poly_trim, _reduce_mod,
+    json_value, rho, sigma,
 )
 from .exchange import (
     ExchangeMatrix, RingValues, _as_coeffs, _Explorer, _pivot_columns, _sign, coeff_rows,
@@ -222,41 +224,49 @@ def mat_mul(a, b, m: int):
 def det_laplace(rows, m: int):
     """Determinant over Z[2cos(pi/m)], every entry a reduced coefficient tuple.
 
-    Laplace expansion along the first row multiplies unreduced polynomials
-    (``_det_poly``), and the result is reduced once.
+    Laplace expansion (``_laplace``) multiplies unreduced polynomials, and
+    the result is reduced once.
     """
-    return _poly_trim(_reduce_mod(_context(m), _det_poly(rows)))
-
-
-def _det_poly(rows):
-    """The determinant of a matrix of coefficient tuples, as an unreduced polynomial."""
-    if len(rows) == 1:
-        return rows[0][0]
-    acc = ()
-    for j, entry in enumerate(rows[0]):
-        if entry:
-            term = _poly_mul(entry, _det_poly(tuple(row[:j] + row[j + 1:] for row in rows[1:])))
-            acc = _poly_sub(acc, term) if j % 2 else _poly_add(acc, term)
-    return acc
+    return _poly_trim(_reduce_mod(_context(m), _laplace(rows, _poly_mul)))
 
 
 def det_cheb(rows, n: int) -> tuple[int, ...]:
     """Determinant over the rank-n Chebyshev ring, every entry a ``ChebElem.coeffs`` tuple.
 
-    Laplace expansion along the first row; each product is ``cheb_mul`` on
-    the coefficient tuples, through the ``_basis_product`` table.
+    Laplace expansion (``_laplace``); each product is ``cheb_mul`` on the
+    coefficient tuples, through the ``_basis_product`` table.
     """
-    if len(rows) == 1:
+    det = _laplace(rows, partial(_cheb_mul_coeffs, n))
+    return tuple(det) + (0,) * (n - len(det))
+
+
+def _laplace(rows, mul):
+    """The determinant of a square matrix of coefficient tuples, by expansion along the first row.
+
+    Entries add coefficientwise and ``mul`` multiplies two of them.  Zero
+    entries are skipped, and the 1x1 minors of a 2x2 are read off.  The
+    result may carry trailing zeros.
+    """
+    size = len(rows)
+    if size == 1:
         return rows[0][0]
-    acc = [0] * n
+    acc = []
     for j, entry in enumerate(rows[0]):
         if any(entry):
-            minor = tuple(row[:j] + row[j + 1:] for row in rows[1:])
-            term = _cheb_mul_coeffs(n, entry, det_cheb(minor, n))
-            sign = -1 if j % 2 else 1
-            for i, t in enumerate(term):
-                acc[i] += sign * t
-    return tuple(acc)
+            if size == 2:
+                minor = rows[1][1 - j]
+            else:
+                minor = _laplace(tuple(row[:j] + row[j + 1:] for row in rows[1:]), mul)
+            term = mul(entry, minor)
+            if len(term) > len(acc):
+                acc += [0] * (len(term) - len(acc))
+            if j % 2:
+                for i, t in enumerate(term):
+                    acc[i] -= t
+            else:
+                for i, t in enumerate(term):
+                    acc[i] += t
+    return acc
 
 
 def invert_integer(rows, columns):
@@ -264,34 +274,48 @@ def invert_integer(rows, columns):
 
     Fraction-free Gauss-Jordan elimination (Bareiss 1968) on [A | E], where
     E holds the unit vectors e_c for c in ``columns`` (``range(n)`` gives
-    E = I).  Every entry after the step on column k is a
-    (k+1)-minor of the row-permuted augmented matrix, so each division by
-    the previous pivot is exact.  At the end the left half is d*I with
-    d = +-det A and the right half is d times the wanted columns of A^{-1},
-    which are integral exactly when |d| = 1.  The result is the rows of
-    those columns side by side: A^{-1} itself for ``range(n)``.  Whichever
-    columns are asked for, a singular A raises "matrix is singular" and
-    |d| != 1 "inverse is not integral" (``ArithmeticError``).
+    E = I).  The pivot of column k is a +-1 among the rows not yet pivoted
+    if there is one, else the smallest nonzero entry, and a negative pivot
+    row is negated first, so every pivot is positive.  Every entry after the
+    step on column k is a (k+1)-minor of the augmented matrix with its rows
+    permuted and some of them negated, so each division by the previous
+    pivot is exact, and a row whose entry in column k is 0 is left as it is
+    when the pivot and the previous pivot are both 1.  At the end the left
+    half is d*I with d = |det A| and the right half is d times the wanted
+    columns of A^{-1}, which are integral exactly when d = 1.  The result
+    is the rows of those columns side by side: A^{-1} itself for
+    ``range(n)``.  Whichever columns are asked for, a singular A raises
+    "matrix is singular" and d != 1 "inverse is not integral"
+    (``ArithmeticError``).
     """
     n = len(rows)
     columns = tuple(columns)
     aug = [list(rows[i]) + [int(i == c) for c in columns] for i in range(n)]
     prev = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        pivot, size = None, 0
+        for r in range(col, n):
+            v = abs(aug[r][col])
+            if v and (pivot is None or v < size):
+                pivot, size = r, v
+                if v == 1:
+                    break
         if pivot is None:
             raise ArithmeticError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        prow = aug[col]
+        prow = aug[pivot]
+        if prow[col] < 0:
+            prow = [-x for x in prow]
+        aug[pivot] = aug[col]
+        aug[col] = prow
         pv = prow[col]
         for r in range(n):
             f = aug[r][col]
             if r != col and (f or pv != prev):
                 aug[r] = [(pv * x - f * y) // prev for x, y in zip(aug[r], prow)]
         prev = pv
-    if prev not in (1, -1):
+    if prev != 1:
         raise ArithmeticError("inverse is not integral")
-    return tuple(tuple(prev * x for x in aug[i][n:]) for i in range(n))
+    return tuple(tuple(aug[i][n:]) for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +392,10 @@ class TropicalWalker:
         # the commutation certificate: rho's basis images commute pairwise
         basis = [rho(ChebElem.theta(self.n, a)) for a in range(self.n)]
         self.basis_commutes = all(_commute(x, y) for x, y in combinations(basis, 2))
-        self._rho_seen = {}  # block -> coefficients of the r with rho(r) == block
+        # the lifted C-part's rows and columns of each block, for ``c_block``
+        self._block_rows = tuple(itemgetter(*(self.nverts + v for v in b)) for b in spec.blocks)
+        self._block_cols = tuple(itemgetter(*b) for b in spec.blocks)
+        self._blocks_seen = {}  # block -> (its element r or None, sign-coherent, rho(r) == block)
         self._roots_seen = {}  # folded c-vector -> (is a root, is sign-coherent)
         self._d_F_seen = {}  # lifted integer column -> its d_F (``matrix_d_F``'s memo)
 
@@ -384,24 +411,26 @@ class TropicalWalker:
 
     # -- invariants at one tree vertex ------------------------------------
     def c_block(self, lifted, bi: int, bj: int):
-        rows = lifted[self.nverts:]
-        return tuple(
-            tuple(rows[v][w] for w in self.spec.blocks[bj]) for v in self.spec.blocks[bi]
-        )
+        return tuple(map(self._block_cols[bj], self._block_rows[bi](lifted)))
 
     def block_element(self, block) -> ChebElem | None:
         """The ring element r with rho(r) equal to the block, if any."""
         r = ChebElem(self.n, tuple(block[a][0] for a in range(self.n)))
         return r if rho(r) == tuple(tuple(row) for row in block) else None
 
-    def _is_rho_of(self, block, r: ChebElem) -> bool:
-        """Whether ``block`` == rho(r); a pair seen to hold is kept for the walker's life."""
-        if self._rho_seen.get(block) == r.coeffs:
-            return True
-        if rho(r) == block:
-            self._rho_seen[block] = r.coeffs
-            return True
-        return False
+    def _block_verdict(self, block):
+        """(its element r or None, sign-coherent, rho(r) == block) of a block; kept for the walker's life.
+
+        The last is decided by ``rho`` itself, whatever ``block_element``
+        answers, since the commutation certificate rests on it.
+        """
+        verdict = self._blocks_seen.get(block)
+        if verdict is None:
+            r = self.block_element(block)
+            verdict = self._blocks_seen[block] = (
+                (None, False, False) if r is None else (r, r.sign_coherent(), rho(r) == block)
+            )
+        return verdict
 
     def _dF_C_holds(self, folded, lifted) -> bool:
         """Whether d_F(C_lifted) = C_folded: the ``dF(C)-mismatch`` comparison."""
@@ -422,7 +451,9 @@ class TropicalWalker:
 
         The pair is in the form ``initial_pair`` and the explorer's states
         carry: the folded rows as reduced coefficient tuples, the lifted
-        rows as ints, and every check computes on them.  The cube sub-check
+        rows as ints, and every check computes on them.  The cube check
+        solves only for the weight-one columns of G_l, the ones d_F reads
+        (``invert_integer`` on positive pivots).  Its sub-check
         ``dF(G)-mismatch`` passes on the certificate C_f^T d_F(G_l) = I: a
         square matrix with a one-sided inverse over a domain has that
         inverse, so d_F(G_l) = G_f.  A failed certificate fails the
@@ -437,10 +468,12 @@ class TropicalWalker:
         The roots check decides each distinct folded c-vector once per
         walker (``_root_verdict``), and d_F projects each distinct lifted
         column once per walker (``matrix_d_F`` with the walker's memo).
-        ``block_element`` and ``sign_coherent`` run once per distinct
-        block.  Blocks commute without a product when the walker's
-        ``basis_commutes`` certificate holds and every distinct block equals
-        rho of its element: rho is linear and the product bilinear, so
+        ``block_element``, ``sign_coherent`` and the comparison of rho of
+        the element with the block run once per distinct block per walker
+        (``_block_verdict``); a state reads each of its blocks through
+        ``c_block``.  Blocks commute without a product when the walker's
+        ``basis_commutes`` certificate holds and every block of the state
+        equals rho of its element: rho is linear and the product bilinear, so
         rho(r) rho(s) - rho(s) rho(r) is an integer combination of the
         basis commutators rho(theta_a) rho(theta_b) - rho(theta_b)
         rho(theta_a), which all vanish.  Otherwise ``blocks-do-not-commute``
@@ -493,27 +526,24 @@ class TropicalWalker:
         if "blocks" in checks or "dets" in checks:
             elements = []
             blocks = []
-            made = {}  # distinct block -> (its ring element or None, sign-coherent)
+            certified = self.basis_commutes
             for bi in range(mprime):
                 row = []
                 for bj in range(mprime):
                     blk = self.c_block(lifted, bi, bj)
-                    found = made.get(blk)
-                    if found is None:
-                        r = self.block_element(blk)
-                        found = made[blk] = (r, r is not None and r.sign_coherent())
-                    r, coherent = found
+                    r, coherent, is_rho = self._block_verdict(blk)
                     if r is None:
                         failures.append((word, "block-not-regular-rep", bi, bj))
                         return
                     if not coherent:
                         failures.append((word, "block-coefficients-mixed-sign", bi, bj))
+                    certified = certified and is_rho
                     row.append(r.coeffs)
                     blocks.append(blk)
                 elements.append(tuple(row))
-            if "blocks" in checks and not (
-                self.basis_commutes and all(self._is_rho_of(blk, r) for blk, (r, _) in made.items())
-            ) and not all(_commute(x, y) for x, y in combinations(made, 2)):
+            if "blocks" in checks and not certified and not all(
+                _commute(x, y) for x, y in combinations(dict.fromkeys(blocks), 2)
+            ):
                 for a in range(len(blocks)):
                     for b in range(a + 1, len(blocks)):
                         if not _commute(blocks[a], blocks[b]):

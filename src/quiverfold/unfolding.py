@@ -45,14 +45,6 @@ class FoldingSpec:
     rescaling: tuple | None = None  # diagonal P, or None for the identity
 
     @property
-    def vertex_map(self) -> tuple:
-        out = [None] * self.S.n
-        for j, block in enumerate(self.blocks):
-            for i in block:
-                out[i] = j
-        return tuple(out)
-
-    @property
     def weight_one_reps(self) -> tuple:
         """The U_0-weighted member of each block."""
         return tuple(block[0] for block in self.blocks)

@@ -4,7 +4,9 @@ The library computes on folded matrices only as coefficient tuples
 (``coeff_rows``).  Most functions here are the same computations on
 ``AlgReal`` values, as the library made them before: mutation by the sign
 formula, the determinant by Laplace expansion, the inverse by adjugate, the
-tropical walker's step, and d_F on a ``FoldingSpec``.
+tropical walker's step, and d_F on a ``FoldingSpec``.  Two lookups that
+only the tests ask for follow them: membership in a root system's positive
+roots, and the folded vertex of each unfolded one.
 
 The categorical ones come last: positive roots of a simply-laced diagram
 by integer reflection closure, the hammock recursion run from every
@@ -125,6 +127,23 @@ def walker_step(walker, folded, lifted, k: int):
     for v in walker.spec.blocks[k]:
         lifted = mutate_entries(lifted, v)
     return folded, lifted
+
+
+def is_positive_root(roots, v) -> bool:
+    """Whether ``v``, a vector of ``AlgReal`` values, is in ``roots.positives``."""
+    v = tuple(v)
+    if len(v) != roots.rank:
+        raise ValueError(f"expected a vector of length {roots.rank}")
+    return v in roots.positives
+
+
+def vertex_map(spec) -> tuple:
+    """The folded vertex (block index) of each unfolded vertex of ``spec``."""
+    out = [None] * spec.S.n
+    for j, block in enumerate(spec.blocks):
+        for i in block:
+            out[i] = j
+    return tuple(out)
 
 
 def simply_laced_positive_roots(nvertices: int, edges) -> frozenset:

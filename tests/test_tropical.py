@@ -622,16 +622,20 @@ class TestCommutationCertificate:
         assert (("w",), "blocks-do-not-commute", 0, 3) in got
 
     def test_lying_block_element_still_multiplies(self, monkeypatch):
-        # the walker has seen every block of the initial pair equal rho of its
-        # element; once block_element names other elements, it multiplies
-        walker = TropicalWalker(standard_folding("I2", 3))
+        # every block of the initial pair is rho of its element, so no product
+        # is taken; a fresh walker whose block_element names other elements
+        # finds rho of them unequal to the blocks, and multiplies
+        spec = standard_folding("I2", 3)
+        walker = TropicalWalker(spec)
         folded, lifted = walker.initial_pair()
         products = []
         real_mul = tropical._mat_mul_int
         monkeypatch.setattr(tropical, "_mat_mul_int", lambda a, b: products.append(1) or real_mul(a, b))
         assert cube_blocks(walker, folded, lifted, ()) == [] and products == []
         monkeypatch.setattr(TropicalWalker, "block_element", lambda self, block: ChebElem.one(self.n))
-        assert cube_blocks(walker, folded, lifted, ()) == []
+        lied_to = TropicalWalker(spec)
+        products.clear()  # the basis certificate's own products
+        assert cube_blocks(lied_to, folded, lifted, ()) == []
         assert products
 
 
@@ -704,43 +708,45 @@ def test_det_cheb_matches_leibniz(inputs):
 
 
 def test_cube_work_counts(monkeypatch):
-    """A passing walk takes no folded determinant in the cube check, and works only on distinct blocks.
+    """A passing walk takes no folded determinant in the cube check, and decides each distinct block once.
 
-    Per state: one ``det_laplace`` call, the dets check's, at most d
-    ``block_element`` calls, where d is the number of distinct blocks, and
-    no block products, since the commutation certificate holds.
+    Per state: one ``det_laplace`` call, the dets check's, no block
+    products, since the commutation certificate holds, and one
+    ``block_element`` call per block that no earlier state had.  Over the
+    whole walk that is one call per distinct block.
     """
     walker = TropicalWalker(standard_folding("H4"))
     dets = []
     products = []
     elements = []
     per_state = []
+    seen = set()
     real_det, real_mul = tropical.det_laplace, tropical._mat_mul_int
     real_element = TropicalWalker.block_element
     monkeypatch.setattr(tropical, "det_laplace", lambda *args: dets.append(args) or real_det(*args))
     monkeypatch.setattr(tropical, "_mat_mul_int", lambda a, b: products.append(1) or real_mul(a, b))
     monkeypatch.setattr(
         TropicalWalker, "block_element",
-        lambda self, blk: elements.append(1) or real_element(self, blk),
+        lambda self, blk: elements.append(blk) or real_element(self, blk),
     )
     real_check = TropicalWalker.check_vertex
 
     def counted(self, folded, lifted, *args, **kwargs):
-        before = len(products), len(elements)
+        before = len(elements)
         real_check(self, folded, lifted, *args, **kwargs)
         mp = range(self.mprime)
-        distinct = len({self.c_block(lifted, bi, bj) for bi, bj in product(mp, mp)})
-        per_state.append((len(products) - before[0], len(elements) - before[1], distinct))
+        blocks = {self.c_block(lifted, bi, bj) for bi, bj in product(mp, mp)}
+        per_state.append((len(elements) - before, len(blocks - seen)))
+        seen.update(blocks)
 
     monkeypatch.setattr(TropicalWalker, "check_vertex", counted)
     report = walker.verify_cube(depth=2)
     assert report.passed and report.states == len(per_state) > 1
     assert len(dets) == len(per_state)
     assert products == []
-    assert all(made for _, made, _ in per_state)
-    for calls, made, d in per_state:
-        assert calls <= d * (d - 1)
-        assert made <= d < walker.mprime ** 2
+    assert len(elements) == len(set(elements)) == len(seen)
+    assert all(made == new for made, new in per_state)
+    assert sum(made == 0 for made, _ in per_state) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -1030,6 +1036,46 @@ class TestInverseColumns:
             assert outcome(invert_integer, ((2, 0), (0, 1)), columns) == (
                 "raised", ArithmeticError, "inverse is not integral"
             )
+
+    @staticmethod
+    def closure_lifted_transposes(kind, n):
+        """C_l^T of every (folded, lifted) pair reachable from the walker's initial pair."""
+        walker = TropicalWalker(standard_folding(kind, n))
+        order = [walker.initial_pair()]
+        seen = set(order)
+        for state in order:
+            for k in range(walker.mprime):
+                nxt = walker._coeff_step(*state, k)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    order.append(nxt)
+        return walker, [transpose(lifted[walker.nverts:]) for _, lifted in order]
+
+    @pytest.mark.parametrize("kind,n,pairs", [("H3", None, 192), ("I2", 3, 18), ("I2", 4, 22)])
+    def test_matches_the_fraction_oracle_on_every_closure_state(self, kind, n, pairs):
+        walker, matrices = self.closure_lifted_transposes(kind, n)
+        assert len(matrices) == pairs
+        for rows in matrices:
+            whole = outcome(fraction_inverse, rows)
+            assert whole[0] == "value"
+            for columns in (walker.spec.weight_one_reps, range(len(rows))):
+                assert invert_integer(rows, columns) == columns_of(whole[1], columns)
+
+    @pytest.mark.parametrize("rows", [
+        ((-1, 0, 0), (0, -1, 0), (0, 0, -1)),
+        ((2, 1), (1, 1)),
+        ((0, -1), (1, 0)),
+        ((2, 0), (0, 1)),
+        ((-2, 1), (1, -1)),
+        ((3, 5), (1, 2)),
+        ((1, 2), (2, 4)),
+        ((0, 0), (-1, 3)),
+    ])
+    def test_matches_the_fraction_oracle_on_negative_and_non_unit_pivots(self, rows):
+        whole = outcome(fraction_inverse, rows)
+        for columns in ((), (1,), (1, 0), range(len(rows))):
+            got = outcome(invert_integer, rows, columns)
+            assert got == (whole if whole[0] == "raised" else ("value", columns_of(whole[1], columns)))
 
     def test_check_vertex_solves_only_the_weight_one_columns(self, monkeypatch):
         asked = []
