@@ -1037,25 +1037,13 @@ class TestInverseColumns:
                 "raised", ArithmeticError, "inverse is not integral"
             )
 
-    @staticmethod
-    def closure_lifted_transposes(kind, n):
-        """C_l^T of every (folded, lifted) pair reachable from the walker's initial pair."""
-        walker = TropicalWalker(standard_folding(kind, n))
-        order = [walker.initial_pair()]
-        seen = set(order)
-        for state in order:
-            for k in range(walker.mprime):
-                nxt = walker._coeff_step(*state, k)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    order.append(nxt)
-        return walker, [transpose(lifted[walker.nverts:]) for _, lifted in order]
-
     @pytest.mark.parametrize("kind,n,pairs", [("H3", None, 192), ("I2", 3, 18), ("I2", 4, 22)])
     def test_matches_the_fraction_oracle_on_every_closure_state(self, kind, n, pairs):
-        walker, matrices = self.closure_lifted_transposes(kind, n)
-        assert len(matrices) == pairs
-        for rows in matrices:
+        walker = TropicalWalker(standard_folding(kind, n))
+        closure = reachable_states(walker, 12)  # eccentricity 11, 9 and 11
+        assert len(closure) == pairs
+        for _, lifted in closure:
+            rows = transpose(lifted[walker.nverts:])
             whole = outcome(fraction_inverse, rows)
             assert whole[0] == "value"
             for columns in (walker.spec.weight_one_reps, range(len(rows))):
