@@ -29,10 +29,58 @@ connects the two types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 import math
+from operator import attrgetter
+
+# ---------------------------------------------------------------------------
+# immutable values
+
+
+class _Frozen:
+    """Base of the immutable value classes: the fields are the ``__slots__``.
+
+    ``__init__`` sets them once, through ``_fill``; setting or deleting an
+    attribute afterwards is an ``AttributeError``.  ``==`` holds between
+    values of one class whose ``_compared`` fields are equal, and ``hash``
+    is the hash of the tuple of those fields.  Pickle and copy call the
+    class on the ``__slots__`` fields in order; a class whose ``__init__``
+    takes other arguments overrides ``__reduce__``.
+    """
+
+    __slots__ = ()
+    _compared = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        if cls._compared:
+            cls._key = attrgetter(*cls._compared)
+
+    def _fill(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__name__}({fields})"
 
 # ---------------------------------------------------------------------------
 # integer polynomials as coefficient tuples (constant term first)
@@ -357,7 +405,7 @@ def _context(m: int) -> _RootContext:
     return ctx
 
 
-class AlgReal:
+class AlgReal(_Frozen):
     """An element of Z[2cos(pi/m)], reduced mod the minimal polynomial."""
 
     __slots__ = ("m", "coeffs")
@@ -367,17 +415,9 @@ class AlgReal:
         coeffs = tuple(coeffs)
         if len(coeffs) > ctx.deg:
             coeffs = _reduce_mod(ctx, coeffs)
+        # set directly rather than by _fill: AlgReal values are made in inner loops
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "coeffs", _poly_trim(list(coeffs)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"AlgReal is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"AlgReal is immutable: cannot delete {name!r}")
-
-    def __reduce__(self):
-        return AlgReal, (self.m, self.coeffs)
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -602,19 +642,17 @@ def _basis_product(n: int, k: int, l: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ChebElem:
+class ChebElem(_Frozen):
     """Element sum a_i theta_i of the rank-n Chebyshev ring (theta_0 = 1)."""
 
-    n: int
-    coeffs: tuple[int, ...]
+    __slots__ = _compared = ("n", "coeffs")
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(self, n: int, coeffs: tuple[int, ...]):
+        if n < 2:
             raise ValueError("rank parameter n must be >= 2")
-        if len(self.coeffs) != self.n:
-            raise ValueError(f"expected {self.n} coefficients, got {len(self.coeffs)}")
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        if len(coeffs) != n:
+            raise ValueError(f"expected {n} coefficients, got {len(coeffs)}")
+        self._fill(n, tuple(int(c) for c in coeffs))
 
     # -- constructors -------------------------------------------------
     @staticmethod

@@ -13,11 +13,11 @@ transitions of the mutation graph for the word verifiers
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 from operator import mul as _mul
+from types import MappingProxyType
 
-from .chebring import AlgReal, _coeff_sign, _context, alg_inverse, json_value
+from .chebring import AlgReal, _coeff_sign, _context, _Frozen, alg_inverse, json_value
 
 
 def sgn(x) -> int:
@@ -30,7 +30,7 @@ def _is_zero(x) -> bool:
     return x.is_zero() if isinstance(x, AlgReal) else x == 0
 
 
-class ExchangeMatrix:
+class ExchangeMatrix(_Frozen):
     """Square matrix over Z or Z[2cos(pi/m)] with the mutation operation.
 
     Skew-symmetry is not enforced at construction (skew-symmetrizable
@@ -55,15 +55,7 @@ class ExchangeMatrix:
             else:
                 continue
             break
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ring", ring)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"ExchangeMatrix is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"ExchangeMatrix is immutable: cannot delete {name!r}")
+        self._fill(rows, n, ring)
 
     def __reduce__(self):
         return ExchangeMatrix, (self.entries,)
@@ -327,7 +319,6 @@ def steps_back_exactly(int_rows, block, ring_rows, m) -> bool:
     return kinds == {tuple} or (m is None and kinds == {int})
 
 
-@dataclass
 class Exploration:
     """What one ``explore_words`` call did.
 
@@ -335,9 +326,10 @@ class Exploration:
     ``states`` counts the distinct states among the checked words.
     """
 
-    words: int
-    states: int
-    failures: list
+    def __init__(self, words: int, states: int, failures: list):
+        self.words = words
+        self.states = states
+        self.failures = failures
 
 
 class _FirstFailure(Exception):
@@ -556,30 +548,40 @@ def _divide_exact(a: AlgReal, d: int) -> AlgReal:
 # R-quivers
 
 
-@dataclass(frozen=True)
-class RQuiver:
+class RQuiver(_Frozen):
     """Quiver with strictly positive arrow weights, no loops or 2-cycles.
 
     ``arrows`` maps (source, target) to the weight.  Optional vertex weights
-    make it a vertex-weighted quiver.
+    make it a vertex-weighted quiver.  Both mappings are read-only copies of
+    the ones passed in, and ``hash`` reads their items.
     """
 
-    vertices: tuple
-    arrows: dict
-    vertex_weights: dict = field(default_factory=dict)
+    __slots__ = _compared = ("vertices", "arrows", "vertex_weights")
 
-    def __post_init__(self):
+    def __init__(self, vertices, arrows, vertex_weights=None):
+        arrows = dict(arrows)
         seen = set()
-        for (i, j), w in self.arrows.items():
+        for (i, j), w in arrows.items():
             if i == j:
                 raise ValueError("loops are not allowed")
-            if (j, i) in self.arrows:
+            if (j, i) in arrows:
                 raise ValueError("2-cycles are not allowed")
             if (i, j) in seen:
                 raise ValueError("at most one arrow per ordered pair")
             if sgn(w) <= 0:
                 raise ValueError("arrow weights must be strictly positive")
             seen.add((i, j))
+        self._fill(
+            tuple(vertices), MappingProxyType(arrows), MappingProxyType(dict(vertex_weights or {}))
+        )
+
+    def __reduce__(self):
+        return RQuiver, (self.vertices, dict(self.arrows), dict(self.vertex_weights))
+
+    def __hash__(self):
+        return hash(
+            (self.vertices, frozenset(self.arrows.items()), frozenset(self.vertex_weights.items()))
+        )
 
 
 def to_quiver(matrix: ExchangeMatrix, vertices=None) -> RQuiver:

@@ -19,24 +19,24 @@ theorem-level verification report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .chebring import AlgReal, ChebElem, _context, _poly_mul, _poly_trim, _reduce_mod, cheb_mul
+from .chebring import (
+    AlgReal, ChebElem, _context, _Frozen, _poly_mul, _poly_trim, _reduce_mod, cheb_mul,
+)
 from .exchange import RingValues
 from .rootsys import root_system
 from .unfolding import FoldingSpec
 
 
-@dataclass(frozen=True)
-class IndecClass:
+class IndecClass(_Frozen):
     """An indecomposable, identified by its dimension vector and grid spot."""
 
-    ident: int
-    dim: tuple
-    orbit: int
-    slice: int
-    proj_vertex: int | None
-    inj_vertex: int | None
+    __slots__ = _compared = ("ident", "dim", "orbit", "slice", "proj_vertex", "inj_vertex")
+
+    def __init__(
+        self, ident: int, dim: tuple, orbit: int, slice: int, proj_vertex: int | None,
+        inj_vertex: int | None,
+    ):
+        self._fill(ident, dim, orbit, slice, proj_vertex, inj_vertex)
 
 
 class ARQuiver:

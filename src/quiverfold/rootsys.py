@@ -12,24 +12,26 @@ last two vertices of H3 and H4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul as _mul
 
-from .chebring import AlgReal, _coeff_sign, _context, _poly_trim
+from .chebring import AlgReal, _coeff_sign, _context, _Frozen, _poly_trim
 from .exchange import RingValues, coeff_rows
 
 
-@dataclass(frozen=True)
-class RootSet:
-    type_name: str
-    rank: int
-    roots: frozenset
-    positives: frozenset
-    keys: frozenset = field(init=False, repr=False)  # the roots as coeff_rows encodes them
+class RootSet(_Frozen):
+    """The roots and the positive roots of a root system, as vectors of ``AlgReal`` values.
 
-    def __post_init__(self):
-        object.__setattr__(self, "keys", frozenset(coeff_rows(self.roots)))
+    ``keys`` holds the roots as ``coeff_rows`` encodes them.
+    """
+
+    __slots__ = _compared = ("type_name", "rank", "roots", "positives", "keys")
+
+    def __init__(self, type_name: str, rank: int, roots: frozenset, positives: frozenset):
+        self._fill(type_name, rank, roots, positives, frozenset(coeff_rows(roots)))
+
+    def __reduce__(self):
+        return RootSet, (self.type_name, self.rank, self.roots, self.positives)
 
     def is_root(self, v) -> bool:
         """Exact membership of a vector of ``AlgReal`` values or of coefficient tuples.

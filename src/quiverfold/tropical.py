@@ -61,14 +61,13 @@ equal a fresh walker's; signs come from chebring's per-m sign memo.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
 from operator import itemgetter, mul as _mul
 
 from .chebring import (
-    ChebElem, _cheb_mul_coeffs, _coeff_sign, _context, _poly_mul, _poly_trim, _reduce_mod,
-    json_value, rho, sigma,
+    ChebElem, _cheb_mul_coeffs, _coeff_sign, _context, _Frozen, _poly_mul, _poly_trim,
+    _reduce_mod, json_value, rho, sigma,
 )
 from .exchange import (
     ExchangeMatrix, RingValues, _as_coeffs, _Explorer, _pivot_columns, _sign, coeff_rows,
@@ -79,8 +78,7 @@ from .rootsys import root_system
 from .unfolding import FoldingSpec
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(_Frozen):
     """Tropical y-seed: an exchange matrix B stacked over a coefficient matrix C, the g-vectors and a word.
 
     ``rows`` are the stacked rows, over Z with every entry an int (``m``
@@ -92,11 +90,13 @@ class Seed:
     ``values``, the seed pattern's one ``RingValues`` (None over Z).
     """
 
-    rows: tuple
-    m: int | None
-    word: tuple = field(compare=False)
-    g: tuple = field(compare=False, repr=False)
-    values: RingValues | None = field(compare=False, repr=False)
+    __slots__ = ("rows", "m", "word", "g", "values")
+    _compared = ("rows", "m")
+
+    def __init__(
+        self, rows: tuple, m: int | None, word: tuple, g: tuple, values: RingValues | None
+    ):
+        self._fill(rows, m, word, g, values)
 
     @staticmethod
     def initial(B: ExchangeMatrix) -> "Seed":
@@ -174,10 +174,11 @@ def _mutate_g(g, rows, k: int, m):
     return g[:k] + (new,) + g[k + 1:]
 
 
-@dataclass(frozen=True)
-class GMatrix:
-    entries: tuple
-    word: tuple = ()
+class GMatrix(_Frozen):
+    __slots__ = _compared = ("entries", "word")
+
+    def __init__(self, entries: tuple, word: tuple = ()):
+        self._fill(entries, word)
 
 
 def g_matrix(seed: Seed) -> GMatrix:
@@ -345,13 +346,14 @@ def matrix_d_F(spec: FoldingSpec, rows, memo=None, reps=None):
     return tuple(zip(*cols))
 
 
-@dataclass
 class WalkReport:
-    passed: bool
-    vertices_checked: int
-    failures: list
-    seed: int | None = None
-    states: int = 0  # distinct (folded, lifted) pairs among the checked words; not in to_json
+    def __init__(self, passed: bool, vertices_checked: int, failures: list, seed, states: int):
+        self.passed = passed
+        self.vertices_checked = vertices_checked
+        self.failures = failures
+        self.seed = seed
+        # distinct (folded, lifted) pairs among the checked words; not in to_json
+        self.states = states
 
     def to_json(self):
         return {
@@ -673,11 +675,11 @@ def _mat_mul_int(a, b):
 # seed enumeration
 
 
-@dataclass
 class EnumerationResult:
-    seeds: list
-    complete: bool
-    cap: int
+    def __init__(self, seeds: list, complete: bool, cap: int):
+        self.seeds = seeds
+        self.complete = complete
+        self.cap = cap
 
     @property
     def count(self) -> int:

@@ -17,10 +17,9 @@ regular-representation matrix of a Chebyshev ring element.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .chebring import (
-    AlgReal, ChebElem, _context, _poly_trim, _reduce_mod, json_value, rho,
+    AlgReal, ChebElem, _context, _Frozen, _poly_trim, _reduce_mod, json_value, rho,
 )
 from .exchange import (
     ExchangeMatrix, RingValues, _as_coeffs, _sign, coeff_rows, entry_field, explore_words,
@@ -28,21 +27,29 @@ from .exchange import (
 )
 
 
-@dataclass(frozen=True)
-class FoldingSpec:
+class FoldingSpec(_Frozen):
     """A weighted folding F : unfolded quiver -> folded quiver."""
 
-    kind: str
-    S: ExchangeMatrix
-    B: ExchangeMatrix
-    blocks: tuple            # blocks[j] = unfolded indices of folded vertex j, U_k-ordered
-    weights: tuple           # weights[i] for each unfolded vertex (AlgReal or int)
-    labels: tuple = ()       # display labels for unfolded vertices
-    folded_labels: tuple = ()
-    n: int | None = None     # Chebyshev rank (None for the integer demo)
-    m: int | None = None     # weights live in Z[2cos(pi/m)]
-    kappa: tuple | None = None   # kappa[i] = Chebyshev index of vertex i
-    rescaling: tuple | None = None  # diagonal P, or None for the identity
+    __slots__ = _compared = (
+        "kind", "S", "B", "blocks", "weights", "labels", "folded_labels", "n", "m", "kappa",
+        "rescaling",
+    )
+
+    def __init__(
+        self,
+        kind: str,
+        S: ExchangeMatrix,
+        B: ExchangeMatrix,
+        blocks: tuple,            # blocks[j] = unfolded indices of folded vertex j, U_k-ordered
+        weights: tuple,           # weights[i] for each unfolded vertex (AlgReal or int)
+        labels: tuple = (),       # display labels for unfolded vertices
+        folded_labels: tuple = (),
+        n: int | None = None,     # Chebyshev rank (None for the integer demo)
+        m: int | None = None,     # weights live in Z[2cos(pi/m)]
+        kappa: tuple | None = None,   # kappa[i] = Chebyshev index of vertex i
+        rescaling: tuple | None = None,  # diagonal P, or None for the identity
+    ):
+        self._fill(kind, S, B, blocks, weights, labels, folded_labels, n, m, kappa, rescaling)
 
     @property
     def weight_one_reps(self) -> tuple:
@@ -97,11 +104,11 @@ class FoldingSpec:
 # the unfolding conditions
 
 
-@dataclass
 class ConditionReport:
-    passed: bool
-    failures: list = field(default_factory=list)
-    checked_pairs: int = 0
+    def __init__(self, passed: bool, failures: list, checked_pairs: int):
+        self.passed = passed
+        self.failures = failures
+        self.checked_pairs = checked_pairs
 
 
 def conditions_hold(S_rows, B: ExchangeMatrix, blocks, weights) -> list:
@@ -208,16 +215,20 @@ def check_conditions(S, B: ExchangeMatrix, blocks, weights) -> ConditionReport:
     return ConditionReport(not failures, failures, len(blocks) ** 2)
 
 
-@dataclass
 class UnfoldingReport:
-    passed: bool
-    words_checked: int
-    failure_word: tuple | None = None
-    failure_detail: object = None
-    depth: int = 0
-    random_words: int = 0
-    seed: int | None = None
-    states: int = 0  # distinct (S, B) pairs among the checked words; not in to_json
+    def __init__(
+        self, passed: bool, words_checked: int, failure_word, failure_detail, depth: int,
+        random_words: int, seed, states: int,
+    ):
+        self.passed = passed
+        self.words_checked = words_checked
+        self.failure_word = failure_word
+        self.failure_detail = failure_detail
+        self.depth = depth
+        self.random_words = random_words
+        self.seed = seed
+        # distinct (S, B) pairs among the checked words; not in to_json
+        self.states = states
 
     def to_json(self):
         detail = self.failure_detail and {

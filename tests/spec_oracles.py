@@ -6,7 +6,8 @@ The library computes on folded matrices only as coefficient tuples
 formula, the determinant by Laplace expansion, the inverse by adjugate, the
 tropical walker's step, and d_F on a ``FoldingSpec``.  Two lookups that
 only the tests ask for follow them: membership in a root system's positive
-roots, and the folded vertex of each unfolded one.
+roots, and the folded vertex of each unfolded one; then ``replace_spec``,
+a ``FoldingSpec`` with some fields changed.
 
 The categorical ones come last: positive roots of a simply-laced diagram
 by integer reflection closure, the hammock recursion run from every
@@ -144,6 +145,12 @@ def vertex_map(spec) -> tuple:
         for i in block:
             out[i] = j
     return tuple(out)
+
+
+def replace_spec(spec, **changes):
+    """A copy of the ``FoldingSpec`` ``spec`` with the fields named in ``changes`` changed."""
+    fields = {name: getattr(spec, name) for name in spec.__slots__}
+    return type(spec)(**{**fields, **changes})
 
 
 def simply_laced_positive_roots(nvertices: int, edges) -> frozenset:

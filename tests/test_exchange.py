@@ -11,6 +11,7 @@ from quiverfold import chebring
 from quiverfold.chebring import AlgReal, minimal_poly
 from quiverfold.exchange import (
     ExchangeMatrix,
+    RQuiver,
     RingValues,
     coeff_rows,
     from_quiver,
@@ -285,6 +286,37 @@ class TestQuiverCorrespondence:
     def test_rejects_non_skew(self):
         with pytest.raises(ValueError):
             to_quiver(B_F4)
+
+    def test_quiver_is_hashable(self):
+        Q = to_quiver(S_A4)
+        assert hash(Q) == hash(to_quiver(S_A4))
+        assert len({Q, to_quiver(S_A4), to_quiver(-S_A4), to_quiver(golden_matrix())}) == 3
+
+    def test_quiver_keeps_no_reference_to_the_callers_mappings(self):
+        arrows, vertex_weights = {(0, 1): 1}, {0: 2}
+        Q = RQuiver((0, 1), arrows, vertex_weights)
+        arrows[(1, 0)] = 1
+        arrows[(0, 0)] = -3
+        vertex_weights[1] = 5
+        assert dict(Q.arrows) == {(0, 1): 1} and dict(Q.vertex_weights) == {0: 2}
+        assert from_quiver(Q) == ExchangeMatrix([[0, 1], [-1, 0]])
+        with pytest.raises(TypeError):
+            Q.arrows[(1, 0)] = 1
+        with pytest.raises(TypeError):
+            Q.vertex_weights[1] = 5
+
+    @pytest.mark.parametrize(
+        "arrows, message",
+        [
+            ({(0, 0): 1}, "loops are not allowed"),
+            ({(0, 1): 1, (1, 0): 1}, "2-cycles are not allowed"),
+            ({(0, 1): 0}, "arrow weights must be strictly positive"),
+            ({(0, 1): -AlgReal.generator(5)}, "arrow weights must be strictly positive"),
+        ],
+    )
+    def test_quiver_rejections(self, arrows, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RQuiver((0, 1), arrows)
 
     def test_dot_output_stable(self):
         Q = to_quiver(S_A4)

@@ -11,7 +11,6 @@ decides each state with it.
 """
 
 import random
-from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -24,7 +23,7 @@ from quiverfold.exchange import (
 )
 from quiverfold.tropical import TropicalWalker
 from quiverfold.unfolding import check_weighted_unfolding, conditions_hold, standard_folding
-from spec_oracles import algreal_pair, mutate_entries, walker_step
+from spec_oracles import algreal_pair, mutate_entries, replace_spec, walker_step
 from test_tropical import FOLDINGS
 from test_unfolding import FoldingSpecBrokenWeights, sign_flipped_f4e6
 
@@ -317,12 +316,12 @@ def assert_conditions_agree(spec, states):
 
 def integer_weights(spec):
     """spec with every weight whose value is an integer given as an int."""
-    return replace(spec, weights=tuple(_as_int(w) for w in spec.weights))
+    return replace_spec(spec, weights=tuple(_as_int(w) for w in spec.weights))
 
 
 def integer_entries(spec):
     """spec with every entry of B whose value is an integer given as an int."""
-    return replace(spec, B=ExchangeMatrix([[_as_int(x) for x in row] for row in spec.B.entries]))
+    return replace_spec(spec, B=ExchangeMatrix([[_as_int(x) for x in row] for row in spec.B.entries]))
 
 
 def _as_int(x):
@@ -341,7 +340,7 @@ def shifted_f4e6():
     rows = [list(r) for r in spec.S.entries]
     rows[2][1] += 1
     rows[3][1] -= 1
-    return replace(spec, S=ExchangeMatrix(rows))
+    return replace_spec(spec, S=ExchangeMatrix(rows))
 
 
 class TestConditionsOracle:
@@ -403,7 +402,7 @@ class TestConditionsOracle:
         spec = standard_folding("F4E6")
         one, two = AlgReal(5, (1,)), AlgReal(5, (2,))
         for weights, fails in (((one,) * 6, False), ((one, two) + (1,) * 4, True)):
-            alg = replace(spec, weights=weights)
+            alg = replace_spec(spec, weights=weights)
             records = assert_conditions_agree(alg, states_within(alg, 4))
             assert any(records) == fails
 
@@ -438,7 +437,7 @@ def corrupted_lifted(kind, n):
     i, j = spec.blocks[0][0], spec.blocks[1][-1]
     rows[i][j] += 1
     rows[j][i] -= 1
-    return replace(spec, S=ExchangeMatrix(rows))
+    return replace_spec(spec, S=ExchangeMatrix(rows))
 
 
 def corrupted_folded(kind, n):
@@ -447,7 +446,7 @@ def corrupted_folded(kind, n):
     rows = [list(r) for r in spec.B.entries]
     rows[0][1] = rows[0][1] + 1
     rows[1][0] = rows[1][0] - 1
-    return replace(spec, B=ExchangeMatrix(rows))
+    return replace_spec(spec, B=ExchangeMatrix(rows))
 
 
 class TestCubeEquivalence:

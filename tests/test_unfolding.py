@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from quiverfold.chebring import AlgReal
@@ -10,7 +8,7 @@ from quiverfold.unfolding import (
     check_weighted_unfolding,
     standard_folding,
 )
-from spec_oracles import matrix_d_F
+from spec_oracles import matrix_d_F, replace_spec
 
 
 class TestCheckConditions:
@@ -249,12 +247,10 @@ def sign_flipped_f4e6():
     spec = standard_folding("F4E6")
     rows = [list(r) for r in spec.S.entries]
     rows[1][0] = -rows[1][0]
-    return replace(spec, S=ExchangeMatrix(rows))
+    return replace_spec(spec, S=ExchangeMatrix(rows))
 
 
 def FoldingSpecBrokenWeights(spec):
-    from dataclasses import replace
-
     bad_weights = list(spec.weights)
     bad_weights[1] = bad_weights[1] + 1
-    return replace(spec, weights=tuple(bad_weights))
+    return replace_spec(spec, weights=tuple(bad_weights))

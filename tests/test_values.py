@@ -9,15 +9,19 @@ an equal value.
 
 import copy
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quiverfold
 from quiverfold.chebring import ChebElem
+from quiverfold.exchange import to_quiver
 from quiverfold.repcat import IndecClass
 from quiverfold.rootsys import generate_roots
 from quiverfold.tropical import Seed, g_matrix
 from quiverfold.unfolding import standard_folding
-from quiverfold.exchange import to_quiver
 
 
 def _seed(word):
@@ -119,3 +123,16 @@ def test_seed_round_trip_keeps_word_and_g():
     for twin in (pickle.loads(pickle.dumps(seed)), copy.copy(seed), copy.deepcopy(seed)):
         assert (twin.word, twin.g) == (seed.word, seed.g)
         assert twin.C == seed.C and g_matrix(twin) == g_matrix(seed)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """A cold ``import quiverfold.cli`` stays off ``dataclasses`` and ``inspect`` (about 20 ms)."""
+    src = str(Path(quiverfold.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import quiverfold.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"
