@@ -31,8 +31,8 @@ def _seed(word):
     return seed
 
 
-def _quiver(weight):
-    return to_quiver(standard_folding("H3", opp=weight < 0).B)
+def _quiver(opp):
+    return to_quiver(standard_folding("H3", opp=opp).B)
 
 
 # class name -> (make, the compared fields, a different value); make() builds
@@ -59,7 +59,7 @@ VALUES = {
         ("ident", "dim", "orbit", "slice", "proj_vertex", "inj_vertex"),
         IndecClass(3, (1, 1, 0), 1, 2, proj_vertex=None, inj_vertex=1),
     ),
-    "RQuiver": (lambda: _quiver(1), ("vertices", "arrows", "vertex_weights"), _quiver(-1)),
+    "RQuiver": (lambda: _quiver(False), ("vertices", "arrows", "vertex_weights"), _quiver(True)),
 }
 HASHABLE = sorted(set(VALUES) - {"RQuiver"})
 
