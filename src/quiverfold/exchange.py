@@ -347,6 +347,7 @@ class _Explorer:
         self.states = {}    # state -> the one interned equal state
         self.edges = {}     # (id(state), k) -> interned state
         self.verdicts = {}  # (id(state), check, parity) -> failure details
+        self.subtrees = {}  # (id(state), depth left, parity, check) -> words below
         self.seen = set()
         self.failures = []
         self.words = 0
@@ -395,12 +396,27 @@ class _Explorer:
                 raise _FirstFailure
 
     def descend(self, state, word, letters, depth, check):
+        """Visit the words below ``word`` up to length ``depth``, each right after its parent.
+
+        A subtree that finished with no failure is counted, not walked, when
+        the same (state, depth left, parity) comes again: its states are in
+        ``seen`` and its verdicts recorded, all empty, so a second walk
+        would only add its word count.
+        """
         if len(word) == depth or self.failures:
             return
+        key = (id(state), depth - len(word), self.parity and len(word) % 2, check)
+        below = self.subtrees.get(key)
+        if below is not None:
+            self.words += below
+            return
+        before = self.words
         for k in range(letters):
             child, longer = self.move(state, k), word + (k,)
             self.visit(child, longer, check)
             self.descend(child, longer, letters, depth, check)
+        if not self.failures:
+            self.subtrees[key] = self.words - before
 
     def walk(self, start, word, check, end_check):
         state = start
@@ -443,7 +459,14 @@ def explore_words(
     function of the key (state, check, parity), so each key is checked once
     and a repeat replays the recorded details with the current word: every
     word of length <= d passes exactly when every state reachable in <= d
-    steps passes.
+    steps passes.  A repeated subtree of the prefix tree is counted, not
+    walked: once the words below a state, with a given depth left and
+    parity, have all passed, a later word that reaches the same state with
+    the same depth left and parity adds their number to ``words`` and goes
+    on.  Its states are already counted and its verdicts recorded, so the
+    words, states and failures are those of the full walk, while the tree
+    costs its distinct (state, depth left, parity) nodes, not its m^d
+    words.
 
     Transitions (state, k) -> state are memoized, and each new state is
     interned once, by value: a state equal to one already met is replaced
@@ -453,7 +476,7 @@ def explore_words(
     be told apart by the states themselves.  The two word verifiers do that
     by carrying every ring entry as its coefficient tuple (``coeff_rows``),
     stepping with ``mutate_coeffs``, and deciding their checks on the
-    tuples.  All tables live for this call.
+    tuples.  All tables, the subtree counts among them, live for this call.
 
     ``involutive(state, k)``, when given, is asked about each newly stepped
     state Y = step(X, k).  When it holds, step(Y, k) must be X exactly,
@@ -551,7 +574,8 @@ def _divide_exact(a: AlgReal, d: int) -> AlgReal:
 class RQuiver(_Frozen):
     """Quiver with strictly positive arrow weights, no loops or 2-cycles.
 
-    ``arrows`` maps (source, target) to the weight.  Optional vertex weights
+    ``arrows`` maps (source, target) to the weight; both ends must be among
+    ``vertices``.  Optional vertex weights
     make it a vertex-weighted quiver.  Both mappings are read-only copies of
     the ones passed in, and ``hash`` reads their items.
     """
@@ -559,21 +583,18 @@ class RQuiver(_Frozen):
     __slots__ = _compared = ("vertices", "arrows", "vertex_weights")
 
     def __init__(self, vertices, arrows, vertex_weights=None):
-        arrows = dict(arrows)
-        seen = set()
+        vertices, arrows = tuple(vertices), dict(arrows)
+        declared = set(vertices)
         for (i, j), w in arrows.items():
             if i == j:
                 raise ValueError("loops are not allowed")
             if (j, i) in arrows:
                 raise ValueError("2-cycles are not allowed")
-            if (i, j) in seen:
-                raise ValueError("at most one arrow per ordered pair")
+            if i not in declared or j not in declared:
+                raise ValueError(f"arrow {i!r} -> {j!r} has an end that is not a vertex")
             if sgn(w) <= 0:
                 raise ValueError("arrow weights must be strictly positive")
-            seen.add((i, j))
-        self._fill(
-            tuple(vertices), MappingProxyType(arrows), MappingProxyType(dict(vertex_weights or {}))
-        )
+        self._fill(vertices, MappingProxyType(arrows), MappingProxyType(dict(vertex_weights or {})))
 
     def __reduce__(self):
         return RQuiver, (self.vertices, dict(self.arrows), dict(self.vertex_weights))

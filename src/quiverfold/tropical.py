@@ -582,6 +582,8 @@ class TropicalWalker:
         reuses the recorded failures with the current word
         (``explore_words``).  "Every word of length <= depth passes" is the
         same statement as "every pair reachable in <= depth steps passes".
+        A subtree that already passed from the same pair, depth left and
+        parity is counted, not walked again.
         ``vertices_checked`` still counts words; ``states`` counts pairs.
 
         The explorer's states are the pairs of ``initial_pair`` and

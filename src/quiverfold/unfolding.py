@@ -17,6 +17,7 @@ regular-representation matrix of a Chebyshev ring element.
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 
 from .chebring import (
     AlgReal, ChebElem, _context, _Frozen, _poly_trim, _reduce_mod, json_value, rho,
@@ -111,7 +112,7 @@ class ConditionReport:
         self.checked_pairs = checked_pairs
 
 
-def conditions_hold(S_rows, B: ExchangeMatrix, blocks, weights) -> list:
+def conditions_hold(S_rows, B: ExchangeMatrix, blocks, weights, memo=None) -> list:
     """Every failure of conditions (1) and (2) for (S, B), in block order.
 
     A record is a dict: ``{"block", "kind": "sign", "entry", "actual"}``
@@ -120,6 +121,16 @@ def conditions_hold(S_rows, B: ExchangeMatrix, blocks, weights) -> list:
     Column sums are compared in the cleared-denominator form
     sum_k w_k s_kl == b_ij * w_l, which is the condition on W S W^-1 scaled
     by the (positive) column weight.  An empty list means both hold.
+
+    The work goes column by column.  With blocks and weights fixed, the
+    records of column l depend only on l, column l of S and column F(l) of
+    B, where F(l) is the block holding l.  S and B are transposed once, and
+    ``memo``, a dict that a caller may keep across calls with the same
+    blocks (which must partition the vertices) and weights, holds each
+    column's records under (l, S column, B column); only the columns
+    missing from it are computed (``_column_records``).  The records are
+    then sorted back into block order: by (i, j, position of l in block j),
+    the sign records of a column sum before its own record.
 
     The arithmetic runs on reduced coefficient tuples: B and the weights
     are encoded once with ``coeff_rows``, a column sum adds integer
@@ -131,65 +142,86 @@ def conditions_hold(S_rows, B: ExchangeMatrix, blocks, weights) -> list:
     empty sum.  Weights and B over two different fields are a ValueError.
     """
     m = entry_field((*B.entries, weights))
+    if memo is None:
+        memo = {}
+    (w_row,) = coeff_rows((weights,))
+    S_cols = tuple(zip(*S_rows))
+    B_cols = tuple(zip(*coeff_rows(B.entries)))
+    found = []
+    for bj, block_j in enumerate(blocks):
+        b_col = B_cols[bj]
+        for pos, l in enumerate(block_j):
+            s_col = S_cols[l]
+            records = memo.get((l, s_col, b_col))
+            if records is None:
+                records = memo[l, s_col, b_col] = _column_records(
+                    l, bj, s_col, b_col, blocks, w_row, m
+                )
+            if records:
+                found.extend(((bi, bj, pos), record) for bi, record in records)
+    if not found:
+        return []
+    found.sort(key=itemgetter(0))
+    return [dict(record) for _, record in found]
+
+
+def _column_records(l, bj, s_col, b_col, blocks, w_row, m) -> tuple:
+    """The (i, record) pairs of column l, which lies in block j, for i = 0, 1, ... in turn."""
     ctx = None if m is None else _context(m)
     width = 1 if ctx is None else ctx.deg
-    B_rows = coeff_rows(B.entries)
-    (w_row,) = coeff_rows((weights,))
-    failures = []
+    w_l = w_row[l]
+    out = []
     for bi, block_i in enumerate(blocks):
-        for bj, block_j in enumerate(blocks):
-            b = B_rows[bi][bj]
-            b_nonneg = not b or _sign(ctx, b) > 0
-            b_coeffs = _as_coeffs(b)
-            for l in block_j:
-                acc = None  # the column sum, made at its first nonzero term
-                for k in block_i:
-                    s_kl = S_rows[k][l]
-                    if s_kl:
-                        if s_kl < 0 and b_nonneg:
-                            failures.append(
-                                {"block": (bi, bj), "kind": "sign", "entry": (k, l), "actual": s_kl}
-                            )
-                        if acc is None:
-                            acc = [0] * width
-                        w = w_row[k]
-                        if type(w) is int:
-                            acc[0] += s_kl * w
-                        else:
-                            for i, c in enumerate(w):
-                                acc[i] += s_kl * c
-                if not b:
-                    if acc is None or not any(acc):
-                        continue
-                    rhs = [0] * width
+        b = b_col[bi]
+        b_nonneg = not b or _sign(ctx, b) > 0
+        acc = None  # the column sum, made at its first nonzero term
+        for k in block_i:
+            s_kl = s_col[k]
+            if s_kl:
+                if s_kl < 0 and b_nonneg:
+                    out.append(
+                        (bi, {"block": (bi, bj), "kind": "sign", "entry": (k, l), "actual": s_kl})
+                    )
+                if acc is None:
+                    acc = [0] * width
+                w = w_row[k]
+                if type(w) is int:
+                    acc[0] += s_kl * w
                 else:
-                    w = _as_coeffs(w_row[l])
-                    rhs = [0] * (2 * width - 1)
-                    for i, x in enumerate(b_coeffs):
-                        for j, y in enumerate(w):
-                            rhs[i + j] += x * y
-                    if len(b_coeffs) + len(w) - 1 > width:
-                        rhs = list(_reduce_mod(ctx, rhs))
-                    else:
-                        del rhs[width:]
-                    if acc is None:
-                        acc = [0] * width
-                if acc != rhs:
-                    terms = [k for k in block_i if S_rows[k][l]]
-                    lhs_alg = any(type(w_row[k]) is tuple for k in terms) or (
-                        not terms and type(b) is tuple
-                    )
-                    rhs_alg = type(b) is tuple or type(w_row[l]) is tuple
-                    failures.append(
-                        {
-                            "block": (bi, bj),
-                            "kind": "column-sum",
-                            "column": l,
-                            "actual": _decode(m, acc, lhs_alg),
-                            "expected": _decode(m, rhs, rhs_alg),
-                        }
-                    )
-    return failures
+                    for i, c in enumerate(w):
+                        acc[i] += s_kl * c
+        if not b:
+            if acc is None or not any(acc):
+                continue
+            rhs = [0] * width
+        else:
+            b_coeffs, w = _as_coeffs(b), _as_coeffs(w_l)
+            rhs = [0] * (2 * width - 1)
+            for i, x in enumerate(b_coeffs):
+                for j, y in enumerate(w):
+                    rhs[i + j] += x * y
+            if len(b_coeffs) + len(w) - 1 > width:
+                rhs = list(_reduce_mod(ctx, rhs))
+            else:
+                del rhs[width:]
+            if acc is None:
+                acc = [0] * width
+        if acc != rhs:
+            terms = [k for k in block_i if s_col[k]]
+            lhs_alg = any(type(w_row[k]) is tuple for k in terms) or (
+                not terms and type(b) is tuple
+            )
+            rhs_alg = type(b) is tuple or type(w_l) is tuple
+            out.append(
+                (bi, {
+                    "block": (bi, bj),
+                    "kind": "column-sum",
+                    "column": l,
+                    "actual": _decode(m, acc, lhs_alg),
+                    "expected": _decode(m, rhs, rhs_alg),
+                })
+            )
+    return tuple(out)
 
 
 def _decode(m, coeffs, algebraic):
@@ -266,17 +298,21 @@ def check_weighted_unfolding(
     (S, B) alone, and in finite type many words reach the same pair.  Each
     distinct pair is checked once and a repeat reuses its verdict
     (``explore_words``), so "every word of length <= depth passes" is the
-    same statement as "every pair reachable in <= depth steps passes".
+    same statement as "every pair reachable in <= depth steps passes".  A
+    subtree of the word tree that already passed from the same pair, with
+    the same depth left, is counted and not walked again.
     ``words_checked`` still counts words; ``states`` counts distinct pairs.
     On a failure, ``failure_detail`` is the first ``conditions_hold`` record
     of the first failing word.  The explorer's states carry the entries of
     B as coefficient tuples (``coeff_rows``).  A step whose block is
     pairwise non-adjacent in the stepped S, with B in one entry
     representation, is its own inverse (``steps_back_exactly``), so the
-    explorer records the way back without computing it.  Each check decodes them into
-    an ``ExchangeMatrix`` (``RingValues``, one value per distinct entry),
-    which ``rescale`` needs, and ``conditions_hold`` computes on them as
-    coefficient tuples again.
+    explorer records the way back without computing it.  Each check decodes
+    them into an ``ExchangeMatrix`` (``RingValues``, one value per distinct
+    entry), which ``rescale`` needs, and ``conditions_hold`` computes on
+    them as coefficient tuples again.  It keeps one column memo for the
+    whole call, so each distinct (column l, column l of S, column F(l) of
+    B) is decided once, however many pairs share it.
     """
     m = entry_field(spec.B.entries)
     values = RingValues(m)
@@ -290,12 +326,14 @@ def check_weighted_unfolding(
     def involutive(state, k):
         return steps_back_exactly(state[0], spec.blocks[k], state[1], m)
 
+    columns = {}  # conditions_hold's column memo, for this call's blocks and weights
+
     def check(state, word, neighbour):
         S_rows, B_rows = state
         B = ExchangeMatrix(values.rows(B_rows))
         if spec.rescaling is not None:
             B = rescale(B, spec.rescaling)
-        return conditions_hold(S_rows, B, spec.blocks, spec.weights)
+        return conditions_hold(S_rows, B, spec.blocks, spec.weights, columns)
 
     if sequences is not None:
         walks = (tuple(word) for word in sequences)

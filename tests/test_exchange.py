@@ -312,6 +312,8 @@ class TestQuiverCorrespondence:
             ({(0, 1): 1, (1, 0): 1}, "2-cycles are not allowed"),
             ({(0, 1): 0}, "arrow weights must be strictly positive"),
             ({(0, 1): -AlgReal.generator(5)}, "arrow weights must be strictly positive"),
+            ({(0, 5): 1}, "arrow 0 -> 5 has an end that is not a vertex"),
+            ({(7, 1): 1}, "arrow 7 -> 1 has an end that is not a vertex"),
         ],
     )
     def test_quiver_rejections(self, arrows, message):
