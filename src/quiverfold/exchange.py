@@ -575,9 +575,9 @@ class RQuiver(_Frozen):
     """Quiver with strictly positive arrow weights, no loops or 2-cycles.
 
     ``arrows`` maps (source, target) to the weight; both ends must be among
-    ``vertices``.  Optional vertex weights
-    make it a vertex-weighted quiver.  Both mappings are read-only copies of
-    the ones passed in, and ``hash`` reads their items.
+    ``vertices``.  Optional vertex weights make it a vertex-weighted quiver.
+    Both mappings are read-only copies of the ones passed in, and ``hash``
+    reads their items.
     """
 
     __slots__ = _compared = ("vertices", "arrows", "vertex_weights")

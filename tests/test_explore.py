@@ -16,7 +16,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quiverfold import tropical, unfolding
+from quiverfold import exchange, tropical, unfolding
 from quiverfold.chebring import AlgReal
 from quiverfold.exchange import (
     ExchangeMatrix, coeff_rows, explore_words, rescale, sgn, steps_back_exactly,
@@ -429,6 +429,48 @@ class TestConditionsOracle:
         (records,) = assert_conditions_agree(spec, [(tuple(map(tuple, rows)), B)])
         assert records
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_several_entries_of_S_changed(self, data):
+        # failures in several columns and block pairs come back in block
+        # order, also when the columns are read from a memo that other
+        # states filled
+        kind, n = data.draw(st.sampled_from(FOLDINGS))
+        spec = standard_folding(kind, n)
+        if data.draw(st.booleans()):
+            spec = integer_weights(spec)
+        S_rows, B = data.draw(st.sampled_from(standard_states(kind, n)))
+        size = len(S_rows)
+        cell = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+        rows = [list(row) for row in S_rows]
+        for k, l in data.draw(st.lists(cell, min_size=2, max_size=4, unique=True)):
+            rows[k][l] += data.draw(st.sampled_from((-2, -1, 1, 2)))
+        changed = tuple(map(tuple, rows))
+        expected = typed(oracle_conditions(changed, B, spec.blocks, spec.weights))
+        assert typed(conditions_hold(changed, B, spec.blocks, spec.weights)) == expected
+        memo = {}
+        for other in data.draw(st.lists(st.sampled_from(standard_states(kind, n)), max_size=3)):
+            conditions_hold(*other, spec.blocks, spec.weights, memo)
+        for _ in range(2):
+            got = conditions_hold(changed, B, spec.blocks, spec.weights, memo)
+            assert typed(got) == expected
+
+    def test_records_of_several_block_pairs_in_block_order(self):
+        # H4 with the arrows of columns 1 and 6 broken: records from three
+        # block pairs, read in block order and not column by column
+        spec = standard_folding("H4")
+        rows = [list(row) for row in spec.S.entries]
+        rows[2][1] += 1
+        rows[7][1] -= 1
+        rows[0][6] -= 2
+        S_rows = tuple(map(tuple, rows))
+        records = conditions_hold(S_rows, spec.B, spec.blocks, spec.weights, {})
+        assert typed(records) == typed(
+            oracle_conditions(S_rows, spec.B, spec.blocks, spec.weights)
+        )
+        blocks = [r["block"] for r in records]
+        assert len(set(blocks)) >= 3 and blocks == sorted(blocks)
+
 
 def corrupted_lifted(kind, n):
     """The folding with one lifted block changed: its arrows stop folding."""
@@ -693,3 +735,71 @@ def with_arrow(rows, i, j):
     rows = [list(row) for row in rows]
     rows[i][j], rows[j][i] = 1, -1
     return tuple(map(tuple, rows))
+
+
+# ---------------------------------------------------------------------------
+# work counts: a repeated subtree is counted, a repeated column is read
+
+
+def tree_nodes(spec, depth):
+    """The number of distinct (S rows, B, length) among the words of length < depth.
+
+    Pairs are told apart by ``coeff_rows``, as the explorer tells them apart.
+    """
+    level, count = {(spec.S.entries, coeff_rows(spec.B.entries)): spec.B}, 0
+    for _ in range(depth):
+        count += len(level)
+        stepped = {}
+        for (rows, _), B in level.items():
+            for k in range(B.n):
+                moved = rows
+                for v in spec.blocks[k]:
+                    moved = mutate_entries(moved, v)
+                mutated = B.mutate(k)
+                stepped[moved, coeff_rows(mutated.entries)] = mutated
+        level = stepped
+    return count
+
+
+class TestWorkCounts:
+    def test_repeated_subtrees_are_counted_not_walked(self, monkeypatch):
+        calls = []
+        descend = exchange._Explorer.descend
+
+        def counted(explorer, *args):
+            calls.append(1)
+            return descend(explorer, *args)
+
+        monkeypatch.setattr(exchange._Explorer, "descend", counted)
+        spec = standard_folding("H4")
+        report = check_weighted_unfolding(spec, depth=5, random_words=0)
+        tree_words = sum(4**level for level in range(6))
+        assert report.passed and report.words_checked == tree_words
+        # a word-by-word walk descends once per word of the tree; here each
+        # distinct (pair, length < 5) is expanded once into its 4 children
+        assert len(calls) < tree_words
+        assert len(calls) == 1 + 4 * tree_nodes(spec, 5)
+
+    def test_each_column_is_decided_once(self, monkeypatch):
+        spec = standard_folding("H4")
+        computed, triples = [], set()
+        column_records = unfolding._column_records
+        conditions = unfolding.conditions_hold
+
+        def decided(l, bj, s_col, b_col, *args):
+            computed.append((l, s_col, b_col))
+            return column_records(l, bj, s_col, b_col, *args)
+
+        def checked(S_rows, B, blocks, weights, *memo):
+            B_cols = list(zip(*coeff_rows(B.entries)))
+            for bj, block in enumerate(blocks):
+                for l in block:
+                    triples.add((l, tuple(row[l] for row in S_rows), B_cols[bj]))
+            return conditions(S_rows, B, blocks, weights, *memo)
+
+        monkeypatch.setattr(unfolding, "_column_records", decided)
+        monkeypatch.setattr(unfolding, "conditions_hold", checked)
+        report = check_weighted_unfolding(spec, depth=5, random_words=20, seed=1)
+        assert report.passed
+        assert len(computed) == len(set(computed)) and set(computed) == triples
+        assert len(computed) < report.states * spec.S.n
