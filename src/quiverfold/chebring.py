@@ -20,11 +20,11 @@ power x^i lies in [lo^i, hi^i], and integer bounds on lo^i * 2^b and
 hi^i * 2^b give an integer enclosure of the value scaled by 2^b.  When the
 enclosure straddles 0 the interval is bisected and the sign retried, so
 AlgReal is a computable totally ordered ring.  ``interval()`` and ``float()``
-keep the rational interval-Horner enclosure, taken over the shallowest
-bisection of the initial isolating interval that is narrow enough, so they
-do not depend on how far earlier work refined it.  The evaluation
-homomorphism ``sigma`` sends theta_k to U_k(x/2) mod minpoly(2n+1) and
-connects the two types.
+keep the interval-Horner enclosure, run on integers over the dyadic
+endpoints of the shallowest bisection of the initial isolating interval
+that is narrow enough, so they do not depend on how far earlier work
+refined it.  The evaluation homomorphism ``sigma`` sends theta_k to
+U_k(x/2) mod minpoly(2n+1) and connects the two types.
 """
 
 from __future__ import annotations
@@ -224,8 +224,8 @@ class _RootContext:
         # with m <= 1e4 the margin sits far inside that gap, so an exact sign
         # change certifies that [lo, hi] isolates 2cos(pi/m).
         assert Fraction(12, self.m * self.m) > 2 * (hi - lo)
-        slo = _sign_int(_poly_eval_frac(self.minpoly, lo))
-        shi = _sign_int(_poly_eval_frac(self.minpoly, hi))
+        slo = _sign_at(self.minpoly, lo)
+        shi = _sign_at(self.minpoly, hi)
         assert slo * shi < 0, "float seed failed to straddle the root"
         return lo, hi
 
@@ -233,12 +233,12 @@ class _RootContext:
         """Bisect the shared isolating interval once, keeping the half with the root."""
         self._powers = None
         mid = (self.lo + self.hi) / 2
-        smid = _sign_int(_poly_eval_frac(self.minpoly, mid))
+        smid = _sign_at(self.minpoly, mid)
         if smid == 0:
             # mid is the root itself (only possible for m = 3); nudge.
             quarter = (self.hi - self.lo) / 4
             self.lo, self.hi = mid - quarter, mid + quarter
-        elif _sign_int(_poly_eval_frac(self.minpoly, self.lo)) * smid < 0:
+        elif _sign_at(self.minpoly, self.lo) * smid < 0:
             self.hi = mid
         else:
             self.lo = mid
@@ -374,24 +374,28 @@ def _enclosure_sign(ctx: _RootContext, coeffs) -> int:
         ctx.refine()
 
 
-def _sign_int(x) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _poly_eval_frac(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def _sign_at(coeffs, x: Fraction) -> int:
+    """Sign of the polynomial at x: the exact value is the enclosure over [x, x]."""
+    value = _interval_eval(coeffs, x, x)[0]
+    return (value > 0) - (value < 0)
 
 
 def _interval_eval(coeffs, lo: Fraction, hi: Fraction):
-    """Rigorous enclosure of the polynomial over [lo, hi] (interval Horner)."""
-    alo, ahi = Fraction(0), Fraction(0)
+    """Rigorous enclosure of the polynomial over [lo, hi] (interval Horner).
+
+    Runs on integers: with D the common denominator of lo and hi (a power of
+    two for the bisection endpoints), the bounds after k steps are kept
+    times D^k > 0, so each min and max picks the product it picks over Q.
+    """
+    den = math.lcm(lo.denominator, hi.denominator)
+    L, H = int(lo * den), int(hi * den)
+    alo = ahi = 0
+    scale = 1
     for c in reversed(coeffs):
-        cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-        alo, ahi = min(cands) + c, max(cands) + c
-    return alo, ahi
+        scale *= den
+        cands = (alo * L, alo * H, ahi * L, ahi * H)
+        alo, ahi = min(cands) + c * scale, max(cands) + c * scale
+    return Fraction(alo, scale), Fraction(ahi, scale)
 
 
 _ROOT_CONTEXTS: dict[int, _RootContext] = {}
@@ -510,10 +514,10 @@ class AlgReal(_Frozen):
     def interval(self, width: Fraction = Fraction(1, 10**12)):
         """Rational enclosure [lo, hi] of the real value, of width <= width.
 
-        Interval Horner over the shallowest bisection of the initial
-        isolating interval that makes it narrow enough
-        (``_RootContext.enclosure``), so the enclosure, and ``float()``, do
-        not depend on what the process computed before.
+        Interval Horner, on integers (``_interval_eval``), over the
+        shallowest bisection of the initial isolating interval that makes it
+        narrow enough (``_RootContext.enclosure``), so the enclosure, and
+        ``float()``, do not depend on what the process computed before.
         """
         return _context(self.m).enclosure(self.coeffs, width)
 

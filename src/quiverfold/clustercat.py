@@ -10,14 +10,21 @@ objects built from generator columns, and the two kinds of g-vectors.
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import add, not_
+from operator import add, itemgetter, not_
 from types import MappingProxyType
 
 from .chebring import ChebElem, sigma
-from .exchange import ExchangeMatrix, RingValues, coeff_rows, entry_field, mutate_coeffs
+from .exchange import RingValues, coeff_rows, entry_field, mutate_coeffs
 from .repcat import FoldedCategory
 from .unfolding import FoldingSpec
+
+
+_BINARY = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _zero_mask(row) -> int:
+    """The int with bit y set exactly when ``row[y]`` is 0."""
+    return int(bytes(map(not_, row)).translate(_BINARY)[::-1], 2)
 
 
 class ClusterCategory:
@@ -88,7 +95,8 @@ class ClusterCategory:
         and y, hom(x, P_w[1]) = H[P_w][tau x], hom(P_v[1], y) =
         H[P_v][tau^-1 y] and hom(P_v[1], P_w[1]) = H[P_v][P_w]; a term whose
         translate does not exist is 0.  Each module row is read once, and its
-        transpose gives the H[.][tau x] terms.
+        transpose gives the H[.][tau x] terms; rows are read at index lists
+        by ``itemgetter``, and a vanishing mask is a row's zero pattern.
         """
         ar = self.mc.ar
         nmod = self.nmod
@@ -96,25 +104,17 @@ class ClusterCategory:
         # zero row it makes in the transpose for a projective's missing tau.
         H = [ar.hom_row(x) + (0,) for x in range(nmod)]
         HT = [row + (0,) for row in zip(*H)]
-        tau = [nmod if t is None else t for t in ar._tau]
-        tau_inv = [nmod if t is None else t for t in ar._tau_inv]
-        proj = [ar.proj_module[v] for v in range(self.nverts)]
-        hom = []
-        for x in range(nmod):
-            hx, back = H[x], HT[tau[x]]
-            hom.append(
-                tuple(map(add, hx, map(back.__getitem__, tau_inv)))
-                + tuple(map(back.__getitem__, proj))
-            )
-        for p in proj:
-            hp = H[p]
-            hom.append(tuple(map(hp.__getitem__, tau_inv)) + tuple(map(hp.__getitem__, proj)))
+        # every index list has at least two entries, so each getter returns a tuple
+        at_tau = itemgetter(*(nmod if t is None else t for t in ar._tau))
+        at_tau_inv = itemgetter(*(nmod if t is None else t for t in ar._tau_inv))
+        at_proj = itemgetter(*(ar.proj_module[v] for v in range(self.nverts)))
+        hom = [tuple(map(add, hx, at_tau_inv(back))) + at_proj(back) for hx, back in zip(H, at_tau(HT))]
+        hom += [at_tau_inv(p) + at_proj(p) for p in at_proj(H)]
         self._hom = tuple(hom)
-        self._ext = tuple(tuple(map(row.__getitem__, self._tau)) for row in self._hom)
+        self._ext = tuple(map(itemgetter(*self._tau), self._hom))
         # bit y of _vanish[x] is set when ext(x, y) = 0
-        bits = [1 << y for y in range(self.size)]
-        self._vanish = [sum(compress(bits, map(not_, row))) for row in self._ext]
-        if self._vanish != [sum(compress(bits, map(not_, col))) for col in zip(*self._ext)]:
+        self._vanish = [_zero_mask(row) for row in self._ext]
+        if self._vanish != [_zero_mask(col) for col in zip(*self._ext)]:
             raise AssertionError("extension vanishing must be symmetric")
 
     # -- generators and iso-sets ------------------------------------------------
@@ -251,19 +251,6 @@ class ClusterCategory:
         """The projectives at weight-1 vertices, ordered by folded vertex."""
         return tuple(self.mc.ar.proj_module[block[0]] for block in self.spec.blocks)
 
-    def _exchange(self, summands: tuple, k: int) -> tuple:
-        """``summands`` with summand k swapped for the other complement of the rest."""
-        comps = self.complements(summands[:k] + summands[k + 1:])
-        if summands[k] not in comps:
-            raise ValueError("summand is not a complement of the rest")
-        other = comps[0] if comps[1] == summands[k] else comps[1]
-        return summands[:k] + (other,) + summands[k + 1:]
-
-    def mutate_tilting(self, summands, k: int, folded: ExchangeMatrix):
-        """Swap summand k for the other complement; mutate the folded matrix."""
-        summands = tuple(summands)
-        return self._exchange(summands, k), folded.mutate(k)
-
     def exchange_graph(self):
         """BFS over tilting objects; verifies the folded matrix is path-free.
 
@@ -305,7 +292,10 @@ class ClusterCategory:
                     if rest in done:
                         continue
                     done.add(rest)
-                    nxt = self._exchange(summands, k)
+                    comps = self.complements(rest)
+                    # summand k swapped for the other complement of the rest
+                    other = comps[0] if comps[1] == summands[k] else comps[1]
+                    nxt = summands[:k] + (other,) + summands[k + 1:]
                     nxt_rows = mutate_coeffs(rows, k, m)
                     nkey = frozenset(nxt)
                     edges.add(frozenset((key, nkey)))

@@ -19,9 +19,9 @@ theorem-level verification report.
 
 from __future__ import annotations
 
-from .chebring import (
-    AlgReal, ChebElem, _context, _Frozen, _poly_mul, _poly_trim, _reduce_mod, cheb_mul,
-)
+from operator import mul
+
+from .chebring import AlgReal, ChebElem, _context, _Frozen, _poly_trim, cheb_mul
 from .exchange import RingValues
 from .rootsys import root_system
 from .unfolding import FoldingSpec
@@ -306,24 +306,32 @@ class FoldedCategory:
     def _build_projections(self):
         """Factor each projected dimension vector as theta_j times a positive root.
 
-        The lookup is keyed on reduced coefficient tuples: each entry of
-        theta_j alpha is the product of two reduced tuples, reduced once, and
-        a module's key is ``spec.coeff_d_F`` of its dimension vector.  One
-        ``RingValues`` decodes the keys into ``dimproj``, so each distinct
-        entry is one ``AlgReal``.
+        Everything is keyed on reduced coefficient tuples until each root is
+        decoded once at the end.  A root's theta_0 multiple is its own key;
+        coefficient s of a theta_j multiple's entry is an integer dot product
+        with row s of ``mul_matrix(theta_j)``.  A module's key is
+        ``spec.coeff_d_F`` of its dimension vector, decoded into ``dimproj``
+        by one ``RingValues``.
         """
         spec, ar, m = self.spec, self.ar, self.m
         ctx = _context(m)
         keys = [spec.coeff_d_F(mod.dim) for mod in ar.modules]
         self.dimproj = RingValues(m).rows(keys)
-        scales = [AlgReal.chebyshev(m, j).coeffs for j in range(self.n)]
+        scales = [ctx.mul_matrix(AlgReal.chebyshev(m, j).coeffs) for j in range(1, self.n)]
+        roots = {}  # coefficient key -> the positive root
         lookup = {}
         for alpha in self.roots.positives:
-            for j, scale in enumerate(scales):
-                key = tuple(_poly_trim(_reduce_mod(ctx, _poly_mul(scale, c.coeffs))) for c in alpha)
+            base = tuple(c.coeffs for c in alpha)
+            roots[base] = alpha
+            padded = [c + (0,) * (ctx.deg - len(c)) for c in base]
+            multiples = [base] + [
+                tuple(_poly_trim([sum(map(mul, row, c)) for row in rows]) for c in padded)
+                for rows in scales
+            ]
+            for j, key in enumerate(multiples):
                 if key in lookup:
                     raise AssertionError("Chebyshev multiples of distinct roots collide")
-                lookup[key] = (j, alpha)
+                lookup[key] = (j, base)
         factor = []
         for ident, key in enumerate(keys):
             hit = lookup.get(key)
@@ -332,17 +340,17 @@ class FoldedCategory:
                     f"projected vector of module {ident} is not a Chebyshev multiple of a root"
                 )
             factor.append(hit)
-        self.factor = tuple(factor)
         columns: dict[tuple, dict[int, int]] = {}
-        for ident, (j, alpha) in enumerate(self.factor):
-            columns.setdefault(alpha, {})[j] = ident
-        for alpha, col in columns.items():
+        for ident, (j, base) in enumerate(factor):
+            columns.setdefault(base, {})[j] = ident
+        for col in columns.values():
             if sorted(col) != list(range(self.n)):
                 raise AssertionError("each root column must carry indices 0..n-1 once")
-        self.columns = {alpha: tuple(col[j] for j in range(self.n)) for alpha, col in columns.items()}
-        self.generators = tuple(
-            ident for ident, (j, _) in enumerate(self.factor) if j == 0
-        )
+        self.factor = tuple((j, roots[base]) for j, base in factor)
+        self.columns = {
+            roots[base]: tuple(col[j] for j in range(self.n)) for base, col in columns.items()
+        }
+        self.generators = tuple(ident for ident, (j, _) in enumerate(factor) if j == 0)
 
     # -- semiring action on iso-class multisets ---------------------------
     def theta_index(self, ident: int) -> int:
@@ -367,20 +375,6 @@ class FoldedCategory:
         expansion = cheb_mul(r, ChebElem.theta(self.n, j))
         column = self.columns[alpha]
         return {column[k]: c for k, c in enumerate(expansion.coeffs) if c}
-
-    def act_on_multiset(self, r: ChebElem, multiset: dict[int, int]) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for ident, mult in multiset.items():
-            for k, c in self.semiring_act(r, ident).items():
-                out[k] = out.get(k, 0) + mult * c
-        return {k: v for k, v in sorted(out.items()) if v}
-
-    def dimproj_of_multiset(self, multiset: dict[int, int]) -> tuple:
-        acc = None
-        for ident, mult in multiset.items():
-            term = tuple(c * mult for c in self.dimproj[ident])
-            acc = term if acc is None else tuple(a + t for a, t in zip(acc, term))
-        return acc
 
     # -- the reduced AR quiver ----------------------------------------------
     def reduced_ar_quiver(self):

@@ -700,6 +700,8 @@ def enumerate_seeds(B: ExchangeMatrix, cap: int = 20000) -> EnumerationResult:
     back is recorded.  Each seed keeps the word of the path that first
     reached it.
     """
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
     explorer = _Explorer(Seed.mutate, parity=False, first_only=False, involutive=lambda seed, k: True)
     seeds, complete = explorer.closure(Seed.initial(B), B.n, cap)
     return EnumerationResult(seeds, complete, cap)

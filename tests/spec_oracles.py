@@ -9,13 +9,21 @@ only the tests ask for follow them: membership in a root system's positive
 roots, and the folded vertex of each unfolded one; then ``replace_spec``,
 a ``FoldingSpec`` with some fields changed.
 
+Then the rational enclosures as ``chebring`` computed them over
+``Fraction`` before it ran them on integers: the interval Horner and the
+bisections of the isolating interval.
+
 The categorical ones come last: positive roots of a simply-laced diagram
-by integer reflection closure, the hammock recursion run from every
-module (the library runs it from the projectives only and fills the other
-rows by the translate), the Euler form, and classical cluster tilting
-decided entry by entry from ``ext``.
+by integer reflection closure, the Chebyshev factorization of projected
+dimension vectors by ``AlgReal`` products, the hammock recursion run from
+every module (the library runs it from the projectives only and fills the
+other rows by the translate), the Euler form, and classical cluster
+tilting decided entry by entry from ``ext``.
 """
 
+from fractions import Fraction
+
+from quiverfold import chebring
 from quiverfold.chebring import AlgReal
 from quiverfold.exchange import RingValues, sgn
 
@@ -153,6 +161,44 @@ def replace_spec(spec, **changes):
     return type(spec)(**{**fields, **changes})
 
 
+def interval_eval(coeffs, lo: Fraction, hi: Fraction):
+    """Interval Horner of a polynomial over [lo, hi], every bound a ``Fraction``."""
+    alo, ahi = Fraction(0), Fraction(0)
+    for c in reversed(coeffs):
+        cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
+        alo, ahi = min(cands) + c, max(cands) + c
+    return alo, ahi
+
+
+def bisections(m: int, depth: int) -> list:
+    """The isolating intervals of 2cos(pi/m) after 0..depth bisections.
+
+    Starts from a fresh context's initial interval and keeps the half where
+    the minimal polynomial, evaluated over ``Fraction``, changes sign.
+    """
+    ctx = chebring._RootContext(m)
+    lo, hi = ctx.lo, ctx.hi
+    out = [(lo, hi)]
+
+    def value(x):
+        acc = Fraction(0)
+        for c in reversed(ctx.minpoly):
+            acc = acc * x + c
+        return acc
+
+    for _ in range(depth):
+        mid = (lo + hi) / 2
+        if value(mid) == 0:
+            quarter = (hi - lo) / 4
+            lo, hi = mid - quarter, mid + quarter
+        elif value(lo) * value(mid) < 0:
+            hi = mid
+        else:
+            lo = mid
+        out.append((lo, hi))
+    return out
+
+
 def simply_laced_positive_roots(nvertices: int, edges) -> frozenset:
     """Positive roots of a simply-laced diagram by integer reflection closure.
 
@@ -182,6 +228,38 @@ def simply_laced_positive_roots(nvertices: int, edges) -> frozenset:
                     new.append(image)
         frontier = new
     return frozenset(v for v in roots if all(c >= 0 for c in v))
+
+
+def chebyshev_factors(cat):
+    """(factor, columns, generators, dimproj) of a ``FoldedCategory``, by ``AlgReal`` products.
+
+    Each theta_j multiple of each positive root is the tuple of products
+    ``AlgReal.chebyshev(m, j) * c`` over the root's entries, and each
+    module's projected vector is ``spec.d_F`` of its dimension vector.
+    """
+    m, n = cat.m, cat.n
+    lookup = {}
+    for alpha in cat.roots.positives:
+        for j in range(n):
+            scale = AlgReal.chebyshev(m, j)
+            key = tuple(scale * c for c in alpha)
+            if key in lookup:
+                raise AssertionError("Chebyshev multiples of distinct roots collide")
+            lookup[key] = (j, alpha)
+    dimproj = tuple(cat.spec.d_F(mod.dim) for mod in cat.ar.modules)
+    factor = []
+    for ident, vec in enumerate(dimproj):
+        if vec not in lookup:
+            raise AssertionError(
+                f"projected vector of module {ident} is not a Chebyshev multiple of a root"
+            )
+        factor.append(lookup[vec])
+    columns = {}
+    for ident, (j, alpha) in enumerate(factor):
+        columns.setdefault(alpha, {})[j] = ident
+    columns = {alpha: tuple(col[j] for j in range(n)) for alpha, col in columns.items()}
+    generators = tuple(ident for ident, (j, _) in enumerate(factor) if j == 0)
+    return tuple(factor), columns, generators, dimproj
 
 
 def hammock_row(ar, source):

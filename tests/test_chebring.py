@@ -22,6 +22,7 @@ from quiverfold.chebring import (
     semiring_leq,
     sigma,
 )
+from spec_oracles import bisections, interval_eval
 
 
 def cheb_value(k, m):
@@ -601,3 +602,44 @@ class TestHistoryFreeEnclosure:
         AlgReal.generator(7).interval(Fraction(1, 10**40))
         assert (float(a), a.interval(Fraction(1, 10**15))) == cold
         assert repr(cold[0]) == "2.35689586789221"
+
+
+class TestIntegerEnclosure:
+    """The integer interval Horner and bisection give the ``Fraction`` results."""
+
+    @given(m=st.sampled_from([3, 5, 7, 9, 11, 15, 21]), depth=st.integers(0, 40), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_interval_eval_matches_fraction_horner(self, m, depth, data):
+        ctx = chebring._context(m)
+        coeffs = tuple(data.draw(st.lists(st.integers(-10**9, 10**9), max_size=ctx.deg)))
+        lo, hi = ctx.bisection(depth)
+        got = chebring._interval_eval(coeffs, lo, hi)
+        assert got == interval_eval(coeffs, lo, hi)
+        assert all(type(x) is Fraction for x in got)
+
+    @given(
+        coeffs=st.lists(st.integers(-10**6, 10**6), max_size=8),
+        ends=st.lists(st.fractions(-10, 10, max_denominator=10**6), min_size=2, max_size=2),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_rational_endpoints(self, coeffs, ends):
+        lo, hi = sorted(ends)
+        assert chebring._interval_eval(coeffs, lo, hi) == interval_eval(coeffs, lo, hi)
+
+    @pytest.mark.parametrize("m", [3, 5, 7, 9, 11, 15, 21])
+    def test_bisections_match_fraction_signs(self, m):
+        ctx = chebring._RootContext(m)
+        assert [ctx.bisection(depth) for depth in range(61)] == bisections(m, 60)
+
+    @given(
+        coeffs=st.lists(st.integers(-10**6, 10**6), max_size=8),
+        x=st.fractions(-10, 10, max_denominator=10**6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_sign_at_is_the_sign_of_the_value(self, coeffs, x):
+        value = sum(c * x**i for i, c in enumerate(coeffs))
+        assert chebring._sign_at(coeffs, x) == (value > 0) - (value < 0)
+        # x is a root of q*t - p, and of that times the drawn polynomial
+        root = (-x.numerator, x.denominator)
+        assert chebring._sign_at(root, x) == 0
+        assert chebring._sign_at(chebring._poly_mul(root, tuple(coeffs)), x) == 0

@@ -14,6 +14,7 @@ from quiverfold.chebring import AlgReal, ChebElem
 from quiverfold.cli import main
 from quiverfold.clustercat import ClusterCategory
 from quiverfold.exchange import ExchangeMatrix
+from quiverfold.tropical import enumerate_seeds
 from quiverfold.unfolding import FoldingSpec, check_weighted_unfolding, standard_folding
 from test_exchange import MALFORMED_MATRIX_JSON
 from test_explore import shifted_f4e6
@@ -173,15 +174,15 @@ class TestSubcommands:
         assert "FAIL two-complements" in out.splitlines()
 
     def test_verify_all_reports_a_wrong_G_projection(self, capsys, monkeypatch):
-        real = ClusterCategory.tilting_G_matrices
+        real = ClusterCategory.g_vector_folded
 
-        def shifted(self, summands):
-            G_hat, G_prime = real(self, summands)
-            return G_hat, ((G_prime[0][0] + 1,) + G_prime[0][1:],) + G_prime[1:]
+        def shifted(self, x):
+            g = real(self, x)
+            return (g[0] + 1,) + g[1:]
 
         code, out = run(capsys, "verify", "all", "--kind", "I2", "--n", "2", "--depth", "0")
         assert code == 0 and "PASS tilting-G-matrix-projection" in out.splitlines()
-        monkeypatch.setattr(ClusterCategory, "tilting_G_matrices", shifted)
+        monkeypatch.setattr(ClusterCategory, "g_vector_folded", shifted)
         code, out = run(capsys, "verify", "all", "--kind", "I2", "--n", "2", "--depth", "0")
         assert code == 1
         assert "FAIL tilting-G-matrix-projection" in out.splitlines()
@@ -631,6 +632,7 @@ class TestUsageErrors:
             ("ring mul --n 2 --a 0,1 --b 0,1,2", "expected 2 coefficients, got 3"),
             ("unfold verify --kind I2m --n 2", "dihedral order m >= 3"),
             ("unfold build --kind I2 --n 1", "rank parameter n >= 2"),
+            ("tropical enumerate --kind H3 --cap 0", "cap must be >= 1"),
         ],
     )
     def test_bad_value_is_a_usage_error(self, capsys, argv, message):
@@ -691,6 +693,11 @@ class TestUsageErrors:
         assert captured.out == ""
         assert "not an integer >= 0" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_enumerate_seeds_needs_a_positive_cap(self, cap):
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            enumerate_seeds(standard_folding("H3").B, cap=cap)
 
     def test_unwritable_out(self, capsys, tmp_path):
         path = tmp_path / "missing" / "x.json"

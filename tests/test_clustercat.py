@@ -3,13 +3,21 @@ from collections import Counter
 
 import pytest
 
-from quiverfold import clustercat
+from quiverfold import clustercat, tropical
 from quiverfold.chebring import AlgReal, ChebElem, sigma
+from quiverfold.cli import G_projection_verdicts
 from quiverfold.clustercat import ClusterCategory
-from quiverfold.exchange import ExchangeMatrix
+from quiverfold.exchange import ExchangeMatrix, coeff_rows
 from quiverfold.repcat import ARQuiver, hom_ext_tables
 from quiverfold.unfolding import standard_folding
 from spec_oracles import hammock_tables, is_classical_tilting, matrix_d_F
+
+
+def mutate_tilting(cc, summands, k: int, folded):
+    """Swap summand k for the other complement of the rest; mutate the folded matrix at k."""
+    summands = tuple(summands)
+    (other,) = set(cc.complements(summands[:k] + summands[k + 1:])) - {summands[k]}
+    return summands[:k] + (other,) + summands[k + 1:], folded.mutate(k)
 
 
 @pytest.fixture(scope="module")
@@ -160,8 +168,8 @@ class TestMutation:
     def test_double_mutation_returns(self, h3):
         start = h3.initial_tilting()
         B = h3.spec.B
-        t1, B1 = h3.mutate_tilting(start, 1, B)
-        t2, B2 = h3.mutate_tilting(t1, 1, B1)
+        t1, B1 = mutate_tilting(h3, start, 1, B)
+        t2, B2 = mutate_tilting(h3, t1, 1, B1)
         assert t2 == start
         assert B2 == B
 
@@ -239,7 +247,7 @@ class TestGVectors:
 
         start = h3.initial_tilting()
         for k in range(3):
-            t1, _ = h3.mutate_tilting(start, k, h3.spec.B)
+            t1, _ = mutate_tilting(h3, start, k, h3.spec.B)
             _, G_prime = h3.tilting_G_matrices(t1)
             walk = g_matrix(Seed.initial(-h3.spec.B).mutate(k)).entries
             assert G_prime == walk
@@ -440,7 +448,7 @@ def oracle_exchange_graph(cc):
         for summands, folded in frontier:
             key = frozenset(summands)
             for k in range(rank):
-                nxt, nxt_folded = cc.mutate_tilting(summands, k, folded)
+                nxt, nxt_folded = mutate_tilting(cc, summands, k, folded)
                 nkey = frozenset(nxt)
                 edges.add(frozenset((key, nkey)))
                 ali = aligned(nxt, nxt_folded)
@@ -620,3 +628,54 @@ def test_exchange_graph_decides_each_edge_once(monkeypatch):
     _, edges = cc.exchange_graph()
     assert len(edges) == 560
     assert calls == {"complements": 560, "mutate_coeffs": 560}
+
+
+def per_object_G_verdicts(cc, tilts):
+    """One verdict per tilting object: its whole lifted G projected against its folded G.
+
+    The loop ``verify all`` ran before it decided each summand once: one
+    ``tilting_G_matrices`` and one ``matrix_d_F`` per object, with a d_F
+    memo shared across objects.
+    """
+    projected = {}
+    return [
+        tropical.matrix_d_F(cc.spec, G_hat, projected) == coeff_rows(G_prime)
+        for G_hat, G_prime in map(cc.tilting_G_matrices, tilts)
+    ]
+
+
+class TestGProjectionPerSummand:
+    @pytest.mark.parametrize("plant", [None, "folded", "lifted"])
+    @pytest.mark.parametrize("kind", EQUIVALENCE_KINDS, ids=lambda k: f"{k[0]}{k[1] or ''}")
+    def test_summand_verdicts_decide_every_object(self, monkeypatch, kind, plant):
+        cc = ClusterCategory(standard_folding(*kind))
+        tilts = cc.enumerate_tilting()
+        summands = sorted({g for t in tilts for g in t})
+        bad = tilts[-1][0]
+        if plant == "folded":
+            real = ClusterCategory.g_vector_folded
+
+            def shifted(self, x):
+                g = real(self, x)
+                return (g[0] + 1,) + g[1:] if x == bad else g
+
+            monkeypatch.setattr(ClusterCategory, "g_vector_folded", shifted)
+        elif plant == "lifted":
+            # the folded g-vector is made from the lifted one, so fix it first
+            cc.g_vector_folded(bad)
+            g = cc.g_vector(bad)
+            cc._g[bad] = (g[0] + 1,) + g[1:]
+        verdict = dict(zip(summands, G_projection_verdicts(cc, summands)))
+        objects = per_object_G_verdicts(cc, tilts)
+        assert objects == [all(verdict[g] for g in t) for t in tilts]
+        assert any(objects)
+        assert all(objects) == (plant is None)
+        assert [g for g in summands if not verdict[g]] == ([] if plant is None else [bad])
+
+    @pytest.mark.parametrize("kind", EQUIVALENCE_KINDS, ids=lambda k: f"{k[0]}{k[1] or ''}")
+    def test_every_presentation_of_the_object_loop_is_solved(self, kind):
+        per_object, per_summand = (ClusterCategory(standard_folding(*kind)) for _ in range(2))
+        tilts = per_object.enumerate_tilting()
+        assert all(per_object_G_verdicts(per_object, tilts))
+        assert all(G_projection_verdicts(per_summand, sorted({g for t in tilts for g in t})))
+        assert per_summand._g.keys() >= per_object._g.keys()

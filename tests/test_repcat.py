@@ -5,8 +5,24 @@ from quiverfold.chebring import AlgReal, ChebElem, cheb_mul, sigma
 from quiverfold.repcat import ARQuiver, FoldedCategory, hom_ext_tables, quiver_arrows_from_matrix
 from quiverfold.unfolding import FoldingSpec, standard_folding
 from spec_oracles import (
-    euler_form, hammock_tables, is_positive_root, simply_laced_positive_roots, vertex_map,
+    chebyshev_factors, euler_form, hammock_tables, is_positive_root, simply_laced_positive_roots,
+    vertex_map,
 )
+
+
+def act_on_multiset(cat, r, multiset):
+    """r acting on a multiset of indecomposables, summand by summand (``semiring_act``)."""
+    out = {}
+    for ident, mult in multiset.items():
+        for k, c in cat.semiring_act(r, ident).items():
+            out[k] = out.get(k, 0) + mult * c
+    return {k: v for k, v in sorted(out.items()) if v}
+
+
+def dimproj_of_multiset(cat, multiset):
+    """The projected dimension vector of a multiset: its members', summed with multiplicity."""
+    terms = [tuple(mult * c for c in cat.dimproj[x]) for x, mult in multiset.items()]
+    return tuple(map(sum, zip(*terms)))
 
 
 def linear_quiver(n):
@@ -295,14 +311,14 @@ class TestSemiringAction:
             for r in thetas:
                 for s in thetas:
                     one_step = cat.semiring_act(cheb_mul(r, s), mod.ident)
-                    two_step = cat.act_on_multiset(r, cat.semiring_act(s, mod.ident))
+                    two_step = act_on_multiset(cat, r, cat.semiring_act(s, mod.ident))
                     assert one_step == two_step
 
     def test_projection_compatibility(self, h3cat):
         r = ChebElem(2, (2, 1))
         for mod in h3cat.ar.modules[:10]:
             out = h3cat.semiring_act(r, mod.ident)
-            got = h3cat.dimproj_of_multiset(out)
+            got = dimproj_of_multiset(h3cat, out)
             scale = sigma(r)
             want = tuple(scale * c for c in h3cat.dimproj[mod.ident])
             assert got == want
@@ -422,3 +438,38 @@ class TestExports:
         assert dot.count("->") == len(i5cat.ar.ar_arrows)
         rdot = i5cat.reduced_dot()
         assert rdot.startswith("digraph")
+
+
+PROJECTION_KINDS = [("H3", None), ("H4", None)] + [("I2", n) for n in range(2, 9)]
+
+
+class TestProjectionsAgainstOracle:
+    @pytest.mark.parametrize("kind,n", PROJECTION_KINDS)
+    def test_factors_columns_generators_dimproj(self, kind, n):
+        cat = FoldedCategory(standard_folding(kind, n))
+        factor, columns, generators, dimproj = chebyshev_factors(cat)
+        assert cat.factor == factor
+        assert list(cat.columns.items()) == list(columns.items())
+        assert cat.generators == generators
+        assert cat.dimproj == dimproj
+
+    def test_colliding_scale_is_reported(self, monkeypatch):
+        spec = standard_folding("H3")
+        real = AlgReal.chebyshev
+        # theta_1 planted as theta_0, so each root's theta_1 multiple is itself
+        monkeypatch.setattr(AlgReal, "chebyshev", staticmethod(lambda m, k: real(m, 0)))
+        with pytest.raises(AssertionError, match="Chebyshev multiples of distinct roots collide"):
+            FoldedCategory(spec)
+
+    def test_module_off_every_root_column_is_reported(self, monkeypatch):
+        spec = standard_folding("H3")
+        target = FoldedCategory(spec).ar.modules[5].dim
+        real = FoldingSpec.coeff_d_F
+
+        def planted(self, vector):
+            key = real(self, vector)
+            return tuple(tuple(1000 * c for c in entry) for entry in key) if vector == target else key
+
+        monkeypatch.setattr(FoldingSpec, "coeff_d_F", planted)
+        with pytest.raises(AssertionError, match="module 5 is not a Chebyshev multiple of a root"):
+            FoldedCategory(spec)
