@@ -552,68 +552,27 @@ def _reduce_mod(ctx: _RootContext, coeffs):
 def alg_inverse(a: AlgReal) -> tuple[AlgReal, int]:
     """(b, d) with a * b == d and d a positive integer, so 1/a == b/d.
 
-    Computed by the extended Euclidean algorithm over Q against the minimal
-    polynomial, then cleared of denominators.
+    b is, up to sign, the product of the other Galois conjugates of a.  The
+    automorphism that takes 2cos(pi/m) to 2cos(k pi/m), for 1 < k < m with
+    gcd(k, 2m) = 1, takes a(x) to a(V_k(x)), where V_0 = 2, V_1 = x and
+    V_{k+1} = x V_k - V_{k-1}, so that V_k(2cos t) = 2cos(kt).  a times all
+    of them is the norm of a, a nonzero integer.
     """
     if a.is_zero():
         raise ZeroDivisionError("inverse of zero")
-    ctx = _context(a.m)
-    f = [Fraction(c) for c in ctx.minpoly]
-    g = [Fraction(c) for c in a.coeffs]
-    # invariants: r0 = s0*f + t0*g, r1 = s1*f + t1*g (s coefficients dropped)
-    r0, t0 = f, [Fraction(0)]
-    r1, t1 = g, [Fraction(1)]
-    while True:
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        if len(r1) == 1:
-            break
-        q, rem = _frac_poly_divmod(r0, r1)
-        t_new = _frac_poly_sub(t0, _frac_poly_mul(q, t1))
-        r0, t0, r1, t1 = r1, t1, rem, t_new
-    if not r1:
-        raise ArithmeticError("element not invertible (minimal polynomial not squarefree?)")
-    c = r1[0]
-    inv = [t / c for t in t1]
-    den = 1
-    for x in inv:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    num = AlgReal(a.m, tuple(int(x * den) for x in inv))
-    if den < 0:
-        num, den = -num, -den
-    return num, den
-
-
-def _frac_poly_divmod(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] / b[-1]
-        q[i] = c
-        if c:
-            for j, bj in enumerate(b):
-                a[i + j] -= c * bj
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
-def _frac_poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1 if a and b else 0)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _frac_poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for j, bj in enumerate(b):
-        out[j] -= bj
-    return out
+    m = a.m
+    x = AlgReal.generator(m)
+    co = AlgReal(m, (1,))
+    v_prev, v = AlgReal(m, (2,)), x
+    for k in range(2, m):
+        v_prev, v = v, x * v - v_prev
+        if math.gcd(k, 2 * m) == 1:
+            conj = AlgReal(m)
+            for c in reversed(a.coeffs):
+                conj = conj * v + c
+            co = co * conj
+    (norm,) = (a * co).coeffs
+    return (co, norm) if norm > 0 else (-co, -norm)
 
 
 # ---------------------------------------------------------------------------

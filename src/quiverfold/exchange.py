@@ -5,15 +5,15 @@ immutable: every operation returns a fresh value.  ``mutate_coeffs`` is the
 one mutation kernel.  It steps rows whose ``AlgReal`` entries are carried
 as coefficient tuples (``coeff_rows``), and every caller computes on that
 form: ``ExchangeMatrix.mutate``, the seeds of ``tropical.enumerate_seeds``
-and the states of both word verifiers.  ``RingValues`` decodes the tuples
-where a value is needed.  One explorer, ``_Explorer``, memoizes the
+and the (folded, lifted) states of both word verifiers, which share one
+composite step (``unfolding.pair_step``).  ``RingValues`` decodes the
+tuples where a value is needed.  One explorer, ``_Explorer``, memoizes the
 transitions of the mutation graph for the word verifiers
 (``explore_words``) and for the seed pattern's breadth-first closure.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from operator import mul as _mul
 from types import MappingProxyType
 
@@ -35,7 +35,8 @@ class ExchangeMatrix(_Frozen):
 
     Skew-symmetry is not enforced at construction (skew-symmetrizable
     matrices such as the F4 one are legal inputs); ``is_skew_symmetric``
-    reports it.
+    reports it.  Entries over two different fields Z[2cos(pi/m)] are a
+    ValueError (``entry_field``).
     """
 
     __slots__ = ("entries", "n", "ring")
@@ -46,16 +47,8 @@ class ExchangeMatrix(_Frozen):
         for row in rows:
             if len(row) != n:
                 raise ValueError("matrix must be square")
-        ring = "Z"
-        for row in rows:
-            for x in row:
-                if isinstance(x, AlgReal):
-                    ring = f"Z[2cos(pi/{x.m})]"
-                    break
-            else:
-                continue
-            break
-        self._fill(rows, n, ring)
+        m = entry_field(rows)
+        self._fill(rows, n, "Z" if m is None else f"Z[2cos(pi/{m})]")
 
     def __reduce__(self):
         return ExchangeMatrix, (self.entries,)
@@ -121,9 +114,7 @@ class ExchangeMatrix(_Frozen):
         rows = obj.get("entries") if isinstance(obj, dict) else None
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise ValueError('matrix JSON needs "entries", a list of rows')
-        matrix = ExchangeMatrix([[dec(x) for x in row] for row in rows])
-        entry_field(matrix.entries)
-        return matrix
+        return ExchangeMatrix([[dec(x) for x in row] for row in rows])
 
 
 def entry_field(rows):
@@ -295,30 +286,6 @@ def _mutate_ints(rows, k: int, pivot_row):
     return tuple(out)
 
 
-def steps_back_exactly(int_rows, block, ring_rows, m) -> bool:
-    """Whether a word verifier's step, taken again at this state, returns the state it came from.
-
-    The state is (``int_rows``, ``ring_rows``) just after a step at letter
-    k: ``int_rows`` mutated at each vertex of ``block`` in turn, ``ring_rows``
-    at k by ``mutate_coeffs(..., m)``.  One mutation is an involution in
-    value: the pivot row is negated twice, and b_ij gains b_ik |b_kj| and
-    then b'_ik |b'_kj| = -b_ik |b_kj|.  The step is its own inverse, as a
-    representation, when:
-
-    * the vertices of ``block`` are pairwise non-adjacent in ``int_rows``
-      (b_vw = b_wv = 0).  Mutation at v then changes neither row nor column
-      w and keeps the block non-adjacent, so the block's mutations commute
-      at every intermediate state;
-    * ``ring_rows`` are all coefficient tuples, or all ints with ``m`` None.
-      ``mutate_coeffs`` keeps such rows in their representation, which is
-      unique per value; in mixed rows an int can come back as an equal tuple.
-    """
-    if any(int_rows[v][w] for v in block for w in block if v != w):
-        return False
-    kinds = set(map(type, chain.from_iterable(ring_rows)))
-    return kinds == {tuple} or (m is None and kinds == {int})
-
-
 class Exploration:
     """What one ``explore_words`` call did.
 
@@ -483,8 +450,8 @@ def explore_words(
     equal as a representation, and the explorer records the transition
     (Y, k) -> X without computing it.  Mutation is an involution, mu_k mu_k
     = id (Fomin-Zelevinsky, *Cluster algebras I*, 2002), so a verifier can
-    decide this on Y alone (``steps_back_exactly``); without the predicate
-    both directions of every edge are computed.
+    decide this on Y alone (``unfolding.steps_back_exactly``); without the
+    predicate both directions of every edge are computed.
 
     After a failure the tree is not descended further and no new walk
     starts; with ``first_only`` the exploration stops at the first failure.
@@ -620,14 +587,9 @@ def to_quiver(matrix: ExchangeMatrix, vertices=None) -> RQuiver:
 def from_quiver(quiver: RQuiver) -> ExchangeMatrix:
     index = {v: i for i, v in enumerate(quiver.vertices)}
     n = len(quiver.vertices)
-    rows = [[0] * n for _ in range(n)]
-    ring_m = None
-    for w in quiver.arrows.values():
-        if isinstance(w, AlgReal):
-            ring_m = w.m
-            break
-    if ring_m is not None:
-        rows = [[AlgReal(ring_m, ()) for _ in range(n)] for _ in range(n)]
+    m = entry_field((quiver.arrows.values(),))
+    zero = 0 if m is None else AlgReal(m)
+    rows = [[zero] * n for _ in range(n)]
     for (i, j), w in quiver.arrows.items():
         rows[index[i]][index[j]] = w
         rows[index[j]][index[i]] = -w

@@ -32,12 +32,13 @@ raises as the whole inverse would.  A failed certificate is a ``dF(G)-mismatch``
 inverse; only det C_folded is taken, to raise when it is not a unit.
 
 ``verify_cube``'s explorer computes each edge of the exchange graph once.
-The step at letter k mutates the folded seed at k, an involution, and the
-lifted one at each vertex of block k.  When that block is pairwise
-non-adjacent in the stepped lifted matrix, its mutations commute, so the
-composite is an involution too; the folded rows are all coefficient tuples,
-so stepping back reproduces the state exactly, and the explorer records the
-way back without computing it (``exchange.steps_back_exactly``).
+Its step is the unfolding verifier's (``unfolding.pair_step``): at letter
+k it mutates the lifted seed at each vertex of block k and the folded one
+at k, an involution.  When that block is pairwise non-adjacent in the
+stepped lifted matrix, its mutations commute, so the composite is an
+involution too; the folded rows are all coefficient tuples, so stepping
+back reproduces the state exactly, and the explorer records the way back
+without computing it (``unfolding.steps_back_exactly``).
 
 The mutation squares decide each verdict once per state; ``check_vertex``
 gives the arguments.
@@ -60,7 +61,6 @@ equal a fresh walker's; signs come from chebring's per-m sign memo.
 
 from __future__ import annotations
 
-import random
 from functools import partial
 from itertools import combinations
 from operator import itemgetter, mul as _mul
@@ -71,11 +71,11 @@ from .chebring import (
 )
 from .exchange import (
     ExchangeMatrix, RingValues, _as_coeffs, _Explorer, _pivot_columns, _sign, coeff_rows,
-    entry_field, explore_words, mutate_coeffs, steps_back_exactly,
+    entry_field, explore_words, mutate_coeffs,
 )
 from .repcat import folded_type_name
 from .rootsys import root_system
-from .unfolding import FoldingSpec
+from .unfolding import FoldingSpec, pair_step, seeded_words, steps_back_exactly
 
 
 class Seed(_Frozen):
@@ -383,7 +383,7 @@ class TropicalWalker:
             raise ValueError("tropical walks need a Chebyshev folding")
         self.spec = spec
         self.n = spec.n
-        self.m = spec.m
+        self.m = entry_field(spec.B.entries)
         self.mprime = spec.B.n
         self.nverts = spec.S.n
         self.roots = root_system(folded_type_name(spec))
@@ -404,12 +404,6 @@ class TropicalWalker:
     # stacked matrices: folded (2m' x m') of coefficient tuples, lifted (2N x N) of ints
     def initial_pair(self):
         return Seed.initial(self.spec.B).rows, Seed.initial(self.spec.S).rows
-
-    def _coeff_step(self, folded, lifted, k: int):
-        """The pair mutated at letter k: folded at k, lifted at each vertex of block k."""
-        for v in self.spec.blocks[k]:
-            lifted = mutate_coeffs(lifted, v)
-        return mutate_coeffs(folded, k, self.m), lifted
 
     # -- invariants at one tree vertex ------------------------------------
     def c_block(self, lifted, bi: int, bj: int):
@@ -520,7 +514,7 @@ class TropicalWalker:
                 failures.append((word, "dF(G)-mismatch"))
             if neighbours:
                 if not callable(neighbours):
-                    neighbours = partial(self._coeff_step, folded, lifted)
+                    neighbours = partial(pair_step, spec.blocks, m, (folded, lifted))
                 for k in range(mprime):
                     if not (verdict(k) if verdict else self._dF_C_holds(*neighbours(k))):
                         failures.append((word, "dF-mutation-square", k))
@@ -586,21 +580,15 @@ class TropicalWalker:
         parity is counted, not walked again.
         ``vertices_checked`` still counts words; ``states`` counts pairs.
 
-        The explorer's states are the pairs of ``initial_pair`` and
-        ``_coeff_step``: the folded entries as coefficient tuples, the lifted
-        ones as ints.  Each check hands ``check_vertex`` the state and the
-        neighbour pairs as the explorer holds them.
+        The explorer's states are the pairs of ``initial_pair``, stepped by
+        ``unfolding.pair_step``: the folded entries as coefficient tuples,
+        the lifted ones as ints.  Each check hands ``check_vertex`` the
+        state and the neighbour pairs as the explorer holds them.
         The verdict d_F(C_lifted) = C_folded is decided once per interned
         state (``_Neighbours``), for the state's own check and for every
         mutation square that lands on it.
         """
         verdicts = {}
-
-        def step(state, k):
-            return self._coeff_step(*state, k)
-
-        def involutive(state, k):
-            return steps_back_exactly(state[1], self.spec.blocks[k], state[0], self.m)
 
         def checker(only):
             def check(state, word, neighbour):
@@ -612,14 +600,12 @@ class TropicalWalker:
             return check
 
         full, roots = checker(None), checker(frozenset(("roots",)))
-        rng = random.Random(seed)
-        walks = (
-            tuple(rng.randrange(self.mprime) for _ in range(random_length))
-            for _ in range(random_words)
-        )
+        blocks = self.spec.blocks
         result = explore_words(
-            self.initial_pair(), step, self.mprime, full, depth, walks,
-            walk_check=roots, end_check=full, parity=True, involutive=involutive,
+            self.initial_pair(), partial(pair_step, blocks, self.m), self.mprime, full, depth,
+            seeded_words(self.mprime, random_words, random_length, seed),
+            walk_check=roots, end_check=full, parity=True,
+            involutive=partial(steps_back_exactly, blocks, self.m),
         )
         failures = [_failure(word, detail) for word, detail in result.failures]
         return WalkReport(not failures, result.words, failures, seed, result.states)

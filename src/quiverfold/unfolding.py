@@ -7,7 +7,10 @@ positive vertex weights.  The defining property is checked exactly: for
 every block pair, the weighted column sums of S must reproduce the folded
 entries, the entries of each block must be one-signed as dictated by the
 folded entry, and this must persist along arbitrary words of composite
-mutations.
+mutations.  Both word verifiers, ``check_weighted_unfolding`` and
+``tropical.TropicalWalker.verify_cube``, step a (folded, lifted) pair by
+the one composite mutation ``pair_step``: the lifted rows at each vertex
+of block k, then the folded rows at k.
 
 Blocks are stored with their members sorted so that the k-th member carries
 weight U_k; under that internal ordering every block of S is literally the
@@ -17,6 +20,8 @@ regular-representation matrix of a Chebyshev ring element.
 from __future__ import annotations
 
 import random
+from functools import partial
+from itertools import chain
 from operator import itemgetter
 
 from .chebring import (
@@ -24,7 +29,7 @@ from .chebring import (
 )
 from .exchange import (
     ExchangeMatrix, RingValues, _as_coeffs, _sign, coeff_rows, entry_field, explore_words,
-    mutate_coeffs, rescale, steps_back_exactly,
+    mutate_coeffs, rescale,
 )
 
 
@@ -99,6 +104,55 @@ class FoldingSpec(_Frozen):
             "labels": list(self.labels),
             "folded_labels": list(self.folded_labels),
         }
+
+
+# ---------------------------------------------------------------------------
+# the composite step of a (folded, lifted) pair
+
+
+def pair_step(blocks, m, state, k: int):
+    """The (folded, lifted) pair ``state`` mutated at letter k.
+
+    The lifted rows, all ints, are mutated at each vertex of ``blocks[k]``
+    in turn, then the folded rows at k by ``mutate_coeffs(..., m)``.  Both
+    word verifiers step their states with it, bound to a spec's blocks and
+    the ring of its folded matrix (``partial(pair_step, spec.blocks, m)``).
+    """
+    folded, lifted = state
+    for v in blocks[k]:
+        lifted = mutate_coeffs(lifted, v)
+    return mutate_coeffs(folded, k, m), lifted
+
+
+def steps_back_exactly(blocks, m, state, k: int) -> bool:
+    """Whether ``pair_step`` at k, taken again at ``state``, returns the state it came from.
+
+    ``state`` is a (folded, lifted) pair just after a step at k.  One
+    mutation is an involution in value: the pivot row is negated twice, and
+    b_ij gains b_ik |b_kj| and then b'_ik |b'_kj| = -b_ik |b_kj|.  The step
+    is its own inverse, as a representation, when:
+
+    * the vertices of ``blocks[k]`` are pairwise non-adjacent in the lifted
+      rows (b_vw = b_wv = 0).  Mutation at v then changes neither row nor
+      column w and keeps the block non-adjacent, so the block's mutations
+      commute at every intermediate state;
+    * the folded rows are all coefficient tuples, or all ints with ``m``
+      None.  ``mutate_coeffs`` keeps such rows in their representation,
+      which is unique per value; in mixed rows an int can come back as an
+      equal tuple.
+    """
+    folded, lifted = state
+    block = blocks[k]
+    if any(lifted[v][w] for v in block for w in block if v != w):
+        return False
+    kinds = set(map(type, chain.from_iterable(folded)))
+    return kinds == {tuple} or (m is None and kinds == {int})
+
+
+def seeded_words(letters: int, count: int, length: int, seed):
+    """``count`` words of ``length`` letters below ``letters``, drawn lazily from ``Random(seed)``."""
+    rng = random.Random(seed)
+    return (tuple(rng.randrange(letters) for _ in range(length)) for _ in range(count))
 
 
 # ---------------------------------------------------------------------------
@@ -303,33 +357,24 @@ def check_weighted_unfolding(
     the same depth left, is counted and not walked again.
     ``words_checked`` still counts words; ``states`` counts distinct pairs.
     On a failure, ``failure_detail`` is the first ``conditions_hold`` record
-    of the first failing word.  The explorer's states carry the entries of
-    B as coefficient tuples (``coeff_rows``).  A step whose block is
-    pairwise non-adjacent in the stepped S, with B in one entry
-    representation, is its own inverse (``steps_back_exactly``), so the
-    explorer records the way back without computing it.  Each check decodes
-    them into an ``ExchangeMatrix`` (``RingValues``, one value per distinct
-    entry), which ``rescale`` needs, and ``conditions_hold`` computes on
-    them as coefficient tuples again.  It keeps one column memo for the
+    of the first failing word.  The explorer's states are (B, S) pairs with
+    the entries of B as coefficient tuples (``coeff_rows``), stepped by the
+    composite step that the tropical walker takes too (``pair_step``).  A
+    step whose block is pairwise non-adjacent in the stepped S, with B in
+    one entry representation, is its own inverse (``steps_back_exactly``),
+    so the explorer records the way back without computing it.  Each check
+    decodes B into an ``ExchangeMatrix`` (``RingValues``, one value per
+    distinct entry), which ``rescale`` needs, and ``conditions_hold``
+    computes on them as coefficient tuples again.  It keeps one column memo for the
     whole call, so each distinct (column l, column l of S, column F(l) of
     B) is decided once, however many pairs share it.
     """
     m = entry_field(spec.B.entries)
     values = RingValues(m)
-
-    def step(state, k):
-        rows, B_rows = state
-        for v in spec.blocks[k]:
-            rows = mutate_coeffs(rows, v)
-        return rows, mutate_coeffs(B_rows, k, m)
-
-    def involutive(state, k):
-        return steps_back_exactly(state[0], spec.blocks[k], state[1], m)
-
     columns = {}  # conditions_hold's column memo, for this call's blocks and weights
 
     def check(state, word, neighbour):
-        S_rows, B_rows = state
+        B_rows, S_rows = state
         B = ExchangeMatrix(values.rows(B_rows))
         if spec.rescaling is not None:
             B = rescale(B, spec.rescaling)
@@ -338,20 +383,16 @@ def check_weighted_unfolding(
     if sequences is not None:
         walks = (tuple(word) for word in sequences)
     else:
-        rng = random.Random(seed)
-        walks = (
-            tuple(rng.randrange(spec.B.n) for _ in range(random_length))
-            for _ in range(random_words)
-        )
+        walks = seeded_words(spec.B.n, random_words, random_length, seed)
     run = explore_words(
-        (spec.S.entries, coeff_rows(spec.B.entries)),
-        step,
+        (coeff_rows(spec.B.entries), spec.S.entries),
+        partial(pair_step, spec.blocks, m),
         spec.B.n,
         check,
         depth=0 if sequences is not None else depth,
         walks=walks,
         first_only=True,
-        involutive=involutive,
+        involutive=partial(steps_back_exactly, spec.blocks, m),
     )
     word, detail = run.failures[0] if run.failures else (None, None)
     return UnfoldingReport(
@@ -387,9 +428,10 @@ def standard_folding(kind: str, n: int | None = None, opp: bool = False) -> Fold
 def _h_type_folding(rank: int, opp: bool) -> FoldingSpec:
     """D6 -> H3 or E8 -> H4 with linear folded orientation [1] -> ... -> [rank].
 
-    Each folded vertex unfolds to a pair (weight 1, weight phi); all blocks
-    of S along the folded path are identity blocks except the last, which is
-    the regular representation of theta_1.
+    Each folded vertex unfolds to a pair (weight 1, weight phi); S is B's
+    unfolding by regular-representation blocks (``build_unfolded_matrix``),
+    so all blocks along the folded path are identity blocks except the last,
+    which is the regular representation of theta_1.
     """
     m = 5
     one = AlgReal(m, (1,))
@@ -404,17 +446,7 @@ def _h_type_folding(rank: int, opp: bool) -> FoldingSpec:
         Brows[j + 1][j] = -w
     B = ExchangeMatrix(tuple(tuple(r) for r in Brows))
 
-    blocks = tuple((2 * j, 2 * j + 1) for j in range(mprime))
-    nverts = 2 * mprime
-    Srows = [[0] * nverts for _ in range(nverts)]
-    for j in range(mprime - 1):
-        block_mat = rho(ChebElem.theta(2, 1)) if j == mprime - 2 else rho(ChebElem.one(2))
-        for a in range(2):
-            for b in range(2):
-                v = block_mat[a][b]
-                Srows[blocks[j][a]][blocks[j + 1][b]] = v
-                Srows[blocks[j + 1][b]][blocks[j][a]] = -v
-    S = ExchangeMatrix(tuple(tuple(r) for r in Srows))
+    S = build_unfolded_matrix(B, 2)
     labels = tuple(
         x for j in range(mprime) for x in (f"{j + 1}", f"p{j + 1}")
     )
@@ -422,7 +454,7 @@ def _h_type_folding(rank: int, opp: bool) -> FoldingSpec:
         kind=f"H{rank}",
         S=-S if opp else S,
         B=-B if opp else B,
-        blocks=blocks,
+        blocks=tuple((2 * j, 2 * j + 1) for j in range(mprime)),
         weights=tuple(w for _ in range(mprime) for w in (one, phi)),
         labels=labels,
         folded_labels=tuple(f"[{j + 1}]" for j in range(mprime)),

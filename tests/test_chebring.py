@@ -322,6 +322,19 @@ class TestAlgRealSign:
         with pytest.raises(ZeroDivisionError):
             alg_inverse(AlgReal(5))
 
+    @given(m=st.sampled_from([3, 4, 5, 6, 7, 8, 9, 12, 15, 21, 30]), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_inverse_is_exact(self, m, data):
+        deg = len(minimal_poly(m)) - 1
+        a = AlgReal(m, tuple(data.draw(st.integers(-50, 50)) for _ in range(deg)))
+        if a.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                alg_inverse(a)
+            return
+        num, den = alg_inverse(a)
+        assert type(den) is int and den > 0
+        assert a * num == den
+
     def test_json_round_trip(self):
         a = AlgReal(9, (3, -1, 2))
         assert AlgReal.from_json(a.to_json()) == a

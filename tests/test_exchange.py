@@ -346,6 +346,14 @@ class TestExtendedMutation:
         with pytest.raises(ValueError):
             ExchangeMatrix.from_json(json.loads(text))
 
+    def test_entries_over_two_fields_are_a_value_error(self):
+        # nothing is computed on such a matrix, so it is refused when built
+        with pytest.raises(ValueError, match="entries mix fields"):
+            ExchangeMatrix([[AlgReal(5), AlgReal(7, (1,))], [AlgReal(7, (-1,)), AlgReal(5)]])
+        quiver = RQuiver((0, 1, 2), {(0, 1): AlgReal(5, (1,)), (1, 2): AlgReal(7, (1,))})
+        with pytest.raises(ValueError, match="entries mix fields"):
+            from_quiver(quiver)
+
     @given(m=st.sampled_from([None, 5, 7]), data=st.data())
     @settings(max_examples=120, deadline=None)
     def test_matches_per_row_sign_formula(self, m, data):

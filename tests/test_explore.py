@@ -19,10 +19,12 @@ from hypothesis import given, settings, strategies as st
 from quiverfold import exchange, tropical, unfolding
 from quiverfold.chebring import AlgReal
 from quiverfold.exchange import (
-    ExchangeMatrix, coeff_rows, explore_words, rescale, sgn, steps_back_exactly,
+    ExchangeMatrix, coeff_rows, explore_words, rescale, sgn,
 )
 from quiverfold.tropical import TropicalWalker
-from quiverfold.unfolding import check_weighted_unfolding, conditions_hold, standard_folding
+from quiverfold.unfolding import (
+    check_weighted_unfolding, conditions_hold, standard_folding, steps_back_exactly,
+)
 from spec_oracles import algreal_pair, mutate_entries, replace_spec, walker_step
 from test_tropical import FOLDINGS
 from test_unfolding import FoldingSpecBrokenWeights, sign_flipped_f4e6
@@ -677,10 +679,10 @@ class TestReverseEdges:
         # the commutation of the block's mutations
         spec = standard_folding("H4")
         (start, step, involutive), _ = verifier_steps("H4", None)
-        S_rows, B_rows = start
+        B_rows, S_rows = start
         planted = with_arrow(S_rows, 0, 1)
-        assert steps_back_exactly(S_rows, spec.blocks[0], B_rows, spec.m)
-        assert not steps_back_exactly(planted, spec.blocks[0], B_rows, spec.m)
+        assert steps_back_exactly(spec.blocks, spec.m, (B_rows, S_rows), 0)
+        assert not steps_back_exactly(spec.blocks, spec.m, (B_rows, planted), 0)
         for rows, steps in ((S_rows, 1), (planted, 2)):
             calls = []
 
@@ -688,21 +690,22 @@ class TestReverseEdges:
                 calls.append(state)
                 return step(state, k)
 
-            run = explore_words((rows, B_rows), counted, 1, lambda s, w, nb: (), depth=2,
+            run = explore_words((B_rows, rows), counted, 1, lambda s, w, nb: (), depth=2,
                                 involutive=involutive)
             assert run.words == 3
             assert len(calls) == steps
         # the explorer stepped back from the state it reached
-        assert calls[1] == step((planted, B_rows), 0)
+        assert calls[1] == step((B_rows, planted), 0)
 
     def test_mixed_or_ring_ints_never_qualify(self):
         S_rows = ((0, 1), (-1, 0))
-        assert steps_back_exactly(S_rows, (0,), (((1,), ()), ((-1,), ())), 5)
-        assert steps_back_exactly(S_rows, (0,), ((0, 1), (-1, 0)), None)
+        blocks = ((0,),)
+        assert steps_back_exactly(blocks, 5, ((((1,), ()), ((-1,), ())), S_rows), 0)
+        assert steps_back_exactly(blocks, None, (((0, 1), (-1, 0)), S_rows), 0)
         # an int among tuples can come back as an equal tuple
-        assert not steps_back_exactly(S_rows, (0,), (((1,), 0), ((-1,), ())), 5)
+        assert not steps_back_exactly(blocks, 5, ((((1,), 0), ((-1,), ())), S_rows), 0)
         # ints stepped over Z[2cos(pi/m)] are left to the explorer
-        assert not steps_back_exactly(S_rows, (0,), ((0, 1), (-1, 0)), 5)
+        assert not steps_back_exactly(blocks, 5, (((0, 1), (-1, 0)), S_rows), 0)
 
     def test_mutation_counts_on_h4(self, monkeypatch):
         # the inverse of each edge met is recorded, not computed: 348 calls

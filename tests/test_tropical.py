@@ -648,16 +648,16 @@ class TestMemoizedSquares:
         for k in target:
             state = walker_step(walker, *state, k)
         bad = coeff_rows(state[0])
-        real = TropicalWalker._coeff_step
+        real = tropical.pair_step
 
-        def step(self, folded, lifted, k):
-            nf, nl = real(self, folded, lifted, k)
+        def step(blocks, m, state, k):
+            nf, nl = real(blocks, m, state, k)
             if nf == bad:
-                top = self.mprime
+                top = walker.mprime
                 nf = nf[:top] + (nf[top + 1], nf[top]) + nf[top + 2:]
             return nf, nl
 
-        monkeypatch.setattr(TropicalWalker, "_coeff_step", step)
+        monkeypatch.setattr(tropical, "pair_step", step)
         return walker.verify_cube(**kwargs)
 
     @pytest.mark.parametrize(
@@ -1085,13 +1085,13 @@ class TestInverseColumns:
 def test_h4_tree_steps_each_edge_once(monkeypatch):
     """The explorer records the way back of a self-inverse step: 136 steps without it."""
     calls = []
-    real = TropicalWalker._coeff_step
+    real = tropical.pair_step
 
-    def counted(self, folded, lifted, k):
+    def counted(blocks, m, state, k):
         calls.append(k)
-        return real(self, folded, lifted, k)
+        return real(blocks, m, state, k)
 
-    monkeypatch.setattr(TropicalWalker, "_coeff_step", counted)
+    monkeypatch.setattr(tropical, "pair_step", counted)
     report = TropicalWalker(standard_folding("H4")).verify_cube(depth=3)
     assert report.passed and report.vertices_checked == 85
     assert len(calls) == 96
