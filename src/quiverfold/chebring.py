@@ -13,18 +13,16 @@ theta_k = theta_{2n-1-k} for k < 2n.  The nonnegative cone (all coordinates
 >= 0) is the semiring used for category actions downstream.
 
 ``AlgReal`` is an element of Z[2cos(pi/m)], stored as an integer polynomial
-reduced modulo the minimal polynomial of 2cos(pi/m).  Equality is exact, and
-``sign`` is decided exactly from a rational isolating interval [lo, hi] of
-the root that is shared by every value with the same m: since 0 < lo, each
-power x^i lies in [lo^i, hi^i], and integer bounds on lo^i * 2^b and
-hi^i * 2^b give an integer enclosure of the value scaled by 2^b.  When the
-enclosure straddles 0 the interval is bisected and the sign retried, so
-AlgReal is a computable totally ordered ring.  ``interval()`` and ``float()``
-keep the interval-Horner enclosure, run on integers over the dyadic
-endpoints of the shallowest bisection of the initial isolating interval
-that is narrow enough, so they do not depend on how far earlier work
-refined it.  The evaluation homomorphism ``sigma`` sends theta_k to
-U_k(x/2) mod minpoly(2n+1) and connects the two types.
+reduced modulo the minimal polynomial of 2cos(pi/m).  Equality is exact.
+Every bound on a polynomial at the root is one interval-Horner enclosure
+(``_interval_eval``), run on integers over the dyadic endpoints of a
+bisection of a rational isolating interval that every value with the same
+m shares.  ``sign`` takes the bisections in turn until the enclosure
+excludes 0, so AlgReal is a computable totally ordered ring;
+``interval()`` and ``float()`` take the shallowest bisection that is narrow
+enough, so they do not depend on how far earlier work refined it.  The
+evaluation homomorphism ``sigma`` sends theta_k to U_k(x/2) mod
+minpoly(2n+1) and connects the two types.
 """
 
 from __future__ import annotations
@@ -188,18 +186,15 @@ def minimal_poly(m: int) -> tuple[int, ...]:
 # AlgReal: Z[2cos(pi/m)] with exact signs
 
 
-# Bits of 2^b beyond the bit length of 1/(hi - lo) in the sign power table.
-_GUARD_BITS = 16
-
-
 class _RootContext:
-    """Per-m data: minimal polynomial, isolating interval, and two memos.
+    """Per-m data: minimal polynomial, isolating interval and its bisections, and two memos.
 
-    ``signs`` maps each reduced coefficient tuple whose sign was decided to
-    that sign, and ``_mul_rows`` each tuple to the rows of its
-    multiplication matrix (``mul_matrix``).  Both are exact, so they
-    outlive every ``refine`` and live as long as the context: for the
-    whole process.
+    Every polynomial bound is an interval-Horner enclosure over one of the
+    ``bisection`` intervals.  ``signs`` maps each reduced coefficient tuple
+    whose sign was decided to that sign, and ``_mul_rows`` each tuple to
+    the rows of its multiplication matrix (``mul_matrix``).  Both are exact,
+    so they outlive every ``refine`` and live as long as the context: for
+    the whole process.
     """
 
     def __init__(self, m: int):
@@ -212,7 +207,6 @@ class _RootContext:
         self.deg = len(self.minpoly) - 1
         self.lo, self.hi = self._initial_interval()
         self._bisections = [(self.lo, self.hi)]
-        self._powers = None
         self.signs = {}
         self._mul_rows = {}
 
@@ -231,7 +225,6 @@ class _RootContext:
 
     def refine(self):
         """Bisect the shared isolating interval once, keeping the half with the root."""
-        self._powers = None
         mid = (self.lo + self.hi) / 2
         smid = _sign_at(self.minpoly, mid)
         if smid == 0:
@@ -287,29 +280,6 @@ class _RootContext:
             found, depth = shallower, depth - 1
         return found
 
-    def _power_table(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """(b, L, H) with integers L[i] <= lo^i * 2^b and H[i] >= hi^i * 2^b, i < deg.
-
-        Built on first use after each ``refine``.  Each power is rounded
-        outward from the previous one (floor for L, ceiling for H), which is
-        rigorous because lo > 0, and leaves a relative error of at most
-        i / 2^b.  b exceeds the bit length of 1/(hi - lo) by _GUARD_BITS, so
-        the rounding stays far below the spread that the interval itself
-        puts into the enclosure.
-        """
-        table = self._powers
-        if table is None:
-            lo, hi = self.lo, self.hi
-            assert lo > 0, "the power bounds need a positive isolating interval"
-            width = hi - lo
-            bits = (width.denominator // width.numerator).bit_length() + _GUARD_BITS
-            low, high = [1 << bits], [1 << bits]
-            for _ in range(self.deg - 1):
-                low.append(low[-1] * lo.numerator // lo.denominator)
-                high.append(-(-high[-1] * hi.numerator // hi.denominator))
-            table = self._powers = (bits, tuple(low), tuple(high))
-        return table
-
     def mul_matrix(self, coeffs) -> tuple[tuple[int, ...], ...]:
         """Matrix of multiplication by a = ``coeffs`` on the basis 1, x, ..., x^(deg-1).
 
@@ -338,14 +308,10 @@ def _coeff_sign(ctx: _RootContext, coeffs) -> int:
     """Exact sign at 2cos(pi/ctx.m) of a reduced coefficient tuple, memoized.
 
     The context's ``signs`` memo answers a tuple met before, with no
-    arithmetic and no ``refine``.  A first evaluation sums c_i * L_i and
-    c_i * H_i from the context's power table, each coefficient paired with
-    the bound that makes the sum a lower or an upper bound of the value
-    times 2^b.  A lower sum above 0 or an upper sum below 0 decides the
-    sign; otherwise the shared isolating interval is bisected and the sums
-    retried, so a value's first evaluation refines exactly as it would
-    without the memo.  ``AlgReal.sign``, ``exchange.mutate_coeffs``, the
-    unfolding conditions and the tropical roots check all share the memo.
+    arithmetic and no ``refine``.  A first evaluation is ``_enclosure_sign``,
+    so it refines exactly as it would without the memo.
+    ``AlgReal.sign``, ``exchange.mutate_coeffs``, the unfolding conditions
+    and the tropical roots check all share the memo.
     """
     sign = ctx.signs.get(coeffs)
     if sign is None:
@@ -354,24 +320,18 @@ def _coeff_sign(ctx: _RootContext, coeffs) -> int:
 
 
 def _enclosure_sign(ctx: _RootContext, coeffs) -> int:
-    """The power-table decision of ``_coeff_sign``, without the memo."""
+    """``_coeff_sign`` without the memo: interval Horner over ``ctx.bisection(depth)``
+    for depth = 0, 1, 2, ..., until an enclosure excludes 0."""
     if not coeffs:
         return 0
+    depth = 0
     while True:
-        _, low, high = ctx._power_table()
-        lower = upper = 0
-        for c, l, h in zip(coeffs, low, high):
-            if c > 0:
-                lower += c * l
-                upper += c * h
-            else:
-                lower += c * h
-                upper += c * l
+        lower, upper = _interval_eval(coeffs, *ctx.bisection(depth))
         if lower > 0:
             return 1
         if upper < 0:
             return -1
-        ctx.refine()
+        depth += 1
 
 
 def _sign_at(coeffs, x: Fraction) -> int:

@@ -474,7 +474,7 @@ def explore_words(
 
 
 # ---------------------------------------------------------------------------
-# rescaling
+# rescale
 
 
 def rescale(matrix: ExchangeMatrix, diagonal) -> ExchangeMatrix:
@@ -495,7 +495,7 @@ def rescale(matrix: ExchangeMatrix, diagonal) -> ExchangeMatrix:
             m = entry_field(matrix.entries)
             num = AlgReal(m, (num,)) if m else num
         if (sgn(num) <= 0) or den <= 0:
-            raise ValueError("rescaling diagonal must be strictly positive")
+            raise ValueError("rescale diagonal must be strictly positive")
         pairs.append((num, den))
     out = []
     for i in range(n):

@@ -29,7 +29,7 @@ from .chebring import (
 )
 from .exchange import (
     ExchangeMatrix, RingValues, _as_coeffs, _sign, coeff_rows, entry_field, explore_words,
-    mutate_coeffs, rescale,
+    mutate_coeffs,
 )
 
 
@@ -38,7 +38,6 @@ class FoldingSpec(_Frozen):
 
     __slots__ = _compared = (
         "kind", "S", "B", "blocks", "weights", "labels", "folded_labels", "n", "m", "kappa",
-        "rescaling",
     )
 
     def __init__(
@@ -53,9 +52,8 @@ class FoldingSpec(_Frozen):
         n: int | None = None,     # Chebyshev rank (None for the integer demo)
         m: int | None = None,     # weights live in Z[2cos(pi/m)]
         kappa: tuple | None = None,   # kappa[i] = Chebyshev index of vertex i
-        rescaling: tuple | None = None,  # diagonal P, or None for the identity
     ):
-        self._fill(kind, S, B, blocks, weights, labels, folded_labels, n, m, kappa, rescaling)
+        self._fill(kind, S, B, blocks, weights, labels, folded_labels, n, m, kappa)
 
     @property
     def weight_one_reps(self) -> tuple:
@@ -342,7 +340,8 @@ def check_weighted_unfolding(
 ) -> UnfoldingReport:
     """Verify the defining property of a weighted unfolding along mutation words.
 
-    With ``sequences`` given, exactly those words are checked.  Otherwise all
+    With ``sequences`` given, exactly those words are checked, and the
+    report reads depth 0 and no random words.  Otherwise all
     words of length <= depth are checked exhaustively (as a prefix tree, so
     every prefix is also a checked word) plus ``random_words`` seeded random
     words of length ``random_length``.  Evidence is depth-bounded: the
@@ -364,10 +363,11 @@ def check_weighted_unfolding(
     one entry representation, is its own inverse (``steps_back_exactly``),
     so the explorer records the way back without computing it.  Each check
     decodes B into an ``ExchangeMatrix`` (``RingValues``, one value per
-    distinct entry), which ``rescale`` needs, and ``conditions_hold``
-    computes on them as coefficient tuples again.  It keeps one column memo for the
-    whole call, so each distinct (column l, column l of S, column F(l) of
-    B) is decided once, however many pairs share it.
+    distinct entry), the form the benchmark tracer's ``conditions_hold``
+    probe reads, and ``conditions_hold`` computes on them as coefficient
+    tuples again.  It keeps one column memo for the whole call, so each
+    distinct (column l, column l of S, column F(l) of B) is decided once,
+    however many pairs share it.
     """
     m = entry_field(spec.B.entries)
     values = RingValues(m)
@@ -376,11 +376,10 @@ def check_weighted_unfolding(
     def check(state, word, neighbour):
         B_rows, S_rows = state
         B = ExchangeMatrix(values.rows(B_rows))
-        if spec.rescaling is not None:
-            B = rescale(B, spec.rescaling)
         return conditions_hold(S_rows, B, spec.blocks, spec.weights, columns)
 
     if sequences is not None:
+        depth = random_words = 0
         walks = (tuple(word) for word in sequences)
     else:
         walks = seeded_words(spec.B.n, random_words, random_length, seed)
@@ -389,7 +388,7 @@ def check_weighted_unfolding(
         partial(pair_step, spec.blocks, m),
         spec.B.n,
         check,
-        depth=0 if sequences is not None else depth,
+        depth=depth,
         walks=walks,
         first_only=True,
         involutive=partial(steps_back_exactly, spec.blocks, m),

@@ -5,10 +5,12 @@ import pickle
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quiverfold import chebring
+from quiverfold.cli import main
 from quiverfold.chebring import (
     AlgReal,
     ChebElem,
@@ -343,7 +345,11 @@ class TestAlgRealSign:
 
 
 def oracle_sign(a):
-    """The interval-Horner sign loop that ``AlgReal.sign`` ran before the integer enclosure."""
+    """Interval Horner over the shared interval as it stands, refined until it decides.
+
+    ``AlgReal.sign`` runs interval Horner too, so ``mpmath_value`` is the
+    oracle independent of it.
+    """
     if not a.coeffs:
         return 0
     ctx = chebring._context(a.m)
@@ -354,6 +360,13 @@ def oracle_sign(a):
         if hi < 0:
             return -1
         ctx.refine()
+
+
+def mpmath_value(a):
+    """The value of ``a`` at 2cos(pi/m), in mpmath at 100 significant digits."""
+    with mpmath.workdps(100):
+        x = 2 * mpmath.cos(mpmath.pi / a.m)
+        return mpmath.polyval(list(reversed(a.coeffs)), x) if a.coeffs else mpmath.mpf(0)
 
 
 @pytest.fixture
@@ -412,6 +425,29 @@ class TestSignEnclosure:
             got = chebring._coeff_sign(chebring._RootContext(m), a.coeffs)
             assert got == a.sign() == oracle_sign(a)
 
+    @given(m=st.sampled_from([5, 7, 9, 15, 21]), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_sign_matches_mpmath_on_cold_and_warm_contexts(self, m, data):
+        deg = len(minimal_poly(m)) - 1
+        coeffs = st.lists(st.integers(-10**6, 10**6), min_size=deg, max_size=deg).filter(any)
+        a = AlgReal(m, data.draw(coeffs))
+        for _ in range(data.draw(st.integers(0, 14))):
+            a = a * (AlgReal.generator(m) - 2)
+        value = mpmath_value(a)
+        # sum |c_i| x^i stays below 1e17 here, so 100 digits fix the sign of
+        # anything above 1e-80; a nonzero value is far above it (its norm is
+        # a nonzero integer)
+        assert abs(value) > mpmath.mpf("1e-80")
+        want = 1 if value > 0 else -1
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(chebring, "_ROOT_CONTEXTS", {})
+            cold = (a.sign(), (-a).sign())
+            # warm: the memo answers, and a deep shared interval decides afresh
+            chebring._context(m).bisection(200)
+            warm = (a.sign(), chebring._enclosure_sign(chebring._context(m), a.coeffs))
+        assert cold == (want, -want)
+        assert warm == (want, want)
+
     def test_fibonacci_gaps_force_refinement(self, refines):
         values = fibonacci_gaps(90)
         signs = [a.sign() for a in values]
@@ -427,34 +463,47 @@ class TestSignEnclosure:
         assert [(-a).sign() for a in values] == [-1] * 150
         assert [oracle_sign(a) for a in values] == [1] * 150
 
-    @pytest.mark.parametrize("m", [3, 4, 5, 7, 15, 21, 97])
-    def test_power_table_brackets_powers(self, refines, m):
-        ctx = chebring._context(m)
-        for _ in range(3):
-            bits, low, high = ctx._power_table()
-            assert len(low) == len(high) == ctx.deg
-            assert (ctx.hi - ctx.lo) * 2**bits >= 2**16
-            for i, (l, h) in enumerate(zip(low, high)):
-                lo_i, hi_i = ctx.lo**i * 2**bits, ctx.hi**i * 2**bits
-                assert l <= lo_i and hi_i <= h
-                # outward rounding of each step costs at most one unit
-                assert lo_i - l < i * max(1, ctx.lo) ** i + 1
-                assert h - hi_i < i * max(1, ctx.hi) ** i + 1
-            for _ in range(20):
-                ctx.refine()
-            assert ctx._power_table()[0] > bits
-
     def test_signs_hold_when_interval_narrows_the_context(self, refines):
         # 3 - x - x^2 and x - 2 are both negative at x = 2cos(pi/7) = 1.80...
         values = heptagon_powers(40) + [AlgReal(7, (3, -1, -1)), AlgReal(7, (-2, 1))]
         first = [a.sign() for a in values]
         assert first == [1] * 40 + [-1, -1]
-        bits = chebring._context(7)._power_table()[0]
         AlgReal.generator(7).interval(Fraction(1, 10**60))
-        assert chebring._context(7)._powers is None
         assert [a.sign() for a in values] == first
-        assert chebring._context(7)._power_table()[0] > bits
         assert first == [oracle_sign(a) for a in values]
+
+
+class TestFirstEvaluations:
+    """The traffic that sign's interval Horner relies on: few first evaluations, each shallow."""
+
+    def test_verify_all_decides_each_tuple_once(self, monkeypatch, capsys):
+        monkeypatch.setattr(chebring, "_ROOT_CONTEXTS", {})
+        calls = collections.Counter()
+        decide = chebring._enclosure_sign
+
+        def counted(ctx, coeffs):
+            calls[ctx.m, coeffs] += 1
+            return decide(ctx, coeffs)
+
+        monkeypatch.setattr(chebring, "_enclosure_sign", counted)
+        assert main(["verify", "all", "--kind", "H4", "--depth", "1", "--random", "0"]) == 0
+        capsys.readouterr()
+        memo = {(m, coeffs) for m, ctx in chebring._ROOT_CONTEXTS.items() for coeffs in ctx.signs}
+        assert calls and set(calls) == memo
+        assert set(calls.values()) == {1}
+
+    @pytest.mark.parametrize("m,values", [(5, fibonacci_gaps(60)), (7, heptagon_powers(50))])
+    def test_first_evaluation_bisects_to_the_least_deciding_depth(self, refines, m, values):
+        boxes = bisections(m, 100)
+        deepest = 0
+        for a in values + [-a for a in values]:
+            enclosures = (interval_eval(a.coeffs, *box) for box in boxes)
+            least = next(depth for depth, (lo, hi) in enumerate(enclosures) if lo > 0 or hi < 0)
+            ctx, before = chebring._RootContext(m), refines[m]
+            assert chebring._coeff_sign(ctx, a.coeffs) == (1 if mpmath_value(a) > 0 else -1)
+            assert len(ctx._bisections) - 1 == refines[m] - before == least
+            deepest = max(deepest, least)
+        assert deepest > 0
 
 
 class TestSignMemo:

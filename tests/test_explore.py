@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from quiverfold import exchange, tropical, unfolding
 from quiverfold.chebring import AlgReal
 from quiverfold.exchange import (
-    ExchangeMatrix, coeff_rows, explore_words, rescale, sgn,
+    ExchangeMatrix, coeff_rows, explore_words, sgn,
 )
 from quiverfold.tropical import TropicalWalker
 from quiverfold.unfolding import (
@@ -72,8 +72,6 @@ def oracle_unfolding(spec, sequences=None, depth=6, random_words=200, random_len
     def check(S_rows, B_current):
         counter[0] += 1
         states.add((S_rows, B_current.entries))
-        if spec.rescaling is not None:
-            B_current = rescale(B_current, spec.rescaling)
         failures = oracle_conditions(S_rows, B_current, spec.blocks, spec.weights)
         return not failures, failures[0] if failures else None
 

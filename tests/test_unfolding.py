@@ -213,13 +213,21 @@ class TestWeightedUnfoldingWalks:
         assert report.passed
 
     def test_reports_name_their_arguments(self):
+        # explicit sequences run no tree and no random walks, whatever was asked
         spec = standard_folding("H3")
         for s in (spec, FoldingSpecBrokenWeights(spec)):
-            for sequences in (None, [(0, 1), (2,)]):
+            for sequences, ran in ((None, (2, 3, 5)), ([(0, 1), (2,)], (0, 0, 5))):
                 report = check_weighted_unfolding(
                     s, sequences=sequences, depth=2, random_words=3, seed=5
                 )
-                assert (report.depth, report.random_words, report.seed) == (2, 3, 5)
+                assert (report.depth, report.random_words, report.seed) == ran
+
+    def test_sequences_report_only_the_words_run(self):
+        report = check_weighted_unfolding(standard_folding("H3"), sequences=[(0, 1)])
+        got = report.to_json()
+        # the empty word and the prefixes (0,) and (0, 1)
+        assert (got["passed"], got["words_checked"]) == (True, 3)
+        assert (got["depth"], got["random_words"], got["seed"]) == (0, 0, 0)
 
     def test_broken_spec_fails(self):
         spec = standard_folding("I2m", 5)

@@ -45,7 +45,7 @@ VALUES = {
         lambda: standard_folding("H4"),
         (
             "kind", "S", "B", "blocks", "weights", "labels", "folded_labels", "n", "m",
-            "kappa", "rescaling",
+            "kappa",
         ),
         standard_folding("H4", opp=True),
     ),
