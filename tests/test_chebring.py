@@ -463,6 +463,36 @@ class TestSignEnclosure:
         assert [(-a).sign() for a in values] == [-1] * 150
         assert [oracle_sign(a) for a in values] == [1] * 150
 
+    @pytest.mark.parametrize("m", [3, 4, 5, 7, 15, 21, 97])
+    def test_power_table_brackets_powers(self, refines, m):
+        # the table of enclosures of x^0, ..., x^(deg-1) that interval Horner
+        # gives over a kept bisection: exact interval powers, since each
+        # bisection lies in (0, 2), and each holds the true power
+        ctx = chebring._context(m)
+        with mpmath.workdps(60):
+            root = 2 * mpmath.cos(mpmath.pi / m)
+            powers = [root**i for i in range(ctx.deg)]
+        depths = (0, 1, 2, 30)
+        boxes, widths = [], []
+        for depth in depths:
+            lo, hi = ctx.bisection(depth)
+            assert 0 < lo < hi < 2
+            table = [chebring._interval_eval((0,) * i + (1,), lo, hi) for i in range(ctx.deg)]
+            assert table == [(lo**i, hi**i) for i in range(ctx.deg)]
+            with mpmath.workdps(60):
+                for (l, h), p in zip(table, powers):
+                    assert l.numerator / mpmath.mpf(l.denominator) <= p
+                    assert p <= h.numerator / mpmath.mpf(h.denominator)
+            boxes.append((lo, hi))
+            widths.append(table[-1][1] - table[-1][0])
+        assert refines[m] == 30
+        # a kept bisection is returned as it stands, with no further refine
+        assert [ctx.bisection(depth) for depth in depths] == boxes
+        assert refines[m] == 30
+        if ctx.deg > 1:
+            assert widths == sorted(widths, reverse=True)
+            assert widths[-1] < widths[0] / 2**20
+
     def test_signs_hold_when_interval_narrows_the_context(self, refines):
         # 3 - x - x^2 and x - 2 are both negative at x = 2cos(pi/7) = 1.80...
         values = heptagon_powers(40) + [AlgReal(7, (3, -1, -1)), AlgReal(7, (-2, 1))]
