@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 import math
-from operator import attrgetter
+from operator import attrgetter, mul as _mul
 
 # ---------------------------------------------------------------------------
 # immutable values
@@ -187,14 +187,27 @@ def minimal_poly(m: int) -> tuple[int, ...]:
 
 
 class _RootContext:
-    """Per-m data: minimal polynomial, isolating interval and its bisections, and two memos.
+    """Per-m data: minimal polynomial, isolating interval and its bisections, and five memos.
 
     Every polynomial bound is an interval-Horner enclosure over one of the
-    ``bisection`` intervals.  ``signs`` maps each reduced coefficient tuple
-    whose sign was decided to that sign, and ``_mul_rows`` each tuple to
-    the rows of its multiplication matrix (``mul_matrix``).  Both are exact,
-    so they outlive every ``refine`` and live as long as the context: for
-    the whole process.
+    ``bisection`` intervals.  The memos are exact, so they outlive every
+    ``refine`` and live as long as the context: for the whole process.
+
+    - ``signs`` maps each reduced coefficient tuple whose sign was decided
+      to that sign (``_coeff_sign``).
+    - ``_mul_rows`` maps a tuple to the rows of its multiplication matrix
+      (``mul_matrix``).
+    - ``updates`` maps a triple (b_ij, b_ik, |b_kj|) of mutation operands to
+      b_ij + b_ik * |b_kj| (``_Updates``), and ``negations`` an operand x to
+      -x (``_Negations``).  An operand is an int or a coefficient tuple, as
+      ``exchange.mutate_coeffs`` carries it, and so is the value.  Keys are
+      representations, not values: ``1`` and ``(1,)`` are different keys,
+      as their results differ in type.
+    - ``pivots`` maps (pivot row, k) to its split into positive and
+      negative columns (``exchange._pivot_columns``).
+
+    In finite type the mutation class is finite, so every memo is bounded;
+    otherwise each grows with the distinct operands met, as ``signs`` does.
     """
 
     def __init__(self, m: int):
@@ -209,6 +222,9 @@ class _RootContext:
         self._bisections = [(self.lo, self.hi)]
         self.signs = {}
         self._mul_rows = {}
+        self.updates = _Updates(self)
+        self.pivots = {}
+        self.negations = _Negations()
 
     def _initial_interval(self) -> tuple[Fraction, Fraction]:
         c = 2.0 * math.cos(math.pi / self.m)
@@ -302,6 +318,44 @@ class _RootContext:
                 cols.append(col)
             rows = self._mul_rows[coeffs] = tuple(zip(*cols))
         return rows
+
+
+class _Updates(dict):
+    """b_ij + b_ik * b for a key (b_ij, b_ik, b) of ints and coefficient tuples, made on first use.
+
+    The value is an int exactly when all three are, as in ``AlgReal``
+    arithmetic.  Otherwise it is a reduced coefficient tuple: coefficient s
+    of the product is the integer dot product of row s of b's
+    multiplication matrix (``_RootContext.mul_matrix``) with b_ik's
+    coefficients, reduced as it stands.
+    """
+
+    def __init__(self, ctx: _RootContext):
+        super().__init__()
+        self.ctx = ctx
+
+    def __missing__(self, key):
+        b_ij, b_ik, b = key
+        if type(b_ij) is int and type(b_ik) is int and type(b) is int:
+            value = b_ij + b_ik * b
+        else:
+            a = (b_ik,) if type(b_ik) is int else b_ik
+            acc = [sum(map(_mul, r, a)) for r in self.ctx.mul_matrix((b,) if type(b) is int else b)]
+            for t, c in enumerate((b_ij,) if type(b_ij) is int else b_ij):
+                acc[t] += c
+            while acc and not acc[-1]:
+                acc.pop()
+            value = tuple(acc)
+        self[key] = value
+        return value
+
+
+class _Negations(dict):
+    """-x for an int or coefficient tuple x, in the same form, made on first use."""
+
+    def __missing__(self, x):
+        value = self[x] = -x if type(x) is int else tuple([-c for c in x])
+        return value
 
 
 def _coeff_sign(ctx: _RootContext, coeffs) -> int:

@@ -14,7 +14,6 @@ transitions of the mutation graph for the word verifiers
 
 from __future__ import annotations
 
-from operator import mul as _mul
 from types import MappingProxyType
 
 from .chebring import AlgReal, _coeff_sign, _context, _Frozen, alg_inverse, json_value
@@ -181,7 +180,8 @@ def mutate_coeffs(rows, k: int, m=None):
     C); the pivot row ``k`` is read from the top square block.  The halving
     of the classical formula is avoided: b_ij gains sgn(b_ik) b_ik b_kj when
     b_ik and b_kj have equal nonzero signs, row and column k are negated,
-    and nothing else changes.
+    and nothing else changes.  An index outside the columns, as any index
+    is for an empty matrix, is an IndexError that names it.
 
     A tuple entry is the reduced coefficient tuple of an ``AlgReal`` over
     Z[2cos(pi/m)] (``AlgReal.coeffs``, as ``coeff_rows`` makes it).  A result
@@ -193,72 +193,65 @@ def mutate_coeffs(rows, k: int, m=None):
 
     Over Z[2cos(pi/m)] the step works as ``_mutate_ints`` does, on b_ij +=
     b_ik * |b_kj| where sgn b_kj = sgn b_ik.  At the first row that needs
-    them, the pivot row's columns j != k are sorted once into positive and
-    negative ones (``_pivot_columns``), each with the multiplication matrix
-    of |b_kj| (``_RootContext.mul_matrix``).  A row then takes one sign,
-    and each update is integer dot products of those matrix rows with
-    b_ik's coefficients, reduced as they stand.  Signs and matrices come
-    from the per-m memos of chebring's ``_RootContext``.
+    them, the pivot row's columns j != k are split into positive and
+    negative ones (``_pivot_columns``), so a row takes one sign, and each of
+    its updates is one lookup of (b_ij, b_ik, |b_kj|) in the context's
+    ``updates`` memo.  Negations are looked up in its ``negations``.  Signs,
+    splits, updates and negations all come from the per-m memos of
+    chebring's ``_RootContext``, so each distinct one is computed once per
+    field.
     """
-    ncols = len(rows[0])
+    ncols = len(rows[0]) if rows else 0
     if not 0 <= k < ncols:
-        raise IndexError(f"mutation index {k} out of range 0..{ncols - 1}")
+        span = f"0..{ncols - 1}" if ncols else "(the matrix is empty)"
+        raise IndexError(f"mutation index {k} out of range {span}")
     pivot_row = rows[k]
     if m is None:
         return _mutate_ints(rows, k, pivot_row)
     ctx = _context(m)
+    updates, negations = ctx.updates, ctx.negations
     columns = None
     out = []
     for i, row in enumerate(rows):
         if i == k:
-            out.append(tuple(map(_neg, row)))
+            out.append(tuple(map(negations.__getitem__, row)))
             continue
         b_ik = row[k]
         if not b_ik:  # 0 or (): negating it changes nothing
             out.append(row)
             continue
-        s_ik = _sign(ctx, b_ik)
         if columns is None:
             columns = _pivot_columns(ctx, pivot_row, k)
         new_row = list(row)
-        new_row[k] = _neg(b_ik)
-        a_int = type(b_ik) is int
-        a = (b_ik,) if a_int else b_ik
-        for j, b, mul in columns[s_ik < 0]:
-            b_ij = row[j]
-            if a_int and b is not None and type(b_ij) is int:
-                new_row[j] = b_ij + b_ik * b
-                continue
-            acc = [sum(map(_mul, r, a)) for r in mul]
-            if type(b_ij) is int:
-                acc[0] += b_ij
-            else:
-                for t, c in enumerate(b_ij):
-                    acc[t] += c
-            while acc and not acc[-1]:
-                acc.pop()
-            new_row[j] = tuple(acc)
+        new_row[k] = negations[b_ik]
+        for j, b in columns[_sign(ctx, b_ik) < 0]:
+            new_row[j] = updates[row[j], b_ik, b]
         out.append(tuple(new_row))
     return tuple(out)
 
 
 def _pivot_columns(ctx, pivot_row, k: int):
-    """The columns j != k of the pivot row with b_kj > 0 and with b_kj < 0.
+    """The columns j != k of the pivot row with b_kj > 0 and with b_kj < 0, each as (j, |b_kj|).
 
-    Each is (j, |b_kj| if an int else None, the multiplication matrix of
-    |b_kj|, or None when ``ctx`` is None and every entry is an int), so
-    that an update needs neither a sign nor a product call.
+    |b_kj| keeps the representation of b_kj, an int or a coefficient tuple.
+    With a context the split is memoized in its ``pivots`` under
+    (pivot_row, k), so ``mutate_coeffs`` and ``tropical._mutate_g`` split
+    each pivot row once per field.  With ``ctx`` None every entry must be
+    an int.
     """
+    if ctx is not None:
+        split = ctx.pivots.get((pivot_row, k))
+        if split is not None:
+            return split
     pos, neg = [], []
     for j, b in enumerate(pivot_row):
         s = _sign(ctx, b)
         if s and j != k:
-            b = b if s > 0 else _neg(b)
-            is_int = type(b) is int
-            mul = None if ctx is None else ctx.mul_matrix((b,) if is_int else b)
-            column = (j, b if is_int else None, mul)
-            (pos if s > 0 else neg).append(column)
-    return pos, neg
+            (pos if s > 0 else neg).append((j, b if s > 0 else _neg(b)))
+    split = (tuple(pos), tuple(neg))
+    if ctx is not None:
+        ctx.pivots[pivot_row, k] = split
+    return split
 
 
 def _mutate_ints(rows, k: int, pivot_row):

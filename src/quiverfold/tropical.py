@@ -63,7 +63,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import combinations
-from operator import itemgetter, mul as _mul
+from operator import itemgetter
 
 from .chebring import (
     ChebElem, _cheb_mul_coeffs, _coeff_sign, _context, _Frozen, _poly_mul, _poly_trim,
@@ -149,9 +149,13 @@ def _mutate_g(g, rows, k: int, m):
     mutation takes a sign-coherent c_k to C E_k, where E_k is the identity
     with row k replaced by [eps b_kj]_+ at j != k and -1 at k.  E_k^2 = I,
     so C^{-1} goes to E_k C^{-1}: g'_k = -g_k + sum_{j != k} [eps b_kj]_+ g_j,
-    over the pivot columns of sign eps (``exchange._pivot_columns``).  The
-    step back finds -eps and -b_kj, the same terms, and restores g_k
-    exactly.  A c-vector k of mixed signs is an ``ArithmeticError``.
+    over the pivot columns of sign eps (``exchange._pivot_columns``).  Over
+    Z[2cos(pi/m)] that split is read from the context's ``pivots`` memo,
+    where ``mutate_coeffs`` has just put it in ``Seed.mutate``, and each
+    coordinate is summed term by term through its ``updates`` memo, as
+    ``mutate_coeffs`` sums an entry.  The step back finds -eps and -b_kj,
+    the same terms, and restores g_k exactly.  A c-vector k of mixed signs
+    is an ``ArithmeticError``.
     """
     n = len(g)
     ctx = None if m is None else _context(m)
@@ -161,17 +165,16 @@ def _mutate_g(g, rows, k: int, m):
     terms = _pivot_columns(ctx, rows[k], k)[-1 in signs]
     if m is None:
         new = [-x for x in g[k]]
-        for j, b, _ in terms:
+        for j, b in terms:
             new = [x + b * y for x, y in zip(new, g[j])]
-        new = tuple(new)
     else:
-        accs = [[-c for c in x] + [0] * (ctx.deg - len(x)) for x in g[k]]
-        for j, _, mul in terms:
-            for acc, y in zip(accs, g[j]):
-                for t, r in enumerate(mul):
-                    acc[t] += sum(map(_mul, r, y))
-        new = tuple(map(_poly_trim, accs))
-    return g[:k] + (new,) + g[k + 1:]
+        updates, new = ctx.updates, []
+        for t, x in enumerate(g[k]):
+            acc = ctx.negations[x]
+            for j, b in terms:
+                acc = updates[acc, g[j][t], b]
+            new.append(acc)
+    return g[:k] + (tuple(new),) + g[k + 1:]
 
 
 class GMatrix(_Frozen):

@@ -1,9 +1,13 @@
 import collections
 import copy
+import json
 import math
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -521,6 +525,34 @@ class TestFirstEvaluations:
         memo = {(m, coeffs) for m, ctx in chebring._ROOT_CONTEXTS.items() for coeffs in ctx.signs}
         assert calls and set(calls) == memo
         assert set(calls.values()) == {1}
+
+    def test_verify_all_traffic_in_a_fresh_interpreter(self):
+        # the mutation memos answer without a sign call or a bisection of
+        # their own: a cold `verify all --kind H4 --depth 1 --random 0`
+        # decides 16 signs and never bisects, as it did before them
+        src = str(Path(chebring.__file__).resolve().parents[1])
+        code = """if True:
+            import contextlib, io, json, sys
+            sys.path.insert(0, sys.argv[1])
+            from quiverfold import chebring
+            from quiverfold.cli import main
+            calls = []
+            decide = chebring._enclosure_sign
+            def counted(ctx, coeffs):
+                calls.append(coeffs)
+                return decide(ctx, coeffs)
+            chebring._enclosure_sign = counted
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["verify", "all", "--kind", "H4", "--depth", "1", "--random", "0"])
+            contexts = chebring._ROOT_CONTEXTS
+            print(json.dumps([code, len(calls), len(set(calls)),
+                              {m: len(ctx._bisections) - 1 for m, ctx in contexts.items()},
+                              {m: len(ctx.updates) > 0 for m, ctx in contexts.items()}]))
+        """
+        out = subprocess.run(
+            [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+        ).stdout
+        assert json.loads(out) == [0, 16, 16, {"5": 0}, {"5": True}]
 
     @pytest.mark.parametrize("m,values", [(5, fibonacci_gaps(60)), (7, heptagon_powers(50))])
     def test_first_evaluation_bisects_to_the_least_deciding_depth(self, refines, m, values):

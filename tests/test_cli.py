@@ -666,6 +666,17 @@ class TestUsageErrors:
         bad.write_text("{not json")
         self.assert_usage_error(capsys, f"mutate --matrix {bad} --at 0", f"--matrix {bad}")
 
+    def test_mutate_empty_matrix(self, capsys, tmp_path):
+        path = tmp_path / "B.json"
+        path.write_text(json.dumps({"entries": []}))
+        self.assert_usage_error(
+            capsys, f"mutate --matrix {path} --at 0",
+            "mutation index 0 out of range (the matrix is empty)",
+        )
+        # no index at all: the 0x0 matrix, unchanged
+        assert main(["mutate", "--matrix", str(path), "--at", ""]) == 0
+        assert json.loads(capsys.readouterr().out) == {"ring": "Z", "n": 0, "entries": []}
+
     @pytest.mark.parametrize("text", MALFORMED_MATRIX_JSON)
     def test_mutate_matrix_of_the_wrong_shape(self, capsys, tmp_path, text):
         path = tmp_path / "B.json"

@@ -3,6 +3,7 @@ import json
 import pickle
 import random
 from itertools import permutations
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -565,6 +566,84 @@ class TestCoeffMutation:
         for k in (-1, 2):
             with pytest.raises(IndexError, match=f"mutation index {k} out of range 0..1"):
                 mutate_coeffs(rows, k, 5)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda: ExchangeMatrix(()).mutate(0),
+            lambda: mutate_coeffs((), 0, 5),
+            lambda: mutate_coeffs((), 0),
+        ],
+    )
+    def test_empty_matrix_names_the_index(self, mutate):
+        message = r"^mutation index 0 out of range \(the matrix is empty\)$"
+        with pytest.raises(IndexError, match=message):
+            mutate()
+
+
+class TestRingMemos:
+    """A context's ``updates``, ``pivots`` and ``negations`` memos: cold, warm and the oracle agree.
+
+    Operands are drawn so that one value often comes as an int and as a
+    tuple (``1`` and ``(1,)``), which must stay distinct keys: the results
+    differ in type.
+    """
+
+    OPERANDS = (0, 1, 2, -1, -2, (), (1,), (2,), (-1,), (-2,), (0, 1), (1, 1), (0, -1), (2, -1))
+
+    @given(m=st.sampled_from([5, 7, 9]), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_cold_warm_and_oracle_agree(self, m, data):
+        n = data.draw(st.integers(1, 4))
+        height = data.draw(st.sampled_from((n, 2 * n)))
+        entry = st.sampled_from(self.OPERANDS)
+        start = tuple(tuple(data.draw(entry) for _ in range(n)) for _ in range(height))
+        word = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+
+        def walk():
+            rows, path = start, []
+            for k in word:
+                rows = mutate_coeffs(rows, k, m)
+                path.append(rows)
+            return path
+
+        with patch.object(chebring, "_ROOT_CONTEXTS", {}):
+            warming = walk()
+            warm = walk()
+        befores = [start] + warming[:-1]
+        for k, before, got in zip(word, befores, warming):
+            with patch.object(chebring, "_ROOT_CONTEXTS", {}):
+                cold = mutate_coeffs(before, k, m)
+            want = coeff_rows(mutate_entries(RingValues(m).rows(before), k))
+            # equal encodings: equal values, and an int exactly where the
+            # oracle has an int
+            assert got == cold == want
+        assert warm == warming
+
+    def test_representations_are_distinct_keys(self):
+        # b_kj is 1 and (1,) in the pivot row; below it, b_ik is 2 or (2,)
+        # and b_ij is 1 or (1,), in every combination
+        rows = (
+            (0, 1, (1,)),
+            (2, 1, 1),
+            ((2,), (1,), (1,)),
+            (2, (1,), 1),
+            ((2,), 1, (1,)),
+        )
+        with patch.object(chebring, "_ROOT_CONTEXTS", {}):
+            got = mutate_coeffs(rows, 0, 5)
+            assert mutate_coeffs(rows, 0, 5) == got
+            updates = dict(chebring._context(5).updates)
+        assert got == coeff_rows(mutate_entries(RingValues(5).rows(rows), 0))
+        assert got[1:] == (
+            (-2, 3, (3,)),
+            ((-2,), (3,), (3,)),
+            (-2, (3,), (3,)),
+            ((-2,), (3,), (3,)),
+        )
+        assert updates[1, 2, 1] == 3
+        assert updates[(1,), 2, 1] == updates[1, (2,), 1] == updates[1, 2, (1,)] == (3,)
+        assert len(updates) == 6  # rows 3 and 4 repeat one triple each
 
 
 def _sgn(x):

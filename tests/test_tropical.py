@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,9 @@ from quiverfold.tropical import (
     transpose,
 )
 from quiverfold.unfolding import FoldingSpec, standard_folding
-from spec_oracles import algreal_pair, det_entries, invert_unimodular_entries, walker_step
+from spec_oracles import (
+    algreal_pair, det_entries, invert_unimodular_entries, mutate_entries, walker_step,
+)
 
 A2 = ExchangeMatrix(((0, 1), (-1, 0)))
 
@@ -53,6 +56,72 @@ class TestSeedBasics:
         data = seed.to_json()
         assert data["word"] == [0]
         assert len(data["C"]) == 2
+
+
+def _ring_value(m, x):
+    return x if type(x) is int else AlgReal(m, x)
+
+
+def _encoded(value):
+    return value if type(value) is int else value.coeffs
+
+
+class TestRingMemosOnSeeds:
+    """``Seed.mutate`` reads the context's ``updates``, ``pivots`` and ``negations`` memos."""
+
+    @given(kind=st.sampled_from([("H3", None), ("H4", None), ("I2", 3), ("I2", 4)]), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_cold_warm_and_oracle_agree(self, kind, data):
+        B = standard_folding(*kind).B
+        word = data.draw(st.lists(st.integers(0, B.n - 1), min_size=1, max_size=10))
+
+        def walk():
+            seed, path = Seed.initial(B), []
+            for k in word:
+                seed = seed.mutate(k)
+                path.append(seed)
+            return path
+
+        with patch.object(chebring, "_ROOT_CONTEXTS", {}):
+            warming = walk()
+            warm = walk()
+        assert [(s.rows, s.g) for s in warm] == [(s.rows, s.g) for s in warming]
+        befores = [Seed.initial(B)] + warming[:-1]
+        for k, before, got in zip(word, befores, warming):
+            with patch.object(chebring, "_ROOT_CONTEXTS", {}):
+                cold = before.mutate(k)
+            assert (cold.rows, cold.g) == (got.rows, got.g)
+            m, n = got.m, B.n
+            values = RingValues(m)
+            assert got.rows == coeff_rows(mutate_entries(values.rows(before.rows), k))
+            # g'_k = -g_k + sum_{j != k} [eps b_kj]_+ g_j, in AlgReal arithmetic
+            G = values.rows(before.g)
+            b_k = values.rows(before.rows)[k]
+            eps = -1 if any(row[k] < 0 for row in values.rows(before.rows[n:])) else 1
+            g_k = [-x for x in G[k]]
+            for j in range(n):
+                if j != k and eps * b_k[j] > 0:
+                    g_k = [x + eps * b_k[j] * y for x, y in zip(g_k, G[j])]
+            assert got.g == before.g[:k] + (tuple(map(_encoded, g_k)),) + before.g[k + 1:]
+
+    def test_h4_cube_memos_recompute_exactly(self):
+        # every entry the H4 walk left in the memos, recomputed from its key
+        # with AlgReal arithmetic: the same value, in the same representation
+        with patch.object(chebring, "_ROOT_CONTEXTS", {}):
+            assert TropicalWalker(standard_folding("H4")).verify_cube(depth=4).passed
+            ctx = chebring._context(5)
+            updates, pivots, negations = dict(ctx.updates), dict(ctx.pivots), dict(ctx.negations)
+        assert updates and pivots and negations
+        for (b_ij, b_ik, b), got in updates.items():
+            want = _ring_value(5, b_ij) + _ring_value(5, b_ik) * _ring_value(5, b)
+            assert got == _encoded(want)
+        for x, got in negations.items():
+            assert got == _encoded(-_ring_value(5, x))
+        for (row, k), (pos, neg) in pivots.items():
+            values = [_ring_value(5, b) for b in row]
+            others = [j for j in range(len(row)) if j != k]
+            assert pos == tuple((j, row[j]) for j in others if values[j] > 0)
+            assert neg == tuple((j, _encoded(-values[j])) for j in others if values[j] < 0)
 
 
 class TestGMatrix:
