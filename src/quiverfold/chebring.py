@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 import math
-from operator import attrgetter, mul as _mul
+from operator import attrgetter, index, mul as _mul
 
 # ---------------------------------------------------------------------------
 # immutable values
@@ -547,7 +547,7 @@ class AlgReal(_Frozen):
 
     @staticmethod
     def from_json(obj) -> "AlgReal":
-        return AlgReal(obj["m"], obj["coeffs"])
+        return AlgReal(obj["m"], _json_coeffs(obj))
 
 
 def _reduce_mod(ctx: _RootContext, coeffs):
@@ -629,7 +629,7 @@ class ChebElem(_Frozen):
             raise ValueError("rank parameter n must be >= 2")
         if len(coeffs) != n:
             raise ValueError(f"expected {n} coefficients, got {len(coeffs)}")
-        self._fill(n, tuple(int(c) for c in coeffs))
+        self._fill(n, tuple(map(index, coeffs)))
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -688,7 +688,7 @@ class ChebElem(_Frozen):
 
     @staticmethod
     def from_json(obj) -> "ChebElem":
-        return ChebElem(obj["n"], tuple(obj["coeffs"]))
+        return ChebElem(obj["n"], _json_coeffs(obj))
 
     def __repr__(self):
         terms = []
@@ -696,6 +696,15 @@ class ChebElem(_Frozen):
             if c:
                 terms.append(f"{c}*t{i}" if i else str(c))
         return "ChebElem(0)" if not terms else "ChebElem(" + " + ".join(terms) + ")"
+
+
+def _json_coeffs(obj) -> tuple:
+    """``obj["coeffs"]`` as a tuple; a coefficient that is no int (or a bool) is a ValueError."""
+    coeffs = tuple(obj["coeffs"])
+    for c in coeffs:
+        if type(c) is not int:
+            raise ValueError(f"coefficient {c!r} is not an integer")
+    return coeffs
 
 
 def json_value(x):

@@ -14,7 +14,7 @@ from operator import add, itemgetter, not_
 from types import MappingProxyType
 
 from .chebring import ChebElem, sigma
-from .exchange import RingValues, coeff_rows, entry_field, mutate_coeffs
+from .exchange import RingValues, coeff_rows, mutate_coeffs
 from .repcat import FoldedCategory
 from .unfolding import FoldingSpec
 
@@ -123,11 +123,11 @@ class ClusterCategory:
         gens = list(mc.generators)
         for block in spec.blocks:
             rep = block[0]
-            # projectives of one block form one column, with matching indices
+            # projectives of one block form one column, member a with Chebyshev index a
             alpha = mc.factor[mc.ar.proj_module[rep]][1]
-            for v in block:
+            for pos, v in enumerate(block):
                 j, a = mc.factor[mc.ar.proj_module[v]]
-                if a != alpha or (spec.kappa and j != spec.kappa[v]):
+                if a != alpha or j != pos:
                     raise AssertionError("projective block does not form a column")
             gens.append(self.shift_ident(rep))
         self.generators = tuple(gens)
@@ -270,7 +270,7 @@ class ClusterCategory:
         """
         start = self.initial_tilting()
         rank = len(start)
-        m = entry_field(self.spec.B.entries)
+        m = self.spec.m
         values = RingValues(m)
         nodes = {}
         edges = set()
@@ -375,7 +375,8 @@ class ClusterCategory:
 
         Columns of the integer matrix are indexed by unfolded vertices: the
         column at vertex v is the g-vector of the column member of the
-        summand over F(v) with Chebyshev index kappa(v).  The folded matrix
+        summand over F(v) whose Chebyshev index is v's position in its
+        block.  The folded matrix
         is ``folded_G_matrix``.  Both read the per-object g-vector tables, so
         each g-vector is computed once per category however many tilting
         objects contain it.

@@ -411,11 +411,6 @@ class FoldedCategory:
         return {"vertices": self.generators, "arrows": arrows, "tau": tau}
 
     # -- theorem-level verification ----------------------------------------
-    def weight_one_vertices(self) -> tuple:
-        return tuple(
-            v for v in range(self.spec.S.n) if self.spec.weights[v] == 1
-        )
-
     def verify_folding_theorem(self) -> dict:
         """Projected dimension vectors: root rows, weight swaps, factorization."""
         spec, ar = self.spec, self.ar
@@ -423,7 +418,7 @@ class FoldedCategory:
 
         # (a) rows of weight-1 injectives project onto positive roots
         root_hits = set()
-        for v in self.weight_one_vertices():
+        for v in spec.weight_one_reps:
             ident = ar.inj_module[v]
             orbit = ar.modules[ident].orbit
             for mod in ar.modules:

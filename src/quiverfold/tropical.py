@@ -386,7 +386,7 @@ class TropicalWalker:
             raise ValueError("tropical walks need a Chebyshev folding")
         self.spec = spec
         self.n = spec.n
-        self.m = entry_field(spec.B.entries)
+        self.m = spec.m
         self.mprime = spec.B.n
         self.nverts = spec.S.n
         self.roots = root_system(folded_type_name(spec))

@@ -12,9 +12,11 @@ mutations.  Both word verifiers, ``check_weighted_unfolding`` and
 the one composite mutation ``pair_step``: the lifted rows at each vertex
 of block k, then the folded rows at k.
 
-Blocks are stored with their members sorted so that the k-th member carries
-weight U_k; under that internal ordering every block of S is literally the
-regular-representation matrix of a Chebyshev ring element.
+In a Chebyshev folding (H3, H4, I2(2n+1)) a member's position in its block
+*is* its Chebyshev index, which nothing else records: member a of every
+block carries weight U_a = sigma(theta_a), and the (i, j) block of S, read
+in the members' order, is the regular-representation matrix of the lifted
+entry b_ij (``_lift_blocks``).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ class FoldingSpec(_Frozen):
     """A weighted folding F : unfolded quiver -> folded quiver."""
 
     __slots__ = _compared = (
-        "kind", "S", "B", "blocks", "weights", "labels", "folded_labels", "n", "m", "kappa",
+        "kind", "S", "B", "blocks", "weights", "labels", "folded_labels", "n",
     )
 
     def __init__(
@@ -45,15 +47,18 @@ class FoldingSpec(_Frozen):
         kind: str,
         S: ExchangeMatrix,
         B: ExchangeMatrix,
-        blocks: tuple,            # blocks[j] = unfolded indices of folded vertex j, U_k-ordered
+        blocks: tuple,            # blocks[j] = unfolded indices of folded vertex j, U_a-ordered
         weights: tuple,           # weights[i] for each unfolded vertex (AlgReal or int)
         labels: tuple = (),       # display labels for unfolded vertices
         folded_labels: tuple = (),
         n: int | None = None,     # Chebyshev rank (None for the integer demo)
-        m: int | None = None,     # weights live in Z[2cos(pi/m)]
-        kappa: tuple | None = None,   # kappa[i] = Chebyshev index of vertex i
     ):
-        self._fill(kind, S, B, blocks, weights, labels, folded_labels, n, m, kappa)
+        self._fill(kind, S, B, blocks, weights, labels, folded_labels, n)
+
+    @property
+    def m(self) -> int | None:
+        """B's ring Z[2cos(pi/m)], or None over Z (``entry_field``)."""
+        return entry_field(self.B.entries)
 
     @property
     def weight_one_reps(self) -> tuple:
@@ -369,7 +374,7 @@ def check_weighted_unfolding(
     distinct (column l, column l of S, column F(l) of B) is decided once,
     however many pairs share it.
     """
-    m = entry_field(spec.B.entries)
+    m = spec.m
     values = RingValues(m)
     columns = {}  # conditions_hold's column memo, for this call's blocks and weights
 
@@ -427,73 +432,54 @@ def standard_folding(kind: str, n: int | None = None, opp: bool = False) -> Fold
 def _h_type_folding(rank: int, opp: bool) -> FoldingSpec:
     """D6 -> H3 or E8 -> H4 with linear folded orientation [1] -> ... -> [rank].
 
-    Each folded vertex unfolds to a pair (weight 1, weight phi); S is B's
-    unfolding by regular-representation blocks (``build_unfolded_matrix``),
-    so all blocks along the folded path are identity blocks except the last,
-    which is the regular representation of theta_1.
+    B is the path with weight 1 edges and a phi edge at the end; folded
+    vertex j unfolds to the pair (j, pj) of weights (1, phi).
     """
-    m = 5
-    one = AlgReal(m, (1,))
-    phi = AlgReal.generator(m)
-    zero = AlgReal(m)
-    mprime = rank
-    # folded matrix: path with weight 1 edges and a phi edge at the end
-    Brows = [[zero] * mprime for _ in range(mprime)]
-    for j in range(mprime - 1):
-        w = phi if j == mprime - 2 else one
-        Brows[j][j + 1] = w
-        Brows[j + 1][j] = -w
-    B = ExchangeMatrix(tuple(tuple(r) for r in Brows))
-
-    S = build_unfolded_matrix(B, 2)
-    labels = tuple(
-        x for j in range(mprime) for x in (f"{j + 1}", f"p{j + 1}")
+    one, phi, zero = AlgReal(5, (1,)), AlgReal.generator(5), AlgReal(5)
+    rows = [[zero] * rank for _ in range(rank)]
+    for j in range(rank - 1):
+        w = phi if j == rank - 2 else one
+        rows[j][j + 1], rows[j + 1][j] = w, -w
+    return _chebyshev_folding(
+        f"H{rank}", ExchangeMatrix(rows), 2, opp,
+        blocks=tuple((2 * j, 2 * j + 1) for j in range(rank)),
+        labels=tuple(x for j in range(1, rank + 1) for x in (f"{j}", f"p{j}")),
+        folded_labels=tuple(f"[{j}]" for j in range(1, rank + 1)),
     )
-    spec = FoldingSpec(
-        kind=f"H{rank}",
-        S=-S if opp else S,
-        B=-B if opp else B,
-        blocks=tuple((2 * j, 2 * j + 1) for j in range(mprime)),
-        weights=tuple(w for _ in range(mprime) for w in (one, phi)),
-        labels=labels,
-        folded_labels=tuple(f"[{j + 1}]" for j in range(mprime)),
-        n=2,
-        m=m,
-        kappa=tuple(k for _ in range(mprime) for k in (0, 1)),
-    )
-    return spec
 
 
 def _i_type_folding(n: int, opp: bool) -> FoldingSpec:
-    """Bipartite A_{2n} -> I2(2n+1): even vertices are sources, vw(i) = U_i."""
+    """Bipartite A_{2n} -> I2(2n+1): even vertices are sources, vertex i weighs U_min(i, 2n-1-i).
+
+    The two blocks, the even and the odd vertices, are sorted by that index.
+    """
     m = 2 * n + 1
-    nverts = 2 * n
-    Srows = [[0] * nverts for _ in range(nverts)]
-    for i in range(0, nverts, 2):
-        for j in (i - 1, i + 1):
-            if 0 <= j < nverts:
-                Srows[i][j] = 1
-                Srows[j][i] = -1
-    S = ExchangeMatrix(tuple(tuple(r) for r in Srows))
-    gen = AlgReal.generator(m)
-    zero = AlgReal(m)
-    B = ExchangeMatrix(((zero, gen), (-gen, zero)))
-    # theta-index of vertex i is min(i, 2n-1-i); blocks sorted by it
-    kappa = tuple(min(i, nverts - 1 - i) for i in range(nverts))
-    evens = tuple(sorted(range(0, nverts, 2), key=lambda i: kappa[i]))
-    odds = tuple(sorted(range(1, nverts, 2), key=lambda i: kappa[i]))
-    weights = tuple(AlgReal.chebyshev(m, i) for i in range(nverts))
-    return FoldingSpec(
-        kind=f"I2({m})",
-        S=-S if opp else S,
-        B=-B if opp else B,
-        blocks=(evens, odds),
-        weights=weights,
-        labels=tuple(str(i) for i in range(nverts)),
+    gen, zero = AlgReal.generator(m), AlgReal(m)
+    return _chebyshev_folding(
+        f"I2({m})", ExchangeMatrix(((zero, gen), (-gen, zero))), n, opp,
+        blocks=tuple(
+            tuple(sorted(range(p, 2 * n, 2), key=lambda i: min(i, 2 * n - 1 - i))) for p in (0, 1)
+        ),
+        labels=tuple(map(str, range(2 * n))),
         folded_labels=("[0]", "[1]"),
-        n=n,
-        m=m,
-        kappa=kappa,
+    )
+
+
+def _chebyshev_folding(kind, B, n, opp, blocks, labels, folded_labels) -> FoldingSpec:
+    """The folding of B (or -B) over Z[2cos(pi/(2n+1))] with U-ordered ``blocks``.
+
+    S places the regular representation of each lifted entry at its blocks
+    (``_lift_blocks``), and member a of every block has weight U_a.
+    """
+    if opp:
+        B = -B
+    U = [AlgReal.chebyshev(2 * n + 1, a) for a in range(n)]
+    weights = [None] * (n * B.n)
+    for block in blocks:
+        for v, w in zip(block, U):
+            weights[v] = w
+    return FoldingSpec(
+        kind, _lift_blocks(B, n, blocks), B, blocks, tuple(weights), labels, folded_labels, n
     )
 
 
@@ -526,8 +512,6 @@ def _dihedral_unfolding(m: int, opp: bool) -> FoldingSpec:
         labels=tuple(str(i) for i in range(nverts)),
         folded_labels=("[0]", "[1]"),
         n=None,
-        m=m,
-        kappa=None,
     )
 
 
@@ -565,7 +549,17 @@ def build_unfolded_matrix(B: ExchangeMatrix, n: int) -> ExchangeMatrix:
     """Assemble the integer unfolding of B by regular-representation blocks.
 
     Every entry of B must be 0, +-1 or +-2cos(pi/(2n+1)); the (i, j) block of
-    the result is the n x n matrix of multiplication by the lifted entry.
+    the result, at rows and columns n*i .. n*i + n - 1 and n*j .. n*j + n - 1,
+    is the n x n matrix of multiplication by the lifted entry.
+    """
+    return _lift_blocks(B, n, tuple(tuple(range(j * n, j * n + n)) for j in range(B.n)))
+
+
+def _lift_blocks(B: ExchangeMatrix, n: int, blocks) -> ExchangeMatrix:
+    """The integer unfolding of B with S[blocks[i][a]][blocks[j][b]] = rho(lift(b_ij))[a][b].
+
+    Each entry b_ij must be 0, +-1 or +-2cos(pi/(2n+1)), which lift to 0,
+    +-theta_0 and +-theta_1 in the rank-n Chebyshev ring.
     """
     m = 2 * n + 1
     lifts = {
@@ -575,22 +569,19 @@ def build_unfolded_matrix(B: ExchangeMatrix, n: int) -> ExchangeMatrix:
         AlgReal.generator(m): ChebElem.theta(n, 1),
         -AlgReal.generator(m): -ChebElem.theta(n, 1),
     }
-    mprime = B.n
-    nverts = n * mprime
+    nverts = n * B.n
     rows = [[0] * nverts for _ in range(nverts)]
-    for bi in range(mprime):
-        for bj in range(mprime):
-            entry = B.entries[bi][bj]
+    for block_i, row in zip(blocks, B.entries):
+        for block_j, entry in zip(blocks, row):
             if isinstance(entry, int):
                 entry = AlgReal(m, (entry,))
             lift = lifts.get(entry)
             if lift is None:
                 raise ValueError(f"entry {entry!r} is not liftable to {{0, +-1, +-theta_1}}")
-            block = rho(lift)
-            for a in range(n):
-                for b in range(n):
-                    rows[bi * n + a][bj * n + b] = block[a][b]
-    out = ExchangeMatrix(tuple(tuple(r) for r in rows))
+            for v, rho_row in zip(block_i, rho(lift)):
+                for w, x in zip(block_j, rho_row):
+                    rows[v][w] = x
+    out = ExchangeMatrix(rows)
     if not out.is_skew_symmetric():
         raise ValueError("lifted matrix is not skew-symmetric; B was not skew-symmetric")
     return out

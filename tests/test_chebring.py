@@ -4,6 +4,7 @@ import json
 import math
 import pickle
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -651,6 +652,31 @@ class TestSemiringOrder:
     def test_membership(self):
         assert ChebElem(3, (0, 1, 2)).in_semiring()
         assert not ChebElem(3, (0, -1, 2)).in_semiring()
+
+
+class TestIntegerCoefficients:
+    @pytest.mark.parametrize("bad", [1.5, 1.0, "1", None])
+    def test_chebelem_rejects_a_non_integer(self, bad):
+        # 1.5 used to be truncated, so ChebElem(3, (1.5, 0, 0)) == ChebElem.one(3)
+        with pytest.raises(TypeError):
+            ChebElem(3, (bad, 0, 0))
+
+    def test_chebelem_keeps_integer_like_values(self):
+        assert ChebElem(3, (True, 0, 0)) == ChebElem.one(3)
+        assert all(type(c) is int for c in ChebElem(3, (True, 0, 0)).coeffs)
+
+    @pytest.mark.parametrize("bad", [1.9, "1", True, None, [1]])
+    def test_chebelem_from_json_names_the_coefficient(self, bad):
+        obj = {"n": 3, "coeffs": [0, 0, bad]}
+        with pytest.raises(ValueError, match=f"coefficient {re.escape(repr(bad))} is not an integer"):
+            ChebElem.from_json(obj)
+
+    @pytest.mark.parametrize("bad", [0.5, "1", False, None, [1]])
+    def test_algreal_from_json_names_the_coefficient(self, bad):
+        # 0.5 used to build a value whose sign() and float() raised a TypeError
+        obj = {"m": 5, "coeffs": [bad, 1]}
+        with pytest.raises(ValueError, match=f"coefficient {re.escape(repr(bad))} is not an integer"):
+            AlgReal.from_json(obj)
 
 
 def _width(box):

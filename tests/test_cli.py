@@ -368,6 +368,41 @@ class TestByteIdentity:
                 "tilting graph --kind I2 --n 4",
                 "823b39b1e0be517325267728228bbde8fa4951a241e9a8fc883d5cd0fd953113",
             ),
+            # recorded at e778647, before H3, H4 and I2(2n+1) were built by
+            # one block placement and FoldingSpec stopped storing kappa and m;
+            # the H4 row is above
+            (
+                "unfold build --kind H3",
+                "7f1d2bfecd11f37bbd97e4f340e70eb12dae25e7d73457ae8a2a4bcdc8d40b49",
+            ),
+            (
+                "unfold build --kind I2 --n 2",
+                "388b02b9e366931d785b8a9770f58f24b6779dc0c3d9d540f3b99758180db134",
+            ),
+            (
+                "unfold build --kind I2 --n 3",
+                "d728d2511048e107bcb7e5997c39a6123181c35f0fb7328ab0f3ddfdb197bff9",
+            ),
+            (
+                "unfold build --kind I2 --n 5",
+                "36c2be3b8a116917a6b99015f2f548332de2f26aece334058c4b1366e9bb0db3",
+            ),
+            (
+                "unfold build --kind I2 --n 8",
+                "712db9c4fab3f6413cf609484f997415f9f589f16342734cfe64d8a5449fe444",
+            ),
+            (
+                "unfold build --kind I2m --n 5",
+                "f62d7c496d728b853d54b402f995ae255420feed1b014efbaa4d26f435987529",
+            ),
+            (
+                "unfold build --kind I2m --n 6",
+                "3e2514094899b2b2a570606e1514f7b7a3a93ccc45f2a00b41e2ab0c7e4754e6",
+            ),
+            (
+                "unfold build --kind F4E6",
+                "38d7f23adfd064797abcfd96bfd842133392baa745bc3d93bb13e5c00c8a2f67",
+            ),
         ],
     )
     def test_stdout_unchanged(self, capsys, argv, digest):

@@ -10,7 +10,7 @@ from quiverfold.clustercat import ClusterCategory
 from quiverfold.exchange import ExchangeMatrix, coeff_rows
 from quiverfold.repcat import ARQuiver, hom_ext_tables
 from quiverfold.unfolding import standard_folding
-from spec_oracles import hammock_tables, is_classical_tilting, matrix_d_F
+from spec_oracles import hammock_tables, is_classical_tilting, matrix_d_F, replace_spec
 
 
 def mutate_tilting(cc, summands, k: int, folded):
@@ -89,6 +89,15 @@ class TestStructure:
         cc._vanish[z0] &= ~(1 << z1)
         with pytest.raises(AssertionError, match="generator columns must be self-rigid"):
             cc.compatibility()
+
+    @pytest.mark.parametrize("kind,n", [("I2", 3), ("H3", None)])
+    def test_block_out_of_U_order_is_rejected(self, kind, n):
+        # a member's position in its block is its Chebyshev index: block 0
+        # listed backwards puts the theta_1 projective first
+        spec = standard_folding(kind, n)
+        blocks = (spec.blocks[0][::-1],) + spec.blocks[1:]
+        with pytest.raises(AssertionError, match="projective block does not form a column"):
+            ClusterCategory(replace_spec(spec, blocks=blocks))
 
     def test_ext_symmetric_vanishing(self, h3):
         for x in range(h3.size):

@@ -285,7 +285,7 @@ class TestSemiringAction:
 
     def test_golden_square_h3(self, h3cat):
         # phi . (phi I(1)) = I(1) + phi I(1) for the weight-1 injective row
-        v = h3cat.weight_one_vertices()[0]
+        v = h3cat.spec.weight_one_reps[0]
         gen = h3cat.ar.inj_module[v]
         assert h3cat.theta_index(gen) == 0
         phi_member = h3cat.column_of(gen)[1]

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from quiverfold.chebring import AlgReal
@@ -146,6 +148,63 @@ class TestStandardFoldings:
         assert spec.blocks == ((0,), (1,), (2, 3), (4, 5))
         assert spec.S.is_skew_symmetric()
         assert not spec.B.is_skew_symmetric()
+
+
+def arrows(S):
+    """The arrows i -> j of an integer exchange matrix, one per entry S[i][j] = 1."""
+    assert all(x in (-1, 0, 1) for row in S.entries for x in row)
+    return {(i, j) for i, row in enumerate(S.entries) for j, x in enumerate(row) if x == 1}
+
+
+# Arrows of the unfolded quivers, worked by hand from B: rho(theta_0) is the
+# identity and rho(theta_1) = ((0, 1), (1, 1)) at n = 2, so the edge
+# [j] -> [j+1] of weight 1 gives j -> j+1 and pj -> pj+1, and the last edge,
+# of weight phi, gives j -> p(j+1), pj -> j+1 and pj -> p(j+1).  Vertex
+# indices follow the labels 1, p1, 2, p2, ...
+D6 = {(0, 2), (1, 3), (2, 5), (3, 4), (3, 5)}
+E8 = {(0, 2), (1, 3), (2, 4), (3, 5), (4, 7), (5, 6), (5, 7)}
+
+
+def dynkin_arms(arrow_set, nverts):
+    """The arm lengths at the one branch vertex of a tree with one vertex of degree 3."""
+    nbrs = {v: set() for v in range(nverts)}
+    for i, j in arrow_set:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    (branch,) = [v for v in nbrs if len(nbrs[v]) == 3]
+    arms = []
+    for start in nbrs[branch]:
+        prev, cur, length = branch, start, 1
+        while len(nbrs[cur]) == 2:
+            prev, cur = cur, next(iter(nbrs[cur] - {prev}))
+            length += 1
+        arms.append(length)
+    return sorted(arms)
+
+
+class TestFoldingOracles:
+    @pytest.mark.parametrize("opp", [False, True])
+    @pytest.mark.parametrize("kind,expected,arms", [("H3", D6, [1, 1, 3]), ("H4", E8, [1, 2, 4])])
+    def test_h_type_arrows(self, kind, expected, arms, opp):
+        spec = standard_folding(kind, opp=opp)
+        assert dynkin_arms(expected, spec.S.n) == arms
+        assert arrows(spec.S) == ({(j, i) for i, j in expected} if opp else expected)
+
+    @pytest.mark.parametrize("opp", [False, True])
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_i_type_is_the_bipartite_path(self, n, opp):
+        # A_2n with the even vertices as sources; weight U_min(i, 2n-1-i) at vertex i
+        spec = standard_folding("I2", n, opp=opp)
+        m = 2 * n + 1
+        path = {(i, j) for i in range(0, 2 * n, 2) for j in (i - 1, i + 1) if 0 <= j < 2 * n}
+        assert arrows(spec.S) == ({(j, i) for i, j in path} if opp else path)
+        for i, w in enumerate(spec.weights):
+            k = min(i, 2 * n - 1 - i)
+            assert type(w) is AlgReal and w == AlgReal.chebyshev(m, k)
+            assert float(w) == pytest.approx(math.sin((k + 1) * math.pi / m) / math.sin(math.pi / m))
+        # each block lists its members in U-order
+        for block in spec.blocks:
+            assert [min(i, 2 * n - 1 - i) for i in block] == list(range(n))
 
 
 class TestBuildUnfoldedMatrix:

@@ -43,10 +43,7 @@ VALUES = {
     "GMatrix": (lambda: g_matrix(_seed((0, 1, 2))), ("entries", "word"), g_matrix(_seed((0, 1)))),
     "FoldingSpec": (
         lambda: standard_folding("H4"),
-        (
-            "kind", "S", "B", "blocks", "weights", "labels", "folded_labels", "n", "m",
-            "kappa",
-        ),
+        ("kind", "S", "B", "blocks", "weights", "labels", "folded_labels", "n"),
         standard_folding("H4", opp=True),
     ),
     "RootSet": (
