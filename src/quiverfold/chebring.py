@@ -430,7 +430,8 @@ class AlgReal(_Frozen):
 
     def __init__(self, m: int, coeffs=()):
         ctx = _context(m)
-        coeffs = tuple(coeffs)
+        # a float or a string is a TypeError, as in ChebElem
+        coeffs = tuple(map(index, coeffs))
         if len(coeffs) > ctx.deg:
             coeffs = _reduce_mod(ctx, coeffs)
         # set directly rather than by _fill: AlgReal values are made in inner loops

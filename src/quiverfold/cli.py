@@ -341,7 +341,8 @@ def G_projection_verdicts(cc: ClusterCategory, summands) -> tuple:
     column j of the folded G is summand j's folded g-vector.  Neither
     depends on j, so an object's G projects exactly when each summand's
     columns do, and each summand is decided once.  Every column member's
-    g-vector is computed, as ``tilting_G_matrices`` computes it.
+    g-vector is computed, as ``tilting_G_matrices`` computes it; each is
+    read off the Euler form (``ClusterCategory.g_vector``).
     """
     lifted = [[cc.g_vector(x) for x in cc.iso_sets[g]][0] for g in summands]
     projected = matrix_d_F(cc.spec, tuple(zip(*lifted)), None, range(len(lifted)))

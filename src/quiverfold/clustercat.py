@@ -20,11 +20,21 @@ from .unfolding import FoldingSpec
 
 
 _BINARY = bytes.maketrans(b"\x00\x01", b"01")
+# byte 0 to "1", every other byte to "0"
+_ZERO_BIT = bytes.maketrans(bytes(range(256)), b"1" + b"0" * 255)
 
 
 def _zero_mask(row) -> int:
-    """The int with bit y set exactly when ``row[y]`` is 0."""
-    return int(bytes(map(not_, row)).translate(_BINARY)[::-1], 2)
+    """The int with bit y set exactly when ``row[y]`` is 0.
+
+    A row of ints in 0..255 is read as bytes in one call; any other row
+    goes through ``not_`` entry by entry.
+    """
+    try:
+        bits = bytes(row).translate(_ZERO_BIT)
+    except ValueError:
+        bits = bytes(map(not_, row)).translate(_BINARY)
+    return int(bits[::-1], 2)
 
 
 class ClusterCategory:
@@ -311,44 +321,26 @@ class ClusterCategory:
 
     # -- g-vectors -------------------------------------------------------------------
     def g_vector(self, x: int) -> tuple:
-        """Integer g-vector over the unfolded vertices (computed once per object)."""
+        """Integer g-vector over the unfolded vertices (computed once per object).
+
+        P_v[1] has g = -e_v.  A module M with minimal projective
+        presentation P1 -> P0 -> M -> 0 has g = [P0] - [P1].  The path
+        algebra is hereditary, so dim M = C g, where C[w][v] counts the paths
+        v -> w, and C^-1 = I - A, where A[w][v] counts the arrows v -> w
+        (the Euler form): g_w = dim_w minus the sum of dim_i over the arrows
+        i -> w.
+        """
         g = self._g.get(x)
         if g is None:
             if self.is_shift(x):
                 v = x - self.nmod
                 g = tuple(-1 if w == v else 0 for w in range(self.nverts))
             else:
-                a, b = self._presentation(x)
-                g = tuple(ai - bi for ai, bi in zip(a, b))
+                ar = self.mc.ar
+                dim = ar.modules[x].dim
+                g = tuple(d - sum(map(dim.__getitem__, into)) for d, into in zip(dim, ar.in_adj))
             self._g[x] = g
         return g
-
-    def _presentation(self, module: int):
-        """Multiplicities (P0, P1) of the minimal projective presentation."""
-        ar = self.mc.ar
-        tops = tuple(ar.hom(module, ar.simple_module[v]) for v in range(self.nverts))
-        target = [0] * self.nverts
-        for v, mult in enumerate(tops):
-            if mult:
-                for t, c in enumerate(ar.proj_dims[v]):
-                    target[t] += mult * c
-        for t, c in enumerate(ar.modules[module].dim):
-            target[t] -= c
-        b = [0] * self.nverts
-        for v in ar._topo:
-            need = target[v] - sum(
-                b[w] * ar.proj_dims[w][v] for w in range(self.nverts) if w != v
-            )
-            if need < 0 or target[v] < 0:
-                raise AssertionError("projective presentation solve failed")
-            b[v] = need
-        check = [0] * self.nverts
-        for v, mult in enumerate(b):
-            for t, c in enumerate(ar.proj_dims[v]):
-                check[t] += mult * c
-        if check != target:
-            raise AssertionError("projective presentation solve failed")
-        return tops, tuple(b)
 
     def g_vector_folded(self, x: int) -> tuple:
         """Folded g-vector via the grouped Chebyshev presentation.

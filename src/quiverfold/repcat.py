@@ -311,11 +311,11 @@ class FoldedCategory:
         coefficient s of a theta_j multiple's entry is an integer dot product
         with row s of ``mul_matrix(theta_j)``.  A module's key is
         ``spec.coeff_d_F`` of its dimension vector, decoded into ``dimproj``
-        by one ``RingValues``.
+        by one ``RingValues``; the keys stay as ``dimkeys``.
         """
         spec, ar, m = self.spec, self.ar, self.m
         ctx = _context(m)
-        keys = [spec.coeff_d_F(mod.dim) for mod in ar.modules]
+        keys = self.dimkeys = tuple(spec.coeff_d_F(mod.dim) for mod in ar.modules)
         self.dimproj = RingValues(m).rows(keys)
         scales = [ctx.mul_matrix(AlgReal.chebyshev(m, j).coeffs) for j in range(1, self.n)]
         roots = {}  # coefficient key -> the positive root
@@ -412,7 +412,13 @@ class FoldedCategory:
 
     # -- theorem-level verification ----------------------------------------
     def verify_folding_theorem(self) -> dict:
-        """Projected dimension vectors: root rows, weight swaps, factorization."""
+        """Projected dimension vectors: root rows, weight swaps, factorization.
+
+        The weight-swap identity U_b x = U_a y is decided on the reduced
+        coefficient tuples ``dimkeys``: coefficient s of w x is row s of
+        w's multiplication matrix (``mul_matrix``) dotted with x, and each
+        distinct (weight, entry) product is formed once per call.
+        """
         spec, ar = self.spec, self.ar
         report = {"passed": True, "problems": []}
 
@@ -437,6 +443,15 @@ class FoldedCategory:
             report["problems"].append(("roots-not-exhausted",))
 
         # (b) the weight-swap identity along all translate powers
+        rows_of = _context(self.m).mul_matrix
+        products = {}  # (weight, entry) -> their product
+
+        def times(w, x):
+            p = products.get((w, x))
+            if p is None:
+                p = products[w, x] = _poly_trim([sum(map(mul, row, x)) for row in rows_of(w)])
+            return p
+
         for block in spec.blocks:
             for a in block:
                 for b in block:
@@ -450,13 +465,11 @@ class FoldedCategory:
                         report["passed"] = False
                         report["problems"].append(("row-length-mismatch", a, b))
                         continue
+                    wa, wb = spec.weights[a].coeffs, spec.weights[b].coeffs
                     for power in range(la + 1):
-                        ia = ar.grid[(oa, la - power)]
-                        ib = ar.grid[(ob, lb - power)]
-                        va = self.dimproj[ia]
-                        vb = self.dimproj[ib]
-                        wa, wb = spec.weights[a], spec.weights[b]
-                        if any(wb * x != wa * y for x, y in zip(va, vb)):
+                        va = self.dimkeys[ar.grid[(oa, la - power)]]
+                        vb = self.dimkeys[ar.grid[(ob, lb - power)]]
+                        if any(times(wb, x) != times(wa, y) for x, y in zip(va, vb)):
                             report["passed"] = False
                             report["problems"].append(("weight-swap", a, b, power))
 

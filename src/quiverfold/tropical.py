@@ -63,7 +63,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import combinations
-from operator import itemgetter
+from operator import add, itemgetter, mul as _mul
 
 from .chebring import (
     ChebElem, _cheb_mul_coeffs, _coeff_sign, _context, _Frozen, _poly_mul, _poly_trim,
@@ -379,7 +379,12 @@ def check_set(checks) -> frozenset:
 
 
 class TropicalWalker:
-    """Drives a folded seed and its composite-mutation lift from one word."""
+    """Drives a folded seed and its composite-mutation lift from one word.
+
+    ``basis_commutes`` is the commutation certificate that the blocks check
+    reads (``_basis_recurrence_holds``); when it fails, blocks are
+    multiplied pairwise (``_commute``).
+    """
 
     def __init__(self, spec: FoldingSpec, checks=CHECKS):
         if spec.n is None:
@@ -394,9 +399,7 @@ class TropicalWalker:
         self.identity = tuple(
             tuple((1,) if i == j else () for j in range(self.mprime)) for i in range(self.mprime)
         )
-        # the commutation certificate: rho's basis images commute pairwise
-        basis = [rho(ChebElem.theta(self.n, a)) for a in range(self.n)]
-        self.basis_commutes = all(_commute(x, y) for x, y in combinations(basis, 2))
+        self.basis_commutes = _basis_recurrence_holds(self.n)
         # the lifted C-part's rows and columns of each block, for ``c_block``
         self._block_rows = tuple(itemgetter(*(self.nverts + v for v in b)) for b in spec.blocks)
         self._block_cols = tuple(itemgetter(*b) for b in spec.blocks)
@@ -651,15 +654,32 @@ def _failure(word, detail):
     return (word,) + detail
 
 
+def _basis_recurrence_holds(n: int) -> bool:
+    """The commutation certificate: whether rho's basis images are polynomials in rho(theta_1).
+
+    It holds when rho(theta_0) = I and rho(theta_{a+1}) = rho(theta_1)
+    rho(theta_a) - rho(theta_{a-1}) for 1 <= a <= n-2, the product rule
+    theta_1 theta_a = theta_{a-1} + theta_{a+1}.  Then every rho(theta_a)
+    is an integer polynomial in rho(theta_1), so the images commute
+    pairwise; n-2 integer products decide it.
+    """
+    basis = [rho(ChebElem.theta(n, a)) for a in range(n)]
+    if basis[0] != tuple(tuple(int(i == j) for j in range(n)) for i in range(n)):
+        return False
+    for a in range(1, n - 1):
+        expected = tuple(tuple(map(add, lo, hi)) for lo, hi in zip(basis[a - 1], basis[a + 1]))
+        if _mat_mul_int(basis[1], basis[a]) != expected:
+            return False
+    return True
+
+
 def _commute(a, b) -> bool:
     return _mat_mul_int(a, b) == _mat_mul_int(b, a)
 
 
 def _mat_mul_int(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(_mul, row, col)) for col in cols) for row in a)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,10 @@ The categorical ones come last: positive roots of a simply-laced diagram
 by integer reflection closure, the Chebyshev factorization of projected
 dimension vectors by ``AlgReal`` products, the hammock recursion run from
 every module (the library runs it from the projectives only and fills the
-other rows by the translate), the Euler form, and classical cluster
-tilting decided entry by entry from ``ext``.
+other rows by the translate), the minimal projective presentation of a
+module solved vertex by vertex (the library reads g-vectors off the Euler
+form), the Euler form, and classical cluster tilting decided entry by
+entry from ``ext``.
 """
 
 from fractions import Fraction
@@ -285,6 +287,40 @@ def hammock_tables(ar):
         for a in range(len(hom))
     )
     return hom, ext
+
+
+def presentation(cc, module):
+    """Multiplicities (P0, P1) of the minimal projective presentation of a module of a ``ClusterCategory``.
+
+    P0 is the projective cover: the multiplicity of P_v is dim Hom(M, S_v).
+    P1 is solved vertex by vertex in topological order from dim P0 - dim M
+    = dim P1, and every multiplicity must come out nonnegative.  The
+    library computed g-vectors as P0 - P1 this way before it read them off
+    the Euler form.
+    """
+    ar = cc.mc.ar
+    nverts = cc.nverts
+    tops = tuple(ar.hom(module, ar.simple_module[v]) for v in range(nverts))
+    target = [0] * nverts
+    for v, mult in enumerate(tops):
+        if mult:
+            for t, c in enumerate(ar.proj_dims[v]):
+                target[t] += mult * c
+    for t, c in enumerate(ar.modules[module].dim):
+        target[t] -= c
+    b = [0] * nverts
+    for v in ar._topo:
+        need = target[v] - sum(b[w] * ar.proj_dims[w][v] for w in range(nverts) if w != v)
+        if need < 0 or target[v] < 0:
+            raise AssertionError("projective presentation solve failed")
+        b[v] = need
+    check = [0] * nverts
+    for v, mult in enumerate(b):
+        for t, c in enumerate(ar.proj_dims[v]):
+            check[t] += mult * c
+    if check != target:
+        raise AssertionError("projective presentation solve failed")
+    return tops, tuple(b)
 
 
 def euler_form(ar, d, e) -> int:

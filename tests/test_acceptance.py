@@ -6,11 +6,14 @@ shared through module-scoped fixtures so the suite stays inside its time
 budget; run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
+import contextlib
+import io
 import math
 import time
 
 import pytest
 
+from quiverfold import cli
 from quiverfold.chebring import AlgReal, ChebElem, cheb_mul, reg_rep, rho, sigma
 from quiverfold.clustercat import ClusterCategory
 from quiverfold.repcat import FoldedCategory, hom_ext_tables
@@ -244,3 +247,27 @@ def test_criterion_11_g_matrix_projection(clusters, tiltings):
     tilt_set = {canonical(cc.tilting_G_matrices(t)[1]) for t in tiltings["I2(7)"]}
     assert walk_set == tilt_set
     _report(11, "g-matrix-projection", f"{time.time() - start:.1f}s")
+
+
+VERIFY_ALL_CHECKS = [
+    "weighted-unfolding-conditions", "projected-dimension-theorem", "root-of-unity-projection",
+    "tropical-cube-and-blocks", "tilting-enumeration", "two-complements",
+    "tilting-G-matrix-projection",
+]
+
+
+def test_criterion_12_every_i2_up_to_n16():
+    # I2(m) for m = 2n+1 has m positive roots and m + 2 clusters
+    start = time.time()
+    for n in range(2, 17):
+        m = 2 * n + 1
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["verify", "all", "--kind", "I2", "--n", str(n)])
+        lines = out.getvalue().splitlines()
+        assert code == 0, (n, lines)
+        assert [line.split()[1] for line in lines] == VERIFY_ALL_CHECKS, (n, lines)
+        assert all(line.startswith("PASS ") for line in lines), (n, lines)
+        assert f"PASS projected-dimension-theorem roots={m}/{m}" in lines, (n, lines)
+        assert f"PASS tilting-enumeration count={m + 2}" in lines, (n, lines)
+    _report(12, "verify-all-I2(2n+1)", f"n=2..16 {time.time() - start:.1f}s")

@@ -665,6 +665,19 @@ class TestIntegerCoefficients:
         assert ChebElem(3, (True, 0, 0)) == ChebElem.one(3)
         assert all(type(c) is int for c in ChebElem(3, (True, 0, 0)).coeffs)
 
+    @pytest.mark.parametrize("bad", [0.5, 1.0, "1", None])
+    def test_algreal_rejects_a_non_integer(self, bad):
+        # AlgReal(5, (0.5, 1)) used to build, pass as an exchange matrix
+        # entry, and make sign() raise an unrelated TypeError
+        with pytest.raises(TypeError):
+            AlgReal(5, (bad, 1))
+        with pytest.raises(TypeError):
+            AlgReal(5, (0, 0, 0, bad))  # longer than the degree: reduced after coercion
+
+    def test_algreal_keeps_integer_like_values(self):
+        assert AlgReal(5, (True, 1)) == AlgReal(5, (1, 1))
+        assert all(type(c) is int for c in AlgReal(5, (True, 1)).coeffs)
+
     @pytest.mark.parametrize("bad", [1.9, "1", True, None, [1]])
     def test_chebelem_from_json_names_the_coefficient(self, bad):
         obj = {"n": 3, "coeffs": [0, 0, bad]}

@@ -10,7 +10,7 @@ from quiverfold.clustercat import ClusterCategory
 from quiverfold.exchange import ExchangeMatrix, coeff_rows
 from quiverfold.repcat import ARQuiver, hom_ext_tables
 from quiverfold.unfolding import standard_folding
-from spec_oracles import hammock_tables, is_classical_tilting, matrix_d_F, replace_spec
+from spec_oracles import hammock_tables, is_classical_tilting, matrix_d_F, presentation, replace_spec
 
 
 def mutate_tilting(cc, summands, k: int, folded):
@@ -33,6 +33,14 @@ def h3():
 @pytest.fixture(scope="module")
 def i5():
     return ClusterCategory(standard_folding("I2", 2))
+
+
+@pytest.mark.parametrize(
+    "row", [(0, 1, 255, 0), (3, 0, 0, 2, 0), (0, 256, 0, 1), (0, -1, 7, 0), (True, False, 0, 2)]
+)
+def test_zero_mask_sets_the_bits_of_the_zeros(row):
+    # bytes in 0..255 in one translate, any other row entry by entry
+    assert clustercat._zero_mask(row) == sum(1 << y for y, c in enumerate(row) if c == 0)
 
 
 class TestStructure:
@@ -271,7 +279,7 @@ def oracle_g_vector(cc, x):
     if cc.is_shift(x):
         v = x - cc.nmod
         return tuple(-1 if w == v else 0 for w in range(cc.nverts))
-    a, b = cc._presentation(x)
+    a, b = presentation(cc, x)
     return tuple(ai - bi for ai, bi in zip(a, b))
 
 
@@ -282,7 +290,7 @@ def oracle_g_vector_folded(cc, x):
         a = (0,) * cc.nverts
         b = tuple(1 if w == v else 0 for w in range(cc.nverts))
     else:
-        a, b = cc._presentation(x)
+        a, b = presentation(cc, x)
     out = []
     for block in cc.spec.blocks:
         r = ChebElem.zero(n)
@@ -381,18 +389,38 @@ class TestAgainstOracle:
             adj[g].add(g)
 
 
+@pytest.mark.parametrize("opp", [False, True], ids=["std", "opp"])
+@pytest.mark.parametrize(
+    "kind", [("H3", None), ("H4", None)] + [("I2", n) for n in range(2, 9)],
+    ids=lambda k: f"{k[0]}{k[1] or ''}",
+)
+def test_g_vectors_match_presentations(kind, opp):
+    # the Euler-form closed form against the presentation solve, every module
+    cc = ClusterCategory(standard_folding(*kind, opp=opp))
+    for x in range(cc.nmod):
+        a, b = presentation(cc, x)
+        assert cc.g_vector(x) == tuple(ai - bi for ai, bi in zip(a, b))
+
+
+class _CountedSets(dict):
+    """A g-vector table that counts how often each object's entry is set."""
+
+    def __init__(self):
+        super().__init__()
+        self.sets = Counter()
+
+    def __setitem__(self, x, g):
+        self.sets[x] += 1
+        super().__setitem__(x, g)
+
+
 @pytest.mark.parametrize("kind", EQUIVALENCE_KINDS, ids=lambda k: f"{k[0]}{k[1] or ''}")
-def test_presentation_once_per_module(monkeypatch, kind):
-    calls = Counter()
-    solve = ClusterCategory._presentation
-
-    def counted(self, module):
-        calls[module] += 1
-        return solve(self, module)
-
-    monkeypatch.setattr(ClusterCategory, "_presentation", counted)
+def test_presentation_once_per_module(kind):
+    # each object's g-vector, and folded g-vector, is computed once, on
+    # first use: the tables are empty after __init__ and each entry is set once
     cc = ClusterCategory(standard_folding(*kind))
-    assert not calls, "the g-vector tables must fill lazily, not in __init__"
+    assert not cc._g and not cc._g_folded, "the g-vector tables must fill lazily, not in __init__"
+    cc._g, cc._g_folded = _CountedSets(), _CountedSets()
     tilts = cc.enumerate_tilting()
     for _ in range(2):
         for t in tilts:
@@ -400,7 +428,7 @@ def test_presentation_once_per_module(monkeypatch, kind):
         for x in cc.indecomposables():
             cc.g_vector(x)
             cc.g_vector_folded(x)
-    assert calls == Counter(range(cc.nmod))
+    assert cc._g.sets == cc._g_folded.sets == Counter(range(cc.size))
 
 
 # -- oracles: the table fill and exchange graph from before the tables were

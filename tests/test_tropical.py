@@ -663,9 +663,22 @@ class TestCubeBlocksOracle:
 
 
 class TestCommutationCertificate:
-    @pytest.mark.parametrize("kind,n", [("I2", 2), ("I2", 3), ("I2", 4), ("H3", None), ("H4", None)])
+    @pytest.mark.parametrize(
+        "kind,n", [("I2", 2), ("I2", 3), ("I2", 4), ("I2", 12), ("H3", None), ("H4", None)]
+    )
     def test_holds_for_the_standard_foldings(self, kind, n):
         assert TropicalWalker(standard_folding(kind, n)).basis_commutes
+
+    @pytest.mark.parametrize("n,a", [(2, 0)] + [(5, a) for a in range(5)])
+    def test_any_broken_basis_image_fails(self, monkeypatch, n, a):
+        # the recurrence pins every basis image, rho(theta_0) = I included;
+        # at n = 2 there is no recurrence step, only rho(theta_0) = I
+        spec = standard_folding("I2", n)
+        real = reg_rep
+        image = real(a, n)
+        planted = ((image[0][0] + 1,) + image[0][1:],) + image[1:]
+        monkeypatch.setattr(chebring, "reg_rep", lambda k, r: planted if (k, r) == (a, n) else real(k, r))
+        assert not TropicalWalker(spec).basis_commutes
 
     def test_non_commuting_basis_images(self, monkeypatch):
         # theta_1's image with one more 1: it keeps column 0 = e_1, so
