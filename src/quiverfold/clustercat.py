@@ -10,7 +10,7 @@ objects built from generator columns, and the two kinds of g-vectors.
 
 from __future__ import annotations
 
-from operator import add, itemgetter, not_
+from operator import add, itemgetter
 from types import MappingProxyType
 
 from .chebring import ChebElem, sigma
@@ -19,22 +19,13 @@ from .repcat import FoldedCategory
 from .unfolding import FoldingSpec
 
 
-_BINARY = bytes.maketrans(b"\x00\x01", b"01")
 # byte 0 to "1", every other byte to "0"
 _ZERO_BIT = bytes.maketrans(bytes(range(256)), b"1" + b"0" * 255)
 
 
 def _zero_mask(row) -> int:
-    """The int with bit y set exactly when ``row[y]`` is 0.
-
-    A row of ints in 0..255 is read as bytes in one call; any other row
-    goes through ``not_`` entry by entry.
-    """
-    try:
-        bits = bytes(row).translate(_ZERO_BIT)
-    except ValueError:
-        bits = bytes(map(not_, row)).translate(_BINARY)
-    return int(bits[::-1], 2)
+    """The int with bit y set exactly when ``row[y]`` is 0; the entries must lie in 0..255."""
+    return int(bytes(row).translate(_ZERO_BIT)[::-1], 2)
 
 
 class ClusterCategory:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quiverfold.chebring import AlgReal, ChebElem, cheb_mul, sigma
-from quiverfold.exchange import RingValues
 from quiverfold.repcat import ARQuiver, FoldedCategory, hom_ext_tables, quiver_arrows_from_matrix
 from quiverfold.unfolding import FoldingSpec, standard_folding
 from spec_oracles import (
@@ -280,75 +279,86 @@ class TestProjections:
                 assert tuple(phi * c for c in v1) == v2
 
 
-def weight_swap_problems(cat):
-    """The weight-swap records of ``verify_folding_theorem`` by ``AlgReal`` products on ``dimproj``.
+def weight_swap_failures(cat):
+    """Every failing pair of the weight-swap identity, by ``AlgReal`` products on ``dimproj``.
 
-    The loop the library ran before it multiplied coefficient tuples: for
-    each pair a < b of one block and each translate power, U_b x = U_a y
-    entrywise, with ``spec.weights`` as the U.
+    For each pair a < b of one block and each translate power, U_b x_a =
+    U_a x_b entrywise, with ``spec.weights`` as the U.  A failure is
+    (frozenset((a, b)), power); a row-length mismatch has power None.
     """
     spec, ar = cat.spec, cat.ar
-    out = []
+    out = set()
     for block in spec.blocks:
-        for a, b in itertools.product(block, block):
-            if a >= b:
-                continue
+        for a, b in itertools.combinations(block, 2):
             ia, ib = ar.modules[ar.inj_module[a]], ar.modules[ar.inj_module[b]]
             if ia.slice != ib.slice:
-                out.append(("row-length-mismatch", a, b))
+                out.add((frozenset((a, b)), None))
                 continue
             wa, wb = spec.weights[a], spec.weights[b]
             for power in range(ia.slice + 1):
                 va = cat.dimproj[ar.grid[(ia.orbit, ia.slice - power)]]
                 vb = cat.dimproj[ar.grid[(ib.orbit, ib.slice - power)]]
                 if any(wb * x != wa * y for x, y in zip(va, vb)):
-                    out.append(("weight-swap", a, b, power))
+                    out.add((frozenset((a, b)), power))
     return out
+
+
+def assert_swap_report_matches(cat, report):
+    """The report names exactly the failing pairs that contain their block's first member."""
+    failures = weight_swap_failures(cat)
+    assert report["passed"] == (not failures)
+    named = set()
+    for p in report["problems"]:
+        if p[0] in ("weight-swap", "row-length-mismatch"):
+            a, b = p[1:3]
+            assert any(block[0] == a and b in block[1:] for block in cat.spec.blocks), p
+            named.add((frozenset((a, b)), p[3] if p[0] == "weight-swap" else None))
+    firsts = {block[0] for block in cat.spec.blocks}
+    assert named == {f for f in failures if f[0] & firsts}
 
 
 class TestWeightSwap:
     @pytest.mark.parametrize("kind,n", [("I2", 2), ("I2", 3), ("I2", 6), ("H3", None), ("H4", None)])
     def test_matches_algreal_products(self, kind, n):
         cat = FoldedCategory(standard_folding(kind, n))
-        assert weight_swap_problems(cat) == []
-        assert cat.verify_folding_theorem()["problems"] == []
+        report = cat.verify_folding_theorem()
+        assert report["problems"] == []
+        assert_swap_report_matches(cat, report)
 
+    @pytest.mark.parametrize("where", [0, -1], ids=["first", "last"])
     @pytest.mark.parametrize("kind,n", [("I2", 3), ("I2", 6), ("H3", None)])
-    def test_planted_weight_breaks_its_rows(self, kind, n):
+    def test_planted_weight_breaks_its_rows(self, kind, n, where):
         # the projections were made with the true weights; one planted
-        # weight then breaks the identity for every pair its vertex is in
+        # weight then breaks the identity for every pair its vertex is in,
+        # and the report names those pairs that contain the block's first member
         cat = FoldedCategory(standard_folding(kind, n))
         block = cat.spec.blocks[0]
-        bad = block[-1]
+        bad = block[where]
         weights = list(cat.spec.weights)
         weights[bad] = weights[bad] + 1
         cat.spec = replace_spec(cat.spec, weights=tuple(weights))
         report = cat.verify_folding_theorem()
         problems = [p for p in report["problems"] if p[0] == "weight-swap"]
         assert not report["passed"]
-        assert problems and all(bad in p[1:3] for p in problems)
-        assert {p[1] for p in problems} | {p[2] for p in problems} == set(block)
-        assert report["problems"] == weight_swap_problems(cat)
-
+        assert {p[2] for p in problems} == (set(block[1:]) if bad == block[0] else {bad})
+        assert all(p[1] == block[0] for p in problems)
+        assert_swap_report_matches(cat, report)
 
     def test_equal_rows_break_the_identity(self):
         # row b planted equal to row a, not U_b / U_a times it: every power
-        # with a nonzero entry is a problem, so a product is never reused
-        # for another weight
+        # has a nonzero entry, so every power is a problem
         cat = FoldedCategory(standard_folding("I2", 3))
         ar = cat.ar
         a, b = cat.spec.blocks[0][:2]
-        keys = list(cat.dimkeys)
+        dimproj = list(cat.dimproj)
         ia, ib = ar.modules[ar.inj_module[a]], ar.modules[ar.inj_module[b]]
         for power in range(ia.slice + 1):
-            keys[ar.grid[(ib.orbit, ib.slice - power)]] = keys[ar.grid[(ia.orbit, ia.slice - power)]]
-        cat.dimkeys = tuple(keys)
-        cat.dimproj = RingValues(cat.m).rows(keys)
-        problems = cat.verify_folding_theorem()["problems"]
-        assert problems == weight_swap_problems(cat)
-        pair = tuple(sorted((a, b)))
-        assert [p for p in problems if p[1:3] == pair] == [
-            ("weight-swap", *pair, power) for power in range(ia.slice + 1)
+            dimproj[ar.grid[(ib.orbit, ib.slice - power)]] = dimproj[ar.grid[(ia.orbit, ia.slice - power)]]
+        cat.dimproj = dimproj
+        report = cat.verify_folding_theorem()
+        assert_swap_report_matches(cat, report)
+        assert [p for p in report["problems"] if p[1:3] == (a, b)] == [
+            ("weight-swap", a, b, power) for power in range(ia.slice + 1)
         ]
 
 
