@@ -19,9 +19,9 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from .chebring import AlgReal, ChebElem, cheb_mul, minimal_poly, reg_rep, sigma
-from .clustercat import ClusterCategory
+from .clustercat import ClusterCategory, coxeter_catalan
 from .exchange import ExchangeMatrix, coeff_rows
-from .repcat import FoldedCategory, hom_ext_tables
+from .repcat import FoldedCategory, folded_type_name, hom_ext_tables
 from .rootsys import e_F_float
 from .tropical import (
     CHECKS, TropicalWalker, check_set, enumerate_seeds, g_matrix, matrix_d_F,
@@ -36,20 +36,41 @@ def _ring_json(x):
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
+# The leaf types of a scalar container; a container whose members are all of
+# these types is written by the C encoder in one call.
+_SCALARS = frozenset((int, str, float, bool, type(None)))
+
+
 def _json(data) -> str:
     """``json.dumps(data, sort_keys=True, indent=2)``, with ring values as ``to_json()``.
 
     CPython's C encoder does not indent, so ``json.dumps`` writes indented
     output in pure Python, one node at a time.  This writer produces the
-    same bytes faster: ints, strs, lists and tuples, and dicts with str keys
-    are written here (a list of only ints in one join); every other node
-    (floats, bools, None, a dict with a non-str key) goes to ``json.dumps``,
-    so json's own rules still decide it.  An ``AlgReal`` or ``ChebElem`` is
-    written as its ``to_json()``, once per representation and indent: the
-    memo key is (type, m or n, coeffs, indent), not the value, because
-    ``AlgReal(m, (1,)) == 1`` but is written as a dict.
+    same bytes faster.  A scalar container (a list or tuple of only ints,
+    strs, floats, bools and None, or a dict with str keys and such values)
+    is written by one ``json.JSONEncoder.encode`` call, which runs the C
+    encoder: with the item separator ",\n" plus the indent, only the
+    brackets need a newline and indent, so ``text[0] + "\n" + inner +
+    text[1:-1] + "\n" + ind + text[-1]`` is the indented text.  One
+    encoder is made per indent and call.  Other lists, tuples and str-keyed
+    dicts are written here member by member; ints, strs, None and the bools
+    as constants.  Every other node (a lone float, a dict with a non-str
+    key) goes to ``json.dumps``, so json's own rules still decide it.  An
+    ``AlgReal`` or ``ChebElem`` is written as its ``to_json()``, once per
+    representation and indent: the memo key is (type, m or n, coeffs,
+    indent), not the value, because ``AlgReal(m, (1,)) == 1`` but is
+    written as a dict.
     """
     memo = {}
+    encoders = {}
+
+    def scalars(x, inner):
+        encode = encoders.get(inner)
+        if encode is None:
+            encode = encoders[inner] = json.JSONEncoder(
+                separators=(",\n" + inner, ": "), sort_keys=True, check_circular=False
+            ).encode
+        return encode(x)
 
     def write(x, ind):
         t = type(x)
@@ -57,19 +78,26 @@ def _json(data) -> str:
             return int.__repr__(x)
         if t is str:
             return encode_basestring_ascii(x)
+        if x is None:
+            return "null"
+        if t is bool:
+            return "true" if x else "false"
         if t is list or t is tuple:
             if not x:
                 return "[]"
             inner = ind + "  "
-            if all(type(v) is int for v in x):
-                body = map(int.__repr__, x)
-            else:
-                body = [write(v, inner) for v in x]
+            if _SCALARS.issuperset(map(type, x)):
+                text = scalars(x, inner)
+                return f"[\n{inner}{text[1:-1]}\n{ind}]"
+            body = [write(v, inner) for v in x]
             return f"[\n{inner}" + f",\n{inner}".join(body) + f"\n{ind}]"
         if t is dict and all(type(k) is str for k in x):
             if not x:
                 return "{}"
             inner = ind + "  "
+            if _SCALARS.issuperset(map(type, x.values())):
+                text = scalars(x, inner)
+                return f"{{\n{inner}{text[1:-1]}\n{ind}}}"
             body = [f"{encode_basestring_ascii(k)}: {write(x[k], inner)}" for k in sorted(x)]
             return f"{{\n{inner}" + f",\n{inner}".join(body) + f"\n{ind}}}"
         if t is AlgReal or t is ChebElem:
@@ -424,7 +452,12 @@ def cmd_verify(args) -> int:
                         comps = found[rest] = cc.complements(rest)
                     if len(comps) != 2 or t[k] not in comps:
                         comp_ok = False
-            record("tilting-enumeration", True, f"count={len(tilts)}")
+            expected = coxeter_catalan(folded_type_name(spec))
+            count_ok = len(tilts) == expected
+            record(
+                "tilting-enumeration", count_ok,
+                f"count={len(tilts)}" + ("" if count_ok else f" expected={expected}"),
+            )
             record("two-complements", comp_ok)
             summands = sorted({g for t in tilts for g in t})
             record("tilting-G-matrix-projection", all(G_projection_verdicts(cc, summands)))

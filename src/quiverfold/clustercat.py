@@ -10,6 +10,7 @@ objects built from generator columns, and the two kinds of g-vectors.
 
 from __future__ import annotations
 
+from math import prod
 from operator import add, itemgetter
 from types import MappingProxyType
 
@@ -28,6 +29,25 @@ def _zero_mask(row) -> int:
     return int(bytes(row).translate(_ZERO_BIT)[::-1], 2)
 
 
+# Exponents of the folded Coxeter groups (Humphreys, Reflection Groups and
+# Coxeter Groups, 3.7); I2(m) has the exponents 1 and m - 1.
+_EXPONENTS = {"H3": (1, 5, 9), "H4": (1, 11, 19, 29)}
+
+
+def coxeter_catalan(name: str) -> int:
+    """Cat(W) = prod (h + e + 1) / (e + 1) over the exponents e of W, h the largest plus 1.
+
+    ``name`` is a ``repcat.folded_type_name``: H3 gives 32, H4 280 and I2(m)
+    m + 2, the number of clusters and so of tilting objects.
+    """
+    if name.startswith("I2("):
+        exps = (1, int(name[3:-1]) - 1)
+    else:
+        exps = _EXPONENTS[name]
+    h = exps[-1] + 1
+    return prod(h + e + 1 for e in exps) // prod(e + 1 for e in exps)
+
+
 class ClusterCategory:
     def __init__(self, spec: FoldingSpec):
         self.spec = spec
@@ -43,6 +63,8 @@ class ClusterCategory:
         self._mask: dict[int, int] = {}
         self._g: dict[int, tuple] = {}
         self._g_folded: dict[int, tuple] = {}
+        self._sigma: dict[tuple, object] = {}
+        self._labels = None
         self._build_generators()
 
     # -- object bookkeeping ------------------------------------------------
@@ -53,11 +75,16 @@ class ClusterCategory:
         return x >= self.nmod
 
     def describe(self, x: int) -> str:
-        if self.is_shift(x):
-            v = x - self.nmod
-            return f"S.P({self.spec.labels[v] if self.spec.labels else v})"
-        mod = self.mc.ar.modules[x]
-        return "M" + "".join(str(c) for c in mod.dim)
+        """``M`` and the dimension vector for a module, ``S.P(label)`` for P_v[1].
+
+        Read from a table of every object's label, built on first use.
+        """
+        if self._labels is None:
+            labels = self.spec.labels
+            self._labels = tuple(
+                "M" + "".join(map(str, mod.dim)) for mod in self.mc.ar.modules
+            ) + tuple(f"S.P({labels[v] if labels else v})" for v in range(self.nverts))
+        return self._labels[x]
 
     def indecomposables(self) -> tuple:
         return tuple(range(self.size))
@@ -149,12 +176,25 @@ class ClusterCategory:
         self.compatibility()
         return bool(self._mask[g1] & self._bit[g2])
 
-    def is_rigid_set(self, summands) -> bool:
+    def _meet(self, summands) -> tuple:
+        """(common, need): the AND of the summands' masks and the OR of their bits."""
         self.compatibility()
-        need = 0
+        mask, bit = self._mask, self._bit
+        common, need = (1 << len(self.generators)) - 1, 0
         for g in summands:
-            need |= self._bit[g]
-        return all(self._mask[g] & need == need for g in summands)
+            common &= mask[g]
+            need |= bit[g]
+        return common, need
+
+    def is_rigid_set(self, summands) -> bool:
+        """Whether the generators are pairwise rigid: ``common & need == need``.
+
+        Bit h of g's mask is set exactly when g and h are pair-rigid, so the
+        AND of the summands' masks (``_meet``) holds every summand's bit
+        exactly when each pair of summands is rigid.
+        """
+        common, need = self._meet(summands)
+        return common & need == need
 
     def _decode(self, mask: int) -> tuple:
         """The generators whose bits are set in ``mask``, in ``generators`` order."""
@@ -231,17 +271,15 @@ class ClusterCategory:
     def complements(self, almost) -> tuple:
         """The completions of an almost complete rigid generator set.
 
-        Read off the compatibility masks: the generators pair-rigid with
-        every summand, other than the summands, in the order of
-        ``generators``.
+        Read off the compatibility masks in one pass (``_meet``): the set is
+        rigid when ``common & need == need``, and its completions are the
+        generators pair-rigid with every summand, other than the summands,
+        ``common & ~need``, in the order of ``generators``.
         """
-        almost = tuple(almost)
-        if not self.is_rigid_set(almost):
+        common, need = self._meet(almost)
+        if common & need != need:
             raise ValueError("input is not rigid")
-        common = (1 << len(self.generators)) - 1
-        for g in almost:
-            common &= self._mask[g] & ~self._bit[g]
-        found = self._decode(common)
+        found = self._decode(common & ~need)
         if len(found) != 2:
             raise AssertionError(
                 f"almost complete object has {len(found)} complements, expected 2"
@@ -271,6 +309,9 @@ class ClusterCategory:
         """
         start = self.initial_tilting()
         rank = len(start)
+        if rank < 2:
+            # ``aligned``'s getter returns a tuple only for two or more indices
+            raise AssertionError("exchange graph needs folded rank >= 2")
         m = self.spec.m
         values = RingValues(m)
         nodes = {}
@@ -278,8 +319,8 @@ class ClusterCategory:
         done = set()
 
         def aligned(summands, rows):
-            order = sorted(range(rank), key=summands.__getitem__)
-            return tuple(tuple(rows[i][j] for j in order) for i in order)
+            pick = itemgetter(*sorted(range(rank), key=summands.__getitem__))
+            return tuple(map(pick, pick(rows)))
 
         rows = coeff_rows(self.spec.B.entries)
         frontier = [(start, rows)]
@@ -338,15 +379,22 @@ class ClusterCategory:
 
         Each block's entry is sigma of sum g[v] * theta_pos over the block's
         vertices v, where g is the integer g-vector and pos is v's place in
-        the block.  Computed once per object.
+        the block.  Computed once per object, and ``sigma`` once per
+        distinct coefficient slice per category: the slices repeat across
+        blocks and objects (H4's 256 block entries have 12 distinct ones).
         """
         out = self._g_folded.get(x)
         if out is None:
             g = self.g_vector(x)
-            n = self.mc.n
-            out = self._g_folded[x] = tuple(
-                sigma(ChebElem(n, tuple(map(g.__getitem__, block)))) for block in self.spec.blocks
-            )
+            images = self._sigma
+            entries = []
+            for block in self.spec.blocks:
+                coeffs = tuple(map(g.__getitem__, block))
+                value = images.get(coeffs)
+                if value is None:
+                    value = images[coeffs] = sigma(ChebElem(self.mc.n, coeffs))
+                entries.append(value)
+            out = self._g_folded[x] = tuple(entries)
         return out
 
     def folded_G_matrix(self, summands) -> tuple:

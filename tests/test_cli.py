@@ -173,6 +173,14 @@ class TestSubcommands:
         assert code == 1
         assert "FAIL two-complements" in out.splitlines()
 
+    def test_verify_all_checks_the_tilting_count(self, capsys, monkeypatch):
+        real = ClusterCategory.enumerate_tilting
+        monkeypatch.setattr(ClusterCategory, "enumerate_tilting", lambda self: real(self)[1:])
+        code, out = run(capsys, "verify", "all", "--kind", "I2", "--n", "2", "--depth", "0")
+        assert code == 1
+        # Cat(I2(5)) = 7 clusters
+        assert "FAIL tilting-enumeration count=6 expected=7" in out.splitlines()
+
     def test_verify_all_reports_a_wrong_G_projection(self, capsys, monkeypatch):
         real = ClusterCategory.g_vector_folded
 
@@ -206,6 +214,60 @@ class TestDeterminism:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["count"] == 14
+
+
+# stdout sha256 of the benchmark's category commands, copied from
+# perfbench/cli_digests.json (recorded at 774cefa), so that the tier-1 suite
+# checks these bytes too.  The other five of the 20 (the four H4 JSON
+# commands and `tilting enumerate --kind H3`) are pinned in TestByteIdentity's
+# own list.
+CATEGORY_DIGESTS = {
+    "ar build --tables --kind H3": (
+        "d904a4c6a48bbb4b8bca4fff46813a4d8140ad5fbb3bd92d075e573de0cdbcd0"
+    ),
+    "ar build --tables --kind I2 --n 3": (
+        "0a78e27a189a216fdbe4b461cf0dc1fd109dd4f96fa24661c5f436fbf417ba9a"
+    ),
+    "ar build --tables --kind I2 --n 4": (
+        "06bc1db22abb90e8d9789dab44aa32b45f7b09d16a202f611cd8f2769cfadcba"
+    ),
+    "fold dims --format csv --kind H3": (
+        "cb195b90355e8bfab5bc497167ebeae9c30cebfffe773977b2827cfa2205efca"
+    ),
+    "fold dims --format csv --kind H4": (
+        "53de2ade24f01da0b30445699e7b8f6563c8623964d1b1aba82d810393813994"
+    ),
+    "fold dims --format csv --kind I2 --n 3": (
+        "5e9335dc767efb109d356dae865b8ff7832edf7877c53b6237278075ca1bddf8"
+    ),
+    "fold dims --format csv --kind I2 --n 4": (
+        "af2c43d48d7ed9b671b8c7f8b5cc5e3ab4d1c0066f8f72df132f1c985c28e73b"
+    ),
+    "tilting enumerate --kind I2 --n 3": (
+        "9b0b672f0448c970c9bf8d1b4a9d17ced80e8f7fe7312720112eb2da7fbdc7d3"
+    ),
+    "tilting enumerate --kind I2 --n 4": (
+        "dd41643d3150e7ec1a1f1d94f25e1e199bab29f06896816d33e9bfabd97359cb"
+    ),
+    "tilting graph --format json --kind H3": (
+        "26c5a8b9006520fd4151a5b5f5b7ab2fbdc5742d1a155ca2d7e6b86202928f25"
+    ),
+    "tilting graph --format json --kind I2 --n 3": (
+        "2e5d90eb7cbba0fe20a410fa5d0f3562069dcfbc78a5fa94b331e9e25174bf1f"
+    ),
+    "tilting graph --format json --kind I2 --n 4": (
+        "8fc2ee5eac61b8f2e13ba258b03af81044ecb70e0198013203e3b5abccbe5112"
+    ),
+    "verify all --depth 1 --random 0 --kind H3": (
+        "4c28f878e05a37f8f5b84d5072b674d6cb597897b6b5aa4ca4acfa98f1caac0a"
+    ),
+    "verify all --depth 1 --random 0 --kind I2 --n 3": (
+        "49ab4e0543d7abe0e3fd1aa9493a3275f369ba3d9b2c171f885cce56054e0cf6"
+    ),
+    "verify all --depth 1 --random 0 --kind I2 --n 4": (
+        "adaca32205e5eec57fb5e82e6a268859d722c5df5278851529c7d68fe07225ef"
+    ),
+}
 
 
 class TestByteIdentity:
@@ -403,7 +465,7 @@ class TestByteIdentity:
                 "unfold build --kind F4E6",
                 "38d7f23adfd064797abcfd96bfd842133392baa745bc3d93bb13e5c00c8a2f67",
             ),
-        ],
+        ] + list(CATEGORY_DIGESTS.items()),
     )
     def test_stdout_unchanged(self, capsys, argv, digest):
         code, out = run(capsys, *argv.split())
@@ -575,6 +637,13 @@ class TestJsonWriter:
     @example([AlgReal(7, (0, 1)), AlgReal(5, (0, 1)), [AlgReal(5, (0, 1))], ChebElem(2, (0, 1))])
     @example({"x": [], "y": {}, "z": ((),), 3: "int keys"})
     @example({1: AlgReal(5, (2, 1)), 2: [ChebElem(3, (1, 0, -1)), -0.0, 1e16]})
+    # scalar containers, which the C encoder writes in one call, at depth >= 2
+    @example([[None, True, False, 0, -1, "a"], [(1, 2.5, "x", None)], [[[True]]]])
+    @example({"a": {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf")}})
+    @example([{"z": -0.0, "big": 1e16, "tenth": 0.1, "none": None, "t": True, "f": False}])
+    @example({"k": ("\u00e9\u2603", "\U0001f600", '"', "\\", "\n\t\x00"), "e": [(), {}]})
+    @example({"outer": [{"\u00e9": 1, "b": [False, None]}, {"c": (3, "x", 1.5, True)}]})
+    @example([{1: "a", "b": 2}])  # mixed int and str keys: json.dumps raises TypeError
     def test_bytes_equal_json_dumps(self, x):
         try:
             want = json.dumps(plain(x), sort_keys=True, indent=2)
@@ -592,6 +661,8 @@ class TestJsonWriter:
     def test_other_objects_are_refused_as_json_refuses_them(self):
         with pytest.raises(TypeError, match="not JSON serializable"):
             cli._json({"a": [object()]})
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._json([object()])
 
 
 class TestParserReuse:

@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -512,6 +513,40 @@ def test_tables_match_per_entry_oracle(kind):
         for y in cc.indecomposables():
             assert cc.hom(x, y) == hom[x][y]
             assert cc.ext(x, y) == ext[x][y]
+
+
+# (kind, random subsets per size): every size of H3, I2(7) and I2(9) many
+# times, and a sample of H4's 64 generators
+MASK_RULE_KINDS = [(("H3", None), 120), (("I2", 3), 120), (("I2", 4), 120), (("H4", None), 60)]
+
+
+@pytest.mark.parametrize(
+    "kind,samples", MASK_RULE_KINDS, ids=[f"{k[0]}{k[1] or ''}" for k, _ in MASK_RULE_KINDS]
+)
+def test_mask_rule_matches_pairwise_oracle(kind, samples):
+    # is_rigid_set and complements read one AND of masks and one OR of bits;
+    # the oracle decides every pair of summands from the Ext table.  Half the
+    # subsets are uniform, half are drawn from a tilting object, so rigid
+    # almost complete sets occur at every kind.
+    cc = ClusterCategory(standard_folding(*kind))
+    rank = cc.tilting_rank()
+    tilts = cc.enumerate_tilting()
+    rng = random.Random(27)
+    seen = Counter()
+    for size in range(rank + 1):
+        for i in range(samples):
+            pool = cc.generators if i % 2 else rng.choice(tilts)
+            subset = tuple(rng.sample(pool, size))
+            rigid = all(oracle_pair_rigid(cc, a, b) for a in subset for b in subset)
+            assert cc.is_rigid_set(subset) == rigid
+            if not rigid:
+                with pytest.raises(ValueError, match="not rigid"):
+                    cc.complements(subset)
+            elif size == rank - 1:
+                assert cc.complements(subset) == oracle_complements(cc, subset)
+            seen[rigid, size == rank - 1] += 1
+    # at rank 2 every almost complete set is one self-rigid generator
+    assert seen[True, True] and seen[False, True] + seen[False, False]
 
 
 @pytest.mark.parametrize("kind", TABLE_KINDS, ids=lambda k: f"{k[0]}{k[1] or ''}")
