@@ -13,7 +13,7 @@ from .chebring import (
     sigma,
 )
 from .clustercat import ClusterCategory
-from .exchange import ExchangeMatrix, RQuiver, from_quiver, rescale, to_quiver
+from .exchange import ExchangeMatrix, RQuiver, from_quiver, to_quiver
 from .repcat import ARQuiver, FoldedCategory, IndecClass
 from .rootsys import RootSet, e_F, e_F_float, generate_roots, root_system
 from .tropical import GMatrix, Seed, TropicalWalker, enumerate_seeds, g_matrix
@@ -52,7 +52,6 @@ __all__ = [
     "generate_roots",
     "minimal_poly",
     "reg_rep",
-    "rescale",
     "rho",
     "root_system",
     "semiring_leq",

@@ -564,32 +564,6 @@ def _reduce_mod(ctx: _RootContext, coeffs):
     return tuple(out[:d])
 
 
-def alg_inverse(a: AlgReal) -> tuple[AlgReal, int]:
-    """(b, d) with a * b == d and d a positive integer, so 1/a == b/d.
-
-    b is, up to sign, the product of the other Galois conjugates of a.  The
-    automorphism that takes 2cos(pi/m) to 2cos(k pi/m), for 1 < k < m with
-    gcd(k, 2m) = 1, takes a(x) to a(V_k(x)), where V_0 = 2, V_1 = x and
-    V_{k+1} = x V_k - V_{k-1}, so that V_k(2cos t) = 2cos(kt).  a times all
-    of them is the norm of a, a nonzero integer.
-    """
-    if a.is_zero():
-        raise ZeroDivisionError("inverse of zero")
-    m = a.m
-    x = AlgReal.generator(m)
-    co = AlgReal(m, (1,))
-    v_prev, v = AlgReal(m, (2,)), x
-    for k in range(2, m):
-        v_prev, v = v, x * v - v_prev
-        if math.gcd(k, 2 * m) == 1:
-            conj = AlgReal(m)
-            for c in reversed(a.coeffs):
-                conj = conj * v + c
-            co = co * conj
-    (norm,) = (a * co).coeffs
-    return (co, norm) if norm > 0 else (-co, -norm)
-
-
 # ---------------------------------------------------------------------------
 # ChebElem: the ring Z[theta_1, ..., theta_{n-1}]
 

@@ -8,15 +8,16 @@ form: ``ExchangeMatrix.mutate``, the seeds of ``tropical.enumerate_seeds``
 and the (folded, lifted) states of both word verifiers, which share one
 composite step (``unfolding.pair_step``).  ``RingValues`` decodes the
 tuples where a value is needed.  One explorer, ``_Explorer``, memoizes the
-transitions of the mutation graph for the word verifiers
-(``explore_words``) and for the seed pattern's breadth-first closure.
+transitions of the mutation graph, and its one breadth-first traversal makes
+both the word verifiers' tree (``explore_words``) and the seed closure.
 """
 
 from __future__ import annotations
 
+import operator
 from types import MappingProxyType
 
-from .chebring import AlgReal, _coeff_sign, _context, _Frozen, alg_inverse, json_value
+from .chebring import AlgReal, _coeff_sign, _context, _Frozen, json_value
 
 
 def sgn(x) -> int:
@@ -292,10 +293,6 @@ class Exploration:
         self.failures = failures
 
 
-class _FirstFailure(Exception):
-    pass
-
-
 class _Explorer:
     """The memo tables and tallies of one ``explore_words`` or ``tropical.enumerate_seeds`` call."""
 
@@ -307,7 +304,6 @@ class _Explorer:
         self.states = {}    # state -> the one interned equal state
         self.edges = {}     # (id(state), k) -> interned state
         self.verdicts = {}  # (id(state), check, parity) -> failure details
-        self.subtrees = {}  # (id(state), depth left, parity, check) -> words below
         self.seen = set()
         self.failures = []
         self.words = 0
@@ -324,26 +320,35 @@ class _Explorer:
                 self.edges.setdefault((id(nxt), k), state)
         return nxt
 
-    def closure(self, start, letters: int, cap: int):
-        """The states reachable from ``start`` in breadth-first order, and whether that is all of them.
+    def closure(self, start, letters: int, depth=None):
+        """Yield (state, word) for each key within ``depth`` steps of ``start``, breadth first.
 
-        Each state joins when ``move`` first reaches it, from the earliest
-        state and least letter.  A new state met with ``cap`` states in the
-        order stops the search, and the order is returned with ``False``.
+        A key is a state with, when ``parity`` is set, its word length mod 2.
+        Each key is yielded once, as soon as ``move`` first reaches it from
+        the earliest key and least letter, so its word is its
+        length-lex-least word and the keys come in the length-lex order of
+        those words.  A consumer that stops at a key leaves the rest
+        unexpanded; with ``depth`` None the search runs until no new key
+        appears.
         """
-        order = [self.intern(start)]
-        for state in order:
+        start = self.intern(start)
+        joined = {(id(start), 0)}
+        queue = [(start, ())]
+        yield queue[0]
+        for state, word in queue:
+            if len(word) == depth:
+                return
+            odd = self.parity and (len(word) + 1) % 2
             for k in range(letters):
-                known = len(self.states)
                 nxt = self.move(state, k)
-                if len(self.states) > known:
-                    if len(order) >= cap:
-                        return order, False
-                    order.append(nxt)
-        return order, True
+                key = (id(nxt), odd)
+                if key not in joined:
+                    joined.add(key)
+                    queue.append((nxt, word + (k,)))
+                    yield queue[-1]
 
-    def visit(self, state, word, check, counted=True):
-        self.words += counted
+    def visit(self, state, word, check):
+        """Check ``state`` at ``word`` once per key, record its failures and return them."""
         self.seen.add(id(state))
         key = (id(state), check, self.parity and len(word) % 2)
         details = self.verdicts.get(key)
@@ -352,39 +357,25 @@ class _Explorer:
             self.verdicts[key] = details
         if details:
             self.failures.extend((word, d) for d in details)
-            if self.first_only:
-                raise _FirstFailure
-
-    def descend(self, state, word, letters, depth, check):
-        """Visit the words below ``word`` up to length ``depth``, each right after its parent.
-
-        A subtree that finished with no failure is counted, not walked, when
-        the same (state, depth left, parity) comes again: its states are in
-        ``seen`` and its verdicts recorded, all empty, so a second walk
-        would only add its word count.
-        """
-        if len(word) == depth or self.failures:
-            return
-        key = (id(state), depth - len(word), self.parity and len(word) % 2, check)
-        below = self.subtrees.get(key)
-        if below is not None:
-            self.words += below
-            return
-        before = self.words
-        for k in range(letters):
-            child, longer = self.move(state, k), word + (k,)
-            self.visit(child, longer, check)
-            self.descend(child, longer, letters, depth, check)
-        if not self.failures:
-            self.subtrees[key] = self.words - before
+        return details
 
     def walk(self, start, word, check, end_check):
         state = start
         for pos, k in enumerate(word):
             state = self.move(state, k)
-            self.visit(state, word[: pos + 1], check)
+            self.words += 1
+            if self.visit(state, word[: pos + 1], check) and self.first_only:
+                return
         if end_check is not None:
-            self.visit(state, word, end_check, counted=False)
+            self.visit(state, word, end_check)
+
+
+def _words_through(word, letters: int) -> int:
+    """The number of words over ``letters`` letters up to ``word`` in length-lex order, ``word`` too."""
+    rank = 0
+    for k in word:
+        rank = rank * letters + k
+    return sum(letters**i for i in range(len(word))) + rank + 1
 
 
 def explore_words(
@@ -405,28 +396,27 @@ def explore_words(
 
     A state is a tuple of matrices (tuples of rows of ring entries), and
     ``step(state, k)`` returns the state mutated at letter ``k``.  The words
-    checked are, in order: the empty word, every word of length 1..depth as
-    a prefix tree (each word right after its parent), then every prefix of
-    each word of ``walks`` (an iterable of tuples, consumed lazily).
-    ``check`` runs at the tree words, ``walk_check`` (default ``check``) at
-    the walk prefixes, and ``end_check`` once more at the end of each walk,
-    without counting as a word.
+    checked are, in order: every word of length 0..depth in length-lex
+    order (the tree), then every prefix of each word of ``walks`` (an
+    iterable of tuples, consumed lazily).  ``check`` runs at the tree
+    words, ``walk_check`` (default ``check``) at the walk prefixes, and
+    ``end_check`` once more at the end of each walk, without counting as a
+    word.
 
     A check is called as ``check(state, word, neighbour)`` and returns a
     tuple of failure details.  It must depend on the word only through
     ``len(word) % 2``, and only when ``parity`` is set; ``neighbour(k)`` is
     the memoized ``step(state, k)``.  Then the result for a word is a
     function of the key (state, check, parity), so each key is checked once
-    and a repeat replays the recorded details with the current word: every
-    word of length <= d passes exactly when every state reachable in <= d
-    steps passes.  A repeated subtree of the prefix tree is counted, not
-    walked: once the words below a state, with a given depth left and
-    parity, have all passed, a later word that reaches the same state with
-    the same depth left and parity adds their number to ``words`` and goes
-    on.  Its states are already counted and its verdicts recorded, so the
-    words, states and failures are those of the full walk, while the tree
-    costs its distinct (state, depth left, parity) nodes, not its m^d
-    words.
+    and a repeat replays the recorded details with the current word.  The
+    tree is the breadth-first search over (state, parity) keys cut at
+    ``depth`` (``_Explorer.closure``): each key is checked once, at its
+    length-lex-least word, so every word of length <= d passes exactly when
+    every key reachable in <= d steps passes, and the tree costs its
+    distinct keys, not its m^d words.  On a pass ``words`` counts all
+    sum_{i<=d} m^i tree words; the tree stops at the first failing key,
+    whose word is the length-lex-first failing word, a shortest one, and
+    ``words`` counts the tree words up to it in length-lex order.
 
     Transitions (state, k) -> state are memoized, and each new state is
     interned once, by value: a state equal to one already met is replaced
@@ -436,7 +426,7 @@ def explore_words(
     be told apart by the states themselves.  The two word verifiers do that
     by carrying every ring entry as its coefficient tuple (``coeff_rows``),
     stepping with ``mutate_coeffs``, and deciding their checks on the
-    tuples.  All tables, the subtree counts among them, live for this call.
+    tuples.  All tables live for this call.
 
     ``involutive(state, k)``, when given, is asked about each newly stepped
     state Y = step(X, k).  When it holds, step(Y, k) must be X exactly,
@@ -446,85 +436,26 @@ def explore_words(
     decide this on Y alone (``unfolding.steps_back_exactly``); without the
     predicate both directions of every edge are computed.
 
-    After a failure the tree is not descended further and no new walk
-    starts; with ``first_only`` the exploration stops at the first failure.
-    A negative ``depth`` is a ValueError.
+    After a failure no new walk starts; with ``first_only`` a walk also
+    stops at its first failing prefix.  A ``depth`` that is not an int is a
+    TypeError and a negative one a ValueError.
     """
+    depth = operator.index(depth)
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     explorer = _Explorer(step, parity, first_only, involutive)
+    last = (letters - 1,) * depth
+    for state, word in explorer.closure(start, letters, depth):
+        if explorer.visit(state, word, check):
+            last = word
+            break
+    explorer.words = _words_through(last, letters)
     start = explorer.intern(start)
-    try:
-        explorer.visit(start, (), check)
-        explorer.descend(start, (), letters, depth, check)
-        for word in walks:
-            if explorer.failures:
-                break
-            explorer.walk(start, word, walk_check or check, end_check)
-    except _FirstFailure:
-        pass
+    for word in walks:
+        if explorer.failures:
+            break
+        explorer.walk(start, word, walk_check or check, end_check)
     return Exploration(explorer.words, len(explorer.seen), explorer.failures)
-
-
-# ---------------------------------------------------------------------------
-# rescale
-
-
-def rescale(matrix: ExchangeMatrix, diagonal) -> ExchangeMatrix:
-    """P^{-1} B P for a positive diagonal P: entry (i, j) scaled by p_j / p_i.
-
-    Diagonal entries may be integers, AlgReal values, or exact quotients
-    given as (numerator, denominator) pairs with AlgReal or integer
-    numerator.  The result must land back in the entry ring; a quotient
-    that does not reduce is an error.
-    """
-    n = matrix.n
-    if len(diagonal) != n:
-        raise ValueError("diagonal length must match matrix size")
-    pairs = []
-    for p in diagonal:
-        num, den = p if isinstance(p, tuple) else (p, 1)
-        if isinstance(num, int):
-            m = entry_field(matrix.entries)
-            num = AlgReal(m, (num,)) if m else num
-        if (sgn(num) <= 0) or den <= 0:
-            raise ValueError("rescale diagonal must be strictly positive")
-        pairs.append((num, den))
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(_scale_entry(matrix.entries[i][j], pairs[j], pairs[i]))
-        out.append(tuple(row))
-    return ExchangeMatrix(tuple(out))
-
-
-def _scale_entry(b, pj, pi):
-    """b * (p_j / p_i) with p = num/den, exact; errors if it leaves the ring."""
-    nj, dj = pj
-    ni, di = pi
-    if isinstance(b, int) and isinstance(nj, int) and isinstance(ni, int):
-        num, den = b * nj * di, dj * ni
-        if num % den:
-            raise ArithmeticError("rescaled entry leaves the ring")
-        return num // den
-    m = next(x.m for x in (b, nj, ni) if isinstance(x, AlgReal))
-
-    def lift(x):
-        return AlgReal(m, (x,)) if isinstance(x, int) else x
-
-    b, nj, ni = lift(b), lift(nj), lift(ni)
-    inv, extra_den = alg_inverse(ni)  # 1/ni == inv/extra_den
-    return _divide_exact(b * nj * inv * di, dj * extra_den)
-
-
-def _divide_exact(a: AlgReal, d: int) -> AlgReal:
-    coeffs = []
-    for c in a.coeffs:
-        if c % d:
-            raise ArithmeticError("rescaled entry leaves the ring")
-        coeffs.append(c // d)
-    return AlgReal(a.m, tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ equal a fresh walker's; signs come from chebring's per-m sign memo.
 from __future__ import annotations
 
 from functools import partial
-from itertools import combinations
+from itertools import combinations, islice
 from operator import add, itemgetter, mul as _mul
 
 from .chebring import (
@@ -573,17 +573,20 @@ class TropicalWalker:
         """Run every check on all words of length <= depth, then random walks.
 
         Each random walk runs the roots check after every step and all the
-        checks once at its end.  After the first failure the word tree is
-        not descended further and no new walk starts.
+        checks once at its end.  The words of length <= depth stop at the
+        first failing one in length-lex order, a shortest one, with all its
+        failures recorded; after a failure no new walk starts.  A ``depth``
+        that is not an int is a TypeError; a negative depth,
+        ``random_words`` or ``random_length`` is a ValueError.
 
         Words versus states: every check is a function of the (folded,
-        lifted) pair and, for ``dets``, of the parity of the word length,
-        so each distinct (pair, check, parity) is checked once and a repeat
-        reuses the recorded failures with the current word
-        (``explore_words``).  "Every word of length <= depth passes" is the
-        same statement as "every pair reachable in <= depth steps passes".
-        A subtree that already passed from the same pair, depth left and
-        parity is counted, not walked again.
+        lifted) pair and, for ``dets``, of the parity of the word length.
+        The words of length <= depth are checked as the breadth-first
+        search over (pair, parity) keys cut at ``depth`` (``explore_words``),
+        each (pair, check, parity) once, and a walk that meets one again
+        reuses its failures with its own word.  So "every word of length <=
+        depth passes" is the same statement as "every pair reachable in <=
+        depth steps passes".
         ``vertices_checked`` still counts words; ``states`` counts pairs.
 
         The explorer's states are the pairs of ``initial_pair``, stepped by
@@ -707,10 +710,11 @@ def enumerate_seeds(B: ExchangeMatrix, cap: int = 20000) -> EnumerationResult:
     involutive (``Seed.mutate``: the rows have one representation, and
     ``_mutate_g`` restores g_k), so each edge is computed once and its way
     back is recorded.  Each seed keeps the word of the path that first
-    reached it.
+    reached it.  A new seed met with ``cap`` seeds found stops the search,
+    and the result reads ``complete`` False.
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     explorer = _Explorer(Seed.mutate, parity=False, first_only=False, involutive=lambda seed, k: True)
-    seeds, complete = explorer.closure(Seed.initial(B), B.n, cap)
-    return EnumerationResult(seeds, complete, cap)
+    seeds = [seed for seed, _ in islice(explorer.closure(Seed.initial(B), B.n), cap + 1)]
+    return EnumerationResult(seeds[:cap], len(seeds) <= cap, cap)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from functools import partial
 from itertools import chain
-from operator import itemgetter
+from operator import index, itemgetter
 
 from .chebring import (
     AlgReal, ChebElem, _context, _Frozen, _poly_trim, _reduce_mod, json_value, rho,
@@ -153,7 +153,14 @@ def steps_back_exactly(blocks, m, state, k: int) -> bool:
 
 
 def seeded_words(letters: int, count: int, length: int, seed):
-    """``count`` words of ``length`` letters below ``letters``, drawn lazily from ``Random(seed)``."""
+    """``count`` words of ``length`` letters below ``letters``, drawn lazily from ``Random(seed)``.
+
+    A ``count`` or ``length`` that is not an int is a TypeError and a
+    negative one a ValueError, raised at the call.
+    """
+    for name, value in (("random_words", count), ("random_length", length)):
+        if index(value) < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     rng = random.Random(seed)
     return (tuple(rng.randrange(letters) for _ in range(length)) for _ in range(count))
 
@@ -347,32 +354,37 @@ def check_weighted_unfolding(
 
     With ``sequences`` given, exactly those words are checked, and the
     report reads depth 0 and no random words.  Otherwise all
-    words of length <= depth are checked exhaustively (as a prefix tree, so
-    every prefix is also a checked word) plus ``random_words`` seeded random
-    words of length ``random_length``.  Evidence is depth-bounded: the
-    definition quantifies over all words, which no finite run certifies.
+    words of length <= depth are checked exhaustively, in length-lex order,
+    plus ``random_words`` seeded random words of length ``random_length``.
+    Evidence is depth-bounded: the definition quantifies over all words,
+    which no finite run certifies.  A ``depth`` that is not an int is a
+    TypeError; a negative depth, ``random_words`` or ``random_length`` is a
+    ValueError.
 
     Words versus states: the conditions are a function of the mutated pair
-    (S, B) alone, and in finite type many words reach the same pair.  Each
-    distinct pair is checked once and a repeat reuses its verdict
-    (``explore_words``), so "every word of length <= depth passes" is the
-    same statement as "every pair reachable in <= depth steps passes".  A
-    subtree of the word tree that already passed from the same pair, with
-    the same depth left, is counted and not walked again.
+    (S, B) alone, and in finite type many words reach the same pair.  The
+    words of length <= depth are checked as the breadth-first search over
+    pairs cut at ``depth`` (``explore_words``): each distinct pair is
+    checked once, at its length-lex-least word, and a walk that meets it
+    again reuses its verdict.  So "every word of length <= depth passes" is
+    the same statement as "every pair reachable in <= depth steps passes".
     ``words_checked`` still counts words; ``states`` counts distinct pairs.
-    On a failure, ``failure_detail`` is the first ``conditions_hold`` record
-    of the first failing word.  The explorer's states are (B, S) pairs with
-    the entries of B as coefficient tuples (``coeff_rows``), stepped by the
-    composite step that the tropical walker takes too (``pair_step``).  A
-    step whose block is pairwise non-adjacent in the stepped S, with B in
-    one entry representation, is its own inverse (``steps_back_exactly``),
-    so the explorer records the way back without computing it.  Each check
-    decodes B into an ``ExchangeMatrix`` (``RingValues``, one value per
-    distinct entry), the form the benchmark tracer's ``conditions_hold``
-    probe reads, and ``conditions_hold`` computes on them as coefficient
-    tuples again.  It keeps one column memo for the whole call, so each
-    distinct (column l, column l of S, column F(l) of B) is decided once,
-    however many pairs share it.
+    On a failure, ``failure_word`` is the first failing word and
+    ``failure_detail`` its first ``conditions_hold`` record; a failing word
+    of the tree is the length-lex-first one, so a shortest one.
+
+    The explorer's states are (B, S) pairs with the entries of B as
+    coefficient tuples (``coeff_rows``), stepped by the composite step that
+    the tropical walker takes too (``pair_step``).  A step whose block is
+    pairwise non-adjacent in the stepped S, with B in one entry
+    representation, is its own inverse (``steps_back_exactly``), so the
+    explorer records the way back without computing it.  Each check decodes
+    B into an ``ExchangeMatrix`` (``RingValues``, one value per distinct
+    entry), the form the benchmark tracer's ``conditions_hold`` probe reads,
+    and ``conditions_hold`` computes on them as coefficient tuples again.
+    It keeps one column memo for the whole call, so each distinct (column l,
+    column l of S, column F(l) of B) is decided once, however many pairs
+    share it.
     """
     m = spec.m
     values = RingValues(m)

@@ -19,7 +19,6 @@ from quiverfold.cli import main
 from quiverfold.chebring import (
     AlgReal,
     ChebElem,
-    alg_inverse,
     cheb_mul,
     cyclotomic,
     equal_in_evaluation,
@@ -320,27 +319,6 @@ class TestAlgRealSign:
         s2, s3 = AlgReal.generator(4), AlgReal.generator(6)
         assert s2 * s2 == 2
         assert s3 * s3 == 3
-
-    def test_inverse(self):
-        for a in [AlgReal.generator(5), AlgReal.chebyshev(7, 2), AlgReal(6, (1, 2))]:
-            num, den = alg_inverse(a)
-            assert a * num == den
-            assert den > 0
-        with pytest.raises(ZeroDivisionError):
-            alg_inverse(AlgReal(5))
-
-    @given(m=st.sampled_from([3, 4, 5, 6, 7, 8, 9, 12, 15, 21, 30]), data=st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_inverse_is_exact(self, m, data):
-        deg = len(minimal_poly(m)) - 1
-        a = AlgReal(m, tuple(data.draw(st.integers(-50, 50)) for _ in range(deg)))
-        if a.is_zero():
-            with pytest.raises(ZeroDivisionError):
-                alg_inverse(a)
-            return
-        num, den = alg_inverse(a)
-        assert type(den) is int and den > 0
-        assert a * num == den
 
     def test_json_round_trip(self):
         a = AlgReal(9, (3, -1, 2))

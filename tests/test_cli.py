@@ -499,7 +499,10 @@ class TestByteIdentity:
 
     # The JSON of failing unfolding reports, as ``unfold verify`` prints
     # them: a column-sum failure and a sign failure at the empty word, and a
-    # sign failure after five mutations.  Recorded at 761cb71.
+    # sign failure after mutations.  Recorded at 761cb71.  The third names
+    # the length-lex-first failing word, (2, 1) after 15 words; the
+    # depth-first tree before the breadth-first search named (0, 0, 0, 2, 1)
+    # after 17 words (digest 222e4252...).
     @pytest.mark.parametrize(
         "make,digest",
         [
@@ -520,7 +523,7 @@ class TestByteIdentity:
                 lambda: check_weighted_unfolding(
                     shifted_f4e6(), depth=5, random_words=20, random_length=8
                 ),
-                "222e42520f1e3e5e94f65261af9795b8a5ae262a14a1f6015a0a2761fa88f176",
+                "b45c093ce1d7330267cb4c1e0f8e1f0535035bef9d97abaf5150625cbcd9f085",
             ),
             # recorded at 65fa1ae, before the unfolding conditions computed
             # on coefficient tuples; the first two records carry AlgReal

@@ -18,7 +18,6 @@ from quiverfold.exchange import (
     from_quiver,
     mutate_coeffs,
     quiver_dot,
-    rescale,
     to_quiver,
 )
 from spec_oracles import mutate_entries
@@ -219,60 +218,6 @@ class TestCompositeMutate:
     def test_refuses_noncommuting_block(self):
         with pytest.raises(ValueError, match="composite mutation refused"):
             composite_mutate(S_E6, [1, 2])
-
-
-class TestRescale:
-    def test_identity(self):
-        assert rescale(B_F4, [1, 1, 1, 1]) == B_F4
-
-    def test_sqrt2_example(self):
-        s2 = AlgReal.generator(4)
-        zero = AlgReal(4)
-        one = AlgReal(4, (1,))
-
-        def a(x):
-            return AlgReal(4, (x,))
-
-        B = ExchangeMatrix(
-            [
-                (zero, -one, zero, zero),
-                (one, zero, -s2, zero),
-                (zero, s2, zero, -one),
-                (zero, zero, one, zero),
-            ]
-        )
-        # P = diag(1, 1, 1/sqrt2, 1/sqrt2); 1/sqrt2 given as sqrt2/2
-        P = [1, 1, (s2, 2), (s2, 2)]
-        got = rescale(B, P)
-        expected = ExchangeMatrix(
-            [
-                (zero, -one, zero, zero),
-                (one, zero, -one, zero),
-                (zero, a(2), zero, -one),
-                (zero, zero, one, zero),
-            ]
-        )
-        assert got == expected
-
-    def test_commutes_with_mutation(self):
-        s2 = AlgReal.generator(4)
-        one = AlgReal(4, (1,))
-        zero = AlgReal(4)
-        B = ExchangeMatrix(
-            [
-                (zero, -one, zero, zero),
-                (one, zero, -s2, zero),
-                (zero, s2, zero, -one),
-                (zero, zero, one, zero),
-            ]
-        )
-        P = [1, 1, (s2, 2), (s2, 2)]
-        for k in range(4):
-            assert rescale(B.mutate(k), P) == rescale(B, P).mutate(k)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            rescale(B_F4, [1, 1, 1, 0])
 
 
 class TestQuiverCorrespondence:

@@ -2,6 +2,8 @@
 
 ``oracle_unfolding`` and ``oracle_cube`` are the verifiers' loops as they
 were before ``explore_words``: every word is mutated and checked on its own.
+They take the words of length <= depth in length-lex order and stop after
+the first failing one, so the word they name is a shortest failing word.
 They also count the distinct states and the distinct (state, check, parity)
 keys they check.  The reports of the explorer-based verifiers must match
 them field by field, on passing and failing runs.  ``oracle_conditions`` is
@@ -12,6 +14,7 @@ decides each state with it.
 
 import random
 from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,6 +66,12 @@ def oracle_conditions(S_rows, B, blocks, weights):
     return failures
 
 
+def length_lex(letters, shortest, longest):
+    """Every word over ``letters`` letters with length in shortest..longest, in length-lex order."""
+    for length in range(shortest, longest + 1):
+        yield from product(range(letters), repeat=length)
+
+
 def oracle_unfolding(spec, sequences=None, depth=6, random_words=200, random_length=20, seed=0):
     """(passed, words, failure word, failure detail, distinct states)."""
     m_folded = spec.B.n
@@ -98,22 +107,13 @@ def oracle_unfolding(spec, sequences=None, depth=6, random_words=200, random_len
                     return result(tuple(word[: pos + 1]), detail)
         return result()
 
-    def dfs(S_rows, B_current, word):
-        if len(word) == depth:
-            return None
-        for k in range(m_folded):
-            rows, B_cur = step(S_rows, B_current, k)
-            ok, detail = check(rows, B_cur)
-            if not ok:
-                return word + (k,), detail
-            bad = dfs(rows, B_cur, word + (k,))
-            if bad is not None:
-                return bad
-        return None
-
-    bad = dfs(spec.S.entries, spec.B, ())
-    if bad is not None:
-        return result(*bad)
+    for word in length_lex(m_folded, 1, depth):
+        rows, B_cur = spec.S.entries, spec.B
+        for k in word:
+            rows, B_cur = step(rows, B_cur, k)
+        ok, detail = check(rows, B_cur)
+        if not ok:
+            return result(word, detail)
 
     rng = random.Random(seed)
     for _ in range(random_words):
@@ -151,17 +151,13 @@ def oracle_cube(walker, depth=6, random_words=0, random_length=30, seed=0):
         check(folded, lifted, word, True)
 
     folded0, lifted0 = algreal_pair(walker)
-    visit(folded0, lifted0, ())
-
-    def dfs(folded, lifted, word):
-        if len(word) == depth or failures:
-            return
-        for k in range(walker.mprime):
-            nf, nl = walker_step(walker, folded, lifted, k)
-            visit(nf, nl, word + (k,))
-            dfs(nf, nl, word + (k,))
-
-    dfs(folded0, lifted0, ())
+    for word in length_lex(walker.mprime, 0, depth):
+        folded, lifted = folded0, lifted0
+        for k in word:
+            folded, lifted = walker_step(walker, folded, lifted, k)
+        visit(folded, lifted, word)
+        if failures:
+            break
 
     rng = random.Random(seed)
     for _ in range(random_words):
@@ -552,6 +548,29 @@ class TestExploreWords:
         with pytest.raises(ValueError, match="depth must be >= 0"):
             TropicalWalker(standard_folding("H3")).verify_cube(depth=-1)
 
+    def test_depth_or_walk_size_that_is_not_an_int_is_an_error(self):
+        with pytest.raises(TypeError):
+            explore_words((((0,),),), lambda s, k: s, 1, lambda s, w, nb: (), depth=2.5)
+        with pytest.raises(TypeError):
+            check_weighted_unfolding(standard_folding("H3"), depth=2.5)
+        with pytest.raises(TypeError):
+            TropicalWalker(standard_folding("H3")).verify_cube(depth=2.5)
+        with pytest.raises(TypeError):
+            check_weighted_unfolding(standard_folding("H3"), random_length=2.5)
+
+    def test_negative_random_words_is_an_error(self):
+        # raised before any word is checked, not when the walks are reached
+        with pytest.raises(ValueError, match="random_words must be >= 0, got -1"):
+            check_weighted_unfolding(standard_folding("H3"), random_words=-1)
+        with pytest.raises(ValueError, match="random_words must be >= 0, got -1"):
+            TropicalWalker(standard_folding("H3")).verify_cube(random_words=-1)
+
+    def test_negative_random_length_is_an_error(self):
+        with pytest.raises(ValueError, match="random_length must be >= 0, got -1"):
+            check_weighted_unfolding(standard_folding("H3"), random_length=-1)
+        with pytest.raises(ValueError, match="random_length must be >= 0, got -1"):
+            TropicalWalker(standard_folding("H3")).verify_cube(random_words=1, random_length=-1)
+
     def test_interning_keeps_entry_types(self):
         # AlgReal(5, (1,)) == 1 and hashes alike, but must not replace the int
         one = AlgReal(5, (1,))
@@ -739,47 +758,44 @@ def with_arrow(rows, i, j):
 
 
 # ---------------------------------------------------------------------------
-# work counts: a repeated subtree is counted, a repeated column is read
+# work counts: each key is expanded once, a repeated column is read
 
 
-def tree_nodes(spec, depth):
-    """The number of distinct (S rows, B, length) among the words of length < depth.
+def expansions(monkeypatch):
+    """The (id(state), k) of every ``move`` the explorer makes, in order."""
+    calls = []
+    move = exchange._Explorer.move
 
-    Pairs are told apart by ``coeff_rows``, as the explorer tells them apart.
-    """
-    level, count = {(spec.S.entries, coeff_rows(spec.B.entries)): spec.B}, 0
-    for _ in range(depth):
-        count += len(level)
-        stepped = {}
-        for (rows, _), B in level.items():
-            for k in range(B.n):
-                moved = rows
-                for v in spec.blocks[k]:
-                    moved = mutate_entries(moved, v)
-                mutated = B.mutate(k)
-                stepped[moved, coeff_rows(mutated.entries)] = mutated
-        level = stepped
-    return count
+    def counted(explorer, state, k):
+        calls.append((id(state), k))
+        return move(explorer, state, k)
+
+    monkeypatch.setattr(exchange._Explorer, "move", counted)
+    return calls
 
 
 class TestWorkCounts:
-    def test_repeated_subtrees_are_counted_not_walked(self, monkeypatch):
-        calls = []
-        descend = exchange._Explorer.descend
-
-        def counted(explorer, *args):
-            calls.append(1)
-            return descend(explorer, *args)
-
-        monkeypatch.setattr(exchange._Explorer, "descend", counted)
+    def test_each_pair_shorter_than_depth_is_expanded_once(self, monkeypatch):
+        calls = expansions(monkeypatch)
         spec = standard_folding("H4")
         report = check_weighted_unfolding(spec, depth=5, random_words=0)
-        tree_words = sum(4**level for level in range(6))
-        assert report.passed and report.words_checked == tree_words
-        # a word-by-word walk descends once per word of the tree; here each
-        # distinct (pair, length < 5) is expanded once into its 4 children
-        assert len(calls) < tree_words
-        assert len(calls) == 1 + 4 * tree_nodes(spec, 5)
+        assert report.passed and report.words_checked == sum(4**level for level in range(6))
+        # every letter from every pair at distance < 5, once
+        expanded = {state for state, _ in calls}
+        assert sorted(calls) == [(state, k) for state in sorted(expanded) for k in range(4)]
+        assert len(expanded) == len(states_within(spec, 4)) == 61
+
+    @pytest.mark.parametrize("parity,keys", [(False, 3), (True, 6)])
+    def test_each_parity_key_is_expanded_once(self, parity, keys, monkeypatch):
+        # a 3-cycle: with parity each state is a key at both parities
+        calls = expansions(monkeypatch)
+
+        def step(state, k):
+            return ((((state[0][0][0] + 1) % 3,),),)
+
+        run = explore_words((((0,),),), step, 1, lambda s, w, nb: (), depth=10, parity=parity)
+        assert (run.words, run.states) == (11, 3)
+        assert len(calls) == keys
 
     def test_each_column_is_decided_once(self, monkeypatch):
         spec = standard_folding("H4")
