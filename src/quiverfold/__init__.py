@@ -13,14 +13,13 @@ from .chebring import (
     sigma,
 )
 from .clustercat import ClusterCategory
-from .exchange import ExchangeMatrix, RQuiver, from_quiver, to_quiver
+from .exchange import ExchangeMatrix
 from .repcat import ARQuiver, FoldedCategory, IndecClass
 from .rootsys import RootSet, e_F, e_F_float, generate_roots, root_system
 from .tropical import GMatrix, Seed, TropicalWalker, enumerate_seeds, g_matrix
 from .unfolding import (
     FoldingSpec,
     build_unfolded_matrix,
-    check_conditions,
     check_weighted_unfolding,
     standard_folding,
 )
@@ -36,18 +35,15 @@ __all__ = [
     "GMatrix",
     "IndecClass",
     "RootSet",
-    "RQuiver",
     "Seed",
     "TropicalWalker",
     "build_unfolded_matrix",
     "cheb_mul",
-    "check_conditions",
     "check_weighted_unfolding",
     "e_F",
     "e_F_float",
     "enumerate_seeds",
     "equal_in_evaluation",
-    "from_quiver",
     "g_matrix",
     "generate_roots",
     "minimal_poly",
@@ -57,7 +53,6 @@ __all__ = [
     "semiring_leq",
     "sigma",
     "standard_folding",
-    "to_quiver",
 ]
 
 __version__ = "0.1.0"

@@ -169,6 +169,8 @@ def _vertex_list(text: str) -> tuple:
 
 def _spec_from(args):
     if args.kind in ("H3", "H4", "F4E6"):
+        if args.n is not None:
+            raise UsageError("--n applies only to --kind I2 and I2m")
         return standard_folding(args.kind)
     if args.kind == "I2":
         if args.n is None:
@@ -364,13 +366,15 @@ def cmd_tilting(args) -> int:
 def G_projection_verdicts(cc: ClusterCategory, summands) -> tuple:
     """For each summand, whether its columns of the two G matrices agree under d_F.
 
-    Of column j of ``ClusterCategory.tilting_G_matrices``' integer G,
-    ``matrix_d_F`` reads only the g-vector of summand j's index-0 member;
-    column j of the folded G is summand j's folded g-vector.  Neither
-    depends on j, so an object's G projects exactly when each summand's
-    columns do, and each summand is decided once.  Every column member's
-    g-vector is computed, as ``tilting_G_matrices`` computes it; each is
-    read off the Euler form (``ClusterCategory.g_vector``).
+    A tilting object's integer G has at unfolded vertex v the g-vector of
+    the member of the summand over F(v) whose Chebyshev index is v's
+    position in its block; column j of its folded G is summand j's folded
+    g-vector (``ClusterCategory.folded_G_matrix``).  Of the integer G,
+    ``matrix_d_F`` reads only the g-vector of summand j's index-0 member.
+    Neither column depends on j, so an object's G projects exactly when each
+    summand's columns do, and each summand is decided once.  Every column
+    member's g-vector is computed, as the whole integer G reads them; each
+    is read off the Euler form (``ClusterCategory.g_vector``).
     """
     lifted = [[cc.g_vector(x) for x in cc.iso_sets[g]][0] for g in summands]
     projected = matrix_d_F(cc.spec, tuple(zip(*lifted)), None, range(len(lifted)))

@@ -400,23 +400,3 @@ class ClusterCategory:
     def folded_G_matrix(self, summands) -> tuple:
         """Folded G of a tilting object: column j is the folded g-vector of summand j."""
         return tuple(zip(*map(self.g_vector_folded, summands)))
-
-    def tilting_G_matrices(self, summands):
-        """(integer G of the hat object, folded G of the tilting object).
-
-        Columns of the integer matrix are indexed by unfolded vertices: the
-        column at vertex v is the g-vector of the column member of the
-        summand over F(v) whose Chebyshev index is v's position in its
-        block.  The folded matrix
-        is ``folded_G_matrix``.  Both read the per-object g-vector tables, so
-        each g-vector is computed once per category however many tilting
-        objects contain it.
-        """
-        spec = self.spec
-        cols = [None] * self.nverts
-        for j, g in enumerate(summands):
-            members = self.iso_sets[g]
-            for pos, v in enumerate(spec.blocks[j]):
-                cols[v] = self.g_vector(members[pos])
-        G_hat = tuple(tuple(cols[v][w] for v in range(self.nverts)) for w in range(self.nverts))
-        return G_hat, self.folded_G_matrix(summands)

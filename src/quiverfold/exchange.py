@@ -1,4 +1,4 @@
-"""Exchange matrices over an ordered ring, R-quivers and mutation.
+"""Exchange matrices over an ordered ring and their mutation.
 
 Entries are either plain integers or ``AlgReal`` values.  Matrices are
 immutable: every operation returns a fresh value.  ``mutate_coeffs`` is the
@@ -15,15 +15,8 @@ both the word verifiers' tree (``explore_words``) and the seed closure.
 from __future__ import annotations
 
 import operator
-from types import MappingProxyType
 
 from .chebring import AlgReal, _coeff_sign, _context, _Frozen, json_value
-
-
-def sgn(x) -> int:
-    if isinstance(x, AlgReal):
-        return x.sign()
-    return (x > 0) - (x < 0)
 
 
 def _is_zero(x) -> bool:
@@ -456,84 +449,3 @@ def explore_words(
             break
         explorer.walk(start, word, walk_check or check, end_check)
     return Exploration(explorer.words, len(explorer.seen), explorer.failures)
-
-
-# ---------------------------------------------------------------------------
-# R-quivers
-
-
-class RQuiver(_Frozen):
-    """Quiver with strictly positive arrow weights, no loops or 2-cycles.
-
-    ``arrows`` maps (source, target) to the weight; both ends must be among
-    ``vertices``.  Optional vertex weights make it a vertex-weighted quiver.
-    Both mappings are read-only copies of the ones passed in, and ``hash``
-    reads their items.
-    """
-
-    __slots__ = _compared = ("vertices", "arrows", "vertex_weights")
-
-    def __init__(self, vertices, arrows, vertex_weights=None):
-        vertices, arrows = tuple(vertices), dict(arrows)
-        declared = set(vertices)
-        for (i, j), w in arrows.items():
-            if i == j:
-                raise ValueError("loops are not allowed")
-            if (j, i) in arrows:
-                raise ValueError("2-cycles are not allowed")
-            if i not in declared or j not in declared:
-                raise ValueError(f"arrow {i!r} -> {j!r} has an end that is not a vertex")
-            if sgn(w) <= 0:
-                raise ValueError("arrow weights must be strictly positive")
-        self._fill(vertices, MappingProxyType(arrows), MappingProxyType(dict(vertex_weights or {})))
-
-    def __reduce__(self):
-        return RQuiver, (self.vertices, dict(self.arrows), dict(self.vertex_weights))
-
-    def __hash__(self):
-        return hash(
-            (self.vertices, frozenset(self.arrows.items()), frozenset(self.vertex_weights.items()))
-        )
-
-
-def to_quiver(matrix: ExchangeMatrix, vertices=None) -> RQuiver:
-    if not matrix.is_skew_symmetric():
-        raise ValueError("only skew-symmetric matrices correspond to R-quivers")
-    vertices = tuple(vertices) if vertices is not None else tuple(range(matrix.n))
-    arrows = {}
-    for i in range(matrix.n):
-        for j in range(matrix.n):
-            if sgn(matrix.entries[i][j]) > 0:
-                arrows[(vertices[i], vertices[j])] = matrix.entries[i][j]
-    return RQuiver(vertices, arrows)
-
-
-def from_quiver(quiver: RQuiver) -> ExchangeMatrix:
-    index = {v: i for i, v in enumerate(quiver.vertices)}
-    n = len(quiver.vertices)
-    m = entry_field((quiver.arrows.values(),))
-    zero = 0 if m is None else AlgReal(m)
-    rows = [[zero] * n for _ in range(n)]
-    for (i, j), w in quiver.arrows.items():
-        rows[index[i]][index[j]] = w
-        rows[index[j]][index[i]] = -w
-    return ExchangeMatrix(tuple(tuple(r) for r in rows))
-
-
-def quiver_dot(quiver: RQuiver, name="quiver") -> str:
-    """DOT text with arrow-weight labels (and vertex weights when present)."""
-    lines = [f"digraph {name} {{"]
-    for v in quiver.vertices:
-        vw = quiver.vertex_weights.get(v)
-        label = f"{v}" if vw is None else f"{v} [w={_fmt(vw)}]"
-        lines.append(f'  "{v}" [label="{label}"];')
-    for (i, j), w in sorted(quiver.arrows.items(), key=lambda kv: (str(kv[0]),)):
-        lines.append(f'  "{i}" -> "{j}" [label="{_fmt(w)}"];')
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def _fmt(x):
-    if isinstance(x, AlgReal):
-        return f"{float(x):.6g}"
-    return str(x)

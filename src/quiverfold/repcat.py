@@ -13,8 +13,8 @@ field is ever needed.
 ``FoldedCategory`` adds the data of a weighted folding: projected
 dimension vectors, the factorization of every indecomposable as a
 Chebyshev multiple of a generator, the semiring action on iso-class
-multisets, minimal generator sets, the reduced AR quiver, and the
-theorem-level verification report.
+multisets, minimal generator sets, and the theorem-level verification
+report.
 """
 
 from __future__ import annotations
@@ -376,40 +376,6 @@ class FoldedCategory:
         column = self.columns[alpha]
         return {column[k]: c for k, c in enumerate(expansion.coeffs) if c}
 
-    # -- the reduced AR quiver ----------------------------------------------
-    def reduced_ar_quiver(self):
-        """Vertices: generators; valued arrows (r1, r2) from column membership."""
-        gens = set(self.generators)
-        member_of = {}
-        for g in self.generators:
-            for ident in self.iso_set(g):
-                member_of[ident] = g
-        arrows = {}
-        for g1 in self.generators:
-            iso1 = set(self.iso_set(g1))
-            for g2 in self.generators:
-                if g1 == g2:
-                    continue
-                r1 = ChebElem.zero(self.n)
-                for src in self.ar.ar_in[g2]:
-                    if src in iso1:
-                        r1 = r1 + ChebElem.theta(self.n, self.theta_index(src))
-                r2 = ChebElem.zero(self.n)
-                iso2 = set(self.iso_set(g2))
-                for tgt in self.ar.ar_out[g1]:
-                    if tgt in iso2:
-                        r2 = r2 + ChebElem.theta(self.n, self.theta_index(tgt))
-                if not r1.is_zero() and not r2.is_zero():
-                    arrows[(g1, g2)] = (r1, r2)
-        tau = {}
-        for g in self.generators:
-            t = self.ar.tau(g)
-            if t is not None:
-                if t not in gens:
-                    raise AssertionError("translate of a generator left the generator set")
-                tau[g] = t
-        return {"vertices": self.generators, "arrows": arrows, "tau": tau}
-
     # -- theorem-level verification ----------------------------------------
     def verify_folding_theorem(self) -> dict:
         """Projected dimension vectors: root rows, weight swaps, factorization.
@@ -484,16 +450,6 @@ class FoldedCategory:
             )
         for src, tgt in self.ar.ar_arrows:
             lines.append(f"  m{src} -> m{tgt};")
-        lines.append("}")
-        return "\n".join(lines)
-
-    def reduced_dot(self, name="reduced") -> str:
-        data = self.reduced_ar_quiver()
-        lines = [f"digraph {name} {{", "  rankdir=LR;"]
-        for g in data["vertices"]:
-            lines.append(f'  g{g} [label="{self.dimproj_str(g)}"];')
-        for (g1, g2), (r1, r2) in sorted(data["arrows"].items()):
-            lines.append(f'  g{g1} -> g{g2} [label="({r1!r}, {r2!r})"];')
         lines.append("}")
         return "\n".join(lines)
 

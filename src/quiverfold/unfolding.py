@@ -36,7 +36,12 @@ from .exchange import (
 
 
 class FoldingSpec(_Frozen):
-    """A weighted folding F : unfolded quiver -> folded quiver."""
+    """A weighted folding F : unfolded quiver -> folded quiver.
+
+    The blocks partition the unfolded vertices, one block per row of B, with
+    one weight per unfolded vertex; a spec of any other shape is a
+    ValueError at construction.
+    """
 
     __slots__ = _compared = (
         "kind", "S", "B", "blocks", "weights", "labels", "folded_labels", "n",
@@ -53,6 +58,15 @@ class FoldingSpec(_Frozen):
         folded_labels: tuple = (),
         n: int | None = None,     # Chebyshev rank (None for the integer demo)
     ):
+        nverts = S.n
+        if any(i >= nverts for block in blocks for i in block):
+            raise ValueError("block indices exceed the matrix size")
+        if sorted(i for block in blocks for i in block) != list(range(nverts)):
+            raise ValueError("blocks must partition the unfolded index set")
+        if len(weights) != nverts:
+            raise ValueError("need one weight per unfolded vertex")
+        if len(blocks) != B.n:
+            raise ValueError("need one block per folded vertex")
         self._fill(kind, S, B, blocks, weights, labels, folded_labels, n)
 
     @property
@@ -167,13 +181,6 @@ def seeded_words(letters: int, count: int, length: int, seed):
 
 # ---------------------------------------------------------------------------
 # the unfolding conditions
-
-
-class ConditionReport:
-    def __init__(self, passed: bool, failures: list, checked_pairs: int):
-        self.passed = passed
-        self.failures = failures
-        self.checked_pairs = checked_pairs
 
 
 def conditions_hold(S_rows, B: ExchangeMatrix, blocks, weights, memo=None) -> list:
@@ -293,22 +300,6 @@ def _decode(m, coeffs, algebraic):
     if algebraic:
         return AlgReal(m, coeffs)
     return coeffs[0]
-
-
-def check_conditions(S, B: ExchangeMatrix, blocks, weights) -> ConditionReport:
-    """Full report on conditions (1) and (2) for the pair (S, B)."""
-    rows = S.entries if isinstance(S, ExchangeMatrix) else S
-    nverts = len(rows)
-    if any(i >= nverts for block in blocks for i in block):
-        raise ValueError("block indices exceed the matrix size")
-    if sorted(i for b in blocks for i in b) != list(range(nverts)):
-        raise ValueError("blocks must partition the unfolded index set")
-    if len(weights) != nverts:
-        raise ValueError("need one weight per unfolded vertex")
-    if len(blocks) != B.n:
-        raise ValueError("need one block per folded vertex")
-    failures = conditions_hold(rows, B, blocks, weights)
-    return ConditionReport(not failures, failures, len(blocks) ** 2)
 
 
 class UnfoldingReport:

@@ -2,12 +2,12 @@
 
 The library computes on folded matrices only as coefficient tuples
 (``coeff_rows``).  Most functions here are the same computations on
-``AlgReal`` values, as the library made them before: mutation by the sign
-formula, the determinant by Laplace expansion, the inverse by adjugate, the
-tropical walker's step, and d_F on a ``FoldingSpec``.  Two lookups that
-only the tests ask for follow them: membership in a root system's positive
-roots, and the folded vertex of each unfolded one; then ``replace_spec``,
-a ``FoldingSpec`` with some fields changed.
+``AlgReal`` values, as the library made them before: the sign of a value,
+mutation by the sign formula, the determinant by Laplace expansion, the
+inverse by adjugate, the tropical walker's step, and d_F on a
+``FoldingSpec``.  A lookup that only the tests ask for follows them,
+membership in a root system's positive roots; then ``replace_spec``, a
+``FoldingSpec`` with some fields changed.
 
 Then the rational enclosures as ``chebring`` computed them over
 ``Fraction`` before it ran them on integers: the interval Horner and the
@@ -19,15 +19,23 @@ dimension vectors by ``AlgReal`` products, the hammock recursion run from
 every module (the library runs it from the projectives only and fills the
 other rows by the translate), the minimal projective presentation of a
 module solved vertex by vertex (the library reads g-vectors off the Euler
-form), the Euler form, and classical cluster tilting decided entry by
-entry from ``ext``.
+form), the g-vectors and G matrices of tilting objects read off those
+presentations, the Euler form, and classical cluster tilting decided entry
+by entry from ``ext``.
 """
 
 from fractions import Fraction
 
 from quiverfold import chebring
-from quiverfold.chebring import AlgReal
-from quiverfold.exchange import RingValues, sgn
+from quiverfold.chebring import AlgReal, ChebElem, sigma
+from quiverfold.exchange import RingValues
+
+
+def sgn(x) -> int:
+    """The sign of an int or an ``AlgReal`` value: -1, 0 or 1."""
+    if isinstance(x, AlgReal):
+        return x.sign()
+    return (x > 0) - (x < 0)
 
 
 def matrix_d_F(spec, rows):
@@ -146,15 +154,6 @@ def is_positive_root(roots, v) -> bool:
     if len(v) != roots.rank:
         raise ValueError(f"expected a vector of length {roots.rank}")
     return v in roots.positives
-
-
-def vertex_map(spec) -> tuple:
-    """The folded vertex (block index) of each unfolded vertex of ``spec``."""
-    out = [None] * spec.S.n
-    for j, block in enumerate(spec.blocks):
-        for i in block:
-            out[i] = j
-    return tuple(out)
 
 
 def replace_spec(spec, **changes):
@@ -321,6 +320,61 @@ def presentation(cc, module):
     if check != target:
         raise AssertionError("projective presentation solve failed")
     return tops, tuple(b)
+
+
+def g_vector(cc, x):
+    """The g-vector of an object of a ``ClusterCategory``: P0 - P1, or -e_v for P_v[1]."""
+    if cc.is_shift(x):
+        v = x - cc.nmod
+        return tuple(-1 if w == v else 0 for w in range(cc.nverts))
+    a, b = presentation(cc, x)
+    return tuple(ai - bi for ai, bi in zip(a, b))
+
+
+def g_vector_folded(cc, x):
+    """The folded g-vector of an object of a ``ClusterCategory``.
+
+    Entry j is sigma(sum a_v theta_pos) - sigma(sum b_v theta_pos) over the
+    members v of block j, pos being v's position in it, where (a, b) is the
+    object's presentation, or (0, e_v) for P_v[1].
+    """
+    n = cc.mc.n
+    if cc.is_shift(x):
+        v = x - cc.nmod
+        a = (0,) * cc.nverts
+        b = tuple(1 if w == v else 0 for w in range(cc.nverts))
+    else:
+        a, b = presentation(cc, x)
+    out = []
+    for block in cc.spec.blocks:
+        r = ChebElem.zero(n)
+        s = ChebElem.zero(n)
+        for pos, v in enumerate(block):
+            if a[v]:
+                r = r + a[v] * ChebElem.theta(n, pos)
+            if b[v]:
+                s = s + b[v] * ChebElem.theta(n, pos)
+        out.append(sigma(r) - sigma(s))
+    return tuple(out)
+
+
+def tilting_G_matrices(cc, summands, lifted=g_vector, folded=g_vector_folded):
+    """(integer G of the hat object, folded G of the tilting object ``summands``).
+
+    The column of the integer G at unfolded vertex v is the g-vector of the
+    member of the summand over F(v) whose Chebyshev index is v's position
+    in its block; column j of the folded G is summand j's folded g-vector.
+    The g-vectors come from presentations, or from ``lifted(cc, x)`` and
+    ``folded(cc, x)`` when given, such as ``ClusterCategory.g_vector`` and
+    ``ClusterCategory.g_vector_folded``.
+    """
+    cols = [None] * cc.nverts
+    for j, g in enumerate(summands):
+        members = cc.iso_sets[g]
+        for pos, v in enumerate(cc.spec.blocks[j]):
+            cols[v] = lifted(cc, members[pos])
+    G_hat = tuple(tuple(cols[v][w] for v in range(cc.nverts)) for w in range(cc.nverts))
+    return G_hat, tuple(zip(*(folded(cc, g) for g in summands)))
 
 
 def euler_form(ar, d, e) -> int:

@@ -1,9 +1,11 @@
+import ast
 import hashlib
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -30,6 +32,39 @@ def run(capsys, *argv):
 def test_every_export_resolves():
     for name in quiverfold.__all__:
         assert getattr(quiverfold, name) is not None, name
+
+
+def test_exports_are_pinned():
+    assert sorted(quiverfold.__all__) == [
+        "ARQuiver", "AlgReal", "ChebElem", "ClusterCategory", "ExchangeMatrix",
+        "FoldedCategory", "FoldingSpec", "GMatrix", "IndecClass", "RootSet", "Seed",
+        "TropicalWalker", "build_unfolded_matrix", "cheb_mul", "check_weighted_unfolding",
+        "e_F", "e_F_float", "enumerate_seeds", "equal_in_evaluation", "g_matrix",
+        "generate_roots", "minimal_poly", "reg_rep", "rho", "root_system", "semiring_leq",
+        "sigma", "standard_folding",
+    ]
+
+
+def test_every_top_level_import_is_read():
+    """Each name a module of the package imports at top level is read in that module.
+
+    ``__init__`` reads its ``__all__`` re-exports by listing them.
+    """
+    unread = []
+    for path in sorted(Path(quiverfold.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+        imported = {
+            (alias.asname or alias.name).partition(".")[0]
+            for node in imports
+            if getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            read |= set(quiverfold.__all__)
+        unread += [f"{path.name}: {name}" for name in sorted(imported - read)]
+    assert unread == []
 
 
 class TestRing:
@@ -729,6 +764,10 @@ class TestUsageErrors:
     def test_kind_needs_n(self, capsys):
         for argv in ("ar build --kind I2", "tilting enumerate --kind I2"):
             self.assert_usage_error(capsys, argv, "--kind I2 requires --n")
+
+    def test_n_with_a_kind_that_takes_none(self, capsys):
+        for argv in ("verify all --kind H3 --n 5", "tropical walk --kind H4 --n 3"):
+            self.assert_usage_error(capsys, argv, "--n applies only to --kind I2 and I2m")
 
     @pytest.mark.parametrize(
         "argv,message",

@@ -5,13 +5,23 @@ from collections import Counter
 import pytest
 
 from quiverfold import clustercat, tropical
-from quiverfold.chebring import AlgReal, ChebElem, sigma
+from quiverfold.chebring import AlgReal
 from quiverfold.cli import G_projection_verdicts
 from quiverfold.clustercat import ClusterCategory
 from quiverfold.exchange import ExchangeMatrix, coeff_rows
 from quiverfold.repcat import ARQuiver, hom_ext_tables
 from quiverfold.unfolding import standard_folding
-from spec_oracles import hammock_tables, is_classical_tilting, matrix_d_F, presentation, replace_spec
+from spec_oracles import (
+    g_vector, g_vector_folded, hammock_tables, is_classical_tilting, matrix_d_F, presentation,
+    replace_spec, tilting_G_matrices,
+)
+
+
+def production_G_matrices(cc, summands):
+    """``tilting_G_matrices`` read off the category's own g-vector tables."""
+    return tilting_G_matrices(
+        cc, summands, ClusterCategory.g_vector, ClusterCategory.g_vector_folded
+    )
 
 
 def mutate_tilting(cc, summands, k: int, folded):
@@ -241,7 +251,7 @@ class TestGVectors:
 
     def test_initial_G_matrices(self, h3):
         start = h3.initial_tilting()
-        G_hat, G_prime = h3.tilting_G_matrices(start)
+        G_hat, G_prime = production_G_matrices(h3, start)
         assert G_hat == tuple(
             tuple(1 if i == j else 0 for j in range(6)) for i in range(6)
         )
@@ -252,7 +262,7 @@ class TestGVectors:
 
     def test_d_F_of_hat_matrix(self, i7):
         for t in i7.enumerate_tilting():
-            G_hat, G_prime = i7.tilting_G_matrices(t)
+            G_hat, G_prime = production_G_matrices(i7, t)
             assert matrix_d_F(i7.spec, G_hat) == G_prime
 
     def test_one_mutation_matches_seed_walk(self, h3):
@@ -263,57 +273,13 @@ class TestGVectors:
         start = h3.initial_tilting()
         for k in range(3):
             t1, _ = mutate_tilting(h3, start, k, h3.spec.B)
-            _, G_prime = h3.tilting_G_matrices(t1)
             walk = g_matrix(Seed.initial(-h3.spec.B).mutate(k)).entries
-            assert G_prime == walk
+            assert h3.folded_G_matrix(t1) == walk
 
 
-# -- oracles: the g-vector and complement code from before the per-object
-# g-vector tables and the adjacency-based complements.  They solve the
-# projective presentation on every call and scan every generator.
-
-
-def oracle_g_vector(cc, x):
-    if cc.is_shift(x):
-        v = x - cc.nmod
-        return tuple(-1 if w == v else 0 for w in range(cc.nverts))
-    a, b = presentation(cc, x)
-    return tuple(ai - bi for ai, bi in zip(a, b))
-
-
-def oracle_g_vector_folded(cc, x):
-    n = cc.mc.n
-    if cc.is_shift(x):
-        v = x - cc.nmod
-        a = (0,) * cc.nverts
-        b = tuple(1 if w == v else 0 for w in range(cc.nverts))
-    else:
-        a, b = presentation(cc, x)
-    out = []
-    for block in cc.spec.blocks:
-        r = ChebElem.zero(n)
-        s = ChebElem.zero(n)
-        for pos, v in enumerate(block):
-            if a[v]:
-                r = r + a[v] * ChebElem.theta(n, pos)
-            if b[v]:
-                s = s + b[v] * ChebElem.theta(n, pos)
-        out.append(sigma(r) - sigma(s))
-    return tuple(out)
-
-
-def oracle_tilting_G_matrices(cc, summands):
-    cols = [None] * cc.nverts
-    for j, g in enumerate(summands):
-        members = cc.iso_sets[g]
-        for pos, v in enumerate(cc.spec.blocks[j]):
-            cols[v] = oracle_g_vector(cc, members[pos])
-    G_hat = tuple(tuple(cols[v][w] for v in range(cc.nverts)) for w in range(cc.nverts))
-    G_prime = tuple(
-        tuple(oracle_g_vector_folded(cc, g)[i] for g in summands)
-        for i in range(len(summands))
-    )
-    return G_hat, G_prime
+# -- oracles: the complement code from before the adjacency-based
+# complements.  It scans every generator.  The g-vector oracles, which solve
+# the projective presentation on every call, are in ``spec_oracles``.
 
 
 def oracle_pair_rigid(cc, g1, g2):
@@ -353,13 +319,9 @@ def cat(request):
 class TestAgainstOracle:
     def test_g_vectors(self, cat):
         for x in cat.indecomposables():
-            assert cat.g_vector(x) == oracle_g_vector(cat, x)
+            assert cat.g_vector(x) == g_vector(cat, x)
         for g in cat.generators:
-            assert cat.g_vector_folded(g) == oracle_g_vector_folded(cat, g)
-
-    def test_G_matrices(self, cat):
-        for t in cat.enumerate_tilting():
-            assert cat.tilting_G_matrices(t) == oracle_tilting_G_matrices(cat, t)
+            assert cat.g_vector_folded(g) == g_vector_folded(cat, g)
 
     def test_complements_and_their_order(self, cat):
         for t in cat.enumerate_tilting():
@@ -422,7 +384,7 @@ def test_presentation_once_per_module(kind):
     tilts = cc.enumerate_tilting()
     for _ in range(2):
         for t in tilts:
-            cc.tilting_G_matrices(t)
+            G_projection_verdicts(cc, t)
         for x in cc.indecomposables():
             cc.g_vector(x)
             cc.g_vector_folded(x)
@@ -703,13 +665,13 @@ def per_object_G_verdicts(cc, tilts):
     """One verdict per tilting object: its whole lifted G projected against its folded G.
 
     The loop ``verify all`` ran before it decided each summand once: one
-    ``tilting_G_matrices`` and one ``matrix_d_F`` per object, with a d_F
-    memo shared across objects.
+    ``tilting_G_matrices`` on the category's tables and one ``matrix_d_F`` per
+    object, with a d_F memo shared across objects.
     """
     projected = {}
     return [
         tropical.matrix_d_F(cc.spec, G_hat, projected) == coeff_rows(G_prime)
-        for G_hat, G_prime in map(cc.tilting_G_matrices, tilts)
+        for G_hat, G_prime in (production_G_matrices(cc, t) for t in tilts)
     ]
 
 

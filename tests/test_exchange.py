@@ -10,16 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from quiverfold import chebring
 from quiverfold.chebring import AlgReal, minimal_poly
-from quiverfold.exchange import (
-    ExchangeMatrix,
-    RQuiver,
-    RingValues,
-    coeff_rows,
-    from_quiver,
-    mutate_coeffs,
-    quiver_dot,
-    to_quiver,
-)
+from quiverfold.exchange import ExchangeMatrix, RingValues, coeff_rows, mutate_coeffs
 from spec_oracles import mutate_entries
 
 # the F4-type skew-symmetrizable matrix and its 6x6 integer unfolding
@@ -220,59 +211,6 @@ class TestCompositeMutate:
             composite_mutate(S_E6, [1, 2])
 
 
-class TestQuiverCorrespondence:
-    def test_round_trip_integer(self):
-        Q = to_quiver(S_A4)
-        assert from_quiver(Q) == S_A4
-
-    def test_round_trip_golden(self):
-        B = golden_matrix()
-        assert from_quiver(to_quiver(B)) == B
-
-    def test_rejects_non_skew(self):
-        with pytest.raises(ValueError):
-            to_quiver(B_F4)
-
-    def test_quiver_is_hashable(self):
-        Q = to_quiver(S_A4)
-        assert hash(Q) == hash(to_quiver(S_A4))
-        assert len({Q, to_quiver(S_A4), to_quiver(-S_A4), to_quiver(golden_matrix())}) == 3
-
-    def test_quiver_keeps_no_reference_to_the_callers_mappings(self):
-        arrows, vertex_weights = {(0, 1): 1}, {0: 2}
-        Q = RQuiver((0, 1), arrows, vertex_weights)
-        arrows[(1, 0)] = 1
-        arrows[(0, 0)] = -3
-        vertex_weights[1] = 5
-        assert dict(Q.arrows) == {(0, 1): 1} and dict(Q.vertex_weights) == {0: 2}
-        assert from_quiver(Q) == ExchangeMatrix([[0, 1], [-1, 0]])
-        with pytest.raises(TypeError):
-            Q.arrows[(1, 0)] = 1
-        with pytest.raises(TypeError):
-            Q.vertex_weights[1] = 5
-
-    @pytest.mark.parametrize(
-        "arrows, message",
-        [
-            ({(0, 0): 1}, "loops are not allowed"),
-            ({(0, 1): 1, (1, 0): 1}, "2-cycles are not allowed"),
-            ({(0, 1): 0}, "arrow weights must be strictly positive"),
-            ({(0, 1): -AlgReal.generator(5)}, "arrow weights must be strictly positive"),
-            ({(0, 5): 1}, "arrow 0 -> 5 has an end that is not a vertex"),
-            ({(7, 1): 1}, "arrow 7 -> 1 has an end that is not a vertex"),
-        ],
-    )
-    def test_quiver_rejections(self, arrows, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            RQuiver((0, 1), arrows)
-
-    def test_dot_output_stable(self):
-        Q = to_quiver(S_A4)
-        dot = quiver_dot(Q)
-        assert dot == quiver_dot(to_quiver(S_A4))
-        assert "->" in dot
-
-
 class TestExtendedMutation:
     def test_stacked_rows_follow_pivot_square(self):
         # stack an identity under B; C-rows mutate by the same pivot row
@@ -296,9 +234,6 @@ class TestExtendedMutation:
         # nothing is computed on such a matrix, so it is refused when built
         with pytest.raises(ValueError, match="entries mix fields"):
             ExchangeMatrix([[AlgReal(5), AlgReal(7, (1,))], [AlgReal(7, (-1,)), AlgReal(5)]])
-        quiver = RQuiver((0, 1, 2), {(0, 1): AlgReal(5, (1,)), (1, 2): AlgReal(7, (1,))})
-        with pytest.raises(ValueError, match="entries mix fields"):
-            from_quiver(quiver)
 
     @given(m=st.sampled_from([None, 5, 7]), data=st.data())
     @settings(max_examples=120, deadline=None)

@@ -21,14 +21,12 @@ from hypothesis import given, settings, strategies as st
 
 from quiverfold import exchange, tropical, unfolding
 from quiverfold.chebring import AlgReal
-from quiverfold.exchange import (
-    ExchangeMatrix, coeff_rows, explore_words, sgn,
-)
+from quiverfold.exchange import ExchangeMatrix, coeff_rows, explore_words
 from quiverfold.tropical import TropicalWalker
 from quiverfold.unfolding import (
     check_weighted_unfolding, conditions_hold, standard_folding, steps_back_exactly,
 )
-from spec_oracles import algreal_pair, mutate_entries, replace_spec, walker_step
+from spec_oracles import algreal_pair, mutate_entries, replace_spec, sgn, walker_step
 from test_tropical import FOLDINGS
 from test_unfolding import FoldingSpecBrokenWeights, sign_flipped_f4e6
 

@@ -8,7 +8,7 @@ from quiverfold.repcat import ARQuiver, FoldedCategory, hom_ext_tables, quiver_a
 from quiverfold.unfolding import FoldingSpec, standard_folding
 from spec_oracles import (
     chebyshev_factors, euler_form, hammock_tables, is_positive_root, replace_spec,
-    simply_laced_positive_roots, vertex_map,
+    simply_laced_positive_roots,
 )
 
 
@@ -422,38 +422,6 @@ class TestGeneratorsAndReducedAR:
             assert len(col) == 3
         assert cols == {mod.ident for mod in i7cat.ar.modules}
 
-    def test_reduced_ar_i7(self, i7cat):
-        data = i7cat.reduced_ar_quiver()
-        assert len(data["vertices"]) == 7
-        theta1 = ChebElem.theta(3, 1)
-        # zig-zag: every arrow carries valuation (theta_1, theta_1)
-        assert len(data["arrows"]) == 6
-        for r1, r2 in data["arrows"].values():
-            assert r1 == theta1 and r2 == theta1
-        # translation pairs generators two roots apart
-        assert len(data["tau"]) == 5
-
-    def test_reduced_ar_h3(self, h3cat):
-        data = h3cat.reduced_ar_quiver()
-        assert len(data["vertices"]) == 15
-        one = ChebElem.one(2)
-        theta1 = ChebElem.theta(2, 1)
-        valuations = set()
-        blocks = vertex_map(h3cat.spec)
-        for (g1, g2), (r1, r2) in data["arrows"].items():
-            assert r1 == r2
-            valuations.add(r1)
-            # the golden valuation sits between the rows of folded [2] and [3]
-            b1 = blocks[h3cat.ar.modules[g1].orbit]
-            b2 = blocks[h3cat.ar.modules[g2].orbit]
-            if r1 == theta1:
-                assert {b1, b2} == {1, 2}
-            else:
-                assert {b1, b2} == {0, 1}
-        assert valuations == {one, theta1}
-        for g, t in data["tau"].items():
-            assert h3cat.ar.modules[t].orbit == h3cat.ar.modules[g].orbit
-
 
 def derived_tau(cat, obj):
     """tau on formal shifts (k, module): stays in degree k off projectives.
@@ -521,8 +489,6 @@ class TestExports:
     def test_dot_outputs(self, i5cat):
         dot = i5cat.ar_dot()
         assert dot.count("->") == len(i5cat.ar.ar_arrows)
-        rdot = i5cat.reduced_dot()
-        assert rdot.startswith("digraph")
 
 
 PROJECTION_KINDS = [("H3", None), ("H4", None)] + [("I2", n) for n in range(2, 9)]

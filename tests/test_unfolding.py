@@ -6,19 +6,19 @@ from quiverfold.chebring import AlgReal
 from quiverfold.exchange import ExchangeMatrix
 from quiverfold.unfolding import (
     build_unfolded_matrix,
-    check_conditions,
     check_weighted_unfolding,
+    conditions_hold,
     standard_folding,
 )
 from spec_oracles import matrix_d_F, replace_spec
 
 
 class TestCheckConditions:
+    """Conditions (1) and (2) by ``conditions_hold``, and the shape a ``FoldingSpec`` must have."""
+
     def test_f4_e6_passes(self):
         spec = standard_folding("F4E6")
-        report = check_conditions(spec.S, spec.B, spec.blocks, spec.weights)
-        assert report.passed
-        assert report.checked_pairs == 16
+        assert conditions_hold(spec.S.entries, spec.B, spec.blocks, spec.weights) == []
 
     def test_i5_passes_with_golden_weights(self):
         spec = standard_folding("I2m", 5)
@@ -33,7 +33,7 @@ class TestCheckConditions:
         assert spec.S == expected_S
         phi = AlgReal.generator(5)
         assert spec.weights == (AlgReal(5, (1,)), phi, phi, AlgReal(5, (1,)))
-        assert check_conditions(spec.S, spec.B, spec.blocks, spec.weights).passed
+        assert conditions_hold(spec.S.entries, spec.B, spec.blocks, spec.weights) == []
 
     def test_g2_passes_with_sqrt3_weights(self):
         spec = standard_folding("I2m", 6)
@@ -51,35 +51,38 @@ class TestCheckConditions:
         one = AlgReal(6, (1,))
         two = AlgReal(6, (2,))
         assert spec.weights == (one, s3, two, s3, one)
-        assert check_conditions(spec.S, spec.B, spec.blocks, spec.weights).passed
+        assert conditions_hold(spec.S.entries, spec.B, spec.blocks, spec.weights) == []
 
     def test_failure_is_reported(self):
         spec = standard_folding("F4E6")
         broken = [list(r) for r in spec.S.entries]
         broken[0][1] = -2
         broken[1][0] = 2
-        report = check_conditions(
+        failures = conditions_hold(
             tuple(tuple(r) for r in broken), spec.B, spec.blocks, spec.weights
         )
-        assert not report.passed
-        assert any(f["kind"] == "column-sum" for f in report.failures)
+        assert any(f["kind"] == "column-sum" for f in failures)
 
     def test_every_record_in_block_order(self):
         # a sign failure, then a column-sum failure, both in block (1, 0)
         spec = sign_flipped_f4e6()
-        report = check_conditions(spec.S, spec.B, spec.blocks, spec.weights)
-        assert report.failures == [
+        failures = conditions_hold(spec.S.entries, spec.B, spec.blocks, spec.weights)
+        assert failures == [
             {"block": (1, 0), "kind": "sign", "entry": (1, 0), "actual": -1},
             {"block": (1, 0), "kind": "column-sum", "column": 0, "actual": -1, "expected": 1},
         ]
-        assert (report.passed, report.checked_pairs) == (False, 16)
         walk = check_weighted_unfolding(spec, depth=1, random_words=0)
-        assert walk.failure_word == () and walk.failure_detail == report.failures[0]
+        assert walk.failure_word == () and walk.failure_detail == failures[0]
 
     def test_bad_partition_rejected(self):
         spec = standard_folding("F4E6")
-        with pytest.raises(ValueError):
-            check_conditions(spec.S, spec.B, ((0,), (1,), (2, 3)), spec.weights)
+        with pytest.raises(ValueError, match="blocks must partition the unfolded index set"):
+            replace_spec(spec, blocks=((0,), (1,), (2, 3)))
+
+    def test_block_index_out_of_range_rejected(self):
+        spec = standard_folding("H3")
+        with pytest.raises(ValueError, match="block indices exceed the matrix size"):
+            replace_spec(spec, blocks=spec.blocks[:-1] + ((4, 6),))
 
     def test_B_larger_than_the_blocks_rejected(self):
         # a fourth row of B that no block covers would go unchecked
@@ -87,13 +90,18 @@ class TestCheckConditions:
         zero = AlgReal(5)
         rows = [list(row) + [zero] for row in spec.B.entries] + [[zero] * 3 + [AlgReal(5, (7,))]]
         with pytest.raises(ValueError, match="one block per folded vertex"):
-            check_conditions(spec.S, ExchangeMatrix(rows), spec.blocks, spec.weights)
+            replace_spec(spec, B=ExchangeMatrix(rows))
 
     def test_B_smaller_than_the_blocks_rejected(self):
         spec = standard_folding("H3")
         B = ExchangeMatrix([row[:2] for row in spec.B.entries[:2]])
         with pytest.raises(ValueError, match="one block per folded vertex"):
-            check_conditions(spec.S, B, spec.blocks, spec.weights)
+            replace_spec(spec, B=B)
+
+    def test_short_weights_rejected(self):
+        spec = standard_folding("H3")
+        with pytest.raises(ValueError, match="one weight per unfolded vertex"):
+            replace_spec(spec, weights=spec.weights[:-1])
 
 
 class TestStandardFoldings:
@@ -251,7 +259,7 @@ class TestBuildUnfoldedMatrix:
         weights = tuple(
             AlgReal.chebyshev(7, k) for _ in range(2) for k in range(3)
         )
-        assert check_conditions(S, spec.B, blocks, weights).passed
+        assert conditions_hold(S.entries, spec.B, blocks, weights) == []
 
 
 class TestWeightedUnfoldingWalks:

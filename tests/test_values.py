@@ -17,7 +17,6 @@ import pytest
 
 import quiverfold
 from quiverfold.chebring import ChebElem
-from quiverfold.exchange import to_quiver
 from quiverfold.repcat import IndecClass
 from quiverfold.rootsys import generate_roots
 from quiverfold.tropical import Seed, g_matrix
@@ -29,10 +28,6 @@ def _seed(word):
     for k in word:
         seed = seed.mutate(k)
     return seed
-
-
-def _quiver(opp):
-    return to_quiver(standard_folding("H3", opp=opp).B)
 
 
 # class name -> (make, the compared fields, a different value); make() builds
@@ -56,9 +51,7 @@ VALUES = {
         ("ident", "dim", "orbit", "slice", "proj_vertex", "inj_vertex"),
         IndecClass(3, (1, 1, 0), 1, 2, proj_vertex=None, inj_vertex=1),
     ),
-    "RQuiver": (lambda: _quiver(False), ("vertices", "arrows", "vertex_weights"), _quiver(True)),
 }
-HASHABLE = sorted(set(VALUES) - {"RQuiver"})
 
 
 @pytest.mark.parametrize("name", sorted(VALUES))
@@ -71,7 +64,7 @@ def test_equal_values_compare_equal_and_differ_from_others(name):
     assert a != tuple(getattr(a, f) for f in VALUES[name][1])
 
 
-@pytest.mark.parametrize("name", HASHABLE)
+@pytest.mark.parametrize("name", sorted(VALUES))
 def test_hash_is_the_hash_of_the_compared_fields(name):
     make, fields, other = VALUES[name]
     a, b = make(), make()
