@@ -15,19 +15,20 @@ theta_k = theta_{2n-1-k} for k < 2n.  The nonnegative cone (all coordinates
 ``AlgReal`` is an element of Z[2cos(pi/m)], stored as an integer polynomial
 reduced modulo the minimal polynomial of 2cos(pi/m).  Equality is exact.
 Every bound on a polynomial at the root is one interval-Horner enclosure
-(``_interval_eval``), run on integers over the dyadic endpoints of a
-bisection of a rational isolating interval that every value with the same
-m shares.  ``sign`` takes the bisections in turn until the enclosure
-excludes 0, so AlgReal is a computable totally ordered ring;
-``interval()`` and ``float()`` take the shallowest bisection that is narrow
-enough, so they do not depend on how far earlier work refined it.  The
-evaluation homomorphism ``sigma`` sends theta_k to U_k(x/2) mod
+(``_interval_eval``) over a bisection of a dyadic isolating interval that
+every value with the same m shares.  Both are integers over a power-of-two
+scale: a bisection is (L, H, D) for [L/D, H/D], an enclosure (alo, ahi,
+scale) for [alo/scale, ahi/scale].  ``sign`` takes the bisections in turn
+until the enclosure excludes 0, so AlgReal is a computable totally ordered
+ring; ``interval()`` and ``float()`` take the shallowest bisection that is
+narrow enough, so they do not depend on how far earlier work refined it.
+Only ``interval()`` builds ``Fraction``s, so only it imports ``fractions``.
+The evaluation homomorphism ``sigma`` sends theta_k to U_k(x/2) mod
 minpoly(2n+1) and connects the two types.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 import math
 from operator import attrgetter, index, mul as _mul
@@ -189,9 +190,11 @@ def minimal_poly(m: int) -> tuple[int, ...]:
 class _RootContext:
     """Per-m data: minimal polynomial, isolating interval and its bisections, and five memos.
 
-    Every polynomial bound is an interval-Horner enclosure over one of the
-    ``bisection`` intervals.  The memos are exact, so they outlive every
-    ``refine`` and live as long as the context: for the whole process.
+    An interval [L/D, H/D] is kept as the integer triple (L, H, D), with D
+    a power of two, and every polynomial bound is an interval-Horner
+    enclosure over one of the ``bisection`` intervals.  The memos are
+    exact, so they outlive every ``refine`` and live as long as the
+    context: for the whole process.
 
     - ``signs`` maps each reduced coefficient tuple whose sign was decided
       to that sign (``_coeff_sign``).
@@ -218,43 +221,50 @@ class _RootContext:
         self.m = m
         self.minpoly = minimal_poly(m)
         self.deg = len(self.minpoly) - 1
-        self.lo, self.hi = self._initial_interval()
-        self._bisections = [(self.lo, self.hi)]
+        self._bisections = [self._initial_interval()]
         self.signs = {}
         self._mul_rows = {}
         self.updates = _Updates(self)
         self.pivots = {}
         self.negations = _Negations()
 
-    def _initial_interval(self) -> tuple[Fraction, Fraction]:
+    def _initial_interval(self) -> tuple[int, int, int]:
         c = 2.0 * math.cos(math.pi / self.m)
         delta = 1e-9
-        lo, hi = Fraction(c - delta), Fraction(c + delta)
+        (ln, ld), (hn, hd) = (c - delta).as_integer_ratio(), (c + delta).as_integer_ratio()
+        den = max(ld, hd)  # both are powers of two
+        lo, hi = ln * (den // ld), hn * (den // hd)
         # Nearest conjugate 2cos(k pi/m), k >= 2, is at distance >= 12/m^2;
         # with m <= 1e4 the margin sits far inside that gap, so an exact sign
-        # change certifies that [lo, hi] isolates 2cos(pi/m).
-        assert Fraction(12, self.m * self.m) > 2 * (hi - lo)
-        slo = _sign_at(self.minpoly, lo)
-        shi = _sign_at(self.minpoly, hi)
-        assert slo * shi < 0, "float seed failed to straddle the root"
-        return lo, hi
+        # change certifies that [lo, hi] / den isolates 2cos(pi/m).
+        assert 12 * den > 2 * (hi - lo) * self.m * self.m
+        self._low_sign = _sign_at(self.minpoly, lo, den)
+        shi = _sign_at(self.minpoly, hi, den)
+        assert self._low_sign * shi < 0, "float seed failed to straddle the root"
+        return lo, hi, den
 
     def refine(self):
-        """Bisect the shared isolating interval once, keeping the half with the root."""
-        mid = (self.lo + self.hi) / 2
-        smid = _sign_at(self.minpoly, mid)
-        if smid == 0:
-            # mid is the root itself (only possible for m = 3); nudge.
-            quarter = (self.hi - self.lo) / 4
-            self.lo, self.hi = mid - quarter, mid + quarter
-        elif _sign_at(self.minpoly, self.lo) * smid < 0:
-            self.hi = mid
-        else:
-            self.lo = mid
-        self._bisections.append((self.lo, self.hi))
+        """Bisect the shared isolating interval once, keeping the half with the root.
 
-    def bisection(self, depth: int) -> tuple[Fraction, Fraction]:
-        """The isolating interval after ``depth`` bisections of the initial one.
+        The minimal polynomial's sign at the lower end never changes, as the
+        root stays strictly inside, so it is the one taken at the seed.
+        """
+        lo, hi, den = self._bisections[-1]
+        mid = lo + hi  # over 2 den
+        # No midpoint is the root: it is irrational unless m = 3, and there
+        # lo + hi - 2 den, odd at the seed, changes by an even number per
+        # bisection, so mid / 2 den is never 1.
+        if self._low_sign * _sign_at(self.minpoly, mid, 2 * den) < 0:
+            lo, hi, den = 2 * lo, mid, 2 * den
+        else:
+            lo, hi, den = mid, 2 * hi, 2 * den
+        # the least power of two that is a common denominator, as a reduced
+        # rational pair has it
+        shift = min(((lo | hi) & -(lo | hi)).bit_length(), den.bit_length()) - 1
+        self._bisections.append((lo >> shift, hi >> shift, den >> shift))
+
+    def bisection(self, depth: int) -> tuple[int, int, int]:
+        """The isolating interval after ``depth`` bisections of the initial one, as (L, H, D).
 
         ``refine`` is deterministic, so this is a function of (m, depth)
         alone.  Each interval the shared one has passed through is kept; a
@@ -264,34 +274,40 @@ class _RootContext:
             self.refine()
         return self._bisections[depth]
 
-    def enclosure(self, coeffs, width: Fraction) -> tuple[Fraction, Fraction]:
-        """Interval Horner of ``coeffs`` over the shallowest ``bisection`` that is narrow enough.
+    def enclosure(self, coeffs, num: int, den: int) -> tuple[int, int, int]:
+        """Interval Horner of ``coeffs`` over the shallowest ``bisection`` of width <= num/den.
 
         The bisections are nested and interval arithmetic is inclusion
         isotonic, so the width does not grow with the depth, and the result
         depends on (m, coeffs, width) alone, not on how far the shared
         interval was refined.  Each bisection about halves a narrow
         enclosure, so the search starts at the depth that halving the
-        depth-0 width predicts, and steps from there.
+        depth-0 width predicts, and steps from there.  Returns
+        ``_interval_eval``'s (alo, ahi, scale).
         """
 
         def box(depth):
             return _interval_eval(coeffs, *self.bisection(depth))
 
+        def too_wide(found):
+            alo, ahi, scale = found
+            return (ahi - alo) * den > num * scale
+
         found = box(0)
-        if found[1] - found[0] <= width:
+        if not too_wide(found):
             return found
-        ratio = (found[1] - found[0]) / width
-        depth = (-(-ratio.numerator // ratio.denominator) - 1).bit_length()  # ceil(log2(ratio))
-        too_wide = 0  # the deepest depth known to be too wide
+        alo, ahi, scale = found
+        ratio = -(-(ahi - alo) * den // (num * scale))  # ceil(depth-0 width / width)
+        depth = (ratio - 1).bit_length()  # ceil(log2(ratio))
+        wide = 0  # the deepest depth known to be too wide
         while True:
             found = box(depth)
-            if found[1] - found[0] <= width:
+            if not too_wide(found):
                 break
-            too_wide, depth = depth, depth + 1
-        while depth - 1 > too_wide:
+            wide, depth = depth, depth + 1
+        while depth - 1 > wide:
             shallower = box(depth - 1)
-            if shallower[1] - shallower[0] > width:
+            if too_wide(shallower):
                 break
             found, depth = shallower, depth - 1
         return found
@@ -380,7 +396,7 @@ def _enclosure_sign(ctx: _RootContext, coeffs) -> int:
         return 0
     depth = 0
     while True:
-        lower, upper = _interval_eval(coeffs, *ctx.bisection(depth))
+        lower, upper, _ = _interval_eval(coeffs, *ctx.bisection(depth))
         if lower > 0:
             return 1
         if upper < 0:
@@ -388,28 +404,41 @@ def _enclosure_sign(ctx: _RootContext, coeffs) -> int:
         depth += 1
 
 
-def _sign_at(coeffs, x: Fraction) -> int:
-    """Sign of the polynomial at x: the exact value is the enclosure over [x, x]."""
-    value = _interval_eval(coeffs, x, x)[0]
+def _sign_at(coeffs, num: int, den: int) -> int:
+    """Sign of the polynomial at x = num/den, den > 0: the enclosure over [x, x] is exact."""
+    value = _interval_eval(coeffs, num, num, den)[0]
     return (value > 0) - (value < 0)
 
 
-def _interval_eval(coeffs, lo: Fraction, hi: Fraction):
-    """Rigorous enclosure of the polynomial over [lo, hi] (interval Horner).
+def _interval_eval(coeffs, lo: int, hi: int, den: int) -> tuple[int, int, int]:
+    """Rigorous enclosure of the polynomial over [lo/den, hi/den] (interval Horner), den > 0.
 
-    Runs on integers: with D the common denominator of lo and hi (a power of
-    two for the bisection endpoints), the bounds after k steps are kept
-    times D^k > 0, so each min and max picks the product it picks over Q.
+    Runs on integers: the bounds after k steps are kept times den^k > 0, so
+    each min and max picks the product it picks over Q.  Returns (alo, ahi,
+    scale): the enclosure is [alo/scale, ahi/scale], scale = den^len(coeffs).
     """
-    den = math.lcm(lo.denominator, hi.denominator)
-    L, H = int(lo * den), int(hi * den)
     alo = ahi = 0
     scale = 1
     for c in reversed(coeffs):
         scale *= den
-        cands = (alo * L, alo * H, ahi * L, ahi * H)
+        cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
         alo, ahi = min(cands) + c * scale, max(cands) + c * scale
-    return Fraction(alo, scale), Fraction(ahi, scale)
+    return alo, ahi, scale
+
+
+def _width(width) -> tuple[int, int]:
+    """A width for ``interval()`` or ``e_F`` (None: 10^-12) as (numerator, denominator).
+
+    A width that is not positive is a ``ValueError``.
+    """
+    if width is None:
+        return 1, 10**12
+    from fractions import Fraction
+
+    width = Fraction(width)
+    if width <= 0:
+        raise ValueError(f"width must be positive, got {width}")
+    return width.numerator, width.denominator
 
 
 _ROOT_CONTEXTS: dict[int, _RootContext] = {}
@@ -526,19 +555,27 @@ class AlgReal(_Frozen):
     def __ge__(self, other):
         return not self < other
 
-    def interval(self, width: Fraction = Fraction(1, 10**12)):
-        """Rational enclosure [lo, hi] of the real value, of width <= width.
+    def interval(self, width=None):
+        """Rational enclosure [lo, hi] of the real value, of width <= width (default 10^-12).
 
         Interval Horner, on integers (``_interval_eval``), over the
         shallowest bisection of the initial isolating interval that makes it
         narrow enough (``_RootContext.enclosure``), so the enclosure, and
         ``float()``, do not depend on what the process computed before.
+        The bounds are ``Fraction``s; a width that is not positive is a
+        ``ValueError``.
         """
-        return _context(self.m).enclosure(self.coeffs, width)
+        from fractions import Fraction
+
+        num, den = _width(width)
+        lo, hi, scale = _context(self.m).enclosure(self.coeffs, num, den)
+        return Fraction(lo, scale), Fraction(hi, scale)
 
     def __float__(self):
-        lo, hi = self.interval(Fraction(1, 10**15))
-        return float((lo + hi) / 2)
+        # the midpoint of a width-10^-15 enclosure; int / int is correctly
+        # rounded, as Fraction's float() of that midpoint is
+        lo, hi, scale = _context(self.m).enclosure(self.coeffs, 1, 10**15)
+        return (lo + hi) / (2 * scale)
 
     def __repr__(self):
         return f"AlgReal(m={self.m}, {list(self.coeffs)})"

@@ -12,10 +12,9 @@ last two vertices of H3 and H4.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import mul as _mul
 
-from .chebring import AlgReal, _coeff_sign, _context, _Frozen, _poly_trim
+from .chebring import AlgReal, _coeff_sign, _context, _Frozen, _poly_trim, _width
 from .exchange import RingValues, coeff_rows
 
 
@@ -158,59 +157,64 @@ def root_system(type_name: str) -> RootSet:
 # Euclidean embedding for the dihedral types
 
 
-def _sqrt_interval(lo: Fraction, hi: Fraction, scale: int = 10**15):
-    """Rational enclosure of sqrt over a nonnegative rational interval."""
-    if lo < 0:
-        lo = Fraction(0)
-
-    def lower(q):
-        num = math.isqrt(q.numerator * q.denominator * scale * scale)
-        return Fraction(num, q.denominator * scale)
-
-    def upper(q):
-        num = math.isqrt(q.numerator * q.denominator * scale * scale) + 1
-        return Fraction(num, q.denominator * scale)
-
-    return lower(lo), upper(hi)
+def _sqrt_bound(num: int, den: int, scale: int, up: int) -> tuple[int, int]:
+    """sqrt(num/den), num >= 0 < den, rounded down (up = 0) or up (up = 1) to a multiple
+    of 1/(d * scale), d the reduced denominator of num/den; as (numerator, denominator)."""
+    k = math.gcd(num, den)
+    num, den = num // k, den // k
+    return math.isqrt(num * den * scale * scale) + up, den * scale
 
 
-def e_F(v, n: int, width: Fraction = Fraction(1, 10**12)):
+def _embedding(v, n: int, num: int, den: int):
+    """``e_F`` on integers: ((xlo, xhi, xscale), (ylo, yhi, yscale)) for the width num/den."""
+    m = 2 * n + 1
+    ctx, g = _context(m), AlgReal.generator(m)
+    v0, v1 = (AlgReal(m, (x,)) if isinstance(x, int) else x for x in v)
+    # x = v0 - v1 * g / 2, computed as (2 v0 - v1 g) / 2 exactly
+    xlo, xhi, xscale = ctx.enclosure((2 * v0 - v1 * g).coeffs, num, den)
+
+    # y = v1 * sin theta; the enclosures of g, v1 and the square root are
+    # tightened together until the product is narrow enough
+    tol, scale = 4 * den, 10**15  # the tolerance is num / tol
+    while True:
+        g_lo, g_hi, g_scale = ctx.enclosure(g.coeffs, num, tol)
+        # sin^2 theta = 1 - (g/2)^2 lies in [quad - g_hi^2, quad - g_lo^2] / quad,
+        # a negative lower end read as 0
+        quad = 4 * g_scale * g_scale
+        (s_lo, d_lo), (s_hi, d_hi) = (
+            _sqrt_bound(max(quad - b * b, 0), quad, scale, up) for b, up in ((g_hi, 0), (g_lo, 1))
+        )
+        s_lo, s_hi = s_lo * d_hi, s_hi * d_lo  # over d_lo * d_hi
+        v1_lo, v1_hi, v1_scale = ctx.enclosure(v1.coeffs, num, tol)
+        cands = (v1_lo * s_lo, v1_lo * s_hi, v1_hi * s_lo, v1_hi * s_hi)
+        y_lo, y_hi, y_scale = min(cands), max(cands), v1_scale * d_lo * d_hi
+        if (y_hi - y_lo) * den <= num * y_scale:
+            return (xlo, xhi, 2 * xscale), (y_lo, y_hi, y_scale)
+        tol, scale = tol * 16, scale * 16
+
+
+def e_F(v, n: int, width=None):
     """Change of basis from simple-root coordinates of I2(2n+1) to R^2.
 
     e_F(1, 0) = (1, 0) and e_F(0, 1) = (cos 2n theta, sin 2n theta) with
     theta = pi/(2n+1); extended linearly.  Returns a pair of rational
-    intervals ((xlo, xhi), (ylo, yhi)) of width at most ``width``.
+    intervals ((xlo, xhi), (ylo, yhi)) of ``Fraction``s, of width at most
+    ``width`` (default 10^-12); a width that is not positive is a
+    ``ValueError``.
 
     The second basis vector is exact in the field: cos 2n theta = -g/2 and
     sin 2n theta = sin theta = sqrt(1 - (g/2)^2), where g = 2cos(theta).
+    The bounds are computed on integers (``_embedding``).
     """
-    m = 2 * n + 1
-    v0, v1 = v
-    if isinstance(v0, int):
-        v0 = AlgReal(m, (v0,))
-    if isinstance(v1, int):
-        v1 = AlgReal(m, (v1,))
-    # x = v0 - v1 * g / 2, computed as (2 v0 - v1 g) / 2 exactly
-    x2 = 2 * v0 - v1 * AlgReal.generator(m)
-    xlo, xhi = x2.interval(width)
-    x_int = (xlo / 2, xhi / 2)
+    from fractions import Fraction
 
-    # y = v1 * sin theta; the enclosures of g, v1 and the square root are
-    # tightened together until the product is narrow enough
-    tol, scale = width / 4, 10**15
-    while True:
-        g_lo, g_hi = AlgReal.generator(m).interval(tol)
-        sin2_lo = 1 - (g_hi / 2) ** 2
-        sin2_hi = 1 - (g_lo / 2) ** 2
-        s_lo, s_hi = _sqrt_interval(sin2_lo, sin2_hi, scale)
-        v1_lo, v1_hi = v1.interval(tol)
-        cands = (v1_lo * s_lo, v1_lo * s_hi, v1_hi * s_lo, v1_hi * s_hi)
-        y_int = (min(cands), max(cands))
-        if y_int[1] - y_int[0] <= width:
-            return x_int, y_int
-        tol, scale = tol / 16, scale * 16
+    num, den = _width(width)
+    return tuple(
+        (Fraction(lo, scale), Fraction(hi, scale)) for lo, hi, scale in _embedding(v, n, num, den)
+    )
 
 
 def e_F_float(v, n: int) -> tuple[float, float]:
-    (xlo, xhi), (ylo, yhi) = e_F(v, n)
-    return float((xlo + xhi) / 2), float((ylo + yhi) / 2)
+    """The midpoints of ``e_F(v, n)``, each the correctly rounded float of that rational."""
+    (xlo, xhi, xscale), (ylo, yhi, yscale) = _embedding(v, n, 1, 10**12)
+    return (xlo + xhi) / (2 * xscale), (ylo + yhi) / (2 * yscale)

@@ -25,6 +25,7 @@ by entry from ``ext``.
 """
 
 from fractions import Fraction
+import math
 
 from quiverfold import chebring
 from quiverfold.chebring import AlgReal, ChebElem, sigma
@@ -174,16 +175,17 @@ def interval_eval(coeffs, lo: Fraction, hi: Fraction):
 def bisections(m: int, depth: int) -> list:
     """The isolating intervals of 2cos(pi/m) after 0..depth bisections.
 
-    Starts from a fresh context's initial interval and keeps the half where
-    the minimal polynomial, evaluated over ``Fraction``, changes sign.
+    Starts from the float seed 2cos(pi/m) -+ 1e-9, read exactly, and keeps
+    the half where the minimal polynomial, evaluated over ``Fraction``,
+    changes sign.
     """
-    ctx = chebring._RootContext(m)
-    lo, hi = ctx.lo, ctx.hi
+    seed = 2.0 * math.cos(math.pi / m)
+    lo, hi = Fraction(seed - 1e-9), Fraction(seed + 1e-9)
     out = [(lo, hi)]
 
     def value(x):
         acc = Fraction(0)
-        for c in reversed(ctx.minpoly):
+        for c in reversed(chebring.minimal_poly(m)):
             acc = acc * x + c
         return acc
 

@@ -1,5 +1,6 @@
 import collections
 import copy
+import functools
 import json
 import math
 import pickle
@@ -337,12 +338,18 @@ def oracle_sign(a):
         return 0
     ctx = chebring._context(a.m)
     while True:
-        lo, hi = chebring._interval_eval(a.coeffs, ctx.lo, ctx.hi)
+        lo, hi, _ = chebring._interval_eval(a.coeffs, *ctx._bisections[-1])
         if lo > 0:
             return 1
         if hi < 0:
             return -1
         ctx.refine()
+
+
+def as_fractions(box):
+    """An integer enclosure (alo, ahi, scale) as the pair of ``Fraction``s it stands for."""
+    alo, ahi, scale = box
+    return Fraction(alo, scale), Fraction(ahi, scale)
 
 
 def mpmath_value(a):
@@ -458,15 +465,17 @@ class TestSignEnclosure:
         depths = (0, 1, 2, 30)
         boxes, widths = [], []
         for depth in depths:
-            lo, hi = ctx.bisection(depth)
+            box = ctx.bisection(depth)
+            lo, hi = Fraction(box[0], box[2]), Fraction(box[1], box[2])
             assert 0 < lo < hi < 2
-            table = [chebring._interval_eval((0,) * i + (1,), lo, hi) for i in range(ctx.deg)]
+            table = [as_fractions(chebring._interval_eval((0,) * i + (1,), *box))
+                     for i in range(ctx.deg)]
             assert table == [(lo**i, hi**i) for i in range(ctx.deg)]
             with mpmath.workdps(60):
                 for (l, h), p in zip(table, powers):
                     assert l.numerator / mpmath.mpf(l.denominator) <= p
                     assert p <= h.numerator / mpmath.mpf(h.denominator)
-            boxes.append((lo, hi))
+            boxes.append(box)
             widths.append(table[-1][1] - table[-1][0])
         assert refines[m] == 30
         # a kept bisection is returned as it stands, with no further refine
@@ -585,7 +594,7 @@ class TestSignMemo:
             sign = chebring._enclosure_sign(plain, a.coeffs)
             want.append((sign, refines[m] - before))
         assert got == want
-        assert (memo.lo, memo.hi) == (plain.lo, plain.hi)
+        assert memo._bisections[-1] == plain._bisections[-1]
         assert sum(r for _, r in got) > 0
         # each repeat is a memo hit: no refine, whatever the interval
         for i, a in enumerate(sequence):
@@ -678,7 +687,7 @@ def shallowest_enclosure(ctx, coeffs, width):
     """Interval Horner over ctx.bisection(d) for d = 0, 1, ... until it is narrow enough."""
     depth = 0
     while True:
-        lo, hi = chebring._interval_eval(coeffs, *ctx.bisection(depth))
+        lo, hi = as_fractions(chebring._interval_eval(coeffs, *ctx.bisection(depth)))
         if hi - lo <= width:
             return lo, hi
         depth += 1
@@ -717,12 +726,13 @@ class TestHistoryFreeEnclosure:
         # times is wider still: the prediction lands deeper than k and the
         # search has to step back to the shallowest depth
         ctx = chebring._RootContext(m)
-        w0 = _width(chebring._interval_eval(coeffs, *ctx.bisection(0)))
+        w0 = _width(as_fractions(chebring._interval_eval(coeffs, *ctx.bisection(0))))
         overshot = 0
         for k in range(1, 25):
-            width = _width(chebring._interval_eval(coeffs, *ctx.bisection(k)))
+            width = _width(as_fractions(chebring._interval_eval(coeffs, *ctx.bisection(k))))
             fresh = chebring._RootContext(m)
-            assert fresh.enclosure(coeffs, width) == shallowest_enclosure(fresh, coeffs, width)
+            got = fresh.enclosure(coeffs, width.numerator, width.denominator)
+            assert as_fractions(got) == shallowest_enclosure(fresh, coeffs, width)
             overshot += w0 / 2**k > width
         assert overshot
 
@@ -731,7 +741,7 @@ class TestHistoryFreeEnclosure:
         ctx, plain = chebring._RootContext(m), chebring._RootContext(m)
         ctx.bisection(30)
         for depth in range(31):
-            assert ctx.bisection(depth) == (plain.lo, plain.hi)
+            assert ctx.bisection(depth) == plain._bisections[-1]
             plain.refine()
 
     def test_signs_and_narrow_enclosures_leave_float_alone(self, refines):
@@ -745,18 +755,32 @@ class TestHistoryFreeEnclosure:
         assert repr(cold[0]) == "2.35689586789221"
 
 
+@functools.lru_cache(maxsize=None)
+def oracle_boxes(m):
+    """``spec_oracles.bisections`` of 2cos(pi/m) to depth 250, over ``Fraction``."""
+    return bisections(m, 250)
+
+
+def oracle_shallowest(m, coeffs, width):
+    """The oracle's interval Horner over its bisections, the shallowest that is narrow enough."""
+    return next(
+        box for box in (interval_eval(coeffs, *ends) for ends in oracle_boxes(m))
+        if box[1] - box[0] <= width
+    )
+
+
 class TestIntegerEnclosure:
-    """The integer interval Horner and bisection give the ``Fraction`` results."""
+    """The integer interval Horner and bisections against the ``Fraction`` oracles."""
 
     @given(m=st.sampled_from([3, 5, 7, 9, 11, 15, 21]), depth=st.integers(0, 40), data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_interval_eval_matches_fraction_horner(self, m, depth, data):
         ctx = chebring._context(m)
         coeffs = tuple(data.draw(st.lists(st.integers(-10**9, 10**9), max_size=ctx.deg)))
-        lo, hi = ctx.bisection(depth)
-        got = chebring._interval_eval(coeffs, lo, hi)
-        assert got == interval_eval(coeffs, lo, hi)
-        assert all(type(x) is Fraction for x in got)
+        lo, hi, den = ctx.bisection(depth)
+        got = chebring._interval_eval(coeffs, lo, hi, den)
+        assert as_fractions(got) == interval_eval(coeffs, Fraction(lo, den), Fraction(hi, den))
+        assert all(type(x) is int for x in got) and got[2] == den ** len(coeffs)
 
     @given(
         coeffs=st.lists(st.integers(-10**6, 10**6), max_size=8),
@@ -765,12 +789,42 @@ class TestIntegerEnclosure:
     @settings(max_examples=200, deadline=None)
     def test_any_rational_endpoints(self, coeffs, ends):
         lo, hi = sorted(ends)
-        assert chebring._interval_eval(coeffs, lo, hi) == interval_eval(coeffs, lo, hi)
+        den = math.lcm(lo.denominator, hi.denominator)
+        got = chebring._interval_eval(coeffs, int(lo * den), int(hi * den), den)
+        assert as_fractions(got) == interval_eval(coeffs, lo, hi)
 
-    @pytest.mark.parametrize("m", [3, 5, 7, 9, 11, 15, 21])
+    @pytest.mark.parametrize("m", [3, 4, 5, 7, 9, 11, 15, 21])
     def test_bisections_match_fraction_signs(self, m):
         ctx = chebring._RootContext(m)
-        assert [ctx.bisection(depth) for depth in range(61)] == bisections(m, 60)
+        boxes = [ctx.bisection(depth) for depth in range(61)]
+        fractions = [(Fraction(lo, den), Fraction(hi, den)) for lo, hi, den in boxes]
+        assert fractions == bisections(m, 60)
+        # each denominator is the least power of two common to both ends
+        for lo, hi, den in boxes:
+            assert den & (den - 1) == 0 and (den == 1 or (lo | hi) & 1)
+        if m == 3:
+            # the one rational root, 1, is never a midpoint: lo + hi - 2 den stays odd
+            assert all((lo + hi - 2 * den) % 2 for lo, hi, den in ctx._bisections)
+
+    @given(
+        m=st.sampled_from([3, 4, 5, 7, 9, 11, 21]),
+        data=st.data(),
+        width=st.one_of(
+            st.integers(0, 40).map(lambda k: Fraction(1, 10**k)),
+            st.fractions(min_value=Fraction(1, 10**30), max_value=10, max_denominator=10**30),
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_enclosure_interval_and_float_match_the_oracle(self, m, data, width):
+        deg = len(minimal_poly(m)) - 1
+        a = AlgReal(m, tuple(data.draw(st.integers(-10**6, 10**6)) for _ in range(deg)))
+        want = oracle_shallowest(m, a.coeffs, width)
+        ctx = chebring._RootContext(m)
+        assert as_fractions(ctx.enclosure(a.coeffs, width.numerator, width.denominator)) == want
+        got = a.interval(width)
+        assert got == want and all(type(x) is Fraction for x in got)
+        lo, hi = oracle_shallowest(m, a.coeffs, Fraction(1, 10**15))
+        assert float(a) == float((lo + hi) / 2)
 
     @given(
         coeffs=st.lists(st.integers(-10**6, 10**6), max_size=8),
@@ -779,8 +833,59 @@ class TestIntegerEnclosure:
     @settings(max_examples=200, deadline=None)
     def test_sign_at_is_the_sign_of_the_value(self, coeffs, x):
         value = sum(c * x**i for i, c in enumerate(coeffs))
-        assert chebring._sign_at(coeffs, x) == (value > 0) - (value < 0)
+        p, q = x.numerator, x.denominator
+        assert chebring._sign_at(coeffs, p, q) == (value > 0) - (value < 0)
         # x is a root of q*t - p, and of that times the drawn polynomial
-        root = (-x.numerator, x.denominator)
-        assert chebring._sign_at(root, x) == 0
-        assert chebring._sign_at(chebring._poly_mul(root, tuple(coeffs)), x) == 0
+        root = (-p, q)
+        assert chebring._sign_at(root, p, q) == 0
+        assert chebring._sign_at(chebring._poly_mul(root, tuple(coeffs)), p, q) == 0
+
+
+class TestWidth:
+    """A width that is not positive is refused at the call, not looped on."""
+
+    @pytest.mark.parametrize("width", [-1, 0, Fraction(-1, 10**12), -0.5, 0.0])
+    def test_interval_refuses(self, width):
+        with pytest.raises(ValueError, match="width must be positive"):
+            AlgReal.generator(5).interval(width)
+
+    @pytest.mark.parametrize("width", [-1, 0, Fraction(-1, 10**12)])
+    def test_e_F_refuses(self, width):
+        from quiverfold.rootsys import e_F
+
+        with pytest.raises(ValueError, match="width must be positive"):
+            e_F((1, 1), 2, width)
+
+    def test_positive_widths_of_any_rational_type(self):
+        a = AlgReal.generator(7)
+        assert a.interval(1) == a.interval(Fraction(1)) == a.interval(1.0)
+        assert a.interval(0.5) == a.interval(Fraction(1, 2))
+        assert a.interval() == a.interval(Fraction(1, 10**12))
+
+
+def test_verifier_paths_never_import_fractions():
+    # bounds are integers over a power of two: the CLI and the library's
+    # verifiers run without `fractions` (or the `decimal` it loads), which
+    # only the rational API imports
+    src = str(Path(chebring.__file__).resolve().parents[1])
+    code = """if True:
+        import contextlib, io, json, sys
+        sys.path.insert(0, sys.argv[1])
+        import quiverfold
+        from quiverfold.cli import main
+        from quiverfold.unfolding import check_weighted_unfolding, standard_folding
+        codes = []
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in ("fold dims --format csv --kind H4",
+                         "verify all --depth 1 --random 0 --kind I2 --n 3",
+                         "tropical walk --kind H4 --depth 2"):
+                codes.append(main(argv.split()))
+        codes.append(check_weighted_unfolding(standard_folding("H4"), depth=2).passed)
+        loaded = [name for name in ("fractions", "decimal") if name in sys.modules]
+        bounds = quiverfold.AlgReal.generator(5).interval()
+        print(json.dumps([codes, loaded, [type(x).__name__ for x in bounds]]))
+    """
+    out = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+    ).stdout
+    assert json.loads(out) == [[0, 0, 0, True], [], ["Fraction", "Fraction"]]

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quiverfold import chebring, rootsys
 from quiverfold.chebring import AlgReal
@@ -183,15 +184,46 @@ def cold(monkeypatch):
     return reset
 
 
+def sqrt_interval(lo, hi, scale=10**15):
+    """Enclosure of sqrt over [lo, hi], lo read as 0 if negative: each end's root
+    rounded to a multiple of 1/(its reduced denominator * scale), over ``Fraction``."""
+    lo = max(lo, Fraction(0))
+
+    def bound(q, up):
+        return Fraction(math.isqrt(q.numerator * q.denominator * scale * scale) + up,
+                        q.denominator * scale)
+
+    return bound(lo, 0), bound(hi, 1)
+
+
+def y_passes(v1, n, width=Fraction(1, 10**12)):
+    """The y-intervals of e_F's passes, over ``Fraction``: the enclosures of g and
+    v1 start at width/4 and the root's scale at 10^15, and each pass divides the
+    one and multiplies the other by 16."""
+    m = 2 * n + 1
+    v1 = v1 if isinstance(v1, AlgReal) else AlgReal(m, (v1,))
+    tol, scale = width / 4, 10**15
+    while True:
+        g_lo, g_hi = AlgReal.generator(m).interval(tol)
+        s_lo, s_hi = sqrt_interval(1 - (g_hi / 2) ** 2, 1 - (g_lo / 2) ** 2, scale)
+        v1_lo, v1_hi = v1.interval(tol)
+        cands = (v1_lo * s_lo, v1_lo * s_hi, v1_hi * s_lo, v1_hi * s_hi)
+        yield min(cands), max(cands)
+        tol, scale = tol / 16, scale * 16
+
+
 def one_pass_y(v, n, width=Fraction(1, 10**12)):
     """The y-interval of e_F from one pass at the requested tolerance."""
+    return next(y_passes(v[1], n, width))
+
+
+def fraction_e_F(v, n, width=Fraction(1, 10**12)):
+    """``e_F`` over ``Fraction``: x from one enclosure, y from the first pass narrow enough."""
     m = 2 * n + 1
-    half = width / 4
-    g_lo, g_hi = AlgReal.generator(m).interval(half)
-    s_lo, s_hi = rootsys._sqrt_interval(1 - (g_hi / 2) ** 2, 1 - (g_lo / 2) ** 2)
-    v1_lo, v1_hi = AlgReal(m, (v[1],)).interval(half)
-    cands = (v1_lo * s_lo, v1_lo * s_hi, v1_hi * s_lo, v1_hi * s_hi)
-    return min(cands), max(cands)
+    v0, v1 = (x if isinstance(x, AlgReal) else AlgReal(m, (x,)) for x in v)
+    xlo, xhi = (2 * v0 - v1 * AlgReal.generator(m)).interval(width)
+    y = next(y for y in y_passes(v1, n, width) if y[1] - y[0] <= width)
+    return (xlo / 2, xhi / 2), y
 
 
 class TestEmbeddingWidth:
@@ -214,3 +246,17 @@ class TestEmbeddingWidth:
             assert y == (lo, hi)
         else:
             assert y[0] >= lo and y[1] <= hi
+
+    @given(n=st.sampled_from([1, 2, 3, 5, 10]), data=st.data(), digits=st.integers(0, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_fraction_oracle(self, n, data, digits):
+        # bounds on integers over a power-of-two scale give the same Fractions,
+        # and e_F_float the float of each same midpoint
+        m = 2 * n + 1
+        deg = len(chebring.minimal_poly(m)) - 1
+        coeff = st.integers(-1000, 1000)
+        v = [AlgReal(m, tuple(data.draw(coeff) for _ in range(deg))) for _ in range(2)]
+        width = Fraction(1, 10**digits)
+        assert e_F(v, n, width) == fraction_e_F(v, n, width)
+        midpoints = tuple(float((lo + hi) / 2) for lo, hi in fraction_e_F(v, n))
+        assert e_F_float(v, n) == midpoints
