@@ -212,11 +212,6 @@ def y_passes(v1, n, width=Fraction(1, 10**12)):
         tol, scale = tol / 16, scale * 16
 
 
-def one_pass_y(v, n, width=Fraction(1, 10**12)):
-    """The y-interval of e_F from one pass at the requested tolerance."""
-    return next(y_passes(v[1], n, width))
-
-
 def fraction_e_F(v, n, width=Fraction(1, 10**12)):
     """``e_F`` over ``Fraction``: x from one enclosure, y from the first pass narrow enough."""
     m = 2 * n + 1
@@ -239,7 +234,7 @@ class TestEmbeddingWidth:
 
     @pytest.mark.parametrize("v,n", CASES)
     def test_unchanged_where_one_pass_suffices(self, cold, v, n):
-        lo, hi = one_pass_y(v, n)
+        lo, hi = next(y_passes(v[1], n))  # one pass at the requested tolerance
         cold()
         y = e_F(v, n)[1]
         if hi - lo <= Fraction(1, 10**12):
