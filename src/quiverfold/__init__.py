@@ -15,7 +15,7 @@ from .chebring import (
 from .clustercat import ClusterCategory
 from .exchange import ExchangeMatrix
 from .repcat import ARQuiver, FoldedCategory, IndecClass
-from .rootsys import RootSet, e_F, e_F_float, generate_roots, root_system
+from .rootsys import RootSet, generate_roots, root_system
 from .tropical import GMatrix, Seed, TropicalWalker, enumerate_seeds, g_matrix
 from .unfolding import (
     FoldingSpec,
@@ -40,8 +40,6 @@ __all__ = [
     "build_unfolded_matrix",
     "cheb_mul",
     "check_weighted_unfolding",
-    "e_F",
-    "e_F_float",
     "enumerate_seeds",
     "equal_in_evaluation",
     "g_matrix",

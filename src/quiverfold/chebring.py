@@ -427,7 +427,7 @@ def _interval_eval(coeffs, lo: int, hi: int, den: int) -> tuple[int, int, int]:
 
 
 def _width(width) -> tuple[int, int]:
-    """A width for ``interval()`` or ``e_F`` (None: 10^-12) as (numerator, denominator).
+    """A width for ``interval()`` (None: 10^-12) as (numerator, denominator).
 
     A width that is not positive is a ``ValueError``.
     """

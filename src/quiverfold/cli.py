@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import operator
 import sys
 from json.encoder import encode_basestring_ascii
@@ -22,7 +21,6 @@ from .chebring import AlgReal, ChebElem, cheb_mul, minimal_poly, reg_rep, sigma
 from .clustercat import ClusterCategory, coxeter_catalan
 from .exchange import ExchangeMatrix, coeff_rows
 from .repcat import FoldedCategory, folded_type_name, hom_ext_tables
-from .rootsys import e_F_float
 from .tropical import (
     CHECKS, TropicalWalker, check_set, enumerate_seeds, g_matrix, matrix_d_F,
 )
@@ -183,6 +181,11 @@ def _spec_from(args):
     raise UsageError(f"unknown kind {args.kind!r}")
 
 
+def _words(args) -> dict:
+    """``--depth``, ``--random``, ``--length`` and ``--seed``, as the word verifiers name them."""
+    return {"depth": args.depth, "random_words": args.random, "random_length": args.length, "seed": args.seed}
+
+
 # -- subcommand handlers ------------------------------------------------------
 
 
@@ -228,13 +231,7 @@ def cmd_unfold(args) -> int:
     if args.unfold_op == "build":
         _emit(args, _json(spec.to_json()))
         return 0
-    report = check_weighted_unfolding(
-        spec,
-        depth=args.depth,
-        random_words=args.random,
-        random_length=args.length,
-        seed=args.seed,
-    )
+    report = check_weighted_unfolding(spec, **_words(args))
     _emit(args, _json(report.to_json()))
     return 0 if report.passed else 1
 
@@ -312,12 +309,7 @@ def cmd_tropical(args) -> int:
             _emit(args, _json(data))
         return 0
     walker = TropicalWalker(spec, checks=args.verify)
-    report = walker.verify_cube(
-        depth=args.depth,
-        random_words=args.random,
-        random_length=args.length,
-        seed=args.seed,
-    )
+    report = walker.verify_cube(**_words(args))
     _emit(args, _json(report.to_json()))
     return 0 if report.passed else 1
 
@@ -372,104 +364,157 @@ def G_projection_verdicts(cc: ClusterCategory, summands) -> tuple:
     g-vector (``ClusterCategory.folded_G_matrix``).  Of the integer G,
     ``matrix_d_F`` reads only the g-vector of summand j's index-0 member.
     Neither column depends on j, so an object's G projects exactly when each
-    summand's columns do, and each summand is decided once.  Every column
-    member's g-vector is computed, as the whole integer G reads them; each
-    is read off the Euler form (``ClusterCategory.g_vector``).
+    summand's columns do, and each summand is decided once.  Only the
+    index-0 member's g-vector is computed, read off the Euler form
+    (``ClusterCategory.g_vector``).
     """
-    lifted = [[cc.g_vector(x) for x in cc.iso_sets[g]][0] for g in summands]
+    lifted = [cc.g_vector(cc.iso_sets[g][0]) for g in summands]
     projected = matrix_d_F(cc.spec, tuple(zip(*lifted)), None, range(len(lifted)))
     folded = coeff_rows(cc.folded_G_matrix(summands))
     return tuple(map(operator.eq, zip(*projected), zip(*folded)))
 
 
+def roots_of_unity_hold(cat: FoldedCategory) -> bool:
+    """Whether the tau-orbits of vertices 0 and 2n - 1 project onto roots of unity, exactly.
+
+    With m = 2n + 1, theta = pi/m and g = 2cos(theta), the plane embedding
+    sends (v0, v1) to (v0 - v1 g/2, v1 sin theta): the point at angle
+    k theta exactly when 2 v0 - v1 g = 2cos(k theta) and v1 = u_k =
+    sin(k theta)/sin(theta), that is, when (v0, v1) = (u_{k+1}, u_k).  As
+    u_0 = 0, u_1 = 1 and u_{k+1} = g u_k - u_{k-1}, each comparison is in
+    Z[g].  Read from its injective back, vertex 0's orbit lies at the
+    angles 2p theta and vertex 2n - 1's at (2p + 1) theta, all below pi.
+    """
+    ar, g, u = cat.ar, AlgReal.generator(cat.m), [0, 1]
+    while len(u) <= cat.m:
+        u.append(g * u[-1] - u[-2])
+    for vertex, odd in ((0, 0), (2 * cat.n - 1, 1)):
+        top = ar.modules[ar.inj_module[vertex]]
+        for p in range(top.slice + 1):
+            k = 2 * p + odd
+            if cat.dimproj[ar.grid[(top.orbit, top.slice - p)]] != (u[k + 1], u[k]):
+                return False
+    return True
+
+
+# -- verify all ---------------------------------------------------------------
+
+
+class _Unbuilt(Exception):
+    """A shared object of ``verify all`` whose build failed, in the claim the argument names."""
+
+
+# The verifier's own signals that a statement does not hold.
+_VERDICT_ERRORS = (AssertionError, ArithmeticError)
+
+
+class _VerifyContext:
+    """What the claims of ``verify all`` share: the arguments, the folding, and
+    the objects of ``_SHARED``, each built once, on first ``get``.  A build
+    that raises one of ``_VERDICT_ERRORS`` is kept with the ``claim`` that
+    asked, and every later ``get`` of it raises ``_Unbuilt`` naming that claim.
+    """
+
+    def __init__(self, args, spec):
+        self.args, self.spec, self.claim = args, spec, None
+        self._built, self._failed_in = {}, {}
+
+    def get(self, name: str):
+        if name in self._failed_in:
+            raise _Unbuilt(self._failed_in[name])
+        if name not in self._built:
+            try:
+                self._built[name] = _SHARED[name](self)
+            except _VERDICT_ERRORS:
+                self._failed_in[name] = self.claim
+                raise
+        return self._built[name]
+
+
+# the ClusterCategory's ``mc`` is its FoldedCategory
+_SHARED = {
+    "category": lambda ctx: ClusterCategory(ctx.spec),
+    "walker": lambda ctx: TropicalWalker(ctx.spec),
+    "tilts": lambda ctx: ctx.get("category").enumerate_tilting(),
+}
+
+
+def _unfolding_conditions(ctx):
+    report = check_weighted_unfolding(ctx.spec, **_words(ctx.args))
+    return report.passed, f"words={report.words_checked} seed={ctx.args.seed}"
+
+
+def _projected_dimensions(ctx):
+    folding = ctx.get("category").mc.verify_folding_theorem()
+    return folding["passed"], f"roots={folding['weight_one_row_roots']}/{folding['positive_roots']}"
+
+
+def _tropical_cube(ctx):
+    walk = ctx.get("walker").verify_cube(**_words(ctx.args))
+    return walk.passed, f"vertices={walk.vertices_checked} seed={ctx.args.seed}"
+
+
+def _tilting_count(ctx):
+    count = len(ctx.get("tilts"))
+    expected = coxeter_catalan(folded_type_name(ctx.spec))
+    return count == expected, f"count={count}" + ("" if count == expected else f" expected={expected}")
+
+
+def _two_complements(ctx):
+    cc, found = ctx.get("category"), {}  # almost complete object -> its complements
+    for t in ctx.get("tilts"):
+        for k in range(len(t)):
+            rest = t[:k] + t[k + 1:]
+            comps = found.get(rest)
+            if comps is None:
+                comps = found[rest] = cc.complements(rest)
+            if len(comps) != 2 or t[k] not in comps:
+                return False, ""
+    return True, ""
+
+
+def _G_projection(ctx):
+    summands = sorted({g for t in ctx.get("tilts") for g in t})
+    return all(G_projection_verdicts(ctx.get("category"), summands)), ""
+
+
+_CATEGORY_KINDS = ("H3", "H4", "I2")
+
+# (name, the --kind values it applies to, the claim), in the order printed
+VERIFY_CLAIMS = (
+    ("weighted-unfolding-conditions", ("H3", "H4", "I2", "I2m", "F4E6"), _unfolding_conditions),
+    ("projected-dimension-theorem", _CATEGORY_KINDS, _projected_dimensions),
+    ("root-of-unity-projection", ("I2",), lambda ctx: (roots_of_unity_hold(ctx.get("category").mc), "")),
+    ("tropical-cube-and-blocks", _CATEGORY_KINDS, _tropical_cube),
+    ("tilting-enumeration", _CATEGORY_KINDS, _tilting_count),
+    ("two-complements", _CATEGORY_KINDS, _two_complements),
+    ("tilting-G-matrix-projection", _CATEGORY_KINDS, _G_projection),
+)
+
+
 def cmd_verify(args) -> int:
-    spec = _spec_from(args)
+    """One PASS or FAIL line per claim of ``VERIFY_CLAIMS`` that applies to ``--kind``.
+
+    A claim that raises one of ``_VERDICT_ERRORS`` fails with the
+    exception's message, and one that needs an object whose build failed
+    fails naming the claim it failed in; the next claim runs either way.
+    Any other exception propagates.
+    """
+    ctx = _VerifyContext(args, _spec_from(args))
     lines = []
-    failures = 0
-
-    def record(name, ok, detail=""):
-        nonlocal failures
-        status = "PASS" if ok else "FAIL"
-        if not ok:
-            failures += 1
-        lines.append(f"{status} {name}{(' ' + detail) if detail else ''}")
-
-    unfold_report = check_weighted_unfolding(
-        spec,
-        depth=args.depth,
-        random_words=args.random,
-        random_length=args.length,
-        seed=args.seed,
-    )
-    record(
-        "weighted-unfolding-conditions",
-        unfold_report.passed,
-        f"words={unfold_report.words_checked} seed={args.seed}",
-    )
-
-    if spec.n is not None:
-        cc = ClusterCategory(spec)
-        cat = cc.mc
-        folding = cat.verify_folding_theorem()
-        record(
-            "projected-dimension-theorem",
-            folding["passed"],
-            f"roots={folding['weight_one_row_roots']}/{folding['positive_roots']}",
-        )
-
-        if spec.kind.startswith("I2("):
-            ok = True
-            nn = spec.n
-            theta = math.pi / (2 * nn + 1)
-            ident0 = cat.ar.inj_module[0]
-            orbit0 = cat.ar.modules[ident0].orbit
-            top = cat.ar.modules[ident0].slice
-            for p in range(top + 1):
-                vec = cat.dimproj[cat.ar.grid[(orbit0, top - p)]]
-                x, y = e_F_float(vec, nn)
-                if abs(x - math.cos(2 * p * theta)) > 1e-9 or abs(y - math.sin(2 * p * theta)) > 1e-9:
-                    ok = False
-            record("root-of-unity-projection", ok)
-
-        walker = TropicalWalker(spec)
-        walk = walker.verify_cube(
-            depth=args.depth,
-            random_words=args.random,
-            random_length=args.length,
-            seed=args.seed,
-        )
-        record(
-            "tropical-cube-and-blocks",
-            walk.passed,
-            f"vertices={walk.vertices_checked} seed={args.seed}",
-        )
-
+    for name, kinds, claim in VERIFY_CLAIMS:
+        if args.kind not in kinds:
+            continue
+        ctx.claim = name
         try:
-            tilts = cc.enumerate_tilting()
-            comp_ok = True
-            found = {}  # almost complete object -> its complements
-            for t in tilts:
-                for k in range(len(t)):
-                    rest = t[:k] + t[k + 1:]
-                    comps = found.get(rest)
-                    if comps is None:
-                        comps = found[rest] = cc.complements(rest)
-                    if len(comps) != 2 or t[k] not in comps:
-                        comp_ok = False
-            expected = coxeter_catalan(folded_type_name(spec))
-            count_ok = len(tilts) == expected
-            record(
-                "tilting-enumeration", count_ok,
-                f"count={len(tilts)}" + ("" if count_ok else f" expected={expected}"),
-            )
-            record("two-complements", comp_ok)
-            summands = sorted({g for t in tilts for g in t})
-            record("tilting-G-matrix-projection", all(G_projection_verdicts(cc, summands)))
-        except AssertionError as exc:
-            record("tilting-enumeration", False, str(exc))
-
+            ok, detail = claim(ctx)
+        except _Unbuilt as exc:
+            ok, detail = False, f"unchecked: {exc} failed"
+        except _VERDICT_ERRORS as exc:
+            ok, detail = False, str(exc) or type(exc).__name__
+        lines.append(f"{'PASS' if ok else 'FAIL'} {name}{(' ' + detail) if detail else ''}")
     _emit(args, "\n".join(lines))
-    return 0 if failures == 0 else 1
+    return 1 if any(line.startswith("FAIL") for line in lines) else 0
 
 
 # -- argument parsing -----------------------------------------------------------

@@ -5,8 +5,8 @@ structure they carry.
 orientation from its projectives: modules are identified with their
 dimension vectors, arranged on a grid (orbit, slice) where slice 0 holds
 the projectives and each further slice applies the inverse translate by
-the mesh rule.  The Hom table runs the forward hammock recursion from the
-projectives only and fills every other row by the translate (``hom_row``);
+the mesh rule.  The Hom table reads the projectives' rows off the
+dimension vectors and fills every other row by the translate (``hom_row``);
 Ext comes from the translate formula, so no linear algebra over the base
 field is ever needed.
 
@@ -211,45 +211,30 @@ class ARQuiver:
         return self._tau_inv[ident]
 
     # -- hom / ext --------------------------------------------------------
-    def _hammock(self, source: int) -> tuple:
-        """dim Hom(source, Z) for every Z, by the forward hammock recursion."""
-        h = [0] * len(self.modules)
-        tau = self._tau
-        for ident in self.ar_order:
-            acc = 1 if ident == source else 0
-            for pred in self.ar_in[ident]:
-                acc += h[pred]
-            prev = tau[ident]
-            if prev is not None:
-                acc -= h[prev]
-            if acc < 0:
-                raise AssertionError("hammock recursion went negative")
-            h[ident] = acc
-        return tuple(h)
-
     def hom_row(self, source: int) -> tuple:
         """dim Hom(source, Z) for every Z: one row of the Hom table.
 
-        The table is filled on first use, and only the n projective rows run
-        the hammock recursion.  The path algebra is hereditary, so tau is an
-        equivalence from the non-projective to the non-injective
-        indecomposables: Hom(X, Y) = Hom(tau X, tau Y) for non-projective X
-        and Y.  And Hom(X, P) = 0 for non-projective X and projective P: the
-        image of a map to P is projective, so it splits off X, which is
-        indecomposable and not projective.  So the row
-        of a non-projective X is the row of tau X read at tau Y, with 0 at
-        the projectives.  Rows are filled in ``ar_order``, which puts the
-        row of tau X first.
+        The table is filled on first use.  The row of the projective P_v is
+        read off the dimension vectors, as Hom(P_v, Z) = Z_v.  The path
+        algebra is hereditary, so tau is an equivalence from the
+        non-projective to the non-injective indecomposables: Hom(X, Y) =
+        Hom(tau X, tau Y) for non-projective X and Y.  And Hom(X, P) = 0 for
+        non-projective X and projective P: the image of a map to P is
+        projective, so it splits off X, which is indecomposable and not
+        projective.  So the row of a non-projective X is the row of tau X
+        read at tau Y, with 0 at the projectives.  Rows are filled in
+        ``ar_order``, which puts the row of tau X first.
         """
         if self._hom is None:
             size = len(self.modules)
+            at_vertex = tuple(zip(*(mod.dim for mod in self.modules)))
             # the zero column at index size stands for a projective's missing tau
             shift = [size if t is None else t for t in self._tau]
             rows = [None] * size
             for x in self.ar_order:
                 tx = self._tau[x]
                 if tx is None:
-                    rows[x] = self._hammock(x)
+                    rows[x] = at_vertex[self.modules[x].proj_vertex]
                 else:
                     rows[x] = tuple(map((rows[tx] + (0,)).__getitem__, shift))
             self._hom = tuple(rows)

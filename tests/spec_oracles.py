@@ -11,13 +11,16 @@ membership in a root system's positive roots; then ``replace_spec``, a
 
 Then the rational enclosures as ``chebring`` computed them over
 ``Fraction`` before it ran them on integers: the interval Horner and the
-bisections of the isolating interval.
+bisections of the isolating interval.  Beside them, the Euclidean embedding
+``e_F`` of the dihedral root lattice, with bounds on integers, which the
+library kept until ``verify all`` decided its root-of-unity claim in the
+ring (``cli.roots_of_unity_hold``).
 
 The categorical ones come last: positive roots of a simply-laced diagram
 by integer reflection closure, the Chebyshev factorization of projected
 dimension vectors by ``AlgReal`` products, the hammock recursion run from
-every module (the library runs it from the projectives only and fills the
-other rows by the translate), the minimal projective presentation of a
+every module (the library reads the projectives' rows off the dimension
+vectors and fills the other rows by the translate), the minimal projective presentation of a
 module solved vertex by vertex (the library reads g-vectors off the Euler
 form), the g-vectors and G matrices of tilting objects read off those
 presentations, the Euler form, and classical cluster tilting decided entry
@@ -200,6 +203,67 @@ def bisections(m: int, depth: int) -> list:
             lo = mid
         out.append((lo, hi))
     return out
+
+
+def _sqrt_bound(num: int, den: int, scale: int, up: int) -> tuple[int, int]:
+    """sqrt(num/den), num >= 0 < den, rounded down (up = 0) or up (up = 1) to a multiple
+    of 1/(d * scale), d the reduced denominator of num/den; as (numerator, denominator)."""
+    k = math.gcd(num, den)
+    num, den = num // k, den // k
+    return math.isqrt(num * den * scale * scale) + up, den * scale
+
+
+def _embedding(v, n: int, num: int, den: int):
+    """``e_F`` on integers: ((xlo, xhi, xscale), (ylo, yhi, yscale)) for the width num/den."""
+    m = 2 * n + 1
+    ctx, g = chebring._context(m), AlgReal.generator(m)
+    v0, v1 = (AlgReal(m, (x,)) if isinstance(x, int) else x for x in v)
+    # x = v0 - v1 * g / 2, computed as (2 v0 - v1 g) / 2 exactly
+    xlo, xhi, xscale = ctx.enclosure((2 * v0 - v1 * g).coeffs, num, den)
+
+    # y = v1 * sin theta; the enclosures of g, v1 and the square root are
+    # tightened together until the product is narrow enough
+    tol, scale = 4 * den, 10**15  # the tolerance is num / tol
+    while True:
+        g_lo, g_hi, g_scale = ctx.enclosure(g.coeffs, num, tol)
+        # sin^2 theta = 1 - (g/2)^2 lies in [quad - g_hi^2, quad - g_lo^2] / quad,
+        # a negative lower end read as 0
+        quad = 4 * g_scale * g_scale
+        (s_lo, d_lo), (s_hi, d_hi) = (
+            _sqrt_bound(max(quad - b * b, 0), quad, scale, up) for b, up in ((g_hi, 0), (g_lo, 1))
+        )
+        s_lo, s_hi = s_lo * d_hi, s_hi * d_lo  # over d_lo * d_hi
+        v1_lo, v1_hi, v1_scale = ctx.enclosure(v1.coeffs, num, tol)
+        cands = (v1_lo * s_lo, v1_lo * s_hi, v1_hi * s_lo, v1_hi * s_hi)
+        y_lo, y_hi, y_scale = min(cands), max(cands), v1_scale * d_lo * d_hi
+        if (y_hi - y_lo) * den <= num * y_scale:
+            return (xlo, xhi, 2 * xscale), (y_lo, y_hi, y_scale)
+        tol, scale = tol * 16, scale * 16
+
+
+def e_F(v, n: int, width=None):
+    """Change of basis from simple-root coordinates of I2(2n+1) to R^2.
+
+    e_F(1, 0) = (1, 0) and e_F(0, 1) = (cos 2n theta, sin 2n theta) with
+    theta = pi/(2n+1); extended linearly.  Returns a pair of rational
+    intervals ((xlo, xhi), (ylo, yhi)) of ``Fraction``s, of width at most
+    ``width`` (default 10^-12); a width that is not positive is a
+    ``ValueError``.
+
+    The second basis vector is exact in the field: cos 2n theta = -g/2 and
+    sin 2n theta = sin theta = sqrt(1 - (g/2)^2), where g = 2cos(theta).
+    The bounds are computed on integers (``_embedding``).
+    """
+    num, den = chebring._width(width)
+    return tuple(
+        (Fraction(lo, scale), Fraction(hi, scale)) for lo, hi, scale in _embedding(v, n, num, den)
+    )
+
+
+def e_F_float(v, n: int) -> tuple[float, float]:
+    """The midpoints of ``e_F(v, n)``, each the correctly rounded float of that rational."""
+    (xlo, xhi, xscale), (ylo, yhi, yscale) = _embedding(v, n, 1, 10**12)
+    return (xlo + xhi) / (2 * xscale), (ylo + yhi) / (2 * yscale)
 
 
 def simply_laced_positive_roots(nvertices: int, edges) -> frozenset:

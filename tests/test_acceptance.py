@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Everything here is exact integer or algebraic-number arithmetic except the
-explicitly tolerance-bounded Euclidean checks (1e-9).  Expensive objects are
+Everything here is exact integer or algebraic-number arithmetic except
+criterion 4's float check of the plane embedding (1e-9), which stands beside
+the exact root-of-unity claim.  Expensive objects are
 shared through module-scoped fixtures so the suite stays inside its time
 budget; run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
@@ -17,7 +18,6 @@ from quiverfold import cli
 from quiverfold.chebring import AlgReal, ChebElem, cheb_mul, reg_rep, rho, sigma
 from quiverfold.clustercat import ClusterCategory
 from quiverfold.repcat import FoldedCategory, hom_ext_tables
-from quiverfold.rootsys import e_F_float
 from quiverfold.tropical import TropicalWalker, enumerate_seeds, g_matrix, transpose
 from quiverfold.unfolding import check_weighted_unfolding, standard_folding
 from spec_oracles import euler_form, is_classical_tilting, matrix_d_F, tilting_G_matrices
@@ -129,16 +129,19 @@ def test_criterion_03_folding_theorem(cats):
 
 
 def test_criterion_04_roots_of_unity(cats):
+    # exactly, as `verify all` decides it; then from the floats of the same
+    # vectors' entries, (v0, v1) -> (v0 - v1 cos theta, v1 sin theta)
     for n in (2, 3, 4):
         cat = cats[f"I2({2 * n + 1})"]
+        assert cli.roots_of_unity_hold(cat)
         theta = math.pi / (2 * n + 1)
         for vertex, angle in ((0, lambda p: 2 * p), (2 * n - 1, lambda p: 2 * p + 1)):
             ident = cat.ar.inj_module[vertex]
             orbit = cat.ar.modules[ident].orbit
             top = cat.ar.modules[ident].slice
             for p in range(top + 1):
-                vec = cat.dimproj[cat.ar.grid[(orbit, top - p)]]
-                x, y = e_F_float(vec, n)
+                v0, v1 = map(float, cat.dimproj[cat.ar.grid[(orbit, top - p)]])
+                x, y = v0 - v1 * math.cos(theta), v1 * math.sin(theta)
                 assert abs(x - math.cos(angle(p) * theta)) < 1e-9
                 assert abs(y - math.sin(angle(p) * theta)) < 1e-9
     _report(4, "root-of-unity-projection")

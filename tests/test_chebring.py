@@ -29,7 +29,7 @@ from quiverfold.chebring import (
     semiring_leq,
     sigma,
 )
-from spec_oracles import bisections, interval_eval
+from spec_oracles import bisections, e_F, interval_eval
 
 
 def cheb_value(k, m):
@@ -851,8 +851,6 @@ class TestWidth:
 
     @pytest.mark.parametrize("width", [-1, 0, Fraction(-1, 10**12)])
     def test_e_F_refuses(self, width):
-        from quiverfold.rootsys import e_F
-
         with pytest.raises(ValueError, match="width must be positive"):
             e_F((1, 1), 2, width)
 

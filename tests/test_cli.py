@@ -11,12 +11,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import quiverfold
-from quiverfold import cli
+from quiverfold import cli, unfolding
 from quiverfold.chebring import AlgReal, ChebElem
 from quiverfold.cli import main
 from quiverfold.clustercat import ClusterCategory
 from quiverfold.exchange import ExchangeMatrix
-from quiverfold.tropical import enumerate_seeds
+from quiverfold.repcat import FoldedCategory
+from quiverfold.tropical import TropicalWalker, enumerate_seeds
 from quiverfold.unfolding import FoldingSpec, check_weighted_unfolding, standard_folding
 from test_exchange import MALFORMED_MATRIX_JSON
 from test_explore import shifted_f4e6
@@ -39,7 +40,7 @@ def test_exports_are_pinned():
         "ARQuiver", "AlgReal", "ChebElem", "ClusterCategory", "ExchangeMatrix",
         "FoldedCategory", "FoldingSpec", "GMatrix", "IndecClass", "RootSet", "Seed",
         "TropicalWalker", "build_unfolded_matrix", "cheb_mul", "check_weighted_unfolding",
-        "e_F", "e_F_float", "enumerate_seeds", "equal_in_evaluation", "g_matrix",
+        "enumerate_seeds", "equal_in_evaluation", "g_matrix",
         "generate_roots", "minimal_poly", "reg_rep", "rho", "root_system", "semiring_leq",
         "sigma", "standard_folding",
     ]
@@ -194,41 +195,180 @@ class TestSubcommands:
         # 560 almost complete objects, one per exchange-graph edge
         assert len(calls) == len(set(calls)) == 560
 
-    def test_verify_all_reports_a_missing_complement(self, capsys, monkeypatch):
-        real = ClusterCategory.complements
-        first = []
 
-        def one_short(self, rest):
-            first.append(rest)
-            comps = real(self, rest)
-            return comps[:1] if rest == first[0] else comps
+def raise_injectives(monkeypatch, amounts):
+    """Add ``amounts(spec)[v]`` to the first coordinate of vertex v's projected injective,
+    in every ``FoldedCategory`` built after the call."""
+    real = FoldedCategory._build_projections
 
-        monkeypatch.setattr(ClusterCategory, "complements", one_short)
-        code, out = run(capsys, "verify", "all", "--kind", "I2", "--n", "2", "--depth", "0")
-        assert code == 1
-        assert "FAIL two-complements" in out.splitlines()
+    def build(self):
+        real(self)
+        dimproj = list(self.dimproj)
+        for v, amount in amounts(self.spec).items():
+            ident = self.ar.inj_module[v]
+            dimproj[ident] = (dimproj[ident][0] + amount,) + dimproj[ident][1:]
+        self.dimproj = tuple(dimproj)
 
-    def test_verify_all_checks_the_tilting_count(self, capsys, monkeypatch):
-        real = ClusterCategory.enumerate_tilting
-        monkeypatch.setattr(ClusterCategory, "enumerate_tilting", lambda self: real(self)[1:])
-        code, out = run(capsys, "verify", "all", "--kind", "I2", "--n", "2", "--depth", "0")
-        assert code == 1
-        # Cat(I2(5)) = 7 clusters
-        assert "FAIL tilting-enumeration count=6 expected=7" in out.splitlines()
+    monkeypatch.setattr(FoldedCategory, "_build_projections", build)
 
-    def test_verify_all_reports_a_wrong_G_projection(self, capsys, monkeypatch):
-        real = ClusterCategory.g_vector_folded
 
-        def shifted(self, x):
-            g = real(self, x)
-            return (g[0] + 1,) + g[1:]
+def plant_weight_in_conditions(monkeypatch):
+    # the unfolding conditions read weight 1 raised by one; nothing else does
+    real = unfolding.conditions_hold
 
-        code, out = run(capsys, "verify", "all", "--kind", "I2", "--n", "2", "--depth", "0")
-        assert code == 0 and "PASS tilting-G-matrix-projection" in out.splitlines()
-        monkeypatch.setattr(ClusterCategory, "g_vector_folded", shifted)
-        code, out = run(capsys, "verify", "all", "--kind", "I2", "--n", "2", "--depth", "0")
-        assert code == 1
-        assert "FAIL tilting-G-matrix-projection" in out.splitlines()
+    def conditions(S_rows, B, blocks, weights, memo=None):
+        return real(S_rows, B, blocks, (weights[0], weights[1] + 1) + weights[2:], memo)
+
+    monkeypatch.setattr(unfolding, "conditions_hold", conditions)
+
+
+def plant_weight_swap(monkeypatch):
+    # one block partner's injective moves off the weight-swap identity; the
+    # orbits of vertices 0 and 2n - 1 of I2 are block[0]'s, so untouched
+    raise_injectives(monkeypatch, lambda spec: {spec.blocks[0][1]: 1})
+
+
+def plant_angle(monkeypatch):
+    # vertex 0's injective leaves angle 0; its block partners move with it
+    # by their weights, so the weight-swap identity still holds
+    raise_injectives(
+        monkeypatch,
+        lambda spec: {v: spec.weights[v] for v in next(b for b in spec.blocks if 0 in b)},
+    )
+
+
+def plant_block_element(monkeypatch):
+    monkeypatch.setattr(TropicalWalker, "block_element", lambda self, block: ChebElem.one(self.n))
+
+
+def plant_lost_tilting_object(monkeypatch):
+    real = ClusterCategory.enumerate_tilting
+    monkeypatch.setattr(ClusterCategory, "enumerate_tilting", lambda self: real(self)[1:])
+
+
+def plant_missing_complement(monkeypatch):
+    real = ClusterCategory.complements
+    first = []
+
+    def one_short(self, rest):
+        first.append(rest)
+        comps = real(self, rest)
+        return comps[:1] if rest == first[0] else comps
+
+    monkeypatch.setattr(ClusterCategory, "complements", one_short)
+
+
+def plant_folded_g_vector(monkeypatch):
+    real = ClusterCategory.g_vector_folded
+
+    def shifted(self, x):
+        g = real(self, x)
+        return (g[0] + 1,) + g[1:]
+
+    monkeypatch.setattr(ClusterCategory, "g_vector_folded", shifted)
+
+
+# one planted defect per `verify all` line, named by the line it should break
+VERIFY_ALL_PLANTS = {
+    "weighted-unfolding-conditions": plant_weight_in_conditions,
+    "projected-dimension-theorem": plant_weight_swap,
+    "root-of-unity-projection": plant_angle,
+    "tropical-cube-and-blocks": plant_block_element,
+    "tilting-enumeration": plant_lost_tilting_object,
+    "two-complements": plant_missing_complement,
+    "tilting-G-matrix-projection": plant_folded_g_vector,
+}
+VERIFY_ALL_KINDS = {"I2": ("--kind", "I2", "--n", "2"), "H3": ("--kind", "H3"), "H4": ("--kind", "H4")}
+
+
+@pytest.mark.parametrize(
+    "kind,line",
+    [
+        pytest.param(kind, line, id=f"{kind}-{line}")
+        for kind in VERIFY_ALL_KINDS
+        for line in VERIFY_ALL_PLANTS
+        if kind == "I2" or line != "root-of-unity-projection"
+    ],
+)
+def test_verify_all_fails_the_planted_line(capsys, monkeypatch, kind, line):
+    VERIFY_ALL_PLANTS[line](monkeypatch)
+    code = main(["verify", "all", *VERIFY_ALL_KINDS[kind], "--depth", "1", "--random", "0"])
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert code == 1 and captured.err == ""
+    assert [text.split()[1] for text in lines] == [
+        name for name in VERIFY_ALL_PLANTS if kind == "I2" or name != "root-of-unity-projection"
+    ]
+    assert [text.split()[1] for text in lines if text.startswith("FAIL ")] == [line]
+    if line == "tilting-enumeration":
+        count = {"I2": 7, "H3": 32, "H4": 280}[kind]  # Cat(I2(5)), Cat(H3), Cat(H4)
+        assert f"FAIL tilting-enumeration count={count - 1} expected={count}" in lines
+
+
+def test_verify_all_reports_every_line_of_a_wrong_weight(capsys, monkeypatch):
+    # a category that cannot be built fails the claim that builds it with the
+    # verifier's message; the claims that need it name that claim
+    bad = FoldingSpecBrokenWeights(standard_folding("H3"))
+    monkeypatch.setattr(cli, "standard_folding", lambda kind, *n: bad)
+    code = main(["verify", "all", "--kind", "H3", "--depth", "2", "--random", "0"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert captured.out.splitlines() == [
+        "FAIL weighted-unfolding-conditions words=1 seed=0",
+        "FAIL projected-dimension-theorem "
+        "projected vector of module 1 is not a Chebyshev multiple of a root",
+        "FAIL tropical-cube-and-blocks vertices=2 seed=0",
+        "FAIL tilting-enumeration unchecked: projected-dimension-theorem failed",
+        "FAIL two-complements unchecked: projected-dimension-theorem failed",
+        "FAIL tilting-G-matrix-projection unchecked: projected-dimension-theorem failed",
+    ]
+
+
+def test_verify_all_reports_a_claims_own_assertion_on_its_line(capsys, monkeypatch):
+    def none_found(self, rest):
+        raise AssertionError("almost complete object has 0 complements, expected 2")
+
+    monkeypatch.setattr(ClusterCategory, "complements", none_found)
+    code, out = run(capsys, "verify", "all", "--kind", "I2", "--n", "2", "--depth", "0")
+    assert code == 1
+    assert out.splitlines()[-3:] == [
+        "PASS tilting-enumeration count=7",
+        "FAIL two-complements almost complete object has 0 complements, expected 2",
+        "PASS tilting-G-matrix-projection",
+    ]
+
+
+def test_verify_all_lets_a_programming_error_propagate(capsys, monkeypatch):
+    def broken(self, rest):
+        raise KeyError(rest)
+
+    monkeypatch.setattr(ClusterCategory, "complements", broken)
+    with pytest.raises(KeyError):
+        main(["verify", "all", "--kind", "I2", "--n", "2", "--depth", "0", "--random", "0"])
+
+
+@pytest.mark.parametrize("n", [2, 5, 30])
+def test_root_of_unity_projection_is_exact(monkeypatch, n):
+    # no float is made, and raising v0 of any vector of either orbit by one fails it
+    cat = FoldedCategory(standard_folding("I2", n))
+
+    def no_float(self):
+        raise AssertionError("float() of a ring value")
+
+    monkeypatch.setattr(AlgReal, "__float__", no_float)
+    assert cli.roots_of_unity_hold(cat)
+    ar, real = cat.ar, cat.dimproj
+    bumped = 0
+    for vertex in (0, 2 * n - 1):
+        top = ar.modules[ar.inj_module[vertex]]
+        for p in range(top.slice + 1):
+            ident = ar.grid[(top.orbit, top.slice - p)]
+            v0, v1 = real[ident]
+            cat.dimproj = real[:ident] + ((v0 + 1, v1),) + real[ident + 1:]
+            assert not cli.roots_of_unity_hold(cat), (vertex, p)
+            bumped += 1
+    # the two orbits hold all 2n + 1 positive roots
+    assert bumped == 2 * n + 1
 
 
 class TestDeterminism:
@@ -967,4 +1107,4 @@ def test_verify_all_projects_each_lifted_g_vector_once(capsys, monkeypatch):
     monkeypatch.setattr(FoldingSpec, "coeff_d_F", d_F)
     code, out = run(capsys, "verify", "all", "--kind", "H4", "--depth", "0", "--random", "0")
     assert code == 0 and "PASS tilting-G-matrix-projection" in out.splitlines()
-    assert len(projected) == len(set(projected)) <= 128
+    assert len(projected) == len(set(projected)) <= 64

@@ -6,13 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from quiverfold import chebring, rootsys
 from quiverfold.chebring import AlgReal
-from quiverfold.rootsys import (
-    e_F,
-    e_F_float,
-    generate_roots,
-    root_system,
-)
-from spec_oracles import is_positive_root, simply_laced_positive_roots
+from quiverfold.rootsys import generate_roots, root_system
+from spec_oracles import e_F, e_F_float, is_positive_root, simply_laced_positive_roots
 
 
 class TestGeneration:
@@ -164,6 +159,20 @@ class TestEuclideanEmbedding:
         assert float(xlo) - 1e-12 <= xtrue <= float(xhi) + 1e-12
         assert float(ylo) - 1e-12 <= ytrue <= float(yhi) + 1e-12
         assert xhi - xlo <= 2 * Fraction(1, 10**12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_positive_roots_are_consecutive_chebyshev_pairs(self, n):
+        # the pairs cli.roots_of_unity_hold compares with: (u_{k+1}, u_k) at
+        # angle k theta for k < m, u_k = sin(k theta)/sin(theta) = U_{k-1}(g/2)
+        m = 2 * n + 1
+        theta = math.pi / m
+        u = [AlgReal(m)] + [AlgReal.chebyshev(m, k) for k in range(m)]
+        pairs = [(u[k + 1], u[k]) for k in range(m)]
+        assert set(pairs) == root_system(f"I2({m})").positives
+        for k, v in enumerate(pairs):
+            (xlo, xhi), (ylo, yhi) = e_F(v, n)
+            assert float(xlo) - 1e-12 <= math.cos(k * theta) <= float(xhi) + 1e-12
+            assert float(ylo) - 1e-12 <= math.sin(k * theta) <= float(yhi) + 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_roots_have_unit_length(self, n):
