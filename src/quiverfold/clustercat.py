@@ -3,9 +3,12 @@
 Indecomposables are the modules of the unfolded quiver together with one
 shifted projective per vertex.  Morphism and extension dimensions are
 assembled from the module category's Hom table through the orbit formula,
-so the whole layer stays exact integer combinatorics.  On top of that sit the
-semiring-compatible rigidity notion, enumeration and mutation of tilting
-objects built from generator columns, and the two kinds of g-vectors.
+so the whole layer stays exact integer combinatorics.  Rigidity reads only
+where Ext vanishes, which comes from two bit-mask recurrences on the AR
+grid, where the translate is a shift, with no Hom or Ext table built.  On
+top of that sit the semiring-compatible rigidity notion, enumeration and
+mutation of tilting objects built from generator columns, and the two kinds
+of g-vectors.
 """
 
 from __future__ import annotations
@@ -124,7 +127,9 @@ class ClusterCategory:
         H[P_v][tau^-1 y] and hom(P_v[1], P_w[1]) = H[P_v][P_w]; a term whose
         translate does not exist is 0.  Each module row is read once, and its
         transpose gives the H[.][tau x] terms; rows are read at index lists
-        by ``itemgetter``, and a vanishing mask is a row's zero pattern.
+        by ``itemgetter``.  The Ext rows' zero patterns must equal the
+        columns'.  Only ``hom`` and ``ext`` read the tables; rigidity reads
+        ``_ext_masks``.
         """
         ar = self.mc.ar
         nmod = self.nmod
@@ -140,10 +145,79 @@ class ClusterCategory:
         hom += [at_tau_inv(p) + at_proj(p) for p in at_proj(H)]
         self._hom = tuple(hom)
         self._ext = tuple(map(itemgetter(*self._tau), self._hom))
-        # bit y of _vanish[x] is set when ext(x, y) = 0
-        self._vanish = [_zero_mask(row) for row in self._ext]
-        if self._vanish != [_zero_mask(col) for col in zip(*self._ext)]:
+        vanish = [_zero_mask(row) for row in self._ext]
+        if vanish != [_zero_mask(col) for col in zip(*self._ext)]:
             raise AssertionError("extension vanishing must be symmetric")
+
+    def _hom_masks(self, bits, exist) -> tuple:
+        """(row, col): where the module category's Hom is nonzero, as grid masks.
+
+        Bit z of ``row[x]`` is set when Hom(x, z) != 0 and bit y of
+        ``col[z]`` when Hom(y, z) != 0, for modules x, y and z, at their
+        grid bits ``bits``; ``exist`` is the OR of the modules' bits.
+        ``_knit`` puts tau (i, s) at (i, s - 1), so tau is a shift by
+        N = ``nverts``.  The facts ``ARQuiver.hom_row`` reads give both:
+        Hom(P_v, Z) = Z_v, Hom(X, Y) = Hom(tau X, tau Y) for non-projective
+        X and Y, and Hom(X, P) = 0 for non-projective X and projective P.
+        So a projective's row is the modules Z with Z_v != 0, and any other
+        row is its translate's shifted by N; a column is its translate's
+        shifted by N, plus the projectives P_v (bit v) with Z_v != 0.
+        ``ar_order`` puts each translate first.
+        """
+        ar, n = self.mc.ar, self.nverts
+        # where x_v != 0: bit v of supp[x], and x's grid bit of at_vertex[v]
+        supp, at_vertex = [0] * self.nmod, [0] * n
+        for x, mod in enumerate(ar.modules):
+            for v, c in enumerate(mod.dim):
+                if c:
+                    supp[x] |= 1 << v
+                    at_vertex[v] |= 1 << bits[x]
+        row, col = [0] * self.nmod, [0] * self.nmod
+        for x in ar.ar_order:
+            t = ar._tau[x]
+            if t is None:
+                row[x] = at_vertex[ar.modules[x].proj_vertex]
+                col[x] = supp[x]
+            else:
+                row[x] = row[t] << n & exist
+                col[x] = col[t] << n & exist | supp[x]
+        return row, col
+
+    def _ext_masks(self):
+        """Each object's Ext-vanishing mask (``_vanish``) on the AR grid.
+
+        Module (orbit i, slice s) gets bit s * N + i, with N = ``nverts``,
+        and P_v[1] bit top + v, past every module's bit (``_grid_bit``).
+        Bit ``_grid_bit[y]`` of ``_vanish[x]`` is set when ext(x, y) = 0.
+        The Ext pattern is ``_fill_tables``' formulas read on the masks of
+        ``_hom_masks``: ext(x, y) != 0 for a module x exactly when
+        Hom(x, tau y) != 0 (``row[x]`` shifted by N), Hom(y, tau x) != 0
+        (``col[tau x]``) or y = P_w[1] with x_w != 0 (the projectives in
+        ``col[x]``, moved to the shifted projectives' bits); and for P_v[1]
+        exactly when y is a module with y_v != 0 (the row of P_v).  Row and
+        column masks come from two independent recurrences, so the pattern
+        must equal its transpose, compared as '0'/'1' strings.
+        """
+        ar, n = self.mc.ar, self.nverts
+        top = n * (1 + max(mod.slice for mod in ar.modules))
+        bits = tuple(mod.slice * n + mod.orbit for mod in ar.modules)
+        exist = sum(1 << b for b in bits)
+        self._grid_bit = bits = bits + tuple(top + v for v in range(n))
+        row, col = self._hom_masks(bits, exist)
+        low = (1 << n) - 1
+        ext = [
+            row[x] << n & exist | (0 if t is None else col[t]) | (col[x] & low) << top
+            for x, t in enumerate(ar._tau)
+        ]
+        ext += [row[ar.proj_module[v]] for v in range(n)]
+        width = top + n
+        lines = ["0" * width] * width
+        for b, e in zip(bits, ext):
+            lines[b] = format(e, f"0{width}b")[::-1]
+        if lines != list(map("".join, zip(*lines))):
+            raise AssertionError("extension vanishing must be symmetric")
+        every = exist | low << top
+        self._vanish = [every ^ e for e in ext]
 
     # -- generators and iso-sets ------------------------------------------------
     def _build_generators(self):
@@ -211,17 +285,18 @@ class ClusterCategory:
         Built on first use and kept: each generator maps to the frozenset of
         the other generators it is pair-rigid with, that is, no member of
         either column has an extension with a member of the other.  The
-        graph is computed on int masks.  An object's mask (``_vanish``) has
-        bit y set when ext(x, y) = 0, which ``_fill_tables`` checked is
-        symmetric; a column's is the AND of its members' masks; and generator
-        i's mask (``_mask``) has bit j set when column j lies inside column
-        i's mask.  Bit j stands for ``generators[j]`` (``_bit``).
+        graph is computed on int masks, and no Hom or Ext table is built.
+        An object's mask (``_vanish``, from ``_ext_masks``) has y's grid bit
+        set when ext(x, y) = 0, which ``_ext_masks`` checked is symmetric; a
+        column's is the AND of its members' masks; and generator i's mask
+        (``_mask``) has bit j set when column j's grid bits lie inside
+        column i's mask.  Bit j stands for ``generators[j]`` (``_bit``).
         """
         if self._adj is None:
-            if self._ext is None:
-                self._fill_tables()
-            gens = self.generators
-            members = [sum(1 << z for z in self.iso_sets[g]) for g in gens]
+            if self._vanish is None:
+                self._ext_masks()
+            gens, bits = self.generators, self._grid_bit
+            members = [sum(1 << bits[z] for z in self.iso_sets[g]) for g in gens]
             for g in gens:
                 col = -1
                 for z in self.iso_sets[g]:

@@ -18,7 +18,7 @@ from quiverfold import cli
 from quiverfold.chebring import AlgReal, ChebElem, cheb_mul, reg_rep, rho, sigma
 from quiverfold.clustercat import ClusterCategory
 from quiverfold.repcat import FoldedCategory, hom_ext_tables
-from quiverfold.tropical import TropicalWalker, enumerate_seeds, g_matrix, transpose
+from quiverfold.tropical import TropicalWalker, enumerate_seeds, transpose
 from quiverfold.unfolding import check_weighted_unfolding, standard_folding
 from spec_oracles import euler_form, is_classical_tilting, matrix_d_F, tilting_G_matrices
 
@@ -259,18 +259,28 @@ VERIFY_ALL_CHECKS = [
 ]
 
 
-def test_criterion_12_every_i2_up_to_n16():
+def _verify_all_i2(n):
     # I2(m) for m = 2n+1 has m positive roots and m + 2 clusters
+    m = 2 * n + 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", "all", "--kind", "I2", "--n", str(n)])
+    lines = out.getvalue().splitlines()
+    assert code == 0, (n, lines)
+    assert [line.split()[1] for line in lines] == VERIFY_ALL_CHECKS, (n, lines)
+    assert all(line.startswith("PASS ") for line in lines), (n, lines)
+    assert f"PASS projected-dimension-theorem roots={m}/{m}" in lines, (n, lines)
+    assert f"PASS tilting-enumeration count={m + 2}" in lines, (n, lines)
+
+
+def test_criterion_12_every_i2_up_to_n16():
     start = time.time()
     for n in range(2, 17):
-        m = 2 * n + 1
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.main(["verify", "all", "--kind", "I2", "--n", str(n)])
-        lines = out.getvalue().splitlines()
-        assert code == 0, (n, lines)
-        assert [line.split()[1] for line in lines] == VERIFY_ALL_CHECKS, (n, lines)
-        assert all(line.startswith("PASS ") for line in lines), (n, lines)
-        assert f"PASS projected-dimension-theorem roots={m}/{m}" in lines, (n, lines)
-        assert f"PASS tilting-enumeration count={m + 2}" in lines, (n, lines)
+        _verify_all_i2(n)
     _report(12, "verify-all-I2(2n+1)", f"n=2..16 {time.time() - start:.1f}s")
+
+
+def test_criterion_12_i2_61():
+    start = time.time()
+    _verify_all_i2(30)
+    _report(12, "verify-all-I2(61)", f"n=30 {time.time() - start:.1f}s")

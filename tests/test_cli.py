@@ -47,12 +47,13 @@ def test_exports_are_pinned():
 
 
 def test_every_top_level_import_is_read():
-    """Each name a module of the package imports at top level is read in that module.
+    """Each name a module of the package or of the tests imports at top level is read in it.
 
     ``__init__`` reads its ``__all__`` re-exports by listing them.
     """
     unread = []
-    for path in sorted(Path(quiverfold.__file__).parent.glob("*.py")):
+    modules = Path(quiverfold.__file__).parent.glob("*.py")
+    for path in sorted(modules) + sorted(Path(__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
         imported = {

@@ -99,10 +99,27 @@ class TestStructure:
     def test_non_self_rigid_column_is_reported(self):
         # plant ext(z0, z1) != 0 between two members of one generator column
         cc = ClusterCategory(standard_folding("H3"))
-        cc.ext(0, 0)
+        cc._ext_masks()
         z0, z1 = cc.iso_sets[cc.generators[0]][:2]
-        cc._vanish[z0] &= ~(1 << z1)
+        cc._vanish[z0] &= ~(1 << cc._grid_bit[z1])
         with pytest.raises(AssertionError, match="generator columns must be self-rigid"):
+            cc.compatibility()
+
+    def test_dropped_column_bit_is_reported(self, monkeypatch):
+        # drop Hom(z, z) != 0 from the column mask of a module z with both
+        # translates: ext(tau^-1 z, z) then reads 0 and ext(z, tau^-1 z) does not
+        cc = ClusterCategory(standard_folding("H3"))
+        ar = cc.mc.ar
+        z = next(x for x in range(cc.nmod) if ar.tau(x) is not None and ar.tau_inv(x) is not None)
+        hom_masks = cc._hom_masks
+
+        def dropped(bits, exist):
+            row, col = hom_masks(bits, exist)
+            col[z] &= ~(1 << bits[z])
+            return row, col
+
+        monkeypatch.setattr(cc, "_hom_masks", dropped)
+        with pytest.raises(AssertionError, match="extension vanishing must be symmetric"):
             cc.compatibility()
 
     @pytest.mark.parametrize("kind,n", [("I2", 3), ("H3", None)])
@@ -522,6 +539,38 @@ def test_compatibility_matches_oracle_adjacency(kind):
         assert oracle_pair_rigid(cc, g1, g1)
         for g2 in cc.generators:
             assert cc.pair_rigid(g1, g2) == (g1 == g2 or g2 in want[g1])
+
+
+@pytest.mark.parametrize(
+    "kind", TABLE_KINDS + [("I2", n) for n in range(5, 9)], ids=lambda k: f"{k[0]}{k[1] or ''}"
+)
+def test_ext_masks_match_table_oracles(kind):
+    # the grid masks against the zero pattern of the hammock oracle's Ext
+    # table and of the category's own, and the compatibility graph against
+    # the one the oracle's table gives
+    cc = ClusterCategory(standard_folding(*kind))
+    adj = cc.compatibility()
+    _, ext = oracle_tables(cc)
+    objs, bits = cc.indecomposables(), cc._grid_bit
+    for table in (ext, [[cc.ext(x, y) for y in objs] for x in objs]):
+        assert cc._vanish == [sum(1 << bits[y] for y in objs if table[x][y] == 0) for x in objs]
+
+    def rigid(g, h):
+        return all(ext[a][b] == 0 == ext[b][a] for a in cc.iso_sets[g] for b in cc.iso_sets[h])
+
+    gens = cc.generators
+    assert dict(adj) == {g: frozenset(h for h in gens if h != g and rigid(g, h)) for g in gens}
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS, ids=lambda k: f"{k[0]}{k[1] or ''}")
+def test_rigidity_builds_no_table(kind):
+    # enumeration, the exchange graph and complements read only the grid masks
+    cc = ClusterCategory(standard_folding(*kind))
+    first = cc.enumerate_tilting()[0]
+    cc.exchange_graph()
+    cc.complements(first[1:])
+    assert cc._hom is None and cc._ext is None
+    assert cc.mc.ar._hom is None
 
 
 @pytest.mark.parametrize("kind", TABLE_KINDS, ids=lambda k: f"{k[0]}{k[1] or ''}")

@@ -11,7 +11,6 @@ from quiverfold.chebring import AlgReal, ChebElem, minimal_poly, reg_rep, sigma
 from quiverfold.exchange import ExchangeMatrix, RingValues, coeff_rows
 from quiverfold.rootsys import RootSet, root_system
 from quiverfold.tropical import (
-    EnumerationResult,
     Seed,
     TropicalWalker,
     det_cheb,
