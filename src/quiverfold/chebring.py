@@ -29,7 +29,7 @@ minpoly(2n+1) and connects the two types.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 import math
 from operator import attrgetter, index, mul as _mul
 
@@ -200,12 +200,13 @@ class _RootContext:
       to that sign (``_coeff_sign``).
     - ``_mul_rows`` maps a tuple to the rows of its multiplication matrix
       (``mul_matrix``).
-    - ``updates`` maps a triple (b_ij, b_ik, |b_kj|) of mutation operands to
-      b_ij + b_ik * |b_kj| (``_Updates``), and ``negations`` an operand x to
-      -x (``_Negations``).  An operand is an int or a coefficient tuple, as
-      ``exchange.mutate_coeffs`` carries it, and so is the value.  Keys are
-      representations, not values: ``1`` and ``(1,)`` are different keys,
-      as their results differ in type.
+    - ``updates`` maps a triple (acc, x, y) of operands to acc + x * y
+      (``_Updates``), and ``negations`` an operand x to -x
+      (``_Negations``): mutation's (b_ij, b_ik, |b_kj|) and the terms of
+      ``tropical.mat_mul`` and ``tropical.det_laplace``.  An operand is an
+      int or a coefficient tuple, as ``exchange.mutate_coeffs`` carries it,
+      and so is the value.  Keys are representations, not values: ``1`` and
+      ``(1,)`` are different keys, as their results differ in type.
     - ``pivots`` maps (pivot row, k) to its split into positive and
       negative columns (``exchange._pivot_columns``).
 
@@ -224,7 +225,7 @@ class _RootContext:
         self._bisections = [self._initial_interval()]
         self.signs = {}
         self._mul_rows = {}
-        self.updates = _Updates(self)
+        self.updates = _Updates(self.times)
         self.pivots = {}
         self.negations = _Negations()
 
@@ -335,33 +336,36 @@ class _RootContext:
             rows = self._mul_rows[coeffs] = tuple(zip(*cols))
         return rows
 
+    def times(self, a, b) -> list[int]:
+        """The coefficients of a * b, reduced: integer dot products of b's ``mul_matrix`` rows with a."""
+        return [sum(map(_mul, r, a)) for r in self.mul_matrix(b)]
+
 
 class _Updates(dict):
-    """b_ij + b_ik * b for a key (b_ij, b_ik, b) of ints and coefficient tuples, made on first use.
+    """acc + x * y for a key (acc, x, y) of ints and coefficient tuples, made on first use.
 
-    The value is an int exactly when all three are, as in ``AlgReal``
-    arithmetic.  Otherwise it is a reduced coefficient tuple: coefficient s
-    of the product is the integer dot product of row s of b's
-    multiplication matrix (``_RootContext.mul_matrix``) with b_ik's
-    coefficients, reduced as it stands.
+    ``times(a, b)`` is the ring product of two coefficient tuples as a
+    list (``_RootContext.times``, or ``_cheb_mul_coeffs`` in
+    ``_cheb_memos``).  The value is an int exactly when all three are, as
+    in ``AlgReal`` arithmetic; otherwise a tuple with its trailing zeros
+    trimmed.
     """
 
-    def __init__(self, ctx: _RootContext):
+    def __init__(self, times):
         super().__init__()
-        self.ctx = ctx
+        self.times = times
 
     def __missing__(self, key):
-        b_ij, b_ik, b = key
-        if type(b_ij) is int and type(b_ik) is int and type(b) is int:
-            value = b_ij + b_ik * b
+        acc, x, y = key
+        if type(acc) is int and type(x) is int and type(y) is int:
+            value = acc + x * y
         else:
-            a = (b_ik,) if type(b_ik) is int else b_ik
-            acc = [sum(map(_mul, r, a)) for r in self.ctx.mul_matrix((b,) if type(b) is int else b)]
-            for t, c in enumerate((b_ij,) if type(b_ij) is int else b_ij):
-                acc[t] += c
-            while acc and not acc[-1]:
-                acc.pop()
-            value = tuple(acc)
+            out = list(self.times((x,) if type(x) is int else x, (y,) if type(y) is int else y))
+            for t, c in enumerate((acc,) if type(acc) is int else acc):
+                out[t] += c
+            while out and not out[-1]:
+                out.pop()
+            value = tuple(out)
         self[key] = value
         return value
 
@@ -616,6 +620,15 @@ def _reduce_theta_index(i: int, n: int) -> int | None:
     if i < 2 * n:
         return 2 * n - 1 - i
     raise ValueError(f"index {i} outside the rewriting range for n={n}")
+
+
+@lru_cache(maxsize=None)
+def _cheb_memos(n: int) -> tuple[_Updates, _Negations]:
+    """A field's ``updates`` and ``negations`` memos over the rank-n Chebyshev ring, for the whole process.
+
+    Products are ``_cheb_mul_coeffs``; ``tropical.det_cheb`` reads them.
+    """
+    return _Updates(partial(_cheb_mul_coeffs, n)), _Negations()
 
 
 @lru_cache(maxsize=None)

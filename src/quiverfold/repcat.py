@@ -19,8 +19,6 @@ report.
 
 from __future__ import annotations
 
-from operator import mul
-
 from .chebring import AlgReal, ChebElem, _context, _Frozen, _poly_trim, cheb_mul
 from .exchange import RingValues
 from .rootsys import root_system
@@ -293,26 +291,32 @@ class FoldedCategory:
 
         Everything is keyed on reduced coefficient tuples until each root is
         decoded once at the end.  A root's theta_0 multiple is its own key;
-        coefficient s of a theta_j multiple's entry is an integer dot product
-        with row s of ``mul_matrix(theta_j)``.  A module's key is
-        ``spec.coeff_d_F`` of its dimension vector, decoded into ``dimproj``
-        by one ``RingValues``.
+        with theta_j = U_j(g/2), g = 2cos(pi/m), the others follow by
+        U_{j+1} x = g U_j x - U_{j-1} x: per coordinate, one shift up a
+        degree with the top coefficient folded back by the monic minimal
+        polynomial, and one subtraction.  A module's key is
+        ``spec.coeff_d_F`` of its dimension vector, decoded into
+        ``dimproj`` by one ``RingValues``.
         """
         spec, ar, m = self.spec, self.ar, self.m
         ctx = _context(m)
+        low = ctx.minpoly[:-1]
         keys = [spec.coeff_d_F(mod.dim) for mod in ar.modules]
         self.dimproj = RingValues(m).rows(keys)
-        scales = [ctx.mul_matrix(AlgReal.chebyshev(m, j).coeffs) for j in range(1, self.n)]
         roots = {}  # coefficient key -> the positive root
         lookup = {}
         for alpha in self.roots.positives:
             base = tuple(c.coeffs for c in alpha)
             roots[base] = alpha
-            padded = [c + (0,) * (ctx.deg - len(c)) for c in base]
-            multiples = [base] + [
-                tuple(_poly_trim([sum(map(mul, row, c)) for row in rows]) for c in padded)
-                for rows in scales
-            ]
+            prev = [[0] * ctx.deg for _ in base]
+            cur = [list(c) + [0] * (ctx.deg - len(c)) for c in base]
+            multiples = [base]
+            for _ in range(1, self.n):
+                prev, cur = cur, [
+                    [s - c[-1] * p - u for s, p, u in zip([0] + c[:-1], low, before)]
+                    for c, before in zip(cur, prev)
+                ]
+                multiples.append(tuple(map(_poly_trim, cur)))
             for j, key in enumerate(multiples):
                 if key in lookup:
                     raise AssertionError("Chebyshev multiples of distinct roots collide")

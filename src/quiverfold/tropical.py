@@ -16,9 +16,11 @@ that way and steps them with ``exchange.mutate_coeffs`` and ``_mutate_g``,
 the walker's states carry them that way, and one ``RingValues`` per seed
 pattern makes ``AlgReal`` values of them only for output (``Seed.B``,
 ``Seed.C``, ``g_matrix``).  Lifted matrices are ints.  d_F of an integer
-matrix needs no reduction; the product ``mat_mul`` and the determinant
-``det_laplace(rows, m)`` reduce each entry modulo the minimal polynomial
-once.  Two values are equal exactly when their tuples are.
+matrix needs no reduction.  The product ``mat_mul`` and the determinant
+``det_laplace(rows, m)`` add each term acc <- acc + x * y by one lookup
+in the field's multiply-add memo, the one mutation reads
+(``chebring._RootContext.updates``).  Two values are equal exactly when
+their tuples are.
 
 The cube check decides d_F(G_lifted) = G_folded by a certificate: the
 lifted G is the exact integer inverse of C_lifted^T, and
@@ -46,7 +48,9 @@ gives the arguments.
 The dets check takes det_x over the Chebyshev ring on the elements'
 coefficient tuples (``det_cheb``), and makes a ``ChebElem`` of the result
 only for ``sigma`` and the unit test.  ``det_cheb`` and ``det_laplace``
-are one Laplace expansion (``_laplace``) with two products.
+are one Laplace expansion (``_laplace``) over two multiply-add memos of
+one kind (``chebring._Updates``): the field's, and the Chebyshev ring's
+(``chebring._cheb_memos``).
 
 A walk meets the same few c-vectors and lifted columns at every step (in
 finite type the c-vectors are roots, Nakanishi-Zelevinsky 2012), so each
@@ -66,8 +70,7 @@ from itertools import combinations, islice
 from operator import add, itemgetter, mul as _mul
 
 from .chebring import (
-    ChebElem, _cheb_mul_coeffs, _coeff_sign, _context, _Frozen, _poly_mul, _poly_trim,
-    _reduce_mod, json_value, rho, sigma,
+    ChebElem, _cheb_memos, _coeff_sign, _context, _Frozen, json_value, rho, sigma,
 )
 from .exchange import (
     ExchangeMatrix, RingValues, _as_coeffs, _Explorer, _pivot_columns, _sign, coeff_rows,
@@ -204,23 +207,20 @@ def transpose(rows):
 def mat_mul(a, b, m: int):
     """a * b over Z[2cos(pi/m)], every entry a reduced coefficient tuple.
 
-    Each result entry sums the unreduced products of its terms and is
-    reduced modulo the minimal polynomial once.
+    Each entry starts from () and adds its nonzero terms acc <- acc + x * y,
+    each one lookup in the field's ``updates`` memo.
     """
-    ctx = _context(m)
-    width = 2 * ctx.deg - 1
+    updates = _context(m).updates
     cols = tuple(zip(*b))
     out = []
     for row in a:
         out_row = []
         for col in cols:
-            acc = [0] * width
+            acc = ()
             for x, y in zip(row, col):
                 if x and y:
-                    for i, xi in enumerate(x):
-                        for j, yj in enumerate(y):
-                            acc[i + j] += xi * yj
-            out_row.append(_poly_trim(_reduce_mod(ctx, acc)))
+                    acc = updates[acc, x, y]
+            out_row.append(acc)
         out.append(tuple(out_row))
     return tuple(out)
 
@@ -228,48 +228,43 @@ def mat_mul(a, b, m: int):
 def det_laplace(rows, m: int):
     """Determinant over Z[2cos(pi/m)], every entry a reduced coefficient tuple.
 
-    Laplace expansion (``_laplace``) multiplies unreduced polynomials, and
-    the result is reduced once.
+    Laplace expansion (``_laplace``) through the field's ``updates`` and
+    ``negations`` memos.
     """
-    return _poly_trim(_reduce_mod(_context(m), _laplace(rows, _poly_mul)))
+    ctx = _context(m)
+    return _laplace(rows, ctx.updates, ctx.negations)
 
 
 def det_cheb(rows, n: int) -> tuple[int, ...]:
     """Determinant over the rank-n Chebyshev ring, every entry a ``ChebElem.coeffs`` tuple.
 
-    Laplace expansion (``_laplace``); each product is ``cheb_mul`` on the
-    coefficient tuples, through the ``_basis_product`` table.
+    Laplace expansion (``_laplace``) through the ring's multiply-add and
+    negation memos (``chebring._cheb_memos``), whose products are
+    ``cheb_mul`` on the coefficient tuples.
     """
-    det = _laplace(rows, partial(_cheb_mul_coeffs, n))
+    det = _laplace(rows, *_cheb_memos(n))
     return tuple(det) + (0,) * (n - len(det))
 
 
-def _laplace(rows, mul):
+def _laplace(rows, updates, negations):
     """The determinant of a square matrix of coefficient tuples, by expansion along the first row.
 
-    Entries add coefficientwise and ``mul`` multiplies two of them.  Zero
-    entries are skipped, and the 1x1 minors of a 2x2 are read off.  The
-    result may carry trailing zeros.
+    Each term entry * minor is added by one lookup in ``updates``, a
+    multiply-add memo (acc, x, y) -> acc + x * y, an odd column's entry
+    negated through ``negations``.  Zero entries are skipped, and the 1x1
+    minors of a 2x2 are read off.
     """
     size = len(rows)
     if size == 1:
         return rows[0][0]
-    acc = []
+    acc = ()
     for j, entry in enumerate(rows[0]):
         if any(entry):
             if size == 2:
                 minor = rows[1][1 - j]
             else:
-                minor = _laplace(tuple(row[:j] + row[j + 1:] for row in rows[1:]), mul)
-            term = mul(entry, minor)
-            if len(term) > len(acc):
-                acc += [0] * (len(term) - len(acc))
-            if j % 2:
-                for i, t in enumerate(term):
-                    acc[i] -= t
-            else:
-                for i, t in enumerate(term):
-                    acc[i] += t
+                minor = _laplace(tuple(row[:j] + row[j + 1:] for row in rows[1:]), updates, negations)
+            acc = updates[acc, negations[entry] if j % 2 else entry, minor]
     return acc
 
 

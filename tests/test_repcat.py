@@ -3,8 +3,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quiverfold import repcat
 from quiverfold.chebring import AlgReal, ChebElem, cheb_mul, sigma
 from quiverfold.repcat import ARQuiver, FoldedCategory, hom_ext_tables, quiver_arrows_from_matrix
+from quiverfold.rootsys import RootSet
 from quiverfold.unfolding import FoldingSpec, standard_folding
 from spec_oracles import (
     chebyshev_factors, euler_form, hammock_tables, is_positive_root, replace_spec,
@@ -238,8 +240,9 @@ class TestProjections:
         assert planted
 
     def test_colliding_multiples_raise(self, monkeypatch):
+        # phi times the first simple root planted as a positive root of H3
         spec = standard_folding("H3")
-        monkeypatch.setattr(AlgReal, "chebyshev", staticmethod(lambda m, k: AlgReal(m, (1,))))
+        plant_multiple_as_root(monkeypatch, spec, 1)
         with pytest.raises(AssertionError, match="Chebyshev multiples of distinct roots collide"):
             FoldedCategory(spec)
 
@@ -484,6 +487,19 @@ class TestExports:
         assert dot.count("->") == len(i5cat.ar.ar_arrows)
 
 
+def plant_multiple_as_root(monkeypatch, spec, j):
+    """Add theta_j = ``AlgReal.chebyshev(m, j)`` times the first simple root to the roots that ``FoldedCategory`` reads."""
+    real = repcat.root_system
+    planted = (AlgReal.chebyshev(spec.m, j),) + (AlgReal(spec.m),) * (spec.B.n - 1)
+
+    def root_system(name):
+        roots = real(name)
+        assert planted not in roots.roots
+        return RootSet(name, roots.rank, roots.roots | {planted}, roots.positives | {planted})
+
+    monkeypatch.setattr(repcat, "root_system", root_system)
+
+
 PROJECTION_KINDS = [("H3", None), ("H4", None)] + [("I2", n) for n in range(2, 9)]
 
 
@@ -498,12 +514,14 @@ class TestProjectionsAgainstOracle:
         assert cat.dimproj == dimproj
 
     def test_colliding_scale_is_reported(self, monkeypatch):
-        spec = standard_folding("H3")
-        real = AlgReal.chebyshev
-        # theta_1 planted as theta_0, so each root's theta_1 multiple is itself
-        monkeypatch.setattr(AlgReal, "chebyshev", staticmethod(lambda m, k: real(m, 0)))
-        with pytest.raises(AssertionError, match="Chebyshev multiples of distinct roots collide"):
-            FoldedCategory(spec)
+        # the recurrence's last multiple, theta_{n-1} times a simple root,
+        # planted as a positive root: only an exact theta_j multiple collides
+        for n in (3, 4):
+            spec = standard_folding("I2", n)
+            with monkeypatch.context() as patch:
+                plant_multiple_as_root(patch, spec, n - 1)
+                with pytest.raises(AssertionError, match="Chebyshev multiples of distinct roots collide"):
+                    FoldedCategory(spec)
 
     def test_module_off_every_root_column_is_reported(self, monkeypatch):
         spec = standard_folding("H3")

@@ -1,5 +1,7 @@
 import random
+import sys
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, permutations, product
 from unittest.mock import patch
 
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from quiverfold import chebring, tropical
 from quiverfold.chebring import AlgReal, ChebElem, minimal_poly, reg_rep, sigma
-from quiverfold.exchange import ExchangeMatrix, RingValues, coeff_rows
+from quiverfold.exchange import ExchangeMatrix, RingValues, _Explorer, coeff_rows
 from quiverfold.rootsys import RootSet, root_system
 from quiverfold.tropical import (
     Seed,
@@ -21,7 +23,7 @@ from quiverfold.tropical import (
     mat_mul,
     transpose,
 )
-from quiverfold.unfolding import FoldingSpec, standard_folding
+from quiverfold.unfolding import FoldingSpec, pair_step, standard_folding, steps_back_exactly
 from spec_oracles import (
     algreal_pair, det_entries, invert_unimodular_entries, mutate_entries, walker_step,
 )
@@ -1039,6 +1041,95 @@ def test_coefficient_product_and_determinant_match_algreal(inputs):
     assert mat_mul(coeff_rows(a), coeff_rows(b), m) == coeff_rows(plain_mat_mul(a, b))
     assert det_laplace(coeff_rows(square), m) == leibniz(square).coeffs
     assert det_laplace(coeff_rows(square), m) == det_entries(square).coeffs
+
+
+def labeled_closure(walker, depth=None):
+    """The (folded, lifted) pairs of ``verify_cube``'s breadth-first search over (pair, parity) keys."""
+    blocks, m = walker.spec.blocks, walker.m
+    explorer = _Explorer(
+        partial(pair_step, blocks, m), parity=True, first_only=True,
+        involutive=partial(steps_back_exactly, blocks, m),
+    )
+    return [state for state, _ in explorer.closure(walker.initial_pair(), walker.mprime, depth)]
+
+
+def assert_check_products_match_oracles(walker, folded, lifted):
+    """``check_vertex``'s ring products on one pair against ``AlgReal`` and ``ChebElem`` arithmetic.
+
+    The cube certificate's C_f^T X, with X = d_F of the weight-one columns
+    of (C_l^T)^-1, the folded determinant det C_f, and det_cheb of the
+    lifted C-blocks' elements.
+    """
+    spec, m, n, mp = walker.spec, walker.m, walker.n, range(walker.mprime)
+    C_f, C_l = folded[walker.mprime:], lifted[walker.nverts:]
+    reps = spec.weight_one_reps
+    X = tropical.matrix_d_F(spec, invert_integer(transpose(C_l), reps), None, range(len(reps)))
+    values = RingValues(m)
+    assert mat_mul(transpose(C_f), X, m) == coeff_rows(plain_mat_mul(values.rows(transpose(C_f)), values.rows(X)))
+    assert det_laplace(C_f, m) == det_entries(values.rows(C_f)).coeffs
+    elements = tuple(tuple(walker.block_element(walker.c_block(lifted, bi, bj)) for bj in mp) for bi in mp)
+    det = det_cheb(tuple(tuple(x.coeffs for x in row) for row in elements), n)
+    assert det == det_entries(elements).coeffs
+    assert sigma(ChebElem(n, det)) == det_entries(tuple(tuple(map(sigma, row)) for row in elements))
+
+
+@pytest.mark.parametrize("kind,depth,keys", [("H3", None, 192), ("H4", 5, 171)])
+def test_check_products_match_the_oracles_on_every_key(kind, depth, keys):
+    """The H3 labeled closure and the H4 depth-5 tree, every key."""
+    walker = TropicalWalker(standard_folding(kind))
+    states = labeled_closure(walker, depth)
+    assert len(states) == keys
+    for folded, lifted in states:
+        assert_check_products_match_oracles(walker, folded, lifted)
+
+
+@st.composite
+def sparse_cheb_squares(draw):
+    """(n, A, B): two squares over the rank-n Chebyshev ring, m = 2n+1 in 5, 7, 9, with many zero entries."""
+    n = draw(st.sampled_from((2, 3, 4)))
+    size = draw(st.integers(1, 4))
+    entry = st.one_of(st.just((0,) * n), st.tuples(*[st.integers(-3, 3)] * n))
+    row = st.lists(entry, min_size=size, max_size=size).map(tuple)
+    square = st.lists(row, min_size=size, max_size=size).map(tuple)
+    return n, draw(square), draw(square)
+
+
+@given(sparse_cheb_squares())
+@settings(max_examples=200, deadline=None)
+def test_check_products_match_the_oracles_with_zero_entries(inputs):
+    """det_cheb against ``ChebElem`` and, through sigma, ``AlgReal`` arithmetic; mat_mul and det_laplace on the images."""
+    n, a, b = inputs
+    m = 2 * n + 1
+    cheb = tuple(tuple(ChebElem(n, c) for c in row) for row in a)
+    image = tuple(tuple(map(sigma, row)) for row in cheb)
+    other = tuple(tuple(sigma(ChebElem(n, c)) for c in row) for row in b)
+    det = det_cheb(a, n)
+    assert det == det_entries(cheb).coeffs
+    assert sigma(ChebElem(n, det)) == det_entries(image)
+    assert det_laplace(coeff_rows(image), m) == det_entries(image).coeffs
+    assert mat_mul(coeff_rows(image), coeff_rows(other), m) == coeff_rows(plain_mat_mul(image, other))
+
+
+def test_cube_walk_makes_no_polynomial_product_or_reduction(monkeypatch):
+    """Every ring product of the checks is a multiply-add memo lookup.
+
+    A full H3 walk on fresh per-m memos passes with ``chebring._poly_mul``
+    and ``_reduce_mod`` raising, under every name a quiverfold module binds
+    them to.
+    """
+    monkeypatch.setattr(chebring, "_ROOT_CONTEXTS", {})
+    walker = TropicalWalker(standard_folding("H3"))
+
+    def refuse(*args):
+        raise AssertionError("polynomial product or reduction on the check path")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("quiverfold"):
+            for helper in ("_poly_mul", "_reduce_mod"):
+                if hasattr(module, helper):
+                    monkeypatch.setattr(module, helper, refuse)
+    report = walker.verify_cube(depth=11)
+    assert report.passed and report.states == 192
 
 
 @st.composite
