@@ -369,7 +369,7 @@ def G_projection_verdicts(cc: ClusterCategory, summands) -> tuple:
     (``ClusterCategory.g_vector``).
     """
     lifted = [cc.g_vector(cc.iso_sets[g][0]) for g in summands]
-    projected = matrix_d_F(cc.spec, tuple(zip(*lifted)), None, range(len(lifted)))
+    projected = matrix_d_F(cc.spec, tuple(zip(*lifted)), {}, range(len(lifted)))
     folded = coeff_rows(cc.folded_G_matrix(summands))
     return tuple(map(operator.eq, zip(*projected), zip(*folded)))
 

@@ -1,35 +1,25 @@
 """Cluster category of an unfolded quiver at the iso-class level.
 
 Indecomposables are the modules of the unfolded quiver together with one
-shifted projective per vertex.  Morphism and extension dimensions are
-assembled from the module category's Hom table through the orbit formula,
-so the whole layer stays exact integer combinatorics.  Rigidity reads only
-where Ext vanishes, which comes from two bit-mask recurrences on the AR
-grid, where the translate is a shift, with no Hom or Ext table built.  On
-top of that sit the semiring-compatible rigidity notion, enumeration and
-mutation of tilting objects built from generator columns, and the two kinds
-of g-vectors.
+shifted projective per vertex.  Rigidity reads only where Ext vanishes.
+That comes from one path: two bit-mask recurrences on the AR grid, where
+the translate is a shift, give where the module category's Hom is nonzero,
+and the orbit formula turns them into each object's Ext-vanishing mask,
+with no Hom or Ext table built.  On top of that sit the semiring-compatible
+rigidity notion, enumeration and mutation of tilting objects built from
+generator columns, and the two kinds of g-vectors.
 """
 
 from __future__ import annotations
 
 from math import prod
-from operator import add, itemgetter
+from operator import itemgetter
 from types import MappingProxyType
 
 from .chebring import ChebElem, sigma
 from .exchange import RingValues, coeff_rows, mutate_coeffs
 from .repcat import FoldedCategory
 from .unfolding import FoldingSpec
-
-
-# byte 0 to "1", every other byte to "0"
-_ZERO_BIT = bytes.maketrans(bytes(range(256)), b"1" + b"0" * 255)
-
-
-def _zero_mask(row) -> int:
-    """The int with bit y set exactly when ``row[y]`` is 0; the entries must lie in 0..255."""
-    return int(bytes(row).translate(_ZERO_BIT)[::-1], 2)
 
 
 # Exponents of the folded Coxeter groups (Humphreys, Reflection Groups and
@@ -57,10 +47,6 @@ class ClusterCategory:
         self.mc = FoldedCategory(spec)
         self.nverts = spec.S.n
         self.nmod = len(self.mc.ar.modules)
-        self.size = self.nmod + self.nverts
-        self._tau = tuple(self._compute_tau(x) for x in range(self.size))
-        self._hom = None
-        self._ext = None
         self._vanish = None
         self._adj = None
         self._mask: dict[int, int] = {}
@@ -89,66 +75,7 @@ class ClusterCategory:
             ) + tuple(f"S.P({labels[v] if labels else v})" for v in range(self.nverts))
         return self._labels[x]
 
-    def indecomposables(self) -> tuple:
-        return tuple(range(self.size))
-
-    # -- translation ---------------------------------------------------------
-    def _compute_tau(self, x: int) -> int:
-        ar = self.mc.ar
-        if self.is_shift(x):
-            return ar.inj_module[x - self.nmod]
-        t = ar._tau[x]
-        if t is not None:
-            return t
-        return self.shift_ident(ar.modules[x].proj_vertex)
-
-    def tau(self, x: int) -> int:
-        return self._tau[x]
-
-    # -- morphism spaces -------------------------------------------------------
-    def hom(self, x: int, y: int) -> int:
-        if self._hom is None:
-            self._fill_tables()
-        return self._hom[x][y]
-
-    def ext(self, x: int, y: int) -> int:
-        """dim Hom(x, tau y): the rigidity pairing of the cluster category."""
-        if self._ext is None:
-            self._fill_tables()
-        return self._ext[x][y]
-
-    def _fill_tables(self):
-        """Both tables, row by row, from the module category's Hom table.
-
-        With H[a][b] = dim Hom(a, b) between modules (``ARQuiver.hom_row``),
-        tau the module translate and P_v the projective at v, the cluster
-        category has hom(x, y) = H[x][y] + H[tau^-1 y][tau x] for modules x
-        and y, hom(x, P_w[1]) = H[P_w][tau x], hom(P_v[1], y) =
-        H[P_v][tau^-1 y] and hom(P_v[1], P_w[1]) = H[P_v][P_w]; a term whose
-        translate does not exist is 0.  Each module row is read once, and its
-        transpose gives the H[.][tau x] terms; rows are read at index lists
-        by ``itemgetter``.  The Ext rows' zero patterns must equal the
-        columns'.  Only ``hom`` and ``ext`` read the tables; rigidity reads
-        ``_ext_masks``.
-        """
-        ar = self.mc.ar
-        nmod = self.nmod
-        # A zero column at index nmod stands for a missing translate, and the
-        # zero row it makes in the transpose for a projective's missing tau.
-        H = [ar.hom_row(x) + (0,) for x in range(nmod)]
-        HT = [row + (0,) for row in zip(*H)]
-        # every index list has at least two entries, so each getter returns a tuple
-        at_tau = itemgetter(*(nmod if t is None else t for t in ar._tau))
-        at_tau_inv = itemgetter(*(nmod if t is None else t for t in ar._tau_inv))
-        at_proj = itemgetter(*(ar.proj_module[v] for v in range(self.nverts)))
-        hom = [tuple(map(add, hx, at_tau_inv(back))) + at_proj(back) for hx, back in zip(H, at_tau(HT))]
-        hom += [at_tau_inv(p) + at_proj(p) for p in at_proj(H)]
-        self._hom = tuple(hom)
-        self._ext = tuple(map(itemgetter(*self._tau), self._hom))
-        vanish = [_zero_mask(row) for row in self._ext]
-        if vanish != [_zero_mask(col) for col in zip(*self._ext)]:
-            raise AssertionError("extension vanishing must be symmetric")
-
+    # -- extension vanishing ---------------------------------------------------
     def _hom_masks(self, bits, exist) -> tuple:
         """(row, col): where the module category's Hom is nonzero, as grid masks.
 
@@ -174,7 +101,7 @@ class ClusterCategory:
                     at_vertex[v] |= 1 << bits[x]
         row, col = [0] * self.nmod, [0] * self.nmod
         for x in ar.ar_order:
-            t = ar._tau[x]
+            t = ar.tau[x]
             if t is None:
                 row[x] = at_vertex[ar.modules[x].proj_vertex]
                 col[x] = supp[x]
@@ -188,15 +115,16 @@ class ClusterCategory:
 
         Module (orbit i, slice s) gets bit s * N + i, with N = ``nverts``,
         and P_v[1] bit top + v, past every module's bit (``_grid_bit``).
-        Bit ``_grid_bit[y]`` of ``_vanish[x]`` is set when ext(x, y) = 0.
-        The Ext pattern is ``_fill_tables``' formulas read on the masks of
-        ``_hom_masks``: ext(x, y) != 0 for a module x exactly when
-        Hom(x, tau y) != 0 (``row[x]`` shifted by N), Hom(y, tau x) != 0
-        (``col[tau x]``) or y = P_w[1] with x_w != 0 (the projectives in
-        ``col[x]``, moved to the shifted projectives' bits); and for P_v[1]
-        exactly when y is a module with y_v != 0 (the row of P_v).  Row and
-        column masks come from two independent recurrences, so the pattern
-        must equal its transpose, compared as '0'/'1' strings.
+        Bit ``_grid_bit[y]`` of ``_vanish[x]`` is set when Ext(x, y) = 0.
+        In the cluster category Ext(x, y) = Hom(x, tau y), and by the orbit
+        formula, read on the masks of ``_hom_masks``, it is nonzero for a
+        module x exactly when Hom(x, tau y) != 0 (``row[x]`` shifted by N),
+        Hom(y, tau x) != 0 (``col[tau x]``) or y = P_w[1] with x_w != 0
+        (the projectives in ``col[x]``, moved to the shifted projectives'
+        bits); and for P_v[1] exactly when y is a module with y_v != 0 (the
+        row of P_v).  Row and column masks come from two independent
+        recurrences, so the pattern must equal its transpose, compared as
+        '0'/'1' strings.
         """
         ar, n = self.mc.ar, self.nverts
         top = n * (1 + max(mod.slice for mod in ar.modules))
@@ -207,7 +135,7 @@ class ClusterCategory:
         low = (1 << n) - 1
         ext = [
             row[x] << n & exist | (0 if t is None else col[t]) | (col[x] & low) << top
-            for x, t in enumerate(ar._tau)
+            for x, t in enumerate(ar.tau)
         ]
         ext += [row[ar.proj_module[v]] for v in range(n)]
         width = top + n
@@ -246,12 +174,12 @@ class ClusterCategory:
         return tuple(sorted(out))
 
     # -- rigidity ----------------------------------------------------------------
-    def pair_rigid(self, g1: int, g2: int) -> bool:
-        self.compatibility()
-        return bool(self._mask[g1] & self._bit[g2])
-
     def _meet(self, summands) -> tuple:
-        """(common, need): the AND of the summands' masks and the OR of their bits."""
+        """(common, need): the AND of the summands' masks and the OR of their bits.
+
+        Bit h of g's mask is set exactly when g and h are pair-rigid, so the
+        summands are pairwise rigid exactly when ``common & need == need``.
+        """
         self.compatibility()
         mask, bit = self._mask, self._bit
         common, need = (1 << len(self.generators)) - 1, 0
@@ -259,16 +187,6 @@ class ClusterCategory:
             common &= mask[g]
             need |= bit[g]
         return common, need
-
-    def is_rigid_set(self, summands) -> bool:
-        """Whether the generators are pairwise rigid: ``common & need == need``.
-
-        Bit h of g's mask is set exactly when g and h are pair-rigid, so the
-        AND of the summands' masks (``_meet``) holds every summand's bit
-        exactly when each pair of summands is rigid.
-        """
-        common, need = self._meet(summands)
-        return common & need == need
 
     def _decode(self, mask: int) -> tuple:
         """The generators whose bits are set in ``mask``, in ``generators`` order."""

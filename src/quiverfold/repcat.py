@@ -5,10 +5,13 @@ structure they carry.
 orientation from its projectives: modules are identified with their
 dimension vectors, arranged on a grid (orbit, slice) where slice 0 holds
 the projectives and each further slice applies the inverse translate by
-the mesh rule.  The Hom table reads the projectives' rows off the
-dimension vectors and fills every other row by the translate (``hom_row``);
-Ext comes from the translate formula, so no linear algebra over the base
-field is ever needed.
+the mesh rule, so ``tau`` maps each module to the one a slice before it.
+The Hom table reads the projectives' rows off the dimension vectors and
+fills every other row by the translate (``hom_row``); ``hom_ext_tables``
+reads Ext off it by Ext^1(a, b) = Hom(b, tau a), so no linear algebra over
+the base field is ever needed.  Only ``ar build --tables`` reads these
+tables: the cluster category decides rigidity from Ext-vanishing masks on
+the same grid (``clustercat``).
 
 ``FoldedCategory`` adds the data of a weighted folding: projected
 dimension vectors, the factorization of every indecomposable as a
@@ -148,8 +151,8 @@ class ARQuiver:
             raise AssertionError("every tau-orbit must end at a distinct injective")
         self.modules = tuple(modules)
         self.grid = grid
-        self._tau = tuple(grid.get((mod.orbit, mod.slice - 1)) for mod in modules)
-        self._tau_inv = tuple(grid.get((mod.orbit, mod.slice + 1)) for mod in modules)
+        # the translate of each module, None for a projective
+        self.tau = tuple(grid.get((mod.orbit, mod.slice - 1)) for mod in modules)
         self.proj_module = {v: grid[(v, 0)] for v in range(self.nvertices)}
         self.inj_module = {
             mod.inj_vertex: mod.ident for mod in modules if mod.inj_vertex is not None
@@ -188,7 +191,7 @@ class ARQuiver:
 
     def _check_meshes(self):
         for mod in self.modules:
-            prev = self._tau[mod.ident]
+            prev = self.tau[mod.ident]
             if prev is None:
                 continue
             total = [c for c in self.modules[prev].dim]
@@ -201,14 +204,7 @@ class ARQuiver:
             if middle != total:
                 raise AssertionError(f"mesh additivity fails at module {mod.ident}")
 
-    # -- translates ------------------------------------------------------
-    def tau(self, ident: int) -> int | None:
-        return self._tau[ident]
-
-    def tau_inv(self, ident: int) -> int | None:
-        return self._tau_inv[ident]
-
-    # -- hom / ext --------------------------------------------------------
+    # -- hom ------------------------------------------------------------
     def hom_row(self, source: int) -> tuple:
         """dim Hom(source, Z) for every Z: one row of the Hom table.
 
@@ -227,26 +223,16 @@ class ARQuiver:
             size = len(self.modules)
             at_vertex = tuple(zip(*(mod.dim for mod in self.modules)))
             # the zero column at index size stands for a projective's missing tau
-            shift = [size if t is None else t for t in self._tau]
+            shift = [size if t is None else t for t in self.tau]
             rows = [None] * size
             for x in self.ar_order:
-                tx = self._tau[x]
+                tx = self.tau[x]
                 if tx is None:
                     rows[x] = at_vertex[self.modules[x].proj_vertex]
                 else:
                     rows[x] = tuple(map((rows[tx] + (0,)).__getitem__, shift))
             self._hom = tuple(rows)
         return self._hom[source]
-
-    def hom(self, a: int, b: int) -> int:
-        return self.hom_row(a)[b]
-
-    def ext(self, a: int, b: int) -> int:
-        """dim Ext^1(a, b) = dim Hom(b, tau a); zero for projective a."""
-        ta = self._tau[a]
-        if ta is None:
-            return 0
-        return self.hom_row(b)[ta]
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +328,6 @@ class FoldedCategory:
         self.generators = tuple(ident for ident, (j, _) in enumerate(factor) if j == 0)
 
     # -- semiring action on iso-class multisets ---------------------------
-    def theta_index(self, ident: int) -> int:
-        return self.factor[ident][0]
-
     def column_of(self, ident: int) -> tuple:
         return self.columns[self.factor[ident][1]]
 
@@ -452,11 +435,11 @@ def _pretty(c) -> str:
 def hom_ext_tables(ar: ARQuiver):
     """Full (hom, ext) tables as tuples of rows.
 
-    Ext row a is read off the hom rows, as ``ARQuiver.ext`` reads it:
-    ext(a, b) = hom(b, tau a), and a row of zeros for projective a.
+    Ext row a is read off the hom rows: ext(a, b) = hom(b, tau a), and a
+    row of zeros for projective a.
     """
     size = len(ar.modules)
     hom = tuple(ar.hom_row(a) for a in range(size))
     zeros = (0,) * size
-    ext = tuple(zeros if ta is None else tuple(row[ta] for row in hom) for ta in ar._tau)
+    ext = tuple(zeros if ta is None else tuple(row[ta] for row in hom) for ta in ar.tau)
     return hom, ext

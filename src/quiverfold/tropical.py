@@ -321,27 +321,26 @@ def invert_integer(rows, columns):
 # folded walks and the compatibility checks
 
 
-def matrix_d_F(spec: FoldingSpec, rows, memo=None, reps=None):
-    """d_F of the weight-one columns of an integer matrix, as rows of reduced coefficient tuples.
+def matrix_d_F(spec: FoldingSpec, rows, memo: dict, reps) -> tuple:
+    """d_F of some columns of an integer matrix, as rows of reduced coefficient tuples.
 
     Column j of the result is ``spec.coeff_d_F`` of the column of ``rows``
-    at ``reps[j]``: by default block j's weight-one vertex
-    (``spec.weight_one_reps``), for a whole lifted matrix; the cube check
-    passes ``range(len(spec.weight_one_reps))`` for a matrix that holds only
-    those columns (``invert_integer(rows, spec.weight_one_reps)``).
-    ``memo`` maps integer columns to their d_F and is filled as columns are
-    met (a fresh dict per call by default), so each distinct column is
-    projected once.
+    at ``reps[j]``: block j's weight-one vertex (``spec.weight_one_reps``)
+    for a whole lifted matrix, or ``range(len(spec.weight_one_reps))`` for a
+    matrix that holds only those columns (``invert_integer(rows,
+    spec.weight_one_reps)``).  ``memo`` maps integer columns to their d_F
+    and is filled as columns are met, so each distinct column is projected
+    once.
     """
-    memo = {} if memo is None else memo
-    cols = []
-    for r in spec.weight_one_reps if reps is None else reps:
-        col = tuple(row[r] for row in rows)
+    cols = tuple(zip(*rows))
+    out = []
+    for r in reps:
+        col = cols[r]
         image = memo.get(col)
         if image is None:
             image = memo[col] = spec.coeff_d_F(col)
-        cols.append(image)
-    return tuple(zip(*cols))
+        out.append(image)
+    return tuple(zip(*out))
 
 
 class WalkReport:
@@ -401,6 +400,7 @@ class TropicalWalker:
         self._blocks_seen = {}  # block -> (its element r or None, sign-coherent, rho(r) == block)
         self._roots_seen = {}  # folded c-vector -> (is a root, is sign-coherent)
         self._d_F_seen = {}  # lifted integer column -> its d_F (``matrix_d_F``'s memo)
+        self._reps = spec.weight_one_reps  # the only columns of a lifted matrix that d_F reads
 
     # stacked matrices: folded (2m' x m') of coefficient tuples, lifted (2N x N) of ints
     def initial_pair(self):
@@ -432,7 +432,7 @@ class TropicalWalker:
     def _dF_C_holds(self, folded, lifted) -> bool:
         """Whether d_F(C_lifted) = C_folded: the ``dF(C)-mismatch`` comparison."""
         C_l = lifted[self.nverts:]
-        return matrix_d_F(self.spec, C_l, self._d_F_seen) == folded[self.mprime:]
+        return matrix_d_F(self.spec, C_l, self._d_F_seen, self._reps) == folded[self.mprime:]
 
     def _root_verdict(self, col):
         """(is a root, is sign-coherent) of a folded c-vector; kept for the walker's life."""
@@ -503,7 +503,7 @@ class TropicalWalker:
             verdict = getattr(neighbours, "dF_C", None)
             if not (verdict() if verdict else self._dF_C_holds(folded, lifted)):
                 failures.append((word, "dF(C)-mismatch"))
-            reps = spec.weight_one_reps  # the only columns of G_l that d_F reads
+            reps = self._reps
             G_l = invert_integer(transpose(C_l), reps)
             X = matrix_d_F(spec, G_l, self._d_F_seen, range(len(reps)))
             Ct = transpose(C_f)
@@ -693,9 +693,6 @@ class EnumerationResult:
     @property
     def count(self) -> int:
         return len(self.seeds)
-
-    def g_matrices(self):
-        return [g_matrix(s).entries for s in self.seeds]
 
 
 def enumerate_seeds(B: ExchangeMatrix, cap: int = 20000) -> EnumerationResult:

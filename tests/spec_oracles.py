@@ -20,11 +20,14 @@ The categorical ones come last: positive roots of a simply-laced diagram
 by integer reflection closure, the Chebyshev factorization of projected
 dimension vectors by ``AlgReal`` products, the hammock recursion run from
 every module (the library reads the projectives' rows off the dimension
-vectors and fills the other rows by the translate), the minimal projective presentation of a
-module solved vertex by vertex (the library reads g-vectors off the Euler
-form), the g-vectors and G matrices of tilting objects read off those
-presentations, the Euler form, and classical cluster tilting decided entry
-by entry from ``ext``.
+vectors and fills the other rows by the translate), the cluster
+category's Hom and Ext tables built entry by entry from the hammock tables
+through the orbit formula, with their own translate read off the AR grid
+(the library keeps only where Ext vanishes, as grid masks), the minimal
+projective presentation of a module solved vertex by vertex (the library
+reads g-vectors off the Euler form), the g-vectors and G matrices of
+tilting objects read off those presentations, the Euler form, and
+classical cluster tilting decided entry by entry from an Ext table.
 """
 
 from fractions import Fraction
@@ -336,7 +339,7 @@ def hammock_row(ar, source):
         acc = 1 if ident == source else 0
         for pred in ar.ar_in[ident]:
             acc += h[pred]
-        prev = ar.tau(ident)
+        prev = ar.tau[ident]
         if prev is not None:
             acc -= h[prev]
         assert acc >= 0, "hammock recursion went negative"
@@ -348,9 +351,64 @@ def hammock_tables(ar):
     """(hom, ext) of an ``ARQuiver``: one hammock row per module, ext(a, b) = hom(b, tau a)."""
     hom = tuple(hammock_row(ar, a) for a in range(len(ar.modules)))
     ext = tuple(
-        tuple(0 if ar.tau(a) is None else hom[b][ar.tau(a)] for b in range(len(hom)))
+        tuple(0 if ar.tau[a] is None else hom[b][ar.tau[a]] for b in range(len(hom)))
         for a in range(len(hom))
     )
+    return hom, ext
+
+
+def cluster_translates(cc):
+    """(tau, tau^-1 on modules) of a ``ClusterCategory``, read off the AR grid.
+
+    A module at (orbit, slice) has its translates at slices - 1 and + 1,
+    or None off the grid.  In the cluster category tau P_v = P_v[1] and
+    tau P_v[1] = I_v, so tau is a bijection on all objects.
+    """
+    ar = cc.mc.ar
+    tau = []
+    for mod in ar.modules:
+        t = ar.grid.get((mod.orbit, mod.slice - 1))
+        tau.append(cc.shift_ident(mod.proj_vertex) if t is None else t)
+    tau += [ar.inj_module[v] for v in range(cc.nverts)]
+    tau_inv = tuple(ar.grid.get((mod.orbit, mod.slice + 1)) for mod in ar.modules)
+    return tuple(tau), tau_inv
+
+
+def oracle_tables(cc, module_tables=hammock_tables):
+    """(hom, ext) of a ``ClusterCategory``, entry by entry from the module category's tables.
+
+    ``module_tables(ar)`` gives the module category's (H, E), by default
+    the hammock recursion's.  With the translates off the AR grid
+    (``cluster_translates``): hom(x, y) = H[x][y] + E[x][tau^-1 y] for
+    modules x and y, hom(x, P_w[1]) = E[x][P_w], hom(P_v[1], y) =
+    H[P_v][tau^-1 y] and hom(P_v[1], P_w[1]) = H[P_v][P_w], a missing
+    translate giving 0; and ext(x, y) = hom(x, tau y).
+    """
+    ar = cc.mc.ar
+    mod_hom, mod_ext = module_tables(ar)
+    tau, tau_inv = cluster_translates(cc)
+
+    def hom_c(x, y):
+        if cc.is_shift(x):
+            v = x - cc.nmod
+            if cc.is_shift(y):
+                return mod_hom[ar.proj_module[v]][ar.proj_module[y - cc.nmod]]
+            ty = tau_inv[y]
+            if ty is None:
+                return 0
+            return mod_hom[ar.proj_module[v]][ty]
+        if cc.is_shift(y):
+            w = y - cc.nmod
+            return mod_ext[x][ar.proj_module[w]]
+        total = mod_hom[x][y]
+        ty = tau_inv[y]
+        if ty is not None:
+            total += mod_ext[x][ty]
+        return total
+
+    objs = range(len(tau))
+    hom = tuple(tuple(hom_c(x, y) for y in objs) for x in objs)
+    ext = tuple(tuple(hom[x][tau[y]] for y in objs) for x in objs)
     return hom, ext
 
 
@@ -365,7 +423,8 @@ def presentation(cc, module):
     """
     ar = cc.mc.ar
     nverts = cc.nverts
-    tops = tuple(ar.hom(module, ar.simple_module[v]) for v in range(nverts))
+    row = ar.hom_row(module)
+    tops = tuple(row[ar.simple_module[v]] for v in range(nverts))
     target = [0] * nverts
     for v, mult in enumerate(tops):
         if mult:
@@ -451,19 +510,19 @@ def euler_form(ar, d, e) -> int:
     return total
 
 
-def is_classical_tilting(cc, objects) -> bool:
-    """Basic rigid and maximal among all indecomposables of a ``ClusterCategory``."""
+def is_classical_tilting(ext, objects) -> bool:
+    """Basic rigid and maximal among all objects, by a cluster Ext table (``oracle_tables``)."""
     objs = tuple(sorted(objects))
     if len(set(objs)) != len(objs):
         return False
     for a in objs:
         for b in objs:
-            if cc.ext(a, b):
+            if ext[a][b]:
                 return False
     inside = set(objs)
-    for x in range(cc.size):
+    for x in range(len(ext)):
         if x in inside:
             continue
-        if all(cc.ext(x, t) == 0 and cc.ext(t, x) == 0 for t in objs):
+        if all(ext[x][t] == 0 and ext[t][x] == 0 for t in objs):
             return False
     return True

@@ -18,9 +18,11 @@ from quiverfold import cli
 from quiverfold.chebring import AlgReal, ChebElem, cheb_mul, reg_rep, rho, sigma
 from quiverfold.clustercat import ClusterCategory
 from quiverfold.repcat import FoldedCategory, hom_ext_tables
-from quiverfold.tropical import TropicalWalker, enumerate_seeds, transpose
+from quiverfold.tropical import TropicalWalker, enumerate_seeds, g_matrix, transpose
 from quiverfold.unfolding import check_weighted_unfolding, standard_folding
-from spec_oracles import euler_form, is_classical_tilting, matrix_d_F, tilting_G_matrices
+from spec_oracles import (
+    euler_form, is_classical_tilting, matrix_d_F, oracle_tables, tilting_G_matrices,
+)
 
 
 def _report(num, name, detail=""):
@@ -188,12 +190,13 @@ def test_criterion_07_tilting(clusters, tiltings):
     for kind, cc in clusters.items():
         tilts = tiltings[kind]
         assert len(tilts) == expected[kind]
+        _, ext = oracle_tables(cc)
         rank = cc.tilting_rank()
         for t in tilts:
             assert len(t) == rank
             hat = cc.hat(t)
             assert len(hat) == cc.nverts
-            assert is_classical_tilting(cc, hat)
+            assert is_classical_tilting(ext, hat)
             for k in range(rank):
                 comps = cc.complements(t[:k] + t[k + 1:])
                 assert len(comps) == 2 and t[k] in comps
@@ -246,7 +249,7 @@ def test_criterion_11_g_matrix_projection(clusters, tiltings):
     def canonical(matrix):
         return frozenset(transpose(matrix))
 
-    walk_set = {canonical(g) for g in result.g_matrices()}
+    walk_set = {canonical(g_matrix(seed).entries) for seed in result.seeds}
     tilt_set = {canonical(tilting_G_matrices(cc, t)[1]) for t in tiltings["I2(7)"]}
     assert walk_set == tilt_set
     _report(11, "g-matrix-projection", f"{time.time() - start:.1f}s")

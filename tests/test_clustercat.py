@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from collections import Counter
@@ -9,11 +10,29 @@ from quiverfold.chebring import AlgReal
 from quiverfold.cli import G_projection_verdicts
 from quiverfold.clustercat import ClusterCategory
 from quiverfold.exchange import ExchangeMatrix, coeff_rows
+from quiverfold.repcat import hom_ext_tables
 from quiverfold.unfolding import standard_folding
 from spec_oracles import (
-    g_vector, g_vector_folded, hammock_tables, is_classical_tilting, matrix_d_F, presentation,
-    replace_spec, tilting_G_matrices,
+    cluster_translates, g_vector, g_vector_folded, is_classical_tilting, matrix_d_F,
+    oracle_tables, presentation, replace_spec, tilting_G_matrices,
 )
+
+
+def objects(cc):
+    """Every object of the category: the modules, then P_v[1] for each vertex v."""
+    return range(cc.nmod + cc.nverts)
+
+
+@functools.lru_cache(maxsize=4)
+def oracle_ext(cc):
+    """The hammock oracle's cluster Ext table (``oracle_tables``), built once per category."""
+    return oracle_tables(cc)[1]
+
+
+def mask_rigid(cc, summands) -> bool:
+    """The mask rule of ``complements``: pairwise rigid when ``common & need == need``."""
+    common, need = cc._meet(summands)
+    return common & need == need
 
 
 def production_G_matrices(cc, summands):
@@ -45,22 +64,17 @@ def i5():
     return ClusterCategory(standard_folding("I2", 2))
 
 
-@pytest.mark.parametrize("row", [(0, 1, 255, 0), (3, 0, 0, 2, 0), (True, False, 0, 2)])
-def test_zero_mask_sets_the_bits_of_the_zeros(row):
-    assert clustercat._zero_mask(row) == sum(1 << y for y, c in enumerate(row) if c == 0)
-
-
 class TestStructure:
     def test_counts_h3(self, h3):
-        assert h3.size == 36
+        assert len(objects(h3)) == 36
         assert len(h3.generators) == 18
 
     def test_counts_i7(self, i7):
-        assert i7.size == 27
+        assert len(objects(i7)) == 27
         assert len(i7.generators) == 9
 
     def test_counts_i5(self, i5):
-        assert i5.size == 14
+        assert len(objects(i5)) == 14
         assert len(i5.generators) == 7
 
     def test_iso_sets_partition(self, i7):
@@ -70,31 +84,42 @@ class TestStructure:
         assert sorted(seen) == list(range(27))
 
     def test_tau_is_bijection(self, i5):
-        image = {i5.tau(x) for x in range(i5.size)}
-        assert image == set(range(i5.size))
+        # the oracle's translate, which its Ext table reads
+        tau, _ = cluster_translates(i5)
+        assert set(tau) == set(objects(i5))
 
     def test_tau_orbits_glide(self, i5):
         # bipartite A4: the translation fuses rows into two 7-cycles
+        tau, _ = cluster_translates(i5)
         sizes = []
         seen = set()
-        for x in range(i5.size):
+        for x in objects(i5):
             if x in seen:
                 continue
             orbit = []
             y = x
             while y not in orbit:
                 orbit.append(y)
-                y = i5.tau(y)
+                y = tau[y]
             seen.update(orbit)
             sizes.append(len(orbit))
         assert sorted(sizes) == [7, 7]
 
-    def test_asymmetric_vanishing_is_reported(self):
-        # with tau replaced by the identity, ext is hom, which is not symmetric
+    def test_asymmetric_vanishing_is_reported(self, monkeypatch):
+        # with tau replaced by the identity in the Ext formula, after the Hom
+        # masks are built, ext is hom, which is not symmetric
         cc = ClusterCategory(standard_folding("I2", 2))
-        cc._tau = tuple(range(cc.size))
+        ar = cc.mc.ar
+        hom_masks = cc._hom_masks
+
+        def untranslated(bits, exist):
+            masks = hom_masks(bits, exist)
+            monkeypatch.setattr(ar, "tau", tuple(range(cc.nmod)))
+            return masks
+
+        monkeypatch.setattr(cc, "_hom_masks", untranslated)
         with pytest.raises(AssertionError, match="extension vanishing must be symmetric"):
-            cc.ext(0, 0)
+            cc.compatibility()
 
     def test_non_self_rigid_column_is_reported(self):
         # plant ext(z0, z1) != 0 between two members of one generator column
@@ -110,7 +135,8 @@ class TestStructure:
         # translates: ext(tau^-1 z, z) then reads 0 and ext(z, tau^-1 z) does not
         cc = ClusterCategory(standard_folding("H3"))
         ar = cc.mc.ar
-        z = next(x for x in range(cc.nmod) if ar.tau(x) is not None and ar.tau_inv(x) is not None)
+        _, tau_inv = cluster_translates(cc)
+        z = next(x for x in range(cc.nmod) if ar.tau[x] is not None and tau_inv[x] is not None)
         hom_masks = cc._hom_masks
 
         def dropped(bits, exist):
@@ -132,25 +158,28 @@ class TestStructure:
             ClusterCategory(replace_spec(spec, blocks=blocks))
 
     def test_ext_symmetric_vanishing(self, h3):
-        for x in range(h3.size):
-            for y in range(h3.size):
-                assert (h3.ext(x, y) == 0) == (h3.ext(y, x) == 0)
+        h3.compatibility()
+        vanish, bits = h3._vanish, h3._grid_bit
+        for x in objects(h3):
+            for y in objects(h3):
+                assert bool(vanish[x] >> bits[y] & 1) == bool(vanish[y] >> bits[x] & 1)
 
     def test_indecomposables_rigid(self, i7):
-        for x in range(i7.size):
-            assert i7.ext(x, x) == 0
+        i7.compatibility()
+        for x in objects(i7):
+            assert i7._vanish[x] >> i7._grid_bit[x] & 1
 
 
 class TestRigidity:
     def test_single_generator_rigid(self, h3):
         g = h3.generators[0]
-        assert h3.is_rigid_set([g])
+        assert mask_rigid(h3, [g])
 
     def test_initial_projectives_rigid(self, h3):
         start = h3.initial_tilting()
         assert len(start) == 3
-        assert h3.is_rigid_set(start)
-        assert is_classical_tilting(h3, h3.hat(start))
+        assert mask_rigid(h3, start)
+        assert is_classical_tilting(oracle_ext(h3), h3.hat(start))
 
     def test_some_pair_not_rigid(self, h3):
         adj = h3.compatibility()
@@ -178,7 +207,7 @@ class TestTiltingEnumeration:
         for t in i7.enumerate_tilting():
             hat = i7.hat(t)
             assert len(hat) == 6
-            assert is_classical_tilting(i7, hat)
+            assert is_classical_tilting(oracle_ext(i7), hat)
 
     def test_two_complements_everywhere(self, h3):
         for t in h3.enumerate_tilting():
@@ -254,7 +283,7 @@ class TestGVectors:
             assert g == tuple(-1 if w == v else 0 for w in range(6))
 
     def test_folded_matches_d_F(self, h3):
-        for x in range(h3.size):
+        for x in objects(h3):
             assert h3.g_vector_folded(x) == h3.spec.d_F(h3.g_vector(x))
 
     def test_golden_scaling(self, h3):
@@ -294,14 +323,16 @@ class TestGVectors:
 
 
 # -- oracles: the complement code from before the adjacency-based
-# complements.  It scans every generator.  The g-vector oracles, which solve
-# the projective presentation on every call, are in ``spec_oracles``.
+# complements.  It scans every generator and reads the hammock oracle's Ext
+# table.  The g-vector oracles, which solve the projective presentation on
+# every call, are in ``spec_oracles``.
 
 
 def oracle_pair_rigid(cc, g1, g2):
     """No extension between the members of the two columns, in either direction."""
+    ext = oracle_ext(cc)
     return all(
-        cc.ext(z1, z2) == 0 and cc.ext(z2, z1) == 0
+        ext[z1][z2] == 0 and ext[z2][z1] == 0
         for z1 in cc.iso_sets[g1]
         for z2 in cc.iso_sets[g2]
     )
@@ -334,7 +365,7 @@ def cat(request):
 
 class TestAgainstOracle:
     def test_g_vectors(self, cat):
-        for x in cat.indecomposables():
+        for x in objects(cat):
             assert cat.g_vector(x) == g_vector(cat, x)
         for g in cat.generators:
             assert cat.g_vector_folded(g) == g_vector_folded(cat, g)
@@ -401,44 +432,16 @@ def test_presentation_once_per_module(kind):
     for _ in range(2):
         for t in tilts:
             G_projection_verdicts(cc, t)
-        for x in cc.indecomposables():
+        for x in objects(cc):
             cc.g_vector(x)
             cc.g_vector_folded(x)
-    assert cc._g.sets == cc._g_folded.sets == Counter(range(cc.size))
+    assert cc._g.sets == cc._g_folded.sets == Counter(objects(cc))
 
 
-# -- oracles: the table fill and exchange graph from before the tables were
-# built from whole hammock rows and each edge was decided once.  The fill
-# computes every entry with its own module-level hom/ext lookups, into a
-# hammock recursion run from every module; the BFS mutates
-# ``ExchangeMatrix`` values along every directed edge.
-
-
-def oracle_tables(cc):
-    ar = cc.mc.ar
-    mod_hom, mod_ext = hammock_tables(ar)
-
-    def hom_c(x, y):
-        if cc.is_shift(x):
-            v = x - cc.nmod
-            if cc.is_shift(y):
-                return mod_hom[ar.proj_module[v]][ar.proj_module[y - cc.nmod]]
-            ty = ar.tau_inv(y)
-            if ty is None:
-                return 0
-            return mod_hom[ar.proj_module[v]][ty]
-        if cc.is_shift(y):
-            w = y - cc.nmod
-            return mod_ext[x][ar.proj_module[w]]
-        total = mod_hom[x][y]
-        ty = ar.tau_inv(y)
-        if ty is not None:
-            total += mod_ext[x][ty]
-        return total
-
-    hom = tuple(tuple(hom_c(x, y) for y in range(cc.size)) for x in range(cc.size))
-    ext = tuple(tuple(hom[x][cc.tau(y)] for y in range(cc.size)) for x in range(cc.size))
-    return hom, ext
+# -- oracles: the exchange graph from before each edge was decided once.
+# The BFS mutates ``ExchangeMatrix`` values along every directed edge.  The
+# cluster Hom and Ext tables the rigidity oracles read are
+# ``spec_oracles.oracle_tables``.
 
 
 def oracle_exchange_graph(cc):
@@ -485,12 +488,11 @@ TABLE_KINDS = [("I2", 2), ("I2", 3), ("I2", 4), ("H3", None), ("H4", None)]
 
 @pytest.mark.parametrize("kind", TABLE_KINDS, ids=lambda k: f"{k[0]}{k[1] or ''}")
 def test_tables_match_per_entry_oracle(kind):
+    # the cluster tables the orbit formula gives from the library's module
+    # Hom rows (``hom_row``, through ``hom_ext_tables``) against the ones it
+    # gives from the hammock recursion
     cc = ClusterCategory(standard_folding(*kind))
-    hom, ext = oracle_tables(cc)
-    for x in cc.indecomposables():
-        for y in cc.indecomposables():
-            assert cc.hom(x, y) == hom[x][y]
-            assert cc.ext(x, y) == ext[x][y]
+    assert oracle_tables(cc, hom_ext_tables) == oracle_tables(cc)
 
 
 # (kind, random subsets per size): every size of H3, I2(7) and I2(9) many
@@ -502,7 +504,7 @@ MASK_RULE_KINDS = [(("H3", None), 120), (("I2", 3), 120), (("I2", 4), 120), (("H
     "kind,samples", MASK_RULE_KINDS, ids=[f"{k[0]}{k[1] or ''}" for k, _ in MASK_RULE_KINDS]
 )
 def test_mask_rule_matches_pairwise_oracle(kind, samples):
-    # is_rigid_set and complements read one AND of masks and one OR of bits;
+    # the mask rule and complements read one AND of masks and one OR of bits;
     # the oracle decides every pair of summands from the Ext table.  Half the
     # subsets are uniform, half are drawn from a tilting object, so rigid
     # almost complete sets occur at every kind.
@@ -516,7 +518,7 @@ def test_mask_rule_matches_pairwise_oracle(kind, samples):
             pool = cc.generators if i % 2 else rng.choice(tilts)
             subset = tuple(rng.sample(pool, size))
             rigid = all(oracle_pair_rigid(cc, a, b) for a in subset for b in subset)
-            assert cc.is_rigid_set(subset) == rigid
+            assert mask_rigid(cc, subset) == rigid
             if not rigid:
                 with pytest.raises(ValueError, match="not rigid"):
                     cc.complements(subset)
@@ -538,7 +540,7 @@ def test_compatibility_matches_oracle_adjacency(kind):
     for g1 in cc.generators:
         assert oracle_pair_rigid(cc, g1, g1)
         for g2 in cc.generators:
-            assert cc.pair_rigid(g1, g2) == (g1 == g2 or g2 in want[g1])
+            assert bool(cc._mask[g1] & cc._bit[g2]) == (g1 == g2 or g2 in want[g1])
 
 
 @pytest.mark.parametrize(
@@ -546,14 +548,12 @@ def test_compatibility_matches_oracle_adjacency(kind):
 )
 def test_ext_masks_match_table_oracles(kind):
     # the grid masks against the zero pattern of the hammock oracle's Ext
-    # table and of the category's own, and the compatibility graph against
-    # the one the oracle's table gives
+    # table, and the compatibility graph against the one that table gives
     cc = ClusterCategory(standard_folding(*kind))
     adj = cc.compatibility()
     _, ext = oracle_tables(cc)
-    objs, bits = cc.indecomposables(), cc._grid_bit
-    for table in (ext, [[cc.ext(x, y) for y in objs] for x in objs]):
-        assert cc._vanish == [sum(1 << bits[y] for y in objs if table[x][y] == 0) for x in objs]
+    objs, bits = objects(cc), cc._grid_bit
+    assert cc._vanish == [sum(1 << bits[y] for y in objs if ext[x][y] == 0) for x in objs]
 
     def rigid(g, h):
         return all(ext[a][b] == 0 == ext[b][a] for a in cc.iso_sets[g] for b in cc.iso_sets[h])
@@ -569,7 +569,6 @@ def test_rigidity_builds_no_table(kind):
     first = cc.enumerate_tilting()[0]
     cc.exchange_graph()
     cc.complements(first[1:])
-    assert cc._hom is None and cc._ext is None
     assert cc.mc.ar._hom is None
 
 
@@ -699,9 +698,9 @@ def per_object_G_verdicts(cc, tilts):
     ``tilting_G_matrices`` on the category's tables and one ``matrix_d_F`` per
     object, with a d_F memo shared across objects.
     """
-    projected = {}
+    projected, reps = {}, cc.spec.weight_one_reps
     return [
-        tropical.matrix_d_F(cc.spec, G_hat, projected) == coeff_rows(G_prime)
+        tropical.matrix_d_F(cc.spec, G_hat, projected, reps) == coeff_rows(G_prime)
         for G_hat, G_prime in (production_G_matrices(cc, t) for t in tilts)
     ]
 

@@ -31,6 +31,11 @@ from spec_oracles import (
 A2 = ExchangeMatrix(((0, 1), (-1, 0)))
 
 
+def g_matrices(result):
+    """The G matrix of every enumerated seed, in BFS order."""
+    return [g_matrix(seed).entries for seed in result.seeds]
+
+
 class TestSeedBasics:
     def test_initial(self):
         seed = Seed.initial(A2)
@@ -261,7 +266,7 @@ class TestEnumeration:
 
     def test_g_matrices_accessor(self):
         result = enumerate_seeds(A2)
-        gs = result.g_matrices()
+        gs = g_matrices(result)
         assert ((1, 0), (0, 1)) in gs
 
     def test_int_zero_diagonal_gives_the_same_pattern(self):
@@ -274,7 +279,7 @@ class TestEnumeration:
         assert type(mixed[0, 0]) is int and type(B[0, 0]) is AlgReal
         got, want = enumerate_seeds(mixed), enumerate_seeds(B)
         assert got.complete and got.count == want.count == 18
-        assert got.g_matrices() == want.g_matrices()
+        assert g_matrices(got) == g_matrices(want)
         assert [s.rows for s in got.seeds] == [s.rows for s in want.seeds]
 
 
@@ -288,7 +293,7 @@ def test_g_matrix_matches_the_adjugate_oracle_on_every_seed(kind, n, negate):
     identity = tuple(
         tuple(AlgReal(m, (int(i == j),)) for j in range(B.n)) for i in range(B.n)
     )
-    for seed, G in zip(result.seeds, result.g_matrices()):
+    for seed, G in zip(result.seeds, g_matrices(result)):
         Ct = transpose(seed.C)
         assert G == invert_unimodular_entries(Ct)
         assert all(type(x) is AlgReal for row in G for x in row)
@@ -526,7 +531,7 @@ def test_g_matrix_matches_the_fraction_inverse_on_every_f4e6_seed(negate):
     B = standard_folding("F4E6").B
     result = enumerate_seeds(-B if negate else B)
     assert result.complete and result.count == 420
-    for seed, G in zip(result.seeds, result.g_matrices()):
+    for seed, G in zip(result.seeds, g_matrices(result)):
         assert G == fraction_inverse(transpose(seed.C))
 
 
@@ -1063,7 +1068,7 @@ def assert_check_products_match_oracles(walker, folded, lifted):
     spec, m, n, mp = walker.spec, walker.m, walker.n, range(walker.mprime)
     C_f, C_l = folded[walker.mprime:], lifted[walker.nverts:]
     reps = spec.weight_one_reps
-    X = tropical.matrix_d_F(spec, invert_integer(transpose(C_l), reps), None, range(len(reps)))
+    X = tropical.matrix_d_F(spec, invert_integer(transpose(C_l), reps), {}, range(len(reps)))
     values = RingValues(m)
     assert mat_mul(transpose(C_f), X, m) == coeff_rows(plain_mat_mul(values.rows(transpose(C_f)), values.rows(X)))
     assert det_laplace(C_f, m) == det_entries(values.rows(C_f)).coeffs
@@ -1147,7 +1152,8 @@ def d_F_inputs(draw):
 @settings(max_examples=100, deadline=None)
 def test_coefficient_d_F_matches_algreal(inputs):
     spec, rows = inputs
-    assert tropical.matrix_d_F(spec, rows) == coeff_rows(matrix_d_F_per_term(spec, rows))
+    got = tropical.matrix_d_F(spec, rows, {}, spec.weight_one_reps)
+    assert got == coeff_rows(matrix_d_F_per_term(spec, rows))
     for row in rows:
         assert spec.coeff_d_F(row) == tuple(x.coeffs for x in d_F_per_term(spec, row))
 
