@@ -15,7 +15,7 @@ import functools
 import json
 import operator
 import sys
-from json.encoder import encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .chebring import AlgReal, ChebElem, cheb_mul, minimal_poly, reg_rep, sigma
 from .clustercat import ClusterCategory, coxeter_catalan
@@ -46,14 +46,17 @@ def _json(data) -> str:
     output in pure Python, one node at a time.  This writer produces the
     same bytes faster.  A scalar container (a list or tuple of only ints,
     strs, floats, bools and None, or a dict with str keys and such values)
-    is written by one ``json.JSONEncoder.encode`` call, which runs the C
-    encoder: with the item separator ",\n" plus the indent, only the
-    brackets need a newline and indent, so ``text[0] + "\n" + inner +
-    text[1:-1] + "\n" + ind + text[-1]`` is the indented text.  One
-    encoder is made per indent and call.  Other lists, tuples and str-keyed
-    dicts are written here member by member; ints, strs, None and the bools
-    as constants.  Every other node (a lone float, a dict with a non-str
-    key) goes to ``json.dumps``, so json's own rules still decide it.  An
+    is written by one call of json's C encoder (``c_make_encoder``, made
+    with the arguments ``json.JSONEncoder.encode`` would pass it for
+    sort_keys=True, check_circular=False and no indent; ``encode`` itself
+    where CPython has no C encoder): with the item separator ",\n" plus
+    the indent, only the brackets need a newline and indent, so ``text[0] +
+    "\n" + inner + text[1:-1] + "\n" + ind + text[-1]`` is the indented
+    text.  One encoder is made per indent and call.  Other lists, tuples
+    and str-keyed dicts are written here member by member; ints, strs,
+    None and the bools as constants.  Every other node (a lone float, a
+    dict with a non-str key) goes to ``json.dumps``, so json's own rules
+    still decide it.  An
     ``AlgReal`` or ``ChebElem`` is written as its ``to_json()``, once per
     representation and indent: the memo key is (type, m or n, coeffs,
     indent), not the value, because ``AlgReal(m, (1,)) == 1`` but is
@@ -65,9 +68,16 @@ def _json(data) -> str:
     def scalars(x, inner):
         encode = encoders.get(inner)
         if encode is None:
-            encode = encoders[inner] = json.JSONEncoder(
-                separators=(",\n" + inner, ": "), sort_keys=True, check_circular=False
-            ).encode
+            if c_make_encoder is None:
+                encode = json.JSONEncoder(
+                    separators=(",\n" + inner, ": "), sort_keys=True, check_circular=False
+                ).encode
+            else:
+                chunks = c_make_encoder(
+                    None, None, encode_basestring_ascii, None, ": ", ",\n" + inner, True, False, True
+                )
+                encode = lambda y: "".join(chunks(y, 0))
+            encoders[inner] = encode
         return encode(x)
 
     def write(x, ind):

@@ -17,10 +17,19 @@ the same grid (``clustercat``).
 dimension vectors, the factorization of every indecomposable as a
 Chebyshev multiple of a generator, the semiring action on iso-class
 multisets, minimal generator sets, and the theorem-level verification
-report.
+report.  The projected vectors are knitted as the dimension vectors are:
+d_F is linear and dimension vectors are additive on every mesh
+(dim X + dim tau^-1 X = sum of dim E over the middle terms), so only the
+projectives are projected, every other module's integer key is the sum
+over its mesh minus its translate's, and the keys become ring values only
+when ``dimproj`` is read.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
+from itertools import chain
+from operator import add, neg
 
 from .chebring import AlgReal, ChebElem, _context, _Frozen, _poly_trim, cheb_mul
 from .exchange import RingValues
@@ -100,7 +109,7 @@ class ARQuiver:
         modules: list[IndecClass] = []
         grid: dict[tuple[int, int], int] = {}
 
-        def add(orbit, m, dim):
+        def place(orbit, m, dim):
             ident = len(modules)
             modules.append(
                 IndecClass(
@@ -115,7 +124,7 @@ class ARQuiver:
             grid[(orbit, m)] = ident
 
         for v in range(self.nvertices):
-            add(v, 0, self.proj_dims[v])
+            place(v, 0, self.proj_dims[v])
 
         order = list(reversed(self._topo))  # sinks first
         m = 1
@@ -125,22 +134,17 @@ class ARQuiver:
                 prev = grid.get((i, m - 1))
                 if prev is None or modules[prev].inj_vertex is not None:
                     continue
-                dim = [-c for c in modules[prev].dim]
-                for j in self.out_adj[i]:
-                    nxt = grid.get((j, m))
-                    if nxt is None:
+                dim = map(neg, modules[prev].dim)
+                middle = [(j, m) for j in self.out_adj[i]] + [(j, m - 1) for j in self.in_adj[i]]
+                for spot in middle:
+                    term = grid.get(spot)
+                    if term is None:
                         raise AssertionError("mesh neighbour missing during knitting")
-                    for t, c in enumerate(modules[nxt].dim):
-                        dim[t] += c
-                for j in self.in_adj[i]:
-                    prv = grid.get((j, m - 1))
-                    if prv is None:
-                        raise AssertionError("mesh neighbour missing during knitting")
-                    for t, c in enumerate(modules[prv].dim):
-                        dim[t] += c
-                if any(c < 0 for c in dim) or not any(dim):
+                    dim = map(add, dim, modules[term].dim)
+                dim = tuple(dim)
+                if min(dim) < 0 or not any(dim):
                     raise AssertionError("knitting produced a non-positive vector")
-                add(i, m, tuple(dim))
+                place(i, m, dim)
                 added = True
             if not added:
                 break
@@ -194,14 +198,11 @@ class ARQuiver:
             prev = self.tau[mod.ident]
             if prev is None:
                 continue
-            total = [c for c in self.modules[prev].dim]
-            for t, c in enumerate(mod.dim):
-                total[t] += c
-            middle = [0] * self.nvertices
+            total = tuple(map(add, self.modules[prev].dim, mod.dim))
+            middle = (0,) * self.nvertices
             for src in self.ar_in[mod.ident]:
-                for t, c in enumerate(self.modules[src].dim):
-                    middle[t] += c
-            if middle != total:
+                middle = map(add, middle, self.modules[src].dim)
+            if tuple(middle) != total:
                 raise AssertionError(f"mesh additivity fails at module {mod.ident}")
 
     # -- hom ------------------------------------------------------------
@@ -275,40 +276,62 @@ class FoldedCategory:
     def _build_projections(self):
         """Factor each projected dimension vector as theta_j times a positive root.
 
-        Everything is keyed on reduced coefficient tuples until each root is
-        decoded once at the end.  A root's theta_0 multiple is its own key;
-        with theta_j = U_j(g/2), g = 2cos(pi/m), the others follow by
-        U_{j+1} x = g U_j x - U_{j-1} x: per coordinate, one shift up a
-        degree with the top coefficient folded back by the monic minimal
-        polynomial, and one subtraction.  A module's key is
-        ``spec.coeff_d_F`` of its dimension vector, decoded into
-        ``dimproj`` by one ``RingValues``.
+        Everything is keyed on flat coefficient tuples: the blocks' reduced
+        coefficient tuples, each padded to the field degree, end to end.
+        ``spec.coeff_d_F`` projects the N projectives only, in module order.
+        Every other module x has a translate tau x, and dimension vectors
+        are additive on its mesh: dim x + dim tau x is the sum of dim y over
+        the middle terms y in ``ar_in[x]``, which ``ARQuiver._check_meshes``
+        verified.  d_F is linear and the padded tuples add coordinatewise,
+        so key(x) = sum of key(y) over ``ar_in[x]`` - key(tau x) is exactly
+        the padded d_F of dim x; ``ar_order`` puts x after its mesh.
+        A root's theta_j multiple is the tuple of its entries' theta_j
+        multiples, each distinct entry's made once: theta_0 x = x and, with
+        theta_j = U_j(g/2), g = 2cos(pi/m), U_{j+1} x = g U_j x - U_{j-1} x,
+        one shift up a degree with the top coefficient folded back by the
+        monic minimal polynomial, and one subtraction.  The keys are decoded
+        into ``dimproj`` only when it is read.
         """
         spec, ar, m = self.spec, self.ar, self.m
         ctx = _context(m)
-        low = ctx.minpoly[:-1]
-        keys = [spec.coeff_d_F(mod.dim) for mod in ar.modules]
-        self.dimproj = RingValues(m).rows(keys)
-        roots = {}  # coefficient key -> the positive root
+        deg, low = ctx.deg, ctx.minpoly[:-1]
+        keys = [None] * len(ar.modules)
+        for mod in ar.modules:
+            if mod.proj_vertex is not None:
+                key = spec.coeff_d_F(mod.dim)
+                keys[mod.ident] = tuple(chain.from_iterable(c + (0,) * (deg - len(c)) for c in key))
+        for x in ar.ar_order:
+            tx = ar.tau[x]
+            if tx is not None:
+                key = map(neg, keys[tx])
+                for y in ar.ar_in[x]:
+                    key = map(add, key, keys[y])
+                keys[x] = tuple(key)
+        self.keys = tuple(keys)
+        chains = {}  # a root entry's coefficients -> its padded theta_0 .. theta_{n-1} multiples
+        roots = {}  # flat key -> the positive root
         lookup = {}
         for alpha in self.roots.positives:
-            base = tuple(c.coeffs for c in alpha)
+            entries = []
+            for c in alpha:
+                multiples = chains.get(c.coeffs)
+                if multiples is None:
+                    prev, cur = [0] * deg, list(c.coeffs) + [0] * (deg - len(c.coeffs))
+                    multiples = chains[c.coeffs] = [cur]
+                    for _ in range(1, self.n):
+                        top = cur[-1]
+                        prev, cur = cur, [s - top * p - u for s, p, u in zip([0] + cur[:-1], low, prev)]
+                        multiples.append(cur)
+                entries.append(multiples)
+            scaled = [tuple(chain.from_iterable(col)) for col in zip(*entries)]
+            base = scaled[0]
             roots[base] = alpha
-            prev = [[0] * ctx.deg for _ in base]
-            cur = [list(c) + [0] * (ctx.deg - len(c)) for c in base]
-            multiples = [base]
-            for _ in range(1, self.n):
-                prev, cur = cur, [
-                    [s - c[-1] * p - u for s, p, u in zip([0] + c[:-1], low, before)]
-                    for c, before in zip(cur, prev)
-                ]
-                multiples.append(tuple(map(_poly_trim, cur)))
-            for j, key in enumerate(multiples):
+            for j, key in enumerate(scaled):
                 if key in lookup:
                     raise AssertionError("Chebyshev multiples of distinct roots collide")
                 lookup[key] = (j, base)
         factor = []
-        for ident, key in enumerate(keys):
+        for ident, key in enumerate(self.keys):
             hit = lookup.get(key)
             if hit is None:
                 raise AssertionError(
@@ -326,6 +349,14 @@ class FoldedCategory:
             roots[base]: tuple(col[j] for j in range(self.n)) for base, col in columns.items()
         }
         self.generators = tuple(ident for ident, (j, _) in enumerate(factor) if j == 0)
+
+    @cached_property
+    def dimproj(self) -> tuple:
+        """Each module's projected dimension vector over Z[2cos(pi/m)], decoded on first read."""
+        deg = _context(self.m).deg
+        blocks = range(0, len(self.keys[0]), deg)
+        trimmed = (tuple(_poly_trim(key[b:b + deg]) for b in blocks) for key in self.keys)
+        return RingValues(self.m).rows(trimmed)
 
     # -- semiring action on iso-class multisets ---------------------------
     def column_of(self, ident: int) -> tuple:

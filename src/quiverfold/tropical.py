@@ -249,23 +249,31 @@ def det_cheb(rows, n: int) -> tuple[int, ...]:
 def _laplace(rows, updates, negations):
     """The determinant of a square matrix of coefficient tuples, by expansion along the first row.
 
-    Each term entry * minor is added by one lookup in ``updates``, a
-    multiply-add memo (acc, x, y) -> acc + x * y, an odd column's entry
-    negated through ``negations``.  Zero entries are skipped, and the 1x1
+    The minor on rows r, r+1, ... and the column indices ``cols`` is
+    expanded along row r; no minor is built as a matrix.  Each term
+    entry * minor is added by one lookup in ``updates``, a multiply-add memo
+    (acc, x, y) -> acc + x * y, the entry negated through ``negations`` at
+    an odd position of ``cols``.  Zero entries are skipped, and the 1x1
     minors of a 2x2 are read off.
     """
-    size = len(rows)
-    if size == 1:
-        return rows[0][0]
-    acc = ()
-    for j, entry in enumerate(rows[0]):
-        if any(entry):
-            if size == 2:
-                minor = rows[1][1 - j]
-            else:
-                minor = _laplace(tuple(row[:j] + row[j + 1:] for row in rows[1:]), updates, negations)
-            acc = updates[acc, negations[entry] if j % 2 else entry, minor]
-    return acc
+    last = len(rows) - 1
+
+    def expand(r, cols):
+        row = rows[r]
+        if r == last:
+            return row[cols[0]]
+        acc = ()
+        for pos, j in enumerate(cols):
+            entry = row[j]
+            if any(entry):
+                if r + 1 == last:
+                    minor = rows[last][cols[1 - pos]]
+                else:
+                    minor = expand(r + 1, cols[:pos] + cols[pos + 1:])
+                acc = updates[acc, negations[entry] if pos % 2 else entry, minor]
+        return acc
+
+    return expand(0, tuple(range(len(rows))))
 
 
 def invert_integer(rows, columns):

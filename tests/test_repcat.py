@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quiverfold import repcat
-from quiverfold.chebring import AlgReal, ChebElem, cheb_mul, sigma
+from quiverfold.chebring import AlgReal, ChebElem, _context, _poly_trim, cheb_mul, sigma
+from quiverfold.exchange import RingValues
 from quiverfold.repcat import ARQuiver, FoldedCategory, hom_ext_tables, quiver_arrows_from_matrix
 from quiverfold.rootsys import RootSet
 from quiverfold.unfolding import FoldingSpec, standard_folding
@@ -96,6 +97,23 @@ class TestKnitting:
     def test_rejects_cycle(self):
         with pytest.raises(ValueError):
             ARQuiver(2, ((0, 1), (1, 0)))
+
+    def test_broken_mesh_is_reported(self, monkeypatch):
+        # the projected keys are knitted over ar_in, so a mesh that lost a
+        # middle term must stop the build
+        real = ARQuiver._check_meshes
+        dropped = []
+
+        def check(self):
+            x = next(x for x in self.ar_order if self.tau[x] is not None)
+            self.ar_in = self.ar_in[:x] + (self.ar_in[x][1:],) + self.ar_in[x + 1:]
+            dropped.append(x)
+            real(self)
+
+        monkeypatch.setattr(ARQuiver, "_check_meshes", check)
+        with pytest.raises(AssertionError, match="mesh additivity fails at module") as err:
+            FoldedCategory(standard_folding("H3"))
+        assert str(err.value) == f"mesh additivity fails at module {dropped[0]}"
 
 
 class TestHomExt:
@@ -503,6 +521,33 @@ PROJECTION_KINDS = [("H3", None), ("H4", None)] + [("I2", n) for n in range(2, 9
 
 
 class TestProjectionsAgainstOracle:
+    @pytest.mark.parametrize("kind,n", PROJECTION_KINDS + [("I2", 16), ("I2", 30)])
+    def test_projected_keys_match_per_module_d_F(self, kind, n):
+        spec = standard_folding(kind, n)
+        cat = FoldedCategory(spec)
+        deg = _context(cat.m).deg
+        trimmed = []
+        for mod in cat.ar.modules:
+            key = cat.keys[mod.ident]
+            assert len(key) == deg * len(spec.blocks)
+            trimmed.append(tuple(_poly_trim(key[b:b + deg]) for b in range(0, len(key), deg)))
+            assert trimmed[-1] == spec.coeff_d_F(mod.dim), mod.ident
+        assert cat.dimproj == RingValues(cat.m).rows(trimmed)
+
+    @pytest.mark.parametrize("kind,n", [("H3", None), ("H4", None), ("I2", 5)])
+    def test_build_makes_no_ring_value(self, monkeypatch, kind, n):
+        spec = standard_folding(kind, n)
+        FoldedCategory(spec)  # warm-up: the root system and the field's context
+        projected, made = [], []
+        real_d_F, real_init = FoldingSpec.coeff_d_F, AlgReal.__init__
+        monkeypatch.setattr(FoldingSpec, "coeff_d_F", lambda self, v: projected.append(v) or real_d_F(self, v))
+        monkeypatch.setattr(AlgReal, "__init__", lambda self, *a, **kw: made.append(a) or real_init(self, *a, **kw))
+        cat = FoldedCategory(spec)
+        assert projected == [cat.ar.proj_dims[v] for v in range(spec.S.n)]
+        assert made == []
+        cat.dimproj
+        assert made
+
     @pytest.mark.parametrize("kind,n", PROJECTION_KINDS)
     def test_factors_columns_generators_dimproj(self, kind, n):
         cat = FoldedCategory(standard_folding(kind, n))
