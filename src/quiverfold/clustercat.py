@@ -7,7 +7,8 @@ the translate is a shift, give where the module category's Hom is nonzero,
 and the orbit formula turns them into each object's Ext-vanishing mask,
 with no Hom or Ext table built.  On top of that sit the semiring-compatible
 rigidity notion, enumeration and mutation of tilting objects built from
-generator columns, and the two kinds of g-vectors.
+generator columns, the exchange graph of tilting objects on the mutation
+explorer's closure (``exchange._Explorer``), and the two kinds of g-vectors.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from operator import itemgetter
 from types import MappingProxyType
 
 from .chebring import ChebElem, sigma
-from .exchange import RingValues, coeff_rows, mutate_coeffs
+from .exchange import RingValues, _Explorer, coeff_rows, mutate_coeffs
 from .repcat import FoldedCategory
 from .unfolding import FoldingSpec
 
@@ -284,64 +285,57 @@ class ClusterCategory:
         return tuple(self.mc.ar.proj_module[block[0]] for block in self.spec.blocks)
 
     def exchange_graph(self):
-        """BFS over tilting objects; verifies the folded matrix is path-free.
+        """The exchange graph of tilting objects; verifies the folded matrix is path-free.
 
         Returns (nodes, edges) where nodes maps the frozen summand set to its
         folded exchange matrix keyed by a sorted summand order.
 
-        Each edge is decided once.  An edge is an almost complete object
-        ``rest``, which has exactly two complements (Buan-Marsh-Reineke-
-        Reiten-Todorov 2006), so one ``complements`` call and one mutation
-        from either end give the far end and its matrix, compared with the
-        matrix already recorded there.  Mutating back from the far end would
-        only test mu_k mu_k B = B, up to the relabeling that ``aligned``
-        undoes, which always holds.  The BFS carries the matrices as
-        ``coeff_rows``; rows that differ as coefficients are compared again
-        as values, so an int 0 on one path and an ``AlgReal`` 0 on another
-        agree, as ``==`` on the values says.
+        It is the breadth-first closure (``_Explorer.closure``) over states:
+        sorted summands with the folded matrix as ``coeff_rows`` aligned to
+        them.  The step at place k swaps summand k, which must be one of the
+        two complements of the rest (Buan-Marsh-Reineke-Reiten-Todorov
+        2006), for the other, at its sorted place j, and mutates at k, moving
+        row and column k to j.  Rows in one entry representation keep it,
+        and mu_k mu_k = id, so step j undoes step k exactly: j is the way
+        back, and each edge costs one ``complements`` call and one mutation.
+        A tilting object met again with other rows is compared as values, so
+        an int 0 on one path and an ``AlgReal`` 0 on another agree.
         """
-        start = self.initial_tilting()
-        rank = len(start)
-        if rank < 2:
-            # ``aligned``'s getter returns a tuple only for two or more indices
-            raise AssertionError("exchange graph needs folded rank >= 2")
         m = self.spec.m
         values = RingValues(m)
-        nodes = {}
         edges = set()
-        done = set()
 
-        def aligned(summands, rows):
-            pick = itemgetter(*sorted(range(rank), key=summands.__getitem__))
+        def aligned(rows, order):
+            # a tuple for two or more indices: the folded rank is 2 (I2), 3 or 4
+            pick = itemgetter(*order)
             return tuple(map(pick, pick(rows)))
 
-        rows = coeff_rows(self.spec.B.entries)
-        frontier = [(start, rows)]
-        nodes[frozenset(start)] = aligned(start, rows)
-        while frontier:
-            new = []
-            for summands, rows in frontier:
-                key = frozenset(summands)
-                for k in range(rank):
-                    rest = key - {summands[k]}
-                    if rest in done:
-                        continue
-                    done.add(rest)
-                    comps = self.complements(rest)
-                    # summand k swapped for the other complement of the rest
-                    other = comps[0] if comps[1] == summands[k] else comps[1]
-                    nxt = summands[:k] + (other,) + summands[k + 1:]
-                    nxt_rows = mutate_coeffs(rows, k, m)
-                    nkey = frozenset(nxt)
-                    edges.add(frozenset((key, nkey)))
-                    ali = aligned(nxt, nxt_rows)
-                    seen = nodes.get(nkey)
-                    if seen is None:
-                        nodes[nkey] = ali
-                        new.append((nxt, nxt_rows))
-                    elif seen != ali and values.rows(seen) != values.rows(ali):
-                        raise AssertionError("folded matrix depends on the mutation path")
-            frontier = new
+        def step(state, k):
+            summands, rows = state
+            rest = summands[:k] + summands[k + 1:]
+            comps = self.complements(rest)
+            if summands[k] not in comps:
+                raise AssertionError("a tilting summand must be a complement of its rest")
+            other = comps[comps[0] == summands[k]]
+            nxt = tuple(sorted(rest + (other,)))
+            edges.add(frozenset((frozenset(summands), frozenset(nxt))))
+            order = [i for i in range(len(summands)) if i != k]
+            order.insert(nxt.index(other), k)
+            return nxt, aligned(mutate_coeffs(rows, k, m), order)
+
+        def back(state, k, nxt):
+            (other,) = set(nxt[0]) - set(state[0])
+            return nxt[0].index(other)
+
+        start = self.initial_tilting()
+        order = sorted(range(len(start)), key=start.__getitem__)
+        start = (tuple(sorted(start)), aligned(coeff_rows(self.spec.B.entries), order))
+        explorer = _Explorer(step, parity=False, first_only=False, back=back)
+        nodes = {}
+        for (summands, rows), _ in explorer.closure(start, len(order)):
+            seen = nodes.setdefault(frozenset(summands), rows)
+            if seen != rows and values.rows(seen) != values.rows(rows):
+                raise AssertionError("folded matrix depends on the mutation path")
         return {key: values.rows(rows) for key, rows in nodes.items()}, edges
 
     # -- g-vectors -------------------------------------------------------------------

@@ -8,8 +8,9 @@ form: ``ExchangeMatrix.mutate``, the seeds of ``tropical.enumerate_seeds``
 and the (folded, lifted) states of both word verifiers, which share one
 composite step (``unfolding.pair_step``).  ``RingValues`` decodes the
 tuples where a value is needed.  One explorer, ``_Explorer``, memoizes the
-transitions of the mutation graph, and its one breadth-first traversal makes
-both the word verifiers' tree (``explore_words``) and the seed closure.
+transitions of a graph, and its one breadth-first traversal makes the word
+verifiers' tree (``explore_words``), the seed closure, the tilting exchange
+graph and the root system; a way-back hook lets it compute each edge once.
 """
 
 from __future__ import annotations
@@ -287,11 +288,11 @@ class Exploration:
 
 
 class _Explorer:
-    """The memo tables and tallies of one ``explore_words`` or ``tropical.enumerate_seeds`` call."""
+    """The memo tables and tallies of one ``closure`` or ``explore_words`` call."""
 
-    def __init__(self, step, parity: bool, first_only: bool, involutive):
+    def __init__(self, step, parity: bool, first_only: bool, back):
         self.step = step
-        self.involutive = involutive
+        self.back = back
         self.parity = parity
         self.first_only = first_only
         self.states = {}    # state -> the one interned equal state
@@ -309,8 +310,9 @@ class _Explorer:
         nxt = self.edges.get(key)
         if nxt is None:
             nxt = self.edges[key] = self.intern(self.step(state, k))
-            if self.involutive is not None and self.involutive(nxt, k):
-                self.edges.setdefault((id(nxt), k), state)
+            j = None if self.back is None else self.back(state, k, nxt)
+            if j is not None:
+                self.edges.setdefault((id(nxt), j), state)
         return nxt
 
     def closure(self, start, letters: int, depth=None):
@@ -383,7 +385,7 @@ def explore_words(
     end_check=None,
     parity: bool = False,
     first_only: bool = False,
-    involutive=None,
+    back=None,
 ) -> Exploration:
     """Check mutation words from ``start``, doing each distinct piece of work once.
 
@@ -421,13 +423,13 @@ def explore_words(
     stepping with ``mutate_coeffs``, and deciding their checks on the
     tuples.  All tables live for this call.
 
-    ``involutive(state, k)``, when given, is asked about each newly stepped
-    state Y = step(X, k).  When it holds, step(Y, k) must be X exactly,
-    equal as a representation, and the explorer records the transition
-    (Y, k) -> X without computing it.  Mutation is an involution, mu_k mu_k
-    = id (Fomin-Zelevinsky, *Cluster algebras I*, 2002), so a verifier can
-    decide this on Y alone (``unfolding.steps_back_exactly``); without the
-    predicate both directions of every edge are computed.
+    ``back(X, k, Y)``, when given, is asked about each newly stepped state
+    Y = step(X, k) and returns a letter j with step(Y, j) equal to X as a
+    representation, or None; the explorer records (Y, j) -> X without
+    computing it.  Mutation is an involution, mu_k mu_k = id
+    (Fomin-Zelevinsky, *Cluster algebras I*, 2002), so both word verifiers
+    return k when Y passes ``unfolding.steps_back_exactly``, else None.
+    Without the hook both directions of every edge are computed.
 
     After a failure no new walk starts; with ``first_only`` a walk also
     stops at its first failing prefix.  A ``depth`` that is not an int is a
@@ -436,7 +438,7 @@ def explore_words(
     depth = operator.index(depth)
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    explorer = _Explorer(step, parity, first_only, involutive)
+    explorer = _Explorer(step, parity, first_only, back)
     last = (letters - 1,) * depth
     for state, word in explorer.closure(start, letters, depth):
         if explorer.visit(state, word, check):

@@ -2,8 +2,9 @@
 
 Simple roots are the standard basis; the reflection at the i-th simple root
 acts on coordinate vectors by s_i(v) = v - (sum_j A_ij v_j) e_i, where
-A_ii = 2 and A_ij = -2cos(pi/m_ij).  All coordinates are exact AlgReal
-values, so root membership is an exact set lookup.
+A_ii = 2 and A_ij = -2cos(pi/m_ij); the closure under them is a search on
+the mutation-graph explorer (``exchange._Explorer``).  All coordinates are
+exact AlgReal values, so root membership is an exact set lookup.
 
 Vertex numbering matches the folded quivers: the edge of order 5 joins the
 last two vertices of H3 and H4.
@@ -14,7 +15,7 @@ from __future__ import annotations
 from operator import mul as _mul
 
 from .chebring import _coeff_sign, _context, _Frozen, _poly_trim
-from .exchange import RingValues, coeff_rows
+from .exchange import RingValues, _Explorer, coeff_rows
 
 
 class RootSet(_Frozen):
@@ -75,13 +76,18 @@ _EXPECTED_COUNTS = {"H3": 30, "H4": 120}
 def generate_roots(type_name: str) -> RootSet:
     """Reflection closure from the simple basis; exact coordinates.
 
-    The closure runs on reduced coefficient tuples, as ``coeff_rows``
-    encodes ``AlgReal`` vectors.  Each Cartan entry A_ij acts on v_j through
-    its multiplication matrix (``_RootContext.mul_matrix``), so the pairing
-    sum_j A_ij v_j is one integer dot product per entry and coefficient.
-    Signs come from the context's memo, so each distinct coordinate's is
-    decided once, and ``roots`` and ``positives`` are decoded to
-    ``AlgReal`` vectors once at the end (``RingValues``).
+    The closure is the explorer's search (``exchange._Explorer``) from each
+    simple root not yet reached (the roots of I2(m) for even m form two
+    orbits) on reduced coefficient tuples, as ``coeff_rows`` encodes
+    ``AlgReal`` vectors.  A reflection is an involution and a reduced tuple
+    is unique, so s_i(s_i v) is v exactly: the explorer records the way
+    back, and each pair {v, s_i v} is reflected once.  Each
+    Cartan entry A_ij acts on v_j through its multiplication matrix
+    (``_RootContext.mul_matrix``), so the pairing sum_j A_ij v_j is one
+    integer dot product per entry and coefficient.  Signs come from the
+    context's memo, so each distinct coordinate's is decided once, and
+    ``roots`` and ``positives`` are decoded to ``AlgReal`` vectors once at
+    the end (``RingValues``).
     """
     cox = coxeter_matrix(type_name)
     rank = len(cox)
@@ -106,25 +112,20 @@ def generate_roots(type_name: str) -> RootSet:
         for i in range(rank)
     ]
 
-    simples = [tuple((1,) if j == i else () for j in range(rank)) for i in range(rank)]
-    roots = set(simples)
-    frontier = list(simples)
-    while frontier:
-        new = []
-        for v in frontier:
-            for i in range(rank):
-                pairing = [0] * ctx.deg
-                for j, mul in cartan[i]:
-                    if v[j]:
-                        for s, row in enumerate(mul):
-                            pairing[s] += sum(map(_mul, row, v[j]))
-                coord = list(v[i]) + [0] * (ctx.deg - len(v[i]))
-                coord = _poly_trim([c - p for c, p in zip(coord, pairing)])
-                image = v[:i] + (coord,) + v[i + 1:]
-                if image not in roots:
-                    roots.add(image)
-                    new.append(image)
-        frontier = new
+    def reflect(v, i):
+        pairing = [0] * ctx.deg
+        for j, mul in cartan[i]:
+            if v[j]:
+                for s, row in enumerate(mul):
+                    pairing[s] += sum(map(_mul, row, v[j]))
+        coord = list(v[i]) + [0] * (ctx.deg - len(v[i]))
+        return v[:i] + (_poly_trim([c - p for c, p in zip(coord, pairing)]),) + v[i + 1:]
+
+    explorer = _Explorer(reflect, parity=False, first_only=False, back=lambda v, i, image: i)
+    roots = set()
+    for simple in (tuple((1,) if j == i else () for j in range(rank)) for i in range(rank)):
+        if simple not in roots:
+            roots.update(v for v, _ in explorer.closure(simple, rank))
 
     positive = [
         v for v in roots

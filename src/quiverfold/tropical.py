@@ -617,7 +617,7 @@ class TropicalWalker:
             self.initial_pair(), partial(pair_step, blocks, self.m), self.mprime, full, depth,
             seeded_words(self.mprime, random_words, random_length, seed),
             walk_check=roots, end_check=full, parity=True,
-            involutive=partial(steps_back_exactly, blocks, self.m),
+            back=lambda state, k, nxt: k if steps_back_exactly(blocks, self.m, nxt, k) else None,
         )
         failures = [_failure(word, detail) for word, detail in result.failures]
         return WalkReport(not failures, result.words, failures, seed, result.states)
@@ -715,6 +715,6 @@ def enumerate_seeds(B: ExchangeMatrix, cap: int = 20000) -> EnumerationResult:
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    explorer = _Explorer(Seed.mutate, parity=False, first_only=False, involutive=lambda seed, k: True)
+    explorer = _Explorer(Seed.mutate, parity=False, first_only=False, back=lambda seed, k, nxt: k)
     seeds = [seed for seed, _ in islice(explorer.closure(Seed.initial(B), B.n), cap + 1)]
     return EnumerationResult(seeds[:cap], len(seeds) <= cap, cap)

@@ -369,10 +369,11 @@ def check_weighted_unfolding(
     the tropical walker takes too (``pair_step``).  A step whose block is
     pairwise non-adjacent in the stepped S, with B in one entry
     representation, is its own inverse (``steps_back_exactly``), so the
-    explorer records the way back without computing it.  Each check decodes
-    B into an ``ExchangeMatrix`` (``RingValues``, one value per distinct
-    entry), the form the benchmark tracer's ``conditions_hold`` probe reads,
-    and ``conditions_hold`` computes on them as coefficient tuples again.
+    explorer records the way back, at the same letter, without computing
+    it.  Each check decodes B into an ``ExchangeMatrix`` (``RingValues``,
+    one value per distinct entry), the form the benchmark tracer's
+    ``conditions_hold`` probe reads, and ``conditions_hold`` computes on
+    them as coefficient tuples again.
     It keeps one column memo for the whole call, so each distinct (column l,
     column l of S, column F(l) of B) is decided once, however many pairs
     share it.
@@ -399,7 +400,7 @@ def check_weighted_unfolding(
         depth=depth,
         walks=walks,
         first_only=True,
-        involutive=partial(steps_back_exactly, spec.blocks, m),
+        back=lambda state, k, nxt: k if steps_back_exactly(spec.blocks, m, nxt, k) else None,
     )
     word, detail = run.failures[0] if run.failures else (None, None)
     return UnfoldingReport(

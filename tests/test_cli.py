@@ -700,6 +700,16 @@ class TestByteIdentity:
                 "unfold build --kind F4E6",
                 "38d7f23adfd064797abcfd96bfd842133392baa745bc3d93bb13e5c00c8a2f67",
             ),
+            # recorded at b3cc372, before the exchange graph ran on the
+            # explorer's breadth-first closure
+            (
+                "tilting graph --kind H3",
+                "e2c87d5a74584ea256513bdffd7cb7101457dd9c1dace429d9fb6bba6a3e918f",
+            ),
+            (
+                "tilting graph --kind I2 --n 16 --format json",
+                "c039f6291bf2ea4ae7d4c8fccdfbfe82af785c71259d61cd56ed16363f569cff",
+            ),
         ] + list(CATEGORY_DIGESTS.items()),
     )
     def test_stdout_unchanged(self, capsys, argv, digest):

@@ -8,9 +8,9 @@ import pytest
 from quiverfold import clustercat, tropical
 from quiverfold.chebring import AlgReal
 from quiverfold.cli import G_projection_verdicts
-from quiverfold.clustercat import ClusterCategory
+from quiverfold.clustercat import ClusterCategory, coxeter_catalan
 from quiverfold.exchange import ExchangeMatrix, coeff_rows
-from quiverfold.repcat import hom_ext_tables
+from quiverfold.repcat import folded_type_name, hom_ext_tables
 from quiverfold.unfolding import standard_folding
 from spec_oracles import (
     cluster_translates, g_vector, g_vector_folded, is_classical_tilting, matrix_d_F,
@@ -689,6 +689,33 @@ def test_exchange_graph_decides_each_edge_once(monkeypatch):
     _, edges = cc.exchange_graph()
     assert len(edges) == 560
     assert calls == {"complements": 560, "mutate_coeffs": 560}
+
+
+def test_summand_must_be_a_complement_of_its_rest(monkeypatch):
+    # complements that leave the summand out are a fault, not a swap
+    cc = ClusterCategory(standard_folding("I2", 3))
+    start = set(cc.initial_tilting())
+    outside = tuple(g for g in cc.generators if g not in start)[:2]
+    monkeypatch.setattr(ClusterCategory, "complements", lambda self, almost: outside)
+    with pytest.raises(AssertionError, match="must be a complement of its rest"):
+        cc.exchange_graph()
+
+
+CATALAN_KINDS = [("H3", None), ("H4", None)] + [("I2", n) for n in range(2, 17)]
+
+
+@pytest.mark.parametrize("kind", CATALAN_KINDS, ids=lambda k: f"{k[0]}{k[1] or ''}")
+def test_exchange_graph_has_catalan_nodes_and_rank_regular_edges(kind):
+    # Cat(W) tilting objects, each on r edges, and every one reachable
+    spec = standard_folding(*kind)
+    cc = ClusterCategory(spec)
+    nodes, edges = cc.exchange_graph()
+    catalan, rank = coxeter_catalan(folded_type_name(spec)), cc.tilting_rank()
+    assert len(nodes) == catalan
+    assert 2 * len(edges) == rank * catalan
+    assert all(len(edge) == 2 and edge <= nodes.keys() for edge in edges)
+    assert Counter(key for edge in edges for key in edge) == dict.fromkeys(nodes, rank)
+    assert set(nodes) == {frozenset(t) for t in cc.enumerate_tilting()}
 
 
 def per_object_G_verdicts(cc, tilts):

@@ -642,12 +642,12 @@ def matrix_entries(state):
 
 @lru_cache(maxsize=None)
 def verifier_steps(kind, n, opp=False):
-    """(start, step, involutive) as each word verifier hands them to ``explore_words``."""
+    """(start, step, back) as each word verifier hands them to ``explore_words``."""
     handed = []
 
-    def spy(start, step, *args, involutive=None, **kwargs):
-        handed.append((start, step, involutive))
-        return explore_words(start, step, *args, involutive=involutive, **kwargs)
+    def spy(start, step, *args, back=None, **kwargs):
+        handed.append((start, step, back))
+        return explore_words(start, step, *args, back=back, **kwargs)
 
     spec = standard_folding(kind, n, opp)
     with pytest.MonkeyPatch.context() as patch:
@@ -670,13 +670,15 @@ class TestReverseEdges:
     def test_predicate_means_the_step_undoes_itself(self, kind, n, data):
         opp = data.draw(st.booleans())
         letters = standard_folding(kind, n).B.n
-        for start, step, involutive in verifier_steps(kind, n, opp):
+        for start, step, way_back in verifier_steps(kind, n, opp):
             word = data.draw(st.lists(st.integers(0, letters - 1), min_size=1, max_size=12))
             state = start
             for k in word:
                 stepped = step(state, k)
-                if involutive(stepped, k):
-                    back = step(stepped, k)
+                j = way_back(state, k, stepped)
+                if j is not None:
+                    assert j == k
+                    back = step(stepped, j)
                     assert back == state
                     assert entry_types(back) == entry_types(state)
                 state = stepped
@@ -685,15 +687,15 @@ class TestReverseEdges:
     def test_predicate_holds_on_some_steps(self, kind, n):
         # every verifier has reverse edges to read, so the test above is not vacuous
         letters = standard_folding(kind, n).B.n
-        for start, step, involutive in verifier_steps(kind, n):
-            held = sum(involutive(step(start, k), k) for k in range(letters))
+        for start, step, way_back in verifier_steps(kind, n):
+            held = sum(way_back(start, k, step(start, k)) is not None for k in range(letters))
             assert held > 0
 
     def test_in_block_arrow_makes_the_explorer_step_back(self):
         # vertices 0 and 1 form block 0 of H4; an arrow between them breaks
         # the commutation of the block's mutations
         spec = standard_folding("H4")
-        (start, step, involutive), _ = verifier_steps("H4", None)
+        (start, step, way_back), _ = verifier_steps("H4", None)
         B_rows, S_rows = start
         planted = with_arrow(S_rows, 0, 1)
         assert steps_back_exactly(spec.blocks, spec.m, (B_rows, S_rows), 0)
@@ -706,7 +708,7 @@ class TestReverseEdges:
                 return step(state, k)
 
             run = explore_words((B_rows, rows), counted, 1, lambda s, w, nb: (), depth=2,
-                                involutive=involutive)
+                                back=way_back)
             assert run.words == 3
             assert len(calls) == steps
         # the explorer stepped back from the state it reached
@@ -743,7 +745,7 @@ class TestReverseEdges:
             return ((((state[0][0][0] + 1) % 2,),),)
 
         run = explore_words((((0,),),), step, 1, check, walks=[(0,) * 5, (0,) * 3],
-                            involutive=lambda state, k: True)
+                            back=lambda state, k, nxt: k)
         assert (run.words, run.states) == (1 + 5 + 3, 2)
         assert checked == [(), (0,)]
 

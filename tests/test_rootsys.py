@@ -79,6 +79,25 @@ class TestTupleClosure:
         assert all(type(c) is AlgReal for v in rs.roots for c in v)
 
 
+class TestReflectionSteps:
+    # a root that s_i fixes is one step, and any other pair {v, s_i v} is one
+    # step from whichever end comes first: H4 has 120 fixed (root, i) and
+    # 180 pairs, H3 12 and 39, where a closure reflecting every root at
+    # every letter takes 480 and 90
+    @pytest.mark.parametrize("name,steps", [("H4", 300), ("H3", 51)])
+    def test_each_reflection_pair_is_computed_once(self, name, steps, monkeypatch):
+        reflections = []
+        explorer = rootsys._Explorer
+
+        def counting(step, **kwargs):
+            return explorer(lambda v, i: reflections.append(i) or step(v, i), **kwargs)
+
+        monkeypatch.setattr(rootsys, "_Explorer", counting)
+        rs = generate_roots(name)
+        assert len(rs.roots) == {"H4": 120, "H3": 30}[name]
+        assert len(reflections) == steps
+
+
 class TestMembership:
     def test_simple_roots(self):
         rs = root_system("H3")

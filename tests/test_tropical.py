@@ -1053,7 +1053,7 @@ def labeled_closure(walker, depth=None):
     blocks, m = walker.spec.blocks, walker.m
     explorer = _Explorer(
         partial(pair_step, blocks, m), parity=True, first_only=True,
-        involutive=partial(steps_back_exactly, blocks, m),
+        back=lambda state, k, nxt: k if steps_back_exactly(blocks, m, nxt, k) else None,
     )
     return [state for state, _ in explorer.closure(walker.initial_pair(), walker.mprime, depth)]
 
