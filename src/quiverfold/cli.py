@@ -441,9 +441,10 @@ class _VerifyContext:
         return self._built[name]
 
 
-# the ClusterCategory's ``mc`` is its FoldedCategory
+# the ClusterCategory is built on the shared FoldedCategory, its ``mc``
 _SHARED = {
-    "category": lambda ctx: ClusterCategory(ctx.spec),
+    "folded": lambda ctx: FoldedCategory(ctx.spec),
+    "category": lambda ctx: ClusterCategory(ctx.spec, ctx.get("folded")),
     "walker": lambda ctx: TropicalWalker(ctx.spec),
     "tilts": lambda ctx: ctx.get("category").enumerate_tilting(),
 }
@@ -455,7 +456,7 @@ def _unfolding_conditions(ctx):
 
 
 def _projected_dimensions(ctx):
-    folding = ctx.get("category").mc.verify_folding_theorem()
+    folding = ctx.get("folded").verify_folding_theorem()
     return folding["passed"], f"roots={folding['weight_one_row_roots']}/{folding['positive_roots']}"
 
 
@@ -494,7 +495,7 @@ _CATEGORY_KINDS = ("H3", "H4", "I2")
 VERIFY_CLAIMS = (
     ("weighted-unfolding-conditions", ("H3", "H4", "I2", "I2m", "F4E6"), _unfolding_conditions),
     ("projected-dimension-theorem", _CATEGORY_KINDS, _projected_dimensions),
-    ("root-of-unity-projection", ("I2",), lambda ctx: (roots_of_unity_hold(ctx.get("category").mc), "")),
+    ("root-of-unity-projection", ("I2",), lambda ctx: (roots_of_unity_hold(ctx.get("folded")), "")),
     ("tropical-cube-and-blocks", _CATEGORY_KINDS, _tropical_cube),
     ("tilting-enumeration", _CATEGORY_KINDS, _tilting_count),
     ("two-complements", _CATEGORY_KINDS, _two_complements),

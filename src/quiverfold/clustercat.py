@@ -43,9 +43,11 @@ def coxeter_catalan(name: str) -> int:
 
 
 class ClusterCategory:
-    def __init__(self, spec: FoldingSpec):
+    """The cluster category of ``spec``, on ``mc``, its ``FoldedCategory``, built here when not given."""
+
+    def __init__(self, spec: FoldingSpec, mc: FoldedCategory | None = None):
         self.spec = spec
-        self.mc = FoldedCategory(spec)
+        self.mc = FoldedCategory(spec) if mc is None else mc
         self.nverts = spec.S.n
         self.nmod = len(self.mc.ar.modules)
         self._vanish = None

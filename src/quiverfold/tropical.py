@@ -46,21 +46,26 @@ The mutation squares decide each verdict once per state; ``check_vertex``
 gives the arguments.
 
 The dets check takes det_x over the Chebyshev ring on the elements'
-coefficient tuples (``det_cheb``), and makes a ``ChebElem`` of the result
-only for ``sigma`` and the unit test.  ``det_cheb`` and ``det_laplace``
-are one Laplace expansion (``_laplace``) over two multiply-add memos of
-one kind (``chebring._Updates``): the field's, and the Chebyshev ring's
-(``chebring._cheb_memos``).
+coefficient tuples (``det_cheb``), and makes a ``ChebElem`` of a result
+only the first time the walker meets it, for ``sigma`` and the unit test.
+``det_cheb`` and ``det_laplace`` are one Laplace expansion (``_laplace``)
+over two multiply-add memos of one kind (``chebring._Updates``): the
+field's, and the Chebyshev ring's (``chebring._cheb_memos``).
 
 A walk meets the same few c-vectors and lifted columns at every step (in
 finite type the c-vectors are roots, Nakanishi-Zelevinsky 2012), so each
 walker keeps, for its whole life, the roots-check verdict (is a root, is
 sign-coherent) of each folded c-vector, d_F of each lifted integer column,
-and the verdict on each lifted C-block (its ring element or None,
-sign-coherent, equal to rho of that element).  The roots check, the dF(C)
-verdicts and squares, d_F(G_lifted), and the blocks and dets checks read
-them.  Each entry is a function of its key alone, so a walker's records
-equal a fresh walker's; signs come from chebring's per-m sign memo.
+the verdict on each lifted C-block (its ring element or None,
+sign-coherent, equal to rho of that element), the verdicts on each lifted
+column block (the lifted C columns at one block's vertices: its blocks'
+verdicts in row order and, when every one is clean, its column of
+elements), and sigma(det_x) and whether det_x is +-1 for each lifted
+determinant det_x.  On the H4 tree to depth 4 that is 36 column blocks,
+7 blocks and 2 determinants.  The roots check, the dF(C) verdicts and
+squares, d_F(G_lifted), and the blocks and dets checks read them.  Each
+entry is a function of its key alone, so a walker's records equal a fresh
+walker's; signs come from chebring's per-m sign memo.
 """
 
 from __future__ import annotations
@@ -370,6 +375,7 @@ class WalkReport:
 
 
 CHECKS = ("cube", "blocks", "roots", "dets")
+_ROOTS_ONLY = frozenset(("roots",))  # a random walk's check after each step
 
 
 def check_set(checks) -> frozenset:
@@ -402,10 +408,11 @@ class TropicalWalker:
             tuple((1,) if i == j else () for j in range(self.mprime)) for i in range(self.mprime)
         )
         self.basis_commutes = _basis_recurrence_holds(self.n)
-        # the lifted C-part's rows and columns of each block, for ``c_block``
-        self._block_rows = tuple(itemgetter(*(self.nverts + v for v in b)) for b in spec.blocks)
-        self._block_cols = tuple(itemgetter(*b) for b in spec.blocks)
+        # each block's vertices, picked out of a lifted C column or out of C_l^T
+        self._block_vertices = tuple(itemgetter(*b) for b in spec.blocks)
+        self._columns_seen = {}  # block j's lifted C columns -> ``_column_verdict``
         self._blocks_seen = {}  # block -> (its element r or None, sign-coherent, rho(r) == block)
+        self._dets_seen = {}  # det_cheb of the elements -> (its sigma's coefficients, is +-1)
         self._roots_seen = {}  # folded c-vector -> (is a root, is sign-coherent)
         self._d_F_seen = {}  # lifted integer column -> its d_F (``matrix_d_F``'s memo)
         self._reps = spec.weight_one_reps  # the only columns of a lifted matrix that d_F reads
@@ -415,9 +422,6 @@ class TropicalWalker:
         return Seed.initial(self.spec.B).rows, Seed.initial(self.spec.S).rows
 
     # -- invariants at one tree vertex ------------------------------------
-    def c_block(self, lifted, bi: int, bj: int):
-        return tuple(map(self._block_cols[bj], self._block_rows[bi](lifted)))
-
     def block_element(self, block) -> ChebElem | None:
         """The ring element r with rho(r) equal to the block, if any."""
         r = ChebElem(self.n, tuple(block[a][0] for a in range(self.n)))
@@ -435,6 +439,35 @@ class TropicalWalker:
             verdict = self._blocks_seen[block] = (
                 (None, False, False) if r is None else (r, r.sign_coherent(), rho(r) == block)
             )
+        return verdict
+
+    def _column_verdict(self, cols):
+        """The verdicts on the C-blocks of lifted column block j; kept for the walker's life.
+
+        ``cols`` are the lifted C columns at block j's vertices.  The entry
+        holds, for each block row i in order, block (i, j) and its
+        ``_block_verdict``; then, when every block of the column is clean
+        (regular, sign-coherent and rho of its element), the column of the
+        elements' coefficient tuples, else None.
+        """
+        entry = self._columns_seen.get(cols)
+        if entry is None:
+            rows = []
+            for pick in self._block_vertices:
+                block = tuple(zip(*map(pick, cols)))
+                rows.append((block, *self._block_verdict(block)))
+            clean = all(r is not None and coherent and is_rho for _, r, coherent, is_rho in rows)
+            entry = self._columns_seen[cols] = (
+                tuple(rows), tuple(r.coeffs for _, r, _, _ in rows) if clean else None
+            )
+        return entry
+
+    def _det_verdict(self, det):
+        """(sigma(det_x).coeffs, det_x is +-1) of det_x given by its ``det_cheb`` tuple; kept for the walker's life."""
+        verdict = self._dets_seen.get(det)
+        if verdict is None:
+            det_x, unit = ChebElem(self.n, det), ChebElem.one(self.n)
+            verdict = self._dets_seen[det] = (sigma(det_x).coeffs, det_x == unit or det_x == -unit)
         return verdict
 
     def _dF_C_holds(self, folded, lifted) -> bool:
@@ -475,15 +508,24 @@ class TropicalWalker:
         column once per walker (``matrix_d_F`` with the walker's memo).
         ``block_element``, ``sign_coherent`` and the comparison of rho of
         the element with the block run once per distinct block per walker
-        (``_block_verdict``); a state reads each of its blocks through
-        ``c_block``.  Blocks commute without a product when the walker's
-        ``basis_commutes`` certificate holds and every block of the state
-        equals rho of its element: rho is linear and the product bilinear, so
-        rho(r) rho(s) - rho(s) rho(r) is an integer combination of the
-        basis commutators rho(theta_a) rho(theta_b) - rho(theta_b)
-        rho(theta_a), which all vanish.  Otherwise ``blocks-do-not-commute``
-        is decided on pairs of distinct blocks; the records still name every
-        index pair that fails, in index order.
+        (``_block_verdict``).  C_l is transposed once per check, for
+        ``invert_integer`` and for the blocks: a state reads its blocks'
+        verdicts one lifted column block at a time (``_column_verdict``,
+        keyed by the C_l columns at one block's vertices).  Blocks commute
+        without a product when the walker's ``basis_commutes`` certificate
+        holds and every block of the state equals rho of its element: rho is
+        linear and the product bilinear, so rho(r) rho(s) - rho(s) rho(r) is
+        an integer combination of the basis commutators rho(theta_a)
+        rho(theta_b) - rho(theta_b) rho(theta_a), which all vanish.  When
+        that holds and every block is sign-coherent as well, the lifted
+        elements are the column blocks' element columns side by side.  Any
+        other state reads its blocks in row-major order and records each
+        failing one, up to the first that is not a regular representation,
+        where the check stops; ``blocks-do-not-commute`` is then decided on
+        pairs of distinct blocks, and the records name every index pair that
+        fails, in index order.  The dets check decides sigma(det_x) and
+        whether det_x is +-1 once per distinct det_x per walker
+        (``_det_verdict``).
 
         ``only`` narrows the walker's checks.  ``neighbours`` turns the cube
         check's mutation squares on or off; it may also be a function
@@ -498,6 +540,7 @@ class TropicalWalker:
         mprime, nverts = self.mprime, self.nverts
         C_f = folded[mprime:]
         C_l = lifted[nverts:]
+        cols_l = transpose(C_l) if checks != _ROOTS_ONLY else ()  # the lifted c-vectors
 
         if "roots" in checks:
             for j, col in enumerate(zip(*C_f)):
@@ -512,7 +555,7 @@ class TropicalWalker:
             if not (verdict() if verdict else self._dF_C_holds(folded, lifted)):
                 failures.append((word, "dF(C)-mismatch"))
             reps = self._reps
-            G_l = invert_integer(transpose(C_l), reps)
+            G_l = invert_integer(cols_l, reps)
             X = matrix_d_F(spec, G_l, self._d_F_seen, range(len(reps)))
             Ct = transpose(C_f)
             # C_f^T X = I certifies X = (C_f^T)^{-1} = G_f; otherwise X is not
@@ -529,40 +572,43 @@ class TropicalWalker:
                         failures.append((word, "dF-mutation-square", k))
 
         if "blocks" in checks or "dets" in checks:
-            elements = []
-            blocks = []
-            certified = self.basis_commutes
-            for bi in range(mprime):
-                row = []
-                for bj in range(mprime):
-                    blk = self.c_block(lifted, bi, bj)
-                    r, coherent, is_rho = self._block_verdict(blk)
-                    if r is None:
-                        failures.append((word, "block-not-regular-rep", bi, bj))
-                        return
-                    if not coherent:
-                        failures.append((word, "block-coefficients-mixed-sign", bi, bj))
-                    certified = certified and is_rho
-                    row.append(r.coeffs)
-                    blocks.append(blk)
-                elements.append(tuple(row))
-            if "blocks" in checks and not certified and not all(
-                _commute(x, y) for x, y in combinations(dict.fromkeys(blocks), 2)
-            ):
-                for a in range(len(blocks)):
-                    for b in range(a + 1, len(blocks)):
-                        if not _commute(blocks[a], blocks[b]):
-                            failures.append((word, "blocks-do-not-commute", a, b))
-                            break
+            columns = [self._column_verdict(pick(cols_l)) for pick in self._block_vertices]
+            clean = [column[1] for column in columns]
+            if self.basis_commutes and None not in clean:
+                elements = tuple(zip(*clean))
+            else:
+                elements = []
+                blocks = []
+                certified = self.basis_commutes
+                for bi in range(mprime):
+                    row = []
+                    for bj, (verdicts, _) in enumerate(columns):
+                        blk, r, coherent, is_rho = verdicts[bi]
+                        if r is None:
+                            failures.append((word, "block-not-regular-rep", bi, bj))
+                            return
+                        if not coherent:
+                            failures.append((word, "block-coefficients-mixed-sign", bi, bj))
+                        certified = certified and is_rho
+                        row.append(r.coeffs)
+                        blocks.append(blk)
+                    elements.append(tuple(row))
+                if "blocks" in checks and not certified and not all(
+                    _commute(x, y) for x, y in combinations(dict.fromkeys(blocks), 2)
+                ):
+                    for a in range(len(blocks)):
+                        for b in range(a + 1, len(blocks)):
+                            if not _commute(blocks[a], blocks[b]):
+                                failures.append((word, "blocks-do-not-commute", a, b))
+                                break
             if "dets" in checks:
                 det_f = det_laplace(C_f, m)
                 if det_f != ((1,) if len(word) % 2 == 0 else (-1,)):
                     failures.append((word, "folded-determinant", len(word)))
-                det_x = ChebElem(self.n, det_cheb(elements, self.n))
-                if sigma(det_x).coeffs != det_f:
+                sigma_x, is_unit = self._det_verdict(det_cheb(elements, self.n))
+                if sigma_x != det_f:
                     failures.append((word, "determinant-sigma-mismatch"))
-                unit = ChebElem.one(self.n)
-                if det_x != unit and det_x != -unit:
+                if not is_unit:
                     failures.append((word, "lifted-determinant-not-unit"))
 
     # -- drivers --------------------------------------------------------------
@@ -611,7 +657,7 @@ class TropicalWalker:
 
             return check
 
-        full, roots = checker(None), checker(frozenset(("roots",)))
+        full, roots = checker(None), checker(_ROOTS_ONLY)
         blocks = self.spec.blocks
         result = explore_words(
             self.initial_pair(), partial(pair_step, blocks, self.m), self.mprime, full, depth,

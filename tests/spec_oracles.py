@@ -155,6 +155,12 @@ def walker_step(walker, folded, lifted, k: int):
     return folded, lifted
 
 
+def c_block(walker, lifted, bi: int, bj: int):
+    """Block (bi, bj) of a ``TropicalWalker``'s lifted C: the rows at block bi's vertices, the columns at block bj's."""
+    top, blocks = walker.nverts, walker.spec.blocks
+    return tuple(tuple(lifted[top + v][w] for w in blocks[bj]) for v in blocks[bi])
+
+
 def is_positive_root(roots, v) -> bool:
     """Whether ``v``, a vector of ``AlgReal`` values, is in ``roots.positives``."""
     v = tuple(v)

@@ -384,6 +384,30 @@ def test_verify_all_reports_every_line_of_a_wrong_weight(capsys, monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("kind", VERIFY_ALL_KINDS)
+def test_verify_all_reports_a_cluster_build_failure_on_the_claim_that_builds_it(capsys, monkeypatch, kind):
+    # the cluster category is built on the folded category that the theorem
+    # and root-of-unity claims read, so its own failure leaves them checked
+    def broken(self):
+        raise AssertionError("planted generator failure")
+
+    monkeypatch.setattr(ClusterCategory, "_build_generators", broken)
+    code = main(["verify", "all", *VERIFY_ALL_KINDS[kind], "--depth", "1", "--random", "0"])
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert code == 1 and captured.err == ""
+    failed = ("tilting-enumeration", "two-complements", "tilting-G-matrix-projection")
+    assert [text.split()[:2] for text in lines] == [
+        ["FAIL" if name in failed else "PASS", name] for name in VERIFY_ALL_PLANTS
+        if kind == "I2" or name != "root-of-unity-projection"
+    ]
+    assert lines[-3:] == [
+        "FAIL tilting-enumeration planted generator failure",
+        "FAIL two-complements unchecked: tilting-enumeration failed",
+        "FAIL tilting-G-matrix-projection unchecked: tilting-enumeration failed",
+    ]
+
+
 def test_verify_all_reports_a_claims_own_assertion_on_its_line(capsys, monkeypatch):
     def none_found(self, rest):
         raise AssertionError("almost complete object has 0 complements, expected 2")

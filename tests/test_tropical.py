@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quiverfold import chebring, tropical
-from quiverfold.chebring import AlgReal, ChebElem, minimal_poly, reg_rep, sigma
+from quiverfold.chebring import AlgReal, ChebElem, minimal_poly, reg_rep, rho, sigma
 from quiverfold.exchange import ExchangeMatrix, RingValues, _Explorer, coeff_rows
 from quiverfold.rootsys import RootSet, root_system
 from quiverfold.tropical import (
@@ -25,7 +25,7 @@ from quiverfold.tropical import (
 )
 from quiverfold.unfolding import FoldingSpec, pair_step, standard_folding, steps_back_exactly
 from spec_oracles import (
-    algreal_pair, det_entries, invert_unimodular_entries, mutate_entries, walker_step,
+    algreal_pair, c_block, det_entries, invert_unimodular_entries, mutate_entries, walker_step,
 )
 
 A2 = ExchangeMatrix(((0, 1), (-1, 0)))
@@ -215,9 +215,9 @@ class TestWalker:
 
     def test_block_element_extraction(self, walker_i7):
         folded, lifted = walker_i7.initial_pair()
-        blk = walker_i7.c_block(lifted, 0, 0)
+        blk = c_block(walker_i7, lifted, 0, 0)
         assert walker_i7.block_element(blk) == ChebElem.one(3)
-        blk01 = walker_i7.c_block(lifted, 0, 1)
+        blk01 = c_block(walker_i7, lifted, 0, 1)
         assert walker_i7.block_element(blk01) == ChebElem.zero(3)
 
     def test_failure_detection(self, walker_i7):
@@ -384,7 +384,7 @@ def oracle_cube_blocks(walker, folded, lifted, word):
     blocks = []
     for bi in range(mprime):
         for bj in range(mprime):
-            blk = walker.c_block(lifted, bi, bj)
+            blk = c_block(walker, lifted, bi, bj)
             r = walker.block_element(blk)
             if r is None:
                 failures.append((word, "block-not-regular-rep", bi, bj))
@@ -667,6 +667,42 @@ class TestCubeBlocksOracle:
         assert got == oracle_cube_blocks(walker, folded, lifted, ("w",))
         assert any(f[1] == "blocks-do-not-commute" for f in got)
 
+    @pytest.mark.parametrize(
+        "plants",
+        [
+            (("not-regular", 1, 2),),
+            (("not-regular", 3, 0),),
+            (("mixed-sign", 0, 3), ("mixed-sign", 2, 1)),
+            (("mixed-sign", 3, 1), ("not-regular", 1, 2), ("mixed-sign", 0, 3)),
+            (("not-regular", 3, 0), ("not-regular", 1, 2)),
+        ],
+    )
+    def test_planted_blocks_keep_row_major_records(self, plants):
+        # the block records come in row-major order and stop at the first
+        # block that is not a regular representation, on a cold walker and on
+        # one whose memos hold the plants and every state within two steps
+        walker = TropicalWalker(standard_folding("H4"))
+        folded, lifted = algreal_pair(walker)
+        top, blocks = walker.nverts, walker.spec.blocks
+        images = {"not-regular": ((0, 1), (0, 0)), "mixed-sign": rho(ChebElem(walker.n, (1, -1)))}
+        for plant, bi, bj in plants:
+            for a, v in enumerate(blocks[bi]):
+                for b, w in enumerate(blocks[bj]):
+                    lifted = with_entry(lifted, top + v, w, images[plant][a][b])
+        names = {"not-regular": "block-not-regular-rep", "mixed-sign": "block-coefficients-mixed-sign"}
+        want = []
+        for plant, bi, bj in sorted(plants, key=lambda plant: plant[1:]):
+            want.append((("w",), names[plant], bi, bj))
+            if plant == "not-regular":
+                break
+        got = cube_blocks(walker, folded, lifted, ("w",))
+        assert got == oracle_cube_blocks(walker, folded, lifted, ("w",))
+        assert [f for f in got if f[1].startswith("block-")] == want
+        assert cube_blocks(walker, folded, lifted, ("w",)) == got
+        warm = TropicalWalker(standard_folding("H4"))
+        assert warm.verify_cube(depth=2).passed
+        assert cube_blocks(warm, folded, lifted, ("w",)) == got
+
 
 class TestCommutationCertificate:
     @pytest.mark.parametrize(
@@ -823,7 +859,7 @@ def test_cube_work_counts(monkeypatch):
         before = len(elements)
         real_check(self, folded, lifted, *args, **kwargs)
         mp = range(self.mprime)
-        blocks = {self.c_block(lifted, bi, bj) for bi, bj in product(mp, mp)}
+        blocks = {c_block(self, lifted, bi, bj) for bi, bj in product(mp, mp)}
         per_state.append((len(elements) - before, len(blocks - seen)))
         seen.update(blocks)
 
@@ -878,7 +914,7 @@ def oracle_roots_dets(walker, folded, lifted, word):
     for bi in range(mprime):
         row = []
         for bj in range(mprime):
-            r = walker.block_element(walker.c_block(lifted, bi, bj))
+            r = walker.block_element(c_block(walker, lifted, bi, bj))
             if r is None:
                 failures.append((word, "block-not-regular-rep", bi, bj))
                 return failures
@@ -967,10 +1003,16 @@ class TestWalkerMemos:
             folded = with_entry(folded, row, 0, AlgReal(walker.m, (2,)))
         elif plant == "mixed-sign":
             folded = with_entry(folded, row + 1, 0, AlgReal(walker.m, (-1,)))
-        else:
+        elif plant == "d_F":
             # block 1's weight-one vertex added to column 0 of the lifted C
             reps = walker.spec.weight_one_reps
             lifted = with_entry(lifted, walker.nverts + reps[1], reps[0], 1)
+        elif plant == "not-regular":
+            block = walker.spec.blocks[0]
+            lifted = with_entry(lifted, walker.nverts + block[0], block[-1], 1)
+        else:
+            for v in walker.spec.blocks[0]:
+                lifted = with_entry(lifted, walker.nverts + v, v, 2)
         return folded, lifted
 
     @pytest.mark.parametrize("kind,n", [("H4", None), ("H3", None), ("I2", 3)])
@@ -980,6 +1022,8 @@ class TestWalkerMemos:
             ("non-root", "c-vector-not-root"),
             ("mixed-sign", "c-vector-not-sign-coherent"),
             ("d_F", "dF(C)-mismatch"),
+            ("not-regular", "block-not-regular-rep"),
+            ("lifted-not-unit", "lifted-determinant-not-unit"),
         ],
     )
     def test_first_repeat_fresh_and_warm_calls_agree(self, kind, n, plant, name):
@@ -999,10 +1043,46 @@ class TestWalkerMemos:
         # a walker whose memos hold every passing state within two steps
         warm = TropicalWalker(standard_folding(kind, n))
         assert warm.verify_cube(depth=2, random_words=2, random_length=6).passed
-        assert warm._roots_seen and warm._d_F_seen
+        assert warm._roots_seen and warm._d_F_seen and warm._columns_seen and warm._dets_seen
         assert check(warm, *state, ("w",)) == first
         # and the memos still pass the unplanted pair
         assert check(warm, *warm.initial_pair(), ()) == []
+
+    def test_h4_block_and_det_memos_recompute_exactly(self):
+        """Every column-block and determinant entry, recomputed from its key with the per-block oracle."""
+        walker = TropicalWalker(standard_folding("H4"))
+        assert walker.verify_cube(depth=4).passed
+        columns, dets = walker._columns_seen, walker._dets_seen
+        assert (len(columns), len(walker._blocks_seen), len(dets)) == (36, 7, 2)
+        # a column block that is not clean, and a determinant that is not +-1
+        for plant in ("not-regular", "lifted-not-unit"):
+            assert roots_dets(walker, *self.planted(walker, plant), ("w",))
+        assert None in [clean for _, clean in columns.values()]
+        assert False in [is_unit for _, is_unit in dets.values()]
+        top, first = walker.nverts, walker.spec.blocks[0]
+        for cols, (verdicts, clean) in columns.items():
+            # a lifted C that holds the key's columns at block 0's vertices
+            C = [[0] * top for _ in range(top)]
+            for w, col in zip(first, cols):
+                for v, x in enumerate(col):
+                    C[v][w] = x
+            lifted = ((0,) * top,) * top + tuple(map(tuple, C))
+            want = []
+            for bi in range(walker.mprime):
+                blk = c_block(walker, lifted, bi, 0)
+                r = walker.block_element(blk)
+                regular = r is not None
+                want.append((blk, r, regular and r.sign_coherent(), regular and rho(r) == blk))
+            assert verdicts == tuple(want)
+            if all(r is not None and coherent and is_rho for _, r, coherent, is_rho in want):
+                assert clean == tuple(r.coeffs for _, r, _, _ in want)
+            else:
+                assert clean is None
+        unit = ChebElem.one(walker.n)
+        for det, (image, is_unit) in dets.items():
+            x = ChebElem(walker.n, det)
+            assert image == sigma(x).coeffs
+            assert is_unit == (x == unit or x == -unit)
 
     def test_memos_cut_root_lookups_and_d_F_calls(self, monkeypatch):
         """Each distinct c-vector is looked up once and each lifted column projected once."""
@@ -1072,7 +1152,7 @@ def assert_check_products_match_oracles(walker, folded, lifted):
     values = RingValues(m)
     assert mat_mul(transpose(C_f), X, m) == coeff_rows(plain_mat_mul(values.rows(transpose(C_f)), values.rows(X)))
     assert det_laplace(C_f, m) == det_entries(values.rows(C_f)).coeffs
-    elements = tuple(tuple(walker.block_element(walker.c_block(lifted, bi, bj)) for bj in mp) for bi in mp)
+    elements = tuple(tuple(walker.block_element(c_block(walker, lifted, bi, bj)) for bj in mp) for bi in mp)
     det = det_cheb(tuple(tuple(x.coeffs for x in row) for row in elements), n)
     assert det == det_entries(elements).coeffs
     assert sigma(ChebElem(n, det)) == det_entries(tuple(tuple(map(sigma, row)) for row in elements))
