@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import operator
 import sys
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
@@ -21,9 +20,7 @@ from .chebring import AlgReal, ChebElem, cheb_mul, minimal_poly, reg_rep, sigma
 from .clustercat import ClusterCategory, coxeter_catalan
 from .exchange import ExchangeMatrix, coeff_rows
 from .repcat import FoldedCategory, folded_type_name, hom_ext_tables
-from .tropical import (
-    CHECKS, TropicalWalker, check_set, enumerate_seeds, g_matrix, matrix_d_F,
-)
+from .tropical import CHECKS, TropicalWalker, check_set, enumerate_seeds, g_matrix
 from .unfolding import check_weighted_unfolding, standard_folding
 
 
@@ -372,16 +369,16 @@ def G_projection_verdicts(cc: ClusterCategory, summands) -> tuple:
     the member of the summand over F(v) whose Chebyshev index is v's
     position in its block; column j of its folded G is summand j's folded
     g-vector (``ClusterCategory.folded_G_matrix``).  Of the integer G,
-    ``matrix_d_F`` reads only the g-vector of summand j's index-0 member.
+    d_F reads only the g-vector of summand j's index-0 member
+    (``FoldingSpec.coeff_d_F``).
     Neither column depends on j, so an object's G projects exactly when each
     summand's columns do, and each summand is decided once.  Only the
     index-0 member's g-vector is computed, read off the Euler form
     (``ClusterCategory.g_vector``).
     """
-    lifted = [cc.g_vector(cc.iso_sets[g][0]) for g in summands]
-    projected = matrix_d_F(cc.spec, tuple(zip(*lifted)), {}, range(len(lifted)))
+    projected = [cc.spec.coeff_d_F(cc.g_vector(cc.iso_sets[g][0])) for g in summands]
     folded = coeff_rows(cc.folded_G_matrix(summands))
-    return tuple(map(operator.eq, zip(*projected), zip(*folded)))
+    return tuple(p == f for p, f in zip(projected, zip(*folded)))
 
 
 def roots_of_unity_hold(cat: FoldedCategory) -> bool:
@@ -480,13 +477,24 @@ def _two_complements(ctx):
             if comps is None:
                 comps = found[rest] = cc.complements(rest)
             if len(comps) != 2 or t[k] not in comps:
-                return False, ""
+                return False, f"{_tilting_detail(cc, t, t[k])} complements={len(comps)}"
     return True, ""
 
 
 def _G_projection(ctx):
-    summands = sorted({g for t in ctx.get("tilts") for g in t})
-    return all(G_projection_verdicts(ctx.get("category"), summands)), ""
+    cc, tilts = ctx.get("category"), ctx.get("tilts")
+    summands = sorted({g for t in tilts for g in t})
+    verdict = dict(zip(summands, G_projection_verdicts(cc, summands)))
+    for t in tilts:
+        for g in t:
+            if not verdict[g]:
+                return False, _tilting_detail(cc, t, g)
+    return True, ""
+
+
+def _tilting_detail(cc, t, g) -> str:
+    """Names tilting object ``t`` by its summands, and its summand ``g`` with its label."""
+    return f"object={','.join(map(str, t))} summand={g} {cc.describe(g)}"
 
 
 _CATEGORY_KINDS = ("H3", "H4", "I2")

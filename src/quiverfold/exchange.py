@@ -30,10 +30,10 @@ class ExchangeMatrix(_Frozen):
     Skew-symmetry is not enforced at construction (skew-symmetrizable
     matrices such as the F4 one are legal inputs); ``is_skew_symmetric``
     reports it.  Entries over two different fields Z[2cos(pi/m)] are a
-    ValueError (``entry_field``).
+    ValueError (``entry_field``); ``m`` is the entries' field, None over Z.
     """
 
-    __slots__ = ("entries", "n", "ring")
+    __slots__ = ("entries", "n", "m", "ring")
 
     def __init__(self, entries):
         rows = tuple(tuple(row) for row in entries)
@@ -42,7 +42,7 @@ class ExchangeMatrix(_Frozen):
             if len(row) != n:
                 raise ValueError("matrix must be square")
         m = entry_field(rows)
-        self._fill(rows, n, "Z" if m is None else f"Z[2cos(pi/{m})]")
+        self._fill(rows, n, m, "Z" if m is None else f"Z[2cos(pi/{m})]")
 
     def __reduce__(self):
         return ExchangeMatrix, (self.entries,)
@@ -77,7 +77,7 @@ class ExchangeMatrix(_Frozen):
 
     def mutate(self, k: int) -> "ExchangeMatrix":
         """The matrix mutated at ``k``: ``mutate_coeffs`` on ``coeff_rows``, decoded."""
-        m = entry_field(self.entries)
+        m = self.m
         rows = mutate_coeffs(coeff_rows(self.entries), k, m)
         return ExchangeMatrix(rows if m is None else RingValues(m).rows(rows))
 

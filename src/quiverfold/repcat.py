@@ -161,10 +161,6 @@ class ARQuiver:
         self.inj_module = {
             mod.inj_vertex: mod.ident for mod in modules if mod.inj_vertex is not None
         }
-        self.simple_module = {}
-        for mod in modules:
-            if sum(mod.dim) == 1:
-                self.simple_module[mod.dim.index(1)] = mod.ident
         self.dim_lookup = {mod.dim: mod.ident for mod in modules}
         if len(self.dim_lookup) != len(modules):
             raise AssertionError("dimension vectors must be pairwise distinct")
@@ -181,12 +177,9 @@ class ARQuiver:
                     ar_arrows.append((ident, tgt))
         self.ar_arrows = tuple(sorted(ar_arrows))
         ar_in = [[] for _ in modules]
-        ar_out = [[] for _ in modules]
         for src, tgt in self.ar_arrows:
-            ar_out[src].append(tgt)
             ar_in[tgt].append(src)
         self.ar_in = tuple(map(tuple, ar_in))
-        self.ar_out = tuple(map(tuple, ar_out))
         self.ar_order = sorted(
             range(len(modules)),
             key=lambda ident: (modules[ident].slice, self._rpos[modules[ident].orbit]),

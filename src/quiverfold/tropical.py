@@ -42,9 +42,6 @@ involution too; the folded rows are all coefficient tuples, so stepping
 back reproduces the state exactly, and the explorer records the way back
 without computing it (``unfolding.steps_back_exactly``).
 
-The mutation squares decide each verdict once per state; ``check_vertex``
-gives the arguments.
-
 The dets check takes det_x over the Chebyshev ring on the elements'
 coefficient tuples (``det_cheb``), and makes a ``ChebElem`` of a result
 only the first time the walker meets it, for ``sigma`` and the unit test.
@@ -54,18 +51,20 @@ field's, and the Chebyshev ring's (``chebring._cheb_memos``).
 
 A walk meets the same few c-vectors and lifted columns at every step (in
 finite type the c-vectors are roots, Nakanishi-Zelevinsky 2012), so each
-walker keeps, for its whole life, the roots-check verdict (is a root, is
-sign-coherent) of each folded c-vector, d_F of each lifted integer column,
-the verdict on each lifted C-block (its ring element or None,
-sign-coherent, equal to rho of that element), the verdicts on each lifted
-column block (the lifted C columns at one block's vertices: its blocks'
-verdicts in row order and, when every one is clean, its column of
-elements), and sigma(det_x) and whether det_x is +-1 for each lifted
-determinant det_x.  On the H4 tree to depth 4 that is 36 column blocks,
-7 blocks and 2 determinants.  The roots check, the dF(C) verdicts and
-squares, d_F(G_lifted), and the blocks and dets checks read them.  Each
-entry is a function of its key alone, so a walker's records equal a fresh
-walker's; signs come from chebring's per-m sign memo.
+walker keeps its verdicts for its whole life, in tables of one kind
+(``_Table``: a dict whose missing entry is computed from its key):
+``root_verdicts`` (is a root, is sign-coherent) of each folded c-vector,
+``d_F_columns`` of each lifted integer column, ``projected_C`` d_F(C_l)
+of each lifted C part, for the dF(C) comparison and the mutation squares,
+``block_verdicts`` on each lifted C-block (its ring element or None,
+sign-coherent, equal to rho of that element), ``column_verdicts`` on each
+lifted column block (the lifted C columns at one block's vertices: its
+blocks' verdicts in row order and, when every one is clean, its column of
+elements), and ``det_verdicts`` (sigma(det_x), whether det_x is +-1) for
+each lifted determinant det_x.  On the H4 tree to depth 4 that is 36
+column blocks, 7 blocks and 2 determinants.  Each entry is a function of
+its key alone, so a walker's tables equal a fresh walker's; signs come
+from chebring's per-m sign memo.
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ from .chebring import (
 )
 from .exchange import (
     ExchangeMatrix, RingValues, _as_coeffs, _Explorer, _pivot_columns, _sign, coeff_rows,
-    entry_field, explore_words, mutate_coeffs,
+    explore_words, mutate_coeffs,
 )
 from .repcat import folded_type_name
 from .rootsys import root_system
@@ -108,8 +107,8 @@ class Seed(_Frozen):
 
     @staticmethod
     def initial(B: ExchangeMatrix) -> "Seed":
-        """B over the identity C, in the ring of B's ``AlgReal`` entries (``entry_field``)."""
-        m = entry_field(B.entries)
+        """B over the identity C, in the ring of B's ``AlgReal`` entries (``ExchangeMatrix.m``)."""
+        m = B.m
         rows = coeff_rows(B.entries)
         one, zero = 1, 0
         if m is not None:
@@ -334,26 +333,16 @@ def invert_integer(rows, columns):
 # folded walks and the compatibility checks
 
 
-def matrix_d_F(spec: FoldingSpec, rows, memo: dict, reps) -> tuple:
-    """d_F of some columns of an integer matrix, as rows of reduced coefficient tuples.
+class _Table(dict):
+    """A walker's verdicts: ``compute(key)`` for each key, made on first read."""
 
-    Column j of the result is ``spec.coeff_d_F`` of the column of ``rows``
-    at ``reps[j]``: block j's weight-one vertex (``spec.weight_one_reps``)
-    for a whole lifted matrix, or ``range(len(spec.weight_one_reps))`` for a
-    matrix that holds only those columns (``invert_integer(rows,
-    spec.weight_one_reps)``).  ``memo`` maps integer columns to their d_F
-    and is filled as columns are met, so each distinct column is projected
-    once.
-    """
-    cols = tuple(zip(*rows))
-    out = []
-    for r in reps:
-        col = cols[r]
-        image = memo.get(col)
-        if image is None:
-            image = memo[col] = spec.coeff_d_F(col)
-        out.append(image)
-    return tuple(zip(*out))
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
 
 
 class WalkReport:
@@ -410,39 +399,50 @@ class TropicalWalker:
         self.basis_commutes = _basis_recurrence_holds(self.n)
         # each block's vertices, picked out of a lifted C column or out of C_l^T
         self._block_vertices = tuple(itemgetter(*b) for b in spec.blocks)
-        self._columns_seen = {}  # block j's lifted C columns -> ``_column_verdict``
-        self._blocks_seen = {}  # block -> (its element r or None, sign-coherent, rho(r) == block)
-        self._dets_seen = {}  # det_cheb of the elements -> (its sigma's coefficients, is +-1)
-        self._roots_seen = {}  # folded c-vector -> (is a root, is sign-coherent)
-        self._d_F_seen = {}  # lifted integer column -> its d_F (``matrix_d_F``'s memo)
         self._reps = spec.weight_one_reps  # the only columns of a lifted matrix that d_F reads
+        self.root_verdicts = _Table(self._root_verdict)
+        self.d_F_columns = _Table(spec.coeff_d_F)  # lifted integer column -> its d_F
+        self.projected_C = _Table(self._project_C)
+        self.block_verdicts = _Table(self._block_verdict)
+        self.column_verdicts = _Table(self._column_verdict)
+        self.det_verdicts = _Table(self._det_verdict)
 
     # stacked matrices: folded (2m' x m') of coefficient tuples, lifted (2N x N) of ints
     def initial_pair(self):
         return Seed.initial(self.spec.B).rows, Seed.initial(self.spec.S).rows
 
-    # -- invariants at one tree vertex ------------------------------------
+    # -- the verdicts, one table each -------------------------------------
     def block_element(self, block) -> ChebElem | None:
         """The ring element r with rho(r) equal to the block, if any."""
         r = ChebElem(self.n, tuple(block[a][0] for a in range(self.n)))
         return r if rho(r) == tuple(tuple(row) for row in block) else None
 
+    def _root_verdict(self, col):
+        """(is a root, is sign-coherent) of a folded c-vector."""
+        ctx = _context(self.m)
+        signs = {_coeff_sign(ctx, c) for c in col}
+        return self.roots.is_root(col), not {1, -1} <= signs
+
+    def _d_F(self, cols):
+        """The rows of the matrix whose column j is d_F of the integer column ``cols[j]``."""
+        return transpose(map(self.d_F_columns.__getitem__, cols))
+
+    def _project_C(self, C_l):
+        """d_F(C_l) of a lifted C part: d_F of its columns at the blocks' weight-one vertices."""
+        cols = transpose(C_l)
+        return self._d_F([cols[r] for r in self._reps])
+
     def _block_verdict(self, block):
-        """(its element r or None, sign-coherent, rho(r) == block) of a block; kept for the walker's life.
+        """(its element r or None, sign-coherent, rho(r) == block) of a lifted C-block.
 
         The last is decided by ``rho`` itself, whatever ``block_element``
         answers, since the commutation certificate rests on it.
         """
-        verdict = self._blocks_seen.get(block)
-        if verdict is None:
-            r = self.block_element(block)
-            verdict = self._blocks_seen[block] = (
-                (None, False, False) if r is None else (r, r.sign_coherent(), rho(r) == block)
-            )
-        return verdict
+        r = self.block_element(block)
+        return (None, False, False) if r is None else (r, r.sign_coherent(), rho(r) == block)
 
     def _column_verdict(self, cols):
-        """The verdicts on the C-blocks of lifted column block j; kept for the walker's life.
+        """The verdicts on the C-blocks of lifted column block j, given by its C columns.
 
         ``cols`` are the lifted C columns at block j's vertices.  The entry
         holds, for each block row i in order, block (i, j) and its
@@ -450,41 +450,19 @@ class TropicalWalker:
         (regular, sign-coherent and rho of its element), the column of the
         elements' coefficient tuples, else None.
         """
-        entry = self._columns_seen.get(cols)
-        if entry is None:
-            rows = []
-            for pick in self._block_vertices:
-                block = tuple(zip(*map(pick, cols)))
-                rows.append((block, *self._block_verdict(block)))
-            clean = all(r is not None and coherent and is_rho for _, r, coherent, is_rho in rows)
-            entry = self._columns_seen[cols] = (
-                tuple(rows), tuple(r.coeffs for _, r, _, _ in rows) if clean else None
-            )
-        return entry
+        rows = []
+        for pick in self._block_vertices:
+            block = tuple(zip(*map(pick, cols)))
+            rows.append((block, *self.block_verdicts[block]))
+        clean = all(r is not None and coherent and is_rho for _, r, coherent, is_rho in rows)
+        return tuple(rows), tuple(r.coeffs for _, r, _, _ in rows) if clean else None
 
     def _det_verdict(self, det):
-        """(sigma(det_x).coeffs, det_x is +-1) of det_x given by its ``det_cheb`` tuple; kept for the walker's life."""
-        verdict = self._dets_seen.get(det)
-        if verdict is None:
-            det_x, unit = ChebElem(self.n, det), ChebElem.one(self.n)
-            verdict = self._dets_seen[det] = (sigma(det_x).coeffs, det_x == unit or det_x == -unit)
-        return verdict
+        """(sigma(det_x).coeffs, det_x is +-1) of det_x given by its ``det_cheb`` tuple."""
+        det_x, unit = ChebElem(self.n, det), ChebElem.one(self.n)
+        return sigma(det_x).coeffs, det_x == unit or det_x == -unit
 
-    def _dF_C_holds(self, folded, lifted) -> bool:
-        """Whether d_F(C_lifted) = C_folded: the ``dF(C)-mismatch`` comparison."""
-        C_l = lifted[self.nverts:]
-        return matrix_d_F(self.spec, C_l, self._d_F_seen, self._reps) == folded[self.mprime:]
-
-    def _root_verdict(self, col):
-        """(is a root, is sign-coherent) of a folded c-vector; kept for the walker's life."""
-        verdict = self._roots_seen.get(col)
-        if verdict is None:
-            ctx = _context(self.m)
-            signs = {_coeff_sign(ctx, c) for c in col}
-            verdict = self._roots_seen[col] = (self.roots.is_root(col), not {1, -1} <= signs)
-        return verdict
-
-    def check_vertex(self, folded, lifted, word, failures, neighbours=True, only=None):
+    def check_vertex(self, folded, lifted, word, failures, neighbour=None, only=None):
         """Append to ``failures`` a record ``(word, name, ...)`` per failed check.
 
         The pair is in the form ``initial_pair`` and the explorer's states
@@ -500,42 +478,37 @@ class TropicalWalker:
         C_f^T would.  A certified C_f whose determinant is a unit other than
         +-1 passes here; the ``dets`` check is the one that reports it.
         The square ``dF-mutation-square`` at k is the k-neighbour's own
-        ``dF(C)-mismatch`` comparison: both compare d_F of the neighbour's
-        lifted C-part with its folded C-part.
+        ``dF(C)-mismatch`` comparison: both compare the ``projected_C`` of
+        a lifted C part with its folded C part.
 
-        The roots check decides each distinct folded c-vector once per
-        walker (``_root_verdict``), and d_F projects each distinct lifted
-        column once per walker (``matrix_d_F`` with the walker's memo).
-        ``block_element``, ``sign_coherent`` and the comparison of rho of
-        the element with the block run once per distinct block per walker
-        (``_block_verdict``).  C_l is transposed once per check, for
+        Every verdict is read from the walker's tables, each entry decided once
+        per walker: the roots check's per folded c-vector, d_F per lifted
+        column, d_F(C_l) per lifted C part, and the blocks' ``block_element``,
+        ``sign_coherent`` and comparison of rho of the element with the block
+        per distinct block.  C_l is transposed once per check, for
         ``invert_integer`` and for the blocks: a state reads its blocks'
-        verdicts one lifted column block at a time (``_column_verdict``,
-        keyed by the C_l columns at one block's vertices).  Blocks commute
-        without a product when the walker's ``basis_commutes`` certificate
-        holds and every block of the state equals rho of its element: rho is
-        linear and the product bilinear, so rho(r) rho(s) - rho(s) rho(r) is
-        an integer combination of the basis commutators rho(theta_a)
-        rho(theta_b) - rho(theta_b) rho(theta_a), which all vanish.  When
-        that holds and every block is sign-coherent as well, the lifted
-        elements are the column blocks' element columns side by side.  Any
-        other state reads its blocks in row-major order and records each
-        failing one, up to the first that is not a regular representation,
-        where the check stops; ``blocks-do-not-commute`` is then decided on
-        pairs of distinct blocks, and the records name every index pair that
-        fails, in index order.  The dets check decides sigma(det_x) and
-        whether det_x is +-1 once per distinct det_x per walker
-        (``_det_verdict``).
+        verdicts one lifted column block at a time (``column_verdicts``, keyed
+        by the C_l columns at one block's vertices).  Blocks commute without a
+        product when the walker's ``basis_commutes`` certificate holds and every
+        block of the state equals rho of its element: rho is linear and the
+        product bilinear, so rho(r) rho(s) - rho(s) rho(r) is an integer
+        combination of the basis commutators rho(theta_a) rho(theta_b) -
+        rho(theta_b) rho(theta_a), which all vanish.  When that holds and every
+        block is sign-coherent as well, the lifted elements are the column
+        blocks' element columns side by side.  Any other state reads its blocks
+        in row-major order and records each failing one, up to the first that is
+        not a regular representation, where the check stops;
+        ``blocks-do-not-commute`` is then decided on pairs of distinct blocks,
+        and the records name every index pair that fails, in index order.  The
+        dets check reads sigma(det_x) and whether det_x is +-1 from
+        ``det_verdicts``.
 
-        ``only`` narrows the walker's checks.  ``neighbours`` turns the cube
-        check's mutation squares on or off; it may also be a function
-        ``k -> (folded, lifted)`` that supplies the neighbour pairs, such as
-        the memoized transitions of ``verify_cube``.  A ``neighbours`` with
-        a ``dF_C`` method (``_Neighbours``) also supplies the verdicts
-        d_F(C_lifted) = C_folded: ``dF_C()`` of this state, ``dF_C(k)`` of
-        its k-neighbour.
+        ``only`` narrows the walker's checks.  ``neighbour`` is a function
+        ``k -> (folded, lifted)`` that supplies the neighbour pairs of the
+        mutation squares, such as the memoized transitions of
+        ``verify_cube``; without it the check steps to them by ``pair_step``.
         """
-        spec, m = self.spec, self.m
+        m = self.m
         checks = self.checks if only is None else (self.checks & only)
         mprime, nverts = self.mprime, self.nverts
         C_f = folded[mprime:]
@@ -544,35 +517,32 @@ class TropicalWalker:
 
         if "roots" in checks:
             for j, col in enumerate(zip(*C_f)):
-                is_root, coherent = self._root_verdict(col)
+                is_root, coherent = self.root_verdicts[col]
                 if not is_root:
                     failures.append((word, "c-vector-not-root", j))
                 if not coherent:
                     failures.append((word, "c-vector-not-sign-coherent", j))
 
         if "cube" in checks:
-            verdict = getattr(neighbours, "dF_C", None)
-            if not (verdict() if verdict else self._dF_C_holds(folded, lifted)):
+            projected = self.projected_C
+            if projected[C_l] != C_f:
                 failures.append((word, "dF(C)-mismatch"))
-            reps = self._reps
-            G_l = invert_integer(cols_l, reps)
-            X = matrix_d_F(spec, G_l, self._d_F_seen, range(len(reps)))
-            Ct = transpose(C_f)
+            X = self._d_F(transpose(invert_integer(cols_l, self._reps)))
             # C_f^T X = I certifies X = (C_f^T)^{-1} = G_f; otherwise X is not
             # the inverse, which exists exactly when det C_f is a unit
-            if mat_mul(Ct, X, m) != self.identity:
+            if mat_mul(transpose(C_f), X, m) != self.identity:
                 if det_laplace(C_f, m) not in ((1,), (-1,)):
                     raise ArithmeticError("determinant is not a unit")
                 failures.append((word, "dF(G)-mismatch"))
-            if neighbours:
-                if not callable(neighbours):
-                    neighbours = partial(pair_step, spec.blocks, m, (folded, lifted))
-                for k in range(mprime):
-                    if not (verdict(k) if verdict else self._dF_C_holds(*neighbours(k))):
-                        failures.append((word, "dF-mutation-square", k))
+            if neighbour is None:
+                neighbour = partial(pair_step, self.spec.blocks, m, (folded, lifted))
+            for k in range(mprime):
+                nf, nl = neighbour(k)
+                if projected[nl[nverts:]] != nf[mprime:]:
+                    failures.append((word, "dF-mutation-square", k))
 
         if "blocks" in checks or "dets" in checks:
-            columns = [self._column_verdict(pick(cols_l)) for pick in self._block_vertices]
+            columns = [self.column_verdicts[pick(cols_l)] for pick in self._block_vertices]
             clean = [column[1] for column in columns]
             if self.basis_commutes and None not in clean:
                 elements = tuple(zip(*clean))
@@ -605,7 +575,7 @@ class TropicalWalker:
                 det_f = det_laplace(C_f, m)
                 if det_f != ((1,) if len(word) % 2 == 0 else (-1,)):
                     failures.append((word, "folded-determinant", len(word)))
-                sigma_x, is_unit = self._det_verdict(det_cheb(elements, self.n))
+                sigma_x, is_unit = self.det_verdicts[det_cheb(elements, self.n)]
                 if sigma_x != det_f:
                     failures.append((word, "determinant-sigma-mismatch"))
                 if not is_unit:
@@ -641,18 +611,16 @@ class TropicalWalker:
         The explorer's states are the pairs of ``initial_pair``, stepped by
         ``unfolding.pair_step``: the folded entries as coefficient tuples,
         the lifted ones as ints.  Each check hands ``check_vertex`` the
-        state and the neighbour pairs as the explorer holds them.
-        The verdict d_F(C_lifted) = C_folded is decided once per interned
-        state (``_Neighbours``), for the state's own check and for every
-        mutation square that lands on it.
+        state and the explorer's memoized transitions for its mutation
+        squares; the walker's ``projected_C`` decides d_F(C_l) once per
+        lifted C part, for a state's own check and for every square that
+        lands on it.
         """
-        verdicts = {}
 
         def checker(only):
             def check(state, word, neighbour):
                 found = []
-                squares = _Neighbours(self, state, neighbour, verdicts)
-                self.check_vertex(*state, word, found, neighbours=squares, only=only)
+                self.check_vertex(*state, word, found, neighbour, only)
                 return tuple(f[1:] for f in found)
 
             return check
@@ -667,32 +635,6 @@ class TropicalWalker:
         )
         failures = [_failure(word, detail) for word, detail in result.failures]
         return WalkReport(not failures, result.words, failures, seed, result.states)
-
-
-class _Neighbours:
-    """The ``neighbours`` that ``verify_cube`` hands ``check_vertex`` for one state.
-
-    Called with k, it is the explorer's memoized transition ``move(k)``.
-    ``dF_C(k)`` is the verdict d_F(C_lifted) = C_folded of that neighbour,
-    ``dF_C()`` the state's own.  ``verdicts`` holds them for the whole
-    call, keyed by the id of the interned state: the explorer keeps every
-    interned state alive until the call returns, so an id names one state.
-    """
-
-    __slots__ = ("walker", "state", "move", "verdicts")
-
-    def __init__(self, walker, state, move, verdicts):
-        self.walker, self.state, self.move, self.verdicts = walker, state, move, verdicts
-
-    def __call__(self, k):
-        return self.move(k)
-
-    def dF_C(self, k=None) -> bool:
-        state = self.state if k is None else self.move(k)
-        holds = self.verdicts.get(id(state))
-        if holds is None:
-            holds = self.verdicts[id(state)] = self.walker._dF_C_holds(*state)
-        return holds
 
 
 def _failure(word, detail):

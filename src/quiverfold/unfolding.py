@@ -71,8 +71,8 @@ class FoldingSpec(_Frozen):
 
     @property
     def m(self) -> int | None:
-        """B's ring Z[2cos(pi/m)], or None over Z (``entry_field``)."""
-        return entry_field(self.B.entries)
+        """B's ring Z[2cos(pi/m)], or None over Z (``ExchangeMatrix.m``)."""
+        return self.B.m
 
     @property
     def weight_one_reps(self) -> tuple:

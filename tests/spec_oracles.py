@@ -430,7 +430,8 @@ def presentation(cc, module):
     ar = cc.mc.ar
     nverts = cc.nverts
     row = ar.hom_row(module)
-    tops = tuple(row[ar.simple_module[v]] for v in range(nverts))
+    simple = {mod.dim.index(1): mod.ident for mod in ar.modules if sum(mod.dim) == 1}
+    tops = tuple(row[simple[v]] for v in range(nverts))
     target = [0] * nverts
     for v, mult in enumerate(tops):
         if mult:

@@ -128,6 +128,36 @@ def test_every_src_definition_is_read():
     assert sorted(unread) == sorted(UNREAD_DEFINITIONS), differ
 
 
+def test_every_attribute_stored_on_self_is_read():
+    """Each attribute that the package sets on ``self`` is loaded somewhere in it.
+
+    A load counts when an ``Attribute`` or ``getattr(obj, "name")`` of the
+    package reads that name, matched by name only, except as the object of
+    a subscript store: ``self.memo[key] = value`` writes ``memo``.
+    """
+    stored, loaded = set(), set()
+    for path in sorted(Path(quiverfold.__file__).parent.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        written = {
+            id(node.value) for node in nodes
+            if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load)
+        }
+        for node in nodes:
+            if isinstance(node, ast.Attribute):
+                if not isinstance(node.ctx, ast.Load):
+                    if isinstance(node.value, ast.Name) and node.value.id == "self":
+                        stored.add(node.attr)
+                elif id(node) not in written:
+                    loaded.add(node.attr)
+            elif (
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr" and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                loaded.add(node.args[1].value)
+    assert sorted(stored - loaded) == []
+
+
 class TestRing:
     def test_minpoly(self, capsys):
         code, out = run(capsys, "ring", "minpoly", "--m", "5")
@@ -363,6 +393,12 @@ def test_verify_all_fails_the_planted_line(capsys, monkeypatch, kind, line):
     if line == "tilting-enumeration":
         count = {"I2": 7, "H3": 32, "H4": 280}[kind]  # Cat(I2(5)), Cat(H3), Cat(H4)
         assert f"FAIL tilting-enumeration count={count - 1} expected={count}" in lines
+    if line in ("two-complements", "tilting-G-matrix-projection"):
+        # the detail names the first failing tilting object and its summand
+        (failed,) = [text for text in lines if text.startswith("FAIL ")]
+        obj, summand = failed.split()[2:4]
+        assert obj.startswith("object=") and summand.startswith("summand=")
+        assert summand[len("summand="):] in obj[len("object="):].split(",")
 
 
 def test_verify_all_reports_every_line_of_a_wrong_weight(capsys, monkeypatch):
@@ -1180,15 +1216,15 @@ def test_sigma_float_ignores_earlier_refinement(capsys):
 
 
 def test_verify_all_projects_each_lifted_g_vector_once(capsys, monkeypatch):
-    # tilting-G-matrix-projection shares one d_F memo across the 280 H4
+    # tilting-G-matrix-projection decides each summand once across the 280 H4
     # tilting objects: one coeff_d_F call per distinct lifted column, not 1,120
     projected, inside = [], []
-    real_matrix, real_d_F = cli.matrix_d_F, FoldingSpec.coeff_d_F
+    real_verdicts, real_d_F = cli.G_projection_verdicts, FoldingSpec.coeff_d_F
 
-    def matrix(*args):
+    def verdicts(*args):
         inside.append(1)
         try:
-            return real_matrix(*args)
+            return real_verdicts(*args)
         finally:
             inside.pop()
 
@@ -1197,8 +1233,8 @@ def test_verify_all_projects_each_lifted_g_vector_once(capsys, monkeypatch):
             projected.append(vector)
         return real_d_F(self, vector)
 
-    monkeypatch.setattr(cli, "matrix_d_F", matrix)
+    monkeypatch.setattr(cli, "G_projection_verdicts", verdicts)
     monkeypatch.setattr(FoldingSpec, "coeff_d_F", d_F)
     code, out = run(capsys, "verify", "all", "--kind", "H4", "--depth", "0", "--random", "0")
     assert code == 0 and "PASS tilting-G-matrix-projection" in out.splitlines()
-    assert len(projected) == len(set(projected)) <= 64
+    assert 0 < len(projected) == len(set(projected)) <= 64

@@ -5,12 +5,13 @@ from collections import Counter
 
 import pytest
 
-from quiverfold import clustercat, tropical
+from quiverfold import clustercat
 from quiverfold.chebring import AlgReal
 from quiverfold.cli import G_projection_verdicts
 from quiverfold.clustercat import ClusterCategory, coxeter_catalan
 from quiverfold.exchange import ExchangeMatrix, coeff_rows
 from quiverfold.repcat import folded_type_name, hom_ext_tables
+from quiverfold.tropical import transpose
 from quiverfold.unfolding import standard_folding
 from spec_oracles import (
     cluster_translates, g_vector, g_vector_folded, is_classical_tilting, matrix_d_F,
@@ -722,14 +723,18 @@ def per_object_G_verdicts(cc, tilts):
     """One verdict per tilting object: its whole lifted G projected against its folded G.
 
     The loop ``verify all`` ran before it decided each summand once: one
-    ``tilting_G_matrices`` on the category's tables and one ``matrix_d_F`` per
-    object, with a d_F memo shared across objects.
+    ``tilting_G_matrices`` on the category's tables and one projection of
+    each object's weight-one columns, with a d_F memo shared across objects.
     """
     projected, reps = {}, cc.spec.weight_one_reps
-    return [
-        tropical.matrix_d_F(cc.spec, G_hat, projected, reps) == coeff_rows(G_prime)
-        for G_hat, G_prime in (production_G_matrices(cc, t) for t in tilts)
-    ]
+    verdicts = []
+    for G_hat, G_prime in (production_G_matrices(cc, t) for t in tilts):
+        cols = transpose(G_hat)
+        for r in reps:
+            if cols[r] not in projected:
+                projected[cols[r]] = cc.spec.coeff_d_F(cols[r])
+        verdicts.append(transpose([projected[cols[r]] for r in reps]) == coeff_rows(G_prime))
+    return verdicts
 
 
 class TestGProjectionPerSummand:

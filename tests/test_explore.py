@@ -139,10 +139,7 @@ def oracle_cube(walker, depth=6, random_words=0, random_length=30, seed=0):
         if full:
             walker.check_vertex(coeff_rows(folded), lifted, word, failures)
         else:
-            walker.check_vertex(
-                coeff_rows(folded), lifted, word, failures,
-                neighbours=False, only=frozenset(("roots",)),
-            )
+            walker.check_vertex(coeff_rows(folded), lifted, word, failures, only=frozenset(("roots",)))
 
     def visit(folded, lifted, word):
         count[0] += 1
@@ -525,7 +522,7 @@ class TestCubeEquivalence:
         target = walker_step(walker, *algreal_pair(walker), 0)[0]
         calls = []
 
-        def check_vertex(folded, lifted, word, failures, neighbours=True, only=None):
+        def check_vertex(folded, lifted, word, failures, neighbour=None, only=None):
             calls.append(word)
             if coeff_rows(folded) == coeff_rows(target):
                 failures.append((word, "folded-determinant", len(word)))

@@ -74,7 +74,7 @@ class TestKnitting:
         ar = ARQuiver(spec.S.n, arrows)
         assert {mod.dim for mod in ar.modules} == positive
 
-    @pytest.mark.parametrize("name", ["out_adj", "in_adj", "ar_in", "ar_out"])
+    @pytest.mark.parametrize("name", ["out_adj", "in_adj", "ar_in"])
     def test_adjacency_is_tuples_of_tuples(self, h3cat, name):
         table = getattr(h3cat.ar, name)
         assert type(table) is tuple

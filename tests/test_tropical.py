@@ -172,7 +172,7 @@ class TestGMatrix:
         folded, lifted = walker.initial_pair()
         folded = folded[:2] + (((2,), ()), ((), (2,)))
         with pytest.raises(ArithmeticError, match="determinant is not a unit"):
-            walker.check_vertex(folded, lifted, (), [], neighbours=False, only=frozenset(("cube",)))
+            walker.check_vertex(folded, lifted, (), [], only=frozenset(("cube",)))
 
 
 @pytest.fixture(scope="module")
@@ -226,9 +226,7 @@ class TestWalker:
         rows = [list(r) for r in lifted]
         rows[6 + 0][4] = 1
         failures = []
-        walker_i7.check_vertex(
-            folded, tuple(tuple(r) for r in rows), ("x",), failures, neighbours=False
-        )
+        walker_i7.check_vertex(folded, tuple(tuple(r) for r in rows), ("x",), failures)
         assert failures
 
 
@@ -765,23 +763,33 @@ class TestCommutationCertificate:
 
 class TestMemoizedSquares:
     @staticmethod
-    def planted_walk(monkeypatch, kind, n, target, **kwargs):
-        """verify_cube with the first two folded C rows of the state at ``target`` swapped."""
+    def planted_walk(monkeypatch, kind, n, target, direct=False, **kwargs):
+        """verify_cube with the first two folded C rows of the state at ``target`` swapped.
+
+        The planted step swaps them on the way into that state and back on
+        the way out, so it stays an involution, as the explorer's recorded
+        ways back assume.  With ``direct``, check_vertex gets no neighbour
+        and steps to each one itself.
+        """
         walker = TropicalWalker(standard_folding(kind, n))
         state = algreal_pair(walker)
         for k in target:
             state = walker_step(walker, *state, k)
-        bad = coeff_rows(state[0])
-        real = tropical.pair_step
+        top, bad = walker.mprime, coeff_rows(state[0])
+        planted = bad[:top] + (bad[top + 1], bad[top]) + bad[top + 2:]
+        swap = {bad: planted, planted: bad}
 
         def step(blocks, m, state, k):
-            nf, nl = real(blocks, m, state, k)
-            if nf == bad:
-                top = walker.mprime
-                nf = nf[:top] + (nf[top + 1], nf[top]) + nf[top + 2:]
-            return nf, nl
+            nf, nl = pair_step(blocks, m, (swap.get(state[0], state[0]), state[1]), k)
+            return swap.get(nf, nf), nl
 
         monkeypatch.setattr(tropical, "pair_step", step)
+        if direct:
+            check = walker.check_vertex
+            monkeypatch.setattr(
+                walker, "check_vertex",
+                lambda folded, lifted, word, failures, neighbour, only: check(folded, lifted, word, failures, only=only),
+            )
         return walker.verify_cube(**kwargs)
 
     @pytest.mark.parametrize(
@@ -795,9 +803,7 @@ class TestMemoizedSquares:
     )
     def test_same_failures_as_direct_squares(self, monkeypatch, kind, n, target, kwargs):
         memo = self.planted_walk(monkeypatch, kind, n, target, **kwargs)
-        # without dF_C, check_vertex steps to each neighbour and compares it there
-        monkeypatch.setattr(tropical, "_Neighbours", lambda walker, state, move, verdicts: move)
-        direct = self.planted_walk(monkeypatch, kind, n, target, **kwargs)
+        direct = self.planted_walk(monkeypatch, kind, n, target, direct=True, **kwargs)
         assert not memo.passed
         assert memo.failures == direct.failures
         assert (memo.vertices_checked, memo.states) == (direct.vertices_checked, direct.states)
@@ -937,7 +943,7 @@ def oracle_roots_dets(walker, folded, lifted, word):
 
 def roots_dets(walker, folded, lifted, word):
     failures = []
-    walker.check_vertex(coeff_rows(folded), lifted, word, failures, neighbours=False, only=ROOTS_DETS)
+    walker.check_vertex(coeff_rows(folded), lifted, word, failures, only=ROOTS_DETS)
     return failures
 
 
@@ -1043,17 +1049,18 @@ class TestWalkerMemos:
         # a walker whose memos hold every passing state within two steps
         warm = TropicalWalker(standard_folding(kind, n))
         assert warm.verify_cube(depth=2, random_words=2, random_length=6).passed
-        assert warm._roots_seen and warm._d_F_seen and warm._columns_seen and warm._dets_seen
+        assert warm.root_verdicts and warm.d_F_columns and warm.column_verdicts and warm.det_verdicts
+        assert warm.projected_C and warm.block_verdicts
         assert check(warm, *state, ("w",)) == first
         # and the memos still pass the unplanted pair
         assert check(warm, *warm.initial_pair(), ()) == []
 
     def test_h4_block_and_det_memos_recompute_exactly(self):
-        """Every column-block and determinant entry, recomputed from its key with the per-block oracle."""
+        """Every table entry, recomputed from its key; column blocks and determinants also with the per-block oracle."""
         walker = TropicalWalker(standard_folding("H4"))
         assert walker.verify_cube(depth=4).passed
-        columns, dets = walker._columns_seen, walker._dets_seen
-        assert (len(columns), len(walker._blocks_seen), len(dets)) == (36, 7, 2)
+        columns, dets = walker.column_verdicts, walker.det_verdicts
+        assert (len(columns), len(walker.block_verdicts), len(dets)) == (36, 7, 2)
         # a column block that is not clean, and a determinant that is not +-1
         for plant in ("not-regular", "lifted-not-unit"):
             assert roots_dets(walker, *self.planted(walker, plant), ("w",))
@@ -1083,6 +1090,14 @@ class TestWalkerMemos:
             x = ChebElem(walker.n, det)
             assert image == sigma(x).coeffs
             assert is_unit == (x == unit or x == -unit)
+        tables = (
+            walker.root_verdicts, walker.d_F_columns, walker.projected_C,
+            walker.block_verdicts, columns, dets,
+        )
+        assert all(tables)
+        for table in tables:
+            for key, value in list(table.items()):
+                assert table.compute(key) == value
 
     def test_memos_cut_root_lookups_and_d_F_calls(self, monkeypatch):
         """Each distinct c-vector is looked up once and each lifted column projected once."""
@@ -1148,7 +1163,7 @@ def assert_check_products_match_oracles(walker, folded, lifted):
     spec, m, n, mp = walker.spec, walker.m, walker.n, range(walker.mprime)
     C_f, C_l = folded[walker.mprime:], lifted[walker.nverts:]
     reps = spec.weight_one_reps
-    X = tropical.matrix_d_F(spec, invert_integer(transpose(C_l), reps), {}, range(len(reps)))
+    X = walker._d_F(transpose(invert_integer(transpose(C_l), reps)))
     values = RingValues(m)
     assert mat_mul(transpose(C_f), X, m) == coeff_rows(plain_mat_mul(values.rows(transpose(C_f)), values.rows(X)))
     assert det_laplace(C_f, m) == det_entries(values.rows(C_f)).coeffs
@@ -1228,12 +1243,21 @@ def d_F_inputs(draw):
     return spec, draw(st.lists(row, min_size=spec.S.n, max_size=spec.S.n).map(tuple))
 
 
+D_F_WALKERS = {}  # kind -> a walker of its standard folding, kept across examples
+
+
 @given(d_F_inputs())
 @settings(max_examples=100, deadline=None)
 def test_coefficient_d_F_matches_algreal(inputs):
     spec, rows = inputs
-    got = tropical.matrix_d_F(spec, rows, {}, spec.weight_one_reps)
-    assert got == coeff_rows(matrix_d_F_per_term(spec, rows))
+    want = coeff_rows(matrix_d_F_per_term(spec, rows))
+    cols = transpose(rows)
+    assert transpose([spec.coeff_d_F(cols[r]) for r in spec.weight_one_reps]) == want
+    if spec.n is not None:
+        # a walker's projected_C table, keyed by rows as a lifted C part
+        if spec.kind not in D_F_WALKERS:
+            D_F_WALKERS[spec.kind] = TropicalWalker(spec)
+        assert D_F_WALKERS[spec.kind].projected_C[rows] == want
     for row in rows:
         assert spec.coeff_d_F(row) == tuple(x.coeffs for x in d_F_per_term(spec, row))
 
