@@ -369,14 +369,14 @@ def G_projection_verdicts(cc: ClusterCategory, summands) -> tuple:
     the member of the summand over F(v) whose Chebyshev index is v's
     position in its block; column j of its folded G is summand j's folded
     g-vector (``ClusterCategory.folded_G_matrix``).  Of the integer G,
-    d_F reads only the g-vector of summand j's index-0 member
-    (``FoldingSpec.coeff_d_F``).
+    d_F reads only the g-vector of summand j's index-0 member: summand j.
     Neither column depends on j, so an object's G projects exactly when each
-    summand's columns do, and each summand is decided once.  Only the
-    index-0 member's g-vector is computed, read off the Euler form
-    (``ClusterCategory.g_vector``).
+    summand's columns do, and each summand is decided once.  A verdict thus
+    compares two evaluations of one integer g-vector g (``g_vector``): the
+    weights' d_F(g) (``FoldingSpec.coeff_d_F``) and sigma of g's grouped
+    Chebyshev presentation (``g_vector_folded``); it holds exactly when they agree.
     """
-    projected = [cc.spec.coeff_d_F(cc.g_vector(cc.iso_sets[g][0])) for g in summands]
+    projected = [cc.spec.coeff_d_F(cc.g_vector(g)) for g in summands]
     folded = coeff_rows(cc.folded_G_matrix(summands))
     return tuple(p == f for p, f in zip(projected, zip(*folded)))
 

@@ -290,7 +290,7 @@ class ClusterCategory:
         """The exchange graph of tilting objects; verifies the folded matrix is path-free.
 
         Returns (nodes, edges) where nodes maps the frozen summand set to its
-        folded exchange matrix keyed by a sorted summand order.
+        folded matrix as ``coeff_rows`` in a sorted summand order.
 
         It is the breadth-first closure (``_Explorer.closure``) over states:
         sorted summands with the folded matrix as ``coeff_rows`` aligned to
@@ -301,7 +301,7 @@ class ClusterCategory:
         and mu_k mu_k = id, so step j undoes step k exactly: j is the way
         back, and each edge costs one ``complements`` call and one mutation.
         A tilting object met again with other rows is compared as values, so
-        an int 0 on one path and an ``AlgReal`` 0 on another agree.
+        an int 0 on one path and a ring 0, (), on another agree.
         """
         m = self.spec.m
         values = RingValues(m)
@@ -338,7 +338,7 @@ class ClusterCategory:
             seen = nodes.setdefault(frozenset(summands), rows)
             if seen != rows and values.rows(seen) != values.rows(rows):
                 raise AssertionError("folded matrix depends on the mutation path")
-        return {key: values.rows(rows) for key, rows in nodes.items()}, edges
+        return nodes, edges
 
     # -- g-vectors -------------------------------------------------------------------
     def g_vector(self, x: int) -> tuple:

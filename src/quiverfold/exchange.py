@@ -69,9 +69,6 @@ class ExchangeMatrix(_Frozen):
                     return False
         return True
 
-    def transpose(self) -> "ExchangeMatrix":
-        return ExchangeMatrix(tuple(zip(*self.entries)))
-
     def __neg__(self) -> "ExchangeMatrix":
         return ExchangeMatrix(tuple(tuple(-x for x in row) for row in self.entries))
 

@@ -374,7 +374,10 @@ class FoldedCategory:
 
     # -- theorem-level verification ----------------------------------------
     def verify_folding_theorem(self) -> dict:
-        """Projected dimension vectors: root rows, weight swaps, factorization.
+        """Projected dimension vectors: root rows and weight swaps.
+
+        The unique factorization of every projected vector as a Chebyshev
+        multiple of a root is checked at construction (``factor``).
 
         The weight-swap identity U_b x_a = U_a x_b is compared for the pairs
         (block[0], b) of each block only.  The rest follow: block[0] has the
@@ -424,12 +427,6 @@ class FoldedCategory:
                     if any(wb * x != wa * y for x, y in zip(va, vb)):
                         report["passed"] = False
                         report["problems"].append(("weight-swap", a, b, power))
-
-        # (c) unique factorization held at construction; count per index
-        counts = [0] * self.n
-        for j, _ in self.factor:
-            counts[j] += 1
-        report["factor_counts"] = tuple(counts)
         return report
 
     # -- exports -------------------------------------------------------------

@@ -26,13 +26,43 @@ from functools import partial
 from itertools import chain
 from operator import index, itemgetter
 
-from .chebring import (
-    AlgReal, ChebElem, _context, _Frozen, _poly_trim, _reduce_mod, json_value, rho,
-)
+from .chebring import AlgReal, ChebElem, _context, _Frozen, json_value, rho
 from .exchange import (
     ExchangeMatrix, RingValues, _as_coeffs, _sign, coeff_rows, entry_field, explore_words,
     mutate_coeffs,
 )
+
+
+def _block_sums(blocks, weights, vector) -> tuple:
+    """d_F of an integer vector: sum_{i in E_j} vector[i] * weights[i] for each block E_j.
+
+    Each weight is an int or a reduced coefficient tuple (``coeff_rows``),
+    an int counting as a constant tuple.  A block sum adds integer
+    multiples of reduced tuples, so it is reduced already and only
+    trimmed; an empty sum is ().  This is the one weighted block sum:
+    ``FoldingSpec.coeff_d_F`` and ``d_F`` apply it to dimension, c- and
+    g-vectors, and ``conditions_hold`` to the columns of S.
+    """
+    out = []
+    for block in blocks:
+        acc = []
+        for i in block:
+            x = vector[i]
+            if x:
+                w = weights[i]
+                if type(w) is int:
+                    w = (w,)
+                if not acc:
+                    acc = [x * c for c in w]
+                    continue
+                if len(acc) < len(w):
+                    acc.extend([0] * (len(w) - len(acc)))
+                for k, c in enumerate(w):
+                    acc[k] += x * c
+        while acc and not acc[-1]:
+            acc.pop()
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 class FoldingSpec(_Frozen):
@@ -80,34 +110,28 @@ class FoldingSpec(_Frozen):
         return tuple(block[0] for block in self.blocks)
 
     def d_F(self, vector):
-        """Weighted block sums of an integer vector over the unfolded vertices."""
+        """d_F of an integer vector as values: ``coeff_d_F``'s ``_block_sums``, decoded.
+
+        An ``AlgReal`` for a block with an ``AlgReal`` weight, an int otherwise.
+        """
         if len(vector) != self.S.n:
             raise ValueError("vector length must match the unfolded vertex count")
-        if not isinstance(self.weights[0], AlgReal) or not all(isinstance(x, int) for x in vector):
-            return tuple(sum(self.weights[i] * vector[i] for i in block) for block in self.blocks)
-        m = self.weights[0].m
-        return tuple(AlgReal(m, coeffs) for coeffs in self.coeff_d_F(vector))
+        m = entry_field((self.weights,))
+        (w_row,) = coeff_rows((self.weights,))
+        return tuple(
+            _decode(m, coeffs, any(type(w_row[i]) is tuple for i in block))
+            for block, coeffs in zip(self.blocks, _block_sums(self.blocks, w_row, vector))
+        )
 
     def coeff_d_F(self, vector):
-        """``d_F`` of an integer vector as reduced coefficient tuples, one per block.
+        """d_F of an integer vector as reduced coefficient tuples, one per block.
 
-        The weights must be ``AlgReal`` values.  Each block sum adds integer
-        multiples of the weights' reduced coefficient tuples, so it is
-        reduced already and only trimmed: the tuple that ``coeff_rows``
-        makes of the ``AlgReal`` sum.
+        The weights are encoded with ``coeff_rows`` and summed by
+        ``_block_sums``, the kernel whose d_F(S e_l) are the column sums of
+        ``conditions_hold``.
         """
-        out = []
-        for block in self.blocks:
-            acc = []
-            for i in block:
-                x = vector[i]
-                if x:
-                    coeffs = self.weights[i].coeffs
-                    acc.extend([0] * (len(coeffs) - len(acc)))
-                    for k, c in enumerate(coeffs):
-                        acc[k] += x * c
-            out.append(_poly_trim(acc))
-        return tuple(out)
+        (w_row,) = coeff_rows((self.weights,))
+        return _block_sums(self.blocks, w_row, vector)
 
     def to_json(self):
         return {
@@ -204,13 +228,14 @@ def conditions_hold(S_rows, B: ExchangeMatrix, blocks, weights, memo=None) -> li
     the sign records of a column sum before its own record.
 
     The arithmetic runs on reduced coefficient tuples: B and the weights
-    are encoded once with ``coeff_rows``, a column sum adds integer
-    multiples of weight tuples (reduced already), and b_ij * w_l is one
-    polynomial product, reduced only when its degree overflows.  Int entries
-    and weights count as constant tuples, so values are compared, not
-    representations.  A failure record decodes its values: an ``AlgReal``
-    when an operand was one, an int otherwise, and ``0 * b_ij`` for an
-    empty sum.  Weights and B over two different fields are a ValueError.
+    are encoded once with ``coeff_rows``, the column sums of column l are
+    d_F(S e_l) by the kernel that ``FoldingSpec.coeff_d_F`` shares
+    (``_block_sums``), and b_ij * w_l is one lookup in the field's
+    ``updates`` memo (a product of ints over Z).  Int entries and weights
+    count as constant tuples, so values are compared, not representations.
+    A failure record decodes its values: an ``AlgReal`` when an operand was
+    one, an int otherwise, and ``0 * b_ij`` for an empty sum.  Weights and
+    B over two different fields are a ValueError.
     """
     m = entry_field((*B.entries, weights))
     if memo is None:
@@ -239,67 +264,36 @@ def conditions_hold(S_rows, B: ExchangeMatrix, blocks, weights, memo=None) -> li
 def _column_records(l, bj, s_col, b_col, blocks, w_row, m) -> tuple:
     """The (i, record) pairs of column l, which lies in block j, for i = 0, 1, ... in turn."""
     ctx = None if m is None else _context(m)
-    width = 1 if ctx is None else ctx.deg
     w_l = w_row[l]
     out = []
-    for bi, block_i in enumerate(blocks):
-        b = b_col[bi]
-        b_nonneg = not b or _sign(ctx, b) > 0
-        acc = None  # the column sum, made at its first nonzero term
-        for k in block_i:
-            s_kl = s_col[k]
-            if s_kl:
-                if s_kl < 0 and b_nonneg:
-                    out.append(
-                        (bi, {"block": (bi, bj), "kind": "sign", "entry": (k, l), "actual": s_kl})
-                    )
-                if acc is None:
-                    acc = [0] * width
-                w = w_row[k]
-                if type(w) is int:
-                    acc[0] += s_kl * w
-                else:
-                    for i, c in enumerate(w):
-                        acc[i] += s_kl * c
-        if not b:
-            if acc is None or not any(acc):
-                continue
-            rhs = [0] * width
-        else:
-            b_coeffs, w = _as_coeffs(b), _as_coeffs(w_l)
-            rhs = [0] * (2 * width - 1)
-            for i, x in enumerate(b_coeffs):
-                for j, y in enumerate(w):
-                    rhs[i + j] += x * y
-            if len(b_coeffs) + len(w) - 1 > width:
-                rhs = list(_reduce_mod(ctx, rhs))
-            else:
-                del rhs[width:]
-            if acc is None:
-                acc = [0] * width
-        if acc != rhs:
+    for bi, (block_i, b, got) in enumerate(zip(blocks, b_col, _block_sums(blocks, w_row, s_col))):
+        if not b or _sign(ctx, b) > 0:
+            for k in block_i:
+                if s_col[k] < 0:
+                    sign = {"block": (bi, bj), "kind": "sign", "entry": (k, l), "actual": s_col[k]}
+                    out.append((bi, sign))
+        want = _as_coeffs(b * w_l if ctx is None else ctx.updates[0, b, w_l]) if b else ()
+        if got != want:
             terms = [k for k in block_i if s_col[k]]
-            lhs_alg = any(type(w_row[k]) is tuple for k in terms) or (
-                not terms and type(b) is tuple
-            )
+            lhs_alg = any(type(w_row[k]) is tuple for k in terms) if terms else type(b) is tuple
             rhs_alg = type(b) is tuple or type(w_l) is tuple
             out.append(
                 (bi, {
                     "block": (bi, bj),
                     "kind": "column-sum",
                     "column": l,
-                    "actual": _decode(m, acc, lhs_alg),
-                    "expected": _decode(m, rhs, rhs_alg),
+                    "actual": _decode(m, got, lhs_alg),
+                    "expected": _decode(m, want, rhs_alg),
                 })
             )
     return tuple(out)
 
 
 def _decode(m, coeffs, algebraic):
-    """The value of a coefficient list: an ``AlgReal`` if ``algebraic``, else an int."""
+    """The value of a reduced coefficient tuple: an ``AlgReal`` if ``algebraic``, else an int."""
     if algebraic:
         return AlgReal(m, coeffs)
-    return coeffs[0]
+    return coeffs[0] if coeffs else 0
 
 
 class UnfoldingReport:

@@ -126,7 +126,7 @@ def test_criterion_03_folding_theorem(cats):
         report = cat.verify_folding_theorem()
         assert report["passed"], (kind, report["problems"])
         assert report["weight_one_row_roots"] == expected_roots[kind]
-        assert sum(report["factor_counts"]) == len(cat.ar.modules)
+        assert len(cat.factor) == len(cat.ar.modules)
     _report(3, "projected-dimension-theorem", f"{time.time() - start:.1f}s")
 
 

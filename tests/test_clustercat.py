@@ -9,7 +9,7 @@ from quiverfold import clustercat
 from quiverfold.chebring import AlgReal
 from quiverfold.cli import G_projection_verdicts
 from quiverfold.clustercat import ClusterCategory, coxeter_catalan
-from quiverfold.exchange import ExchangeMatrix, coeff_rows
+from quiverfold.exchange import ExchangeMatrix, RingValues, coeff_rows
 from quiverfold.repcat import folded_type_name, hom_ext_tables
 from quiverfold.tropical import transpose
 from quiverfold.unfolding import standard_folding
@@ -78,11 +78,15 @@ class TestStructure:
         assert len(objects(i5)) == 14
         assert len(i5.generators) == 7
 
-    def test_iso_sets_partition(self, i7):
+    def test_iso_sets_partition(self, i7, h3):
         seen = []
         for g in i7.generators:
             seen.extend(i7.iso_sets[g])
         assert sorted(seen) == list(range(27))
+        # every generator, the shifted ones too, is the first member of its iso set
+        for cc in (i7, h3, ClusterCategory(standard_folding("H4")),
+                   ClusterCategory(standard_folding("I2", 8))):
+            assert all(members[0] == g for g, members in cc.iso_sets.items())
 
     def test_tau_is_bijection(self, i5):
         # the oracle's translate, which its Ext table reads
@@ -250,7 +254,7 @@ class TestMutation:
         assert len(edges) == 32 * 3 // 2
 
     def test_exchange_graph_i7_matrices(self, i7):
-        nodes, edges = i7.exchange_graph()
+        nodes, edges = decoded_exchange_graph(i7)
         assert len(nodes) == 9
         assert len(edges) == 9
         gen = AlgReal.generator(7)
@@ -478,6 +482,13 @@ def oracle_exchange_graph(cc):
     return nodes, edges
 
 
+def decoded_exchange_graph(cc):
+    """``ClusterCategory.exchange_graph`` with each node's coefficient rows decoded to values."""
+    nodes, edges = cc.exchange_graph()
+    values = RingValues(cc.spec.m)
+    return {key: values.rows(rows) for key, rows in nodes.items()}, edges
+
+
 def entry_types(nodes):
     return {
         key: tuple(tuple(type(x) for x in row) for row in rows) for key, rows in nodes.items()
@@ -582,7 +593,7 @@ def test_hammock_recursion_once_per_projective(kind):
 
 
 def test_exchange_graph_matches_two_sided_oracle(cat):
-    nodes, edges = cat.exchange_graph()
+    nodes, edges = decoded_exchange_graph(cat)
     want_nodes, want_edges = oracle_exchange_graph(cat)
     assert edges == want_edges
     assert nodes == want_nodes
@@ -660,10 +671,10 @@ def test_planted_corruption_is_path_dependence(monkeypatch, kind):
 def test_int_zero_and_ring_zero_agree(monkeypatch, kind):
     # the diagonal is AlgReal(m, ()) on every path; one edge makes it an int 0
     cc = ClusterCategory(standard_folding(*kind))
-    want, want_edges = cc.exchange_graph()
+    want, want_edges = decoded_exchange_graph(cc)
     assert all(type(rows[0][0]) is AlgReal and rows[0][0] == 0 for rows in want.values())
     for rest in _rests(cc):
-        for bfs in (oracle_exchange_graph, ClusterCategory.exchange_graph):
+        for bfs in (oracle_exchange_graph, decoded_exchange_graph):
             with monkeypatch.context() as patch:
                 planted = PlantedMutation(patch, rest, lambda v: 0, (0, 0))
                 nodes, edges = bfs(cc)
@@ -690,6 +701,23 @@ def test_exchange_graph_decides_each_edge_once(monkeypatch):
     _, edges = cc.exchange_graph()
     assert len(edges) == 560
     assert calls == {"complements": 560, "mutate_coeffs": 560}
+
+
+def test_exchange_graph_decodes_no_matrix(monkeypatch):
+    # ``tilting graph`` reads keys and edges only; the nodes keep the rows
+    # the closure computed on
+    cc = ClusterCategory(standard_folding("H4"))
+    calls = Counter()
+    real_rows = RingValues.rows
+
+    def counted(self, matrix):
+        calls["rows"] += 1
+        return real_rows(self, matrix)
+
+    monkeypatch.setattr(RingValues, "rows", counted)
+    nodes, _ = cc.exchange_graph()
+    assert calls["rows"] == 0
+    assert all(type(x) is tuple for rows in nodes.values() for row in rows for x in row)
 
 
 def test_summand_must_be_a_complement_of_its_rest(monkeypatch):
