@@ -193,22 +193,24 @@ class _RootContext:
     An interval [L/D, H/D] is kept as the integer triple (L, H, D), with D
     a power of two, and every polynomial bound is an interval-Horner
     enclosure over one of the ``bisection`` intervals.  The memos are
-    exact, so they outlive every ``refine`` and live as long as the
+    ``Memo`` tables, each entry computed from its key on first read.  They
+    are exact, so they outlive every ``refine`` and live as long as the
     context: for the whole process.
 
     - ``signs`` maps each reduced coefficient tuple whose sign was decided
-      to that sign (``_coeff_sign``).
+      to that sign (``_coeff_sign``, by ``_enclosure_sign``).
     - ``_mul_rows`` maps a tuple to the rows of its multiplication matrix
       (``mul_matrix``).
     - ``updates`` maps a triple (acc, x, y) of operands to acc + x * y
-      (``_Updates``), and ``negations`` an operand x to -x
-      (``_Negations``): mutation's (b_ij, b_ik, |b_kj|) and the terms of
+      (``_multiply_add``), and ``negations`` an operand x to -x
+      (``_negate``): mutation's (b_ij, b_ik, |b_kj|) and the terms of
       ``tropical.mat_mul`` and ``tropical.det_laplace``.  An operand is an
       int or a coefficient tuple, as ``exchange.mutate_coeffs`` carries it,
       and so is the value.  Keys are representations, not values: ``1`` and
       ``(1,)`` are different keys, as their results differ in type.
     - ``pivots`` maps (pivot row, k) to its split into positive and
-      negative columns (``exchange._pivot_columns``).
+      negative columns (``_pivot_split``), for ``exchange.mutate_coeffs``
+      and ``tropical._mutate_g``.
 
     In finite type the mutation class is finite, so every memo is bounded;
     otherwise each grows with the distinct operands met, as ``signs`` does.
@@ -223,11 +225,11 @@ class _RootContext:
         self.minpoly = minimal_poly(m)
         self.deg = len(self.minpoly) - 1
         self._bisections = [self._initial_interval()]
-        self.signs = {}
-        self._mul_rows = {}
-        self.updates = _Updates(self.times)
-        self.pivots = {}
-        self.negations = _Negations()
+        self.signs = Memo(partial(_enclosure_sign, self))
+        self._mul_rows = Memo(self._multiplication_rows)
+        self.updates = Memo(partial(_multiply_add, self.times))
+        self.pivots = Memo(partial(_pivot_split, self))
+        self.negations = Memo(_negate)
 
     def _initial_interval(self) -> tuple[int, int, int]:
         c = 2.0 * math.cos(math.pi / self.m)
@@ -318,31 +320,57 @@ class _RootContext:
 
         Row s, column t holds coefficient s of x^t * a mod the minimal
         polynomial, so coefficient s of a * b is the integer dot product of
-        row s with b's coefficients, reduced as it stands.  Column t+1 is
-        column t shifted up one degree, with its top coefficient folded
-        back by the monic minimal polynomial.  Memoized per tuple in
-        ``_mul_rows``.
+        row s with b's coefficients, reduced as it stands.  Memoized per
+        tuple in ``_mul_rows``.
         """
-        rows = self._mul_rows.get(coeffs)
-        if rows is None:
-            col = list(coeffs) + [0] * (self.deg - len(coeffs))
-            cols = [col]
-            for _ in range(self.deg - 1):
-                top = col[-1]
-                col = [0] + col[:-1]
-                if top:
-                    col = [c - top * p for c, p in zip(col, self.minpoly)]
-                cols.append(col)
-            rows = self._mul_rows[coeffs] = tuple(zip(*cols))
-        return rows
+        return self._mul_rows[coeffs]
+
+    def _multiplication_rows(self, coeffs):
+        """``mul_matrix`` unmemoized: column t+1 is column t shifted up one
+        degree, its top coefficient folded back by the monic minimal polynomial."""
+        col = list(coeffs) + [0] * (self.deg - len(coeffs))
+        cols = [col]
+        for _ in range(self.deg - 1):
+            top = col[-1]
+            col = [0] + col[:-1]
+            if top:
+                col = [c - top * p for c, p in zip(col, self.minpoly)]
+            cols.append(col)
+        return tuple(zip(*cols))
 
     def times(self, a, b) -> list[int]:
         """The coefficients of a * b, reduced: integer dot products of b's ``mul_matrix`` rows with a."""
         return [sum(map(_mul, r, a)) for r in self.mul_matrix(b)]
 
 
-class _Updates(dict):
-    """acc + x * y for a key (acc, x, y) of ints and coefficient tuples, made on first use.
+class Memo(dict):
+    """A table whose missing entry is ``compute(key)``, stored on first read.
+
+    A hit is a plain dict subscript; a miss calls ``compute`` once for its
+    key.  Every exact result the verifier keeps by key is read from one:
+    the per-m memos of ``_RootContext``, ``exchange.RingValues``, the
+    tropical walker's verdicts and the category's g-vectors.  ``rows``
+    reads every entry of a matrix.  Pickle and copy keep the entries and
+    ``compute``, so a Memo that a pickled value carries needs a picklable
+    ``compute``: a ``partial`` of a module-level function, not a lambda.
+    """
+
+    def __init__(self, compute):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+    def rows(self, rows) -> tuple:
+        """``rows`` with each entry x replaced by ``self[x]``."""
+        value = self.__getitem__
+        return tuple(tuple(map(value, row)) for row in rows)
+
+
+def _multiply_add(times, key):
+    """acc + x * y for a key (acc, x, y) of ints and coefficient tuples.
 
     ``times(a, b)`` is the ring product of two coefficient tuples as a
     list (``_RootContext.times``, or ``_cheb_mul_coeffs`` in
@@ -350,32 +378,20 @@ class _Updates(dict):
     in ``AlgReal`` arithmetic; otherwise a tuple with its trailing zeros
     trimmed.
     """
-
-    def __init__(self, times):
-        super().__init__()
-        self.times = times
-
-    def __missing__(self, key):
-        acc, x, y = key
-        if type(acc) is int and type(x) is int and type(y) is int:
-            value = acc + x * y
-        else:
-            out = list(self.times((x,) if type(x) is int else x, (y,) if type(y) is int else y))
-            for t, c in enumerate((acc,) if type(acc) is int else acc):
-                out[t] += c
-            while out and not out[-1]:
-                out.pop()
-            value = tuple(out)
-        self[key] = value
-        return value
+    acc, x, y = key
+    if type(acc) is int and type(x) is int and type(y) is int:
+        return acc + x * y
+    out = list(times((x,) if type(x) is int else x, (y,) if type(y) is int else y))
+    for t, c in enumerate((acc,) if type(acc) is int else acc):
+        out[t] += c
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
-class _Negations(dict):
-    """-x for an int or coefficient tuple x, in the same form, made on first use."""
-
-    def __missing__(self, x):
-        value = self[x] = -x if type(x) is int else tuple([-c for c in x])
-        return value
+def _negate(x):
+    """-x for an int or coefficient tuple x, in the same form."""
+    return -x if type(x) is int else tuple([-c for c in x])
 
 
 def _coeff_sign(ctx: _RootContext, coeffs) -> int:
@@ -387,10 +403,28 @@ def _coeff_sign(ctx: _RootContext, coeffs) -> int:
     ``AlgReal.sign``, ``exchange.mutate_coeffs``, the unfolding conditions
     and the tropical roots check all share the memo.
     """
-    sign = ctx.signs.get(coeffs)
-    if sign is None:
-        sign = ctx.signs[coeffs] = _enclosure_sign(ctx, coeffs)
-    return sign
+    return ctx.signs[coeffs]
+
+
+def _sign(ctx, x) -> int:
+    """The sign of an int, or of a coefficient tuple over ``ctx`` (``_coeff_sign``)."""
+    return (x > 0) - (x < 0) if type(x) is int else _coeff_sign(ctx, x)
+
+
+def _pivot_split(ctx, key):
+    """For a key (pivot_row, k): the columns j != k with b_kj > 0 and with b_kj < 0, each as (j, |b_kj|).
+
+    |b_kj| keeps the representation of b_kj, an int or a coefficient tuple.
+    The context's ``pivots`` memo keeps each split; with ``ctx`` None every
+    entry must be an int.
+    """
+    pivot_row, k = key
+    pos, neg = [], []
+    for j, b in enumerate(pivot_row):
+        s = _sign(ctx, b)
+        if s and j != k:
+            (pos if s > 0 else neg).append((j, b if s > 0 else _negate(b)))
+    return tuple(pos), tuple(neg)
 
 
 def _enclosure_sign(ctx: _RootContext, coeffs) -> int:
@@ -490,31 +524,45 @@ class AlgReal(_Frozen):
         return cur
 
     # -- ring operations ----------------------------------------------
-    def _check(self, other):
+    def _operand(self, other):
+        """``other`` as an ``AlgReal`` of this field, an int as a constant; None for another type.
+
+        The operators return NotImplemented for None, so an operand the ring
+        does not take is a ``TypeError``.  Two different fields are a
+        ``ValueError``.
+        """
+        if isinstance(other, int):
+            return AlgReal(self.m, (other,))
+        if not isinstance(other, AlgReal):
+            return None
         if self.m != other.m:
             raise ValueError(f"mixed fields Z[2cos(pi/{self.m})] and Z[2cos(pi/{other.m})]")
+        return other
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = AlgReal(self.m, (other,))
-        self._check(other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         return AlgReal(self.m, _poly_add(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = AlgReal(self.m, (other,))
-        self._check(other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         return AlgReal(self.m, _poly_sub(self.coeffs, other.coeffs))
 
     def __rsub__(self, other):
-        return AlgReal(self.m, (other,)) - self
+        other = self._operand(other)
+        return NotImplemented if other is None else other - self
 
     def __mul__(self, other):
         if isinstance(other, int):
             return AlgReal(self.m, tuple(other * c for c in self.coeffs))
-        self._check(other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         return AlgReal(self.m, _poly_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
@@ -543,21 +591,24 @@ class AlgReal(_Frozen):
         """Exact sign of the real value at 2cos(pi/m) (see ``_coeff_sign``)."""
         return _coeff_sign(_context(self.m), self.coeffs)
 
+    def _compare(self, other, signs):
+        """Whether the sign of self - other is one of ``signs``; NotImplemented for another type."""
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return (self - other).sign() in signs
+
     def __lt__(self, other):
-        if isinstance(other, int):
-            other = AlgReal(self.m, (other,))
-        return (self - other).sign() < 0
+        return self._compare(other, (-1,))
 
     def __le__(self, other):
-        if isinstance(other, int):
-            other = AlgReal(self.m, (other,))
-        return (self - other).sign() <= 0
+        return self._compare(other, (-1, 0))
 
     def __gt__(self, other):
-        return not self <= other
+        return self._compare(other, (1,))
 
     def __ge__(self, other):
-        return not self < other
+        return self._compare(other, (0, 1))
 
     def interval(self, width=None):
         """Rational enclosure [lo, hi] of the real value, of width <= width (default 10^-12).
@@ -623,12 +674,12 @@ def _reduce_theta_index(i: int, n: int) -> int | None:
 
 
 @lru_cache(maxsize=None)
-def _cheb_memos(n: int) -> tuple[_Updates, _Negations]:
+def _cheb_memos(n: int) -> tuple[Memo, Memo]:
     """A field's ``updates`` and ``negations`` memos over the rank-n Chebyshev ring, for the whole process.
 
     Products are ``_cheb_mul_coeffs``; ``tropical.det_cheb`` reads them.
     """
-    return _Updates(partial(_cheb_mul_coeffs, n)), _Negations()
+    return Memo(partial(_multiply_add, partial(_cheb_mul_coeffs, n))), Memo(_negate)
 
 
 @lru_cache(maxsize=None)
@@ -675,16 +726,23 @@ class ChebElem(_Frozen):
         return ChebElem.theta(n, 0)
 
     # -- ring operations ----------------------------------------------
-    def _check(self, other: "ChebElem"):
+    def _takes(self, other) -> bool:
+        """Whether ``other`` is a ``ChebElem``, which must be of this rank; the
+        operators return NotImplemented for any other type."""
+        if not isinstance(other, ChebElem):
+            return False
         if self.n != other.n:
             raise ValueError(f"rank mismatch: {self.n} vs {other.n}")
+        return True
 
     def __add__(self, other: "ChebElem") -> "ChebElem":
-        self._check(other)
+        if not self._takes(other):
+            return NotImplemented
         return ChebElem(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "ChebElem") -> "ChebElem":
-        self._check(other)
+        if not self._takes(other):
+            return NotImplemented
         return ChebElem(self.n, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "ChebElem":
@@ -693,6 +751,8 @@ class ChebElem(_Frozen):
     def __mul__(self, other):
         if isinstance(other, int):
             return ChebElem(self.n, tuple(other * a for a in self.coeffs))
+        if not isinstance(other, ChebElem):
+            return NotImplemented
         return cheb_mul(self, other)
 
     __rmul__ = __mul__

@@ -16,7 +16,7 @@ import json
 import sys
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
-from .chebring import AlgReal, ChebElem, cheb_mul, minimal_poly, reg_rep, sigma
+from .chebring import AlgReal, ChebElem, Memo, cheb_mul, minimal_poly, reg_rep, sigma
 from .clustercat import ClusterCategory, coxeter_catalan
 from .exchange import ExchangeMatrix, coeff_rows
 from .repcat import FoldedCategory, folded_type_name, hom_ext_tables
@@ -60,22 +60,18 @@ def _json(data) -> str:
     written as a dict.
     """
     memo = {}
-    encoders = {}
 
-    def scalars(x, inner):
-        encode = encoders.get(inner)
-        if encode is None:
-            if c_make_encoder is None:
-                encode = json.JSONEncoder(
-                    separators=(",\n" + inner, ": "), sort_keys=True, check_circular=False
-                ).encode
-            else:
-                chunks = c_make_encoder(
-                    None, None, encode_basestring_ascii, None, ": ", ",\n" + inner, True, False, True
-                )
-                encode = lambda y: "".join(chunks(y, 0))
-            encoders[inner] = encode
-        return encode(x)
+    def encoder(inner):
+        if c_make_encoder is None:
+            return json.JSONEncoder(
+                separators=(",\n" + inner, ": "), sort_keys=True, check_circular=False
+            ).encode
+        chunks = c_make_encoder(
+            None, None, encode_basestring_ascii, None, ": ", ",\n" + inner, True, False, True
+        )
+        return lambda y: "".join(chunks(y, 0))
+
+    encoders = Memo(encoder)  # one per indent
 
     def write(x, ind):
         t = type(x)
@@ -92,7 +88,7 @@ def _json(data) -> str:
                 return "[]"
             inner = ind + "  "
             if _SCALARS.issuperset(map(type, x)):
-                text = scalars(x, inner)
+                text = encoders[inner](x)
                 return f"[\n{inner}{text[1:-1]}\n{ind}]"
             body = [write(v, inner) for v in x]
             return f"[\n{inner}" + f",\n{inner}".join(body) + f"\n{ind}]"
@@ -101,7 +97,7 @@ def _json(data) -> str:
                 return "{}"
             inner = ind + "  "
             if _SCALARS.issuperset(map(type, x.values())):
-                text = scalars(x, inner)
+                text = encoders[inner](x)
                 return f"{{\n{inner}{text[1:-1]}\n{ind}}}"
             body = [f"{encode_basestring_ascii(k)}: {write(x[k], inner)}" for k in sorted(x)]
             return f"{{\n{inner}" + f",\n{inner}".join(body) + f"\n{ind}}}"
@@ -124,15 +120,7 @@ def _float_texts(precision: int):
 
     The memo is keyed by value: ``AlgReal(m, (1,)) == 1``, and both are 1.0.
     """
-    memo = {}
-
-    def text(c):
-        out = memo.get(c)
-        if out is None:
-            out = memo[c] = f"{float(c):.{precision}g}"
-        return out
-
-    return text
+    return Memo(lambda c: f"{float(c):.{precision}g}").__getitem__
 
 
 class UsageError(Exception):
@@ -469,13 +457,11 @@ def _tilting_count(ctx):
 
 
 def _two_complements(ctx):
-    cc, found = ctx.get("category"), {}  # almost complete object -> its complements
+    cc = ctx.get("category")
+    found = Memo(cc.complements)  # almost complete object -> its complements
     for t in ctx.get("tilts"):
         for k in range(len(t)):
-            rest = t[:k] + t[k + 1:]
-            comps = found.get(rest)
-            if comps is None:
-                comps = found[rest] = cc.complements(rest)
+            comps = found[t[:k] + t[k + 1:]]
             if len(comps) != 2 or t[k] not in comps:
                 return False, f"{_tilting_detail(cc, t, t[k])} complements={len(comps)}"
     return True, ""
@@ -572,10 +558,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, kinds=("H3", "H4", "I2", "I2m", "F4E6")):
-        p.add_argument("--kind", required=True, choices=kinds)
+    def add_common(p, kinds=("H3", "H4", "I2", "I2m", "F4E6"), *aliases):
+        p.add_argument("--kind", *aliases, required=True, choices=kinds)
         p.add_argument("--n", type=int, default=None)
         p.add_argument("--out", default=None)
+
+    def add_words(p, random=50, length=20):
+        p.add_argument("--depth", type=_count, default=5)
+        p.add_argument("--random", type=_count, default=random)
+        p.add_argument("--length", type=_count, default=length)
+        p.add_argument("--seed", type=int, default=0)
 
     ring = sub.add_parser("ring", help="Chebyshev ring arithmetic")
     ring.set_defaults(func=cmd_ring)
@@ -609,10 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = unf_sub.add_parser(name)
         add_common(p)
         if name == "verify":
-            p.add_argument("--depth", type=_count, default=5)
-            p.add_argument("--random", type=_count, default=50)
-            p.add_argument("--length", type=_count, default=20)
-            p.add_argument("--seed", type=int, default=0)
+            add_words(p)
 
     ar = sub.add_parser("ar", help="Auslander-Reiten quiver")
     ar.set_defaults(func=cmd_ar)
@@ -634,21 +623,11 @@ def build_parser() -> argparse.ArgumentParser:
     trop.set_defaults(func=cmd_tropical)
     trop_sub = trop.add_subparsers(dest="trop_op", required=True)
     trop_walk = trop_sub.add_parser("walk")
-
-    def add_common_tropical(p):
-        p.add_argument("--kind", "--type", dest="kind", required=True,
-                       choices=("H3", "H4", "I2"))
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--out", default=None)
-
-    add_common_tropical(trop_walk)
-    trop_walk.add_argument("--depth", type=_count, default=5)
-    trop_walk.add_argument("--random", type=_count, default=0)
-    trop_walk.add_argument("--length", type=_count, default=30)
-    trop_walk.add_argument("--seed", type=int, default=0)
+    add_common(trop_walk, ("H3", "H4", "I2"), "--type")
+    add_words(trop_walk, random=0, length=30)
     trop_walk.add_argument("--verify", type=_check_names, default=",".join(CHECKS))
     trop_enum = trop_sub.add_parser("enumerate")
-    add_common_tropical(trop_enum)
+    add_common(trop_enum, ("H3", "H4", "I2"), "--type")
     trop_enum.add_argument("--cap", type=_count, default=20000)
     trop_enum.add_argument("--format", choices=("json", "csv"), default="json")
     trop_enum.add_argument("--precision", type=_count, default=12)
@@ -667,10 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver_sub = ver.add_subparsers(dest="verify_op", required=True)
     ver_all = ver_sub.add_parser("all")
     add_common(ver_all)
-    ver_all.add_argument("--depth", type=_count, default=5)
-    ver_all.add_argument("--random", type=_count, default=50)
-    ver_all.add_argument("--length", type=_count, default=20)
-    ver_all.add_argument("--seed", type=int, default=0)
+    add_words(ver_all)
 
     return parser
 

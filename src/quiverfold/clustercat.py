@@ -13,11 +13,12 @@ explorer's closure (``exchange._Explorer``), and the two kinds of g-vectors.
 
 from __future__ import annotations
 
+from functools import partial
 from math import prod
 from operator import itemgetter
 from types import MappingProxyType
 
-from .chebring import ChebElem, sigma
+from .chebring import ChebElem, Memo, sigma
 from .exchange import RingValues, _Explorer, coeff_rows, mutate_coeffs
 from .repcat import FoldedCategory
 from .unfolding import FoldingSpec
@@ -42,6 +43,40 @@ def coxeter_catalan(name: str) -> int:
     return prod(h + e + 1 for e in exps) // prod(e + 1 for e in exps)
 
 
+def _presentation(ar, x: int) -> tuple:
+    """The g-vector of object x of the cluster category on the AR quiver ``ar``.
+
+    P_v[1], the object ``len(ar.modules) + v``, has g = -e_v.  A module M
+    with minimal projective presentation P1 -> P0 -> M -> 0 has g = [P0] -
+    [P1].  The path algebra is hereditary, so dim M = C g, where C[w][v]
+    counts the paths v -> w, and C^-1 = I - A, where A[w][v] counts the
+    arrows v -> w (the Euler form): g_w = dim_w minus the sum of dim_i over
+    the arrows i -> w.
+    """
+    v = x - len(ar.modules)
+    if v >= 0:
+        return tuple(-1 if w == v else 0 for w in range(ar.nvertices))
+    dim = ar.modules[x].dim
+    return tuple(d - sum(map(dim.__getitem__, into)) for d, into in zip(dim, ar.in_adj))
+
+
+def _folded_presentation(g_vectors, slices, blocks, x: int) -> tuple:
+    """The folded g-vector of object x.
+
+    Each block's entry is sigma of sum g[v] * theta_pos over the block's
+    vertices v, where g = ``g_vectors[x]`` is the integer g-vector and pos
+    is v's place in the block.  ``slices`` gives sigma once per distinct
+    coefficient slice per category: the slices repeat across blocks and
+    objects (H4's 256 block entries have 12 distinct ones).
+    """
+    g = g_vectors[x]
+    return tuple(slices[tuple(map(g.__getitem__, block))] for block in blocks)
+
+
+def _sigma_of(n, coeffs):
+    return sigma(ChebElem(n, coeffs))
+
+
 class ClusterCategory:
     """The cluster category of ``spec``, on ``mc``, its ``FoldedCategory``, built here when not given."""
 
@@ -53,18 +88,17 @@ class ClusterCategory:
         self._vanish = None
         self._adj = None
         self._mask: dict[int, int] = {}
-        self._g: dict[int, tuple] = {}
-        self._g_folded: dict[int, tuple] = {}
-        self._sigma: dict[tuple, object] = {}
+        # the computes hold the tables they read, not the category, so
+        # dropping a category frees it without the cyclic collector
+        self._g = Memo(partial(_presentation, self.mc.ar))
+        self._sigma = Memo(partial(_sigma_of, self.mc.n))
+        self._g_folded = Memo(partial(_folded_presentation, self._g, self._sigma, spec.blocks))
         self._labels = None
         self._build_generators()
 
     # -- object bookkeeping ------------------------------------------------
     def shift_ident(self, vertex: int) -> int:
         return self.nmod + vertex
-
-    def is_shift(self, x: int) -> bool:
-        return x >= self.nmod
 
     def describe(self, x: int) -> str:
         """``M`` and the dimension vector for a module, ``S.P(label)`` for P_v[1].
@@ -342,49 +376,12 @@ class ClusterCategory:
 
     # -- g-vectors -------------------------------------------------------------------
     def g_vector(self, x: int) -> tuple:
-        """Integer g-vector over the unfolded vertices (computed once per object).
-
-        P_v[1] has g = -e_v.  A module M with minimal projective
-        presentation P1 -> P0 -> M -> 0 has g = [P0] - [P1].  The path
-        algebra is hereditary, so dim M = C g, where C[w][v] counts the paths
-        v -> w, and C^-1 = I - A, where A[w][v] counts the arrows v -> w
-        (the Euler form): g_w = dim_w minus the sum of dim_i over the arrows
-        i -> w.
-        """
-        g = self._g.get(x)
-        if g is None:
-            if self.is_shift(x):
-                v = x - self.nmod
-                g = tuple(-1 if w == v else 0 for w in range(self.nverts))
-            else:
-                ar = self.mc.ar
-                dim = ar.modules[x].dim
-                g = tuple(d - sum(map(dim.__getitem__, into)) for d, into in zip(dim, ar.in_adj))
-            self._g[x] = g
-        return g
+        """Integer g-vector over the unfolded vertices (computed once per object, ``_presentation``)."""
+        return self._g[x]
 
     def g_vector_folded(self, x: int) -> tuple:
-        """Folded g-vector via the grouped Chebyshev presentation.
-
-        Each block's entry is sigma of sum g[v] * theta_pos over the block's
-        vertices v, where g is the integer g-vector and pos is v's place in
-        the block.  Computed once per object, and ``sigma`` once per
-        distinct coefficient slice per category: the slices repeat across
-        blocks and objects (H4's 256 block entries have 12 distinct ones).
-        """
-        out = self._g_folded.get(x)
-        if out is None:
-            g = self.g_vector(x)
-            images = self._sigma
-            entries = []
-            for block in self.spec.blocks:
-                coeffs = tuple(map(g.__getitem__, block))
-                value = images.get(coeffs)
-                if value is None:
-                    value = images[coeffs] = sigma(ChebElem(self.mc.n, coeffs))
-                entries.append(value)
-            out = self._g_folded[x] = tuple(entries)
-        return out
+        """Folded g-vector via the grouped Chebyshev presentation (``_folded_presentation``)."""
+        return self._g_folded[x]
 
     def folded_G_matrix(self, summands) -> tuple:
         """Folded G of a tilting object: column j is the folded g-vector of summand j."""

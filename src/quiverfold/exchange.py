@@ -6,18 +6,20 @@ one mutation kernel.  It steps rows whose ``AlgReal`` entries are carried
 as coefficient tuples (``coeff_rows``), and every caller computes on that
 form: ``ExchangeMatrix.mutate``, the seeds of ``tropical.enumerate_seeds``
 and the (folded, lifted) states of both word verifiers, which share one
-composite step (``unfolding.pair_step``).  ``RingValues`` decodes the
-tuples where a value is needed.  One explorer, ``_Explorer``, memoizes the
-transitions of a graph, and its one breadth-first traversal makes the word
-verifiers' tree (``explore_words``), the seed closure, the tilting exchange
-graph and the root system; a way-back hook lets it compute each edge once.
+composite step (``unfolding.pair_step``).  A ``RingValues`` memo decodes
+the tuples where a value is needed.  One explorer, ``_Explorer``, memoizes
+the transitions of a graph, and its one breadth-first traversal makes the
+word verifiers' tree (``explore_words``), the seed closure, the tilting
+exchange graph and the root system; a way-back hook lets it compute each
+edge once.
 """
 
 from __future__ import annotations
 
 import operator
+from functools import partial
 
-from .chebring import AlgReal, _coeff_sign, _context, _Frozen, json_value
+from .chebring import AlgReal, Memo, _context, _Frozen, _sign, json_value
 
 
 def _is_zero(x) -> bool:
@@ -133,32 +135,17 @@ def coeff_rows(rows):
     return tuple(tuple(x.coeffs if isinstance(x, AlgReal) else x for x in row) for row in rows)
 
 
-class RingValues(dict):
-    """Decodes ``coeff_rows`` output back to rows over Z[2cos(pi/m)].
+def RingValues(m) -> Memo:
+    """A ``Memo`` that decodes ``coeff_rows`` output over Z[2cos(pi/m)]; ``rows`` decodes a matrix.
 
-    Maps each coefficient tuple to its ``AlgReal``, made on first use, and
-    each int to itself, so every distinct entry is built once.
+    It maps each coefficient tuple to its ``AlgReal``, made on first use,
+    and each int to itself, so every distinct entry is built once.
     """
-
-    def __init__(self, m):
-        super().__init__()
-        self.m = m
-
-    def __missing__(self, x):
-        value = self[x] = x if type(x) is int else AlgReal(self.m, x)
-        return value
-
-    def rows(self, rows):
-        value = self.__getitem__
-        return tuple(tuple(map(value, row)) for row in rows)
+    return Memo(partial(_ring_value, m))
 
 
-def _sign(ctx, x) -> int:
-    return (x > 0) - (x < 0) if type(x) is int else _coeff_sign(ctx, x)
-
-
-def _neg(x):
-    return -x if type(x) is int else tuple([-c for c in x])
+def _ring_value(m, x):
+    return x if type(x) is int else AlgReal(m, x)
 
 
 def _as_coeffs(x):
@@ -186,8 +173,8 @@ def mutate_coeffs(rows, k: int, m=None):
     Over Z[2cos(pi/m)] the step works as ``_mutate_ints`` does, on b_ij +=
     b_ik * |b_kj| where sgn b_kj = sgn b_ik.  At the first row that needs
     them, the pivot row's columns j != k are split into positive and
-    negative ones (``_pivot_columns``), so a row takes one sign, and each of
-    its updates is one lookup of (b_ij, b_ik, |b_kj|) in the context's
+    negative ones (the context's ``pivots``), so a row takes one sign, and
+    each of its updates is one lookup of (b_ij, b_ik, |b_kj|) in its
     ``updates`` memo.  Negations are looked up in its ``negations``.  Signs,
     splits, updates and negations all come from the per-m memos of
     chebring's ``_RootContext``, so each distinct one is computed once per
@@ -213,37 +200,13 @@ def mutate_coeffs(rows, k: int, m=None):
             out.append(row)
             continue
         if columns is None:
-            columns = _pivot_columns(ctx, pivot_row, k)
+            columns = ctx.pivots[pivot_row, k]
         new_row = list(row)
         new_row[k] = negations[b_ik]
         for j, b in columns[_sign(ctx, b_ik) < 0]:
             new_row[j] = updates[row[j], b_ik, b]
         out.append(tuple(new_row))
     return tuple(out)
-
-
-def _pivot_columns(ctx, pivot_row, k: int):
-    """The columns j != k of the pivot row with b_kj > 0 and with b_kj < 0, each as (j, |b_kj|).
-
-    |b_kj| keeps the representation of b_kj, an int or a coefficient tuple.
-    With a context the split is memoized in its ``pivots`` under
-    (pivot_row, k), so ``mutate_coeffs`` and ``tropical._mutate_g`` split
-    each pivot row once per field.  With ``ctx`` None every entry must be
-    an int.
-    """
-    if ctx is not None:
-        split = ctx.pivots.get((pivot_row, k))
-        if split is not None:
-            return split
-    pos, neg = [], []
-    for j, b in enumerate(pivot_row):
-        s = _sign(ctx, b)
-        if s and j != k:
-            (pos if s > 0 else neg).append((j, b if s > 0 else _neg(b)))
-    split = (tuple(pos), tuple(neg))
-    if ctx is not None:
-        ctx.pivots[pivot_row, k] = split
-    return split
 
 
 def _mutate_ints(rows, k: int, pivot_row):

@@ -31,7 +31,7 @@ from functools import cached_property
 from itertools import chain
 from operator import add, neg
 
-from .chebring import AlgReal, ChebElem, _context, _Frozen, _poly_trim, cheb_mul
+from .chebring import AlgReal, ChebElem, Memo, _context, _Frozen, _poly_trim, cheb_mul
 from .exchange import RingValues
 from .rootsys import root_system
 from .unfolding import FoldingSpec
@@ -301,21 +301,22 @@ class FoldedCategory:
                     key = map(add, key, keys[y])
                 keys[x] = tuple(key)
         self.keys = tuple(keys)
-        chains = {}  # a root entry's coefficients -> its padded theta_0 .. theta_{n-1} multiples
+
+        def multiples(coeffs):
+            # a root entry's padded theta_0 .. theta_{n-1} multiples
+            prev, cur = [0] * deg, list(coeffs) + [0] * (deg - len(coeffs))
+            out = [cur]
+            for _ in range(1, self.n):
+                top = cur[-1]
+                prev, cur = cur, [s - top * p - u for s, p, u in zip([0] + cur[:-1], low, prev)]
+                out.append(cur)
+            return out
+
+        chains = Memo(multiples)
         roots = {}  # flat key -> the positive root
         lookup = {}
         for alpha in self.roots.positives:
-            entries = []
-            for c in alpha:
-                multiples = chains.get(c.coeffs)
-                if multiples is None:
-                    prev, cur = [0] * deg, list(c.coeffs) + [0] * (deg - len(c.coeffs))
-                    multiples = chains[c.coeffs] = [cur]
-                    for _ in range(1, self.n):
-                        top = cur[-1]
-                        prev, cur = cur, [s - top * p - u for s, p, u in zip([0] + cur[:-1], low, prev)]
-                        multiples.append(cur)
-                entries.append(multiples)
+            entries = [chains[c.coeffs] for c in alpha]
             scaled = [tuple(chain.from_iterable(col)) for col in zip(*entries)]
             base = scaled[0]
             roots[base] = alpha

@@ -12,6 +12,7 @@ last two vertices of H3 and H4.
 
 from __future__ import annotations
 
+from functools import cache
 from operator import mul as _mul
 
 from .chebring import _coeff_sign, _context, _Frozen, _poly_trim
@@ -142,12 +143,7 @@ def generate_roots(type_name: str) -> RootSet:
     )
 
 
-_ROOT_CACHE: dict[str, RootSet] = {}
-
-
+@cache
 def root_system(type_name: str) -> RootSet:
-    rs = _ROOT_CACHE.get(type_name)
-    if rs is None:
-        rs = generate_roots(type_name)
-        _ROOT_CACHE[type_name] = rs
-    return rs
+    """``generate_roots(type_name)``, generated once per process."""
+    return generate_roots(type_name)

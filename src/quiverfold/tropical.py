@@ -13,8 +13,8 @@ of the seed pattern on the word verifiers' explorer (``exchange._Explorer``).
 Folded matrices are computed on only as reduced coefficient tuples
 (``exchange.coeff_rows``): a ``Seed`` holds its stacked rows and g-vectors
 that way and steps them with ``exchange.mutate_coeffs`` and ``_mutate_g``,
-the walker's states carry them that way, and one ``RingValues`` per seed
-pattern makes ``AlgReal`` values of them only for output (``Seed.B``,
+the walker's states carry them that way, and one ``RingValues`` memo per
+seed pattern makes ``AlgReal`` values of them only for output (``Seed.B``,
 ``Seed.C``, ``g_matrix``).  Lifted matrices are ints.  d_F of an integer
 matrix needs no reduction.  The product ``mat_mul`` and the determinant
 ``det_laplace(rows, m)`` add each term acc <- acc + x * y by one lookup
@@ -46,13 +46,13 @@ The dets check takes det_x over the Chebyshev ring on the elements'
 coefficient tuples (``det_cheb``), and makes a ``ChebElem`` of a result
 only the first time the walker meets it, for ``sigma`` and the unit test.
 ``det_cheb`` and ``det_laplace`` are one Laplace expansion (``_laplace``)
-over two multiply-add memos of one kind (``chebring._Updates``): the
+over two multiply-add memos of one kind (``chebring._multiply_add``): the
 field's, and the Chebyshev ring's (``chebring._cheb_memos``).
 
 A walk meets the same few c-vectors and lifted columns at every step (in
 finite type the c-vectors are roots, Nakanishi-Zelevinsky 2012), so each
-walker keeps its verdicts for its whole life, in tables of one kind
-(``_Table``: a dict whose missing entry is computed from its key):
+walker keeps its verdicts for its whole life, in ``chebring.Memo`` tables,
+each entry computed from its key on first read:
 ``root_verdicts`` (is a root, is sign-coherent) of each folded c-vector,
 ``d_F_columns`` of each lifted integer column, ``projected_C`` d_F(C_l)
 of each lifted C part, for the dF(C) comparison and the mutation squares,
@@ -74,11 +74,11 @@ from itertools import combinations, islice
 from operator import add, itemgetter, mul as _mul
 
 from .chebring import (
-    ChebElem, _cheb_memos, _coeff_sign, _context, _Frozen, json_value, rho, sigma,
+    ChebElem, Memo, _cheb_memos, _coeff_sign, _context, _Frozen, _pivot_split, _sign, json_value,
+    rho, sigma,
 )
 from .exchange import (
-    ExchangeMatrix, RingValues, _as_coeffs, _Explorer, _pivot_columns, _sign, coeff_rows,
-    explore_words, mutate_coeffs,
+    ExchangeMatrix, RingValues, _as_coeffs, _Explorer, coeff_rows, explore_words, mutate_coeffs,
 )
 from .repcat import folded_type_name
 from .rootsys import root_system
@@ -94,14 +94,14 @@ class Seed(_Frozen):
     ``rows`` and ``m`` alone.  ``g`` holds the g-vectors, a function of C,
     in the same form: the rows of C^{-1}, stepped by ``_mutate_g``.  ``B``,
     ``C``, ``c_vectors`` and ``g_matrix`` decode on read through
-    ``values``, the seed pattern's one ``RingValues`` (None over Z).
+    ``values``, the seed pattern's one ``RingValues`` memo (None over Z).
     """
 
     __slots__ = ("rows", "m", "word", "g", "values")
     _compared = ("rows", "m")
 
     def __init__(
-        self, rows: tuple, m: int | None, word: tuple, g: tuple, values: RingValues | None
+        self, rows: tuple, m: int | None, word: tuple, g: tuple, values: Memo | None
     ):
         self._fill(rows, m, word, g, values)
 
@@ -156,7 +156,7 @@ def _mutate_g(g, rows, k: int, m):
     mutation takes a sign-coherent c_k to C E_k, where E_k is the identity
     with row k replaced by [eps b_kj]_+ at j != k and -1 at k.  E_k^2 = I,
     so C^{-1} goes to E_k C^{-1}: g'_k = -g_k + sum_{j != k} [eps b_kj]_+ g_j,
-    over the pivot columns of sign eps (``exchange._pivot_columns``).  Over
+    over the pivot columns of sign eps (``chebring._pivot_split``).  Over
     Z[2cos(pi/m)] that split is read from the context's ``pivots`` memo,
     where ``mutate_coeffs`` has just put it in ``Seed.mutate``, and each
     coordinate is summed term by term through its ``updates`` memo, as
@@ -169,7 +169,8 @@ def _mutate_g(g, rows, k: int, m):
     signs = {_sign(ctx, row[k]) for row in rows[n:]}
     if {1, -1} <= signs:
         raise ArithmeticError(f"c-vector {k} is not sign-coherent")
-    terms = _pivot_columns(ctx, rows[k], k)[-1 in signs]
+    key = (rows[k], k)
+    terms = (_pivot_split(None, key) if ctx is None else ctx.pivots[key])[-1 in signs]
     if m is None:
         new = [-x for x in g[k]]
         for j, b in terms:
@@ -333,18 +334,6 @@ def invert_integer(rows, columns):
 # folded walks and the compatibility checks
 
 
-class _Table(dict):
-    """A walker's verdicts: ``compute(key)`` for each key, made on first read."""
-
-    def __init__(self, compute):
-        super().__init__()
-        self.compute = compute
-
-    def __missing__(self, key):
-        value = self[key] = self.compute(key)
-        return value
-
-
 class WalkReport:
     def __init__(self, passed: bool, vertices_checked: int, failures: list, seed, states: int):
         self.passed = passed
@@ -400,12 +389,12 @@ class TropicalWalker:
         # each block's vertices, picked out of a lifted C column or out of C_l^T
         self._block_vertices = tuple(itemgetter(*b) for b in spec.blocks)
         self._reps = spec.weight_one_reps  # the only columns of a lifted matrix that d_F reads
-        self.root_verdicts = _Table(self._root_verdict)
-        self.d_F_columns = _Table(spec.coeff_d_F)  # lifted integer column -> its d_F
-        self.projected_C = _Table(self._project_C)
-        self.block_verdicts = _Table(self._block_verdict)
-        self.column_verdicts = _Table(self._column_verdict)
-        self.det_verdicts = _Table(self._det_verdict)
+        self.root_verdicts = Memo(self._root_verdict)
+        self.d_F_columns = Memo(spec.coeff_d_F)  # lifted integer column -> its d_F
+        self.projected_C = Memo(self._project_C)
+        self.block_verdicts = Memo(self._block_verdict)
+        self.column_verdicts = Memo(self._column_verdict)
+        self.det_verdicts = Memo(self._det_verdict)
 
     # stacked matrices: folded (2m' x m') of coefficient tuples, lifted (2N x N) of ints
     def initial_pair(self):

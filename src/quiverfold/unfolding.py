@@ -26,18 +26,19 @@ from functools import partial
 from itertools import chain
 from operator import index, itemgetter
 
-from .chebring import AlgReal, ChebElem, _context, _Frozen, json_value, rho
+from .chebring import AlgReal, ChebElem, _context, _Frozen, _sign, json_value, rho
 from .exchange import (
-    ExchangeMatrix, RingValues, _as_coeffs, _sign, coeff_rows, entry_field, explore_words,
-    mutate_coeffs,
+    ExchangeMatrix, RingValues, _as_coeffs, coeff_rows, entry_field, explore_words, mutate_coeffs,
 )
 
 
 def _block_sums(blocks, weights, vector) -> tuple:
     """d_F of an integer vector: sum_{i in E_j} vector[i] * weights[i] for each block E_j.
 
-    Each weight is an int or a reduced coefficient tuple (``coeff_rows``),
-    an int counting as a constant tuple.  A block sum adds integer
+    Each weight is an int, an ``AlgReal`` or a reduced coefficient tuple
+    (``coeff_rows``): an int counts as a constant tuple and an ``AlgReal``
+    as its ``coeffs``, so a spec's weights are summed as they are stored,
+    with no encoding per call.  A block sum adds integer
     multiples of reduced tuples, so it is reduced already and only
     trimmed; an empty sum is ().  This is the one weighted block sum:
     ``FoldingSpec.coeff_d_F`` and ``d_F`` apply it to dimension, c- and
@@ -50,8 +51,8 @@ def _block_sums(blocks, weights, vector) -> tuple:
             x = vector[i]
             if x:
                 w = weights[i]
-                if type(w) is int:
-                    w = (w,)
+                if type(w) is not tuple:
+                    w = (w,) if type(w) is int else w.coeffs
                 if not acc:
                     acc = [x * c for c in w]
                     continue
@@ -116,22 +117,19 @@ class FoldingSpec(_Frozen):
         """
         if len(vector) != self.S.n:
             raise ValueError("vector length must match the unfolded vertex count")
-        m = entry_field((self.weights,))
-        (w_row,) = coeff_rows((self.weights,))
+        m, weights = entry_field((self.weights,)), self.weights
         return tuple(
-            _decode(m, coeffs, any(type(w_row[i]) is tuple for i in block))
-            for block, coeffs in zip(self.blocks, _block_sums(self.blocks, w_row, vector))
+            _decode(m, coeffs, any(isinstance(weights[i], AlgReal) for i in block))
+            for block, coeffs in zip(self.blocks, _block_sums(self.blocks, weights, vector))
         )
 
     def coeff_d_F(self, vector):
         """d_F of an integer vector as reduced coefficient tuples, one per block.
 
-        The weights are encoded with ``coeff_rows`` and summed by
-        ``_block_sums``, the kernel whose d_F(S e_l) are the column sums of
-        ``conditions_hold``.
+        The weights are summed by ``_block_sums``, the kernel whose
+        d_F(S e_l) are the column sums of ``conditions_hold``.
         """
-        (w_row,) = coeff_rows((self.weights,))
-        return _block_sums(self.blocks, w_row, vector)
+        return _block_sums(self.blocks, self.weights, vector)
 
     def to_json(self):
         return {

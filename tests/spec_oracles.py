@@ -395,15 +395,15 @@ def oracle_tables(cc, module_tables=hammock_tables):
     tau, tau_inv = cluster_translates(cc)
 
     def hom_c(x, y):
-        if cc.is_shift(x):
+        if x >= cc.nmod:
             v = x - cc.nmod
-            if cc.is_shift(y):
+            if y >= cc.nmod:
                 return mod_hom[ar.proj_module[v]][ar.proj_module[y - cc.nmod]]
             ty = tau_inv[y]
             if ty is None:
                 return 0
             return mod_hom[ar.proj_module[v]][ty]
-        if cc.is_shift(y):
+        if y >= cc.nmod:
             w = y - cc.nmod
             return mod_ext[x][ar.proj_module[w]]
         total = mod_hom[x][y]
@@ -456,7 +456,7 @@ def presentation(cc, module):
 
 def g_vector(cc, x):
     """The g-vector of an object of a ``ClusterCategory``: P0 - P1, or -e_v for P_v[1]."""
-    if cc.is_shift(x):
+    if x >= cc.nmod:
         v = x - cc.nmod
         return tuple(-1 if w == v else 0 for w in range(cc.nverts))
     a, b = presentation(cc, x)
@@ -471,7 +471,7 @@ def g_vector_folded(cc, x):
     object's presentation, or (0, e_v) for P_v[1].
     """
     n = cc.mc.n
-    if cc.is_shift(x):
+    if x >= cc.nmod:
         v = x - cc.nmod
         a = (0,) * cc.nverts
         b = tuple(1 if w == v else 0 for w in range(cc.nverts))

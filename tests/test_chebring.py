@@ -3,6 +3,7 @@ import copy
 import functools
 import json
 import math
+import operator
 import pickle
 import random
 import re
@@ -29,6 +30,7 @@ from quiverfold.chebring import (
     semiring_leq,
     sigma,
 )
+from quiverfold.exchange import RingValues
 from spec_oracles import bisections, e_F, interval_eval
 
 
@@ -264,6 +266,68 @@ class TestAlgRealImmutable:
         a = AlgReal(9, (3, -1, 2))
         for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
             assert b == a and b.m == 9 and b.coeffs == a.coeffs
+
+
+OPERATORS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+RING_VALUES = {"AlgReal": AlgReal(5, (1, 1)), "ChebElem": ChebElem(3, (1, 0, 1))}
+FOREIGN = {
+    "float": 1.5, "Fraction": Fraction(1, 2), "int": 1,
+    "AlgReal": AlgReal(7, (0, 1)), "ChebElem": ChebElem(2, (0, 1)),
+}
+
+
+def _foreign(ring, op, other) -> bool:
+    """Whether the ring does not take ``other`` for ``op``: AlgReal takes ints,
+    ChebElem has no order and takes an int factor, and each takes itself."""
+    if other == ring:
+        return False
+    if ring == "AlgReal":
+        return other != "int"
+    return op in "+-" or (op == "*" and other != "int")
+
+
+@pytest.mark.parametrize("ring,op,other", [
+    (ring, op, other) for ring in RING_VALUES for op in OPERATORS for other in FOREIGN
+    if _foreign(ring, op, other)
+])
+def test_a_foreign_operand_is_a_type_error(ring, op, other):
+    # each operator returns NotImplemented, so Python raises its own TypeError
+    value, foreign = RING_VALUES[ring], FOREIGN[other]
+    for left, right in ((value, foreign), (foreign, value)):
+        with pytest.raises(TypeError, match="unsupported operand|not supported between"):
+            OPERATORS[op](left, right)
+
+
+class TestMemo:
+    def test_compute_runs_once_per_key(self):
+        calls = collections.Counter()
+
+        def square(x):
+            calls[x] += 1
+            return x * x
+
+        memo = chebring.Memo(square)
+        assert [memo[x] for x in (3, 4, 3, 3, 4)] == [9, 16, 9, 9, 16]
+        assert calls == {3: 1, 4: 1}
+        assert memo == {3: 9, 4: 16}
+
+    def test_rows_decodes_a_matrix(self):
+        values = RingValues(5)
+        decoded = values.rows(((0, (1,)), ((0, 1), ())))
+        assert decoded == ((0, AlgReal(5, (1,))), (AlgReal.generator(5), AlgReal(5)))
+        assert [type(x) for row in decoded for x in row] == [int, AlgReal, AlgReal, AlgReal]
+        assert values.rows((((1,),),))[0][0] is decoded[0][1]
+
+    def test_pickle_and_copy_keep_entries_and_compute(self):
+        memo = chebring.Memo(functools.partial(divmod, 17))
+        assert memo[5] == (3, 2)
+        for twin in (pickle.loads(pickle.dumps(memo)), copy.copy(memo), copy.deepcopy(memo)):
+            assert type(twin) is chebring.Memo and twin == {5: (3, 2)}
+            assert twin[6] == (2, 5) and twin == {5: (3, 2), 6: (2, 5)}
+        assert memo == {5: (3, 2)}
 
 
 class TestAlgRealSign:
@@ -608,7 +672,7 @@ class TestSignMemo:
         a = fibonacci_gaps(80)[-1]
         assert a.sign() == 1 and refines[5] > 0
         ctx = chebring._context(5)
-        assert ctx.signs[a.coeffs] == 1
+        assert ctx.signs.get(a.coeffs) == 1  # get reads the entry without computing it
         before = refines[5]
         assert a.sign() == 1 and AlgReal(5, a.coeffs).sign() == 1
         assert refines[5] == before

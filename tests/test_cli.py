@@ -138,6 +138,25 @@ def test_every_src_definition_is_read():
     assert sorted(unread) == sorted(UNREAD_DEFINITIONS), differ
 
 
+def test_no_src_class_subclasses_dict_but_memo():
+    """``chebring.Memo`` is the one table whose missing entry is computed from its key.
+
+    No other class of the package subclasses ``dict`` (or ``Memo``).
+    """
+    found = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(Path(quiverfold.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(
+            (base.id if isinstance(base, ast.Name) else getattr(base, "attr", None))
+            in ("dict", "Memo")
+            for base in node.bases
+        )
+    ]
+    assert found == ["chebring.Memo"]
+
+
 def test_every_attribute_stored_on_self_is_read():
     """Each attribute that the package sets on ``self`` is loaded somewhere in it.
 

@@ -1,6 +1,8 @@
 import functools
+import gc
 import itertools
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -414,25 +416,26 @@ def test_g_vectors_match_presentations(kind, opp):
         assert cc.g_vector(x) == tuple(ai - bi for ai, bi in zip(a, b))
 
 
-class _CountedSets(dict):
-    """A g-vector table that counts how often each object's entry is set."""
+def _count_computes(memo, calls: Counter) -> None:
+    """Count in ``calls`` each key for which the ``Memo`` ``memo`` computes an entry."""
+    compute = memo.compute
 
-    def __init__(self):
-        super().__init__()
-        self.sets = Counter()
+    def counted(key):
+        calls[key] += 1
+        return compute(key)
 
-    def __setitem__(self, x, g):
-        self.sets[x] += 1
-        super().__setitem__(x, g)
+    memo.compute = counted
 
 
 @pytest.mark.parametrize("kind", EQUIVALENCE_KINDS, ids=lambda k: f"{k[0]}{k[1] or ''}")
 def test_presentation_once_per_module(kind):
     # each object's g-vector, and folded g-vector, is computed once, on
-    # first use: the tables are empty after __init__ and each entry is set once
+    # first use: the tables are empty after __init__ and each entry is computed once
     cc = ClusterCategory(standard_folding(*kind))
     assert not cc._g and not cc._g_folded, "the g-vector tables must fill lazily, not in __init__"
-    cc._g, cc._g_folded = _CountedSets(), _CountedSets()
+    lifted, folded = Counter(), Counter()
+    _count_computes(cc._g, lifted)
+    _count_computes(cc._g_folded, folded)
     tilts = cc.enumerate_tilting()
     for _ in range(2):
         for t in tilts:
@@ -440,7 +443,24 @@ def test_presentation_once_per_module(kind):
         for x in objects(cc):
             cc.g_vector(x)
             cc.g_vector_folded(x)
-    assert cc._g.sets == cc._g_folded.sets == Counter(objects(cc))
+    assert lifted == folded == Counter(objects(cc))
+
+
+@pytest.mark.parametrize("kind", [("H3", None), ("H4", None), ("I2", 5)], ids=["H3", "H4", "I25"])
+def test_a_dropped_category_is_freed_by_reference_counting(kind):
+    # the g-vector memos' computes hold the tables they read, not the
+    # category, so no reference cycle keeps a dropped category alive
+    cc = ClusterCategory(standard_folding(*kind))
+    for x in objects(cc):
+        cc.g_vector_folded(x)
+    cc.exchange_graph()
+    ref = weakref.ref(cc)
+    gc.disable()
+    try:
+        del cc
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # -- oracles: the exchange graph from before each edge was decided once.
@@ -707,16 +727,17 @@ def test_exchange_graph_decodes_no_matrix(monkeypatch):
     # ``tilting graph`` reads keys and edges only; the nodes keep the rows
     # the closure computed on
     cc = ClusterCategory(standard_folding("H4"))
-    calls = Counter()
-    real_rows = RingValues.rows
+    decoded = Counter()
+    real = clustercat.RingValues
 
-    def counted(self, matrix):
-        calls["rows"] += 1
-        return real_rows(self, matrix)
+    def counted(m):
+        values = real(m)
+        _count_computes(values, decoded)
+        return values
 
-    monkeypatch.setattr(RingValues, "rows", counted)
+    monkeypatch.setattr(clustercat, "RingValues", counted)
     nodes, _ = cc.exchange_graph()
-    assert calls["rows"] == 0
+    assert not decoded
     assert all(type(x) is tuple for rows in nodes.values() for row in rows for x in row)
 
 

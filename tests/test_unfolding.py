@@ -1,9 +1,11 @@
 import math
+import random
 
 import pytest
 
+from quiverfold import unfolding
 from quiverfold.chebring import AlgReal
-from quiverfold.exchange import ExchangeMatrix
+from quiverfold.exchange import ExchangeMatrix, coeff_rows
 from quiverfold.unfolding import (
     build_unfolded_matrix,
     check_weighted_unfolding,
@@ -315,6 +317,20 @@ class TestWeightedUnfoldingWalks:
         got = matrix_d_F(spec, ident)
         one, zero = AlgReal(7, (1,)), AlgReal(7)
         assert got == ((one, zero), (zero, one))
+
+    def test_coeff_d_F_encodes_no_weights(self, monkeypatch):
+        # the weights are summed as the spec stores them, with no encoding per call
+        spec = standard_folding("H4")
+        (w_row,) = coeff_rows((spec.weights,))
+        encoded = []
+        real = unfolding.coeff_rows
+        monkeypatch.setattr(unfolding, "coeff_rows", lambda rows: encoded.append(rows) or real(rows))
+        rng = random.Random(4)
+        for _ in range(100):
+            vector = tuple(rng.randint(-3, 3) for _ in range(spec.S.n))
+            got = spec.coeff_d_F(vector)
+            assert got == unfolding._block_sums(spec.blocks, w_row, vector)
+        assert encoded == []
 
 
 def sign_flipped_f4e6():
